@@ -46,42 +46,32 @@ var AnalyzerCollectiveSym = &Analyzer{
 }
 
 // collectiveNames are the comm package entry points that must be executed
-// symmetrically by every rank of the world.
+// symmetrically by every rank of the world. TestCommTablesMatchPackage
+// keeps the table equal to the package's exported surface.
 var collectiveNames = map[string]bool{
-	"Barrier":                  true,
-	"Bcast":                    true,
-	"AllreduceBytes":           true,
-	"AllreduceBytesRing":       true,
-	"AllreduceFloat64Sum":      true,
-	"AllreduceInt64Sum":        true,
-	"AllreduceInt64Max":        true,
-	"AllreduceFloat64SliceSum": true,
-	"Allgather":                true,
-	"Alltoallv":                true,
-	"Gather":                   true,
-	// Overlapped collective engine (PR 4): the overlapped/streaming
-	// alltoall variants, the fused per-iteration reduction, and the
-	// pipelined/size-selected ring reductions are collectives like any
-	// other — every rank must reach them symmetrically.
-	"AlltoallvSeq":                true,
-	"AlltoallvInto":               true,
-	"AlltoallvFunc":               true,
-	"AllgatherInto":               true,
-	"AllreduceIterStats":          true,
-	"AllreduceBytesRingPipelined": true,
-	"AllreduceBytesAuto":          true,
-	// Mid-solve load rebalancing (PR 7): the migration exchanges and the
-	// work-vector reductions that drive the trigger. Doubly deadly under
-	// rank-dependent control flow — the migration rounds share one tag and
-	// rely on per-pair FIFO order, so an asymmetric entry desynchronizes
-	// the round framing for the whole world.
-	"MigrationExchange":      true,
-	"MigrationExchangeSeq":   true,
-	"AllreduceIterStatsWork": true,
-	"AllreduceInt64SliceMax": true,
-	// Resident serving (PR 8): every rank of a resident world must enter
-	// the per-batch drift reduction, or the update call wedges with some
-	// ranks inside the collective and the rest back in their command loop.
+	"Barrier":             true,
+	"Bcast":               true,
+	"AllreduceBytes":      true,
+	"AllreduceFloat64Sum": true,
+	"AllreduceInt64Sum":   true,
+	"AllreduceInt64Max":   true,
+	"Allgather":           true,
+	"AllgatherInto":       true,
+	"Alltoallv":           true,
+	"AlltoallvInto":       true,
+	"AlltoallvFunc":       true,
+	"Gather":              true,
+	// The per-iteration record reduction, with or without the rebalancer's
+	// work vector.
+	"AllreduceIterStats": true,
+	// Mid-solve load rebalancing. Doubly deadly under rank-dependent
+	// control flow — the migration rounds share one tag and rely on
+	// per-pair FIFO order, so an asymmetric entry desynchronizes the round
+	// framing for the whole world.
+	"MigrationExchange": true,
+	// Resident serving: every rank of a resident world must enter the
+	// per-batch drift reduction, or the update call wedges with some ranks
+	// inside the collective and the rest back in their command loop.
 	"AllreduceUpdateStats": true,
 }
 

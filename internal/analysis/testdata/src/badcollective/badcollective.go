@@ -59,27 +59,9 @@ func RootOnlyStreamingAlltoall(c comm.Comm, out [][]byte) error {
 func EvenRanksFusedReduce(c comm.Comm) (comm.IterStats, error) {
 	me := c.Rank()
 	if me%2 == 0 {
-		return comm.AllreduceIterStats(c, comm.IterStats{Moved: 1}) // want collectivesym
+		return comm.AllreduceIterStats(c, comm.IterStats{Moved: 1}, nil) // want collectivesym
 	}
 	return comm.IterStats{}, nil
-}
-
-func halves(data []byte, n int) [][]byte {
-	segs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		segs[i] = data[i*len(data)/n : (i+1)*len(data)/n]
-	}
-	return segs
-}
-
-func keepFirst(a, b []byte) []byte { return a }
-
-// RootOnlyPipelinedRing guards the pipelined ring reduction.
-func RootOnlyPipelinedRing(c comm.Comm, data []byte) ([]byte, error) {
-	if c.Rank() == 0 {
-		return comm.AllreduceBytesRingPipelined(c, data, 2, halves, keepFirst) // want collectivesym
-	}
-	return data, nil
 }
 
 // HotRankOnlyMigration covers the load rebalancer (PR 7): a donor-only
@@ -93,32 +75,13 @@ func HotRankOnlyMigration(c comm.Comm, out [][]byte) error {
 	return nil
 }
 
-// DerivedRankSeqMigration is the sequential-path variant behind a
-// rank-derived condition.
-func DerivedRankSeqMigration(c comm.Comm, out [][]byte) ([][]byte, error) {
+// DonorsOnlyWorkReduce puts the stats+work reduction that feeds the
+// rebalancing trigger behind a rank-derived condition: ranks that skip it
+// never learn the work vector and diverge on whether to migrate.
+func DonorsOnlyWorkReduce(c comm.Comm, work []int64) (comm.IterStats, error) {
 	donor := c.Rank() < c.Size()/2
 	if donor {
-		return comm.MigrationExchangeSeq(c, out) // want collectivesym
-	}
-	return nil, nil
-}
-
-// RootOnlyWorkReduce guards the fused stats+work reduction that feeds the
-// rebalancing trigger: ranks that skip it never learn the work vector and
-// diverge on whether to migrate.
-func RootOnlyWorkReduce(c comm.Comm, work []int64) (comm.IterStats, error) {
-	if c.Rank() == 0 {
-		return comm.AllreduceIterStatsWork(c, comm.IterStats{}, work) // want collectivesym
+		return comm.AllreduceIterStats(c, comm.IterStats{}, work) // want collectivesym
 	}
 	return comm.IterStats{}, nil
-}
-
-// SwitchOnRankSliceMax covers the sequential work-vector reduction.
-func SwitchOnRankSliceMax(c comm.Comm, work []int64) ([]int64, error) {
-	switch c.Rank() {
-	case 0:
-		return comm.AllreduceInt64SliceMax(c, work) // want collectivesym
-	default:
-		return work, nil
-	}
 }

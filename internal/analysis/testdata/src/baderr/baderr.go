@@ -82,7 +82,7 @@ func DropStreamingAlltoall(c comm.Comm, out [][]byte) {
 
 // DropFusedReduce blanks the fused per-iteration reduction's error.
 func DropFusedReduce(c comm.Comm) comm.IterStats {
-	st, _ := comm.AllreduceIterStats(c, comm.IterStats{}) // want commerr
+	st, _ := comm.AllreduceIterStats(c, comm.IterStats{}, nil) // want commerr
 	return st
 }
 
@@ -110,25 +110,10 @@ func HandledIngestOK(r io.Reader) (*graph.Graph, error) {
 	return graph.ReadEdgeListParallel(r, 4)
 }
 
-func keepFirst(a, b []byte) []byte { return a }
-
-// DropAutoReduce blanks the size-selected reduction's error.
-func DropAutoReduce(c comm.Comm, data []byte) []byte {
-	out, _ := comm.AllreduceBytesAuto(c, data, 1, nil, keepFirst) // want commerr
-	return out
-}
-
 // DropMigration drops the migration exchange's error on the floor: the
 // world's ownership directories diverge silently.
 func DropMigration(c comm.Comm, out [][]byte) {
 	comm.MigrationExchange(c, out, func(src int, payload []byte) error { return nil }) // want commerr
-}
-
-// DropSeqMigration blanks the sequential migration exchange's error but
-// keeps the payloads — exactly the stale-data hazard the analyzer exists for.
-func DropSeqMigration(c comm.Comm, out [][]byte) [][]byte {
-	in, _ := comm.MigrationExchangeSeq(c, out) // want commerr
-	return in
 }
 
 // DropV2Write drops the compressed sharded writer's error (out-of-core
@@ -180,15 +165,4 @@ func HandledOocoreOK(r io.Reader, s *graph.Sharded) error {
 	}
 	_, err := s.ReadWindow(0)
 	return err
-}
-
-// DropWorkReduce blanks the fused stats+work reduction's error.
-func DropWorkReduce(c comm.Comm, work []int64) comm.IterStats {
-	v, _ := comm.AllreduceIterStatsWork(c, comm.IterStats{}, work) // want commerr
-	return v
-}
-
-// DropSliceMax drops the sequential work-vector reduction's error.
-func DropSliceMax(c comm.Comm, work []int64) {
-	comm.AllreduceInt64SliceMax(c, work) // want commerr
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -145,70 +144,11 @@ func benchAlltoallvUnderDelay(b *testing.B, fn func(Comm, [][]byte) ([][]byte, e
 	}
 }
 
-// BenchmarkAlltoallvSeq vs BenchmarkAlltoallvOverlap is the headline A/B of
-// the overlapped engine: same payloads, same chaos schedule, the only
-// difference is posting all sends before the first receive.
+// BenchmarkAlltoallvSeq vs BenchmarkAlltoallvOverlap shows what posting all
+// sends before the first receive buys: same payloads, same chaos schedule,
+// production Alltoallv against the test-only sequential reference.
 func BenchmarkAlltoallvSeq(b *testing.B)     { benchAlltoallvUnderDelay(b, AlltoallvSeq) }
 func BenchmarkAlltoallvOverlap(b *testing.B) { benchAlltoallvUnderDelay(b, Alltoallv) }
-
-// BenchmarkAllreduceRingPipelined compares the plain ring against the
-// segmented pipeline under injected per-message latency. The injected-delay
-// model is deliberately adversarial to pipelining — every extra frame on a
-// link costs a full lane sleep, and the 1ms delay dwarfs the combine the
-// pipeline overlaps — so the pipelined variant is expected to trail here;
-// its regime is bandwidth-bound payloads (see docs/PERFORMANCE.md), which
-// is exactly what AllreduceBytesAuto's record-count threshold encodes.
-func BenchmarkAllreduceRingPipelined(b *testing.B) {
-	const nrec = 8192
-	payload := make([]byte, nrec*8)
-	for i := 0; i < nrec; i++ {
-		binary.LittleEndian.PutUint64(payload[i*8:], uint64(i))
-	}
-	maxU64 := func(x, y []byte) []byte {
-		out := make([]byte, len(x))
-		for i := 0; i+8 <= len(x); i += 8 {
-			vx, vy := binary.LittleEndian.Uint64(x[i:]), binary.LittleEndian.Uint64(y[i:])
-			if vy > vx {
-				vx = vy
-			}
-			binary.LittleEndian.PutUint64(out[i:], vx)
-		}
-		return out
-	}
-	split := func(data []byte, n int) [][]byte {
-		segs := make([][]byte, n)
-		rec := len(data) / 8
-		for i := 0; i < n; i++ {
-			segs[i] = data[(i*rec/n)*8 : ((i+1)*rec/n)*8]
-		}
-		return segs
-	}
-	variants := []struct {
-		name string
-		fn   func(Comm) ([]byte, error)
-	}{
-		{"ring", func(c Comm) ([]byte, error) { return AllreduceBytesRing(c, payload, maxU64) }},
-		{"ring-pipelined", func(c Comm) ([]byte, error) {
-			return AllreduceBytesRingPipelined(c, payload, 8, split, maxU64)
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name+"/p=8", func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
-			err := RunWorldChaos(8, delayOnlyChaos(), func(c Comm) error {
-				for i := 0; i < b.N; i++ {
-					if _, err := v.fn(c); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
 
 func BenchmarkAllreduceAlgorithms(b *testing.B) {
 	// Recursive doubling vs ring, at the hub-proposal payload size of the

@@ -5,22 +5,13 @@ import (
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // Collectives built on point-to-point messaging. All ranks of the world must
 // call the same collective in the same order (bulk-synchronous usage), as
-// with MPI.
-//
-// The overlapped variants (Alltoallv, AlltoallvFunc, Gather,
-// AllreduceBytesRingPipelined — see overlap.go) post sends up front and
-// consume replies as they arrive instead of serializing p−1 round-trips.
-// They share the sequential variants' tags: per-(source, tag) FIFO plus the
-// bulk-synchronous usage rule means each collective call consumes a fixed
-// number of messages per peer stream, so sequential and overlapped calls
-// can even be mixed across ranks of the same collective without
-// mismatching. docs/PERFORMANCE.md describes the overlap design and why
-// results stay bit-identical.
+// with MPI. The personalized exchanges (Alltoallv, AlltoallvFunc,
+// MigrationExchange) live in overlap.go, the fixed-width record reductions
+// in reduce.go.
 
 // collStart returns a start timestamp when per-collective trace accounting
 // is enabled and the zero time otherwise, so the disabled path costs one
@@ -107,6 +98,10 @@ func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 // associative, commutative combine function; every rank returns the same
 // combined result. The implementation folds non-power-of-two ranks into the
 // largest power-of-two subgroup, runs recursive doubling there, and unfolds.
+// combine is always called as combine(accumulated, received) over a tree
+// fixed by p alone, so a commutative but non-associative combine (a float
+// sum) yields the same bits on every rank and every run; reduce.go relies
+// on that.
 func AllreduceBytes(c Comm, data []byte, combine func(a, b []byte) []byte) ([]byte, error) {
 	p := c.Size()
 	if p == 1 {
@@ -158,134 +153,6 @@ func AllreduceBytes(c Comm, data []byte, combine func(a, b []byte) []byte) ([]by
 	return data, nil
 }
 
-// AllreduceBytesRing is a ring-based alternative to AllreduceBytes: each
-// rank forwards the running combination around a ring (p−1 steps), then the
-// final value is broadcast from the last rank. Latency is O(p) instead of
-// O(log p), but each step moves only one message; the ablation benchmarks
-// compare the two. combine must be associative and commutative.
-func AllreduceBytesRing(c Comm, data []byte, combine func(a, b []byte) []byte) ([]byte, error) {
-	p := c.Size()
-	if p == 1 {
-		return data, nil
-	}
-	defer collDone(trace.CollAllreduceRing, collStart(), int64(len(data)))
-	r := c.Rank()
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	// Reduce phase: rank 0 starts; everyone else combines and forwards.
-	if r != 0 {
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = combine(data, got)
-	}
-	if err := c.Send(next, tagReduce, data); err != nil {
-		return nil, err
-	}
-	if r == 0 {
-		// The value arriving from the last rank already covers every rank
-		// (rank 0's own contribution entered the ring at the first step).
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = got
-	} else {
-		// Everyone already forwarded; now take the final value as it
-		// circulates back.
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		data = got
-	}
-	// One more forwarding round distributes the final value; the last rank
-	// before rank 0 must not send back into rank 0's reduce stream.
-	if r != p-1 {
-		if err := c.Send(next, tagReduce, data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
-// AllreduceFloat64Sum returns the sum of v across all ranks.
-func AllreduceFloat64Sum(c Comm, v float64) (float64, error) {
-	buf := wire.NewBuffer(8)
-	buf.PutF64(v)
-	out, err := AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		ra, rb := wire.NewReader(a), wire.NewReader(b)
-		s := wire.NewBuffer(8)
-		s.PutF64(ra.F64() + rb.F64())
-		return s.Bytes()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return wire.NewReader(out).F64(), nil
-}
-
-// AllreduceInt64Sum returns the sum of v across all ranks.
-func AllreduceInt64Sum(c Comm, v int64) (int64, error) {
-	buf := wire.NewBuffer(8)
-	buf.PutI64(v)
-	out, err := AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		ra, rb := wire.NewReader(a), wire.NewReader(b)
-		s := wire.NewBuffer(8)
-		s.PutI64(ra.I64() + rb.I64())
-		return s.Bytes()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return wire.NewReader(out).I64(), nil
-}
-
-// AllreduceInt64Max returns the maximum of v across all ranks.
-func AllreduceInt64Max(c Comm, v int64) (int64, error) {
-	buf := wire.NewBuffer(8)
-	buf.PutI64(v)
-	out, err := AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		ra, rb := wire.NewReader(a), wire.NewReader(b)
-		va, vb := ra.I64(), rb.I64()
-		if vb > va {
-			va = vb
-		}
-		s := wire.NewBuffer(8)
-		s.PutI64(va)
-		return s.Bytes()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return wire.NewReader(out).I64(), nil
-}
-
-// AllreduceFloat64SliceSum element-wise sums a fixed-length vector across
-// ranks; every rank must pass the same length.
-func AllreduceFloat64SliceSum(c Comm, vs []float64) ([]float64, error) {
-	buf := wire.NewBuffer(len(vs)*8 + 8)
-	buf.PutF64s(vs)
-	out, err := AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		va := wire.NewReader(a).F64s()
-		vb := wire.NewReader(b).F64s()
-		if len(va) != len(vb) {
-			panic(fmt.Sprintf("comm: allreduce slice length mismatch %d vs %d", len(va), len(vb)))
-		}
-		for i := range va {
-			va[i] += vb[i]
-		}
-		s := wire.NewBuffer(len(va)*8 + 8)
-		s.PutF64s(va)
-		return s.Bytes()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wire.NewReader(out).F64s(), nil
-}
-
 // Allgather collects every rank's payload; the result slice is indexed by
 // rank and identical on all ranks. Ring algorithm, p−1 steps.
 func Allgather(c Comm, mine []byte) ([][]byte, error) {
@@ -324,41 +191,6 @@ func AllgatherInto(c Comm, mine []byte, in [][]byte) ([][]byte, error) {
 		srcRank := (r - 1 - step + 2*p) % p
 		in[srcRank] = got
 		carry = got
-	}
-	return in, nil
-}
-
-// AlltoallvSeq performs a personalized all-to-all exchange: out[i] is sent
-// to rank i, and the returned slice holds in[i] received from rank i. out
-// must have length Size(); out[Rank()] is returned unchanged (copied).
-//
-// This is the sequential baseline: p−1 blocking Send/Recv steps, so total
-// latency is the sum over peers. The overlapped Alltoallv in overlap.go
-// returns identical results at max-over-peers latency; this variant is
-// kept for A/B comparison (core's Options.SequentialCollectives, the
-// benchmarks) and as the simplest reference implementation.
-func AlltoallvSeq(c Comm, out [][]byte) ([][]byte, error) {
-	p := c.Size()
-	if len(out) != p {
-		return nil, fmt.Errorf("comm: Alltoallv needs %d buffers, got %d", p, len(out))
-	}
-	defer collDone(trace.CollAlltoallv, collStart(), framesLen(out))
-	r := c.Rank()
-	in := make([][]byte, p)
-	self := make([]byte, len(out[r]))
-	copy(self, out[r])
-	in[r] = self
-	for step := 1; step < p; step++ {
-		dst := (r + step) % p
-		src := (r - step + p) % p
-		if err := c.Send(dst, tagAlltoallv, out[dst]); err != nil {
-			return nil, err
-		}
-		got, err := c.Recv(src, tagAlltoallv)
-		if err != nil {
-			return nil, err
-		}
-		in[src] = got
 	}
 	return in, nil
 }

@@ -7,7 +7,7 @@
 // the receive side is by (source rank, tag) with FIFO order per pair, which
 // mirrors MPI's non-overtaking guarantee. Collectives (Barrier, Bcast,
 // Allreduce, Allgather, Alltoallv) are built on top of point-to-point in
-// collectives.go and work with any transport.
+// collectives.go, overlap.go and reduce.go and work with any transport.
 //
 // Two transports are provided:
 //

@@ -325,27 +325,6 @@ func TestAllreduceSumsAllSizes(t *testing.T) {
 	}
 }
 
-func TestAllreduceSliceSum(t *testing.T) {
-	p := 5
-	err := RunWorld(p, func(c Comm) error {
-		vs := []float64{float64(c.Rank()), 1, float64(-c.Rank())}
-		out, err := AllreduceFloat64SliceSum(c, vs)
-		if err != nil {
-			return err
-		}
-		want := []float64{10, 5, -10}
-		for i := range want {
-			if out[i] != want[i] {
-				return fmt.Errorf("out = %v, want %v", out, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllgatherAllSizes(t *testing.T) {
 	for _, p := range worldSizes() {
 		p := p

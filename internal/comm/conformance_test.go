@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -142,6 +144,16 @@ func TestConformance(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+			})
+			t.Run("FusedRecord", func(t *testing.T) {
+				for _, p := range []int{1, 2, 3, 4, 5, 8} {
+					err := withWatchdog(t, conformanceWatchdog, func() error {
+						return tc.run(t, p, batteryFusedRecord)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
 			t.Run("Stats", func(t *testing.T) {
@@ -299,11 +311,10 @@ func batteryCollectives(c Comm) error {
 		}
 	}
 
-	// Overlapped engine (PR 4). The sequential baseline and the streaming
-	// variant share tagAlltoallv with the overlapped call above, so — like
-	// the allreduce variants — they must run in the same fixed order on
-	// every rank. The baseline must agree with the overlapped default
-	// byte-for-byte.
+	// The test-only sequential reference and the streaming variant share
+	// tagAlltoallv with the call above, so — like the allreduce variants —
+	// they must run in the same fixed order on every rank. The reference
+	// must agree with the production exchange byte-for-byte.
 	inSeq, err := AlltoallvSeq(c, out)
 	if err != nil {
 		return fmt.Errorf("alltoallv-seq: %w", err)
@@ -314,35 +325,40 @@ func batteryCollectives(c Comm) error {
 		}
 	}
 
-	// Streaming variant: every source must be delivered exactly once with
+	// Streaming exchanges: every source must be delivered exactly once with
 	// the right payload, own payload first (its fixed position in the
-	// otherwise arrival-ordered callback sequence).
-	outF := make([][]byte, p)
-	for i := 0; i < p; i++ {
-		outF[i] = payload("a2af", r, i)
-	}
-	seen := make([]bool, p)
-	first := -1
-	calls := 0
-	err = AlltoallvFunc(c, outF, func(src int, pay []byte) error {
-		if first == -1 {
-			first = src
+	// otherwise arrival-ordered callback sequence). The migration exchange
+	// is the same body on its own tag.
+	for _, v := range []struct {
+		name string
+		fn   func(Comm, [][]byte, func(int, []byte) error) error
+	}{{"alltoallv-func", AlltoallvFunc}, {"migration-exchange", MigrationExchange}} {
+		outF := make([][]byte, p)
+		for i := 0; i < p; i++ {
+			outF[i] = payload(v.name, r, i)
 		}
-		if src < 0 || src >= p || seen[src] {
-			return fmt.Errorf("duplicate or bad src %d", src)
+		seen := make([]bool, p)
+		first, calls := -1, 0
+		err = v.fn(c, outF, func(src int, pay []byte) error {
+			if first == -1 {
+				first = src
+			}
+			if src < 0 || src >= p || seen[src] {
+				return fmt.Errorf("duplicate or bad src %d", src)
+			}
+			seen[src] = true
+			calls++
+			if want := payload(v.name, src, r); !bytes.Equal(pay, want) {
+				return fmt.Errorf("from %d got %q want %q", src, pay, want)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("%s: rank %d: %w", v.name, r, err)
 		}
-		seen[src] = true
-		calls++
-		if want := payload("a2af", src, r); !bytes.Equal(pay, want) {
-			return fmt.Errorf("from %d got %q want %q", src, pay, want)
+		if calls != p || first != r {
+			return fmt.Errorf("%s: rank %d calls=%d first=%d, want %d calls and self first", v.name, r, calls, first, p)
 		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("alltoallv-func: rank %d: %w", r, err)
-	}
-	if calls != p || first != r {
-		return fmt.Errorf("alltoallv-func: rank %d calls=%d first=%d, want %d calls and self first", r, calls, first, p)
 	}
 
 	// Scratch-reusing allgather, twice through the same scratch to prove a
@@ -357,145 +373,6 @@ func batteryCollectives(c Comm) error {
 			if want := payload("ag2", i, round); !bytes.Equal(res[i], want) {
 				return fmt.Errorf("allgather-into: rank %d round %d slot %d got %q want %q", r, round, i, res[i], want)
 			}
-		}
-	}
-
-	// Fused per-iteration reduction: component-wise sum/max/max/sum. The
-	// expected values are exact in float64 (integers plus halves), so any
-	// combine association must reproduce them bit-for-bit.
-	st, err := AllreduceIterStats(c, IterStats{
-		Moved: int64(r + 1), Work: int64(2 * r), CommNS: int64(100 - r), Q: float64(r) + 0.5,
-	})
-	if err != nil {
-		return fmt.Errorf("iterstats: %w", err)
-	}
-	wantStats := IterStats{
-		Moved:  int64(p * (p + 1) / 2),
-		Work:   int64(2 * (p - 1)),
-		CommNS: 100,
-		Q:      float64(p*(p-1)/2) + 0.5*float64(p),
-	}
-	if st != wantStats {
-		return fmt.Errorf("iterstats: rank %d got %+v want %+v", r, st, wantStats)
-	}
-
-	// Fused reduction with the work-vector piggyback: the scalar bundle must
-	// match AllreduceIterStats bit-for-bit and the vector must reassemble
-	// every rank's Work contribution in its slot.
-	workVec := make([]int64, p)
-	stw, err := AllreduceIterStatsWork(c, IterStats{
-		Moved: int64(r + 1), Work: int64(2 * r), CommNS: int64(100 - r), Q: float64(r) + 0.5,
-	}, workVec)
-	if err != nil {
-		return fmt.Errorf("iterstats-work: %w", err)
-	}
-	if stw != wantStats {
-		return fmt.Errorf("iterstats-work: rank %d got %+v want %+v", r, stw, wantStats)
-	}
-	for i := 0; i < p; i++ {
-		if workVec[i] != int64(2*i) {
-			return fmt.Errorf("iterstats-work: rank %d slot %d got %d want %d", r, i, workVec[i], 2*i)
-		}
-	}
-
-	// Sequential-path counterpart: own slot set, zeros elsewhere, elementwise
-	// max reassembles the identical vector.
-	sparse := make([]int64, p)
-	sparse[r] = int64(2 * r)
-	maxVec, err := AllreduceInt64SliceMax(c, sparse)
-	if err != nil {
-		return fmt.Errorf("slicemax: %w", err)
-	}
-	for i := 0; i < p; i++ {
-		if maxVec[i] != workVec[i] {
-			return fmt.Errorf("slicemax: rank %d slot %d got %d want %d", r, i, maxVec[i], workVec[i])
-		}
-	}
-
-	// Migration exchange: exactly-once delivery with self first (overlapped)
-	// and byte-equality of the sequential baseline, mirroring the alltoallv
-	// checks above but on the migration tag.
-	outM := make([][]byte, p)
-	for i := 0; i < p; i++ {
-		outM[i] = payload("mig", r, i)
-	}
-	seenM := make([]bool, p)
-	firstM, callsM := -1, 0
-	err = MigrationExchange(c, outM, func(src int, pay []byte) error {
-		if firstM == -1 {
-			firstM = src
-		}
-		if src < 0 || src >= p || seenM[src] {
-			return fmt.Errorf("duplicate or bad src %d", src)
-		}
-		seenM[src] = true
-		callsM++
-		if want := payload("mig", src, r); !bytes.Equal(pay, want) {
-			return fmt.Errorf("from %d got %q want %q", src, pay, want)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("migration-exchange: rank %d: %w", r, err)
-	}
-	if callsM != p || firstM != r {
-		return fmt.Errorf("migration-exchange: rank %d calls=%d first=%d, want %d calls and self first", r, callsM, firstM, p)
-	}
-	inM, err := MigrationExchangeSeq(c, outM)
-	if err != nil {
-		return fmt.Errorf("migration-exchange-seq: %w", err)
-	}
-	for i := 0; i < p; i++ {
-		if want := payload("mig", i, r); !bytes.Equal(inM[i], want) {
-			return fmt.Errorf("migration-exchange-seq: rank %d from %d got %q want %q", r, i, inM[i], want)
-		}
-	}
-
-	// Pipelined ring and size-based selection over a 64-record u64 vector
-	// with an elementwise-max combine (an exact semilattice, so every
-	// algorithm must produce identical bytes). Fixed order once more: all
-	// three runs share tagReduce.
-	const nrec = 64
-	mineV := make([]byte, nrec*8)
-	wantV := make([]byte, nrec*8)
-	for i := 0; i < nrec; i++ {
-		binary.LittleEndian.PutUint64(mineV[i*8:], uint64(r*1000+i))
-		binary.LittleEndian.PutUint64(wantV[i*8:], uint64((p-1)*1000+i))
-	}
-	maxU64 := func(a, b []byte) []byte {
-		res := make([]byte, len(a))
-		for i := 0; i+8 <= len(a); i += 8 {
-			va, vb := binary.LittleEndian.Uint64(a[i:]), binary.LittleEndian.Uint64(b[i:])
-			if vb > va {
-				va = vb
-			}
-			binary.LittleEndian.PutUint64(res[i:], va)
-		}
-		return res
-	}
-	split8 := func(data []byte, n int) [][]byte {
-		segs := make([][]byte, n)
-		rec := len(data) / 8
-		for i := 0; i < n; i++ {
-			segs[i] = data[(i*rec/n)*8 : ((i+1)*rec/n)*8]
-		}
-		return segs
-	}
-	ringRuns := []struct {
-		name string
-		fn   func() ([]byte, error)
-	}{
-		{"ring-pipelined", func() ([]byte, error) { return AllreduceBytesRingPipelined(c, mineV, 8, split8, maxU64) }},
-		{"auto-ring", func() ([]byte, error) { return AllreduceBytesAuto(c, mineV, autoRingMinRecords, split8, maxU64) }},
-		{"auto-doubling", func() ([]byte, error) { return AllreduceBytesAuto(c, mineV, 1, split8, maxU64) }},
-	}
-	for _, v := range ringRuns {
-		res, err := v.fn()
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.name, err)
-		}
-		if !bytes.Equal(res, wantV) {
-			return fmt.Errorf("%s: rank %d result diverges from elementwise max", v.name, r)
 		}
 	}
 
@@ -525,14 +402,89 @@ func batteryCollectives(c Comm) error {
 	if want := int64((p - 1) * (p - 1)); im != want {
 		return fmt.Errorf("int64max: rank %d got %d want %d", r, im, want)
 	}
-	vs, err := AllreduceFloat64SliceSum(c, []float64{float64(r), 1, float64(-r)})
-	if err != nil {
-		return fmt.Errorf("slicesum: %w", err)
-	}
-	wantVS := []float64{float64(p * (p - 1) / 2), float64(p), float64(-p * (p - 1) / 2)}
-	for i := range vs {
-		if vs[i] != wantVS[i] {
-			return fmt.Errorf("slicesum: rank %d slot %d got %v want %v", r, i, vs[i], wantVS[i])
+	return nil
+}
+
+// batteryFusedRecord is the operand-order proof of the fixed-width record
+// reduction, stated once: over seeded float inputs whose sum depends on the
+// association (magnitudes spread across thirty decades), every lane of a
+// fused record is bit-equal to the one-lane reduction of the same values,
+// with and without the work-vector tail, and the tail reassembles every
+// rank's slot. TestConformance runs it at power-of-two and other world sizes
+// so the fold and unfold legs of the reduction tree are covered.
+func batteryFusedRecord(c Comm) error {
+	p, r := c.Size(), c.Rank()
+	rng := rand.New(rand.NewSource(int64(1000*p + r)))
+	for round := 0; round < 6; round++ {
+		v := IterStats{
+			Moved:  rng.Int63n(1 << 40),
+			Work:   rng.Int63n(1 << 40),
+			CommNS: rng.Int63n(1<<40) - 1<<39,
+			Q:      (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(30)-15)),
+		}
+		var want IterStats
+		var touched int64
+		var err error
+		if want.Moved, err = AllreduceInt64Sum(c, v.Moved); err != nil {
+			return err
+		}
+		if want.Work, err = AllreduceInt64Max(c, v.Work); err != nil {
+			return err
+		}
+		if want.CommNS, err = AllreduceInt64Max(c, v.CommNS); err != nil {
+			return err
+		}
+		if want.Q, err = AllreduceFloat64Sum(c, v.Q); err != nil {
+			return err
+		}
+		if touched, err = AllreduceInt64Sum(c, v.CommNS); err != nil {
+			return err
+		}
+		mine := make([]byte, 8)
+		binary.LittleEndian.PutUint64(mine, uint64(v.Work))
+		works, err := Allgather(c, mine)
+		if err != nil {
+			return err
+		}
+
+		same := func(name string, got IterStats) error {
+			if got.Moved != want.Moved || got.Work != want.Work || got.CommNS != want.CommNS ||
+				math.Float64bits(got.Q) != math.Float64bits(want.Q) {
+				return fmt.Errorf("%s: p=%d rank %d round %d: fused %+v (Q %x), lane by lane %+v (Q %x)",
+					name, p, r, round, got, math.Float64bits(got.Q), want, math.Float64bits(want.Q))
+			}
+			return nil
+		}
+		got, err := AllreduceIterStats(c, v, nil)
+		if err == nil {
+			err = same("iterstats", got)
+		}
+		if err != nil {
+			return err
+		}
+		workVec := make([]int64, p)
+		for i := range workVec {
+			workVec[i] = -1 // prior contents must be ignored
+		}
+		got, err = AllreduceIterStats(c, v, workVec)
+		if err == nil {
+			err = same("iterstats+work", got)
+		}
+		if err != nil {
+			return err
+		}
+		for i := 0; i < p; i++ {
+			if w := int64(binary.LittleEndian.Uint64(works[i])); workVec[i] != w {
+				return fmt.Errorf("iterstats+work: p=%d rank %d slot %d got %d want %d", p, r, i, workVec[i], w)
+			}
+		}
+		us, err := AllreduceUpdateStats(c, UpdateStats{Moved: v.Moved, Touched: v.CommNS, Q: v.Q})
+		if err != nil {
+			return err
+		}
+		if us.Moved != want.Moved || us.Touched != touched || math.Float64bits(us.Q) != math.Float64bits(want.Q) {
+			return fmt.Errorf("updatestats: p=%d rank %d round %d: fused %+v, lane by lane {%d %d %x}",
+				p, r, round, us, want.Moved, touched, math.Float64bits(want.Q))
 		}
 	}
 	return nil

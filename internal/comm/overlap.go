@@ -4,23 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
-// Overlapped collectives. The sequential collectives in collectives.go
-// serialize p−1 blocking round-trips, so per-call latency grows like
-// p·(one-way latency). The variants here post every outbound frame before
-// waiting on any inbound one — Send never blocks (all transports buffer
-// internally) — so the p−1 transfers are in flight concurrently and the
-// call waits for the slowest peer instead of the sum of all peers.
+// Personalized all-to-all exchanges. Every exchange posts all p−1 outbound
+// frames before waiting on any inbound one — Send never blocks (all
+// transports buffer internally) — so the transfers are in flight
+// concurrently and a call waits for the slowest peer, not for the sum of
+// all peers.
 //
 // Determinism: results are indexed by source rank, so callers observe the
-// same (src, payload) mapping as with the sequential variants no matter
-// in which order frames arrive. AlltoallvFunc additionally streams
-// payloads to a callback in arrival order; that is safe exactly when the
-// callback's effect is independent of invocation order (disjoint writes
-// per source rank, or order-insensitive combining). docs/PERFORMANCE.md
-// catalogs which core exchanges qualify and how the order-sensitive ones
+// same (src, payload) mapping no matter in which order frames arrive. The
+// streaming forms (AlltoallvFunc, MigrationExchange) hand payloads to a
+// callback in arrival order; that is safe exactly when the callback's
+// effect is independent of invocation order (disjoint writes per source
+// rank, or order-insensitive combining). docs/PERFORMANCE.md catalogs
+// which core exchanges qualify and how the order-sensitive ones
 // (floating-point accumulation) buffer per source and apply in rank order.
 
 // Alltoallv performs a personalized all-to-all exchange: out[i] is sent to
@@ -28,8 +26,7 @@ import (
 // have length Size(); out[Rank()] is returned unchanged (copied).
 //
 // All p−1 sends are posted before the first receive, then peers are
-// drained in rank-index order; the result is byte-identical to
-// AlltoallvSeq at max-over-peers latency instead of sum-over-peers.
+// drained in rank-index order.
 func Alltoallv(c Comm, out [][]byte) ([][]byte, error) {
 	return AlltoallvInto(c, out, nil)
 }
@@ -84,18 +81,32 @@ func AlltoallvInto(c Comm, out, in [][]byte) ([][]byte, error) {
 // If fn returns an error, remaining payloads are drained without further
 // callbacks and the first error is returned.
 func AlltoallvFunc(c Comm, out [][]byte, fn func(src int, payload []byte) error) error {
+	return streamExchange(c, tagAlltoallv, trace.CollAlltoallv, out, fn)
+}
+
+// MigrationExchange is AlltoallvFunc for the mid-solve vertex-migration
+// rounds (docs/PERFORMANCE.md, "Dynamic load rebalancing"): the same
+// streaming exchange on its own tag, so migration frames can never be
+// confused with the per-iteration alltoallv traffic, and accounted as its
+// own kind (trace.CollMigrate) in the census.
+func MigrationExchange(c Comm, out [][]byte, fn func(src int, payload []byte) error) error {
+	return streamExchange(c, tagMigrate, trace.CollMigrate, out, fn)
+}
+
+func streamExchange(c Comm, tag int, kind trace.Collective, out [][]byte, fn func(src int, payload []byte) error) error {
 	p := c.Size()
 	if len(out) != p {
-		return fmt.Errorf("comm: Alltoallv needs %d buffers, got %d", p, len(out))
+		return fmt.Errorf("comm: %v exchange needs %d buffers, got %d", kind, p, len(out))
 	}
 	r := c.Rank()
 	if p == 1 {
 		return fn(r, out[r])
 	}
-	defer collDone(trace.CollAlltoallv, collStart(), framesLen(out))
+	defer collDone(kind, collStart(), framesLen(out))
 	for step := 1; step < p; step++ {
 		dst := (r + step) % p
-		if err := c.Send(dst, tagAlltoallv, out[dst]); err != nil {
+		//lint:ignore tagconst both exported callers pass a registry constant
+		if err := c.Send(dst, tag, out[dst]); err != nil {
 			return err
 		}
 	}
@@ -114,7 +125,8 @@ func AlltoallvFunc(c Comm, out [][]byte, fn func(src int, payload []byte) error)
 	for step := 1; step < p; step++ {
 		src := (r - step + p) % p
 		go func(src int) {
-			got, err := c.Recv(src, tagAlltoallv)
+			//lint:ignore tagconst both exported callers pass a registry constant
+			got, err := c.Recv(src, tag)
 			ch <- arrival{src: src, data: got, err: err}
 		}(src)
 	}
@@ -134,177 +146,4 @@ func AlltoallvFunc(c Comm, out [][]byte, fn func(src int, payload []byte) error)
 		}
 	}
 	return firstErr
-}
-
-// IterStats is the per-iteration scalar bundle of the stage-1 clustering
-// loop. Reducing it as one collective replaces four back-to-back scalar
-// allreduces (4 × log p latency terms) with one. Each field carries its
-// own reduction: Moved and Q are summed, Work and CommNS are maximized.
-type IterStats struct {
-	// Moved is the number of vertices that changed community (world sum).
-	Moved int64
-	// Work is the simulated work units of the iteration (world max).
-	Work int64
-	// CommNS is the modeled communication time in ns (world max).
-	CommNS int64
-	// Q is the modularity contribution (world sum).
-	Q float64
-}
-
-const iterStatsWireLen = 32 // 3×int64 + 1×float64, fixed-width
-
-func combineIterStats(a, b []byte) []byte {
-	ra, rb := wire.NewReader(a), wire.NewReader(b)
-	s := wire.NewBuffer(iterStatsWireLen)
-	s.PutI64(ra.I64() + rb.I64())
-	wa, wb := ra.I64(), rb.I64()
-	if wb > wa {
-		wa = wb
-	}
-	s.PutI64(wa)
-	ca, cb := ra.I64(), rb.I64()
-	if cb > ca {
-		ca = cb
-	}
-	s.PutI64(ca)
-	// Same operand order as AllreduceFloat64Sum's combiner (accumulated +
-	// received) over the same reduction tree, so the fused Q is
-	// bit-identical to the standalone float sum.
-	s.PutF64(ra.F64() + rb.F64())
-	return s.Bytes()
-}
-
-// AllreduceIterStats reduces v across all ranks in a single collective:
-// component-wise sum/max/max/sum. The float component follows the exact
-// combine tree of AllreduceFloat64Sum, so fused and unfused reductions
-// produce bit-identical modularity values.
-func AllreduceIterStats(c Comm, v IterStats) (IterStats, error) {
-	buf := wire.NewBuffer(iterStatsWireLen)
-	buf.PutI64(v.Moved)
-	buf.PutI64(v.Work)
-	buf.PutI64(v.CommNS)
-	buf.PutF64(v.Q)
-	out, err := AllreduceBytes(c, buf.Bytes(), combineIterStats)
-	if err != nil {
-		return IterStats{}, err
-	}
-	rd := wire.NewReader(out)
-	res := IterStats{Moved: rd.I64(), Work: rd.I64(), CommNS: rd.I64(), Q: rd.F64()}
-	return res, rd.Err()
-}
-
-// SplitFunc partitions an encoded payload into exactly n contiguous
-// segments whose concatenation is the original payload. Segments must be
-// record-aligned, and the assignment of logical records to segment indices
-// must be identical on every rank: ranks may encode the same record in
-// different byte counts (varints), so the split must be driven by record
-// boundaries, never by byte offsets.
-type SplitFunc func(data []byte, n int) [][]byte
-
-// AllreduceBytesRingPipelined is AllreduceBytesRing with the payload cut
-// into segments that move through the ring independently: while a rank
-// combines segment k it already forwards segment k−1 and receives segment
-// k+1, so for payloads much larger than a frame the bandwidth term is
-// pipelined across the p−1 steps instead of serialized. combine is applied
-// per segment and must therefore tolerate partial payloads (whole records,
-// not the full vector) — and, like every multi-algorithm reduction here,
-// must be exactly associative and commutative (e.g. max/argmax
-// semilattices), because the segment combine order differs from both the
-// plain ring and recursive doubling.
-func AllreduceBytesRingPipelined(c Comm, data []byte, segments int, split SplitFunc, combine func(a, b []byte) []byte) ([]byte, error) {
-	p := c.Size()
-	if p == 1 {
-		return data, nil
-	}
-	if segments < 2 || split == nil {
-		return AllreduceBytesRing(c, data, combine)
-	}
-	defer collDone(trace.CollAllreduceRing, collStart(), int64(len(data)))
-	r := c.Rank()
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	segs := split(data, segments)
-	if len(segs) != segments {
-		return nil, fmt.Errorf("comm: pipelined ring split returned %d segments, want %d", len(segs), segments)
-	}
-	// Reduce pass. Per segment this is the plain ring's reduce phase; the
-	// per-pair FIFO guarantee keeps segment k ahead of segment k+1 on every
-	// link, so no sequence numbers are needed.
-	if r == 0 {
-		for k := range segs {
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for k := range segs {
-			got, err := c.Recv(prev, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			segs[k] = combine(segs[k], got)
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Broadcast pass: the fully combined segments circulate once more,
-	// again pipelined — each rank forwards segment k while waiting for
-	// segment k+1.
-	for k := range segs {
-		got, err := c.Recv(prev, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		segs[k] = got
-		if r != p-1 {
-			if err := c.Send(next, tagReduce, segs[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	total := 0
-	for _, sg := range segs {
-		total += len(sg)
-	}
-	out := make([]byte, 0, total)
-	for _, sg := range segs {
-		out = append(out, sg...)
-	}
-	return out, nil
-}
-
-// Algorithm-selection thresholds for AllreduceBytesAuto. Small payloads are
-// latency-bound: recursive doubling finishes in log₂ p steps and wins.
-// Large payloads are bandwidth-bound: the pipelined ring overlaps transfer
-// and combine across the p−1 steps. The crossover is expressed in records
-// (not bytes — see AllreduceBytesAuto) and was chosen from
-// BenchmarkAllreduceRingPipelined; it errs high so only clearly
-// bandwidth-bound reductions take the ring path.
-const (
-	// autoRingMinRecords is the record count at and above which
-	// AllreduceBytesAuto routes through the pipelined ring.
-	autoRingMinRecords = 4096
-	// autoRingSegments is the pipeline depth used for the ring path.
-	autoRingSegments = 8
-)
-
-// AllreduceBytesAuto picks the reduction algorithm by payload size:
-// recursive doubling (AllreduceBytes) below autoRingMinRecords, the
-// pipelined ring at or above it. records MUST be a rank-invariant measure
-// of the payload — a replicated logical record count — never len(data):
-// varint encodings give ranks different byte counts for the same records,
-// and ranks disagreeing on the algorithm would deadlock. Because the two
-// algorithms combine in different orders, combine must be exactly
-// associative and commutative (integer/semilattice reductions; not
-// floating-point sums).
-func AllreduceBytesAuto(c Comm, data []byte, records int, split SplitFunc, combine func(a, b []byte) []byte) ([]byte, error) {
-	if records >= autoRingMinRecords && c.Size() > 2 && split != nil {
-		segs := autoRingSegments
-		if records < segs {
-			segs = records
-		}
-		return AllreduceBytesRingPipelined(c, data, segs, split, combine)
-	}
-	return AllreduceBytes(c, data, combine)
 }

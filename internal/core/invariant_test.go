@@ -11,6 +11,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/wire"
 )
 
 // Property-style audits of the clustering loop's internal state: after
@@ -69,11 +70,11 @@ func aggregateAuditHook(s *stage, iter int, q float64) error {
 			}
 		}
 	}
-	gTot, err := comm.AllreduceFloat64SliceSum(s.c, totVec)
+	gTot, err := allreduceF64SliceSum(s.c, totVec)
 	if err != nil {
 		return err
 	}
-	gSize, err := comm.AllreduceFloat64SliceSum(s.c, sizeVec)
+	gSize, err := allreduceF64SliceSum(s.c, sizeVec)
 	if err != nil {
 		return err
 	}
@@ -119,6 +120,26 @@ func TestAggregateReconciliation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allreduceF64SliceSum sums a fixed-length vector elementwise across ranks
+// (ground truth only: the solver itself never reduces whole tables).
+func allreduceF64SliceSum(c comm.Comm, vs []float64) ([]float64, error) {
+	buf := wire.NewBuffer(len(vs)*8 + 8)
+	buf.PutF64s(vs)
+	out, err := comm.AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
+		va, vb := wire.NewReader(a).F64s(), wire.NewReader(b).F64s()
+		for i := range va {
+			va[i] += vb[i]
+		}
+		s := wire.NewBuffer(len(va)*8 + 8)
+		s.PutF64s(va)
+		return s.Bytes()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return wire.NewReader(out).F64s(), nil
 }
 
 // benignCoreChaos mirrors the comm package's benign schedule: reordering
@@ -218,32 +239,35 @@ func chaosRun(t *testing.T, g *graph.Graph, opt Options, co comm.ChaosOptions) (
 // duplicates, and retried transient failures produces exactly the final
 // modularity and community assignment of a clean run — bit-identical, not
 // approximately equal — because (src, tag) matching and per-pair FIFO
-// fully determine every collective's result.
+// fully determine every collective's result. Runs on a random graph and on
+// the golden fixture.
 func TestChaosEndToEndDeterminism(t *testing.T) {
-	for _, cfg := range auditConfigs {
-		g, err := randomGraph(21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk}
-		clean, err := Run(g, opt)
-		if err != nil {
-			t.Fatalf("h=%v part=%v clean: %v", cfg.h, cfg.pk, err)
-		}
-		for seed := int64(1); seed <= 3; seed++ {
-			m, q := chaosRun(t, g, opt, benignCoreChaos(seed))
-			if q != clean.Modularity {
-				t.Fatalf("h=%v part=%v chaos seed %d: Q %.17g, clean %.17g",
-					cfg.h, cfg.pk, seed, q, clean.Modularity)
+	random, err := randomGraph(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi, g := range []*graph.Graph{random, goldenGraph(t)} {
+		for _, cfg := range auditConfigs {
+			opt := Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk}
+			label := fmt.Sprintf("graph %d h=%v part=%v", gi, cfg.h, cfg.pk)
+			clean, err := Run(g, opt)
+			if err != nil {
+				t.Fatalf("%s clean: %v", label, err)
 			}
-			if len(m) != len(clean.Membership) {
-				t.Fatalf("h=%v part=%v chaos seed %d: membership size %d, clean %d",
-					cfg.h, cfg.pk, seed, len(m), len(clean.Membership))
-			}
-			for u := range m {
-				if m[u] != clean.Membership[u] {
-					t.Fatalf("h=%v part=%v chaos seed %d: vertex %d in community %d, clean %d",
-						cfg.h, cfg.pk, seed, u, m[u], clean.Membership[u])
+			for seed := int64(1); seed <= 3; seed++ {
+				m, q := chaosRun(t, g, opt, benignCoreChaos(seed))
+				if q != clean.Modularity {
+					t.Fatalf("%s chaos seed %d: Q %.17g, clean %.17g", label, seed, q, clean.Modularity)
+				}
+				if len(m) != len(clean.Membership) {
+					t.Fatalf("%s chaos seed %d: membership size %d, clean %d",
+						label, seed, len(m), len(clean.Membership))
+				}
+				for u := range m {
+					if m[u] != clean.Membership[u] {
+						t.Fatalf("%s chaos seed %d: vertex %d in community %d, clean %d",
+							label, seed, u, m[u], clean.Membership[u])
+					}
 				}
 			}
 		}

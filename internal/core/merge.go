@@ -185,7 +185,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.dense = s.dense
 	fillInt32(s.dense, -1)
-	err = s.alltoallvFunc(replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, c := range reqs[src] {
 			s.dense[c] = int32(rd.Varint())
@@ -716,7 +716,7 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 		s.rqBufs[r].Reset()
 		s.rqFrames[r] = nil
 	}
-	err := a2aFunc(s.c, s.opt.SequentialCollectives, out, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		ids := rd.Ints()
 		if err := rd.Err(); err != nil {
@@ -733,7 +733,7 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 		return nil, err
 	}
 	res := make([]int, len(queries))
-	err = a2aFunc(s.c, s.opt.SequentialCollectives, s.rqFrames, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, s.rqFrames, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, i := range s.rqPos[src] {
 			res[i] = int(rd.Varint())
@@ -752,14 +752,13 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 // exchange. Both legs
 // stream: each request frame is answered as it arrives (the reply for
 // source r depends only on r's frame), and each reply is scattered into
-// the result as it lands (pos buckets are disjoint), so seq=false overlaps
-// all decode/encode work with in-flight traffic; seq=true is the
-// sequential baseline (Options.SequentialCollectives).
+// the result as it lands (pos buckets are disjoint), so all decode/encode
+// work overlaps in-flight traffic.
 //
 // The solve loop and the update path go through the stage method above;
 // this standalone form serves callers without a live stage (Session.install
 // runs once per solve, before the resident stage exists).
-func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int, seq bool) ([]int, error) {
+func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int) ([]int, error) {
 	p := c.Size()
 	reqs := make([][]int, p)
 	pos := make([][]int, p) // original index of each routed query
@@ -775,7 +774,7 @@ func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int, seq
 		out[r] = b.Bytes()
 	}
 	replies := make([][]byte, p)
-	err := a2aFunc(c, seq, out, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		ids := rd.Ints()
 		if err := rd.Err(); err != nil {
@@ -792,7 +791,7 @@ func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int, seq
 		return nil, err
 	}
 	res := make([]int, len(queries))
-	err = a2aFunc(c, seq, replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(c, replies, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, i := range pos[src] {
 			res[i] = int(rd.Varint())

@@ -76,7 +76,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 	for i := range s.dense {
 		s.dense[i] = -1
 	}
-	err = s.alltoallvFunc(replies, func(src int, payload []byte) error {
+	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, c := range reqs[src] {
 			s.dense[c] = int32(rd.Varint())

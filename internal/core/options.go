@@ -154,13 +154,6 @@ type Options struct {
 	// cumulative fraction of vertices re-examined by incremental sweeps
 	// since the last full solve. <= 0 means 0.35.
 	DriftTouched float64
-	// SequentialCollectives routes every exchange through the sequential
-	// baseline collectives (comm.AlltoallvSeq, four unfused per-iteration
-	// allreduces) instead of the overlapped engine. Results are
-	// bit-identical either way — this is an A/B knob for benchmarks and
-	// the determinism tests that prove that equivalence; see
-	// docs/PERFORMANCE.md.
-	SequentialCollectives bool
 }
 
 // CommModel is an α-β communication cost model: sending a message of b

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -103,29 +102,24 @@ func TestRebalanceOffMatchesGolden(t *testing.T) {
 // TestRebalanceNoneMatchesOff checks the control arm: the "none" policy
 // runs the work-vector reduction and the trigger machinery but never
 // migrates, and must be bit-identical to a run with the feature off — the
-// direct witness that the extended fused reduction does not perturb Q.
+// direct witness that the record's work-vector tail does not perturb Q.
 func TestRebalanceNoneMatchesOff(t *testing.T) {
 	g, _ := skewedGraph(t)
 	for _, pk := range []partition.Kind{partition.Delegate, partition.OneD} {
-		for _, seq := range []bool{false, true} {
-			off := Options{P: 4, Partitioning: pk, SequentialCollectives: seq}
-			want, err := Run(g, off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			on := rebalanceOpt(4, pk, "none")
-			on.SequentialCollectives = seq
-			got, err := Run(g, on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("part=%v seq=%v", pk, seq)
-			if got.RebalanceEvents != 0 {
-				t.Fatalf("%s: none policy migrated", label)
-			}
-			got.RebalanceEvents, got.MigratedVertices = want.RebalanceEvents, want.MigratedVertices
-			sameRun(t, label, got, want)
+		want, err := Run(g, Options{P: 4, Partitioning: pk})
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := Run(g, rebalanceOpt(4, pk, "none"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("part=%v", pk)
+		if got.RebalanceEvents != 0 {
+			t.Fatalf("%s: none policy migrated", label)
+		}
+		got.RebalanceEvents, got.MigratedVertices = want.RebalanceEvents, want.MigratedVertices
+		sameRun(t, label, got, want)
 	}
 }
 
@@ -156,9 +150,9 @@ func TestRebalanceTriggersOnSkew(t *testing.T) {
 }
 
 // TestRebalanceDeterminism is the contract of docs/PERFORMANCE.md: any
-// fixed (policy, seed) pair is bit-identical across worker counts and both
-// collective engines, for every P × partitioning combination, on both the
-// golden graph, the skewed planted-hub fixture, and a skewed R-MAT.
+// fixed (policy, seed) pair is bit-identical across worker counts, for
+// every P × partitioning combination, on the golden graph, the skewed
+// planted-hub fixture, and a skewed R-MAT.
 func TestRebalanceDeterminism(t *testing.T) {
 	gGolden := goldenGraph(t)
 	gSkew, _ := skewedGraph(t)
@@ -173,23 +167,13 @@ func TestRebalanceDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatalf("g=%d part=%v p=%d %s: %v", gi, pk, p, policy, err)
 					}
-					variants := []struct {
-						name string
-						mut  func(*Options)
-					}{
-						{"workers=4", func(o *Options) { o.Workers = 4 }},
-						{"seq", func(o *Options) { o.SequentialCollectives = true }},
-						{"seq+workers=4", func(o *Options) { o.SequentialCollectives = true; o.Workers = 4 }},
+					opt := base
+					opt.Workers = 4
+					got, err := Run(g, opt)
+					if err != nil {
+						t.Fatalf("g=%d part=%v p=%d %s workers=4: %v", gi, pk, p, policy, err)
 					}
-					for _, v := range variants {
-						opt := base
-						v.mut(&opt)
-						got, err := Run(g, opt)
-						if err != nil {
-							t.Fatalf("g=%d part=%v p=%d %s %s: %v", gi, pk, p, policy, v.name, err)
-						}
-						sameRun(t, fmt.Sprintf("g=%d part=%v p=%d %s %s", gi, pk, p, policy, v.name), got, want)
-					}
+					sameRun(t, fmt.Sprintf("g=%d part=%v p=%d %s workers=4", gi, pk, p, policy), got, want)
 				}
 			}
 		}
@@ -233,18 +217,14 @@ func TestRebalanceChaosDeterminism(t *testing.T) {
 		t.Fatal("fixture did not trigger migration; chaos coverage is vacuous")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, seq := range []bool{false, true} {
-			o := opt
-			o.SequentialCollectives = seq
-			m, q := chaosRun(t, g, o, benignCoreChaos(seed))
-			if q != clean.Modularity {
-				t.Fatalf("seq=%v chaos seed %d: Q %.17g, clean %.17g", seq, seed, q, clean.Modularity)
-			}
-			for u := range m {
-				if m[u] != clean.Membership[u] {
-					t.Fatalf("seq=%v chaos seed %d vertex %d: community %d, clean %d",
-						seq, seed, u, m[u], clean.Membership[u])
-				}
+		m, q := chaosRun(t, g, opt, benignCoreChaos(seed))
+		if q != clean.Modularity {
+			t.Fatalf("chaos seed %d: Q %.17g, clean %.17g", seed, q, clean.Modularity)
+		}
+		for u := range m {
+			if m[u] != clean.Membership[u] {
+				t.Fatalf("chaos seed %d vertex %d: community %d, clean %d",
+					seed, u, m[u], clean.Membership[u])
 			}
 		}
 	}
@@ -270,55 +250,13 @@ func TestRebalanceAggregateReconciliation(t *testing.T) {
 }
 
 // TestRebalanceMessageBudget pins the collective-schedule cost of merely
-// enabling the feature: on the fused path the work vector piggybacks on the
-// existing per-iteration reduction (message count unchanged); the
-// sequential baseline adds exactly one more allreduce (log2 P messages per
-// rank). A threshold that never fires keeps migration exchanges out of the
-// count. Merged (stage-2) stages run with migration off by design (see
-// run.go) and are excluded via s.pol.
+// enabling the feature: the work vector rides in the tail of the existing
+// per-iteration record, so the message count is the 14 of
+// TestIterationSingleAllreduce. A threshold that never fires keeps migration
+// exchanges out of the count. Merged (stage-2) stages run with migration off
+// by design (see run.go) and are excluded via s.pol.
 func TestRebalanceMessageBudget(t *testing.T) {
-	g := goldenGraph(t)
-	const p = 4
-	for _, tc := range []struct {
-		name string
-		seq  bool
-		want int64
-	}{
-		{"fused", false, 4*(p-1) + 2},
-		{"sequential", true, 4*(p-1) + 5*2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			recs := make(map[*stage][]int64)
-			testIterHook = func(s *stage, iter int, q float64) error {
-				if s.p != p || s.pol == nil {
-					return nil
-				}
-				snap := s.c.Stats().Snapshot()
-				mu.Lock()
-				recs[s] = append(recs[s], snap.MsgsSent)
-				mu.Unlock()
-				return nil
-			}
-			defer func() { testIterHook = nil }()
-			opt := rebalanceOpt(p, partition.OneD, "greedy")
-			opt.RebalanceRatio = 1e9 // trigger machinery on, but never fires
-			opt.SequentialCollectives = tc.seq
-			if _, err := Run(g, opt); err != nil {
-				t.Fatal(err)
-			}
-			pairs := 0
-			for _, ms := range recs {
-				for i := 1; i < len(ms); i++ {
-					if d := ms[i] - ms[i-1]; d != tc.want {
-						t.Fatalf("iteration sent %d messages per rank, want %d", d, tc.want)
-					}
-					pairs++
-				}
-			}
-			if pairs == 0 {
-				t.Fatal("no stage ran two consecutive iterations; the budget was never checked")
-			}
-		})
-	}
+	opt := rebalanceOpt(4, partition.OneD, "greedy")
+	opt.RebalanceRatio = 1e9 // trigger machinery on, but never fires
+	assertIterationBudget(t, opt, func(s *stage) bool { return s.pol != nil })
 }

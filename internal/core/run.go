@@ -89,64 +89,17 @@ func (s *stage) cluster() (stageResult, error) {
 		snapEnd := s.c.Stats().Snapshot()
 		commNS := s.opt.Comm.costNS(snapEnd.MsgsSent-snapStart.MsgsSent,
 			snapEnd.BytesSent-snapStart.BytesSent)
-		var q float64
-		var movedTotal, maxWork, maxComm int64
-		if s.opt.SequentialCollectives {
-			// Unfused baseline: four back-to-back scalar allreduces. Each
-			// float combine tree matches its fused counterpart, so both
-			// paths produce bit-identical results.
-			var err error
-			if q, err = comm.AllreduceFloat64Sum(s.c, local); err != nil {
-				return res, err
-			}
-			if movedTotal, err = comm.AllreduceInt64Sum(s.c, int64(movedLocal+hubMoved)); err != nil {
-				return res, err
-			}
-			if maxWork, err = comm.AllreduceInt64Max(s.c, iterWork); err != nil {
-				return res, err
-			}
-			if maxComm, err = comm.AllreduceInt64Max(s.c, commNS); err != nil {
-				return res, err
-			}
-			if s.pol != nil {
-				// Sequential counterpart of the work-vector piggyback: one
-				// extra sparse elementwise-max allreduce replicates the
-				// per-rank work vector for the rebalance planner.
-				for i := range s.workVec {
-					s.workVec[i] = 0
-				}
-				s.workVec[s.rnk] = iterWork
-				wv, err := comm.AllreduceInt64SliceMax(s.c, s.workVec)
-				if err != nil {
-					return res, err
-				}
-				copy(s.workVec, wv)
-			}
-		} else if s.pol != nil {
-			// Fused reduction extended with the per-rank work vector: same
-			// message count as AllreduceIterStats, and bit-identical scalar
-			// results, so enabling rebalancing never perturbs Q.
-			st, err := comm.AllreduceIterStatsWork(s.c, comm.IterStats{
-				Moved:  int64(movedLocal + hubMoved),
-				Work:   iterWork,
-				CommNS: commNS,
-				Q:      local,
-			}, s.workVec)
-			if err != nil {
-				return res, err
-			}
-			q, movedTotal, maxWork, maxComm = st.Q, st.Moved, st.Work, st.CommNS
-		} else {
-			st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
-				Moved:  int64(movedLocal + hubMoved),
-				Work:   iterWork,
-				CommNS: commNS,
-				Q:      local,
-			})
-			if err != nil {
-				return res, err
-			}
-			q, movedTotal, maxWork, maxComm = st.Q, st.Moved, st.Work, st.CommNS
+		// s.workVec is non-nil exactly when rebalancing is on; the record
+		// then also replicates every rank's work in its tail, at the same
+		// message count and with the same scalar results.
+		st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
+			Moved:  int64(movedLocal + hubMoved),
+			Work:   iterWork,
+			CommNS: commNS,
+			Q:      local,
+		}, s.workVec)
+		if err != nil {
+			return res, err
 		}
 		if s.pol != nil && s.rnk == 0 {
 			if max, sum := s.workStats(); sum > 0 {
@@ -160,26 +113,26 @@ func (s *stage) cluster() (stageResult, error) {
 			}
 		}
 		if hook := testIterHook; hook != nil {
-			if err := hook(s, iter, q); err != nil {
+			if err := hook(s, iter, st.Q); err != nil {
 				return res, err
 			}
 		}
 		s.tm.Stop()
-		res.SimNS += maxWork * WorkUnitNS
-		res.CommSimNS += maxComm
+		res.SimNS += st.Work * WorkUnitNS
+		res.CommSimNS += st.CommNS
 		s.bd.Iters++
 		res.Iters = iter
-		res.Q = q
+		res.Q = st.Q
 		if s.opt.TrackTrace {
-			res.QTrace = append(res.QTrace, q)
+			res.QTrace = append(res.QTrace, st.Q)
 		}
-		if q > bestQ+s.opt.MinGain {
-			bestQ = q
+		if st.Q > bestQ+s.opt.MinGain {
+			bestQ = st.Q
 			stall = 0
 		} else {
 			stall++
 		}
-		if movedTotal == 0 || stall >= innerStallLimit || iter >= s.opt.MaxInnerIters {
+		if st.Moved == 0 || stall >= innerStallLimit || iter >= s.opt.MaxInnerIters {
 			return res, nil
 		}
 	}

@@ -64,8 +64,8 @@ type Session struct {
 
 	// Active-set machinery of the incremental sweep. pendMark/pendList
 	// accumulate vertices to examine next iteration (set semantics, so
-	// activation order — which varies with the overlapped engine's arrival
-	// order — cannot affect the result); curActive is the drained, sorted
+	// activation order — which varies with frame arrival order — cannot
+	// affect the result); curActive is the drained, sorted
 	// set the Gauss-Seidel pass walks. hubActive is shared with the stage's
 	// hub kernel (per-rank, no agreement needed: inactive ranks propose
 	// negInf and the delegate reduction ignores them).
@@ -307,7 +307,6 @@ func (s *Session) solve() (*rankOut, error) {
 // the representatives, then the stage is rebuilt with exact aggregates and
 // replicated hub/ghost labels, and the drift counters reset.
 func (s *Session) install() error {
-	seq := s.opt.SequentialCollectives
 	tracked, labels := s.out.tracked, s.out.labels
 
 	// Exchange 1: representative of each final community label L = the
@@ -339,7 +338,7 @@ func (s *Session) install() error {
 		outBufs[r] = bufs[r].Bytes()
 	}
 	repOf := make(map[int]int)
-	err := a2aFunc(s.c, seq, outBufs, func(src int, payload []byte) error {
+	err := comm.AlltoallvFunc(s.c, outBufs, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for rd.Remaining() > 0 {
 			l := int(rd.Varint())
@@ -357,7 +356,7 @@ func (s *Session) install() error {
 	// Exchange 2: resolve every tracked vertex's label to its representative.
 	reps, err := resolveQueries(s.c, labels,
 		func(l int) int { return l % s.p },
-		func(l int) int { return repOf[l] }, seq)
+		func(l int) int { return repOf[l] })
 	if err != nil {
 		return err
 	}

@@ -104,16 +104,14 @@ func Eventf(kind, format string, args ...any) {
 type Collective int
 
 const (
-	// CollAlltoallv covers all Alltoallv variants (sequential, overlapped,
-	// streaming).
+	// CollAlltoallv covers Alltoallv, AlltoallvInto and the streaming
+	// AlltoallvFunc.
 	CollAlltoallv Collective = iota
 	// CollAllgather is the ring allgather.
 	CollAllgather
-	// CollAllreduce covers AllreduceBytes and every wrapper built on it,
-	// including the fused IterStats reduction.
+	// CollAllreduce covers AllreduceBytes and every record reduction built
+	// on it (the scalar wrappers, IterStats, UpdateStats).
 	CollAllreduce
-	// CollAllreduceRing covers the ring and pipelined-ring reductions.
-	CollAllreduceRing
 	// CollGather is the rooted gather.
 	CollGather
 	// CollBcast is the binomial-tree broadcast.
@@ -136,8 +134,6 @@ func (k Collective) String() string {
 		return "Allgather"
 	case CollAllreduce:
 		return "Allreduce"
-	case CollAllreduceRing:
-		return "AllreduceRing"
 	case CollGather:
 		return "Gather"
 	case CollBcast:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# check.sh — the full local/CI gate: build, vet, project lint, race tests,
-# and a short fuzz smoke of every Fuzz* target. CI runs exactly this script,
-# so a clean local run means a clean CI run.
+# check.sh — the full local/CI gate: build, vet, project lint, the nested
+# benchmark module, race tests, and a short fuzz smoke of every Fuzz* target.
+# CI runs exactly this script, so a clean local run means a clean CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +13,12 @@ go vet ./...
 
 echo "== project lint (cmd/lint) =="
 go run ./cmd/lint ./...
+
+echo "== benchmark module (vet + harness tests) =="
+# benchmark/_module is a module of its own (replace repro => ../../), so the
+# root ./... patterns above never compile it: an exported function it links
+# can be deleted with tier-1 still green. Build and test it here.
+(cd benchmark/_module && go vet ./... && go test ./...)
 
 echo "== go test -race -shuffle=on =="
 # Shuffled execution order (PR 8) keeps tests honest about shared state:
