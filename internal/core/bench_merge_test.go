@@ -43,8 +43,11 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[c.Rank()], opt)
 		defer s.close()
+		if err := s.registerWatches(); err != nil {
+			return err
+		}
 		for iter := 0; iter < opt.MaxInnerIters; iter++ {
-			if err := s.fetchCommunityInfo(); err != nil {
+			if err := s.pushAggregates(); err != nil {
 				return err
 			}
 			props, movedLocal := s.sweep()

@@ -15,19 +15,21 @@ import (
 // TestIterationSingleAllreduce pins the per-iteration message budget at
 // P=4 under 1-D partitioning (no hubs, so delegateExchange sends nothing):
 //
-//	fetchCommunityInfo   2 alltoallv × (p−1)  = 6
+//	pushAggregates       1 alltoallv × (p−1)  = 3
 //	ghostSwap            1 alltoallv × (p−1)  = 3
-//	flushDeltas          1 alltoallv × (p−1)  = 3
-//	IterStats record     1 allreduce × log2 p = 2   → 14 total
+//	flushDeltas (+watch) 1 alltoallv × (p−1)  = 3
+//	IterStats record     1 allreduce × log2 p = 2   → 11 total
 //
-// Any regression that reintroduces a separate per-iteration reduction — or
-// sneaks in an extra exchange — shifts the count and fails here.
+// (14 while the aggregates were pulled: the request leg is gone, the watch
+// requests ride the flush frames.) Any regression that reintroduces a
+// separate per-iteration reduction — or sneaks in an extra exchange —
+// shifts the count and fails here.
 func TestIterationSingleAllreduce(t *testing.T) {
 	assertIterationBudget(t, Options{P: 4, Partitioning: partition.OneD}, func(*stage) bool { return true })
 }
 
 // assertIterationBudget solves the golden fixture at P=4 and requires every
-// iteration of every stage accepted by keep to send exactly 14 messages per
+// iteration of every stage accepted by keep to send exactly 11 messages per
 // rank. It records MsgsSent per rank and stage at each iteration hook: the
 // delta between consecutive iterations of the same stage is exactly one
 // iteration's traffic (stage setup and merge frames fall between stages,
@@ -35,7 +37,7 @@ func TestIterationSingleAllreduce(t *testing.T) {
 func assertIterationBudget(t *testing.T, opt Options, keep func(*stage) bool) {
 	t.Helper()
 	const p = 4
-	const want = 4*(p-1) + 2
+	const want = 3*(p-1) + 2
 	var mu sync.Mutex
 	recs := make(map[*stage][]int64)
 	testIterHook = func(s *stage, iter int, q float64) error {
@@ -68,10 +70,11 @@ func assertIterationBudget(t *testing.T, opt Options, keep func(*stage) bool) {
 
 // TestGoldenTraffic pins what the goldens do not: the messages and bytes a
 // whole solve of the golden fixture puts on the wire, summed over ranks.
-// The numbers were recorded at the commit before the collective engines
-// were merged into one (PR 13) and must not move when collectives are
-// refactored — a changed frame layout, an extra exchange or a different
-// reduction tree all show here while Q and the membership stay put. The
+// The numbers must not move when collectives are refactored — a changed
+// frame layout, an extra exchange or a different reduction tree all show
+// here while Q and the membership stay put. They were re-recorded when the
+// per-iteration aggregate pull became standing watches (PR 14), every row
+// at or below the pull's in both columns (CHANGES.md has the old rows). The
 // fixture's default hub threshold yields no hubs, so the delegate rows set
 // DHigh = 8 (24 hubs) to put the hub-proposal allreduce on the wire; P = 3
 // covers the reduction's fold/unfold legs and the RebalanceRatio rows the
@@ -85,18 +88,18 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0, 0},
-		{partition.Delegate, 2, 0, 0, 162, 4788},
-		{partition.Delegate, 4, 0, 0, 1032, 14058},
+		{partition.Delegate, 2, 0, 0, 146, 4496},
+		{partition.Delegate, 4, 0, 0, 912, 12295},
 		{partition.Delegate, 1, 8, 0, 0, 0},
-		{partition.Delegate, 2, 8, 0, 168, 8775},
-		{partition.Delegate, 3, 8, 0, 556, 19584},
-		{partition.Delegate, 4, 8, 0, 856, 24434},
-		{partition.Delegate, 4, 8, 1.01, 856, 26482},
+		{partition.Delegate, 2, 8, 0, 150, 8595},
+		{partition.Delegate, 3, 8, 0, 484, 18922},
+		{partition.Delegate, 4, 8, 0, 760, 24089},
+		{partition.Delegate, 4, 8, 1.01, 760, 26137},
 		{partition.OneD, 1, 0, 0, 0, 0},
-		{partition.OneD, 2, 0, 0, 162, 4788},
-		{partition.OneD, 3, 0, 0, 552, 9252},
-		{partition.OneD, 4, 0, 0, 1032, 14058},
-		{partition.OneD, 4, 0, 1.01, 1128, 16976},
+		{partition.OneD, 2, 0, 0, 146, 4496},
+		{partition.OneD, 3, 0, 0, 498, 8103},
+		{partition.OneD, 4, 0, 0, 912, 12295},
+		{partition.OneD, 4, 0, 1.01, 1032, 15290},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d/rebalance=%v", tc.kind, tc.p, tc.dhigh, tc.rebalance)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh, RebalanceRatio: tc.rebalance})

@@ -23,6 +23,11 @@ var debugVerbose = false
 // starts and not mutated while ranks run.
 var testIterHook func(s *stage, iter int, q float64) error
 
+// testPushHook, when non-nil, runs on every rank right after the push that
+// opens each iteration, before the sweep reads the cache. Same rules as
+// testIterHook.
+var testPushHook func(s *stage, iter int) error
+
 // checkInvariants verifies global conservation laws after an iteration:
 // the authoritative Σtot values must sum to 2m and the community sizes to
 // the global vertex count.

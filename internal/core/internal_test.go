@@ -313,7 +313,7 @@ func TestMergeConservesWeightAndModularity(t *testing.T) {
 	}
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
-		res, err := st.cluster()
+		res, err := st.clusterNew()
 		if err != nil {
 			return err
 		}
@@ -402,7 +402,7 @@ func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 				err = comm.RunWorld(p, func(c comm.Comm) error {
 					st := newStage(c, layout.Parts[c.Rank()], opt)
 					defer st.close()
-					if _, err := st.cluster(); err != nil {
+					if _, err := st.clusterNew(); err != nil {
 						return err
 					}
 					seedSG, seedK, err := st.mergeSeed()
@@ -477,7 +477,7 @@ func TestMergePreaggWireVolume(t *testing.T) {
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
 		defer st.close()
-		if _, err := st.cluster(); err != nil {
+		if _, err := st.clusterNew(); err != nil {
 			return err
 		}
 		var t0, t1, t2 trace.CollectiveStat
@@ -542,7 +542,7 @@ func TestMergeWideWorldSubscribers(t *testing.T) {
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
 		defer st.close()
-		if _, err := st.cluster(); err != nil {
+		if _, err := st.clusterNew(); err != nil {
 			return err
 		}
 		seedSG, seedK, err := st.mergeSeed()

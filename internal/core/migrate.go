@@ -28,7 +28,9 @@ import (
 // Invariants the protocol preserves:
 //   - Only vertices migrate. Community c is owned by rank c mod p forever;
 //     the authoritative Σtot/size tables, the delta routing, and the
-//     community-info fetch are untouched.
+//     watcher sets are untouched. An arriving vertex's label and a new
+//     ghost's label are watched like any other new label, and the event
+//     ends with the flush exchange that registers them.
 //   - Hubs never migrate: their state is replicated everywhere already, and
 //     moving a hub would change nothing but bookkeeping.
 //   - A donor keeps each migrated vertex as a ghost and stays subscribed to
@@ -256,6 +258,9 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 			var in inboundMigrant
 			in.v = int(rd.Varint())
 			in.label = int32(rd.Varint())
+			if rd.Err() == nil && (in.label < 0 || int(in.label) >= s.n) {
+				return s.frameErr("migration payload", src, nil)
+			}
 			in.wdeg = rd.F64()
 			in.adj = make([]partition.Arc, int(rd.Uvarint()))
 			for j := range in.adj {
@@ -283,6 +288,7 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 	for _, in := range arrived {
 		s.sg.InsertOwned(in.v, in.wdeg, in.adj)
 		s.comm[in.v] = in.label
+		s.watch(int(in.label))
 		s.sg.RemoveGhost(in.v)
 		s.sg.SetSubscribers(in.v, in.subs)
 		work += migrantWeight(in.adj)
@@ -340,9 +346,14 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 	err = comm.MigrationExchange(s.c, out, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, u := range reqs[src] {
-			s.comm[u] = int32(rd.Varint())
+			c := rd.Varint()
+			if rd.Err() != nil || c < 0 || c >= int64(s.n) {
+				return s.frameErr("migration reply", src, rd.Err())
+			}
+			s.comm[u] = int32(c)
+			s.watch(int(c))
 		}
-		return rd.Err()
+		return nil
 	})
 	if err != nil {
 		return err
@@ -357,5 +368,7 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 	if s.rnk == 0 {
 		trace.Eventf("rebalance", "iter=%d policy=%s migrants=%d moves=%d", iter, s.pol.Name(), total, len(moves))
 	}
-	return nil
+	// The ledger is empty between iterations: this flush carries only the
+	// watches the event queued.
+	return s.flushDeltas()
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/partition"
+	"repro/internal/wire"
 )
 
 // TestNoallocAnnotations is the runtime half of the //perf:noalloc regime:
@@ -70,12 +71,22 @@ func TestNoallocAnnotations(t *testing.T) {
 			histOffsets(mh, 2, 4, 0, nil)
 		}
 
+		// A push frame as rank 0 sends it to itself: one record for the
+		// community of the first owned vertex, which the stage watches.
+		pushFrame := wire.NewBuffer(0)
+		pushFrame.PutStrideDelta(-1, cu, 1)
+		pushFrame.PutF64(s.tot[cu])
+		pushFrame.PutVarint(int64(s.size[cu]))
+
 		// One driver per annotated function. hubProposal is exercised on an
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
 		drivers := map[string]func(){
 			"stage.sweep":                func() { s.sweep() },
 			"stage.sendScratch":          func() { s.sendScratch() },
+			"stage.encodePush":           func() { s.sendScratch(); s.encodePush() },
+			"stage.applyPush":            func() { s.applyPush(0, pushFrame.Bytes()) },
+			"stage.encodeFlush":          func() { s.sendScratch(); s.encodeFlush() },
 			"gainAccumulator.reset":      func() { acc.reset() },
 			"gainAccumulator.add":        func() { acc.reset(); acc.add(cu, 1.0) },
 			"gainAccumulator.sortedKeys": func() { acc.sortedKeys() },

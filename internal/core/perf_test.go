@@ -136,8 +136,11 @@ func sameMembership(a, b graph.Membership) bool {
 // anywhere) and leaves the aggregate cache hot, mirroring benchKernel.
 func steadyState(t *testing.T, c comm.Comm, s *stage) {
 	t.Helper()
+	if err := s.registerWatches(); err != nil {
+		t.Fatal(err)
+	}
 	for iter := 0; iter < s.opt.MaxInnerIters; iter++ {
-		if err := s.fetchCommunityInfo(); err != nil {
+		if err := s.pushAggregates(); err != nil {
 			t.Fatal(err)
 		}
 		props, movedLocal := s.sweep()
@@ -159,7 +162,7 @@ func steadyState(t *testing.T, c comm.Comm, s *stage) {
 			break
 		}
 	}
-	if err := s.fetchCommunityInfo(); err != nil {
+	if err := s.pushAggregates(); err != nil {
 		t.Fatal(err)
 	}
 }

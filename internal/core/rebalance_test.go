@@ -251,7 +251,7 @@ func TestRebalanceAggregateReconciliation(t *testing.T) {
 
 // TestRebalanceMessageBudget pins the collective-schedule cost of merely
 // enabling the feature: the work vector rides in the tail of the existing
-// per-iteration record, so the message count is the 14 of
+// per-iteration record, so the message count is the 11 of
 // TestIterationSingleAllreduce. A threshold that never fires keeps migration
 // exchanges out of the count. Merged (stage-2) stages run with migration off
 // by design (see run.go) and are excluded via s.pol.

@@ -25,11 +25,22 @@ func (s *stage) doSweep() ([]hubProposal, int) {
 	return s.sweep()
 }
 
+// clusterNew runs the clustering loop of a stage fresh from newStage: it
+// registers the watches of the initial singleton labels, then clusters.
+func (s *stage) clusterNew() (stageResult, error) {
+	if err := s.registerWatches(); err != nil {
+		return stageResult{}, err
+	}
+	return s.cluster()
+}
+
 // cluster runs the parallel local clustering loop of one stage until no
 // vertex moves anywhere in the world (or the iteration cap is reached).
-// Every iteration follows the paper's Algorithm 2: refresh community
-// aggregates, sweep for best moves, agree on delegate moves, swap ghost
-// states, flush Σtot deltas, and reduce the global modularity.
+// Every iteration follows the paper's Algorithm 2: receive the aggregates
+// that changed, sweep for best moves, agree on delegate moves, swap ghost
+// states, flush Σtot deltas, and reduce the global modularity. The stage's
+// watches must be registered first: clusterNew does that for a new stage,
+// Session.install for the resident one, whose later calls come straight here.
 func (s *stage) cluster() (stageResult, error) {
 	var res stageResult
 	if s.m2 == 0 {
@@ -56,8 +67,13 @@ func (s *stage) cluster() (stageResult, error) {
 				return res, err
 			}
 		}
-		if err := s.fetchCommunityInfo(); err != nil {
+		if err := s.pushAggregates(); err != nil {
 			return res, err
+		}
+		if hook := testPushHook; hook != nil {
+			if err := hook(s, iter); err != nil {
+				return res, err
+			}
 		}
 		s.tm.Start(trace.FindBest)
 		props, movedLocal := s.doSweep()

@@ -197,7 +197,7 @@ func (s *Session) solve() (*rankOut, error) {
 	// goroutines (the stage's state stays readable for label resolution).
 	defer func() { cs.close() }()
 	t1 := trace.Now()
-	res1, err := st.cluster()
+	res1, err := st.clusterNew()
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +268,7 @@ func (s *Session) solve() (*rankOut, error) {
 		opt2.RebalanceRatio = 0
 		st2 := newStage(c, newSG, opt2)
 		st2.ms = cs.ms // successive merge levels reuse the grown scratch
-		r2, err := st2.cluster()
+		r2, err := st2.clusterNew()
 		if err != nil {
 			st2.close()
 			return nil, err
@@ -374,7 +374,8 @@ func (s *Session) install() error {
 
 	// Authoritative aggregates: zero this rank's community slots, then
 	// rebuild them through the delta ledger exactly like a live iteration
-	// (flushDeltas applies in rank order — bit-identical accumulation).
+	// (flushDeltas applies in rank order — bit-identical accumulation). The
+	// ledger is flushed below, in the frame that registers the watches.
 	for c := s.rnk; c < s.n; c += s.p {
 		st.ownTot[c] = 0
 		st.ownSize[c] = 0
@@ -393,9 +394,6 @@ func (s *Session) install() error {
 			k = s.sg.HubWDeg[hi]
 		}
 		st.addDelta(reps[i], k, 1)
-	}
-	if err := st.flushDeltas(); err != nil {
-		return err
 	}
 
 	// Hub labels are replicated state: every rank learns every hub's
@@ -432,6 +430,18 @@ func (s *Session) install() error {
 		}
 	}
 	if err := st.ghostSwap(); err != nil {
+		return err
+	}
+
+	// Every label is final: one flush carries the aggregates to their
+	// owners and registers the resident stage's watches, which then last
+	// across every ApplyUpdates batch until the next install.
+	if err := st.registerWatches(); err != nil {
+		return err
+	}
+	// Warm the cache here, so the first update batch pushes what it dirtied
+	// and not every first value.
+	if err := st.pushAggregates(); err != nil {
 		return err
 	}
 
@@ -767,7 +777,11 @@ func (s *Session) resolveNewGhosts() error {
 		return err
 	}
 	for i, g := range s.newGhosts {
+		if labels[i] < 0 || labels[i] >= s.n {
+			return fmt.Errorf("core: rank %d: owner of new ghost %d answered community %d outside [0,%d)", s.rnk, g, labels[i], s.n)
+		}
 		st.comm[g] = int32(labels[i])
+		st.watch(labels[i]) // registered by the flush that follows in ApplyUpdates
 	}
 	return nil
 }

@@ -36,19 +36,44 @@ type stage struct {
 	// unknown vertices are -1.
 	comm []int32
 
-	// tot and size are cached community aggregates, refreshed from the
-	// community owners at the start of every iteration and adjusted
-	// locally during the sweep (Gauss-Seidel within the rank). cached
-	// marks valid entries; cachedList drives O(touched) reset.
-	tot        []float64
-	size       []int32
-	cached     []bool
-	cachedList []int
+	// tot and size cache the aggregates of every community this rank
+	// watches, for the whole life of the stage: the owner pushes a watched
+	// community's (Σtot, size) at the top of the iteration after a delta
+	// for it arrived (pushAggregates, sync.go), and the sweep adjusts the
+	// entries locally in between (Gauss-Seidel within the rank). cached
+	// marks entries that hold a pushed value.
+	tot    []float64
+	size   []int32
+	cached []bool
+
+	// watched marks the communities this rank has asked the owner to push:
+	// watch sets it the first time a local vertex (owned, hub or ghost)
+	// carries the label, and queues the id in watchNew for the next flush
+	// frame. A watch is never withdrawn (docs/PERFORMANCE.md, "Aggregate
+	// synchronisation").
+	watched  []bool
+	watchNew []int
 
 	// ownTot and ownSize are the authoritative aggregates for communities
 	// owned by this rank (IDs ≡ rnk mod p), updated by the delta exchange.
 	ownTot  []float64
 	ownSize []int32
+
+	// Owner side of the watches, indexed by c/p for an owned community c.
+	// The watcher ranks of a community are a linked list through the
+	// append-only pools wRank/wNext, headed by wHead (-1 = none): O(1)
+	// insertion, no per-community allocation, no cap on P. dirty lists the
+	// communities a delta record arrived for since the last push
+	// (dirtyMark dedups); first[r] lists rank r's watches registered since
+	// then, which get a first value whether or not the community is dirty.
+	// pushIDs[r] is the per-destination scratch of encodePush.
+	wHead     []int32
+	wNext     []int32
+	wRank     []int32
+	dirtyMark []bool
+	dirty     []int
+	first     [][]int
+	pushIDs   [][]int
 
 	// Pending aggregate deltas keyed by community, routed to owners at the
 	// end of each iteration. deltaTouched drives O(touched) flush/reset;
@@ -102,6 +127,10 @@ type stage struct {
 	// peer slots are replaced by transport buffers each call).
 	recvIn [][]byte
 
+	// idPrev holds the previous id per peer for the stride-delta encoders
+	// (encodeFlush, ghostSwap).
+	idPrev []int
+
 	// deltaSrc buffers flushDeltas records per source rank: the streaming
 	// exchange decodes frames in arrival order, but Σtot is accumulated in
 	// floating point, so the records are applied in rank order to keep the
@@ -140,13 +169,6 @@ type stage struct {
 	qKernel func(chunk, worker int)
 	qChunks int
 
-	// encKernel/ansKernel chunk fetchCommunityInfo's request-encode and
-	// answer loops by peer rank; recvFrames carries the received frames
-	// into ansKernel between the collectives.
-	encKernel  func(r, worker int)
-	ansKernel  func(r, worker int)
-	recvFrames [][]byte
-
 	// needMark/reqs are the dense dedup scratch of neededCommunities:
 	// needMark[c] marks community c as already requested this round, and
 	// reqs[r] accumulates the requests owned by rank r. Both are reset in
@@ -157,7 +179,7 @@ type stage struct {
 	// chunkQ/chunkWork hold per-chunk partial results of parFor kernels,
 	// combined on the main goroutine in chunk order (bit-identical float
 	// reductions at every worker count). chunkWork is sized max(p,
-	// maxChunks) because the encode/answer kernels chunk by peer rank.
+	// maxChunks) because the merge's decode kernels chunk by peer rank.
 	chunkQ    [maxChunks]float64
 	chunkArcs [maxChunks]int64
 	chunkWork []int64
@@ -229,6 +251,7 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		tot:       make([]float64, n),
 		size:      make([]int32, n),
 		cached:    make([]bool, n),
+		watched:   make([]bool, n),
 		ownTot:    make([]float64, n),
 		ownSize:   make([]int32, n),
 		deltaW:    make([]float64, n),
@@ -261,6 +284,12 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.recvIn = make([][]byte, s.p)
 	s.deltaSrc = make([][]deltaRec, s.p)
 	s.reqs = make([][]int, s.p)
+	s.idPrev = make([]int, s.p)
+	s.wHead = make([]int32, n/s.p+1)
+	fillInt32(s.wHead, -1)
+	s.dirtyMark = make([]bool, n/s.p+1)
+	s.first = make([][]int, s.p)
+	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
 	s.hubChunks = numChunks(nh)
@@ -283,29 +312,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		s.chunkArcs[chunk] = w
 	}
 	s.buildQKernel()
-	s.encKernel = func(r, _ int) {
-		b := s.sendBufs[r]
-		b.PutInts(s.reqs[r])
-		s.frames[r] = b.Bytes()
-		s.chunkWork[r] = int64(len(s.reqs[r]))
-	}
-	s.ansKernel = func(r, _ int) {
-		var rd wire.Reader
-		rd.Reset(s.recvFrames[r])
-		nReq := int(rd.Uvarint())
-		b := s.sendBufs[r]
-		for j := 0; j < nReq && rd.Err() == nil; j++ {
-			c := int(rd.Varint())
-			b.PutF64(s.ownTot[c])
-			b.PutVarint(int64(s.ownSize[c]))
-		}
-		if rd.Err() != nil {
-			s.chunkWork[r] = -1
-			return
-		}
-		s.frames[r] = b.Bytes()
-		s.chunkWork[r] = int64(nReq)
-	}
 	cw := s.p
 	if cw < maxChunks {
 		cw = maxChunks
@@ -387,8 +393,9 @@ func (s *stage) close() {
 // commOwner returns the rank that owns community (or vertex) id c.
 func (s *stage) commOwner(c int) int { return c % s.p }
 
-// lookupTot returns the cached Σtot of community c; the fetch step
-// guarantees every candidate community is cached, so a miss is a bug.
+// lookupTot returns the cached Σtot of community c; every candidate
+// community is the label of a local vertex, hence watched and pushed before
+// the sweep, so a miss is a bug.
 func (s *stage) lookupTot(c int) float64 {
 	if !s.cached[c] {
 		panic(fmt.Sprintf("core: rank %d missing Σtot for community %d", s.rnk, c))
@@ -405,22 +412,15 @@ func (s *stage) cachedSize(c int) int32 {
 	return s.size[c]
 }
 
-// resetCache invalidates all cached community aggregates in O(touched).
-func (s *stage) resetCache() {
-	for _, c := range s.cachedList {
-		s.cached[c] = false
+// watch asks the owner of community c to push its aggregates from now on.
+// Every site that gives a local vertex a label it did not pick from a
+// neighbour calls it (stage start, a hub's winning target, a ghost's new
+// label, a migrant's label); the request itself rides the next flush frame.
+func (s *stage) watch(c int) {
+	if !s.watched[c] {
+		s.watched[c] = true
+		s.watchNew = append(s.watchNew, c)
 	}
-	s.cachedList = s.cachedList[:0]
-}
-
-// installCache stores a fetched aggregate.
-func (s *stage) installCache(c int, tot float64, size int32) {
-	if !s.cached[c] {
-		s.cached[c] = true
-		s.cachedList = append(s.cachedList, c)
-	}
-	s.tot[c] = tot
-	s.size[c] = size
 }
 
 // neededCommunities returns the deduplicated set of community IDs

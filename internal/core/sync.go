@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -31,65 +32,152 @@ func (s *stage) alltoallv(out [][]byte) ([][]byte, error) {
 	return comm.AlltoallvInto(s.c, out, s.recvIn)
 }
 
-// fetchCommunityInfo refreshes the Σtot/size caches for every community
-// referenced locally: requests are routed to community owners via an
-// all-to-all exchange and answered from the authoritative tables. The
-// request-encode and answer loops are chunked by peer rank and run on the
-// worker pool (each chunk touches only its own rank's buffers); the
-// collectives themselves stay on the stage's main goroutine.
-func (s *stage) fetchCommunityInfo() error {
-	reqs := s.neededCommunities()
+// Aggregate synchronisation (docs/PERFORMANCE.md, "Aggregate
+// synchronisation"). A rank does not ask for the aggregates it needs every
+// iteration; it registers a standing watch with a community's owner the
+// first time one of its vertices carries the label (watch, state.go), and
+// the owner pushes (c, Σtot, size) to the watchers at the top of the
+// iteration after a delta record for c arrived — on receipt, whatever the
+// record's value, so every cache entry a rank adjusted locally during its
+// sweep is put back to the owner's exact bits. A community nobody touched
+// is not re-sent: the cache entry a rank holds for it is already the
+// owner's value. The watch requests ride the flush frames that go to the
+// same owner anyway (flushDeltas).
+
+// frameErr reports a frame that failed to decode or named an id the sender
+// had no business naming.
+func (s *stage) frameErr(kind string, src int, cause error) error {
+	if cause == nil {
+		cause = errForeignID
+	}
+	return fmt.Errorf("core: rank %d: malformed %s frame from rank %d: %w", s.rnk, kind, src, cause)
+}
+
+var errForeignID = errors.New("id outside what the sender may address")
+
+// registerWatches queues a watch for the label of every locally known
+// vertex and ships the queue (with whatever the delta ledger holds) in one
+// flush exchange. A stage calls it once before its first iteration — after
+// newStage for a clustering stage, after the labels are projected for a
+// session's resident stage; from then on new labels register themselves
+// where they arise.
+func (s *stage) registerWatches() error {
+	for _, u := range s.sg.Owned {
+		s.watch(int(s.comm[u]))
+	}
+	for _, h := range s.sg.Hubs {
+		s.watch(int(s.comm[h]))
+	}
+	for _, g := range s.sg.Ghosts {
+		s.watch(int(s.comm[g]))
+	}
+	return s.flushDeltas()
+}
+
+// pushAggregates opens an iteration: every owner sends each rank the
+// aggregates of the dirty communities that rank watches, plus first values
+// for the watches registered since the last push, and every rank installs
+// what it receives. Each community has one owner, so the per-source
+// installs are disjoint and arrival-order application is deterministic.
+func (s *stage) pushAggregates() error {
 	out := s.sendScratch()
-	s.pool.parFor(s.p, s.encKernel)
-	nReq := int64(0)
-	for r := 0; r < s.p; r++ {
-		nReq += s.chunkWork[r]
-	}
-	s.addWork(trace.Other, nReq)
-	in, err := s.alltoallv(out)
-	if err != nil {
+	s.addWork(trace.Other, s.encodePush())
+	recvd := int64(0)
+	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
+		n, err := s.applyPush(src, payload)
+		recvd += n
 		return err
-	}
-	// Answer each request list in order. The received frames are owned by
-	// this rank, so the encode buffers can be reused for the replies.
-	replies := s.sendScratch()
-	s.recvFrames = in
-	s.pool.parFor(s.p, s.ansKernel)
-	s.recvFrames = nil
-	for r := 0; r < s.p; r++ {
-		if s.chunkWork[r] < 0 {
-			// Re-decode serially to surface the deterministic wire error.
-			rd := wire.NewReader(in[r])
-			n := int(rd.Uvarint())
-			for j := 0; j < n && rd.Err() == nil; j++ {
-				rd.Varint()
-			}
-			if err := rd.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("core: rank %d: malformed request frame from rank %d", s.rnk, r)
-		}
-		s.addWork(trace.Other, s.chunkWork[r])
-	}
-	// Install fresh values as each answer frame arrives: every community
-	// appears in exactly one request bucket, so the per-source installs are
-	// disjoint and arrival-order application is deterministic. The callback
-	// runs on this goroutine only (installCache appends to the shared
-	// touched list).
-	s.resetCache()
-	var rd wire.Reader
-	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
-		rd.Reset(payload)
-		for _, c := range reqs[src] {
-			s.installCache(c, rd.F64(), int32(rd.Varint()))
-		}
-		return rd.Err()
 	})
 	if err != nil {
 		return err
 	}
-	s.addWork(trace.Other, nReq)
+	s.addWork(trace.Other, recvd)
 	return nil
+}
+
+// encodePush fills the send frames of pushAggregates and returns the number
+// of records encoded. The dirty list is fanned out to the watchers in
+// ascending community order, so each destination's ids ascend; they are
+// merged with the destination's first-value list on the way out (a new
+// watch on a dirty community is in both, and is sent once).
+//
+//perf:noalloc
+func (s *stage) encodePush() int64 {
+	sort.Ints(s.dirty)
+	for _, c := range s.dirty {
+		li := c / s.p
+		s.dirtyMark[li] = false
+		if s.ownSize[c] == 0 {
+			// Emptied: no vertex carries the label any more (labels are
+			// consistent world-wide once the ghost swap ran), and none can
+			// pick it up again from a neighbour. Its watchers keep a stale
+			// entry nobody reads; should a delta ever repopulate it, that
+			// delta marks it dirty again and the push restores them.
+			continue
+		}
+		for e := s.wHead[li]; e >= 0; e = s.wNext[e] {
+			r := s.wRank[e]
+			s.pushIDs[r] = append(s.pushIDs[r], c)
+		}
+	}
+	s.dirty = s.dirty[:0]
+	n := int64(0)
+	for r := 0; r < s.p; r++ {
+		a, b := s.pushIDs[r], s.first[r]
+		// One flush fills first[r] in ascending order; a second one before
+		// the push (a migration event, an update batch) appends a second run.
+		sort.Ints(b)
+		buf := s.sendBufs[r]
+		prev := s.rnk - s.p
+		for i, j := 0, 0; i < len(a) || j < len(b); {
+			var c int
+			if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+				c = a[i]
+				i++
+			} else {
+				c = b[j]
+				j++
+			}
+			if c == prev {
+				continue
+			}
+			buf.PutStrideDelta(prev, c, s.p)
+			buf.PutF64(s.ownTot[c])
+			buf.PutVarint(int64(s.ownSize[c]))
+			prev = c
+			n++
+		}
+		s.pushIDs[r] = a[:0]
+		s.first[r] = b[:0]
+		s.frames[r] = buf.Bytes()
+	}
+	return n
+}
+
+// applyPush installs one owner's push frame and returns the number of
+// records installed. The stride-delta decode confines every id to the
+// communities src owns; a community this rank never watched is refused.
+//
+//perf:noalloc
+func (s *stage) applyPush(src int, payload []byte) (int64, error) {
+	var rd wire.Reader
+	rd.Reset(payload)
+	n := int64(0)
+	prev := src - s.p
+	for rd.Remaining() > 0 {
+		c := rd.StrideDelta(prev, s.p, s.n)
+		tot := rd.F64()
+		size := int32(rd.Varint())
+		if rd.Err() != nil || !s.watched[c] {
+			return n, s.frameErr("push", src, rd.Err())
+		}
+		s.tot[c] = tot
+		s.size[c] = size
+		s.cached[c] = true
+		prev = c
+		n++
+	}
+	return n, nil
 }
 
 // hubProposal is one rank's best move for one hub, computed from the rank's
@@ -131,6 +219,9 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	for i, h := range s.sg.Hubs {
 		imp := rd.F64()
 		target := int(rd.Varint())
+		if target < 0 || target >= s.n {
+			return 0, fmt.Errorf("core: rank %d: hub-proposal record for hub %d names community %d outside [0,%d)", s.rnk, h, target, s.n)
+		}
 		cur := int(s.comm[h])
 		if !(imp > gainEps) || target == cur {
 			continue
@@ -144,6 +235,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 		}
 		k := s.sg.HubWDeg[i]
 		s.comm[h] = int32(target)
+		s.watch(target) // proposed by another rank, so possibly new here
 		s.movedHubs = append(s.movedHubs, i)
 		if s.cached[cur] {
 			s.tot[cur] -= k
@@ -195,6 +287,11 @@ func combineHubProposals(a, b []byte) []byte {
 func (s *stage) ghostSwap() error {
 	bufs := s.sendScratch()
 	sent := int64(0)
+	for r := range s.idPrev {
+		s.idPrev[r] = -1
+	}
+	// changed lists owned vertices in ascending order (sweep and sweepActive
+	// both walk them sorted), so each subscriber's ids are stride-1 deltas.
 	for _, u := range s.changed {
 		subs := s.sg.Subscribers[u]
 		if len(subs) == 0 {
@@ -202,8 +299,9 @@ func (s *stage) ghostSwap() error {
 		}
 		c := int64(s.comm[u])
 		for _, r := range subs {
-			s.sendBufs[r].PutVarint(int64(u))
+			s.sendBufs[r].PutStrideDelta(s.idPrev[r], u, 1)
 			s.sendBufs[r].PutVarint(c)
+			s.idPrev[r] = u
 			sent++
 		}
 	}
@@ -213,21 +311,28 @@ func (s *stage) ghostSwap() error {
 	s.addWork(trace.SwapGhost, sent)
 	// Stream the inbound label updates: every vertex is published only by
 	// its owner, so the per-source writes to s.comm are disjoint and
-	// arrival-order application is deterministic.
+	// arrival-order application is deterministic. A frame may only name
+	// vertices its sender owns and this rank already holds.
 	recvd := int64(0)
 	var rd wire.Reader
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
 		rd.Reset(payload)
+		prev := -1
 		for rd.Remaining() > 0 {
-			v := int(rd.Varint())
-			c := int32(rd.Varint())
-			if s.onGhostChange != nil && s.comm[v] != c {
+			v := rd.StrideDelta(prev, 1, s.n)
+			c := rd.Varint()
+			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || s.ownerOf(v) != src {
+				return s.frameErr("ghost-swap", src, rd.Err())
+			}
+			if s.onGhostChange != nil && s.comm[v] != int32(c) {
 				s.onGhostChange(v)
 			}
-			s.comm[v] = c
+			s.comm[v] = int32(c)
+			s.watch(int(c))
+			prev = v
 			recvd++
 		}
-		return rd.Err()
+		return nil
 	})
 	if err != nil {
 		return err
@@ -236,59 +341,125 @@ func (s *stage) ghostSwap() error {
 	return nil
 }
 
-// flushDeltas routes the pending Σtot/size deltas to community owners and
-// applies the ones addressed to this rank.
+// flushDeltas routes the pending Σtot/size deltas and the queued watch
+// requests to the community owners, applies the deltas addressed to this
+// rank and registers the watchers. A community is marked dirty when a
+// record for it arrives, not when its value changes: a rank that moved a
+// vertex out of c and another back in holds a cache entry whose bits no
+// longer equal the owner's even if the sum does.
 func (s *stage) flushDeltas() error {
 	bufs := s.sendScratch()
-	// Sorted order keeps the byte streams reproducible run to run.
-	sort.Ints(s.deltaTouched)
-	s.addWork(trace.Other, int64(len(s.deltaTouched)))
-	for _, c := range s.deltaTouched {
-		o := s.commOwner(c)
-		s.sendBufs[o].PutVarint(int64(c))
-		s.sendBufs[o].PutF64(s.deltaW[c])
-		s.sendBufs[o].PutVarint(int64(s.deltaN[c]))
-		s.deltaW[c] = 0
-		s.deltaN[c] = 0
-		s.deltaMark[c] = false
-	}
-	s.deltaTouched = s.deltaTouched[:0]
-	for r := 0; r < s.p; r++ {
-		bufs[r] = s.sendBufs[r].Bytes()
-	}
+	s.addWork(trace.Other, s.encodeFlush())
 	// Decode overlaps in-flight traffic (arrival order), but Σtot is a
 	// floating-point accumulation whose result depends on addend order, so
 	// the decoded records are buffered per source rank and applied in rank
-	// order below.
+	// order below. Registering a watcher commutes, so that happens on
+	// arrival.
 	for r := 0; r < s.p; r++ {
 		s.deltaSrc[r] = s.deltaSrc[r][:0]
 	}
-	var rd wire.Reader
+	applied := int64(0)
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
-		rd.Reset(payload)
-		recs := s.deltaSrc[src]
-		for rd.Remaining() > 0 {
-			c := int32(rd.Varint())
-			dw := rd.F64()
-			dn := int32(rd.Varint())
-			recs = append(recs, deltaRec{c: c, dw: dw, dn: dn})
-		}
-		s.deltaSrc[src] = recs
-		return rd.Err()
+		n, err := s.recvFlush(src, payload)
+		applied += n
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	applied := int64(0)
 	for r := 0; r < s.p; r++ {
 		for _, d := range s.deltaSrc[r] {
 			s.ownTot[d.c] += d.dw
 			s.ownSize[d.c] += d.dn
+			if li := int(d.c) / s.p; !s.dirtyMark[li] {
+				s.dirtyMark[li] = true
+				s.dirty = append(s.dirty, int(d.c))
+			}
 			applied++
 		}
 	}
 	s.addWork(trace.Other, applied)
 	return nil
+}
+
+// encodeFlush fills the send frames of flushDeltas and returns the number
+// of values encoded. A frame is the (id, Δtot, Δsize) records for the
+// owner, then — only if there are watches for it — a zero byte and the
+// watch ids to the end of the frame; both id streams are stride-delta
+// coded, and an owner with neither gets an empty frame. Sorted order keeps
+// the byte streams reproducible run to run.
+//
+//perf:noalloc
+func (s *stage) encodeFlush() int64 {
+	sort.Ints(s.deltaTouched)
+	sort.Ints(s.watchNew)
+	for r := 0; r < s.p; r++ {
+		s.idPrev[r] = r - s.p
+	}
+	for _, c := range s.deltaTouched {
+		o := s.commOwner(c)
+		b := s.sendBufs[o]
+		b.PutStrideDelta(s.idPrev[o], c, s.p)
+		b.PutF64(s.deltaW[c])
+		b.PutVarint(int64(s.deltaN[c]))
+		s.idPrev[o] = c
+		s.deltaW[c] = 0
+		s.deltaN[c] = 0
+		s.deltaMark[c] = false
+	}
+	for r := 0; r < s.p; r++ {
+		s.idPrev[r] = r - s.p
+	}
+	for _, c := range s.watchNew {
+		o := s.commOwner(c)
+		if s.idPrev[o] < 0 { // the owner's first watch: close its delta stream
+			s.sendBufs[o].PutUvarint(0)
+		}
+		s.sendBufs[o].PutStrideDelta(s.idPrev[o], c, s.p)
+		s.idPrev[o] = c
+	}
+	n := int64(len(s.deltaTouched) + len(s.watchNew))
+	s.deltaTouched = s.deltaTouched[:0]
+	s.watchNew = s.watchNew[:0]
+	for r := 0; r < s.p; r++ {
+		s.frames[r] = s.sendBufs[r].Bytes()
+	}
+	return n
+}
+
+// recvFlush decodes one flush frame: the delta records are buffered in
+// deltaSrc[src] for the rank-order application, the watchers registered on
+// the spot. It returns the number of watches registered. The stride-delta
+// decode confines every id to the communities this rank owns.
+func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
+	var rd wire.Reader
+	rd.Reset(payload)
+	prev := s.rnk - s.p
+	for rd.Remaining() > 0 && !rd.SkipZero() {
+		c := rd.StrideDelta(prev, s.p, s.n)
+		d := deltaRec{c: int32(c), dw: rd.F64(), dn: int32(rd.Varint())}
+		if rd.Err() != nil {
+			return 0, s.frameErr("flush", src, rd.Err())
+		}
+		s.deltaSrc[src] = append(s.deltaSrc[src], d)
+		prev = c
+	}
+	watches := int64(0)
+	prev = s.rnk - s.p
+	for rd.Remaining() > 0 {
+		c := rd.StrideDelta(prev, s.p, s.n)
+		if rd.Err() != nil {
+			return 0, s.frameErr("flush", src, rd.Err())
+		}
+		li := c / s.p
+		s.wRank = append(s.wRank, int32(src))
+		s.wNext = append(s.wNext, s.wHead[li])
+		s.wHead[li] = int32(len(s.wRank) - 1)
+		s.first[src] = append(s.first[src], c)
+		prev = c
+		watches++
+	}
+	return watches, nil
 }
 
 // deltaRec is one decoded Σtot/size delta, buffered per source rank so the

@@ -13,6 +13,8 @@ func FuzzReader(f *testing.F) {
 	b.PutF64s([]float64{1.5})
 	b.PutBytes([]byte("seed"))
 	f.Add(b.Bytes())
+	f.Add(strideStream([]int{3, 7, 403}, 3, 4))
+	f.Add([]byte{0x00, 0x01, 0x00}) // zero distance, then a repeated id
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		r.Uvarint()
@@ -28,6 +30,28 @@ func FuzzReader(f *testing.F) {
 		// Err may or may not be set, but the reader must stay in bounds.
 		if r.Remaining() < 0 {
 			t.Fatal("negative remaining")
+		}
+		// A stride-delta stream over the same bytes: whatever they hold, an
+		// id that comes back without error is above its predecessor, on the
+		// stride and below the limit, and an error returns prev.
+		const stride, limit = 4, 1 << 20
+		r.Reset(data)
+		prev := 1 - stride
+		for r.Remaining() > 0 {
+			if r.SkipZero() {
+				continue
+			}
+			id := r.StrideDelta(prev, stride, limit)
+			if r.Err() != nil {
+				if id != prev {
+					t.Fatalf("failed decode returned %d, want prev %d", id, prev)
+				}
+				break
+			}
+			if id <= prev || id >= limit || id%stride != 1 {
+				t.Fatalf("decoded id %d after %d (stride %d, limit %d)", id, prev, stride, limit)
+			}
+			prev = id
 		}
 	})
 }

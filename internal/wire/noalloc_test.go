@@ -35,15 +35,23 @@ func TestNoallocAnnotations(t *testing.T) {
 	var rd Reader
 
 	drivers := map[string]func(){
-		"Buffer.Reset":      func() { buf.Reset() },
-		"Buffer.PutUvarint": func() { buf.Reset(); buf.PutUvarint(1 << 40) },
-		"Buffer.PutVarint":  func() { buf.Reset(); buf.PutVarint(-(1 << 40)) },
-		"Buffer.PutU32":     func() { buf.Reset(); buf.PutU32(0xdeadbeef) },
-		"Buffer.PutU64":     func() { buf.Reset(); buf.PutU64(1 << 60) },
-		"Buffer.PutI64":     func() { buf.Reset(); buf.PutI64(-(1 << 60)) },
-		"Buffer.PutF64":     func() { buf.Reset(); buf.PutF64(3.14159) },
-		"Reader.Reset":      func() { rd.Reset(payload) },
-		"Reader.Uvarint":    func() { rd.Reset(payload); rd.Uvarint() },
+		"Buffer.Reset":          func() { buf.Reset() },
+		"Buffer.PutUvarint":     func() { buf.Reset(); buf.PutUvarint(1 << 40) },
+		"Buffer.PutVarint":      func() { buf.Reset(); buf.PutVarint(-(1 << 40)) },
+		"Buffer.PutU32":         func() { buf.Reset(); buf.PutU32(0xdeadbeef) },
+		"Buffer.PutU64":         func() { buf.Reset(); buf.PutU64(1 << 60) },
+		"Buffer.PutI64":         func() { buf.Reset(); buf.PutI64(-(1 << 60)) },
+		"Buffer.PutF64":         func() { buf.Reset(); buf.PutF64(3.14159) },
+		"Buffer.PutStrideDelta": func() { buf.Reset(); buf.PutStrideDelta(3, 4003, 4) },
+		"Reader.Reset":          func() { rd.Reset(payload) },
+		"Reader.StrideDelta": func() {
+			buf.Reset()
+			buf.PutStrideDelta(3, 4003, 4)
+			rd.Reset(buf.Bytes())
+			rd.StrideDelta(3, 4, 5000)
+		},
+		"Reader.SkipZero": func() { rd.Reset(payload); rd.SkipZero() },
+		"Reader.Uvarint":  func() { rd.Reset(payload); rd.Uvarint() },
 		"Reader.Varint": func() {
 			buf.Reset()
 			buf.PutVarint(-7)

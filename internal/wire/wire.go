@@ -76,6 +76,27 @@ func (w *Buffer) PutF64(v float64) {
 	w.PutU64(math.Float64bits(v))
 }
 
+// PutStrideDelta appends id as its distance above prev in units of stride:
+// the encoding of an ascending id stream whose members share one residue
+// modulo stride (stride 1: any ascending stream). Consecutive ids of such a
+// stream are a few strides apart, so each costs about one byte where a plain
+// varint costs about three. A stream starts from prev = residue − stride
+// (−1 at stride 1). An id at or below prev, or off the stride, is a caller
+// bug and panics: the decoder could not tell it from corruption.
+//
+//perf:noalloc
+func (w *Buffer) PutStrideDelta(prev, id, stride int) {
+	d := id - prev
+	if d <= 0 || d%stride != 0 {
+		badStride(prev, id, stride)
+	}
+	w.PutUvarint(uint64(d / stride))
+}
+
+func badStride(prev, id, stride int) {
+	panic(fmt.Sprintf("wire: stride-delta id %d does not follow %d in steps of %d", id, prev, stride))
+}
+
 // PutBytes appends a length-prefixed byte slice.
 func (w *Buffer) PutBytes(p []byte) {
 	w.PutUvarint(uint64(len(p)))
@@ -219,6 +240,39 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 //
 //perf:noalloc
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// StrideDelta reads an id written by PutStrideDelta with the same prev and
+// stride. The result is above prev, congruent to it modulo stride and below
+// limit by construction — a zero distance (a repeated or descending id) or
+// one that reaches limit is corruption and sets Err — so a decoder that
+// starts its stream at residue − stride needs no further range or residue
+// check before indexing an array of limit entries. On error it returns prev.
+//
+//perf:noalloc
+func (r *Reader) StrideDelta(prev, stride, limit int) int {
+	d := r.Uvarint()
+	if r.err != nil {
+		return prev
+	}
+	if d == 0 || limit <= prev || d > uint64(limit-1-prev)/uint64(stride) {
+		r.fail("stride delta")
+		return prev
+	}
+	return prev + int(d)*stride
+}
+
+// SkipZero consumes the next byte if it is zero and reports whether it did.
+// No stride-delta id starts with a zero byte (its distance is at least 1),
+// so a zero byte can close one id stream and open the next.
+//
+//perf:noalloc
+func (r *Reader) SkipZero() bool {
+	if r.err != nil || r.off >= len(r.b) || r.b[r.off] != 0 {
+		return false
+	}
+	r.off++
+	return true
+}
 
 // Bytes reads a length-prefixed byte slice. The result aliases the input.
 func (r *Reader) Bytes() []byte {

@@ -222,3 +222,137 @@ func TestQuickRoundTripMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// strideStream encodes ids (ascending, all ≡ residue mod stride) the way the
+// core exchanges do: the stream starts from residue − stride.
+func strideStream(ids []int, residue, stride int) []byte {
+	b := NewBuffer(0)
+	prev := residue - stride
+	for _, id := range ids {
+		b.PutStrideDelta(prev, id, stride)
+		prev = id
+	}
+	return b.Bytes()
+}
+
+func TestStrideDeltaRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		residue, stride, limit int
+		ids                    []int
+	}{
+		{0, 1, 10, []int{0, 1, 5, 9}},
+		{3, 4, 4000, []int{3, 7, 11, 1003, 3999}},
+		{2, 3, 9, []int{8}},
+		{63, 64, 1 << 40, []int{63, 127, 1<<40 - 1}},
+		{0, 1, 1, nil},
+	} {
+		enc := strideStream(tc.ids, tc.residue, tc.stride)
+		r := NewReader(enc)
+		prev := tc.residue - tc.stride
+		for _, want := range tc.ids {
+			got := r.StrideDelta(prev, tc.stride, tc.limit)
+			if got != want || r.Err() != nil {
+				t.Fatalf("%+v: decoded %d (err %v), want %d", tc, got, r.Err(), want)
+			}
+			prev = got
+		}
+		if r.Remaining() != 0 {
+			t.Errorf("%+v: %d bytes left over", tc, r.Remaining())
+		}
+	}
+	// The point of the encoding: neighbours a few strides apart cost a byte.
+	ids := make([]int, 1000)
+	for i := range ids {
+		ids[i] = 3 + 4*(5000+3*i)
+	}
+	if n := len(strideStream(ids, 3, 4)); n > len(ids)+2 {
+		t.Errorf("1000 ids 3 strides apart took %d bytes", n)
+	}
+}
+
+// TestStrideDeltaRejects covers both ends: the encoder refuses an id that
+// does not follow prev on the stride (a caller bug), and the decoder turns
+// a zero distance, an id at or past limit, and an overflowing distance into
+// Err, returning prev so the caller indexes nothing new.
+func TestStrideDeltaRejects(t *testing.T) {
+	for _, bad := range [][3]int{{5, 5, 1}, {5, 4, 1}, {3, 8, 4}, {-1, -1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PutStrideDelta(prev=%d, id=%d, stride=%d) did not panic", bad[0], bad[1], bad[2])
+				}
+			}()
+			NewBuffer(0).PutStrideDelta(bad[0], bad[1], bad[2])
+		}()
+	}
+	dist := func(d uint64) []byte {
+		b := NewBuffer(0)
+		b.PutUvarint(d)
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name                string
+		enc                 []byte
+		prev, stride, limit int
+	}{
+		{"zero distance", dist(0), 7, 4, 100},
+		{"reaches limit", dist(2), 1, 4, 9}, // 1 + 2·4 = 9
+		{"past limit", dist(1000), -1, 1, 10},
+		{"overflows int", dist(math.MaxUint64), -4, 4, math.MaxInt},
+		{"prev already at limit", dist(1), 12, 4, 12},
+		{"truncated", []byte{0x80}, -1, 1, 10},
+	} {
+		r := NewReader(tc.enc)
+		if got := r.StrideDelta(tc.prev, tc.stride, tc.limit); r.Err() == nil || got != tc.prev {
+			t.Errorf("%s: decoded %d with err %v, want prev %d and an error", tc.name, got, r.Err(), tc.prev)
+		}
+	}
+	// The largest admissible id decodes.
+	r := NewReader(dist(2))
+	if got := r.StrideDelta(1, 4, 10); got != 9 || r.Err() != nil {
+		t.Errorf("id limit−1: decoded %d, err %v", got, r.Err())
+	}
+}
+
+func TestSkipZero(t *testing.T) {
+	r := NewReader([]byte{0, 5, 0})
+	if !r.SkipZero() || r.Remaining() != 2 {
+		t.Fatal("leading zero byte not consumed")
+	}
+	if r.SkipZero() || r.Remaining() != 2 {
+		t.Fatal("non-zero byte consumed")
+	}
+	if r.Uvarint() != 5 || !r.SkipZero() || r.SkipZero() || r.Err() != nil {
+		t.Fatal("trailing zero byte / end of input mishandled")
+	}
+}
+
+func TestQuickStrideDelta(t *testing.T) {
+	f := func(gaps []uint16, strideRaw, residueRaw uint8) bool {
+		stride := 1 + int(strideRaw%64)
+		residue := int(residueRaw) % stride
+		ids := make([]int, len(gaps))
+		prev := residue - stride
+		for i, g := range gaps {
+			prev += (1 + int(g)) * stride
+			ids[i] = prev
+		}
+		limit := prev + 1
+		if limit < 1 {
+			limit = 1
+		}
+		r := NewReader(strideStream(ids, residue, stride))
+		prev = residue - stride
+		for _, want := range ids {
+			got := r.StrideDelta(prev, stride, limit)
+			if got != want || got%stride != residue || got >= limit {
+				return false
+			}
+			prev = got
+		}
+		return r.Err() == nil && r.Remaining() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -23,7 +23,12 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 echo "== kernel microbenchmarks (-benchtime $KERNEL_TIME) ==" >&2
-go test -run '^$' -bench '^BenchmarkKernel' -benchtime "$KERNEL_TIME" -benchmem \
+# Named one by one: a renamed or deleted kernel benchmark then fails
+# scripts/check.sh's discovery guard instead of dropping out of the row set.
+# PushAggregates took the place of FetchCommunityInfo in PR 14 (standing
+# watches); the seed files keep the old name in their "seed" block.
+KERNELS='Sweep|PushAggregates|GhostSwap|FlushDeltas|DelegateExchange|GlobalModularity'
+go test -run '^$' -bench "^BenchmarkKernel($KERNELS)\$" -benchtime "$KERNEL_TIME" -benchmem \
     ./internal/core/ | tee -a "$raw" >&2
 
 echo "== collective engine benchmarks (-benchtime $COMM_TIME) ==" >&2

@@ -37,6 +37,14 @@ go test -list '^BenchmarkServeLoad$' -run '^$' ./internal/loadgen | grep '^Bench
 # And the merge seed-vs-preagg pair, the PR-10 acceptance metric.
 go test -list '^BenchmarkMergePreagg$' -run '^$' ./internal/core | grep '^BenchmarkMergePreagg$' > /dev/null \
     || { echo "error: BenchmarkMergePreagg missing from internal/core" >&2; exit 1; }
+# And every kernel microbenchmark scripts/bench.sh names (KERNELS=...), so a
+# rename cannot drop a row from the BENCH files unnoticed.
+kernels=$(sed -n "s/^KERNELS='\(.*\)'$/\1/p" scripts/bench.sh | tr '|' ' ')
+[ -n "$kernels" ] || { echo "error: scripts/bench.sh no longer names its kernel benchmarks" >&2; exit 1; }
+for k in $kernels; do
+    go test -list "^BenchmarkKernel$k\$" -run '^$' ./internal/core | grep "^BenchmarkKernel$k\$" > /dev/null \
+        || { echo "error: BenchmarkKernel$k missing from internal/core" >&2; exit 1; }
+done
 go test -run '^$' -bench . -benchtime 1x -benchmem ./... > /dev/null
 
 echo "== chaos matrix smoke (-short: seeds 1-5, both transports) =="
