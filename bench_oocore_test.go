@@ -47,8 +47,9 @@ func heapHighWater() func() uint64 {
 // BenchmarkOocorePipeline is the PR-9 acceptance benchmark: the full
 // out-of-core pipeline — streamed R-MAT generation to a v2 .sbin, two-pass
 // streaming partition, windowed solve — with the heap high-water as an
-// extra metric. The default scale keeps CI fast; the committed BENCH_9.json
-// row is produced with OOCORE_SCALE=23 (>= 10^8 edges, see EXPERIMENTS.md),
+// extra metric. The default scale keeps CI fast; the recorded row
+// (git show 11a6fa5:BENCH_9.json) was produced with OOCORE_SCALE=23
+// (>= 10^8 edges, see EXPERIMENTS.md),
 // where the generate and partition phases stay flat in shard-window size
 // rather than growing with |E|.
 func BenchmarkOocorePipeline(b *testing.B) {

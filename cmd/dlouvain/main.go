@@ -106,7 +106,7 @@ func main() {
 		fmt.Printf("graph: %d vertices, %d edges, %d shards (out of core)\n",
 			s.NumVertices(), s.NumArcs()/2, s.NumShards())
 	} else {
-		g, truth, err = loadGraph(*graphPath, *genSpec, *workers)
+		g, truth, err = gen.Load(*graphPath, *genSpec, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -125,34 +125,17 @@ func main() {
 		RebalanceRatio: *rebRatio, RebalancePolicy: *rebPolicy,
 		RebalanceHysteresis: *rebHyst, RebalanceCooldown: *rebCool, RebalanceSeed: *rebSeed,
 	}
-	switch *heuristic {
-	case "enhanced":
-		opt.Heuristic = core.HeuristicEnhanced
-	case "simple":
-		opt.Heuristic = core.HeuristicSimple
-	case "strict":
-		opt.Heuristic = core.HeuristicStrict
-	default:
-		fatal(fmt.Errorf("unknown heuristic %q", *heuristic))
+	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
+		fatal(err)
 	}
-	switch *partitioner {
-	case "delegate":
-		opt.Partitioning = partition.Delegate
-	case "1d":
-		opt.Partitioning = partition.OneD
-	default:
-		fatal(fmt.Errorf("unknown partitioning %q", *partitioner))
+	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
+		fatal(err)
 	}
 
 	var res *core.Result
 	if *oocore {
-		if opt.DHigh <= 0 {
-			opt.DHigh = core.DefaultDHigh(opt.P, s.NumVertices(), s.NumArcs())
-		}
 		tPart := time.Now()
-		layout, berr := partition.BuildStreaming(s, partition.Options{
-			P: opt.P, Kind: opt.Partitioning, DHigh: opt.DHigh, Workers: opt.Workers,
-		})
+		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
 		if berr != nil {
 			fatal(berr)
 		}
@@ -245,35 +228,6 @@ func runSequential(g *graph.Graph, dist *core.Result) {
 	fmt.Printf("sequential baseline: Q=%.6f (%d communities) in %v — parallel ΔQ %+.4f\n",
 		seq.Modularity, seq.Membership.NumCommunities(), time.Since(t0),
 		dist.Modularity-seq.Modularity)
-}
-
-func loadGraph(path, spec string, workers int) (*graph.Graph, graph.Membership, error) {
-	switch {
-	case path != "" && spec != "":
-		return nil, nil, fmt.Errorf("pass either -graph or -gen, not both")
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var g *graph.Graph
-		switch {
-		case strings.HasSuffix(path, ".sbin"):
-			g, err = graph.ReadBinarySharded(f, workers)
-		case strings.HasSuffix(path, ".bin"):
-			g, err = graph.ReadBinary(f)
-		case strings.HasSuffix(path, ".metis"):
-			g, err = graph.ReadMETIS(f)
-		default:
-			g, err = graph.ReadEdgeListParallel(f, workers)
-		}
-		return g, nil, err
-	case spec != "":
-		return gen.ParseSpec(spec)
-	default:
-		return nil, nil, fmt.Errorf("pass -graph FILE or -gen SPEC (try -gen lfr:n=5000,mu=0.3)")
-	}
 }
 
 func writeMembership(path string, m graph.Membership) error {

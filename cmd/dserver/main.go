@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dserver"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -45,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*graphPath, *genSpec, *workers)
+	g, _, err := gen.Load(*graphPath, *genSpec, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -57,23 +55,11 @@ func main() {
 			DriftQ: *driftQ, DriftTouched: *driftTouch, UpdateKHops: *khops,
 		},
 	}
-	switch *heuristic {
-	case "enhanced":
-		opt.Core.Heuristic = core.HeuristicEnhanced
-	case "simple":
-		opt.Core.Heuristic = core.HeuristicSimple
-	case "strict":
-		opt.Core.Heuristic = core.HeuristicStrict
-	default:
-		fatal(fmt.Errorf("unknown heuristic %q", *heuristic))
+	if opt.Core.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
+		fatal(err)
 	}
-	switch *partitioner {
-	case "delegate":
-		opt.Core.Partitioning = partition.Delegate
-	case "1d":
-		opt.Core.Partitioning = partition.OneD
-	default:
-		fatal(fmt.Errorf("unknown partitioning %q", *partitioner))
+	if opt.Core.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
+		fatal(err)
 	}
 
 	t0 := time.Now()
@@ -110,34 +96,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dserver: %v: %v\n", conn.RemoteAddr(), err)
 			}
 		}()
-	}
-}
-
-func loadGraph(path, spec string, workers int) (*graph.Graph, error) {
-	switch {
-	case path != "" && spec != "":
-		return nil, fmt.Errorf("pass either -graph or -gen, not both")
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		switch {
-		case strings.HasSuffix(path, ".sbin"):
-			return graph.ReadBinarySharded(f, workers)
-		case strings.HasSuffix(path, ".bin"):
-			return graph.ReadBinary(f)
-		case strings.HasSuffix(path, ".metis"):
-			return graph.ReadMETIS(f)
-		default:
-			return graph.ReadEdgeListParallel(f, workers)
-		}
-	case spec != "":
-		g, _, err := gen.ParseSpec(spec)
-		return g, err
-	default:
-		return nil, fmt.Errorf("pass -graph FILE or -gen SPEC (try -gen caveman:cliques=50,size=10)")
 	}
 }
 

@@ -53,7 +53,7 @@ func main() {
 		fmt.Printf("graph: %d vertices, %d edges, %d shards, avg degree %.1f (out of core)\n\n",
 			n, arcs/2, s.NumShards(), float64(arcs)/float64(n))
 	} else {
-		g, err = loadGraph(*graphPath, *genSpec, *workers)
+		g, _, err = gen.Load(*graphPath, *genSpec, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -99,34 +99,6 @@ func main() {
 				p, kind, arcs[0], arcs[len(arcs)/2], arcs[len(arcs)-1],
 				c.ImbalanceW(), c.MaxGhosts(), c.HubCount)
 		}
-	}
-}
-
-func loadGraph(path, spec string, workers int) (*graph.Graph, error) {
-	switch {
-	case path != "" && spec != "":
-		return nil, fmt.Errorf("pass either -graph or -gen, not both")
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		switch {
-		case strings.HasSuffix(path, ".sbin"):
-			return graph.ReadBinarySharded(f, workers)
-		case strings.HasSuffix(path, ".bin"):
-			return graph.ReadBinary(f)
-		case strings.HasSuffix(path, ".metis"):
-			return graph.ReadMETIS(f)
-		default:
-			return graph.ReadEdgeListParallel(f, workers)
-		}
-	case spec != "":
-		g, _, err := gen.ParseSpec(spec)
-		return g, err
-	default:
-		return nil, fmt.Errorf("pass -graph FILE or -gen SPEC")
 	}
 }
 

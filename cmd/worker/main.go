@@ -28,11 +28,11 @@ import (
 
 func main() {
 	var (
-		rank      = flag.Int("rank", -1, "this worker's rank")
-		addrList  = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
-		graphPath = flag.String("graph", "", "path to a graph file (.txt/.bin/.sbin; all workers must use the same input)")
-		genSpec   = flag.String("gen", "", "generator spec (all workers must use the same spec)")
-		oocore    = flag.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
+		rank        = flag.Int("rank", -1, "this worker's rank")
+		addrList    = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
+		graphPath   = flag.String("graph", "", "path to a graph file (.txt/.bin/.sbin/.metis; all workers must use the same input)")
+		genSpec     = flag.String("gen", "", "generator spec (all workers must use the same spec)")
+		oocore      = flag.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
 		heuristic   = flag.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
 		workers     = flag.Int("workers", 0, "intra-rank workers for ingest and the parallel kernels (0 = automatic, 1 = serial; results are identical)")
 		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
@@ -73,7 +73,7 @@ func main() {
 		}
 		s, sc, err = graph.OpenShardedFile(*graphPath)
 	} else {
-		g, _, err = loadGraph(*graphPath, *genSpec, *workers)
+		g, _, err = gen.Load(*graphPath, *genSpec, *workers)
 	}
 	if err != nil {
 		fatal(err)
@@ -93,23 +93,11 @@ func main() {
 		RebalanceRatio: *rebRatio, RebalancePolicy: *rebPolicy,
 		RebalanceHysteresis: *rebHyst, RebalanceCooldown: *rebCool, RebalanceSeed: *rebSeed,
 	}
-	switch *partitioner {
-	case "delegate":
-		opt.Partitioning = partition.Delegate
-	case "1d":
-		opt.Partitioning = partition.OneD
-	default:
-		fatal(fmt.Errorf("unknown partitioning %q", *partitioner))
+	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
+		fatal(err)
 	}
-	switch *heuristic {
-	case "enhanced":
-		opt.Heuristic = core.HeuristicEnhanced
-	case "simple":
-		opt.Heuristic = core.HeuristicSimple
-	case "strict":
-		opt.Heuristic = core.HeuristicStrict
-	default:
-		fatal(fmt.Errorf("unknown heuristic %q", *heuristic))
+	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
+		fatal(err)
 	}
 
 	var res *core.RankResult
@@ -117,13 +105,11 @@ func main() {
 		// Every worker derives the same threshold and runs the same
 		// deterministic streaming build, then keeps only its own part — no
 		// rank ever holds the whole graph.
-		opt.DHigh = core.DefaultDHigh(opt.P, s.NumVertices(), s.NumArcs())
-		layout, berr := partition.BuildStreaming(s, partition.Options{
-			P: opt.P, Kind: opt.Partitioning, DHigh: opt.DHigh, Workers: *workers,
-		})
+		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
 		if berr != nil {
 			fatal(berr)
 		}
+		opt.DHigh = layout.DHigh
 		if err := sc.Close(); err != nil {
 			fatal(err)
 		}
@@ -191,33 +177,6 @@ func main() {
 	}
 	fmt.Printf("load: balance=%.3f (work max/mean), rebalance events=%d, migrated vertices=%d\n",
 		balance, res.RebalanceEvents, res.MigratedVertices)
-}
-
-func loadGraph(path, spec string, workers int) (*graph.Graph, graph.Membership, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var g *graph.Graph
-		switch {
-		case strings.HasSuffix(path, ".sbin"):
-			// The sharded loader reads only the byte ranges it decodes, so
-			// a worker never buffers the whole file twice.
-			g, err = graph.ReadBinarySharded(f, workers)
-		case strings.HasSuffix(path, ".bin"):
-			g, err = graph.ReadBinary(f)
-		default:
-			g, err = graph.ReadEdgeListParallel(f, workers)
-		}
-		return g, nil, err
-	case spec != "":
-		return gen.ParseSpec(spec)
-	default:
-		return nil, nil, fmt.Errorf("pass -graph FILE or -gen SPEC")
-	}
 }
 
 func fatal(err error) {

@@ -31,9 +31,9 @@ import (
 //
 // The analyzer additionally flags collectives issued off the rank's main
 // goroutine: inside a function literal launched with `go`, or inside a task
-// literal handed to a worker pool's parFor/ParFor (internal/core's
-// intra-rank parallel kernels and internal/par's exported pool behind the
-// ingest and partition pipelines). The communicator matches messages by
+// literal handed to a worker pool's ParFor (internal/par's pool, behind
+// internal/core's intra-rank kernels and the ingest and partition
+// pipelines). The communicator matches messages by
 // (source, tag) in program order on the rank's goroutine, so a collective
 // from a concurrent goroutine races that matching even when every rank
 // reaches it.
@@ -297,17 +297,16 @@ func (w *symWalker) walkStmt(s ast.Stmt, div ast.Node, async string) {
 	}
 }
 
-// isParForCall reports whether call invokes a parFor/ParFor
-// method/function (the worker-pool dispatch of internal/core and the
-// exported internal/par.Pool.ParFor behind the ingest and partition
-// pipelines; matched by name so fixtures and future pools are covered
-// without importing those packages).
+// isParForCall reports whether call invokes a ParFor method/function
+// (internal/par.Pool.ParFor, the one worker-pool dispatch of the solver and
+// the ingest and partition pipelines; matched by name so fixtures and future
+// pools are covered without importing the package).
 func isParForCall(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		return fun.Sel.Name == "parFor" || fun.Sel.Name == "ParFor"
+		return fun.Sel.Name == "ParFor"
 	case *ast.Ident:
-		return fun.Name == "parFor" || fun.Name == "ParFor"
+		return fun.Name == "ParFor"
 	}
 	return false
 }
@@ -316,7 +315,7 @@ func isParForCall(call *ast.CallExpr) bool {
 // rank-divergent or runs off the rank's main goroutine. Function literals
 // are scanned with the context of their definition site (conservative: a
 // literal built under a rank branch is usually invoked there too); literals
-// passed to parFor are scanned as worker-pool tasks.
+// passed to ParFor are scanned as worker-pool tasks.
 func (w *symWalker) checkExpr(e ast.Expr, div ast.Node, async string) {
 	if e == nil {
 		return
@@ -334,7 +333,7 @@ func (w *symWalker) checkExpr(e ast.Expr, div ast.Node, async string) {
 				for _, arg := range x.Args {
 					if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 						w.handled[fl] = true
-						w.walkStmt(fl.Body, div, "a worker-pool parFor task")
+						w.walkStmt(fl.Body, div, "a worker-pool ParFor task")
 					}
 				}
 			}

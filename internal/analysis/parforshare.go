@@ -16,9 +16,9 @@ import (
 //
 // Kernels are found three ways, package-wide:
 //
-//   - function literals passed directly to a parFor/ParFor call;
+//   - function literals passed directly to a ParFor call;
 //   - function literals assigned to a variable or field that is later
-//     handed to parFor/ParFor (the stage-kernel idiom of internal/core,
+//     handed to ParFor (the stage-kernel idiom of internal/core,
 //     where newStage builds s.hubKernel and sweep dispatches it);
 //   - function literals launched with `go`.
 //
@@ -50,7 +50,7 @@ func runParForShare(p *Pass) {
 			units = append(units, kernelUnit{fl, desc})
 		}
 	}
-	// Pass 1: direct literal kernels, names dispatched to parFor, and go
+	// Pass 1: direct literal kernels, names dispatched to ParFor, and go
 	// closures.
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -78,7 +78,7 @@ func runParForShare(p *Pass) {
 		})
 	}
 	// Pass 2: literals assigned (anywhere in the package) to a name that
-	// pass 1 saw dispatched to parFor — internal/core builds its kernels in
+	// pass 1 saw dispatched to ParFor — internal/core builds its kernels in
 	// newStage and invokes them from other files.
 	if len(kernelNames) > 0 {
 		for _, file := range p.Files {

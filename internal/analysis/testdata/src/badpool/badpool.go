@@ -1,6 +1,6 @@
 // Package badpool is a negative fixture for the collectivesym analyzer's
 // async rule: comm collectives issued off the rank's main goroutine, from
-// inside a worker-pool parFor task or a goroutine. The communicator matches
+// inside a worker-pool ParFor task or a goroutine. The communicator matches
 // messages by (source, tag) in program order on the rank's goroutine, so
 // these race the matching even when every rank reaches the collective.
 // Errors are captured (not dropped) so commerr stays quiet and the
@@ -9,24 +9,24 @@ package badpool
 
 import "repro/internal/comm"
 
-// pool mimics the worker-pool dispatch of internal/core: parFor runs a
+// pool mimics the worker-pool dispatch of internal/par: ParFor runs a
 // chunked kernel, possibly on worker goroutines. The analyzer matches the
 // method by name, so this local stand-in exercises the same rule the real
 // pool is checked by.
 type pool struct{}
 
-func (p *pool) parFor(nChunks int, kernel func(chunk, worker int)) {
+func (p *pool) ParFor(nChunks int, kernel func(chunk, worker int)) {
 	for c := 0; c < nChunks; c++ {
 		kernel(c, 0)
 	}
 }
 
-// BarrierInTask puts a collective inside a parFor kernel: with more than
+// BarrierInTask puts a collective inside a ParFor kernel: with more than
 // one worker the Barrier's point-to-point traffic interleaves with whatever
 // the main goroutine posts next.
 func BarrierInTask(c comm.Comm, p *pool) error {
 	errs := make([]error, 4)
-	p.parFor(4, func(chunk, worker int) {
+	p.ParFor(4, func(chunk, worker int) {
 		errs[chunk] = comm.Barrier(c) // want collectivesym
 	})
 	for _, err := range errs {
@@ -41,7 +41,7 @@ func BarrierInTask(c comm.Comm, p *pool) error {
 func ReduceInTask(c comm.Comm, p *pool) ([]float64, error) {
 	sums := make([]float64, 2)
 	errs := make([]error, 2)
-	p.parFor(2, func(chunk, worker int) {
+	p.ParFor(2, func(chunk, worker int) {
 		sums[chunk], errs[chunk] = comm.AllreduceFloat64Sum(c, float64(chunk)) // want collectivesym
 	})
 	for _, err := range errs {
@@ -62,10 +62,10 @@ func BarrierInGoroutine(c comm.Comm) error {
 }
 
 // TaskThenCollectiveOK is the control case: the kernel does pure compute
-// and the collective runs on the main goroutine after parFor returns.
+// and the collective runs on the main goroutine after ParFor returns.
 func TaskThenCollectiveOK(c comm.Comm, p *pool, xs []float64) (float64, error) {
 	partial := make([]float64, 2)
-	p.parFor(2, func(chunk, worker int) {
+	p.ParFor(2, func(chunk, worker int) {
 		lo, hi := chunk*len(xs)/2, (chunk+1)*len(xs)/2
 		for _, x := range xs[lo:hi] {
 			partial[chunk] += x
@@ -85,11 +85,11 @@ func StreamingAlltoallInGoroutine(c comm.Comm, out [][]byte) error {
 	return <-done
 }
 
-// FusedReduceInTask puts the fused per-iteration reduction inside a parFor
+// FusedReduceInTask puts the fused per-iteration reduction inside a ParFor
 // kernel.
 func FusedReduceInTask(c comm.Comm, p *pool) error {
 	errs := make([]error, 2)
-	p.parFor(2, func(chunk, worker int) {
+	p.ParFor(2, func(chunk, worker int) {
 		_, errs[chunk] = comm.AllreduceIterStats(c, comm.IterStats{}, nil) // want collectivesym
 	})
 	for _, err := range errs {
@@ -100,9 +100,10 @@ func FusedReduceInTask(c comm.Comm, p *pool) error {
 	return nil
 }
 
-// exportedPool mimics internal/par's exported Pool (PR 5): the ingest and
-// partition pipelines dispatch through ParFor, so a collective inside one of
-// those kernels is the same race as in core's unexported pool.
+// exportedPool is a second pool type with the same method name (matching is
+// by name, not by receiver): the ingest and partition pipelines dispatch
+// through ParFor too, and a collective inside one of their kernels is the
+// same race.
 type exportedPool struct{}
 
 func (p *exportedPool) ParFor(nChunks int, kernel func(chunk, worker int)) {
@@ -141,12 +142,12 @@ func IngestThenGatherOK(c comm.Comm, p *exportedPool, data []byte) ([][]byte, er
 }
 
 // EncodeThenShipOK is the control case for the merge encode shape (PR 10):
-// per-destination parFor kernels only fill disjoint frame buffers; the
+// per-destination ParFor kernels only fill disjoint frame buffers; the
 // all-to-all that ships them runs on the main goroutine after the pool
 // drains.
 func EncodeThenShipOK(c comm.Comm, p *pool, recs []int) ([][]byte, error) {
 	frames := make([][]byte, 2)
-	p.parFor(2, func(chunk, worker int) {
+	p.ParFor(2, func(chunk, worker int) {
 		lo, hi := chunk*len(recs)/2, (chunk+1)*len(recs)/2
 		for _, r := range recs[lo:hi] {
 			frames[chunk] = append(frames[chunk], byte(r))
@@ -159,7 +160,7 @@ func EncodeThenShipOK(c comm.Comm, p *pool, recs []int) ([][]byte, error) {
 // issuing the exchange from inside the per-destination kernel.
 func ShipPerDestinationInTask(c comm.Comm, p *pool, frames [][]byte) error {
 	errs := make([]error, 2)
-	p.parFor(2, func(chunk, worker int) {
+	p.ParFor(2, func(chunk, worker int) {
 		_, errs[chunk] = comm.Alltoallv(c, frames) // want collectivesym
 	})
 	for _, err := range errs {

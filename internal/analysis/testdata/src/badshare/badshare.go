@@ -6,7 +6,7 @@
 package badshare
 
 // pool mimics the worker-pool dispatch of internal/par; the analyzer
-// matches parFor/ParFor by name, so this local stand-in exercises the same
+// matches ParFor by name, so this local stand-in exercises the same
 // rules the real pool is checked by.
 type pool struct{}
 

@@ -26,7 +26,10 @@ func TestCombineHubProposalsPicksMaxAndTieBreaks(t *testing.T) {
 	}
 	a := enc(hubProposal{1.0, 5}, hubProposal{negInf, 9}, hubProposal{0.5, 3})
 	b := enc(hubProposal{2.0, 7}, hubProposal{0.1, 2}, hubProposal{0.5, 1})
-	out := combineHubProposals(a, b)
+	out, err := combineHubProposals(a, b, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rd := wire.NewReader(out)
 	// hub 0: b wins on improvement
 	if imp, tgt := rd.F64(), rd.Varint(); imp != 2.0 || tgt != 7 {
@@ -56,18 +59,44 @@ func TestCombineHubProposalsCommutative(t *testing.T) {
 	}
 	a := enc(hubProposal{1.5, 4}, hubProposal{0.0, 8})
 	b := enc(hubProposal{1.5, 2}, hubProposal{-1.0, 6})
-	ab := combineHubProposals(a, b)
-	ba := combineHubProposals(b, a)
+	ab, errAB := combineHubProposals(a, b, 2, 10)
+	ba, errBA := combineHubProposals(b, a, 2, 10)
+	if errAB != nil || errBA != nil {
+		t.Fatal(errAB, errBA)
+	}
 	if string(ab) != string(ba) {
 		t.Error("combine is not commutative")
 	}
 }
 
+// queryStages returns a per-rank stage constructor over a small graph, for
+// driving resolveQueries (which only needs the stage's communicator and
+// exchange scratch).
+func queryStages(t *testing.T, p int) func(c comm.Comm) *stage {
+	t.Helper()
+	g, _, err := gen.Caveman(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := partition.Build(g, partition.Options{P: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Options{P: p}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(c comm.Comm) *stage { return newStage(c, layout.Parts[c.Rank()], opt) }
+}
+
 func TestResolveQueries(t *testing.T) {
+	stageOf := queryStages(t, 4)
 	err := comm.RunWorld(4, func(c comm.Comm) error {
+		s := stageOf(c)
+		defer s.close()
 		// lookup(x) = x*10 computed at owner x%4
 		queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
-		res, err := resolveQueries(c, queries, func(x int) int { return x % 4 }, func(x int) int { return x * 10 })
+		res, err := s.resolveQueries(queries, func(x int) int { return x % 4 }, func(x int) int { return x * 10 })
 		if err != nil {
 			return err
 		}
@@ -84,8 +113,11 @@ func TestResolveQueries(t *testing.T) {
 }
 
 func TestResolveQueriesEmpty(t *testing.T) {
+	stageOf := queryStages(t, 3)
 	err := comm.RunWorld(3, func(c comm.Comm) error {
-		res, err := resolveQueries(c, nil, func(x int) int { return x % 3 }, func(x int) int { return x })
+		s := stageOf(c)
+		defer s.close()
+		res, err := s.resolveQueries(nil, func(x int) int { return x % 3 }, func(x int) int { return x })
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/wire"
 )
@@ -48,7 +49,7 @@ const mergeHistChunks = 8
 // mergeChunks returns the chunk count for the merge's record passes over m
 // records: the pool's usual data-size rule, capped by mergeHistChunks.
 func mergeChunks(m int) int {
-	nc := numChunks(m)
+	nc := par.NumChunks(m)
 	if nc > mergeHistChunks {
 		nc = mergeHistChunks
 	}
@@ -216,9 +217,9 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	ms.vtxOff[nv] = m
 	ms.xA, ms.yA, ms.wA = grow(ms.xA, m), grow(ms.yA, m), grow(ms.wA, m)
 	ms.xB, ms.yB, ms.wB = grow(ms.xB, m), grow(ms.yB, m), grow(ms.wB, m)
-	tChunks := numChunks(nv)
-	s.pool.parFor(tChunks, func(chunk, _ int) {
-		lo, hi := chunkSpan(nv, tChunks, chunk)
+	tChunks := par.NumChunks(nv)
+	s.pool.ParFor(tChunks, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(nv, tChunks, chunk)
 		bad := int64(0)
 		for i := lo; i < hi; i++ {
 			var u int
@@ -259,13 +260,13 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	nc := mergeChunks(m)
 	ks := total
 	ms.hist = grow(ms.hist, nc*ks)
-	s.pool.parFor(nc, func(chunk, _ int) {
-		lo, hi := chunkSpan(m, nc, chunk)
+	s.pool.ParFor(nc, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(m, nc, chunk)
 		histCount(ms.xA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks])
 	})
 	histOffsets(ms.hist, nc, ks, 0, nil)
-	s.pool.parFor(nc, func(chunk, _ int) {
-		lo, hi := chunkSpan(m, nc, chunk)
+	s.pool.ParFor(nc, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(m, nc, chunk)
 		scatterRecords(ms.xA, ms.yA, ms.wA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks], ms.xB, ms.yB, ms.wB)
 	})
 	rowsCap := (total + s.p - 1) / s.p
@@ -273,8 +274,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	ms.hist = grow(ms.hist, nc*ks2)
 	ms.dstOff = grow(ms.dstOff, s.p+1)
 	p32, rc32 := int32(s.p), int32(rowsCap)
-	s.pool.parFor(nc, func(chunk, _ int) {
-		lo, hi := chunkSpan(m, nc, chunk)
+	s.pool.ParFor(nc, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(m, nc, chunk)
 		histCountFused(ms.yB, lo, hi, p32, rc32, ms.hist[chunk*ks2:(chunk+1)*ks2])
 	})
 	if rowsCap > 0 {
@@ -284,8 +285,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 			ms.dstOff[i] = 0
 		}
 	}
-	s.pool.parFor(nc, func(chunk, _ int) {
-		lo, hi := chunkSpan(m, nc, chunk)
+	s.pool.ParFor(nc, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(m, nc, chunk)
 		// Key on the cu column; the swap lands the output as (x=cu, y=cv).
 		scatterFused(ms.yB, ms.xB, ms.wB, lo, hi, p32, rc32, ms.hist[chunk*ks2:(chunk+1)*ks2], ms.xA, ms.yA, ms.wA)
 	})
@@ -300,7 +301,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// encounter order, so the receiver can reproduce the seed's exact
 	// accumulation order.
 	arcBufs := s.sendScratch()
-	s.pool.parFor(s.p, func(d, _ int) {
+	s.pool.ParFor(s.p, func(d, _ int) {
 		lo, hi := ms.dstOff[d], ms.dstOff[d+1]
 		b := s.sendBufs[d]
 		b.PutUvarint(uint64(hi - lo))
@@ -374,7 +375,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		rowsLocal = (total-s.rnk-1)/s.p + 1
 	}
 	rl32, t32 := int32(rowsLocal), int32(total)
-	s.pool.parFor(s.p, func(r, _ int) {
+	s.pool.ParFor(s.p, func(r, _ int) {
 		var rd wire.Reader
 		rd.Reset(ms.frameBody[r])
 		pos, end := ms.frameOff[r], ms.frameOff[r+1]
@@ -422,13 +423,13 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// seed accumulated and emitted them in.
 	ncr := mergeChunks(mr)
 	ms.hist = grow(ms.hist, ncr*ks)
-	s.pool.parFor(ncr, func(chunk, _ int) {
-		lo, hi := chunkSpan(mr, ncr, chunk)
+	s.pool.ParFor(ncr, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(mr, ncr, chunk)
 		histCount(ms.xA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks])
 	})
 	histOffsets(ms.hist, ncr, ks, 0, nil)
-	s.pool.parFor(ncr, func(chunk, _ int) {
-		lo, hi := chunkSpan(mr, ncr, chunk)
+	s.pool.ParFor(ncr, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(mr, ncr, chunk)
 		scatterRecords(ms.xA, ms.yA, ms.wA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks], ms.xB, ms.yB, ms.wB)
 	})
 	// Ghosts drop out of the cv-sorted intermediate: one serial walk over
@@ -455,8 +456,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.rowOff = grow(ms.rowOff, rowsLocal+1)
 	ms.hist = grow(ms.hist, ncr*rowsLocal)
-	s.pool.parFor(ncr, func(chunk, _ int) {
-		lo, hi := chunkSpan(mr, ncr, chunk)
+	s.pool.ParFor(ncr, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(mr, ncr, chunk)
 		histCount(ms.yB, lo, hi, ms.hist[chunk*rowsLocal:(chunk+1)*rowsLocal])
 	})
 	if rowsLocal > 0 {
@@ -464,8 +465,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	} else {
 		ms.rowOff[0] = 0
 	}
-	s.pool.parFor(ncr, func(chunk, _ int) {
-		lo, hi := chunkSpan(mr, ncr, chunk)
+	s.pool.ParFor(ncr, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(mr, ncr, chunk)
 		// Key on the row column; the swap lands the output as (x=row, y=cv).
 		scatterRecords(ms.yB, ms.xB, ms.wB, lo, hi, ms.hist[chunk*rowsLocal:(chunk+1)*rowsLocal], ms.xA, ms.yA, ms.wA)
 	})
@@ -478,9 +479,9 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	ms.rowCnt = grow(ms.rowCnt, rowsLocal)
 	ms.rowW = grow(ms.rowW, rowsLocal)
 	ms.subMask = grow(ms.subMask, rowsLocal)
-	rChunks := numChunks(rowsLocal)
-	s.pool.parFor(rChunks, func(chunk, _ int) {
-		lo, hi := chunkSpan(rowsLocal, rChunks, chunk)
+	rChunks := par.NumChunks(rowsLocal)
+	s.pool.ParFor(rChunks, func(chunk, _ int) {
+		lo, hi := par.ChunkSpan(rowsLocal, rChunks, chunk)
 		for row := lo; row < hi; row++ {
 			b, e := ms.rowOff[row], ms.rowOff[row+1]
 			outPos := b
@@ -529,8 +530,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		ns.AdjOwned = make([][]partition.Arc, rowsLocal)
 		ns.OwnedWDeg = make([]float64, rowsLocal)
 		flat := make([]partition.Arc, atot)
-		s.pool.parFor(rChunks, func(chunk, _ int) {
-			lo, hi := chunkSpan(rowsLocal, rChunks, chunk)
+		s.pool.ParFor(rChunks, func(chunk, _ int) {
+			lo, hi := par.ChunkSpan(rowsLocal, rChunks, chunk)
 			for row := lo; row < hi; row++ {
 				b := ms.rowOff[row]
 				o, cnt := ms.arcOff[row], ms.rowCnt[row]
@@ -689,11 +690,16 @@ func scatterFused(x, y []int32, w []float64, lo, hi int, p, rowsCap int32, h []i
 	}
 }
 
-// resolveQueries is the stage-scratch form of the package-level
-// resolveQueries below: identical wire bytes and collective schedule, but
-// the request routing slices and both legs' encode buffers are pooled on
-// the stage, so repeated calls (one per merge level, one per update batch)
-// allocate only the result slice.
+// resolveQueries maps each query x to lookup(x) evaluated on the rank
+// route(x) that currently owns x (the stage's ownerOf — static x mod P
+// until a migration builds the directory), via a request/reply all-to-all
+// exchange. Both legs stream: each request frame is answered as it arrives
+// (the reply for source r depends only on r's frame), and each reply is
+// scattered into the result as it lands (pos buckets are disjoint), so all
+// decode/encode work overlaps in-flight traffic. The request routing slices
+// and both legs' encode buffers are pooled on the stage, so repeated calls
+// (one per merge level, one per update batch, one per install) allocate
+// only the result slice.
 func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]int, error) {
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
@@ -736,64 +742,6 @@ func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]in
 	err = comm.AlltoallvFunc(s.c, s.rqFrames, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, i := range s.rqPos[src] {
-			res[i] = int(rd.Varint())
-		}
-		return rd.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// resolveQueries maps each query x to lookup(x) evaluated on the rank
-// route(x) that currently owns x (the stage's ownerOf — static x mod P
-// until a migration builds the directory), via a request/reply all-to-all
-// exchange. Both legs
-// stream: each request frame is answered as it arrives (the reply for
-// source r depends only on r's frame), and each reply is scattered into
-// the result as it lands (pos buckets are disjoint), so all decode/encode
-// work overlaps in-flight traffic.
-//
-// The solve loop and the update path go through the stage method above;
-// this standalone form serves callers without a live stage (Session.install
-// runs once per solve, before the resident stage exists).
-func resolveQueries(c comm.Comm, queries []int, route, lookup func(int) int) ([]int, error) {
-	p := c.Size()
-	reqs := make([][]int, p)
-	pos := make([][]int, p) // original index of each routed query
-	for i, x := range queries {
-		o := route(x)
-		reqs[o] = append(reqs[o], x)
-		pos[o] = append(pos[o], i)
-	}
-	out := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		b := wire.NewBuffer(0)
-		b.PutInts(reqs[r])
-		out[r] = b.Bytes()
-	}
-	replies := make([][]byte, p)
-	err := comm.AlltoallvFunc(c, out, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		ids := rd.Ints()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		b := wire.NewBuffer(0)
-		for _, x := range ids {
-			b.PutVarint(int64(lookup(x)))
-		}
-		replies[src] = b.Bytes()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]int, len(queries))
-	err = comm.AlltoallvFunc(c, replies, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		for _, i := range pos[src] {
 			res[i] = int(rd.Varint())
 		}
 		return rd.Err()

@@ -44,7 +44,7 @@ func (s *stage) sweep() ([]hubProposal, int) {
 		moved++
 	}
 
-	s.pool.parFor(s.hubChunks, s.hubKernel)
+	s.pool.ParFor(s.hubChunks, s.hubKernel)
 	for c := 0; c < s.hubChunks; c++ {
 		work += s.chunkArcs[c]
 	}

@@ -44,13 +44,9 @@ func TestGoldenOutOfCore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The streaming path never sees the Graph, so the DHigh
-				// default must be derived the same way Run derives it.
-				popt := Options{P: p, Partitioning: kind}
-				defaultDHigh(&popt, s.NumVertices(), s.NumArcs())
-				layout, err := partition.BuildStreaming(s, partition.Options{
-					P: p, Kind: kind, DHigh: popt.DHigh,
-				})
+				// The streaming path never sees the Graph; the file's counts
+				// through the shared mapping give the DHigh Run derives.
+				layout, err := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,8 +81,9 @@ func TestRunRankLayoutTCP(t *testing.T) {
 	s := goldenSharded(t, 3)
 	const p = 4
 	opt := Options{P: p}
-	defaultDHigh(&opt, s.NumVertices(), s.NumArcs())
-	layout, err := partition.BuildStreaming(s, partition.Options{P: p, DHigh: opt.DHigh})
+	popt := opt.PartitionOptions(s.NumVertices(), s.NumArcs())
+	opt.DHigh = popt.DHigh
+	layout, err := partition.BuildStreaming(s, popt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func TestRunRankLayoutTCP(t *testing.T) {
 				return
 			}
 			defer ep.Close()
-			l, err := partition.BuildStreaming(s, partition.Options{P: p, DHigh: opt.DHigh})
+			l, err := partition.BuildStreaming(s, popt)
 			if err != nil {
 				errs[r] = err
 				return

@@ -67,6 +67,16 @@ func (h Heuristic) String() string {
 	}
 }
 
+// ParseHeuristic is the inverse of Heuristic.String for the three rules.
+func ParseHeuristic(s string) (Heuristic, error) {
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+		if s == h.String() {
+			return h, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown heuristic %q", s)
+}
+
 // Options configures a distributed run. The zero value uses the paper's
 // settings: delegate partitioning with DHigh = P and the enhanced heuristic.
 type Options struct {
@@ -231,6 +241,19 @@ func (o Options) withDefaults() (Options, error) {
 		o.DriftTouched = 0.35
 	}
 	return o, nil
+}
+
+// PartitionOptions maps o onto the partitioner's options for a graph of n
+// vertices and arcs arcs. It is the one place an unset DHigh becomes
+// DefaultDHigh, so every entry point — Run, RunRank, the resident service
+// and the out-of-core drivers — cuts the same graph the same way. The
+// Layout records the threshold it was built with; RunLayout inherits it.
+func (o Options) PartitionOptions(n int, arcs int64) partition.Options {
+	dhigh := o.DHigh
+	if dhigh <= 0 {
+		dhigh = DefaultDHigh(o.P, n, arcs)
+	}
+	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: dhigh, Workers: o.Workers}
 }
 
 // rebalanceOn reports whether mid-solve rebalancing is enabled. The "none"

@@ -12,20 +12,21 @@ import (
 	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
 // TestChunkSpan checks that chunks are contiguous, exhaustive, and a pure
 // function of the data size.
 func TestChunkSpan(t *testing.T) {
-	for _, n := range []int{0, 1, 2, parGrain - 1, parGrain, parGrain + 1, 10 * parGrain, 1000*parGrain + 37} {
-		nc := numChunks(n)
-		if nc < 1 || nc > maxChunks {
-			t.Fatalf("numChunks(%d) = %d out of range", n, nc)
+	for _, n := range []int{0, 1, 2, par.Grain - 1, par.Grain, par.Grain + 1, 10 * par.Grain, 1000*par.Grain + 37} {
+		nc := par.NumChunks(n)
+		if nc < 1 || nc > par.MaxChunks {
+			t.Fatalf("par.NumChunks(%d) = %d out of range", n, nc)
 		}
 		prev := 0
 		for c := 0; c < nc; c++ {
-			lo, hi := chunkSpan(n, nc, c)
+			lo, hi := par.ChunkSpan(n, nc, c)
 			if lo != prev {
 				t.Fatalf("n=%d chunk %d: lo = %d, want %d (contiguous)", n, c, lo, prev)
 			}
@@ -45,11 +46,11 @@ func TestChunkSpan(t *testing.T) {
 // and below the chunk count.
 func TestParForCoversAllChunks(t *testing.T) {
 	for _, nw := range []int{1, 2, 4, 7} {
-		p := newWorkerPool(nw)
+		p := par.NewPool(nw)
 		for _, nChunks := range []int{1, 2, 3, 16, 63} {
 			var hits [64]atomic.Int64
-			p.parFor(nChunks, func(chunk, worker int) {
-				if worker < 0 || worker >= p.workers() {
+			p.ParFor(nChunks, func(chunk, worker int) {
+				if worker < 0 || worker >= p.Workers() {
 					t.Errorf("nw=%d: worker %d out of range", nw, worker)
 				}
 				hits[chunk].Add(1)
@@ -60,17 +61,17 @@ func TestParForCoversAllChunks(t *testing.T) {
 				}
 			}
 		}
-		p.close()
+		p.Close()
 	}
 }
 
 // TestDefaultWorkers pins the auto worker count's boundary behavior.
 func TestDefaultWorkers(t *testing.T) {
-	if got := defaultWorkers(1 << 20); got != 1 {
-		t.Fatalf("defaultWorkers(huge world) = %d, want 1", got)
+	if got := par.DefaultWorkers(1 << 20); got != 1 {
+		t.Fatalf("par.DefaultWorkers(huge world) = %d, want 1", got)
 	}
-	if got := defaultWorkers(1); got < 1 || got > maxChunks {
-		t.Fatalf("defaultWorkers(1) = %d out of [1,%d]", got, maxChunks)
+	if got := par.DefaultWorkers(1); got < 1 || got > par.MaxChunks {
+		t.Fatalf("par.DefaultWorkers(1) = %d out of [1,%d]", got, par.MaxChunks)
 	}
 }
 

@@ -42,20 +42,17 @@ func RunRank(c comm.Comm, g *graph.Graph, opt Options) (*RankResult, error) {
 	if opt.P != c.Size() {
 		return nil, fmt.Errorf("core: Options.P = %d but communicator has %d ranks", opt.P, c.Size())
 	}
-	defaultDHigh(&opt, g.NumVertices(), g.NumArcs())
-	opt, err := opt.withDefaults()
-	if err != nil {
+	if _, err := opt.withDefaults(); err != nil {
 		return nil, err
 	}
 	// Deterministic partitioning: every process computes the same layout
 	// and keeps its own part (a real deployment would distribute this
 	// step; the layout is a pure function of the graph and options).
-	layout, err := partition.Build(g, partition.Options{
-		P: opt.P, Kind: opt.Partitioning, DHigh: opt.DHigh, Workers: opt.Workers,
-	})
+	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
 	if err != nil {
 		return nil, err
 	}
+	opt.DHigh = layout.DHigh
 	return RunRankLayout(c, layout.Parts[c.Rank()], opt)
 }
 

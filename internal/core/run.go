@@ -246,13 +246,12 @@ type rankOut struct {
 	migrated  int64 // vertices migrated world-wide (identical on every rank)
 }
 
-// DefaultDHigh is the hub-threshold default shared by every entry point.
-// The paper sets dhigh = p in a regime where p (thousands) far exceeds the
-// average degree, so hubs are a thin tail. Floor the default at four times
-// the average degree so the hub fraction stays comparably thin at small p;
-// explicit DHigh values are always honored. Out-of-core drivers call this
-// with the sharded file's counts so the streaming partitioner sees the
-// same threshold Run would derive.
+// DefaultDHigh is the hub-threshold default shared by every entry point
+// (through Options.PartitionOptions). The paper sets dhigh = p in a regime
+// where p (thousands) far exceeds the average degree, so hubs are a thin
+// tail. Floor the default at four times the average degree so the hub
+// fraction stays comparably thin at small p; explicit DHigh values are
+// always honored.
 func DefaultDHigh(p, n int, arcs int64) int {
 	if p < 1 || n <= 0 {
 		return 0
@@ -264,24 +263,14 @@ func DefaultDHigh(p, n int, arcs int64) int {
 	return d
 }
 
-func defaultDHigh(opt *Options, n int, arcs int64) {
-	if opt.DHigh <= 0 {
-		opt.DHigh = DefaultDHigh(opt.P, n, arcs)
-	}
-}
-
 // Run executes the full distributed Louvain algorithm on g with opt.P ranks
 // simulated as goroutines over the in-process transport.
 func Run(g *graph.Graph, opt Options) (*Result, error) {
-	defaultDHigh(&opt, g.NumVertices(), g.NumArcs())
-	opt, err := opt.withDefaults()
-	if err != nil {
+	if _, err := opt.withDefaults(); err != nil {
 		return nil, err
 	}
 	t0 := trace.Now()
-	layout, err := partition.Build(g, partition.Options{
-		P: opt.P, Kind: opt.Partitioning, DHigh: opt.DHigh, Workers: opt.Workers,
-	})
+	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
 	if err != nil {
 		return nil, err
 	}

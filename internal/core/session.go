@@ -353,14 +353,6 @@ func (s *Session) install() error {
 		return err
 	}
 
-	// Exchange 2: resolve every tracked vertex's label to its representative.
-	reps, err := resolveQueries(s.c, labels,
-		func(l int) int { return l % s.p },
-		func(l int) int { return repOf[l] })
-	if err != nil {
-		return err
-	}
-
 	// Fresh flat stage over the (possibly mutated) original subgraph. The
 	// resident stage never migrates — static v mod p ownership is what the
 	// update mutators and the query API assume.
@@ -371,6 +363,14 @@ func (s *Session) install() error {
 	opt2.RebalanceRatio = 0
 	st := newStage(s.c, s.sg, opt2)
 	s.st = st
+
+	// Exchange 2: resolve every tracked vertex's label to its representative.
+	reps, err := st.resolveQueries(labels,
+		func(l int) int { return l % s.p },
+		func(l int) int { return repOf[l] })
+	if err != nil {
+		return err
+	}
 
 	// Authoritative aggregates: zero this rank's community slots, then
 	// rebuild them through the delta ledger exactly like a live iteration
@@ -949,7 +949,7 @@ func (s *Session) sweepActive() ([]hubProposal, int) {
 		}
 	}
 
-	st.pool.parFor(st.hubChunks, st.hubKernel)
+	st.pool.ParFor(st.hubChunks, st.hubKernel)
 	for c := 0; c < st.hubChunks; c++ {
 		work += st.chunkArcs[c]
 	}

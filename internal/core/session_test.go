@@ -27,20 +27,13 @@ type sessionRun struct {
 
 func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]EdgeOp, resolveOnNeedFull bool) sessionRun {
 	t.Helper()
-	// Mirror Run's DHigh default so session worlds partition exactly like
-	// the batch oracle they are compared against.
-	if opt.DHigh <= 0 && g.NumVertices() > 0 {
-		opt.DHigh = opt.P
-		if floor := 4 * int(g.NumArcs()) / g.NumVertices(); floor > opt.DHigh {
-			opt.DHigh = floor
-		}
-	}
-	layout, err := partition.Build(g, partition.Options{
-		P: opt.P, Kind: opt.Partitioning, DHigh: opt.DHigh, Workers: opt.Workers,
-	})
+	// Run's own mapping, so session worlds partition exactly like the batch
+	// oracle they are compared against.
+	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt.DHigh = layout.DHigh
 	results := make([][]UpdateResult, opt.P)
 	fallbacks := make([][]bool, opt.P)
 	qs := make([]float64, opt.P)

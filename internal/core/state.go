@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/rebalance"
 	"repro/internal/trace"
@@ -107,11 +108,11 @@ type stage struct {
 	rqReqs   [][]int
 	rqPos    [][]int
 
-	// Intra-rank parallelism (pool.go). pool is nil on the serial path;
+	// Intra-rank parallelism (internal/par). pool is nil at one worker;
 	// accs holds one gain accumulator per worker (index = worker ID), so
 	// the parallel hub-proposal kernel needs no locking and the steady
 	// state allocates no scratch.
-	pool *workerPool
+	pool *par.Pool
 	accs []*gainAccumulator
 
 	// Reusable communication scratch, one slot per peer rank: encode
@@ -179,9 +180,9 @@ type stage struct {
 	// chunkQ/chunkWork hold per-chunk partial results of parFor kernels,
 	// combined on the main goroutine in chunk order (bit-identical float
 	// reductions at every worker count). chunkWork is sized max(p,
-	// maxChunks) because the merge's decode kernels chunk by peer rank.
-	chunkQ    [maxChunks]float64
-	chunkArcs [maxChunks]int64
+	// par.MaxChunks) because the merge's decode kernels chunk by peer rank.
+	chunkQ    [par.MaxChunks]float64
+	chunkArcs [par.MaxChunks]int64
 	chunkWork []int64
 
 	// Mid-solve rebalancing state (migrate.go). pol is nil when rebalancing
@@ -262,9 +263,9 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	}
 	nw := opt.Workers
 	if nw <= 0 {
-		nw = defaultWorkers(s.p)
+		nw = par.DefaultWorkers(s.p)
 	}
-	s.pool = newWorkerPool(nw)
+	s.pool = par.NewPool(nw)
 	s.accs = make([]*gainAccumulator, nw)
 	for w := range s.accs {
 		s.accs[w] = newGainAccumulator(n)
@@ -292,9 +293,9 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
-	s.hubChunks = numChunks(nh)
+	s.hubChunks = par.NumChunks(nh)
 	s.hubKernel = func(chunk, worker int) {
-		lo, hi := chunkSpan(nh, s.hubChunks, chunk)
+		lo, hi := par.ChunkSpan(nh, s.hubChunks, chunk)
 		w := int64(0)
 		acc := s.accs[worker]
 		for i := lo; i < hi; i++ {
@@ -313,8 +314,8 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	}
 	s.buildQKernel()
 	cw := s.p
-	if cw < maxChunks {
-		cw = maxChunks
+	if cw < par.MaxChunks {
+		cw = par.MaxChunks
 	}
 	s.chunkWork = make([]int64, cw)
 	if opt.rebalanceOn() {
@@ -355,9 +356,9 @@ func (s *stage) buildQKernel() {
 	sg := s.sg
 	nOwned := len(sg.Owned)
 	nv := nOwned + len(sg.Hubs)
-	s.qChunks = numChunks(nv)
+	s.qChunks = par.NumChunks(nv)
 	s.qKernel = func(chunk, _ int) {
-		lo, hi := chunkSpan(nv, s.qChunks, chunk)
+		lo, hi := par.ChunkSpan(nv, s.qChunks, chunk)
 		var in float64
 		arcs := int64(0)
 		for i := lo; i < hi; i++ {
@@ -386,7 +387,7 @@ func (s *stage) buildQKernel() {
 // readable (runRank still resolves labels through it); only parallel
 // kernels become unavailable.
 func (s *stage) close() {
-	s.pool.close()
+	s.pool.Close()
 	s.pool = nil
 }
 

@@ -208,9 +208,29 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	// Encode + apply are O(hubs) on every rank; the reduction itself adds
 	// O(hubs · log p) combine work, charged here as well.
 	s.addWork(trace.BroadcastDelegates, int64(nh)*int64(2+log2ceil(s.p)))
-	win, err := comm.AllreduceBytes(s.c, s.hubBuf.Bytes(), combineHubProposals)
+	// The reduction hands combine a peer's frame with no word on who sent it;
+	// from tracks the source of the last receive, which is that peer (and,
+	// for a rank folded out of the power-of-two core, the sender of the
+	// result). A bad frame is not combined: this rank keeps forwarding its
+	// own well-formed value so no peer blocks, and fails when the collective
+	// ends.
+	from := &lastSource{Comm: s.c, src: s.rnk}
+	var bad error
+	win, err := comm.AllreduceBytes(from, s.hubBuf.Bytes(), func(a, b []byte) []byte {
+		out, err := combineHubProposals(a, b, nh, s.n)
+		if err != nil {
+			if bad == nil {
+				bad = s.frameErr("hub-proposal", from.src, err)
+			}
+			return a
+		}
+		return out
+	})
 	if err != nil {
 		return 0, err
+	}
+	if bad != nil {
+		return 0, bad
 	}
 	var rd wire.Reader
 	rd.Reset(win)
@@ -219,8 +239,8 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	for i, h := range s.sg.Hubs {
 		imp := rd.F64()
 		target := int(rd.Varint())
-		if target < 0 || target >= s.n {
-			return 0, fmt.Errorf("core: rank %d: hub-proposal record for hub %d names community %d outside [0,%d)", s.rnk, h, target, s.n)
+		if rd.Err() != nil || target < 0 || target >= s.n {
+			return 0, s.frameErr("hub-proposal", from.src, rd.Err())
 		}
 		cur := int(s.comm[h])
 		if !(imp > gainEps) || target == cur {
@@ -251,8 +271,25 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 			moved++
 		}
 	}
-	return moved, rd.Err()
+	if rd.Remaining() > 0 {
+		return 0, s.frameErr("hub-proposal", from.src, errLongFrame)
+	}
+	return moved, nil
 }
+
+// lastSource remembers which rank the most recent Recv named.
+type lastSource struct {
+	comm.Comm
+	src int
+}
+
+func (c *lastSource) Recv(src, tag int) ([]byte, error) {
+	c.src = src
+	//lint:ignore tagconst forwarding decorator; the tag is the caller's registered constant
+	return c.Comm.Recv(src, tag)
+}
+
+var errLongFrame = errors.New("bytes after the last record")
 
 func log2ceil(v int) int {
 	n := 0
@@ -266,20 +303,33 @@ func log2ceil(v int) int {
 // keeping the higher improvement and breaking ties toward the smaller
 // target label: an exact semilattice, so it is associative and commutative
 // as AllreduceBytes requires and the winner never depends on the reduction
-// tree.
-func combineHubProposals(a, b []byte) []byte {
+// tree. a is this rank's accumulated vector; b came off the wire and must
+// hold exactly nh records, each naming a community below n. (A truncated b
+// would otherwise read as (0, 0) records, which beat every negative
+// proposal and then fail the gain test — a hub's move dropped on every
+// rank without an error.)
+func combineHubProposals(a, b []byte, nh, n int) ([]byte, error) {
 	ra, rb := wire.NewReader(a), wire.NewReader(b)
 	out := wire.NewBuffer(len(a))
-	for ra.Remaining() > 0 {
+	for i := 0; i < nh; i++ {
 		ia, ta := ra.F64(), ra.Varint()
 		ib, tb := rb.F64(), rb.Varint()
+		if err := rb.Err(); err != nil {
+			return nil, err
+		}
+		if tb < 0 || tb >= int64(n) {
+			return nil, errForeignID
+		}
 		if ib > ia || (ib == ia && tb < ta) {
 			ia, ta = ib, tb
 		}
 		out.PutF64(ia)
 		out.PutVarint(ta)
 	}
-	return out.Bytes()
+	if rb.Remaining() > 0 {
+		return nil, errLongFrame
+	}
+	return out.Bytes(), nil
 }
 
 // ghostSwap pushes the labels of changed owned vertices to every rank that
@@ -481,7 +531,7 @@ type deltaRec struct {
 // identically at every worker count.
 func (s *stage) localModularity() float64 {
 	nc := s.qChunks
-	s.pool.parFor(nc, s.qKernel)
+	s.pool.ParFor(nc, s.qKernel)
 	var in float64
 	arcs := int64(0)
 	for c := 0; c < nc; c++ {

@@ -230,7 +230,8 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
 // exchanges — an id past the end of the dense arrays, a repeated id, a
-// vertex the sender does not own, a truncated record — into rank 0's
+// vertex the sender does not own, a truncated record, a hub-proposal vector
+// of the wrong length — into rank 0's
 // receive path from rank 1. Every one must come back from the exchange as
 // an error naming rank 1: no panic, no write. (A community id of another
 // rank's residue cannot be written down at all: the stride-delta streams
@@ -244,11 +245,11 @@ func TestGarbledFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	layout, err := partition.Build(g, partition.Options{P: p, Kind: partition.Delegate, DHigh: 40})
+	layout, err := partition.Build(g, partition.Options{P: p, Kind: partition.Delegate, DHigh: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := (Options{P: p, DHigh: 40}).withDefaults()
+	opt, err := (Options{P: p, DHigh: 20}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +258,24 @@ func TestGarbledFrames(t *testing.T) {
 		b := wire.NewBuffer(0)
 		fill(b)
 		return b.Bytes()
+	}
+	nh := len(layout.Hubs)
+	if nh == 0 {
+		t.Fatal("fixture has no hubs; the hub-proposal rows would skip the reduction")
+	}
+	// hubFrame is a proposal vector of the given record count whose last
+	// record proposes target with a winning improvement.
+	hubFrame := func(records, target int) []byte {
+		return enc(func(b *wire.Buffer) {
+			for i := 0; i < records; i++ {
+				b.PutF64(1)
+				if i == records-1 {
+					b.PutVarint(int64(target))
+				} else {
+					b.PutVarint(0)
+				}
+			}
+		})
 	}
 	// Frames as rank 1 would address them to rank 0 (p = 4).
 	cases := []struct {
@@ -308,6 +327,13 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutUvarint(2) // vertex 1, the sender's own
 			b.PutVarint(int64(n))
 		})},
+		// Hub-proposal vectors, one (improvement, target) record per hub. The
+		// reduction's combine used to read a short frame's missing records
+		// as (0, 0), ignore a long frame's tail, and leave a bad target to a
+		// check that did not name the sender.
+		{"hub/short-frame", "hub", hubFrame(nh-1, 0)},
+		{"hub/long-frame", "hub", hubFrame(nh+1, 0)},
+		{"hub/bad-target", "hub", hubFrame(nh, n)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,6 +355,9 @@ func TestGarbledFrames(t *testing.T) {
 						return err
 					}
 					props, _ := s.sweep()
+					if tc.step == "hub" && c.Rank() == 0 {
+						tc0.arm(1, tc.frame)
+					}
 					if _, err := s.delegateExchange(props); err != nil {
 						return err
 					}

@@ -145,22 +145,13 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 	}
 	copt := opt.Core
 	copt.P = p
-	if copt.DHigh <= 0 {
-		// Mirror core.Run's default so a served world and a batch run over
-		// the same graph see the same partition (and the same answer).
-		copt.DHigh = p
-		if g.NumVertices() > 0 {
-			if floor := 4 * int(g.NumArcs()) / g.NumVertices(); floor > copt.DHigh {
-				copt.DHigh = floor
-			}
-		}
-	}
-	layout, err := partition.Build(g, partition.Options{
-		P: p, Kind: copt.Partitioning, DHigh: copt.DHigh, Workers: copt.Workers,
-	})
+	// The same mapping core.Run uses, so a served world and a batch run
+	// over the same graph see the same partition (and the same answer).
+	layout, err := partition.Build(g, copt.PartitionOptions(g.NumVertices(), g.NumArcs()))
 	if err != nil {
 		return nil, err
 	}
+	copt.DHigh = layout.DHigh
 
 	w := &World{
 		p:           p,

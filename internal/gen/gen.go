@@ -85,6 +85,27 @@ func (c *RMATConfig) SetSkew(skew float64) error {
 	return nil
 }
 
+// drawEdge draws one R-MAT edge: Scale quadrant choices, one rng.Float64
+// each, lowest bit first. RMAT and StreamRMAT both draw through it, so the
+// same seed yields the same edge sequence in RAM and on disk.
+func (cfg RMATConfig) drawEdge(rng *rand.Rand) (u, v int) {
+	for bit := 0; bit < cfg.Scale; bit++ {
+		r := rng.Float64()
+		switch {
+		case r < cfg.A:
+			// upper-left: no bits set
+		case r < cfg.A+cfg.B:
+			v |= 1 << bit
+		case r < cfg.A+cfg.B+cfg.C:
+			u |= 1 << bit
+		default:
+			u |= 1 << bit
+			v |= 1 << bit
+		}
+	}
+	return u, v
+}
+
 // RMAT generates a recursive-matrix scale-free graph. Self-loops are
 // dropped; duplicate edges collapse into a single unit-weight edge.
 func RMAT(cfg RMATConfig) (*graph.Graph, error) {
@@ -100,21 +121,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	seen := make(map[[2]int32]struct{}, e)
 	edges := make([]graph.Edge, 0, e)
 	for i := int64(0); i < e; i++ {
-		u, v := 0, 0
-		for bit := 0; bit < cfg.Scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < cfg.A:
-				// upper-left: no bits set
-			case r < cfg.A+cfg.B:
-				v |= 1 << bit
-			case r < cfg.A+cfg.B+cfg.C:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
+		u, v := cfg.drawEdge(rng)
 		if u == v {
 			continue
 		}

@@ -32,6 +32,24 @@ func ParseSpec(spec string) (*graph.Graph, graph.Membership, error) {
 	return parseSpec(spec, nil)
 }
 
+// Load is the commands' shared -graph/-gen resolution: exactly one of path
+// (a graph file, decoded by graph.ReadFile) and spec (a ParseSpec generator
+// spec) must be set. The membership is the planted truth of a generated
+// graph, nil for a file.
+func Load(path, spec string, workers int) (*graph.Graph, graph.Membership, error) {
+	switch {
+	case path != "" && spec != "":
+		return nil, nil, fmt.Errorf("pass either -graph or -gen, not both")
+	case path != "":
+		g, err := graph.ReadFile(path, workers)
+		return g, nil, err
+	case spec != "":
+		return ParseSpec(spec)
+	default:
+		return nil, nil, fmt.Errorf("pass -graph FILE or -gen SPEC (e.g. -gen lfr:n=5000,mu=0.3)")
+	}
+}
+
 // ParseRMATSpec parses an `rmat:…` spec (same syntax as ParseSpec) into
 // its configuration without generating any edges — the streaming generator
 // consumes the config directly.

@@ -142,8 +142,8 @@ func bucketOf(u, n, nb int) int {
 	return b
 }
 
-// generateBuckets runs the R-MAT edge loop (the exact RNG sequence of the
-// in-RAM RMAT) and appends each surviving arc to its source vertex's
+// generateBuckets runs the R-MAT edge loop (RMAT's own drawEdge, so the
+// exact RNG sequence of the in-RAM generator) and appends each surviving arc to its source vertex's
 // bucket file. Self-loops are dropped; duplicates are kept — dedup happens
 // at encode time, after the per-shard sort. Returns each bucket's byte
 // size.
@@ -189,21 +189,7 @@ func generateBuckets(cfg RMATConfig, n int, e int64, nb int, dir string) ([]int6
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := int64(0); i < e; i++ {
-		u, v := 0, 0
-		for bit := 0; bit < cfg.Scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < cfg.A:
-				// upper-left: no bits set
-			case r < cfg.A+cfg.B:
-				v |= 1 << bit
-			case r < cfg.A+cfg.B+cfg.C:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
+		u, v := cfg.drawEdge(rng)
 		if u == v {
 			continue
 		}

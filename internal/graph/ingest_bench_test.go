@@ -1,9 +1,9 @@
 package graph_test
 
-// Ingest benchmarks for the parallel pipeline (tracked in BENCH_5.json).
-// The scale-14 R-MAT input matches the committed serial seed baseline in
-// scripts/bench_seed_pr5.json: the acceptance bar is >= 2x at 8 workers
-// with workers=1 within 10% of the old serial path. This file is an
+// Ingest benchmarks for the parallel pipeline. The scale-14 R-MAT input
+// matches the serial seed baseline PR 5 was accepted against (git show
+// 11a6fa5:scripts/bench_seed_pr5.json): >= 2x at 8 workers with workers=1
+// within 10% of the old serial path. This file is an
 // external test package so it can use internal/gen without an import cycle.
 
 import (

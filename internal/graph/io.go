@@ -6,11 +6,35 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"repro/internal/wire"
 )
+
+// ReadFile reads a whole graph from path, choosing the decoder by
+// extension: .sbin (sharded binary, either version), .bin (flat binary),
+// .metis, and a text edge list for anything else. workers bounds the
+// parallel decoders (0 = automatic); the graph is identical at every count.
+func ReadFile(path string, workers int) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	switch {
+	case strings.HasSuffix(path, ".sbin"):
+		return ReadBinarySharded(f, workers)
+	case strings.HasSuffix(path, ".bin"):
+		return ReadBinary(f)
+	case strings.HasSuffix(path, ".metis"):
+		return ReadMETIS(f)
+	default:
+		return ReadEdgeListParallel(f, workers)
+	}
+}
 
 // WriteEdgeList writes the graph as a text edge list: one "u v w" line per
 // undirected edge (u <= v), preceded by a "# vertices N" header line.

@@ -36,6 +36,26 @@ func (w *Window) Degree(u int) int {
 // NumArcs returns the window's total arc count.
 func (w *Window) NumArcs() int64 { return int64(len(w.Targets)) }
 
+// Windows returns g as k arc-balanced windows (fewer when k exceeds the
+// vertex count), cut by the rule the sharded writers use. Targets and
+// Weights alias g's storage and must not be modified; only the rebased
+// Offsets are fresh.
+func (g *Graph) Windows(k int) []*Window {
+	vhi := shardBoundaries(g.offsets, g.NumVertices(), g.NumArcs(), k)
+	ws := make([]*Window, len(vhi))
+	lo := 0
+	for i, hi := range vhi {
+		base, end := g.offsets[lo], g.offsets[hi]
+		offs := make([]int64, hi-lo+1)
+		for j := range offs {
+			offs[j] = g.offsets[lo+j] - base
+		}
+		ws[i] = &Window{Lo: lo, Hi: hi, Offsets: offs, Targets: g.targets[base:end], Weights: g.weights[base:end]}
+		lo = hi
+	}
+	return ws
+}
+
 // ReadWindow fetches and decodes shard i into a fresh Window. It is
 // stateless and safe to call from concurrent goroutines (unlike
 // WindowReader, which adds a cache).

@@ -8,7 +8,7 @@
 // open-loop Poisson arrivals (Rate > 0) paced by the wall clock, or a
 // closed loop (Rate <= 0) that issues each tenant's next request as soon
 // as the previous one returns. Sweep then walks a rate ladder until the
-// world saturates, which is the experiment behind BENCH_8.json.
+// world saturates (BenchmarkServeLoad).
 package loadgen
 
 import (

@@ -142,7 +142,7 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 }
 
-// BenchmarkServeLoad is the latency/throughput sweep behind BENCH_8.json:
+// BenchmarkServeLoad is the latency/throughput sweep of the serving path:
 // a fixed multi-tenant mix offered at increasing rates against one
 // resident world per rate step.
 func BenchmarkServeLoad(b *testing.B) {

@@ -28,9 +28,9 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkPartitionBuild is the PR-5 trajectory benchmark: delegate
-// partitioning of a scale-14 R-MAT at p=16 across worker counts, against
-// the committed serial seed baseline in scripts/bench_seed_pr5.json
-// (acceptance: >= 2x at 8 workers, workers=1 within 10% of serial).
+// partitioning of a scale-14 R-MAT at p=16 across worker counts (accepted
+// against git show 11a6fa5:scripts/bench_seed_pr5.json: >= 2x at 8
+// workers, workers=1 within 10% of the then serial path).
 func BenchmarkPartitionBuild(b *testing.B) {
 	g, err := gen.RMAT(gen.Graph500RMAT(14, 5))
 	if err != nil {
@@ -47,11 +47,11 @@ func BenchmarkPartitionBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionBuildStreaming is the PR-9 counterpart: the two-pass
-// streaming builder over shard windows of a v2 .sbin against the in-RAM
-// Build of the same scale-14 R-MAT — the cost of never materialising the
-// whole Graph. Both partitionings; streaming output is bit-identical to
-// in-RAM (TestStreamingBuildMatchesInRAM).
+// BenchmarkPartitionBuildStreaming prices the two window sources of the one
+// emission pass on the same scale-14 R-MAT: zero-copy windows of the in-RAM
+// CSR against shard windows of a v2 .sbin decoded twice (degree pass, then
+// emission) — the cost of never materialising the whole Graph. Both
+// partitionings; the Layouts are bit-identical (TestLayoutDigests).
 func BenchmarkPartitionBuildStreaming(b *testing.B) {
 	g, err := gen.RMAT(gen.Graph500RMAT(14, 5))
 	if err != nil {

@@ -145,8 +145,8 @@ func graphsBitIdentical(a, b *graph.Graph) string {
 
 // TestBuildWorkerDeterminism is the end-to-end determinism property for the
 // ingest-and-partition pipeline: parallel edge-list parsing, the parallel
-// counting-sort CSR build behind it, and parallel partition.Build must all
-// be bit-identical to the serial paths at every worker count, for both
+// counting-sort CSR build behind it, and partition.Build must all be
+// bit-identical to their one-worker runs at every worker count, for both
 // partitioning kinds, on the golden fixture graph and a scale-12 R-MAT.
 func TestBuildWorkerDeterminism(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", "graph.txt"))
@@ -191,7 +191,7 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 						t.Fatalf("%v workers=%d: %v", kind, w, err)
 					}
 					if diff := layoutsIdentical(base, l); diff != "" {
-						t.Fatalf("%v workers=%d: layout diverged from serial: %s", kind, w, diff)
+						t.Fatalf("%v workers=%d: layout diverged from workers=1: %s", kind, w, diff)
 					}
 				}
 			}
@@ -199,9 +199,10 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildDefaultWorkersMatchesSerial pins the Workers=0 (auto) path to the
-// serial baseline too — the default a production caller actually gets.
-func TestBuildDefaultWorkersMatchesSerial(t *testing.T) {
+// TestBuildDefaultWorkersMatchesInline pins Workers=0 (the host-sized pool a
+// production caller actually gets) to Workers=1, where every chunk runs
+// inline on the caller.
+func TestBuildDefaultWorkersMatchesInline(t *testing.T) {
 	g, err := gen.BarabasiAlbert(1500, 4, 11)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -43,6 +44,16 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind is the inverse of Kind.String for the two strategies.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range []Kind{Delegate, OneD} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown partitioning %q", s)
 }
 
 // Arc is one directed arc of a local subgraph, in global vertex IDs.
@@ -99,16 +110,16 @@ func (s *Subgraph) NumLocalArcs() int64 {
 	return n
 }
 
-// Options configures Build.
+// Options configures Build and BuildStreaming.
 type Options struct {
 	P     int  // number of ranks, >= 1
 	Kind  Kind // OneD or Delegate
 	DHigh int  // hub degree threshold; <= 0 means DHigh = P (the paper's setting)
 
-	// Workers bounds Build's intra-process parallelism: 0 picks a
-	// host-sized count, 1 runs the historical serial path. Every worker
-	// count produces a bit-identical Layout (chunk boundaries are a pure
-	// function of the data size and partial results combine in chunk
+	// Workers bounds the builder's intra-process parallelism: 0 picks a
+	// host-sized count, 1 runs every chunk inline on the caller. Every
+	// worker count produces a bit-identical Layout (chunk boundaries are a
+	// pure function of the data and partial results combine in chunk
 	// order; see internal/par).
 	Workers int
 }
@@ -133,13 +144,40 @@ type hubArc struct {
 	w   float64
 }
 
-// Build partitions g across opt.P ranks. The heavy phases — hub
-// identification, the owned-vertex adjacency copy, hub-arc bucketing, and
-// ghost discovery — run on an internal/par worker pool when opt.Workers
-// permits; the spill-pool placement and rebalance correction are inherently
-// sequential greedy passes and stay serial. The Layout is bit-identical at
-// every worker count.
+// workers resolves Options.Workers: 0 picks a host-sized count.
+func (o Options) workers() int {
+	if o.Workers == 0 {
+		return par.DefaultWorkers(1)
+	}
+	return o.Workers
+}
+
+// Build partitions g across opt.P ranks. An in-RAM Graph already carries
+// its degrees and 2m, so Build goes straight to the emission pass over
+// arc-balanced windows that alias the CSR. The Layout is bit-identical at
+// every worker count and to BuildStreaming of the same graph.
 func Build(g *graph.Graph, opt Options) (*Layout, error) {
+	n := g.NumVertices()
+	ws := g.Windows(par.NumChunks(n))
+	readWindow := func(i int) (*graph.Window, error) { return ws[i], nil }
+	return build(n, len(ws), readWindow, g.Degree, g.WeightedDegree, g.TotalWeight2(), opt)
+}
+
+// build is the one emission pass behind Build and BuildStreaming. Windows
+// cover [0, n) as disjoint ascending vertex ranges; degree, wdeg and m2 are
+// the global per-vertex arc counts, weighted degrees and 2m.
+//
+// Every vertex's arcs are emitted from its window: an owned vertex carries
+// its complete adjacency to its round-robin owner; a hub arc (h, v) goes to
+// the owner of its target (co-locating delegate and target), hub→hub arcs
+// to a spill pool. One window is one ParFor chunk, and per-(window, rank)
+// fragments concatenate in ascending window order — the serial
+// ascending-vertex append order on every rank — so the Layout does not
+// depend on the window count or the worker count. The spill-pool placement
+// and the rebalance correction are inherently sequential greedy passes and
+// stay serial.
+func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
+	degree func(u int) int, wdeg func(u int) float64, m2 float64, opt Options) (*Layout, error) {
 	if opt.P < 1 {
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
@@ -148,35 +186,101 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 		dhigh = opt.P
 	}
 	p := opt.P
-	n := g.NumVertices()
-	nw := opt.Workers
-	if nw == 0 {
-		nw = par.DefaultWorkers(1)
-	}
-	pool := par.NewPool(nw)
+	pool := par.NewPool(opt.workers())
 	defer pool.Close()
 
-	// Identify hubs: per-chunk lists concatenate in chunk order, so the hub
-	// directory is ascending exactly as the serial scan produces it.
 	isHub := make([]bool, n)
 	var hubs []int
 	if opt.Kind == Delegate {
-		hubs = findHubs(n, dhigh, g.Degree, isHub, pool)
+		hubs = findHubs(n, dhigh, degree, isHub, pool)
+	}
+	// hubIdx[u] is u's position in the hub directory, so the pass can route
+	// a hub's arcs without a directory search per vertex.
+	var hubIdx []int32
+	if len(hubs) > 0 {
+		hubIdx = make([]int32, n)
+		for i, h := range hubs {
+			hubIdx[h] = int32(i)
+		}
 	}
 
-	parts := newParts(p, n, hubs, g.WeightedDegree, pool)
+	parts := newParts(p, n, hubs, wdeg, pool)
 
-	assignOwned(g, parts, isHub, pool)
-
-	// Assign hub arcs. Initially each hub arc (h, v) goes to the owner of
-	// its target (co-locating delegate and target); hub→hub arcs go to a
-	// spill pool for balancing; then a correction pass moves hub arcs from
-	// overloaded to underloaded ranks.
-	if opt.Kind == Delegate && len(hubs) > 0 {
-		placeHubArcs(parts, bucketHubArcs(g, parts, hubs, isHub, pool))
+	type ownedFrag struct {
+		ids  []int
+		wdeg []float64
+		adj  [][]Arc
+	}
+	ownedFrags := make([]ownedFrag, nWindows*p)
+	spillFrag := make([][]hubArc, nWindows)
+	errs := make([]error, nWindows)
+	pool.ParFor(nWindows, func(c, _ int) {
+		w, err := readWindow(c)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		of := ownedFrags[c*p : (c+1)*p]
+		var sf []hubArc
+		for u := w.Lo; u < w.Hi; u++ {
+			ts, ws := w.Arcs(u)
+			if isHub[u] {
+				// A hub lies in exactly one window, so its AdjHub slot on
+				// every rank is appended to by this chunk alone, in arc order.
+				hid := int(hubIdx[u])
+				for k := range ts {
+					v := int(ts[k])
+					if isHub[v] {
+						sf = append(sf, hubArc{hub: hid, to: v, w: ws[k]})
+						continue
+					}
+					sp := parts[Owner(v, p)]
+					sp.AdjHub[hid] = append(sp.AdjHub[hid], Arc{To: v, W: ws[k]})
+				}
+				continue
+			}
+			f := &of[Owner(u, p)]
+			f.ids = append(f.ids, u)
+			f.wdeg = append(f.wdeg, wdeg(u))
+			adj := make([]Arc, len(ts))
+			for k := range ts {
+				adj[k] = Arc{To: int(ts[k]), W: ws[k]}
+			}
+			f.adj = append(f.adj, adj)
+		}
+		spillFrag[c] = sf
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	finishLayout(parts, isHub, g.TotalWeight2(), pool)
+	pool.ParFor(p, func(r, _ int) {
+		sp := parts[r]
+		total := 0
+		for c := 0; c < nWindows; c++ {
+			total += len(ownedFrags[c*p+r].ids)
+		}
+		if total == 0 {
+			return
+		}
+		sp.Owned = make([]int, 0, total)
+		sp.OwnedWDeg = make([]float64, 0, total)
+		sp.AdjOwned = make([][]Arc, 0, total)
+		for c := 0; c < nWindows; c++ {
+			f := &ownedFrags[c*p+r]
+			sp.Owned = append(sp.Owned, f.ids...)
+			sp.OwnedWDeg = append(sp.OwnedWDeg, f.wdeg...)
+			sp.AdjOwned = append(sp.AdjOwned, f.adj...)
+		}
+	})
+
+	if len(hubs) > 0 {
+		placeHubArcs(parts, slices.Concat(spillFrag...))
+	}
+
+	finishLayout(parts, isHub, m2, pool)
 
 	return &Layout{P: p, Kind: opt.Kind, DHigh: dhigh, Hubs: hubs, Parts: parts}, nil
 }
@@ -185,16 +289,6 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // lists concatenate in chunk order, so the directory is ascending exactly
 // as a serial scan produces it.
 func findHubs(n, dhigh int, degree func(u int) int, isHub []bool, pool *par.Pool) []int {
-	if pool == nil {
-		var hubs []int
-		for u := 0; u < n; u++ {
-			if degree(u) >= dhigh {
-				isHub[u] = true
-				hubs = append(hubs, u)
-			}
-		}
-		return hubs
-	}
 	ncV := par.NumChunks(n)
 	frag := make([][]int, ncV)
 	pool.ParFor(ncV, func(c, _ int) {
@@ -208,18 +302,7 @@ func findHubs(n, dhigh int, degree func(u int) int, isHub []bool, pool *par.Pool
 		}
 		frag[c] = hs
 	})
-	total := 0
-	for _, f := range frag {
-		total += len(f)
-	}
-	var hubs []int
-	if total > 0 {
-		hubs = make([]int, 0, total)
-		for _, f := range frag {
-			hubs = append(hubs, f...)
-		}
-	}
-	return hubs
+	return slices.Concat(frag...) // nil when there are no hubs
 }
 
 // newParts allocates the per-rank subgraphs with the shared hub directory
@@ -311,136 +394,6 @@ func finishLayout(parts []*Subgraph, isHub []bool, m2 float64, pool *par.Pool) {
 			sort.Ints(parts[r].Subscribers[v])
 		}
 	}
-}
-
-// assignOwned distributes low-degree vertices (round-robin) with their full
-// adjacency. The parallel path collects per-(chunk, rank) fragments and
-// concatenates them per rank in chunk order — the serial append order.
-func assignOwned(g *graph.Graph, parts []*Subgraph, isHub []bool, pool *par.Pool) {
-	n := g.NumVertices()
-	p := len(parts)
-	if pool == nil {
-		for u := 0; u < n; u++ {
-			if isHub[u] {
-				continue
-			}
-			r := Owner(u, p)
-			sp := parts[r]
-			sp.Owned = append(sp.Owned, u)
-			sp.OwnedWDeg = append(sp.OwnedWDeg, g.WeightedDegree(u))
-			ts, ws := g.Neighbors(u)
-			adj := make([]Arc, len(ts))
-			for i := range ts {
-				adj[i] = Arc{To: int(ts[i]), W: ws[i]}
-			}
-			sp.AdjOwned = append(sp.AdjOwned, adj)
-		}
-		return
-	}
-	type ownedFrag struct {
-		ids  []int
-		wdeg []float64
-		adj  [][]Arc
-	}
-	ncV := par.NumChunks(n)
-	frags := make([]ownedFrag, ncV*p)
-	pool.ParFor(ncV, func(c, _ int) {
-		lo, hi := par.ChunkSpan(n, ncV, c)
-		fr := frags[c*p : (c+1)*p]
-		for u := lo; u < hi; u++ {
-			if isHub[u] {
-				continue
-			}
-			f := &fr[Owner(u, p)]
-			f.ids = append(f.ids, u)
-			f.wdeg = append(f.wdeg, g.WeightedDegree(u))
-			ts, ws := g.Neighbors(u)
-			adj := make([]Arc, len(ts))
-			for i := range ts {
-				adj[i] = Arc{To: int(ts[i]), W: ws[i]}
-			}
-			f.adj = append(f.adj, adj)
-		}
-	})
-	pool.ParFor(p, func(r, _ int) {
-		sp := parts[r]
-		total := 0
-		for c := 0; c < ncV; c++ {
-			total += len(frags[c*p+r].ids)
-		}
-		if total == 0 {
-			return
-		}
-		sp.Owned = make([]int, 0, total)
-		sp.OwnedWDeg = make([]float64, 0, total)
-		sp.AdjOwned = make([][]Arc, 0, total)
-		for c := 0; c < ncV; c++ {
-			f := &frags[c*p+r]
-			sp.Owned = append(sp.Owned, f.ids...)
-			sp.OwnedWDeg = append(sp.OwnedWDeg, f.wdeg...)
-			sp.AdjOwned = append(sp.AdjOwned, f.adj...)
-		}
-	})
-}
-
-// bucketHubArcs routes each hub arc to its target's owner and returns the
-// hub→hub spill pool. The parallel path chunks over the hub directory
-// (every hub lives in exactly one chunk) and concatenates per-rank
-// fragments in chunk order, reproducing the serial (hub, arc) append order
-// on every rank and the serial spill order.
-func bucketHubArcs(g *graph.Graph, parts []*Subgraph, hubs []int, isHub []bool, pool *par.Pool) []hubArc {
-	p := len(parts)
-	if pool == nil {
-		var spill []hubArc
-		for hi, h := range hubs {
-			ts, ws := g.Neighbors(h)
-			for i := range ts {
-				v := int(ts[i])
-				if isHub[v] {
-					spill = append(spill, hubArc{hub: hi, to: v, w: ws[i]})
-					continue
-				}
-				r := Owner(v, p)
-				parts[r].AdjHub[hi] = append(parts[r].AdjHub[hi], Arc{To: v, W: ws[i]})
-			}
-		}
-		return spill
-	}
-	nh := len(hubs)
-	ncH := par.NumChunks(nh)
-	rankFrag := make([][]hubArc, ncH*p)
-	spillFrag := make([][]hubArc, ncH)
-	pool.ParFor(ncH, func(c, _ int) {
-		lo, hi := par.ChunkSpan(nh, ncH, c)
-		rf := rankFrag[c*p : (c+1)*p]
-		var sf []hubArc
-		for hidx := lo; hidx < hi; hidx++ {
-			ts, ws := g.Neighbors(hubs[hidx])
-			for i := range ts {
-				v := int(ts[i])
-				if isHub[v] {
-					sf = append(sf, hubArc{hub: hidx, to: v, w: ws[i]})
-					continue
-				}
-				r := Owner(v, p)
-				rf[r] = append(rf[r], hubArc{hub: hidx, to: v, w: ws[i]})
-			}
-		}
-		spillFrag[c] = sf
-	})
-	pool.ParFor(p, func(r, _ int) {
-		sp := parts[r]
-		for c := 0; c < ncH; c++ {
-			for _, a := range rankFrag[c*p+r] {
-				sp.AdjHub[a.hub] = append(sp.AdjHub[a.hub], Arc{To: a.to, W: a.w})
-			}
-		}
-	})
-	var spill []hubArc
-	for c := 0; c < ncH; c++ {
-		spill = append(spill, spillFrag[c]...)
-	}
-	return spill
 }
 
 func minLoadRank(loads []int64) int {

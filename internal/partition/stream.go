@@ -1,19 +1,16 @@
 package partition
 
-// Streaming two-pass Build over a sharded graph file: the out-of-core
-// alternative to Build(g, …) that never materializes the global CSR.
+// BuildStreaming feeds the emission pass (build, partition.go) from a
+// sharded graph file instead of an in-RAM Graph, so the global CSR is never
+// materialized.
 //
-// Pass A scans shard windows to collect per-vertex degrees and weighted
-// degrees (O(n) state, not O(arcs)), from which the hub directory and 2m
-// follow. Pass B re-scans the windows and emits every arc directly into
-// its rank's subgraph. Both passes visit vertices in ascending order
-// (shards are ascending vertex ranges), and the parallel paths combine
-// per-chunk fragments in chunk order — exactly the discipline the in-RAM
-// Build uses — so the resulting Layout is bit-identical to
-// Build(s.ReadAll(…), …) at every worker count, down to the float
-// summation order of the weighted degrees (per-vertex sums accumulate in
-// arc order, 2m accumulates per-vertex sums in vertex order, matching the
-// CSR builder's finish pass).
+// A file, unlike a Graph, does not carry per-vertex degrees or 2m, and the
+// hub directory must be known before the first arc is placed. Pass A
+// therefore scans the shard windows once to collect degrees and weighted
+// degrees (O(n) state, not O(arcs)); the emission pass then re-reads the
+// windows. Per-vertex sums accumulate in arc order and 2m accumulates the
+// per-vertex sums in vertex order, matching the CSR builder's finish pass
+// bit for bit.
 //
 // Peak memory is the O(n) degree arrays plus the emitted Layout plus one
 // decoded shard window per worker — flat in total |E| for a fixed layout
@@ -21,8 +18,6 @@ package partition
 // needs the arcs in one block.
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -32,50 +27,33 @@ import (
 // once. The Layout is bit-identical to Build of the same graph with the
 // same Options.
 func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
-	if opt.P < 1 {
-		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
-	}
-	dhigh := opt.DHigh
-	if dhigh <= 0 {
-		dhigh = opt.P
-	}
-	p := opt.P
 	n := s.NumVertices()
 	nShards := s.NumShards()
-	nw := opt.Workers
-	if nw == 0 {
-		nw = par.DefaultWorkers(1)
-	}
-	pool := par.NewPool(nw)
-	defer pool.Close()
 
-	// Pass A: per-vertex degree and weighted degree from shard windows.
-	// Shards cover disjoint ascending vertex ranges, so chunked workers
-	// write disjoint slices of the arrays.
+	// Pass A. Shards cover disjoint ascending vertex ranges, so one shard
+	// per chunk writes disjoint slices of the arrays.
 	deg := make([]int32, n)
 	wdeg := make([]float64, n)
-	ncS := par.NumChunks(nShards)
-	errsA := make([]error, ncS)
-	pool.ParFor(ncS, func(c, _ int) {
-		lo, hi := par.ChunkSpan(nShards, ncS, c)
-		for i := lo; i < hi; i++ {
-			w, err := s.ReadWindow(i)
-			if err != nil {
-				errsA[c] = err
-				return
+	errs := make([]error, nShards)
+	pool := par.NewPool(opt.workers())
+	pool.ParFor(nShards, func(i, _ int) {
+		w, err := s.ReadWindow(i)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		for u := w.Lo; u < w.Hi; u++ {
+			_, ws := w.Arcs(u)
+			deg[u] = int32(len(ws))
+			k := 0.0
+			for _, x := range ws {
+				k += x
 			}
-			for u := w.Lo; u < w.Hi; u++ {
-				_, ws := w.Arcs(u)
-				deg[u] = int32(len(ws))
-				k := 0.0
-				for _, x := range ws {
-					k += x
-				}
-				wdeg[u] = k
-			}
+			wdeg[u] = k
 		}
 	})
-	for _, err := range errsA {
+	pool.Close()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
@@ -85,114 +63,7 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 		m2 += wdeg[u]
 	}
 
-	isHub := make([]bool, n)
-	var hubs []int
-	if opt.Kind == Delegate {
-		hubs = findHubs(n, dhigh, func(u int) int { return int(deg[u]) }, isHub, pool)
-	}
-	// hubIdx[u] is u's position in the hub directory, so pass B can route
-	// a hub's arcs without a directory search per vertex.
-	var hubIdx []int32
-	if len(hubs) > 0 {
-		hubIdx = make([]int32, n)
-		for i, h := range hubs {
-			hubIdx[h] = int32(i)
-		}
-	}
-
-	parts := newParts(p, n, hubs, func(u int) float64 { return wdeg[u] }, pool)
-
-	// Pass B: emit every arc from its shard window. Owned vertices carry
-	// their complete adjacency to their round-robin owner; hub arcs go to
-	// the target's owner (hub→hub arcs to the spill pool). Per-(chunk,
-	// rank) fragments concatenate in chunk order, reproducing the serial
-	// ascending-vertex append order on every rank.
-	type ownedFrag struct {
-		ids  []int
-		wdeg []float64
-		adj  [][]Arc
-	}
-	ownedFrags := make([]ownedFrag, ncS*p)
-	rankFrag := make([][]hubArc, ncS*p)
-	spillFrag := make([][]hubArc, ncS)
-	errsB := make([]error, ncS)
-	pool.ParFor(ncS, func(c, _ int) {
-		lo, hi := par.ChunkSpan(nShards, ncS, c)
-		of := ownedFrags[c*p : (c+1)*p]
-		rf := rankFrag[c*p : (c+1)*p]
-		var sf []hubArc
-		for i := lo; i < hi; i++ {
-			w, err := s.ReadWindow(i)
-			if err != nil {
-				errsB[c] = err
-				return
-			}
-			for u := w.Lo; u < w.Hi; u++ {
-				ts, ws := w.Arcs(u)
-				if isHub[u] {
-					hid := int(hubIdx[u])
-					for k := range ts {
-						v := int(ts[k])
-						if isHub[v] {
-							sf = append(sf, hubArc{hub: hid, to: v, w: ws[k]})
-							continue
-						}
-						r := Owner(v, p)
-						rf[r] = append(rf[r], hubArc{hub: hid, to: v, w: ws[k]})
-					}
-					continue
-				}
-				f := &of[Owner(u, p)]
-				f.ids = append(f.ids, u)
-				f.wdeg = append(f.wdeg, wdeg[u])
-				adj := make([]Arc, len(ts))
-				for k := range ts {
-					adj[k] = Arc{To: int(ts[k]), W: ws[k]}
-				}
-				f.adj = append(f.adj, adj)
-			}
-		}
-		spillFrag[c] = sf
-	})
-	for _, err := range errsB {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	pool.ParFor(p, func(r, _ int) {
-		sp := parts[r]
-		total := 0
-		for c := 0; c < ncS; c++ {
-			total += len(ownedFrags[c*p+r].ids)
-		}
-		if total > 0 {
-			sp.Owned = make([]int, 0, total)
-			sp.OwnedWDeg = make([]float64, 0, total)
-			sp.AdjOwned = make([][]Arc, 0, total)
-			for c := 0; c < ncS; c++ {
-				f := &ownedFrags[c*p+r]
-				sp.Owned = append(sp.Owned, f.ids...)
-				sp.OwnedWDeg = append(sp.OwnedWDeg, f.wdeg...)
-				sp.AdjOwned = append(sp.AdjOwned, f.adj...)
-			}
-		}
-		for c := 0; c < ncS; c++ {
-			for _, a := range rankFrag[c*p+r] {
-				sp.AdjHub[a.hub] = append(sp.AdjHub[a.hub], Arc{To: a.to, W: a.w})
-			}
-		}
-	})
-
-	if opt.Kind == Delegate && len(hubs) > 0 {
-		var spill []hubArc
-		for c := 0; c < ncS; c++ {
-			spill = append(spill, spillFrag[c]...)
-		}
-		placeHubArcs(parts, spill)
-	}
-
-	finishLayout(parts, isHub, m2, pool)
-
-	return &Layout{P: p, Kind: opt.Kind, DHigh: dhigh, Hubs: hubs, Parts: parts}, nil
+	return build(n, nShards, s.ReadWindow,
+		func(u int) int { return int(deg[u]) },
+		func(u int) float64 { return wdeg[u] }, m2, opt)
 }

@@ -37,11 +37,10 @@ go test -list '^BenchmarkServeLoad$' -run '^$' ./internal/loadgen | grep '^Bench
 # And the merge seed-vs-preagg pair, the PR-10 acceptance metric.
 go test -list '^BenchmarkMergePreagg$' -run '^$' ./internal/core | grep '^BenchmarkMergePreagg$' > /dev/null \
     || { echo "error: BenchmarkMergePreagg missing from internal/core" >&2; exit 1; }
-# And every kernel microbenchmark scripts/bench.sh names (KERNELS=...), so a
-# rename cannot drop a row from the BENCH files unnoticed.
-kernels=$(sed -n "s/^KERNELS='\(.*\)'$/\1/p" scripts/bench.sh | tr '|' ' ')
-[ -n "$kernels" ] || { echo "error: scripts/bench.sh no longer names its kernel benchmarks" >&2; exit 1; }
-for k in $kernels; do
+# And every stage-1 kernel microbenchmark (scripts/bench.sh runs them by
+# prefix), so a rename cannot drop one unnoticed.
+KERNELS='Sweep PushAggregates GhostSwap FlushDeltas DelegateExchange GlobalModularity'
+for k in $KERNELS; do
     go test -list "^BenchmarkKernel$k\$" -run '^$' ./internal/core | grep "^BenchmarkKernel$k\$" > /dev/null \
         || { echo "error: BenchmarkKernel$k missing from internal/core" >&2; exit 1; }
 done
