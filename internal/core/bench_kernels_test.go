@@ -95,10 +95,23 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 	}
 }
 
-// BenchmarkKernelSweep measures the greedy local-moving pass (owned
-// Gauss-Seidel sweep + per-hub proposals) with no communication.
+// BenchmarkKernelSweep measures the sweep of a converged stage, where
+// nothing is armed: the idle cost every late iteration pays, one flag test
+// per owned vertex and hub.
 func BenchmarkKernelSweep(b *testing.B) {
 	benchKernel(b, func(s *stage) error {
+		s.sweep()
+		return nil
+	})
+}
+
+// BenchmarkKernelSweepArmed measures the greedy local-moving pass with
+// every vertex and hub armed (owned Gauss-Seidel sweep + per-hub proposals,
+// no communication): the full-evaluation kernel of a stage's first
+// iteration.
+func BenchmarkKernelSweepArmed(b *testing.B) {
+	benchKernel(b, func(s *stage) error {
+		s.setActive(true)
 		s.sweep()
 		return nil
 	})

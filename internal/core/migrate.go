@@ -360,8 +360,11 @@ func (s *stage) migrate(iter int, moves []rebalance.Move) error {
 	}
 
 	// The owned-vertex set changed: rebuild the modularity kernel (its
-	// closure snapshots the owned tables and chunk count).
+	// closure snapshots the owned tables and chunk count) and the reverse
+	// index, and start the next sweep from everything.
 	s.buildQKernel()
+	s.buildRev()
+	s.setActive(true)
 	s.addWork(trace.Other, work)
 	s.reb.events++
 	s.reb.migrated += int64(total)

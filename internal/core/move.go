@@ -11,15 +11,24 @@ import (
 // (the tie case the convergence heuristics arbitrate).
 const gainEps = 1e-12
 
-// sweep performs one greedy local-moving pass over the rank's owned low
-// vertices (applied immediately, Gauss-Seidel within the rank) and computes
-// this rank's move proposal for every hub from its local share of hub arcs.
-// It returns the hub proposals and the number of owned vertices moved.
+// sweep performs one greedy local-moving pass over the rank's armed owned
+// low vertices (applied immediately, Gauss-Seidel within the rank) and
+// computes this rank's move proposal for every armed hub from its local
+// share of hub arcs. It returns the hub proposals and the number of owned
+// vertices moved.
+//
+// This is the stage's only sweep: a new stage is fully armed, so its first
+// pass is the paper's Algorithm 2; afterwards a vertex is evaluated again
+// only once a neighbour's label changed (vertex pruning, arXiv 2301.12390,
+// 1410.1237), and a resident stage evaluates what its Session seeded. An
+// unarmed vertex costs one work unit, an evaluated one its arcs + 4 and a
+// moved one its arcs again for the arming.
 //
 // The owned-vertex loop is sequential by design: each move updates the
 // cached aggregates the next decision reads (the paper's Gauss-Seidel
-// semantics). The hub loop reads a state no proposal mutates, so it runs on
-// the worker pool in data-sized chunks; props[i] is written by exactly one
+// semantics), and arms neighbours the same pass still reaches. The hub loop
+// reads a state no proposal mutates, so it runs on the worker pool in
+// data-sized chunks; props[i] and hubActive[i] are written by exactly one
 // chunk and the per-chunk work counts combine in chunk order, keeping the
 // result bit-identical to the serial path.
 //
@@ -31,9 +40,15 @@ func (s *stage) sweep() ([]hubProposal, int) {
 
 	work := int64(0)
 	for i, u := range s.sg.Owned {
-		ku := s.sg.OwnedWDeg[i]
-		work += int64(len(s.sg.AdjOwned[i])) + 4
-		target, ok := s.bestMove(u, ku, s.sg.AdjOwned[i], acc)
+		if !s.active[u] {
+			work++
+			continue
+		}
+		s.active[u] = false
+		s.seen[u] = true
+		ku, adj := s.sg.OwnedWDeg[i], s.sg.AdjOwned[i]
+		work += int64(len(adj)) + 4
+		target, ok := s.bestMove(u, ku, adj, acc)
 		if !ok {
 			continue
 		}
@@ -42,6 +57,12 @@ func (s *stage) sweep() ([]hubProposal, int) {
 		s.applyLocalMove(cu, target, ku)
 		s.changed = append(s.changed, u)
 		moved++
+		// The move changed u's label and both communities' aggregates:
+		// re-examine u, its local neighbours and its neighbouring hubs.
+		// Remote neighbours are armed by their own ranks when u's new label
+		// arrives (ghostSwap).
+		s.active[u] = true
+		work += s.arm(adj)
 	}
 
 	s.pool.ParFor(s.hubChunks, s.hubKernel)
@@ -50,6 +71,22 @@ func (s *stage) sweep() ([]hubProposal, int) {
 	}
 	s.addWork(trace.FindBest, work)
 	return s.props, moved
+}
+
+// arm arms the targets of adj, the local arcs of a vertex or hub that moved,
+// and returns the arc count to charge as work. A ghost's flag is set too and
+// never read.
+//
+//perf:noalloc
+func (s *stage) arm(adj []partition.Arc) int64 {
+	for _, a := range adj {
+		if hi, hub := s.hubIndex(a.To); hub {
+			s.hubActive[hi] = true
+		} else {
+			s.active[a.To] = true
+		}
+	}
+	return int64(len(adj))
 }
 
 // gainAccumulator gathers w(u→c) per neighboring community for one vertex,

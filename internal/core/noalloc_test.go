@@ -82,7 +82,8 @@ func TestNoallocAnnotations(t *testing.T) {
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
 		drivers := map[string]func(){
-			"stage.sweep":                func() { s.sweep() },
+			"stage.sweep":                func() { s.setActive(true); s.sweep() },
+			"stage.arm":                  func() { s.arm(adj) },
 			"stage.sendScratch":          func() { s.sendScratch() },
 			"stage.encodePush":           func() { s.sendScratch(); s.encodePush() },
 			"stage.applyPush":            func() { s.applyPush(0, pushFrame.Bytes()) },

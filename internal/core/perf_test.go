@@ -199,7 +199,7 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 				t.Errorf("%s: %v allocs/op, ceiling %v", name, got, ceiling)
 			}
 		}
-		check("sweep", 0, func() { s.sweep() })
+		check("sweep", 0, func() { s.setActive(true); s.sweep() })
 		check("ghostSwap", 8, func() {
 			if err := s.ghostSwap(); err != nil {
 				t.Fatal(err)

@@ -15,16 +15,6 @@ import (
 // after which a clustering stage stops (see cluster).
 const innerStallLimit = 3
 
-// doSweep dispatches between the batch sweep and an incremental session's
-// active-set-restricted sweep (session.go). Batch runs leave sweepFn nil, so
-// their path is untouched.
-func (s *stage) doSweep() ([]hubProposal, int) {
-	if s.sweepFn != nil {
-		return s.sweepFn()
-	}
-	return s.sweep()
-}
-
 // clusterNew runs the clustering loop of a stage fresh from newStage: it
 // registers the watches of the initial singleton labels, then clusters.
 func (s *stage) clusterNew() (stageResult, error) {
@@ -76,7 +66,7 @@ func (s *stage) cluster() (stageResult, error) {
 			}
 		}
 		s.tm.Start(trace.FindBest)
-		props, movedLocal := s.doSweep()
+		props, movedLocal := s.sweep()
 		s.tm.Start(trace.BroadcastDelegates)
 		hubMoved, err := s.delegateExchange(props)
 		if err != nil {
@@ -139,6 +129,7 @@ func (s *stage) cluster() (stageResult, error) {
 		s.bd.Iters++
 		res.Iters = iter
 		res.Q = st.Q
+		res.Moved += st.Moved
 		if s.opt.TrackTrace {
 			res.QTrace = append(res.QTrace, st.Q)
 		}
@@ -385,8 +376,7 @@ func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
 // runRank is the per-rank algorithm: stage 1 with delegates, then
 // merge/recluster rounds without delegates until modularity stops improving
 // (Algorithm 1). The body lives in Session.solve (session.go); the batch
-// path drives the Session without installing its resident serving state, so
-// batch results and message schedules are unchanged.
+// path drives the Session without installing its resident serving state.
 func runRank(c comm.Comm, sg *partition.Subgraph, opt Options) (*rankOut, error) {
 	ses, err := NewSession(c, sg, opt)
 	if err != nil {

@@ -16,9 +16,8 @@ import (
 // layer (cmd/dserver): both drive the same object.
 //
 // The batch path (core.Run / core.RunRank) constructs a Session and calls
-// solve(), which runs the hierarchical solve of Algorithm 1 exactly as
-// before — the Session adds no collectives and no state to that path, so
-// batch results and message schedules are untouched.
+// solve(), the hierarchical solve of Algorithm 1; the Session adds no
+// collectives and no state to that path.
 //
 // The serving path calls Solve(), which additionally installs a resident
 // flat stage over the original graph: the converged hierarchy is projected
@@ -27,10 +26,10 @@ import (
 // final community — so community c stays owned by rank c mod p). The rank
 // then stays resident, answering queries from the installed stage and
 // applying batched edge updates with ApplyUpdates, which re-clusters
-// *incrementally*: only vertices within Options.UpdateKHops hops of a
-// changed edge seed the sweep queue, and the stage-1 kernels, worker pool
-// and overlapped collectives are reused as-is through the stage's session
-// hooks (sweepFn/hubActive/movedHubs/onGhostChange in state.go).
+// *incrementally*: it is the batch solver's clustering loop and sweep on a
+// stage that starts with nothing armed, where only the vertices within
+// Options.UpdateKHops hops of a changed edge are seeded into the stage's
+// active set (state.go).
 //
 // Incremental quality drifts from the full-solve oracle; the Session tracks
 // that drift (cumulative |ΔQ| plus the cumulative fraction of vertices
@@ -52,41 +51,15 @@ type Session struct {
 	st  *stage   // resident flat stage; nil until Solve() installs it
 	out *rankOut // result of the last hierarchical solve
 
-	// rev maps each non-owned locally known vertex (ghost or hub) to the
-	// owned vertices adjacent to it: the activation fan-in used when a
-	// remote label change arrives (onGhostChange) or a replicated hub move
-	// lands. Owned adjacency is complete, so rev covers every such pair.
-	rev map[int][]int
-
 	q          float64 // current global modularity (replicated)
 	driftQ     float64 // cumulative |ΔQ| since the last full solve
 	driftTouch float64 // cumulative touched-vertex fraction since last full solve
-
-	// Active-set machinery of the incremental sweep. pendMark/pendList
-	// accumulate vertices to examine next iteration (set semantics, so
-	// activation order — which varies with frame arrival order — cannot
-	// affect the result); curActive is the drained, sorted
-	// set the Gauss-Seidel pass walks. hubActive is shared with the stage's
-	// hub kernel (per-rank, no agreement needed: inactive ranks propose
-	// negInf and the delegate reduction ignores them).
-	pendMark  []bool
-	pendList  []int
-	curActive []int
-	hubActive []bool
 
 	// bfsMark/bfsList: per-batch visited set of the k-hop seeding BFS.
 	bfsMark []bool
 	bfsList []int
 
-	// touchMark/touchList: per-batch dedup of re-examined owned vertices
-	// (the drift statistic counts each vertex once per batch).
-	touchMark []bool
-	touchList []int
-
 	newGhosts []int // ghosts discovered by the current batch, labels pending
-
-	batchMoved   int64
-	batchTouched int64
 }
 
 // EdgeOp is one edge mutation of an update batch. U and V are global vertex
@@ -171,8 +144,7 @@ func (s *Session) Solve() error {
 
 // solve is the per-rank hierarchical algorithm: stage 1 with delegates,
 // then merge/recluster rounds without delegates until modularity stops
-// improving (Algorithm 1). It is the former runRank body, verbatim: the
-// batch path calls it directly and is byte-identical to pre-Session builds.
+// improving (Algorithm 1). The batch path calls it directly.
 func (s *Session) solve() (*rankOut, error) {
 	c, sg, opt := s.c, s.sg, s.opt
 	if opt.CommDeadline > 0 {
@@ -387,7 +359,7 @@ func (s *Session) install() error {
 		if i < nOwned {
 			k = s.sg.OwnedWDeg[i]
 		} else {
-			hi, ok := s.hubIndex(v)
+			hi, ok := st.hubIndex(v)
 			if !ok {
 				return fmt.Errorf("core: rank %d: tracked vertex %d is neither owned nor a hub", s.rnk, v)
 			}
@@ -400,7 +372,7 @@ func (s *Session) install() error {
 	// representative from the hub's owner (disjoint writes, rank order).
 	hubBuf := wire.NewBuffer(0)
 	for i := nOwned; i < len(tracked); i++ {
-		hi, _ := s.hubIndex(tracked[i])
+		hi, _ := st.hubIndex(tracked[i])
 		hubBuf.PutUvarint(uint64(hi))
 		hubBuf.PutVarint(int64(reps[i]))
 	}
@@ -421,8 +393,7 @@ func (s *Session) install() error {
 	}
 
 	// Ghost labels: push every subscribed owned vertex's label through the
-	// regular ghost swap (the hooks are not installed yet, so this cannot
-	// trigger spurious activations).
+	// regular ghost swap (what it arms is disarmed below).
 	st.changed = st.changed[:0]
 	for _, u := range s.sg.Owned {
 		if len(s.sg.Subscribers[u]) > 0 {
@@ -457,42 +428,11 @@ func (s *Session) install() error {
 	s.driftQ = 0
 	s.driftTouch = 0
 
-	// Activation fan-in and active-set scratch.
-	s.rev = make(map[int][]int)
-	for i, u := range s.sg.Owned {
-		for _, a := range s.sg.AdjOwned[i] {
-			t := a.To
-			if t == u {
-				continue
-			}
-			if _, hub := s.hubIndex(t); hub || t%s.p != s.rnk {
-				s.addRev(t, u)
-			}
-		}
-	}
-	if s.pendMark == nil {
-		s.pendMark = make([]bool, s.n)
-		s.bfsMark = make([]bool, s.n)
-		s.touchMark = make([]bool, s.n)
-		s.hubActive = make([]bool, len(s.sg.Hubs))
-	}
-	s.pendList = s.pendList[:0]
+	// The installed state is the converged one: nothing is armed until an
+	// update batch seeds its neighbourhood.
+	st.setActive(false)
+	s.bfsMark = make([]bool, s.n)
 	s.bfsList = s.bfsList[:0]
-	s.touchList = s.touchList[:0]
-	for i := range s.pendMark {
-		s.pendMark[i] = false
-		s.bfsMark[i] = false
-		s.touchMark[i] = false
-	}
-	for i := range s.hubActive {
-		s.hubActive[i] = false
-	}
-
-	// Session hooks: from here on the stage's clustering loop sweeps only
-	// the active set and reports remote changes back for activation.
-	st.sweepFn = s.sweepActive
-	st.hubActive = s.hubActive
-	st.onGhostChange = s.onGhostChanged
 	return nil
 }
 
@@ -521,7 +461,7 @@ func (s *Session) NeighborhoodOf(v int) []partition.Arc {
 	if s.st == nil || v < 0 || v >= s.n {
 		return nil
 	}
-	if hi, ok := s.hubIndex(v); ok {
+	if hi, ok := s.st.hubIndex(v); ok {
 		return append([]partition.Arc(nil), s.sg.AdjHub[hi]...)
 	}
 	if i, ok := s.sg.OwnedIndex(v); ok && v%s.p == s.rnk {
@@ -564,10 +504,9 @@ func (s *Session) ValidateOps(ops []EdgeOp) error {
 }
 
 // ApplyUpdates applies one replicated batch of edge mutations and
-// re-clusters incrementally: the sweep queue is seeded with the vertices
-// within Options.UpdateKHops hops of any changed edge, and the stage's
-// clustering loop (kernels, worker pool, collectives) runs restricted to
-// the active set until no vertex moves. Every rank must call it with the
+// re-clusters incrementally: the vertices within Options.UpdateKHops hops
+// of any changed edge are armed, and the stage's clustering loop runs from
+// that active set until no vertex moves. Every rank must call it with the
 // identical, pre-validated batch.
 func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	var zero UpdateResult
@@ -577,7 +516,7 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	if err := s.ValidateOps(ops); err != nil {
 		return zero, err
 	}
-	s.beginBatch()
+	s.newGhosts = s.newGhosts[:0]
 	s.applyOps(ops)
 	s.registerSubscriptions(ops)
 	if err := s.resolveNewGhosts(); err != nil {
@@ -594,14 +533,13 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	if err != nil {
 		return zero, err
 	}
-	s.finishBatch()
 	var localQ float64
 	if s.st.m2 > 0 {
 		localQ = s.st.localModularity()
 	}
+	// Moved is already a world total: the clustering loop reduced it.
 	stats, err := comm.AllreduceUpdateStats(s.c, comm.UpdateStats{
-		Moved:   s.batchMoved,
-		Touched: s.batchTouched,
+		Touched: s.drainSeen(),
 		Q:       localQ,
 	})
 	if err != nil {
@@ -611,7 +549,7 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	s.driftQ += math.Abs(s.q - qBefore)
 	s.driftTouch += float64(stats.Touched) / float64(s.n)
 	return UpdateResult{
-		Moved:    stats.Moved,
+		Moved:    res.Moved,
 		Touched:  stats.Touched,
 		Q:        s.q,
 		Iters:    res.Iters,
@@ -619,32 +557,28 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	}, nil
 }
 
-// beginBatch resets the per-batch scratch (O(touched) from the last batch).
-// Pending activations deliberately survive across batches: label changes in
-// a batch's final iteration activate neighbors that the next batch's sweep
-// picks up.
-func (s *Session) beginBatch() {
-	s.batchMoved, s.batchTouched = 0, 0
-	for _, v := range s.touchList {
-		s.touchMark[v] = false
-	}
-	s.touchList = s.touchList[:0]
-	for i := range s.hubActive {
-		s.hubActive[i] = false
-	}
-	s.newGhosts = s.newGhosts[:0]
-}
-
-// finishBatch drains the final iteration's replicated hub moves (their
-// neighbor activations persist into the next batch) and folds active hubs
-// into the touched count (each counted by its owner).
-func (s *Session) finishBatch() {
-	s.processMovedHubs()
-	for hi, a := range s.hubActive {
-		if a && s.sg.Hubs[hi]%s.p == s.rnk {
-			s.batchTouched++
+// drainSeen counts and clears the stage's evaluated marks: the distinct
+// vertices this batch's sweeps re-examined, each hub counted by its owner.
+// Armed flags deliberately survive across batches: label changes in a
+// batch's final iteration arm neighbours that the next batch's sweep picks
+// up.
+func (s *Session) drainSeen() int64 {
+	seen, n := s.st.seen, int64(0)
+	for _, u := range s.sg.Owned {
+		if seen[u] {
+			seen[u] = false
+			n++
 		}
 	}
+	for _, h := range s.sg.Hubs {
+		if seen[h] {
+			seen[h] = false
+			if h%s.p == s.rnk {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // applyOps mutates the subgraph and the stage's bookkeeping for one
@@ -675,8 +609,8 @@ func (s *Session) applyOps(ops []EdgeOp) {
 // may live on a different rank than its Build-time twin, and the kernels
 // only ever sum entries, so entry multiplicity is benign.
 func (s *Session) applyArc(x, y int, w float64, del bool) {
-	sg := s.sg
-	if hi, hub := s.hubIndex(x); hub {
+	sg, st := s.sg, s.st
+	if hi, hub := st.hubIndex(x); hub {
 		if del {
 			sg.AdjHub[hi] = dropArcs(sg.AdjHub[hi], y)
 		} else if y%s.p == s.rnk {
@@ -699,14 +633,14 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 		return
 	}
 	sg.AdjOwned[i] = upsertArc(sg.AdjOwned[i], y, w)
-	if _, hub := s.hubIndex(y); hub {
-		s.addRev(y, x)
+	if _, hub := st.hubIndex(y); hub {
+		st.addRev(y, x)
 		return
 	}
 	if y%s.p != s.rnk {
 		sg.AddGhost(y)
-		s.addRev(y, x)
-		if s.st.comm[y] < 0 {
+		st.addRev(y, x)
+		if st.comm[y] < 0 {
 			s.newGhosts = append(s.newGhosts, y)
 		}
 	}
@@ -719,7 +653,7 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 // the batch (derivable locally because the batch is replicated).
 func (s *Session) adjustDegree(x int, dw float64) {
 	st, sg := s.st, s.sg
-	if hi, hub := s.hubIndex(x); hub {
+	if hi, hub := st.hubIndex(x); hub {
 		sg.HubWDeg[hi] += dw
 		if x%s.p == s.rnk {
 			st.addDelta(int(st.comm[x]), dw, 0)
@@ -754,10 +688,10 @@ func (s *Session) subscribeFor(x, y int) {
 	if y%s.p != s.rnk {
 		return
 	}
-	if _, hub := s.hubIndex(y); hub {
+	if _, hub := s.st.hubIndex(y); hub {
 		return
 	}
-	if _, hub := s.hubIndex(x); hub {
+	if _, hub := s.st.hubIndex(x); hub {
 		return // hub arcs to y live on this rank already
 	}
 	if r := x % s.p; r != s.rnk {
@@ -786,7 +720,7 @@ func (s *Session) resolveNewGhosts() error {
 	return nil
 }
 
-// seedFromOps activates every vertex within Options.UpdateKHops hops of a
+// seedFromOps arms every vertex within Options.UpdateKHops hops of a
 // changed edge: a distributed BFS of exactly k synchronized rounds (one
 // all-to-all per round, so all ranks stay collective-symmetric). Reached
 // low vertices are routed to their owners; reached hubs are broadcast so
@@ -802,13 +736,13 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 		}
 		s.bfsMark[x] = true
 		s.bfsList = append(s.bfsList, x)
-		if hi, hub := s.hubIndex(x); hub {
-			s.hubActive[hi] = true
+		if hi, hub := st.hubIndex(x); hub {
+			st.hubActive[hi] = true
 			hubFrontier = append(hubFrontier, hi)
 			return
 		}
 		if x%s.p == s.rnk {
-			s.pend(x)
+			st.active[x] = true
 			frontier = append(frontier, x)
 		}
 	}
@@ -824,7 +758,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 			targets[r] = targets[r][:0]
 		}
 		route := func(t int) {
-			if _, hub := s.hubIndex(t); hub {
+			if _, hub := st.hubIndex(t); hub {
 				for r := 0; r < s.p; r++ {
 					targets[r] = append(targets[r], t)
 				}
@@ -887,147 +821,6 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 	}
 	s.bfsList = s.bfsList[:0]
 	return nil
-}
-
-// sweepActive is the stage's sweepFn: one Gauss-Seidel pass over the drained
-// active set (sorted, so the visit order — and therefore the float state —
-// is identical regardless of how activations arrived), followed by the
-// regular parallel hub-proposal kernel restricted by hubActive.
-func (s *Session) sweepActive() ([]hubProposal, int) {
-	st := s.st
-	s.processMovedHubs()
-	st.changed = st.changed[:0]
-	cur := s.curActive[:0]
-	for _, v := range s.pendList {
-		s.pendMark[v] = false
-		cur = append(cur, v)
-	}
-	s.pendList = s.pendList[:0]
-	sort.Ints(cur)
-	s.curActive = cur
-
-	moved := 0
-	acc := st.accs[0]
-	work := int64(0)
-	for _, u := range cur {
-		i, ok := s.sg.OwnedIndex(u)
-		if !ok {
-			continue
-		}
-		s.touch(u)
-		ku := s.sg.OwnedWDeg[i]
-		adj := s.sg.AdjOwned[i]
-		work += int64(len(adj)) + 4
-		target, ok := st.bestMove(u, ku, adj, acc)
-		if !ok {
-			continue
-		}
-		cu := int(st.comm[u])
-		st.comm[u] = int32(target)
-		st.applyLocalMove(cu, target, ku)
-		st.changed = append(st.changed, u)
-		moved++
-		s.batchMoved++
-		// The move changes u's and both communities' aggregates: re-examine
-		// u and its local neighbors next iteration. Remote neighbors are
-		// activated by their own ranks when u's new label arrives
-		// (onGhostChanged), and neighboring hubs propose from every rank
-		// that holds a share.
-		s.pend(u)
-		for _, a := range adj {
-			t := a.To
-			if t == u {
-				continue
-			}
-			if hi, hub := s.hubIndex(t); hub {
-				s.hubActive[hi] = true
-				continue
-			}
-			if t%s.p == s.rnk {
-				s.pend(t)
-			}
-		}
-	}
-
-	st.pool.ParFor(st.hubChunks, st.hubKernel)
-	for c := 0; c < st.hubChunks; c++ {
-		work += st.chunkArcs[c]
-	}
-	st.addWork(trace.FindBest, work)
-	return st.props, moved
-}
-
-// processMovedHubs drains the previous iteration's replicated hub moves:
-// each counts toward the owner's move statistic and activates the hub's
-// local neighborhood (owned neighbors via rev, neighboring hubs via the
-// local share) for the next sweep.
-func (s *Session) processMovedHubs() {
-	st := s.st
-	for _, hi := range st.movedHubs {
-		h := s.sg.Hubs[hi]
-		if h%s.p == s.rnk {
-			s.batchMoved++
-		}
-		s.hubActive[hi] = true
-		for _, u := range s.rev[h] {
-			s.pend(u)
-		}
-		for _, a := range s.sg.AdjHub[hi] {
-			if hj, hub := s.hubIndex(a.To); hub {
-				s.hubActive[hj] = true
-			}
-		}
-	}
-	st.movedHubs = st.movedHubs[:0]
-}
-
-// onGhostChanged is the stage's ghost-swap hook: a remote vertex's label
-// changed, so the owned vertices adjacent to it re-evaluate next iteration.
-func (s *Session) onGhostChanged(v int) {
-	for _, u := range s.rev[v] {
-		s.pend(u)
-	}
-}
-
-// pend schedules owned vertex v for the next incremental sweep (idempotent).
-func (s *Session) pend(v int) {
-	if s.pendMark[v] {
-		return
-	}
-	s.pendMark[v] = true
-	s.pendList = append(s.pendList, v)
-}
-
-// touch counts owned vertex v once per batch for the drift statistic.
-func (s *Session) touch(v int) {
-	if s.touchMark[v] {
-		return
-	}
-	s.touchMark[v] = true
-	s.touchList = append(s.touchList, v)
-	s.batchTouched++
-}
-
-// hubIndex returns v's index in the (sorted, replicated) hub directory.
-func (s *Session) hubIndex(v int) (int, bool) {
-	hubs := s.sg.Hubs
-	i := sort.SearchInts(hubs, v)
-	if i < len(hubs) && hubs[i] == v {
-		return i, true
-	}
-	return 0, false
-}
-
-// addRev records owned vertex u as an activation target of non-owned vertex
-// t (duplicate-free; the lists are per-vertex neighborhoods, so the linear
-// scan is cheap).
-func (s *Session) addRev(t, u int) {
-	for _, x := range s.rev[t] {
-		if x == u {
-			return
-		}
-	}
-	s.rev[t] = append(s.rev[t], u)
 }
 
 // upsertArc returns a copy of adj with weight w added to the entry for y

@@ -149,21 +149,27 @@ type stage struct {
 	hubKernel func(chunk, worker int)
 	hubChunks int
 
-	// Incremental-session hooks (session.go). All nil/empty in batch runs,
-	// so the batch solver's behavior and message schedule are untouched.
-	//
-	// sweepFn, when set, replaces sweep() in the clustering loop (the
-	// session points it at an active-set-restricted sweep). hubActive, when
-	// non-nil, restricts hubKernel to the flagged hub indices — inactive
-	// hubs propose negInf and therefore never move. movedHubs records the
-	// hub indices delegateExchange moved this iteration (replicated: every
-	// rank applies identical hub moves). onGhostChange is called by
-	// ghostSwap for each ghost whose label changed (the session activates
-	// the ghost's local neighbors with it).
-	sweepFn       func() ([]hubProposal, int)
-	hubActive     []bool
-	movedHubs     []int
-	onGhostChange func(v int)
+	// Active-set sweep (docs/PERFORMANCE.md, "Active-set sweep"). active
+	// (by vertex id, read for owned vertices only) and hubActive (by hub
+	// index, per rank) flag what the next sweep evaluates: a new stage starts
+	// fully armed, sweep clears a flag as it evaluates, and a label change
+	// re-arms the neighbourhood it can affect (arm, armRev). Every arming is
+	// an idempotent set insertion, so frame arrival order cannot show. seen
+	// (by vertex id) records what was evaluated since a Session last cleared
+	// it: its per-batch drift statistic.
+	active    []bool
+	hubActive []bool
+	seen      []bool
+
+	// hubIdx maps a vertex id to its index in sg.Hubs (-1 = not a hub); nil
+	// when the stage has no hubs. revOff/revAdj are the reverse index: the
+	// owned neighbours of ghost or hub t are revAdj[revOff[t]:revOff[t+1]],
+	// built once per stage and again after a migration event (buildRev).
+	// Arcs a Session inserts later go to the revMore overflow (addRev).
+	hubIdx  []int32
+	revOff  []int32
+	revAdj  []int32
+	revMore map[int][]int32
 
 	// qKernel/qChunks: the globalModularity arc-scan kernel over the
 	// concatenated owned+hub index space, likewise built once per stage.
@@ -260,6 +266,9 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		deltaMark: make([]bool, n),
 		needMark:  make([]bool, n),
 		hubBuf:    wire.NewBuffer(0),
+		active:    make([]bool, n),
+		hubActive: make([]bool, len(sg.Hubs)),
+		seen:      make([]bool, n),
 	}
 	nw := opt.Workers
 	if nw <= 0 {
@@ -299,16 +308,19 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		w := int64(0)
 		acc := s.accs[worker]
 		for i := lo; i < hi; i++ {
-			if s.hubActive != nil && !s.hubActive[i] {
-				// Incremental sessions restrict proposals to active hubs; a
-				// negInf proposal never wins the reduction, so inactive hubs
-				// stay put without perturbing the collective schedule.
+			h := s.sg.Hubs[i]
+			if !s.hubActive[i] {
+				// A negInf proposal never wins the reduction, so a hub no
+				// rank has armed stays put without perturbing the collective
+				// schedule.
 				w++
-				s.props[i] = hubProposal{improvement: negInf, target: int(s.comm[s.sg.Hubs[i]])}
+				s.props[i] = hubProposal{improvement: negInf, target: int(s.comm[h])}
 				continue
 			}
+			s.hubActive[i] = false
+			s.seen[h] = true
 			w += int64(len(s.sg.AdjHub[i])) + 1
-			s.props[i] = s.hubProposal(s.sg.Hubs[i], s.sg.HubWDeg[i], s.sg.AdjHub[i], acc)
+			s.props[i] = s.hubProposal(h, s.sg.HubWDeg[i], s.sg.AdjHub[i], acc)
 		}
 		s.chunkArcs[chunk] = w
 	}
@@ -344,7 +356,105 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	for _, g := range sg.Ghosts {
 		s.comm[g] = int32(g)
 	}
+	if nh > 0 {
+		s.hubIdx = make([]int32, n)
+		fillInt32(s.hubIdx, -1)
+		for i, h := range sg.Hubs {
+			s.hubIdx[h] = int32(i)
+		}
+	}
+	s.buildRev()
+	s.setActive(true)
 	return s
+}
+
+// hubIndex returns v's index in the (sorted, replicated) hub directory.
+func (s *stage) hubIndex(v int) (int, bool) {
+	if s.hubIdx == nil || s.hubIdx[v] < 0 {
+		return 0, false
+	}
+	return int(s.hubIdx[v]), true
+}
+
+// setActive arms (or disarms) every vertex and hub: a new stage and a
+// migration event start from a full sweep, a Session's resident stage from
+// none.
+func (s *stage) setActive(on bool) {
+	for i := range s.active {
+		s.active[i] = on
+	}
+	for i := range s.hubActive {
+		s.hubActive[i] = on
+	}
+}
+
+// buildRev builds the reverse index from the owned adjacency, which is
+// complete, so it covers every (ghost or hub, owned neighbour) pair: one
+// counting pass and one fill pass over the owned arcs, charged as work.
+func (s *stage) buildRev() {
+	foreign := func(t int) bool {
+		_, hub := s.hubIndex(t)
+		return hub || s.ownerOf(t) != s.rnk
+	}
+	off := make([]int32, s.n+2)
+	arcs := int64(0)
+	for _, adj := range s.sg.AdjOwned {
+		for _, a := range adj {
+			if foreign(a.To) {
+				off[a.To+2]++
+			}
+		}
+		arcs += int64(len(adj))
+	}
+	for t := 0; t < s.n; t++ {
+		off[t+2] += off[t+1]
+	}
+	s.revAdj = make([]int32, off[s.n+1])
+	for i, u := range s.sg.Owned {
+		for _, a := range s.sg.AdjOwned[i] {
+			if foreign(a.To) {
+				// The cursor of t lives in off[t+1]; when the fill ends it has
+				// advanced to t+1's start, which is where off[t+1] belongs.
+				s.revAdj[off[a.To+1]] = int32(u)
+				off[a.To+1]++
+			}
+		}
+	}
+	s.revOff = off[:s.n+1]
+	s.addWork(trace.Other, 2*arcs)
+}
+
+// addRev records owned vertex u as a neighbour of ghost or hub t after the
+// index was built (duplicate-free; the lists are per-vertex neighbourhoods,
+// so the linear scans are cheap).
+func (s *stage) addRev(t, u int) {
+	for _, x := range s.revAdj[s.revOff[t]:s.revOff[t+1]] {
+		if int(x) == u {
+			return
+		}
+	}
+	for _, x := range s.revMore[t] {
+		if int(x) == u {
+			return
+		}
+	}
+	if s.revMore == nil {
+		s.revMore = make(map[int][]int32)
+	}
+	s.revMore[t] = append(s.revMore[t], int32(u))
+}
+
+// armRev arms the owned neighbours of ghost or hub t, whose label changed,
+// and returns the fan-in to charge as work.
+func (s *stage) armRev(t int) int64 {
+	near, more := s.revAdj[s.revOff[t]:s.revOff[t+1]], s.revMore[t]
+	for _, u := range near {
+		s.active[u] = true
+	}
+	for _, u := range more {
+		s.active[u] = true
+	}
+	return int64(len(near) + len(more))
 }
 
 // buildQKernel (re)builds the globalModularity arc-scan kernel over the
@@ -498,6 +608,8 @@ type stageResult struct {
 	Q      float64
 	Iters  int
 	QTrace []float64
+	// Moved is the world-wide number of vertex and hub moves of the stage.
+	Moved int64
 	// SimNS is the simulated parallel compute time of the stage in
 	// nanoseconds: Σ over iterations of max-across-ranks work × WorkUnitNS.
 	SimNS int64

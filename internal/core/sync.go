@@ -235,7 +235,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	var rd wire.Reader
 	rd.Reset(win)
 	moved := 0
-	s.movedHubs = s.movedHubs[:0]
+	armed := int64(0)
 	for i, h := range s.sg.Hubs {
 		imp := rd.F64()
 		target := int(rd.Varint())
@@ -256,7 +256,10 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 		k := s.sg.HubWDeg[i]
 		s.comm[h] = int32(target)
 		s.watch(target) // proposed by another rank, so possibly new here
-		s.movedHubs = append(s.movedHubs, i)
+		// Every rank re-examines the hub from its share, the owned vertices
+		// adjacent to it and the hubs its share reaches.
+		s.hubActive[i] = true
+		armed += s.armRev(h) + s.arm(s.sg.AdjHub[i])
 		if s.cached[cur] {
 			s.tot[cur] -= k
 			s.size[cur]--
@@ -274,6 +277,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	if rd.Remaining() > 0 {
 		return 0, s.frameErr("hub-proposal", from.src, errLongFrame)
 	}
+	s.addWork(trace.BroadcastDelegates, armed)
 	return moved, nil
 }
 
@@ -340,8 +344,8 @@ func (s *stage) ghostSwap() error {
 	for r := range s.idPrev {
 		s.idPrev[r] = -1
 	}
-	// changed lists owned vertices in ascending order (sweep and sweepActive
-	// both walk them sorted), so each subscriber's ids are stride-1 deltas.
+	// changed lists owned vertices in ascending order (sweep walks them
+	// sorted), so each subscriber's ids are stride-1 deltas.
 	for _, u := range s.changed {
 		subs := s.sg.Subscribers[u]
 		if len(subs) == 0 {
@@ -362,7 +366,8 @@ func (s *stage) ghostSwap() error {
 	// Stream the inbound label updates: every vertex is published only by
 	// its owner, so the per-source writes to s.comm are disjoint and
 	// arrival-order application is deterministic. A frame may only name
-	// vertices its sender owns and this rank already holds.
+	// vertices its sender owns and this rank already holds. A ghost whose
+	// label changed arms the owned vertices adjacent to it.
 	recvd := int64(0)
 	var rd wire.Reader
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
@@ -374,8 +379,8 @@ func (s *stage) ghostSwap() error {
 			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || s.ownerOf(v) != src {
 				return s.frameErr("ghost-swap", src, rd.Err())
 			}
-			if s.onGhostChange != nil && s.comm[v] != int32(c) {
-				s.onGhostChange(v)
+			if s.comm[v] != int32(c) {
+				recvd += s.armRev(v)
 			}
 			s.comm[v] = int32(c)
 			s.watch(int(c))
