@@ -49,14 +49,7 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		commDL      = flag.Duration("comm-deadline", 0, "per-receive deadline for the rank goroutines; 0 blocks forever (docs/ROBUSTNESS.md)")
-
-		// Mid-solve load rebalancing (docs/PERFORMANCE.md).
-		rebRatio  = flag.Float64("rebalance", 0, "work-imbalance threshold θ > 1 that triggers vertex migration; 0 = off")
-		rebPolicy = flag.String("rebalance-policy", "", "migration policy: greedy|ideal|none (default greedy)")
-		rebHyst   = flag.Int("rebalance-hysteresis", 0, "consecutive over-threshold iterations before migrating (0 = default)")
-		rebCool   = flag.Int("rebalance-cooldown", 0, "minimum iterations between migration events (0 = default)")
-		rebSeed   = flag.Int64("rebalance-seed", 0, "seed passed to the migration policy (0 = default)")
-		events    = flag.Bool("events", false, "stream runtime events (balance ratios, migrations, retries) to stderr")
+		events      = flag.Bool("events", false, "stream runtime events (retries, peer-down, chaos injections) to stderr")
 
 		// Out-of-core mode (docs/PERFORMANCE.md).
 		oocore   = flag.Bool("oocore", false, "partition and solve from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
@@ -122,8 +115,6 @@ func main() {
 	opt := core.Options{
 		P: *p, DHigh: *dhigh, TrackTrace: *showTrace, Resolution: *gamma,
 		TrackLevels: *showLevels, Workers: *workers, CommDeadline: *commDL,
-		RebalanceRatio: *rebRatio, RebalancePolicy: *rebPolicy,
-		RebalanceHysteresis: *rebHyst, RebalanceCooldown: *rebCool, RebalanceSeed: *rebSeed,
 	}
 	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
 		fatal(err)
@@ -163,8 +154,7 @@ func main() {
 		res.Stage1Sim+res.Stage2Sim, res.Stage1Sim, res.Stage2Sim)
 	fmt.Printf("partition census: W=%.4f, max ghosts=%d\n",
 		res.Census.ImbalanceW(), res.Census.MaxGhosts())
-	fmt.Printf("load: balance=%.3f (work max/mean), rebalance events=%d, migrated vertices=%d\n",
-		res.BalanceRatio, res.RebalanceEvents, res.MigratedVertices)
+	fmt.Printf("load: balance=%.3f (work max/mean)\n", res.BalanceRatio)
 	fmt.Printf("communication: %d bytes total, %d bytes max per rank\n",
 		res.CommStats.TotalBytesSent(), res.CommStats.MaxBytesSent())
 

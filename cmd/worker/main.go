@@ -37,15 +37,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "intra-rank workers for ingest and the parallel kernels (0 = automatic, 1 = serial; results are identical)")
 		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
 
-		// Mid-solve load rebalancing (docs/PERFORMANCE.md); all workers must
-		// pass identical values — the plan is computed independently on every
-		// rank from replicated inputs, so divergent knobs diverge the worlds.
-		rebRatio  = flag.Float64("rebalance", 0, "work-imbalance threshold θ > 1 that triggers vertex migration; 0 = off")
-		rebPolicy = flag.String("rebalance-policy", "", "migration policy: greedy|ideal|none (default greedy)")
-		rebHyst   = flag.Int("rebalance-hysteresis", 0, "consecutive over-threshold iterations before migrating (0 = default)")
-		rebCool   = flag.Int("rebalance-cooldown", 0, "minimum iterations between migration events (0 = default)")
-		rebSeed   = flag.Int64("rebalance-seed", 0, "seed passed to the migration policy (0 = default)")
-
 		// Robustness knobs (docs/ROBUSTNESS.md). Workers of one world are
 		// rarely started simultaneously, so dials retry with backoff until
 		// -dial-total; once the world is up, -comm-deadline bounds every
@@ -88,11 +79,7 @@ func main() {
 	}
 	defer ep.Close()
 
-	opt := core.Options{
-		P: len(addrs), CommDeadline: *commDeadline, Workers: *workers,
-		RebalanceRatio: *rebRatio, RebalancePolicy: *rebPolicy,
-		RebalanceHysteresis: *rebHyst, RebalanceCooldown: *rebCool, RebalanceSeed: *rebSeed,
-	}
+	opt := core.Options{P: len(addrs), CommDeadline: *commDeadline, Workers: *workers}
 	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
 		fatal(err)
 	}
@@ -175,8 +162,7 @@ func main() {
 	if workSum > 0 {
 		balance = float64(workMax) * float64(len(addrs)) / float64(workSum)
 	}
-	fmt.Printf("load: balance=%.3f (work max/mean), rebalance events=%d, migrated vertices=%d\n",
-		balance, res.RebalanceEvents, res.MigratedVertices)
+	fmt.Printf("load: balance=%.3f (work max/mean)\n", balance)
 }
 
 func fatal(err error) {

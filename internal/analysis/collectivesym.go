@@ -61,14 +61,8 @@ var collectiveNames = map[string]bool{
 	"AlltoallvInto":       true,
 	"AlltoallvFunc":       true,
 	"Gather":              true,
-	// The per-iteration record reduction, with or without the rebalancer's
-	// work vector.
+	// The per-iteration record reduction.
 	"AllreduceIterStats": true,
-	// Mid-solve load rebalancing. Doubly deadly under rank-dependent
-	// control flow — the migration rounds share one tag and rely on
-	// per-pair FIFO order, so an asymmetric entry desynchronizes the round
-	// framing for the whole world.
-	"MigrationExchange": true,
 	// Resident serving: every rank of a resident world must enter the
 	// per-batch drift reduction, or the update call wedges with some ranks
 	// inside the collective and the rest back in their command loop.

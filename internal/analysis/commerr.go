@@ -52,9 +52,6 @@ var commErrOps = map[string]bool{
 	// plain operations do, so their errors carry the same obligation.
 	"RecvTimeout": true, "Retry": true,
 	"DialTCPWorldConfig": true, "RunWorldChaos": true, "Drain": true,
-	// Mid-solve load rebalancing: a dropped migration error leaves the
-	// world's ownership directories divergent — worse than a crash.
-	"MigrationExchange": true,
 	// Resident serving: the fused drift reduction behind every incremental
 	// update batch. A dropped error here leaves the drift accounting
 	// divergent across ranks, so the fallback decision splits.

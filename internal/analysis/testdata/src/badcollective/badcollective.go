@@ -59,29 +59,7 @@ func RootOnlyStreamingAlltoall(c comm.Comm, out [][]byte) error {
 func EvenRanksFusedReduce(c comm.Comm) (comm.IterStats, error) {
 	me := c.Rank()
 	if me%2 == 0 {
-		return comm.AllreduceIterStats(c, comm.IterStats{Moved: 1}, nil) // want collectivesym
-	}
-	return comm.IterStats{}, nil
-}
-
-// HotRankOnlyMigration covers the load rebalancer (PR 7): a donor-only
-// migration exchange. The four migration rounds share one tag and rely on
-// per-pair FIFO order, so a rank that skips the exchange desynchronizes
-// the round framing for the entire world, not just itself.
-func HotRankOnlyMigration(c comm.Comm, out [][]byte) error {
-	if c.Rank() == 0 {
-		return comm.MigrationExchange(c, out, func(src int, payload []byte) error { return nil }) // want collectivesym
-	}
-	return nil
-}
-
-// DonorsOnlyWorkReduce puts the stats+work reduction that feeds the
-// rebalancing trigger behind a rank-derived condition: ranks that skip it
-// never learn the work vector and diverge on whether to migrate.
-func DonorsOnlyWorkReduce(c comm.Comm, work []int64) (comm.IterStats, error) {
-	donor := c.Rank() < c.Size()/2
-	if donor {
-		return comm.AllreduceIterStats(c, comm.IterStats{}, work) // want collectivesym
+		return comm.AllreduceIterStats(c, comm.IterStats{Moved: 1}) // want collectivesym
 	}
 	return comm.IterStats{}, nil
 }

@@ -82,7 +82,7 @@ func DropStreamingAlltoall(c comm.Comm, out [][]byte) {
 
 // DropFusedReduce blanks the fused per-iteration reduction's error.
 func DropFusedReduce(c comm.Comm) comm.IterStats {
-	st, _ := comm.AllreduceIterStats(c, comm.IterStats{}, nil) // want commerr
+	st, _ := comm.AllreduceIterStats(c, comm.IterStats{}) // want commerr
 	return st
 }
 
@@ -108,12 +108,6 @@ func DropShardedRead(data []byte) *graph.Graph {
 // HandledIngestOK is the control case for graph IO.
 func HandledIngestOK(r io.Reader) (*graph.Graph, error) {
 	return graph.ReadEdgeListParallel(r, 4)
-}
-
-// DropMigration drops the migration exchange's error on the floor: the
-// world's ownership directories diverge silently.
-func DropMigration(c comm.Comm, out [][]byte) {
-	comm.MigrationExchange(c, out, func(src int, payload []byte) error { return nil }) // want commerr
 }
 
 // DropV2Write drops the compressed sharded writer's error (out-of-core

@@ -90,7 +90,7 @@ func StreamingAlltoallInGoroutine(c comm.Comm, out [][]byte) error {
 func FusedReduceInTask(c comm.Comm, p *pool) error {
 	errs := make([]error, 2)
 	p.ParFor(2, func(chunk, worker int) {
-		_, errs[chunk] = comm.AllreduceIterStats(c, comm.IterStats{}, nil) // want collectivesym
+		_, errs[chunk] = comm.AllreduceIterStats(c, comm.IterStats{}) // want collectivesym
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -9,9 +9,8 @@ import (
 
 // Collectives built on point-to-point messaging. All ranks of the world must
 // call the same collective in the same order (bulk-synchronous usage), as
-// with MPI. The personalized exchanges (Alltoallv, AlltoallvFunc,
-// MigrationExchange) live in overlap.go, the fixed-width record reductions
-// in reduce.go.
+// with MPI. The personalized exchanges (Alltoallv, AlltoallvFunc) live in
+// overlap.go, the fixed-width record reductions in reduce.go.
 
 // collStart returns a start timestamp when per-collective trace accounting
 // is enabled and the zero time otherwise, so the disabled path costs one

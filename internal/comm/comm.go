@@ -80,7 +80,6 @@ const (
 	tagAllgather
 	tagAlltoallv
 	tagGather
-	tagMigrate
 )
 
 func checkPeer(c Comm, peer int) error {

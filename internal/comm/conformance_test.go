@@ -325,40 +325,34 @@ func batteryCollectives(c Comm) error {
 		}
 	}
 
-	// Streaming exchanges: every source must be delivered exactly once with
+	// Streaming exchange: every source must be delivered exactly once with
 	// the right payload, own payload first (its fixed position in the
-	// otherwise arrival-ordered callback sequence). The migration exchange
-	// is the same body on its own tag.
-	for _, v := range []struct {
-		name string
-		fn   func(Comm, [][]byte, func(int, []byte) error) error
-	}{{"alltoallv-func", AlltoallvFunc}, {"migration-exchange", MigrationExchange}} {
-		outF := make([][]byte, p)
-		for i := 0; i < p; i++ {
-			outF[i] = payload(v.name, r, i)
+	// otherwise arrival-ordered callback sequence).
+	outF := make([][]byte, p)
+	for i := 0; i < p; i++ {
+		outF[i] = payload("alltoallv-func", r, i)
+	}
+	seen := make([]bool, p)
+	first, calls := -1, 0
+	err = AlltoallvFunc(c, outF, func(src int, pay []byte) error {
+		if first == -1 {
+			first = src
 		}
-		seen := make([]bool, p)
-		first, calls := -1, 0
-		err = v.fn(c, outF, func(src int, pay []byte) error {
-			if first == -1 {
-				first = src
-			}
-			if src < 0 || src >= p || seen[src] {
-				return fmt.Errorf("duplicate or bad src %d", src)
-			}
-			seen[src] = true
-			calls++
-			if want := payload(v.name, src, r); !bytes.Equal(pay, want) {
-				return fmt.Errorf("from %d got %q want %q", src, pay, want)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%s: rank %d: %w", v.name, r, err)
+		if src < 0 || src >= p || seen[src] {
+			return fmt.Errorf("duplicate or bad src %d", src)
 		}
-		if calls != p || first != r {
-			return fmt.Errorf("%s: rank %d calls=%d first=%d, want %d calls and self first", v.name, r, calls, first, p)
+		seen[src] = true
+		calls++
+		if want := payload("alltoallv-func", src, r); !bytes.Equal(pay, want) {
+			return fmt.Errorf("from %d got %q want %q", src, pay, want)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("alltoallv-func: rank %d: %w", r, err)
+	}
+	if calls != p || first != r {
+		return fmt.Errorf("alltoallv-func: rank %d calls=%d first=%d, want %d calls and self first", r, calls, first, p)
 	}
 
 	// Scratch-reusing allgather, twice through the same scratch to prove a
@@ -408,10 +402,9 @@ func batteryCollectives(c Comm) error {
 // batteryFusedRecord is the operand-order proof of the fixed-width record
 // reduction, stated once: over seeded float inputs whose sum depends on the
 // association (magnitudes spread across thirty decades), every lane of a
-// fused record is bit-equal to the one-lane reduction of the same values,
-// with and without the work-vector tail, and the tail reassembles every
-// rank's slot. TestConformance runs it at power-of-two and other world sizes
-// so the fold and unfold legs of the reduction tree are covered.
+// fused record is bit-equal to the one-lane reduction of the same values.
+// TestConformance runs it at power-of-two and other world sizes so the fold
+// and unfold legs of the reduction tree are covered.
 func batteryFusedRecord(c Comm) error {
 	p, r := c.Size(), c.Rank()
 	rng := rand.New(rand.NewSource(int64(1000*p + r)))
@@ -440,43 +433,14 @@ func batteryFusedRecord(c Comm) error {
 		if touched, err = AllreduceInt64Sum(c, v.CommNS); err != nil {
 			return err
 		}
-		mine := make([]byte, 8)
-		binary.LittleEndian.PutUint64(mine, uint64(v.Work))
-		works, err := Allgather(c, mine)
+		got, err := AllreduceIterStats(c, v)
 		if err != nil {
 			return err
 		}
-
-		same := func(name string, got IterStats) error {
-			if got.Moved != want.Moved || got.Work != want.Work || got.CommNS != want.CommNS ||
-				math.Float64bits(got.Q) != math.Float64bits(want.Q) {
-				return fmt.Errorf("%s: p=%d rank %d round %d: fused %+v (Q %x), lane by lane %+v (Q %x)",
-					name, p, r, round, got, math.Float64bits(got.Q), want, math.Float64bits(want.Q))
-			}
-			return nil
-		}
-		got, err := AllreduceIterStats(c, v, nil)
-		if err == nil {
-			err = same("iterstats", got)
-		}
-		if err != nil {
-			return err
-		}
-		workVec := make([]int64, p)
-		for i := range workVec {
-			workVec[i] = -1 // prior contents must be ignored
-		}
-		got, err = AllreduceIterStats(c, v, workVec)
-		if err == nil {
-			err = same("iterstats+work", got)
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < p; i++ {
-			if w := int64(binary.LittleEndian.Uint64(works[i])); workVec[i] != w {
-				return fmt.Errorf("iterstats+work: p=%d rank %d slot %d got %d want %d", p, r, i, workVec[i], w)
-			}
+		if got.Moved != want.Moved || got.Work != want.Work || got.CommNS != want.CommNS ||
+			math.Float64bits(got.Q) != math.Float64bits(want.Q) {
+			return fmt.Errorf("iterstats: p=%d rank %d round %d: fused %+v (Q %x), lane by lane %+v (Q %x)",
+				p, r, round, got, math.Float64bits(got.Q), want, math.Float64bits(want.Q))
 		}
 		us, err := AllreduceUpdateStats(c, UpdateStats{Moved: v.Moved, Touched: v.CommNS, Q: v.Q})
 		if err != nil {

@@ -14,12 +14,12 @@ import (
 //
 // Determinism: results are indexed by source rank, so callers observe the
 // same (src, payload) mapping no matter in which order frames arrive. The
-// streaming forms (AlltoallvFunc, MigrationExchange) hand payloads to a
-// callback in arrival order; that is safe exactly when the callback's
-// effect is independent of invocation order (disjoint writes per source
-// rank, or order-insensitive combining). docs/PERFORMANCE.md catalogs
-// which core exchanges qualify and how the order-sensitive ones
-// (floating-point accumulation) buffer per source and apply in rank order.
+// streaming form (AlltoallvFunc) hands payloads to a callback in arrival
+// order; that is safe exactly when the callback's effect is independent of
+// invocation order (disjoint writes per source rank, or order-insensitive
+// combining). docs/PERFORMANCE.md catalogs which core exchanges qualify and
+// how the order-sensitive ones (floating-point accumulation) buffer per
+// source and apply in rank order.
 
 // Alltoallv performs a personalized all-to-all exchange: out[i] is sent to
 // rank i, and the returned slice holds in[i] received from rank i. out must
@@ -81,32 +81,18 @@ func AlltoallvInto(c Comm, out, in [][]byte) ([][]byte, error) {
 // If fn returns an error, remaining payloads are drained without further
 // callbacks and the first error is returned.
 func AlltoallvFunc(c Comm, out [][]byte, fn func(src int, payload []byte) error) error {
-	return streamExchange(c, tagAlltoallv, trace.CollAlltoallv, out, fn)
-}
-
-// MigrationExchange is AlltoallvFunc for the mid-solve vertex-migration
-// rounds (docs/PERFORMANCE.md, "Dynamic load rebalancing"): the same
-// streaming exchange on its own tag, so migration frames can never be
-// confused with the per-iteration alltoallv traffic, and accounted as its
-// own kind (trace.CollMigrate) in the census.
-func MigrationExchange(c Comm, out [][]byte, fn func(src int, payload []byte) error) error {
-	return streamExchange(c, tagMigrate, trace.CollMigrate, out, fn)
-}
-
-func streamExchange(c Comm, tag int, kind trace.Collective, out [][]byte, fn func(src int, payload []byte) error) error {
 	p := c.Size()
 	if len(out) != p {
-		return fmt.Errorf("comm: %v exchange needs %d buffers, got %d", kind, p, len(out))
+		return fmt.Errorf("comm: AlltoallvFunc needs %d buffers, got %d", p, len(out))
 	}
 	r := c.Rank()
 	if p == 1 {
 		return fn(r, out[r])
 	}
-	defer collDone(kind, collStart(), framesLen(out))
+	defer collDone(trace.CollAlltoallv, collStart(), framesLen(out))
 	for step := 1; step < p; step++ {
 		dst := (r + step) % p
-		//lint:ignore tagconst both exported callers pass a registry constant
-		if err := c.Send(dst, tag, out[dst]); err != nil {
+		if err := c.Send(dst, tagAlltoallv, out[dst]); err != nil {
 			return err
 		}
 	}
@@ -125,8 +111,7 @@ func streamExchange(c Comm, tag int, kind trace.Collective, out [][]byte, fn fun
 	for step := 1; step < p; step++ {
 		src := (r - step + p) % p
 		go func(src int) {
-			//lint:ignore tagconst both exported callers pass a registry constant
-			got, err := c.Recv(src, tag)
+			got, err := c.Recv(src, tagAlltoallv)
 			ch <- arrival{src: src, data: got, err: err}
 		}(src)
 	}

@@ -26,10 +26,9 @@ const (
 
 // allreduceRecord reduces rec across all ranks in a single collective and
 // overwrites it with the world result. rec holds the lanes as raw bits
-// (int64 or math.Float64bits); lane i combines by ops[i] and every lane
-// past len(ops) — the optional tail — by int64 max. Every rank must pass
-// the same ops and the same len(rec). A peer frame of any other length is
-// an error naming both lengths, never a partial combine.
+// (int64 or math.Float64bits); lane i combines by ops[i], and len(ops) ==
+// len(rec). Every rank must pass the same ops. A peer frame of any other
+// length is an error naming both lengths, never a partial combine.
 func allreduceRecord(c Comm, ops []laneOp, rec []uint64) error {
 	want := 8 * len(rec)
 	buf := wire.NewBuffer(want)
@@ -50,11 +49,7 @@ func allreduceRecord(c Comm, ops []laneOp, rec []uint64) error {
 		s := wire.NewBuffer(want)
 		for i := range rec {
 			x, y := ra.U64(), rb.U64()
-			op := laneMaxI64
-			if i < len(ops) {
-				op = ops[i]
-			}
-			switch op {
+			switch ops[i] {
 			case laneSumI64:
 				x += y
 			case laneMaxI64:
@@ -127,26 +122,10 @@ type IterStats struct {
 var iterStatsOps = []laneOp{laneSumI64, laneMaxI64, laneMaxI64, laneSumF64}
 
 // AllreduceIterStats reduces v across all ranks in a single collective.
-// With a non-nil work (length Size(), prior contents ignored) the same
-// collective also replicates every rank's Work value — work[r] = rank r's
-// contribution — for the mid-solve rebalancer: each rank fills only its own
-// slot of the record's tail, and the tail's elementwise max reassembles the
-// vector. The scalar results do not depend on whether work is passed.
-func AllreduceIterStats(c Comm, v IterStats, work []int64) (IterStats, error) {
-	if work != nil && len(work) != c.Size() {
-		return IterStats{}, fmt.Errorf("comm: AllreduceIterStats needs a work vector of length %d, got %d", c.Size(), len(work))
-	}
-	n := len(iterStatsOps)
-	rec := make([]uint64, n+len(work))
-	rec[0], rec[1], rec[2], rec[3] = uint64(v.Moved), uint64(v.Work), uint64(v.CommNS), math.Float64bits(v.Q)
-	if work != nil {
-		rec[n+c.Rank()] = uint64(v.Work)
-	}
-	if err := allreduceRecord(c, iterStatsOps, rec); err != nil {
+func AllreduceIterStats(c Comm, v IterStats) (IterStats, error) {
+	rec := [4]uint64{uint64(v.Moved), uint64(v.Work), uint64(v.CommNS), math.Float64bits(v.Q)}
+	if err := allreduceRecord(c, iterStatsOps, rec[:]); err != nil {
 		return IterStats{}, err
-	}
-	for i := range work {
-		work[i] = int64(rec[n+i])
 	}
 	return IterStats{Moved: int64(rec[0]), Work: int64(rec[1]), CommNS: int64(rec[2]), Q: math.Float64frombits(rec[3])}, nil
 }

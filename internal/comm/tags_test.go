@@ -14,7 +14,6 @@ var registeredTags = map[string]int{
 	"tagAllgather": tagAllgather,
 	"tagAlltoallv": tagAlltoallv,
 	"tagGather":    tagGather,
-	"tagMigrate":   tagMigrate,
 }
 
 // TestTagRegistry asserts the two registry invariants: every collective

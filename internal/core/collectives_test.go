@@ -24,26 +24,17 @@ import (
 // requests ride the flush frames.) Any regression that reintroduces a
 // separate per-iteration reduction — or sneaks in an extra exchange —
 // shifts the count and fails here.
+//
+// The test solves the golden fixture and records MsgsSent per rank and stage
+// at each iteration hook: the delta between consecutive iterations of the
+// same stage is exactly one iteration's traffic (stage setup and merge frames
+// fall between stages, never between iterations).
 func TestIterationSingleAllreduce(t *testing.T) {
-	assertIterationBudget(t, Options{P: 4, Partitioning: partition.OneD}, func(*stage) bool { return true })
-}
-
-// assertIterationBudget solves the golden fixture at P=4 and requires every
-// iteration of every stage accepted by keep to send exactly 11 messages per
-// rank. It records MsgsSent per rank and stage at each iteration hook: the
-// delta between consecutive iterations of the same stage is exactly one
-// iteration's traffic (stage setup and merge frames fall between stages,
-// never between iterations).
-func assertIterationBudget(t *testing.T, opt Options, keep func(*stage) bool) {
-	t.Helper()
 	const p = 4
 	const want = 3*(p-1) + 2
 	var mu sync.Mutex
 	recs := make(map[*stage][]int64)
 	testIterHook = func(s *stage, iter int, q float64) error {
-		if s.p != p || !keep(s) {
-			return nil
-		}
 		snap := s.c.Stats().Snapshot()
 		mu.Lock()
 		recs[s] = append(recs[s], snap.MsgsSent)
@@ -51,7 +42,7 @@ func assertIterationBudget(t *testing.T, opt Options, keep func(*stage) bool) {
 		return nil
 	}
 	defer func() { testIterHook = nil }()
-	if _, err := Run(goldenGraph(t), opt); err != nil {
+	if _, err := Run(goldenGraph(t), Options{P: p, Partitioning: partition.OneD}); err != nil {
 		t.Fatal(err)
 	}
 	pairs := 0
@@ -75,37 +66,32 @@ func assertIterationBudget(t *testing.T, opt Options, keep func(*stage) bool) {
 // here while Q and the membership stay put. They were re-recorded when the
 // per-iteration aggregate pull became standing watches (PR 14), every row
 // at or below the pull's in both columns, and again when the sweep became
-// the active-set sweep (PR 18): the hub rows and the migrating 1-D row
-// converge over different iterations, the no-hub rows did not move
-// (CHANGES.md has the old rows of both). The
-// fixture's default hub threshold yields no hubs, so the delegate rows set
-// DHigh = 8 (24 hubs) to put the hub-proposal allreduce on the wire; P = 3
-// covers the reduction's fold/unfold legs and the RebalanceRatio rows the
-// record's work-vector tail plus two migration events.
+// the active-set sweep (PR 18): the hub rows converge over different
+// iterations, the no-hub rows did not move (CHANGES.md has the old rows of
+// both). The fixture's default hub threshold yields no hubs, so the delegate
+// rows set DHigh = 8 (24 hubs) to put the hub-proposal allreduce on the wire;
+// P = 3 covers the reduction's fold/unfold legs.
 func TestGoldenTraffic(t *testing.T) {
 	g := goldenGraph(t)
 	for _, tc := range []struct {
 		kind        partition.Kind
 		p, dhigh    int
-		rebalance   float64
 		msgs, bytes int64
 	}{
-		{partition.Delegate, 1, 0, 0, 0, 0},
-		{partition.Delegate, 2, 0, 0, 146, 4496},
-		{partition.Delegate, 4, 0, 0, 912, 12295},
-		{partition.Delegate, 1, 8, 0, 0, 0},
-		{partition.Delegate, 2, 8, 0, 170, 9579},
-		{partition.Delegate, 3, 8, 0, 466, 15223},
-		{partition.Delegate, 4, 8, 0, 708, 21586},
-		{partition.Delegate, 4, 8, 1.01, 708, 23378},
-		{partition.OneD, 1, 0, 0, 0, 0},
-		{partition.OneD, 2, 0, 0, 146, 4496},
-		{partition.OneD, 3, 0, 0, 498, 8103},
-		{partition.OneD, 4, 0, 0, 912, 12295},
-		{partition.OneD, 4, 0, 1.01, 1032, 15588},
+		{partition.Delegate, 1, 0, 0, 0},
+		{partition.Delegate, 2, 0, 146, 4496},
+		{partition.Delegate, 4, 0, 912, 12295},
+		{partition.Delegate, 1, 8, 0, 0},
+		{partition.Delegate, 2, 8, 170, 9579},
+		{partition.Delegate, 3, 8, 466, 15223},
+		{partition.Delegate, 4, 8, 708, 21586},
+		{partition.OneD, 1, 0, 0, 0},
+		{partition.OneD, 2, 0, 146, 4496},
+		{partition.OneD, 3, 0, 498, 8103},
+		{partition.OneD, 4, 0, 912, 12295},
 	} {
-		name := fmt.Sprintf("%v/p=%d/dhigh=%d/rebalance=%v", tc.kind, tc.p, tc.dhigh, tc.rebalance)
-		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh, RebalanceRatio: tc.rebalance})
+		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
+		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -173,6 +173,9 @@ func TestGoldenEndToEnd(t *testing.T) {
 					}
 				}
 				check("inproc", res.Modularity, res.Membership)
+				if p > 1 && res.BalanceRatio < 1 {
+					t.Errorf("BalanceRatio = %g, want >= 1 (work max over work mean)", res.BalanceRatio)
+				}
 				tcpM, tcpQ := runTCPRanks(t, g, opt)
 				check("tcp", tcpQ, tcpM)
 			})

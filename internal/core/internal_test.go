@@ -94,9 +94,14 @@ func TestResolveQueries(t *testing.T) {
 	err := comm.RunWorld(4, func(c comm.Comm) error {
 		s := stageOf(c)
 		defer s.close()
-		// lookup(x) = x*10 computed at owner x%4
+		// lookup(x) = x*10, evaluated at owner x%4 and nowhere else.
 		queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
-		res, err := s.resolveQueries(queries, func(x int) int { return x % 4 }, func(x int) int { return x * 10 })
+		res, err := s.resolveQueries(queries, func(x int) int {
+			if x%4 != c.Rank() {
+				t.Errorf("rank %d asked to look up %d, which rank %d owns", c.Rank(), x, x%4)
+			}
+			return x * 10
+		})
 		if err != nil {
 			return err
 		}
@@ -117,7 +122,7 @@ func TestResolveQueriesEmpty(t *testing.T) {
 	err := comm.RunWorld(3, func(c comm.Comm) error {
 		s := stageOf(c)
 		defer s.close()
-		res, err := s.resolveQueries(nil, func(x int) int { return x % 3 }, func(x int) int { return x })
+		res, err := s.resolveQueries(nil, func(x int) int { return x })
 		if err != nil {
 			return err
 		}

@@ -168,7 +168,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		b := s.sendBufs[r]
 		for _, c := range ids {
 			d := int32(-1) // requested an empty or foreign community: must not happen for labels in use
-			if c >= 0 && c < s.n && c%s.p == s.rnk {
+			if c >= 0 && c < s.n && s.owns(c) {
 				d = ms.denseOwn[c/s.p]
 			}
 			b.PutVarint(int64(d))
@@ -439,7 +439,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	for i := 0; i < mr; i++ {
 		if cv := ms.xB[i]; cv != prev {
 			prev = cv
-			if int(cv)%s.p != s.rnk {
+			if !s.owns(int(cv)) {
 				nGhost++
 			}
 		}
@@ -449,7 +449,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	for i := 0; i < mr; i++ {
 		if cv := ms.xB[i]; cv != prev {
 			prev = cv
-			if int(cv)%s.p != s.rnk {
+			if !s.owns(int(cv)) {
 				ghosts = append(ghosts, int(cv))
 			}
 		}
@@ -498,7 +498,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 				ms.wA[outPos] = w
 				outPos++
 				wdeg += w
-				if d := int(cv) % s.p; d != s.rnk && s.p <= 64 {
+				if d := ownerOf(int(cv), s.p); d != s.rnk && s.p <= 64 {
 					mask |= 1 << uint(d)
 				}
 			}
@@ -569,7 +569,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		for row := 0; row < rowsLocal; row++ {
 			cnt := 0
 			for _, a := range ns.AdjOwned[row] {
-				if d := a.To % s.p; d != s.rnk && !ms.subMark[d] {
+				if d := ownerOf(a.To, s.p); d != s.rnk && !ms.subMark[d] {
 					ms.subMark[d] = true
 					cnt++
 				}
@@ -690,23 +690,21 @@ func scatterFused(x, y []int32, w []float64, lo, hi int, p, rowsCap int32, h []i
 	}
 }
 
-// resolveQueries maps each query x to lookup(x) evaluated on the rank
-// route(x) that currently owns x (the stage's ownerOf — static x mod P
-// until a migration builds the directory), via a request/reply all-to-all
-// exchange. Both legs stream: each request frame is answered as it arrives
-// (the reply for source r depends only on r's frame), and each reply is
-// scattered into the result as it lands (pos buckets are disjoint), so all
-// decode/encode work overlaps in-flight traffic. The request routing slices
-// and both legs' encode buffers are pooled on the stage, so repeated calls
-// (one per merge level, one per update batch, one per install) allocate
-// only the result slice.
-func (s *stage) resolveQueries(queries []int, route, lookup func(int) int) ([]int, error) {
+// resolveQueries maps each query x to lookup(x) evaluated on the rank that
+// owns x, via a request/reply all-to-all exchange. Both legs stream: each
+// request frame is answered as it arrives (the reply for source r depends
+// only on r's frame), and each reply is scattered into the result as it
+// lands (pos buckets are disjoint), so all decode/encode work overlaps
+// in-flight traffic. The request routing slices and both legs' encode
+// buffers are pooled on the stage, so repeated calls (one per merge level,
+// one per update batch, one per install) allocate only the result slice.
+func (s *stage) resolveQueries(queries []int, lookup func(int) int) ([]int, error) {
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
 		s.rqPos[r] = s.rqPos[r][:0]
 	}
 	for i, x := range queries {
-		o := route(x)
+		o := ownerOf(x, s.p)
 		s.rqReqs[o] = append(s.rqReqs[o], x)
 		s.rqPos[o] = append(s.rqPos[o], i)
 	}

@@ -215,7 +215,7 @@ func (s *stage) allowMove(cu, target int) bool {
 	case HeuristicStrict:
 		return target < cu
 	default: // HeuristicEnhanced
-		if s.commOwner(target) == s.rnk {
+		if s.owns(target) {
 			return true
 		}
 		return target < cu
@@ -244,7 +244,7 @@ func (s *stage) pickCandidate(cu int, cands []int) int {
 func (s *stage) pickEnhanced(cands []int) int {
 	localBest, multiBest := -1, -1
 	for _, c := range cands {
-		if s.commOwner(c) == s.rnk {
+		if s.owns(c) {
 			if localBest < 0 {
 				localBest = c
 			}

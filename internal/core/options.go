@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/partition"
-	"repro/internal/rebalance"
 )
 
 // Heuristic selects the tie-breaking/convergence rule for community moves.
@@ -123,31 +122,6 @@ type Options struct {
 	// comm.ErrTimeout instead of hanging the world on a dead or wedged
 	// peer. 0 keeps unbounded blocking. See docs/ROBUSTNESS.md.
 	CommDeadline time.Duration
-	// RebalanceRatio enables mid-solve vertex migration: when the
-	// per-iteration work-max/work-mean ratio across ranks reaches this
-	// threshold (θ > 1) for RebalanceHysteresis consecutive iterations, the
-	// ranks migrate owned vertices from hot ranks to cold ones between
-	// iterations. 0 disables rebalancing entirely — the solver is then
-	// byte-identical to builds without the feature. See
-	// docs/PERFORMANCE.md, "Dynamic load rebalancing".
-	RebalanceRatio float64
-	// RebalancePolicy selects the migration policy by name
-	// (rebalance.ByName): "greedy" (default), "ideal", or "none". Any fixed
-	// (policy, seed) pair is bit-identical across worker counts and
-	// transports.
-	RebalancePolicy string
-	// RebalanceHysteresis is the number of consecutive over-threshold
-	// iterations required before a migration fires (default 2), so a
-	// single-iteration spike does not trigger a move.
-	RebalanceHysteresis int
-	// RebalanceCooldown is the minimum number of iterations between two
-	// migration events (default 3), giving the solver time to re-measure
-	// the balance the previous event produced.
-	RebalanceCooldown int
-	// RebalanceSeed is passed to the policy's Plan call; part of the
-	// deterministic plan contract (same trigger + same seed + same work
-	// vector ⇒ same plan on every rank). Defaults to 1.
-	RebalanceSeed int64
 	// UpdateKHops bounds the incremental re-clustering of a Session update:
 	// the sweep queue is seeded with the vertices within this many hops of
 	// any changed edge's endpoints (the endpoints themselves are hop 0).
@@ -211,26 +185,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Comm == (CommModel{}) {
 		o.Comm = DefaultCommModel()
 	}
-	if o.RebalanceRatio < 0 {
-		return o, fmt.Errorf("core: RebalanceRatio = %g, want 0 (off) or > 1", o.RebalanceRatio)
-	}
-	if o.RebalanceRatio > 0 {
-		if o.RebalanceRatio <= 1 {
-			return o, fmt.Errorf("core: RebalanceRatio = %g, want > 1 (work-max/work-mean is never below 1)", o.RebalanceRatio)
-		}
-		if _, err := rebalance.ByName(o.RebalancePolicy); err != nil {
-			return o, err
-		}
-	}
-	if o.RebalanceHysteresis <= 0 {
-		o.RebalanceHysteresis = 2
-	}
-	if o.RebalanceCooldown <= 0 {
-		o.RebalanceCooldown = 3
-	}
-	if o.RebalanceSeed == 0 {
-		o.RebalanceSeed = 1
-	}
 	if o.UpdateKHops <= 0 {
 		o.UpdateKHops = 2
 	}
@@ -255,10 +209,3 @@ func (o Options) PartitionOptions(n int, arcs int64) partition.Options {
 	}
 	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: dhigh, Workers: o.Workers}
 }
-
-// rebalanceOn reports whether mid-solve rebalancing is enabled. The "none"
-// policy still counts as on: it runs the work-vector reduction and the
-// trigger machinery but always plans an empty migration, making it the
-// control arm of the policy ablation. Only RebalanceRatio = 0 restores the
-// exact pre-feature collective schedule.
-func (o Options) rebalanceOn() bool { return o.RebalanceRatio > 0 }

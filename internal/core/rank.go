@@ -23,11 +23,8 @@ type RankResult struct {
 	Stage1Time  time.Duration
 	Stage2Time  time.Duration
 	// WorkUnits is this rank's total deterministic work units; the max/mean
-	// across ranks is the run's work-balance ratio. RebalanceEvents and
-	// MigratedVertices count mid-solve migrations (identical on every rank).
-	WorkUnits        int64
-	RebalanceEvents  int
-	MigratedVertices int64
+	// across ranks is the run's work-balance ratio.
+	WorkUnits int64
 }
 
 // RunRank executes this rank's share of the distributed Louvain algorithm
@@ -85,15 +82,13 @@ func RunRankLayout(c comm.Comm, sg *partition.Subgraph, opt Options) (*RankResul
 		return nil, err
 	}
 	return &RankResult{
-		Tracked:          out.tracked,
-		Labels:           out.labels,
-		Modularity:       out.finalQ,
-		Stage1Iters:      out.stage1.Iters,
-		OuterLevels:      out.outer,
-		Stage1Time:       time.Duration(out.stage1NS),
-		Stage2Time:       time.Duration(out.stage2NS),
-		WorkUnits:        out.workUnits,
-		RebalanceEvents:  out.rebEvents,
-		MigratedVertices: out.migrated,
+		Tracked:     out.tracked,
+		Labels:      out.labels,
+		Modularity:  out.finalQ,
+		Stage1Iters: out.stage1.Iters,
+		OuterLevels: out.outer,
+		Stage1Time:  time.Duration(out.stage1NS),
+		Stage2Time:  time.Duration(out.stage2NS),
+		WorkUnits:   out.workUnits,
 	}, nil
 }

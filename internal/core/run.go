@@ -48,15 +48,6 @@ func (s *stage) cluster() (stageResult, error) {
 		workStart := s.work
 		snapStart := s.c.Stats().Snapshot()
 		s.tm.Start(trace.Other)
-		if s.pol != nil && iter > 1 {
-			// Rebalance against the previous iteration's replicated work
-			// vector. Running after the stats snapshots means migration
-			// traffic and decode work are priced into this iteration's
-			// simulated times like any other exchange.
-			if err := s.maybeRebalance(iter); err != nil {
-				return res, err
-			}
-		}
 		if err := s.pushAggregates(); err != nil {
 			return res, err
 		}
@@ -95,23 +86,14 @@ func (s *stage) cluster() (stageResult, error) {
 		snapEnd := s.c.Stats().Snapshot()
 		commNS := s.opt.Comm.costNS(snapEnd.MsgsSent-snapStart.MsgsSent,
 			snapEnd.BytesSent-snapStart.BytesSent)
-		// s.workVec is non-nil exactly when rebalancing is on; the record
-		// then also replicates every rank's work in its tail, at the same
-		// message count and with the same scalar results.
 		st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
 			Moved:  int64(movedLocal + hubMoved),
 			Work:   iterWork,
 			CommNS: commNS,
 			Q:      local,
-		}, s.workVec)
+		})
 		if err != nil {
 			return res, err
-		}
-		if s.pol != nil && s.rnk == 0 {
-			if max, sum := s.workStats(); sum > 0 {
-				trace.Eventf("balance", "iter=%d work-max=%d work-mean=%.1f ratio=%.3f",
-					iter, max, float64(sum)/float64(s.p), float64(max)*float64(s.p)/float64(sum))
-			}
 		}
 		if debugInvariants {
 			if err := s.checkInvariants(iter); err != nil {
@@ -204,14 +186,7 @@ type Result struct {
 
 	// BalanceRatio is the whole-run work balance: max over ranks of total
 	// deterministic work units divided by the mean (1.0 = perfect balance).
-	// It is what mid-solve rebalancing tries to push toward 1.
 	BalanceRatio float64
-	// RebalanceEvents counts migration events across all stages (0 when
-	// rebalancing is off or never triggered).
-	RebalanceEvents int
-	// MigratedVertices counts vertices migrated world-wide across all
-	// stages.
-	MigratedVertices int64
 }
 
 // rankOut is what each rank contributes to the final Result.
@@ -233,8 +208,6 @@ type rankOut struct {
 	levels   [][]int // per-stage label snapshots of tracked vertices
 
 	workUnits int64 // total deterministic work units across all stages
-	rebEvents int   // migration events (identical on every rank)
-	migrated  int64 // vertices migrated world-wide (identical on every rank)
 }
 
 // DefaultDHigh is the hub-threshold default shared by every entry point
@@ -350,8 +323,6 @@ func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
 	if wsum > 0 {
 		res.BalanceRatio = float64(wmax) * float64(len(outs)) / float64(wsum)
 	}
-	res.RebalanceEvents = outs[0].rebEvents
-	res.MigratedVertices = outs[0].migrated
 	res.Stage1Sim = time.Duration(outs[0].sim1NS)
 	res.Stage2Sim = time.Duration(outs[0].sim2NS)
 	res.Stage1CommSim = time.Duration(outs[0].comm1NS)

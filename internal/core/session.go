@@ -118,6 +118,9 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 	}, nil
 }
 
+// owns reports whether this rank owns vertex (or community) id.
+func (s *Session) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
+
 // Close releases the resident stage's worker goroutines. Local (no
 // collectives); the Session is unusable afterwards.
 func (s *Session) Close() {
@@ -154,10 +157,9 @@ func (s *Session) solve() (*rankOut, error) {
 		// without deadline support keep unbounded blocking.
 		comm.SetRecvTimeout(c, opt.CommDeadline)
 	}
-	p := c.Size()
 	tracked := append([]int(nil), sg.Owned...)
 	for _, h := range sg.Hubs {
-		if h%p == c.Rank() {
+		if s.owns(h) {
 			tracked = append(tracked, h)
 		}
 	}
@@ -186,8 +188,6 @@ func (s *Session) solve() (*rankOut, error) {
 		busyBD:   st.workBreakdown(),
 	}
 	out.workUnits += st.work
-	out.rebEvents += st.reb.events
-	out.migrated += st.reb.migrated
 
 	// Current global vertex count (needed to detect a no-op merge).
 	ownCount, err := comm.AllreduceInt64Sum(c, int64(len(sg.Owned)))
@@ -207,7 +207,7 @@ func (s *Session) solve() (*rankOut, error) {
 	}
 	for {
 		if opt.MaxOuterLevels > 0 && out.outer >= opt.MaxOuterLevels {
-			cur, err = cs.resolveQueries(cur, cs.ownerOf, func(x int) int { return int(cs.comm[x]) })
+			cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.comm[x]) })
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +219,7 @@ func (s *Session) solve() (*rankOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur, err = cs.resolveQueries(cur, cs.ownerOf, func(x int) int { return int(cs.dense[cs.comm[x]]) })
+		cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.dense[cs.comm[x]]) })
 		if err != nil {
 			return nil, err
 		}
@@ -231,14 +231,7 @@ func (s *Session) solve() (*rankOut, error) {
 		}
 		curCount = k
 
-		// Merged stages run with migration off: community ownership (c%p)
-		// already spreads the coarse graph evenly, and the few remaining
-		// iterations cannot amortize a migration event's traffic — measured
-		// on the planted-hub benchmark, coarse-stage migration only ever
-		// added cost. Work units still accrue to the run's BalanceRatio.
-		opt2 := opt
-		opt2.RebalanceRatio = 0
-		st2 := newStage(c, newSG, opt2)
+		st2 := newStage(c, newSG, opt)
 		st2.ms = cs.ms // successive merge levels reuse the grown scratch
 		r2, err := st2.clusterNew()
 		if err != nil {
@@ -248,8 +241,6 @@ func (s *Session) solve() (*rankOut, error) {
 		cs.close()
 		cs = st2
 		out.workUnits += st2.work
-		out.rebEvents += st2.reb.events
-		out.migrated += st2.reb.migrated
 		out.outer++
 		out.qtrace = append(out.qtrace, r2.QTrace...)
 		out.finalQ = r2.Q
@@ -257,7 +248,7 @@ func (s *Session) solve() (*rankOut, error) {
 		out.comm2NS += r2.CommSimNS
 		if r2.Q-prevQ < opt.MinGain {
 			// Keep this stage's (possibly tiny) improvement, then stop.
-			cur, err = cs.resolveQueries(cur, cs.ownerOf, func(x int) int { return int(cs.comm[x]) })
+			cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.comm[x]) })
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +293,7 @@ func (s *Session) install() error {
 		bufs[r] = wire.NewBuffer(0)
 	}
 	for _, l := range keys {
-		b := bufs[l%s.p]
+		b := bufs[ownerOf(l, s.p)]
 		b.PutVarint(int64(l))
 		b.PutVarint(int64(localMin[l]))
 	}
@@ -325,21 +316,15 @@ func (s *Session) install() error {
 		return err
 	}
 
-	// Fresh flat stage over the (possibly mutated) original subgraph. The
-	// resident stage never migrates — static v mod p ownership is what the
-	// update mutators and the query API assume.
+	// Fresh flat stage over the (possibly mutated) original subgraph.
 	if s.st != nil {
 		s.st.close()
 	}
-	opt2 := s.opt
-	opt2.RebalanceRatio = 0
-	st := newStage(s.c, s.sg, opt2)
+	st := newStage(s.c, s.sg, s.opt)
 	s.st = st
 
 	// Exchange 2: resolve every tracked vertex's label to its representative.
-	reps, err := st.resolveQueries(labels,
-		func(l int) int { return l % s.p },
-		func(l int) int { return repOf[l] })
+	reps, err := st.resolveQueries(labels, func(l int) int { return repOf[l] })
 	if err != nil {
 		return err
 	}
@@ -448,7 +433,7 @@ func (s *Session) Drift() (dq, dtouched float64) { return s.driftQ, s.driftTouch
 // vertex) when this rank owns v (v mod p); ok is false otherwise — exactly
 // one rank answers any vertex.
 func (s *Session) CommunityOf(v int) (int, bool) {
-	if s.st == nil || v < 0 || v >= s.n || v%s.p != s.rnk {
+	if s.st == nil || v < 0 || v >= s.n || !s.owns(v) {
 		return 0, false
 	}
 	return int(s.st.comm[v]), true
@@ -464,7 +449,7 @@ func (s *Session) NeighborhoodOf(v int) []partition.Arc {
 	if hi, ok := s.st.hubIndex(v); ok {
 		return append([]partition.Arc(nil), s.sg.AdjHub[hi]...)
 	}
-	if i, ok := s.sg.OwnedIndex(v); ok && v%s.p == s.rnk {
+	if i, ok := s.sg.OwnedIndex(v); ok {
 		return append([]partition.Arc(nil), s.sg.AdjOwned[i]...)
 	}
 	return nil
@@ -573,7 +558,7 @@ func (s *Session) drainSeen() int64 {
 	for _, h := range s.sg.Hubs {
 		if seen[h] {
 			seen[h] = false
-			if h%s.p == s.rnk {
+			if s.owns(h) {
 				n++
 			}
 		}
@@ -613,12 +598,9 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 	if hi, hub := st.hubIndex(x); hub {
 		if del {
 			sg.AdjHub[hi] = dropArcs(sg.AdjHub[hi], y)
-		} else if y%s.p == s.rnk {
+		} else if s.owns(y) {
 			sg.AdjHub[hi] = upsertArc(sg.AdjHub[hi], y, w)
 		}
-		return
-	}
-	if x%s.p != s.rnk {
 		return
 	}
 	i, ok := sg.OwnedIndex(x)
@@ -637,7 +619,7 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 		st.addRev(y, x)
 		return
 	}
-	if y%s.p != s.rnk {
+	if !s.owns(y) {
 		sg.AddGhost(y)
 		st.addRev(y, x)
 		if st.comm[y] < 0 {
@@ -655,12 +637,9 @@ func (s *Session) adjustDegree(x int, dw float64) {
 	st, sg := s.st, s.sg
 	if hi, hub := st.hubIndex(x); hub {
 		sg.HubWDeg[hi] += dw
-		if x%s.p == s.rnk {
+		if s.owns(x) {
 			st.addDelta(int(st.comm[x]), dw, 0)
 		}
-		return
-	}
-	if x%s.p != s.rnk {
 		return
 	}
 	if i, ok := sg.OwnedIndex(x); ok {
@@ -685,7 +664,7 @@ func (s *Session) registerSubscriptions(ops []EdgeOp) {
 
 // subscribeFor handles the arc x→y for the owner of y.
 func (s *Session) subscribeFor(x, y int) {
-	if y%s.p != s.rnk {
+	if !s.owns(y) {
 		return
 	}
 	if _, hub := s.st.hubIndex(y); hub {
@@ -694,7 +673,7 @@ func (s *Session) subscribeFor(x, y int) {
 	if _, hub := s.st.hubIndex(x); hub {
 		return // hub arcs to y live on this rank already
 	}
-	if r := x % s.p; r != s.rnk {
+	if r := ownerOf(x, s.p); r != s.rnk {
 		s.sg.Subscribe(y, r)
 	}
 }
@@ -704,9 +683,7 @@ func (s *Session) subscribeFor(x, y int) {
 // even when their own list is empty.
 func (s *Session) resolveNewGhosts() error {
 	st := s.st
-	labels, err := st.resolveQueries(s.newGhosts,
-		func(v int) int { return v % s.p },
-		func(v int) int { return int(st.comm[v]) })
+	labels, err := st.resolveQueries(s.newGhosts, func(v int) int { return int(st.comm[v]) })
 	if err != nil {
 		return err
 	}
@@ -741,7 +718,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 			hubFrontier = append(hubFrontier, hi)
 			return
 		}
-		if x%s.p == s.rnk {
+		if s.owns(x) {
 			st.active[x] = true
 			frontier = append(frontier, x)
 		}
@@ -764,7 +741,8 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 				}
 				return
 			}
-			targets[t%s.p] = append(targets[t%s.p], t)
+			o := ownerOf(t, s.p)
+			targets[o] = append(targets[o], t)
 		}
 		for _, u := range frontier {
 			if i, ok := sg.OwnedIndex(u); ok {

@@ -8,15 +8,15 @@ import (
 	"repro/internal/comm"
 	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/rebalance"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // stage is the per-rank runtime state of one clustering stage (with or
 // without delegates — a stage without delegates simply has an empty hub
-// list). Community IDs live in the stage's vertex-ID space; community c is
-// owned by rank c mod P, which keeps the authoritative Σtot and size for it.
+// list). Community IDs live in the stage's vertex-ID space; vertex v and
+// community c are owned by rank id mod P (ownerOf) for the life of the stage,
+// and a community's owner keeps the authoritative Σtot and size for it.
 //
 // All hot state is kept in dense arrays indexed by vertex/community ID (the
 // stage's ID space has n = sg.GlobalVertices entries), as a real MPI
@@ -164,8 +164,8 @@ type stage struct {
 	// hubIdx maps a vertex id to its index in sg.Hubs (-1 = not a hub); nil
 	// when the stage has no hubs. revOff/revAdj are the reverse index: the
 	// owned neighbours of ghost or hub t are revAdj[revOff[t]:revOff[t+1]],
-	// built once per stage and again after a migration event (buildRev).
-	// Arcs a Session inserts later go to the revMore overflow (addRev).
+	// built once per stage (buildRev). Arcs a Session inserts later go to the
+	// revMore overflow (addRev).
 	hubIdx  []int32
 	revOff  []int32
 	revAdj  []int32
@@ -191,18 +191,6 @@ type stage struct {
 	chunkArcs [par.MaxChunks]int64
 	chunkWork []int64
 
-	// Mid-solve rebalancing state (migrate.go). pol is nil when rebalancing
-	// is off — the entire feature then costs one nil check per iteration.
-	// owner is the replicated vertex-ownership directory, allocated on the
-	// first migration (nil = static v mod p ownership); community ownership
-	// (commOwner) stays c mod p regardless — only vertices migrate, the
-	// aggregate tables do not. workVec is the replicated per-rank work
-	// vector filled by the fused reduction, the policy's planning input.
-	pol     rebalance.Policy
-	owner   []int32
-	workVec []int64
-	reb     rebState
-
 	bd trace.Breakdown
 	tm *trace.Timer
 
@@ -215,22 +203,6 @@ type stage struct {
 	// algorithm phase (Figure 8(b)).
 	work      int64
 	workPhase [trace.NumPhases]int64
-}
-
-// rebState tracks the rebalance trigger across iterations. Every field is
-// derived from replicated data (the allreduced work vector and the shared
-// iteration counter), so all ranks hold identical copies without any
-// agreement collective.
-type rebState struct {
-	// over counts consecutive over-threshold iterations (hysteresis).
-	over int
-	// lastIter is the iteration of the last migration event; initialized
-	// far in the past so the cooldown never blocks the first event.
-	lastIter int
-	// events counts migration events fired this stage.
-	events int
-	// migrated counts vertices migrated world-wide this stage.
-	migrated int64
 }
 
 // WorkUnitNS is the nominal cost of one work unit (one arc scanned, one
@@ -330,12 +302,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		cw = par.MaxChunks
 	}
 	s.chunkWork = make([]int64, cw)
-	if opt.rebalanceOn() {
-		// Policy validity was checked in withDefaults.
-		s.pol, _ = rebalance.ByName(opt.RebalancePolicy)
-		s.workVec = make([]int64, s.p)
-		s.reb.lastIter = -1 << 30
-	}
 	s.tm = trace.NewTimer(&s.bd)
 	for i := range s.comm {
 		s.comm[i] = -1
@@ -348,7 +314,7 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	}
 	for i, h := range sg.Hubs {
 		s.comm[h] = int32(h)
-		if h%s.p == s.rnk {
+		if s.owns(h) {
 			s.ownTot[h] = sg.HubWDeg[i]
 			s.ownSize[h] = 1
 		}
@@ -376,9 +342,8 @@ func (s *stage) hubIndex(v int) (int, bool) {
 	return int(s.hubIdx[v]), true
 }
 
-// setActive arms (or disarms) every vertex and hub: a new stage and a
-// migration event start from a full sweep, a Session's resident stage from
-// none.
+// setActive arms (or disarms) every vertex and hub: a new stage starts from
+// a full sweep, a Session's resident stage from none.
 func (s *stage) setActive(on bool) {
 	for i := range s.active {
 		s.active[i] = on
@@ -394,7 +359,7 @@ func (s *stage) setActive(on bool) {
 func (s *stage) buildRev() {
 	foreign := func(t int) bool {
 		_, hub := s.hubIndex(t)
-		return hub || s.ownerOf(t) != s.rnk
+		return hub || !s.owns(t)
 	}
 	off := make([]int32, s.n+2)
 	arcs := int64(0)
@@ -457,11 +422,9 @@ func (s *stage) armRev(t int) int64 {
 	return int64(len(near) + len(more))
 }
 
-// buildQKernel (re)builds the globalModularity arc-scan kernel over the
-// concatenated owned+hub index space. The chunk count is a pure function
-// of the current owned-vertex count, and the closure snapshots the owned
-// tables it scans, so it is rebuilt whenever a migration changes them
-// (newStage calls it once for the static case).
+// buildQKernel builds the globalModularity arc-scan kernel over the
+// concatenated owned+hub index space, once per stage (the owned and hub
+// tables' lengths are fixed, so the chunk count is too).
 func (s *stage) buildQKernel() {
 	sg := s.sg
 	nOwned := len(sg.Owned)
@@ -501,8 +464,14 @@ func (s *stage) close() {
 	s.pool = nil
 }
 
-// commOwner returns the rank that owns community (or vertex) id c.
-func (s *stage) commOwner(c int) int { return c % s.p }
+// ownerOf returns the rank that owns vertex or community id in a world of p
+// ranks. Ownership is static: the partitioner deals vertices out by id mod p,
+// a community's id is a vertex id, and nothing moves either afterwards. Every
+// routing decision in this package goes through here.
+func ownerOf(id, p int) int { return id % p }
+
+// owns reports whether this rank owns vertex or community id.
+func (s *stage) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
 
 // lookupTot returns the cached Σtot of community c; every candidate
 // community is the label of a local vertex, hence watched and pushed before
@@ -526,7 +495,7 @@ func (s *stage) cachedSize(c int) int32 {
 // watch asks the owner of community c to push its aggregates from now on.
 // Every site that gives a local vertex a label it did not pick from a
 // neighbour calls it (stage start, a hub's winning target, a ghost's new
-// label, a migrant's label); the request itself rides the next flush frame.
+// label); the request itself rides the next flush frame.
 func (s *stage) watch(c int) {
 	if !s.watched[c] {
 		s.watched[c] = true
@@ -548,7 +517,8 @@ func (s *stage) neededCommunities() [][]int {
 			return
 		}
 		s.needMark[c] = true
-		s.reqs[c%s.p] = append(s.reqs[c%s.p], c)
+		o := ownerOf(c, s.p)
+		s.reqs[o] = append(s.reqs[o], c)
 	}
 	for _, u := range s.sg.Owned {
 		note(u)

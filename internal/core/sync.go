@@ -125,7 +125,7 @@ func (s *stage) encodePush() int64 {
 	for r := 0; r < s.p; r++ {
 		a, b := s.pushIDs[r], s.first[r]
 		// One flush fills first[r] in ascending order; a second one before
-		// the push (a migration event, an update batch) appends a second run.
+		// the push (an update batch) appends a second run.
 		sort.Ints(b)
 		buf := s.sendBufs[r]
 		prev := s.rnk - s.p
@@ -268,7 +268,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 			s.tot[target] += k
 			s.size[target]++
 		}
-		if s.commOwner(h) == s.rnk {
+		if s.owns(h) {
 			s.addDelta(cur, -k, -1)
 			s.addDelta(target, k, 1)
 			moved++
@@ -376,7 +376,7 @@ func (s *stage) ghostSwap() error {
 		for rd.Remaining() > 0 {
 			v := rd.StrideDelta(prev, 1, s.n)
 			c := rd.Varint()
-			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || s.ownerOf(v) != src {
+			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || ownerOf(v, s.p) != src {
 				return s.frameErr("ghost-swap", src, rd.Err())
 			}
 			if s.comm[v] != int32(c) {
@@ -452,7 +452,7 @@ func (s *stage) encodeFlush() int64 {
 		s.idPrev[r] = r - s.p
 	}
 	for _, c := range s.deltaTouched {
-		o := s.commOwner(c)
+		o := ownerOf(c, s.p)
 		b := s.sendBufs[o]
 		b.PutStrideDelta(s.idPrev[o], c, s.p)
 		b.PutF64(s.deltaW[c])
@@ -466,7 +466,7 @@ func (s *stage) encodeFlush() int64 {
 		s.idPrev[r] = r - s.p
 	}
 	for _, c := range s.watchNew {
-		o := s.commOwner(c)
+		o := ownerOf(c, s.p)
 		if s.idPrev[o] < 0 { // the owner's first watch: close its delta stream
 			s.sendBufs[o].PutUvarint(0)
 		}

@@ -137,28 +137,6 @@ func TestCacheCoherence(t *testing.T) {
 	}
 }
 
-// TestCacheCoherenceRebalance audits worlds that migrate: arriving vertices
-// and the ghosts they bring register watches through the event's own flush.
-func TestCacheCoherenceRebalance(t *testing.T) {
-	withCoherenceHook(t)
-	g, _ := skewedGraph(t)
-	for _, pk := range []partition.Kind{partition.Delegate, partition.OneD} {
-		res, err := Run(g, rebalanceOpt(4, pk, "greedy"))
-		if err != nil {
-			t.Fatalf("part=%v: %v", pk, err)
-		}
-		if pk == partition.OneD && res.RebalanceEvents < 1 {
-			t.Fatal("fixture did not trigger migration; the audit is vacuous")
-		}
-	}
-	gg := goldenGraph(t)
-	for _, p := range []int{2, 3, 4} {
-		if _, err := Run(gg, Options{P: p, DHigh: 8, RebalanceRatio: 1.01}); err != nil {
-			t.Fatalf("golden p=%d: %v", p, err)
-		}
-	}
-}
-
 // TestCacheCoherenceSession audits the resident stage, whose watches and
 // cache outlive the batches: a 24-batch update stream with the drift
 // fallback on, which must fire at least once (a fresh install re-registers

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -71,8 +72,7 @@ func Graph500RMAT(scale int, seed int64) RMATConfig {
 // Graph500 proportions (19 : 19 : 5), so skew = 0.57 reproduces the
 // Graph500 parameters exactly. Larger skew concentrates edges on
 // low-numbered vertices, fattening the degree tail — the controlled way to
-// produce load-imbalanced inputs for the rebalancing experiments (see
-// EXPERIMENTS.md).
+// produce load-imbalanced inputs (see EXPERIMENTS.md).
 func (c *RMATConfig) SetSkew(skew float64) error {
 	if skew <= 0 || skew >= 1 {
 		return fmt.Errorf("gen: RMAT skew = %g, want in (0,1)", skew)
@@ -159,17 +159,20 @@ func BarabasiAlbert(n, m int, seed int64) (*graph.Graph, error) {
 			repeated = append(repeated, int32(u), int32(v))
 		}
 	}
-	chosen := make(map[int]struct{}, m)
+	// chosen is kept in draw order: its appends feed the repeated list the
+	// next vertex draws from, so any other order (a map's) would make the
+	// graph differ from run to run under one seed.
+	chosen := make([]int, 0, m)
 	for u := m + 1; u < n; u++ {
-		clear(chosen)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := int(repeated[rng.Intn(len(repeated))])
-			if v == u {
+			if v == u || slices.Contains(chosen, v) {
 				continue
 			}
-			chosen[v] = struct{}{}
+			chosen = append(chosen, v)
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			edges = append(edges, graph.Edge{U: u, V: v, W: 1})
 			repeated = append(repeated, int32(u), int32(v))
 		}
@@ -255,70 +258,6 @@ func SBM(sizes []int, pin, pout float64, seed int64) (*graph.Graph, graph.Member
 			}
 			if rng.Float64() < p {
 				edges = append(edges, graph.Edge{U: u, V: v, W: 1})
-			}
-		}
-	}
-	g, err := graph.FromEdges(n, edges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, member, nil
-}
-
-// PlantedHubs generates the controlled load-imbalance fixture of the
-// rebalancing experiments: a planted-partition background of consecutive
-// blocks (each block one ground-truth community, wired as a ring plus two
-// random intra-block edges per vertex), overlaid with `hubs` heavy vertices
-// at IDs 0, stride, 2·stride, … whose `deg` extra edges go to uniformly
-// random targets.
-//
-// With stride equal to the rank count, every hub lands on rank 0 under the
-// 1D round-robin partitioning (vertex v → rank v mod P) — a worst case the
-// static partitioner cannot fix and the mid-solve rebalancer can, which is
-// exactly what BenchmarkRebalance* measures. The planted blocks keep the
-// background modular so the solver does real clustering work around the
-// hubs. The returned membership is the planted block structure (hubs carry
-// their own block's label).
-func PlantedHubs(n, csize, hubs, stride, deg int, seed int64) (*graph.Graph, graph.Membership, error) {
-	if n < 2 || csize < 2 {
-		return nil, nil, fmt.Errorf("gen: PlantedHubs needs n >= 2 and csize >= 2, got %d, %d", n, csize)
-	}
-	if hubs < 0 || stride < 1 || deg < 0 {
-		return nil, nil, fmt.Errorf("gen: PlantedHubs got hubs=%d stride=%d deg=%d, want hubs,deg >= 0 and stride >= 1", hubs, stride, deg)
-	}
-	if hubs > 0 && (hubs-1)*stride >= n {
-		return nil, nil, fmt.Errorf("gen: PlantedHubs hub %d*%d out of range [0,%d)", hubs-1, stride, n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	member := make(graph.Membership, n)
-	var edges []graph.Edge
-	for base := 0; base < n; base += csize {
-		size := csize
-		if base+size > n {
-			size = n - base
-		}
-		for i := 0; i < size; i++ {
-			v := base + i
-			member[v] = base / csize
-			// Ring within the block keeps it connected.
-			if size > 1 {
-				edges = append(edges, graph.Edge{U: v, V: base + (i+1)%size, W: 1})
-			}
-			// Two random intra-block chords give it clique-like density.
-			for k := 0; k < 2; k++ {
-				u := base + rng.Intn(size)
-				if u != v {
-					edges = append(edges, graph.Edge{U: v, V: u, W: 1})
-				}
-			}
-		}
-	}
-	for j := 0; j < hubs; j++ {
-		h := j * stride
-		for k := 0; k < deg; k++ {
-			t := rng.Intn(n)
-			if t != h {
-				edges = append(edges, graph.Edge{U: h, V: t, W: 1})
 			}
 		}
 	}

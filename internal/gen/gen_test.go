@@ -397,43 +397,3 @@ func TestSetSkew(t *testing.T) {
 		}
 	}
 }
-
-func TestPlantedHubs(t *testing.T) {
-	const n, csize, hubs, stride, deg = 1024, 32, 8, 4, 100
-	g, truth, err := PlantedHubs(n, csize, hubs, stride, deg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != n || len(truth) != n {
-		t.Fatalf("got %d vertices, truth %d, want %d", g.NumVertices(), len(truth), n)
-	}
-	if truth[0] != 0 || truth[csize] != 1 || truth[n-1] != n/csize-1 {
-		t.Fatalf("block membership wrong: %d %d %d", truth[0], truth[csize], truth[n-1])
-	}
-	// Hubs must dominate the degree distribution; background vertices stay
-	// light. Count arc degree per vertex.
-	degOf := make([]int, n)
-	for u := 0; u < n; u++ {
-		degOf[u] = g.Degree(u)
-	}
-	minHub := n
-	for j := 0; j < hubs; j++ {
-		if d := degOf[j*stride]; d < minHub {
-			minHub = d
-		}
-	}
-	if minHub < deg/2 {
-		t.Errorf("lightest hub has degree %d, want >= %d", minHub, deg/2)
-	}
-	// Determinism.
-	g2, _, err := PlantedHubs(n, csize, hubs, stride, deg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumArcs() != g2.NumArcs() {
-		t.Error("PlantedHubs is not deterministic")
-	}
-	if _, _, err := PlantedHubs(100, 10, 30, 4, 5, 1); err == nil {
-		t.Error("out-of-range hub accepted")
-	}
-}

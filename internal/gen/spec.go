@@ -19,12 +19,10 @@ import (
 //	er:n=1000,p=0.01,seed=1
 //	sbm:blocks=4,size=100,pin=0.3,pout=0.01,seed=1
 //	caveman:cliques=10,size=6
-//	hub:n=16384,csize=64,hubs=16,stride=4,deg=512,seed=1
 //
 // For rmat, `skew` sets the A quadrant probability and splits the rest over
 // B/C/D in Graph500 proportions (gen.SetSkew; skew=0.57 is exactly
-// Graph500); explicit a/b/c/d override all four and must sum to 1. `hub` is
-// the planted-hub load-imbalance fixture (gen.PlantedHubs).
+// Graph500); explicit a/b/c/d override all four and must sum to 1.
 //
 // The returned membership is the planted ground truth (nil for generators
 // without one).
@@ -146,11 +144,6 @@ func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membershi
 		if firstErr == nil {
 			g, err = RMAT(cfg)
 		}
-	case "hub":
-		if firstErr == nil {
-			g, truth, err = PlantedHubs(i("n", 16384), i("csize", 64), i("hubs", 16),
-				i("stride", 4), i("deg", 512), int64(i("seed", 1)))
-		}
 	case "ba":
 		if firstErr == nil {
 			g, err = BarabasiAlbert(i("n", 10000), i("m", 4), int64(i("seed", 1)))
@@ -178,7 +171,7 @@ func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membershi
 			g, truth, err = Caveman(i("cliques", 10), i("size", 6))
 		}
 	default:
-		return nil, nil, fmt.Errorf("gen: unknown generator %q (want rmat|ba|lfr|er|sbm|caveman|hub)", kind)
+		return nil, nil, fmt.Errorf("gen: unknown generator %q (want rmat|ba|lfr|er|sbm|caveman)", kind)
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr

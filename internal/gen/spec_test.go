@@ -18,7 +18,6 @@ func TestParseSpecKinds(t *testing.T) {
 		{"sbm:blocks=3,size=50,pin=0.3,pout=0.01,seed=2", 150, true},
 		{"caveman:cliques=5,size=4", 20, true},
 		{"rmat:scale=8,ef=8,seed=2,skew=0.7", 256, false},
-		{"hub:n=1024,csize=32,hubs=8,stride=4,deg=64,seed=2", 1024, true},
 	}
 	for _, c := range cases {
 		g, truth, err := ParseSpec(c.spec)

@@ -118,10 +118,6 @@ const (
 	CollBcast
 	// CollBarrier is the dissemination barrier.
 	CollBarrier
-	// CollMigrate is the vertex-migration exchange of the mid-solve load
-	// rebalancer (comm.MigrationExchange); kept separate from CollAlltoallv
-	// so migration traffic is visible in its own row of the census.
-	CollMigrate
 
 	numCollectives
 )
@@ -140,8 +136,6 @@ func (k Collective) String() string {
 		return "Bcast"
 	case CollBarrier:
 		return "Barrier"
-	case CollMigrate:
-		return "Migrate"
 	default:
 		return fmt.Sprintf("Collective(%d)", int(k))
 	}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run the named Go benchmarks (stage-1 kernel microbenchmarks,
-# collectives, ingest and partition, out-of-core, merge, rebalance, macro and
-# serving) and print the raw `go test -bench` output. These are development
-# probes; the basis of a performance claim is `bash benchmark/run.sh`
+# collectives, ingest and partition, out-of-core, merge, macro and serving)
+# and print the raw `go test -bench` output. These are development probes;
+# the basis of a performance claim is `bash benchmark/run.sh`
 # (BENCHMARK.json). Override the iteration counts for a quick smoke:
 #
 #   scripts/bench.sh
@@ -50,13 +50,6 @@ echo "== merge benchmarks (-benchtime $MACRO_TIME) ==" >&2
 # ns/op, allocs/op, and wire-B/op (per-rank collective payload, from the
 # trace collective counters) are the acceptance metrics.
 go test -run '^$' -bench '^BenchmarkMerge(Seed|Preagg)$' -benchtime "$MACRO_TIME" -benchmem \
-    ./internal/core/
-
-echo "== rebalance macro benchmarks (-benchtime $MACRO_TIME) ==" >&2
-# Off/Greedy/Ideal on the planted-hub workload; sim-ms/op (cumulative
-# simulated parallel time) is the headline number — the greedy policy's win
-# over the static baseline is the PR-7 acceptance metric.
-go test -run '^$' -bench '^BenchmarkRebalance' -benchtime "$MACRO_TIME" -benchmem \
     ./internal/core/
 
 echo "== macro benchmarks (-benchtime $MACRO_TIME) ==" >&2

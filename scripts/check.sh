@@ -27,11 +27,8 @@ echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
 echo "== bench smoke (1 iteration per benchmark) =="
-# The rebalance macro benchmarks are the PR-7 acceptance metric: fail loudly
-# if they ever disappear from the discovery set rather than silently passing.
-go test -list '^BenchmarkRebalanceGreedy$' -run '^$' ./internal/core | grep '^BenchmarkRebalanceGreedy$' > /dev/null \
-    || { echo "error: BenchmarkRebalanceGreedy missing from internal/core" >&2; exit 1; }
-# Likewise the serving-load sweep, the PR-8 acceptance metric.
+# The serving-load sweep is the PR-8 acceptance metric: fail loudly if it
+# ever disappears from the discovery set rather than silently passing.
 go test -list '^BenchmarkServeLoad$' -run '^$' ./internal/loadgen | grep '^BenchmarkServeLoad$' > /dev/null \
     || { echo "error: BenchmarkServeLoad missing from internal/loadgen" >&2; exit 1; }
 # And the merge seed-vs-preagg pair, the PR-10 acceptance metric.
