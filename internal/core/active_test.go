@@ -28,6 +28,7 @@ type activationOracle struct {
 	mu    sync.Mutex
 	prev  map[*stage][]int32
 	pairs int // (vertex, changed neighbour) pairs audited
+	scans int // armed vertices and hubs whose scan was checked against the full sort
 	// drop, when set, disarms the stage before the audit of iteration 1: the
 	// control that shows the oracle catches a lost arming.
 	drop bool
@@ -37,8 +38,40 @@ func installOracle(t *testing.T, drop bool) *activationOracle {
 	t.Helper()
 	o := &activationOracle{prev: make(map[*stage][]int32), drop: drop}
 	testIterHook = o.audit
-	t.Cleanup(func() { testIterHook = nil })
+	testPushHook = o.auditScans
+	t.Cleanup(func() { testIterHook, testPushHook = nil, nil })
 	return o
+}
+
+// auditScans runs from testPushHook, on the cache the sweep is about to
+// read: every armed owned vertex and hub — the ones that sweep evaluates —
+// must get the same (stayGain, best, cands) from scanCandidates as from the
+// full-sort oracle (checkScan).
+func (o *activationOracle) auditScans(s *stage, iter int) error {
+	acc, ref := newGainAccumulator(s.n), newGainAccumulator(s.n)
+	scans := 0
+	for i, u := range s.sg.Owned {
+		if !s.active[u] {
+			continue
+		}
+		scans++
+		if err := checkScan(s, u, int(s.comm[u]), s.sg.OwnedWDeg[i], s.sg.AdjOwned[i], acc, ref); err != nil {
+			return fmt.Errorf("rank %d iter %d: %v", s.rnk, iter, err)
+		}
+	}
+	for i, h := range s.sg.Hubs {
+		if !s.hubActive[i] || len(s.sg.AdjHub[i]) == 0 {
+			continue
+		}
+		scans++
+		if err := checkScan(s, h, int(s.comm[h]), s.sg.HubWDeg[i], s.sg.AdjHub[i], acc, ref); err != nil {
+			return fmt.Errorf("rank %d iter %d: hub: %v", s.rnk, iter, err)
+		}
+	}
+	o.mu.Lock()
+	o.scans += scans
+	o.mu.Unlock()
+	return nil
 }
 
 func (o *activationOracle) audit(s *stage, iter int, _ float64) error {
@@ -85,7 +118,8 @@ func (o *activationOracle) audit(s *stage, iter int, _ float64) error {
 
 // TestActivationSound runs the oracle over {delegate with hubs, 1d} × P on
 // the golden fixture and an R-MAT, clean and under the benign chaos
-// schedules.
+// schedules; the same solves check every scan they are about to make against
+// the full-sort oracle.
 func TestActivationSound(t *testing.T) {
 	rmat, err := gen.RMAT(gen.Graph500RMAT(8, 7))
 	if err != nil {
@@ -121,6 +155,9 @@ func TestActivationSound(t *testing.T) {
 	}
 	if o.pairs == 0 {
 		t.Fatal("no label change was audited")
+	}
+	if o.scans == 0 {
+		t.Fatal("no scan was checked against the full sort")
 	}
 }
 

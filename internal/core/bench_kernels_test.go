@@ -10,6 +10,7 @@ package core
 // work is measured by.
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
@@ -115,6 +116,51 @@ func BenchmarkKernelSweepArmed(b *testing.B) {
 		s.sweep()
 		return nil
 	})
+}
+
+// scanSink keeps the benchmarked scan's result live.
+var scanSink float64
+
+// BenchmarkKernelScanCandidates measures one scanCandidates call on a bare
+// stage (no world), in the two shapes that bracket the sweep: a hub-like
+// vertex of a first iteration — 4096 arcs into 2048 distinct singleton
+// communities met in random label order, the case ordering every key is
+// worst at — and a converged vertex whose 64 arcs reach 3 communities.
+func BenchmarkKernelScanCandidates(b *testing.B) {
+	for _, sh := range []struct {
+		name        string
+		arcs, comms int
+	}{{"hub", 4096, 2048}, {"converged", 64, 3}} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			n := sh.arcs + 1 // vertex 0 is scanned; 1..arcs are its neighbours
+			s := &stage{
+				comm: make([]int32, n), tot: make([]float64, n), cached: make([]bool, n),
+				gamma: 1, m2: 64 * float64(sh.arcs), p: 1,
+			}
+			labels := rng.Perm(sh.arcs)[:sh.comms]
+			adj := make([]partition.Arc, sh.arcs)
+			for i := range adj {
+				c := 1 + labels[i%sh.comms]
+				s.comm[1+i] = int32(c)
+				s.cached[c] = true
+				s.tot[c] += float64(1 + rng.Intn(32))
+				adj[i] = partition.Arc{To: 1 + i, W: 1}
+			}
+			rng.Shuffle(len(adj), func(i, j int) { adj[i], adj[j] = adj[j], adj[i] })
+			cu := int(s.comm[1])
+			s.comm[0] = int32(cu)
+			k := float64(sh.arcs)
+			s.tot[cu] += k
+			acc := newGainAccumulator(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, best, _ := s.scanCandidates(0, cu, k, adj, acc)
+				scanSink = best
+			}
+		})
+	}
 }
 
 // BenchmarkKernelPushAggregates measures the push that opens an iteration

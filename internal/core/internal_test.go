@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -213,13 +216,183 @@ func TestGainAccumulator(t *testing.T) {
 	if acc.w[3] != 2.0 || acc.w[7] != 2.0 {
 		t.Errorf("weights: %v", acc.w)
 	}
-	keys := acc.sortedKeys()
-	if len(keys) != 2 || keys[0] != 3 || keys[1] != 7 {
-		t.Errorf("keys: %v", keys)
+	acc.add(1, 1.0)
+	if keys := acc.keys; len(keys) != 3 || keys[0] != 3 || keys[1] != 7 || keys[2] != 1 {
+		t.Errorf("keys (first-touch order): %v", keys)
 	}
 	acc.reset()
 	if acc.w[3] != 0 || len(acc.keys) != 0 {
 		t.Error("reset incomplete")
+	}
+}
+
+// scanCandidatesFullSort is the scan as it ran before scanCandidates
+// filtered: every neighbouring community in ascending label order, every one
+// compared, the gain expression written out. It is the oracle the filtered
+// scan must equal bit for bit.
+func (s *stage) scanCandidatesFullSort(u, cu int, k float64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
+	acc.reset()
+	for _, a := range adj {
+		if a.To == u {
+			continue
+		}
+		acc.add(int(s.comm[a.To]), a.W)
+	}
+	totCu := s.lookupTot(cu) - k
+	stayGain = acc.w[cu] - s.gamma*totCu*k/s.m2
+
+	best = stayGain
+	sort.Ints(acc.keys)
+	for _, c := range acc.keys {
+		if c == cu {
+			continue
+		}
+		gain := acc.w[c] - s.gamma*s.lookupTot(c)*k/s.m2
+		switch {
+		case gain > best+gainEps:
+			best = gain
+			cands = append(cands[:0], c)
+		case gain > best-gainEps:
+			cands = append(cands, c)
+		}
+	}
+	return stayGain, best, cands
+}
+
+// checkScan runs scanCandidates and the full-sort oracle on one vertex and
+// compares (stayGain, best, cands) to the bit and the arbitration of the
+// candidates under all three heuristics. acc and ref are scratch owned by the
+// caller.
+func checkScan(s *stage, u, cu int, k float64, adj []partition.Arc, acc, ref *gainAccumulator) error {
+	stay, best, cands := s.scanCandidates(u, cu, k, adj, acc)
+	wantStay, wantBest, wantCands := s.scanCandidatesFullSort(u, cu, k, adj, ref)
+	if math.Float64bits(stay) != math.Float64bits(wantStay) || math.Float64bits(best) != math.Float64bits(wantBest) || !slices.Equal(cands, wantCands) {
+		return fmt.Errorf("vertex %d in %d: filtered scan (stay %v, best %v, cands %v), full sort (stay %v, best %v, cands %v)",
+			u, cu, stay, best, cands, wantStay, wantBest, wantCands)
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	defer func(h Heuristic) { s.opt.Heuristic = h }(s.opt.Heuristic)
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+		s.opt.Heuristic = h
+		if got, want := s.pickCandidate(cu, cands), s.pickCandidate(cu, wantCands); got != want {
+			return fmt.Errorf("vertex %d in %d, heuristic %v: picked %d, full sort picks %d", u, cu, h, got, want)
+		}
+	}
+	return nil
+}
+
+// TestScanCandidatesMatchesFullSort is the equivalence property of the
+// filter-then-sort scan: on seeded random accumulators — among them the
+// adversarial shapes where a filter could go wrong: gains gainEps/2 apart in
+// ladders around stayGain and around the maximum, exact ties, cu absent from
+// the keys, a single key, every key below the floor — it returns what the
+// full sort returns.
+func TestScanCandidatesMatchesFullSort(t *testing.T) {
+	const (
+		n     = 64 // vertex 0 is evaluated; labels and neighbours are 1..n-1
+		cases = 12000
+	)
+	shapes := []string{"random", "ladder-stay", "ladder-max", "ties", "no-cu", "single", "below-floor"}
+	rng := rand.New(rand.NewSource(23))
+	s := &stage{
+		comm: make([]int32, n), tot: make([]float64, n), size: make([]int32, n), cached: make([]bool, n),
+		gamma: 1, m2: 1000,
+	}
+	for c := range s.cached {
+		s.cached[c] = true
+	}
+	acc, ref := newGainAccumulator(n), newGainAccumulator(n)
+	multi, filtered := 0, 0
+	for i := 0; i < cases; i++ {
+		shape := shapes[i%len(shapes)]
+		s.p = 1 + rng.Intn(4)
+		s.rnk = rng.Intn(s.p)
+		labels := rng.Perm(n - 1)[:1+rng.Intn(24)]
+		for j := range labels {
+			labels[j]++
+		}
+		if shape == "single" {
+			labels = labels[:1]
+		}
+		cu := labels[rng.Intn(len(labels))]
+		k := 1 + 4*rng.Float64()
+		// With Σtot(c) = 0 off cu and Σtot(cu) = k, a gain is the arc weight
+		// itself, so the shapes below place gains exactly.
+		for c := range s.tot {
+			s.tot[c] = 0
+			s.size[c] = int32(rng.Intn(3))
+		}
+		s.tot[cu] = k
+		gains := make([]float64, len(labels))
+		for j := range gains {
+			switch shape {
+			case "random":
+				gains[j] = 2 * rng.Float64()
+			case "ladder-stay", "single", "no-cu":
+				gains[j] = 1 + float64(rng.Intn(13)-6)*gainEps/2
+			case "ladder-max":
+				gains[j] = 2 + float64(rng.Intn(13)-6)*gainEps/2
+				if rng.Intn(3) == 0 {
+					gains[j] = 1 + rng.Float64()/2
+				}
+			case "ties":
+				gains[j] = float64(1 + rng.Intn(3))
+			case "below-floor":
+				gains[j] = 1 - gainEps - rng.Float64()
+			}
+		}
+		if shape == "random" {
+			for c := range s.tot {
+				s.tot[c] = s.m2 * rng.Float64()
+			}
+		}
+		// One neighbour per label, in random order (the accumulator's keys are
+		// in first-touch order), plus a self-loop the scan must skip.
+		var adj []partition.Arc
+		for j, c := range labels {
+			w := gains[j]
+			switch {
+			case c != cu:
+			case shape == "no-cu":
+				continue
+			case shape == "ladder-max":
+				w = 0.5
+			case shape != "random":
+				w = 1
+			}
+			s.comm[c] = int32(c)
+			adj = append(adj, partition.Arc{To: c, W: w})
+		}
+		adj = append(adj, partition.Arc{To: 0, W: 3})
+		rng.Shuffle(len(adj), func(a, b int) { adj[a], adj[b] = adj[b], adj[a] })
+		s.comm[0] = int32(cu)
+
+		if err := checkScan(s, 0, cu, k, adj, acc, ref); err != nil {
+			t.Fatalf("case %d (%s): %v", i, shape, err)
+		}
+		_, _, cands := s.scanCandidates(0, cu, k, adj, acc)
+		if len(cands) > 1 {
+			multi++
+		}
+		if len(acc.live) > 0 && len(acc.live) < len(acc.keys)-1 {
+			filtered++
+		}
+		if shape == "below-floor" {
+			if len(cands) != 0 {
+				t.Fatalf("case %d: candidates %v with every gain below the floor", i, cands)
+			}
+			if pr := s.hubProposal(0, k, adj, acc); pr.improvement != negInf || pr.target != cu {
+				t.Fatalf("case %d: hub proposal %+v with no candidate", i, pr)
+			}
+			if _, ok := s.bestMove(0, k, adj, acc); ok {
+				t.Fatalf("case %d: bestMove moves with no candidate", i)
+			}
+		}
+	}
+	if multi < cases/10 || filtered < cases/10 {
+		t.Fatalf("generator is degenerate: %d of %d cases tie, %d filter part of their keys", multi, cases, filtered)
 	}
 }
 

@@ -304,6 +304,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	s.pool.ParFor(s.p, func(d, _ int) {
 		lo, hi := ms.dstOff[d], ms.dstOff[d+1]
 		b := s.sendBufs[d]
+		want := arcFrameLen(ms.xA, ms.yA, lo, hi, p32)
+		b.Grow(want)
 		b.PutUvarint(uint64(hi - lo))
 		prevRow := int32(-1)
 		i := lo
@@ -340,7 +342,13 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 			i = j
 		}
 		arcBufs[d] = b.Bytes()
+		s.chunkWork[d] = int64(b.Len() - want)
 	})
+	for d := 0; d < s.p; d++ {
+		if s.chunkWork[d] != 0 {
+			return nil, 0, fmt.Errorf("core: rank %d: merge: arc frame for rank %d is %d bytes off its predicted length", s.rnk, d, s.chunkWork[d])
+		}
+	}
 	arcIn, err := s.alltoallv(arcBufs)
 	if err != nil {
 		return nil, 0, err
@@ -588,6 +596,31 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 	}
 	return ns, total, nil
+}
+
+// arcFrameLen returns the exact encoded length of the arc frame merge step 5
+// builds from records [lo:hi), sorted by (x = cu, y = cv): its uvarints plus
+// 8 bytes per weight. The buffer is reserved at that size up front; grown by
+// doubling under PutF64, the frames were the largest garbage of a run.
+func arcFrameLen(x, y []int32, lo, hi int, p int32) int {
+	n := wire.UvarintLen(uint64(hi-lo)) + 8*(hi-lo)
+	prevRow := int32(-1)
+	for i := lo; i < hi; {
+		cu, row := x[i], x[i]/p
+		n += wire.UvarintLen(uint64(row - prevRow))
+		prevRow = row
+		distinct, prevCv := 0, int32(-1)
+		for ; i < hi && x[i] == cu; distinct++ {
+			cv, k := y[i], i
+			for i < hi && x[i] == cu && y[i] == cv {
+				i++
+			}
+			n += wire.UvarintLen(uint64(cv-prevCv)) + wire.UvarintLen(uint64(i-k))
+			prevCv = cv
+		}
+		n += wire.UvarintLen(uint64(distinct))
+	}
+	return n
 }
 
 // fillInt32 sets every entry of s to v (the sized-fill reset of the pooled

@@ -90,13 +90,15 @@ func (s *stage) arm(adj []partition.Arc) int64 {
 }
 
 // gainAccumulator gathers w(u→c) per neighboring community for one vertex,
-// with O(touched) reset. cands is the reusable equal-gain candidate scratch
-// of scanCandidates. One accumulator exists per worker, allocated once per
-// stage, so the steady-state sweep allocates nothing.
+// with O(touched) reset. live and cands are the reusable scratch of
+// scanCandidates: the keys that can still win, and the equal-gain candidate
+// set. One accumulator exists per worker, allocated once per stage, so the
+// steady-state sweep allocates nothing.
 type gainAccumulator struct {
 	w     []float64
 	seen  []bool
 	keys  []int
+	live  []int
 	cands []int
 }
 
@@ -122,13 +124,10 @@ func (g *gainAccumulator) add(c int, w float64) {
 	g.w[c] += w
 }
 
-// sortedKeys returns the touched communities in ascending label order, so
-// every decision below is deterministic.
-//
-//perf:noalloc
-func (g *gainAccumulator) sortedKeys() []int {
-	sort.Ints(g.keys)
-	return g.keys
+// gain returns the modularity gain of inserting a vertex of weighted degree k
+// into a community of aggregate tot to which wc of its arc weight goes.
+func (s *stage) gain(wc, tot, k float64) float64 {
+	return wc - s.gamma*tot*k/s.m2
 }
 
 // scanCandidates accumulates the arc weights of vertex u (current community
@@ -138,6 +137,12 @@ func (g *gainAccumulator) sortedKeys() []int {
 // (aliasing acc's scratch, valid until the next call on the same acc).
 // This is the one place the gain and tie logic lives; bestMove and
 // hubProposal both arbitrate its output.
+//
+// Only a community whose gain exceeds stayGain-gainEps is scanned: best
+// starts at stayGain and never falls, so any other key fails both comparisons
+// wherever its label places it. The survivors are scanned in label order,
+// unless the largest gain clears stayGain and every other by more than
+// gainEps: then its key resets cands and nothing ties it, in any order.
 //
 //perf:noalloc
 func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
@@ -149,16 +154,29 @@ func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *g
 		acc.add(int(s.comm[a.To]), a.W)
 	}
 	// Gain of staying: u removed from cu, then re-inserted.
-	totCu := s.lookupTot(cu) - k
-	stayGain = acc.w[cu] - s.gamma*totCu*k/s.m2
+	stayGain = s.gain(acc.w[cu], s.lookupTot(cu)-k, k)
 
-	best = stayGain
-	cands = acc.cands[:0]
-	for _, c := range acc.sortedKeys() {
+	floor := stayGain - gainEps
+	live := acc.live[:0]
+	top, second := stayGain, negInf // the two largest of stayGain and the survivors' gains
+	for _, c := range acc.keys {
 		if c == cu {
 			continue
 		}
-		gain := acc.w[c] - s.gamma*s.lookupTot(c)*k/s.m2
+		if gain := s.gain(acc.w[c], s.lookupTot(c), k); gain > floor {
+			live = append(live, c)
+			top, second = max(top, gain), max(second, min(top, gain))
+		}
+	}
+	acc.live = live
+	if !(top > second+gainEps && second <= top-gainEps) {
+		sort.Ints(live)
+	}
+
+	best = stayGain
+	cands = acc.cands[:0]
+	for _, c := range live {
+		gain := s.gain(acc.w[c], s.lookupTot(c), k)
 		switch {
 		case gain > best+gainEps:
 			best = gain

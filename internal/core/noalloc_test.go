@@ -44,10 +44,24 @@ func TestNoallocAnnotations(t *testing.T) {
 		defer s.close()
 		steadyState(t, c, s)
 
+		// The scan drivers run on a vertex that still has candidates at the
+		// fixed point (a tie with staying), so the survivor scratch of
+		// scanCandidates is exercised, not just its empty case.
 		acc := s.accs[0]
-		u := s.sg.Owned[0]
-		ku := s.sg.OwnedWDeg[0]
-		adj := s.sg.AdjOwned[0]
+		vi := -1
+		for i, v := range s.sg.Owned {
+			s.scanCandidates(v, int(s.comm[v]), s.sg.OwnedWDeg[i], s.sg.AdjOwned[i], acc)
+			if len(acc.live) > 0 {
+				vi = i
+				break
+			}
+		}
+		if vi < 0 {
+			t.Fatal("fixture has no converged vertex with a surviving candidate")
+		}
+		u := s.sg.Owned[vi]
+		ku := s.sg.OwnedWDeg[vi]
+		adj := s.sg.AdjOwned[vi]
 		cu := int(s.comm[u])
 
 		// Preallocated operands for the merge counting-sort kernels: 8
@@ -72,7 +86,7 @@ func TestNoallocAnnotations(t *testing.T) {
 		}
 
 		// A push frame as rank 0 sends it to itself: one record for the
-		// community of the first owned vertex, which the stage watches.
+		// community of that vertex, which the stage watches.
 		pushFrame := wire.NewBuffer(0)
 		pushFrame.PutStrideDelta(-1, cu, 1)
 		pushFrame.PutF64(s.tot[cu])
@@ -82,22 +96,21 @@ func TestNoallocAnnotations(t *testing.T) {
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
 		drivers := map[string]func(){
-			"stage.sweep":                func() { s.setActive(true); s.sweep() },
-			"stage.arm":                  func() { s.arm(adj) },
-			"stage.sendScratch":          func() { s.sendScratch() },
-			"stage.encodePush":           func() { s.sendScratch(); s.encodePush() },
-			"stage.applyPush":            func() { s.applyPush(0, pushFrame.Bytes()) },
-			"stage.encodeFlush":          func() { s.sendScratch(); s.encodeFlush() },
-			"gainAccumulator.reset":      func() { acc.reset() },
-			"gainAccumulator.add":        func() { acc.reset(); acc.add(cu, 1.0) },
-			"gainAccumulator.sortedKeys": func() { acc.sortedKeys() },
-			"stage.scanCandidates":       func() { s.scanCandidates(u, cu, ku, adj, acc) },
-			"stage.bestMove":             func() { s.bestMove(u, ku, adj, acc) },
-			"stage.hubProposal":          func() { s.hubProposal(u, ku, adj, acc) },
-			"fillInt32":                  func() { fillInt32(mh, -1) },
-			"histCount":                  func() { histCount(mx, 0, len(mx), mh[:4]) },
-			"histCountFused":             func() { histCountFused(mx, 0, len(mx), 2, 2, mh[:4]) },
-			"histOffsets":                func() { histPrep(); histOffsets(mh, 2, 4, 1, mbounds) },
+			"stage.sweep":           func() { s.setActive(true); s.sweep() },
+			"stage.arm":             func() { s.arm(adj) },
+			"stage.sendScratch":     func() { s.sendScratch() },
+			"stage.encodePush":      func() { s.sendScratch(); s.encodePush() },
+			"stage.applyPush":       func() { s.applyPush(0, pushFrame.Bytes()) },
+			"stage.encodeFlush":     func() { s.sendScratch(); s.encodeFlush() },
+			"gainAccumulator.reset": func() { acc.reset() },
+			"gainAccumulator.add":   func() { acc.reset(); acc.add(cu, 1.0) },
+			"stage.scanCandidates":  func() { s.scanCandidates(u, cu, ku, adj, acc) },
+			"stage.bestMove":        func() { s.bestMove(u, ku, adj, acc) },
+			"stage.hubProposal":     func() { s.hubProposal(u, ku, adj, acc) },
+			"fillInt32":             func() { fillInt32(mh, -1) },
+			"histCount":             func() { histCount(mx, 0, len(mx), mh[:4]) },
+			"histCountFused":        func() { histCountFused(mx, 0, len(mx), 2, 2, mh[:4]) },
+			"histOffsets":           func() { histPrep(); histOffsets(mh, 2, 4, 1, mbounds) },
 			"scatterRecords": func() {
 				histPrep()
 				scatterRecords(mx, my, mw, 0, len(mx)/2, mh[:4], mox, moy, mow)

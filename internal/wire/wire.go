@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Buffer is an append-only encoder. The zero value is ready to use.
@@ -34,12 +36,19 @@ func (w *Buffer) Len() int { return len(w.b) }
 //perf:noalloc
 func (w *Buffer) Reset() { w.b = w.b[:0] }
 
+// Grow reserves room for n more bytes, so that a frame whose encoded length
+// is known up front is appended without reallocating along the way.
+func (w *Buffer) Grow(n int) { w.b = slices.Grow(w.b, n) }
+
 // PutUvarint appends an unsigned varint.
 //
 //perf:noalloc
 func (w *Buffer) PutUvarint(v uint64) {
 	w.b = binary.AppendUvarint(w.b, v)
 }
+
+// UvarintLen returns the number of bytes PutUvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // PutVarint appends a signed varint.
 //

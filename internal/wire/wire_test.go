@@ -170,6 +170,40 @@ func TestResetReuses(t *testing.T) {
 	}
 }
 
+// TestGrowReservesExactFrame is the contract the merge's arc frames rely
+// on: UvarintLen predicts PutUvarint at every width boundary, and a frame
+// appended after Grow(its length) never moves the storage, whatever the
+// buffer held before.
+func TestGrowReservesExactFrame(t *testing.T) {
+	b := NewBuffer(0)
+	b.PutU32(7)
+	want := b.Len()
+	var vals []uint64
+	for shift := 0; shift < 64; shift += 7 {
+		vals = append(vals, 1<<shift-1, 1<<shift, 1<<shift+1)
+	}
+	vals = append(vals, 0, math.MaxUint64)
+	for _, v := range vals {
+		want += UvarintLen(v) + 8
+	}
+	b.Grow(want - b.Len())
+	base := &b.Bytes()[0]
+	for _, v := range vals {
+		before := b.Len()
+		b.PutUvarint(v)
+		if got := b.Len() - before; got != UvarintLen(v) {
+			t.Errorf("UvarintLen(%#x) = %d, PutUvarint wrote %d", v, UvarintLen(v), got)
+		}
+		b.PutF64(float64(v))
+	}
+	if b.Len() != want {
+		t.Errorf("Len = %d, predicted %d", b.Len(), want)
+	}
+	if &b.Bytes()[0] != base {
+		t.Error("the buffer reallocated inside its reserved length")
+	}
+}
+
 func TestQuickRoundTripU64s(t *testing.T) {
 	f := func(vs []uint64) bool {
 		b := NewBuffer(0)

@@ -36,7 +36,7 @@ go test -list '^BenchmarkMergePreagg$' -run '^$' ./internal/core | grep '^Benchm
     || { echo "error: BenchmarkMergePreagg missing from internal/core" >&2; exit 1; }
 # And every stage-1 kernel microbenchmark (scripts/bench.sh runs them by
 # prefix), so a rename cannot drop one unnoticed.
-KERNELS='Sweep SweepArmed PushAggregates GhostSwap FlushDeltas DelegateExchange GlobalModularity'
+KERNELS='Sweep SweepArmed ScanCandidates PushAggregates GhostSwap FlushDeltas DelegateExchange GlobalModularity'
 for k in $KERNELS; do
     go test -list "^BenchmarkKernel$k\$" -run '^$' ./internal/core | grep "^BenchmarkKernel$k\$" > /dev/null \
         || { echo "error: BenchmarkKernel$k missing from internal/core" >&2; exit 1; }
