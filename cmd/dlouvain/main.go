@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		graphPath   = flag.String("graph", "", "path to an edge-list (.txt), binary (.bin), or sharded binary (.sbin) graph file")
+		graphPath   = flag.String("graph", "", "path to a graph file (.txt edge list, .sbin sharded binary, .metis; flat .bin files written by older gengraphs still load)")
 		genSpec     = flag.String("gen", "", "generator spec, e.g. lfr:n=5000,mu=0.3,seed=1 (see internal/gen.ParseSpec)")
 		p           = flag.Int("p", 4, "number of ranks (simulated processors)")
 		dhigh       = flag.Int("dhigh", 0, "hub degree threshold (0 = automatic)")

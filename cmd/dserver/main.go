@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dserver -gen caveman:cliques=50,size=10 -p 4
-//	dserver -graph web.bin -p 8 -listen :7600 -auto-resolve
+//	dserver -graph web.sbin -p 8 -listen :7600 -auto-resolve
 //	echo "community 17" | dserver -graph web.txt -p 4
 //
 // With no -listen the protocol runs over stdin/stdout, one request per

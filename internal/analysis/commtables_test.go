@@ -13,11 +13,34 @@ var nonCollectives = map[string]bool{
 	"NewChaosComm": true, "SetRecvTimeout": true, "RecvTimeout": true,
 }
 
+// declaredNames returns every package-level function name of pkg and every
+// method name declared on (or, for interfaces, in) its named types.
+func declaredNames(pkg *Package) map[string]bool {
+	names := make(map[string]bool)
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			names[name] = true
+		case *types.TypeName:
+			ms := types.NewMethodSet(types.NewPointer(obj.Type()))
+			if types.IsInterface(obj.Type()) {
+				ms = types.NewMethodSet(obj.Type())
+			}
+			for i := 0; i < ms.Len(); i++ {
+				names[ms.At(i).Obj().Name()] = true
+			}
+		}
+	}
+	return names
+}
+
 // TestCommTablesMatchPackage keeps the hand-written entry-point tables of
 // collectivesym and commerr equal to what internal/comm really exports, in
 // both directions: a row naming a function the package no longer has is
 // dead, and an exported function taking a Comm that no table knows is a
-// collective the analyzers would silently not police.
+// collective the analyzers would silently not police. commerr's graph IO
+// table is held to the first direction against internal/graph.
 func TestCommTablesMatchPackage(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -33,22 +56,12 @@ func TestCommTablesMatchPackage(t *testing.T) {
 	// Exported package functions, and every method name declared in the
 	// package (commerr also lists Send/Recv/Retry/Drain).
 	commFuncs := make(map[string]*types.Signature) // first parameter is Comm
-	names := make(map[string]bool)
+	names := declaredNames(pkg)
 	for _, name := range scope.Names() {
-		switch obj := scope.Lookup(name).(type) {
-		case *types.Func:
-			names[name] = true
+		if obj, ok := scope.Lookup(name).(*types.Func); ok {
 			sig := obj.Type().(*types.Signature)
 			if obj.Exported() && sig.Params().Len() > 0 && types.Identical(sig.Params().At(0).Type(), commType) {
 				commFuncs[name] = sig
-			}
-		case *types.TypeName:
-			ms := types.NewMethodSet(types.NewPointer(obj.Type()))
-			if types.IsInterface(obj.Type()) {
-				ms = types.NewMethodSet(obj.Type())
-			}
-			for i := 0; i < ms.Len(); i++ {
-				names[ms.At(i).Obj().Name()] = true
 			}
 		}
 	}
@@ -75,6 +88,17 @@ func TestCommTablesMatchPackage(t *testing.T) {
 	for name := range nonCollectives {
 		if commFuncs[name] == nil {
 			t.Errorf("nonCollectives lists %s, but internal/comm exports no such function taking a Comm", name)
+		}
+	}
+
+	graphPkg, err := loader.LoadDir(filepath.Join(loader.Root, "internal", "graph"))
+	if err != nil {
+		t.Fatalf("loading internal/graph: %v", err)
+	}
+	graphNames := declaredNames(graphPkg)
+	for name := range graphIOOps {
+		if !graphNames[name] {
+			t.Errorf("graphIOOps lists %s, but internal/graph declares no such function or method", name)
 		}
 	}
 }

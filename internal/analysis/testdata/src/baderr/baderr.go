@@ -86,32 +86,32 @@ func DropFusedReduce(c comm.Comm) comm.IterStats {
 	return st
 }
 
-// DropWriteSharded drops the sharded writer's error: a truncated .sbin on
-// disk fails every later run.
-func DropWriteSharded(w io.Writer, g *graph.Graph) {
-	graph.WriteBinarySharded(w, g, 8) // want commerr
-}
-
-// DropParallelIngest blanks the parallel parser's error and carries a nil
+// DropParallelIngest blanks the edge-list parser's error and carries a nil
 // graph forward.
 func DropParallelIngest(r io.Reader) *graph.Graph {
-	g, _ := graph.ReadEdgeListParallel(r, 4) // want commerr
+	g, _ := graph.ReadEdgeList(r, 4) // want commerr
 	return g
 }
 
-// DropShardedRead blanks the sharded loader's error.
-func DropShardedRead(data []byte) *graph.Graph {
-	g, _ := graph.ReadBinarySharded(bytes.NewReader(data), 2) // want commerr
+// DropFlatRead blanks the flat-binary loader's error.
+func DropFlatRead(data []byte) *graph.Graph {
+	g, _ := graph.ReadBinary(bytes.NewReader(data)) // want commerr
+	return g
+}
+
+// DropReadFile blanks the by-extension loader's error.
+func DropReadFile(path string) *graph.Graph {
+	g, _ := graph.ReadFile(path, 2) // want commerr
 	return g
 }
 
 // HandledIngestOK is the control case for graph IO.
 func HandledIngestOK(r io.Reader) (*graph.Graph, error) {
-	return graph.ReadEdgeListParallel(r, 4)
+	return graph.ReadEdgeList(r, 4)
 }
 
-// DropV2Write drops the compressed sharded writer's error (out-of-core
-// layer): a truncated v2 .sbin poisons every later streaming run.
+// DropV2Write drops the sharded writer's error: a truncated .sbin on disk
+// fails every later run.
 func DropV2Write(w io.Writer, g *graph.Graph) {
 	graph.WriteBinaryShardedV2(w, g, 8) // want commerr
 }
@@ -127,17 +127,6 @@ func DropWindowDecode(s *graph.Sharded) *graph.Window {
 func DropReadAll(s *graph.Sharded) *graph.Graph {
 	g, _ := s.ReadAll(2) // want commerr
 	return g
-}
-
-// DropCachedWindow drops the LRU reader's decode error in a statement.
-func DropCachedWindow(r *graph.WindowReader) {
-	r.Window(1) // want commerr
-}
-
-// DropNeighbors blanks the per-vertex windowed lookup's error.
-func DropNeighbors(r *graph.WindowReader) []int32 {
-	ts, _, _ := r.NeighborsOf(7) // want commerr
-	return ts
 }
 
 // DropMmapOpen blanks the mmap open error and dereferences a nil view.

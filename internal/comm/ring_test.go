@@ -11,19 +11,19 @@ func TestAllreduceRingAllSizes(t *testing.T) {
 	for _, p := range worldSizes() {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			want := int64(p * (p - 1) / 2)
+			want := uint64(p * (p - 1) / 2)
 			err := RunWorld(p, func(c Comm) error {
 				b := wire.NewBuffer(8)
-				b.PutI64(int64(c.Rank()))
+				b.PutU64(uint64(c.Rank()))
 				out, err := AllreduceBytesRing(c, b.Bytes(), func(x, y []byte) []byte {
 					s := wire.NewBuffer(8)
-					s.PutI64(wire.NewReader(x).I64() + wire.NewReader(y).I64())
+					s.PutU64(wire.NewReader(x).U64() + wire.NewReader(y).U64())
 					return s.Bytes()
 				})
 				if err != nil {
 					return err
 				}
-				if got := wire.NewReader(out).I64(); got != want {
+				if got := wire.NewReader(out).U64(); got != want {
 					return fmt.Errorf("rank %d: sum = %d, want %d", c.Rank(), got, want)
 				}
 				return nil
@@ -40,17 +40,17 @@ func TestAllreduceRingRepeated(t *testing.T) {
 	err := RunWorld(5, func(c Comm) error {
 		for round := 1; round <= 10; round++ {
 			b := wire.NewBuffer(8)
-			b.PutI64(int64(c.Rank() * round))
+			b.PutU64(uint64(c.Rank() * round))
 			out, err := AllreduceBytesRing(c, b.Bytes(), func(x, y []byte) []byte {
 				s := wire.NewBuffer(8)
-				s.PutI64(wire.NewReader(x).I64() + wire.NewReader(y).I64())
+				s.PutU64(wire.NewReader(x).U64() + wire.NewReader(y).U64())
 				return s.Bytes()
 			})
 			if err != nil {
 				return err
 			}
-			want := int64(10 * round) // (0+1+2+3+4)*round
-			if got := wire.NewReader(out).I64(); got != want {
+			want := uint64(10 * round) // (0+1+2+3+4)*round
+			if got := wire.NewReader(out).U64(); got != want {
 				return fmt.Errorf("round %d rank %d: %d != %d", round, c.Rank(), got, want)
 			}
 		}

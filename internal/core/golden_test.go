@@ -34,7 +34,7 @@ func goldenGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	g, err := graph.ReadEdgeList(f)
+	g, err := graph.ReadEdgeList(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,21 +125,32 @@ func TestAggregateReconciliation(t *testing.T) {
 // allreduceF64SliceSum sums a fixed-length vector elementwise across ranks
 // (ground truth only: the solver itself never reduces whole tables).
 func allreduceF64SliceSum(c comm.Comm, vs []float64) ([]float64, error) {
-	buf := wire.NewBuffer(len(vs)*8 + 8)
-	buf.PutF64s(vs)
-	out, err := comm.AllreduceBytes(c, buf.Bytes(), func(a, b []byte) []byte {
-		va, vb := wire.NewReader(a).F64s(), wire.NewReader(b).F64s()
+	encode := func(vs []float64) []byte {
+		buf := wire.NewBuffer(len(vs) * 8)
+		for _, v := range vs {
+			buf.PutF64(v)
+		}
+		return buf.Bytes()
+	}
+	decode := func(p []byte) []float64 {
+		rd := wire.NewReader(p)
+		out := make([]float64, len(vs))
+		for i := range out {
+			out[i] = rd.F64()
+		}
+		return out
+	}
+	out, err := comm.AllreduceBytes(c, encode(vs), func(a, b []byte) []byte {
+		va, vb := decode(a), decode(b)
 		for i := range va {
 			va[i] += vb[i]
 		}
-		s := wire.NewBuffer(len(va)*8 + 8)
-		s.PutF64s(va)
-		return s.Bytes()
+		return encode(va)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewReader(out).F64s(), nil
+	return decode(out), nil
 }
 
 // benignCoreChaos mirrors the comm package's benign schedule: reordering

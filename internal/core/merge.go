@@ -16,7 +16,7 @@ import (
 // locally, and shipped to the new owners (1D partitioning by new-ID mod P),
 // and each rank assembles its portion of the merged graph with the same
 // histogram → offsets → stable-scatter counting sort the ingest CSR builder
-// uses (graph.FromEdgesParallel). Three properties are load-bearing:
+// uses (graph.FromEdges). Three properties are load-bearing:
 //
 //   - Pre-aggregation: duplicate (cu, cv) arc pairs are grouped per
 //     destination before they hit the wire — each frame carries every

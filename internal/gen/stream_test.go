@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // TestStreamRMATMatchesInRAM pins the generator acceptance claim: the
 // bounded-memory path writes the exact graph RMAT builds in RAM — compared
-// byte-for-byte through the canonical flat encoding, across scales, edge
+// byte-for-byte through the one-shard sharded encoding, across scales, edge
 // factors, seeds, and shard counts (including shards ≫ buckets' vertex
 // ranges and a skewed quadrant mix).
 func TestStreamRMATMatchesInRAM(t *testing.T) {
@@ -49,12 +50,12 @@ func TestStreamRMATMatchesInRAM(t *testing.T) {
 			t.Fatalf("scale=%d: streamed %d vertices %d arcs, want %d/%d",
 				tc.scale, sg.Vertices, sg.Arcs, want.NumVertices(), want.NumArcs())
 		}
+		if head, err := os.ReadFile(path); err != nil || binary.LittleEndian.Uint32(head) != 0x477250A3 {
+			t.Fatalf("scale=%d: streamed file does not start with the v2 magic (read error %v)", tc.scale, err)
+		}
 		s, closer, err := graph.OpenShardedFile(path)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.Version() != 2 {
-			t.Fatalf("scale=%d: version %d, want 2", tc.scale, s.Version())
 		}
 		got, err := s.ReadAll(2)
 		if err != nil {
@@ -64,10 +65,10 @@ func TestStreamRMATMatchesInRAM(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wb, gb bytes.Buffer
-		if err := graph.WriteBinary(&wb, want); err != nil {
+		if err := graph.WriteBinaryShardedV2(&wb, want, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.WriteBinary(&gb, got); err != nil {
+		if err := graph.WriteBinaryShardedV2(&gb, got, 1); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wb.Bytes(), gb.Bytes()) {

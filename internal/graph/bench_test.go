@@ -58,7 +58,7 @@ func BenchmarkShardedV2Read(b *testing.B) {
 	}
 	const shards = 16
 	var v1, v2 bytes.Buffer
-	if err := WriteBinarySharded(&v1, g, shards); err != nil {
+	if err := writeSharded(&v1, g, shards, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := WriteBinaryShardedV2(&v2, g, shards); err != nil {

@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/par"
+	"repro/internal/wire"
 )
 
 // seedFromTestdata adds the contents of a testdata file to the corpus, so
@@ -22,8 +24,9 @@ func seedFromTestdata(f *testing.F, name string) {
 }
 
 // FuzzReadEdgeList exercises the text parser against arbitrary input: it
-// must return an error or a structurally valid graph, never panic — and
-// an accepted graph must survive a write/reparse round trip.
+// must return an error or a structurally valid graph, never panic; the
+// inline run and a 3-worker pool must agree on the graph and on the error
+// text; and an accepted graph must survive a write/reparse round trip.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2 2.5\n")
 	f.Add("# vertices 10\n0 1 1\n")
@@ -31,29 +34,26 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("x y z\n")
 	f.Add("-1 -2\n")
 	seedFromTestdata(f, "karate_small.txt")
+	f.Add("# vertices -5\n0 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		// Use the capped reader: a single hostile line can legitimately ask
+		// Lower the vertex bound: a single hostile line can legitimately ask
 		// ReadEdgeList for a ~2^31-vertex graph, which is valid but far too
 		// large to allocate per fuzz input.
-		g, err := readEdgeList(strings.NewReader(input), 1<<20)
-		// The chunked parallel parser shares the grammar line for line: it
-		// must agree with the serial reader on accept/reject, error text,
-		// and every bit of an accepted graph. Call the chunked body
-		// directly — fuzz inputs are below the size cutover.
+		g, err := parseEdgeList([]byte(input), nil, 1<<20)
 		pool := par.NewPool(3)
-		gp, perr := parseEdgeListChunked([]byte(input), pool, 1<<20)
+		gp, perr := parseEdgeList([]byte(input), pool, 1<<20)
 		pool.Close()
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("serial err %v, parallel err %v", err, perr)
+			t.Fatalf("inline err %v, pool err %v", err, perr)
 		}
 		if err != nil {
 			if err.Error() != perr.Error() {
-				t.Fatalf("serial error %q, parallel error %q", err, perr)
+				t.Fatalf("inline error %q, pool error %q", err, perr)
 			}
 			return
 		}
 		if diff := graphsIdentical(g, gp); diff != "" {
-			t.Fatalf("parallel parse diverged from serial: %s", diff)
+			t.Fatalf("pool parse diverged from the inline one: %s", diff)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("parser accepted input %q but produced invalid graph: %v", input, err)
@@ -64,7 +64,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatalf("writing accepted graph back: %v", err)
 		}
-		g2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
+		g2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()), 1)
 		if err != nil {
 			t.Fatalf("reparsing written graph: %v", err)
 		}
@@ -107,7 +107,7 @@ func FuzzReadBinarySharded(f *testing.F) {
 	}
 	for _, shards := range []int{1, 3} {
 		var buf bytes.Buffer
-		if err := WriteBinarySharded(&buf, g, shards); err != nil {
+		if err := writeSharded(&buf, g, shards, nil); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -120,7 +120,7 @@ func FuzzReadBinarySharded(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xa2, 0x50, 0x72, 0x47, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinarySharded(bytes.NewReader(data), 2)
+		g, err := readSharded(data, 2)
 		if err != nil {
 			return
 		}
@@ -138,39 +138,81 @@ func FuzzReadBinarySharded(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary exercises the binary parser against arbitrary bytes.
+// flatAsShard rewrites a flat .bin as the one-shard v1 .sbin holding the
+// same payload: the flat header's magic + uvarint n + uvarint arcs become
+// the fixed-width sharded header and a single index entry. ok is false when
+// the flat header itself does not parse.
+func flatAsShard(data []byte) (sbin []byte, ok bool) {
+	rd := wire.NewReader(data)
+	m, n, arcs := rd.U32(), rd.Uvarint(), rd.Uvarint()
+	if rd.Err() != nil || m != binaryMagic {
+		return nil, false
+	}
+	payload := data[len(data)-rd.Remaining():]
+	b := wire.NewBuffer(shardedHeaderLen + shardIndexEntryLen + len(payload))
+	b.PutU32(shardedMagic)
+	b.PutU64(n)
+	b.PutU64(arcs)
+	b.PutU32(1)
+	b.PutU64(n)
+	b.PutU64(uint64(len(payload)))
+	b.PutU64(arcs)
+	return append(b.Bytes(), payload...), true
+}
+
+// FuzzReadBinary exercises the flat binary parser against arbitrary bytes:
+// an error or a graph with sane counts, never a panic or a header-sized
+// allocation. And since ReadBinary decodes a flat file as one v1 shard, it
+// must accept exactly the inputs whose one-shard rewrite the sharded reader
+// accepts, with the same graph.
 func FuzzReadBinary(f *testing.F) {
 	g, err := FromEdges(4, []Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := writeBinary(&buf, g); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0xff})
+	// Hostile headers: n and arcs far beyond what the bytes present can hold.
+	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00})
+	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
+		sbin, ok := flatAsShard(data)
+		if !ok {
+			if err == nil {
+				t.Fatal("accepted a file whose header does not parse")
+			}
+			return
+		}
+		gs, serr := readSharded(sbin, 1)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("flat err %v, one-shard v1 err %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
-		// A successfully parsed graph must at least have sane counts.
 		if g.NumVertices() < 0 || g.NumArcs() < 0 {
 			t.Fatal("negative sizes")
+		}
+		if diff := graphsIdentical(g, gs); diff != "" {
+			t.Fatalf("flat decode differs from its one-shard v1 rewrite: %s", diff)
 		}
 	})
 }
 
-// FuzzReadVertexRange exercises the windowed decode paths (ReadWindow and
-// ReadVertexRange, which the out-of-core pipeline lives on) against
-// arbitrary bytes — hostile headers, truncated windows, overlapping shard
-// indexes — in both format versions. The invariant: whenever the
-// whole-file decoder accepts the input, every window and vertex range must
-// decode without error to exactly the same arcs; and on rejected input the
-// windowed paths must error, never panic.
-func FuzzReadVertexRange(f *testing.F) {
+// FuzzReadWindow exercises the windowed decode path (ReadWindow, which the
+// out-of-core pipeline lives on) against arbitrary bytes — hostile headers,
+// truncated windows, overlapping shard indexes — in both format versions.
+// The invariant: whenever the whole-file decoder accepts the input, every
+// window must decode without error to exactly the matching slice of
+// ReadAll's graph; and on rejected input the windowed path must error,
+// never panic.
+func FuzzReadWindow(f *testing.F) {
 	g, err := FromEdges(8, []Edge{
 		{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 2},
 		{U: 6, V: 7, W: 1}, {U: 1, V: 1, W: 3}, {U: 3, V: 6, W: 0.5},
@@ -180,7 +222,7 @@ func FuzzReadVertexRange(f *testing.F) {
 	}
 	for _, shards := range []int{1, 3} {
 		var v1, v2 bytes.Buffer
-		if err := WriteBinarySharded(&v1, g, shards); err != nil {
+		if err := writeSharded(&v1, g, shards, nil); err != nil {
 			f.Fatal(err)
 		}
 		if err := WriteBinaryShardedV2(&v2, g, shards); err != nil {
@@ -200,20 +242,27 @@ func FuzzReadVertexRange(f *testing.F) {
 		}
 		full, ferr := s.ReadAll(2)
 		if ferr != nil {
-			// The input fails somewhere in a payload; the windowed decoders
-			// share those validation paths and must fail cleanly too, but
-			// which shard errors first is theirs to decide.
+			// The input fails somewhere in a payload; the windowed decoder
+			// shares those validation paths and must fail cleanly too, but
+			// which shard errors first is its to decide.
+			failed := false
 			for i := 0; i < s.NumShards(); i++ {
-				_, _ = s.ReadWindow(i)
+				if _, werr := s.ReadWindow(i); werr != nil {
+					failed = true
+				}
 			}
-			_, _, _, _ = s.ReadVertexRange(0, s.NumVertices())
+			if !failed {
+				t.Fatalf("ReadAll rejected (%v) but every window decoded", ferr)
+			}
 			return
 		}
-		n := s.NumVertices()
 		for i := 0; i < s.NumShards(); i++ {
 			w, werr := s.ReadWindow(i)
 			if werr != nil {
 				t.Fatalf("ReadAll accepted but window %d rejected: %v", i, werr)
+			}
+			if lo, hi := s.ShardRange(i); w.Lo != lo || w.Hi != hi {
+				t.Fatalf("window %d covers [%d,%d), index says [%d,%d)", i, w.Lo, w.Hi, lo, hi)
 			}
 			for u := w.Lo; u < w.Hi; u++ {
 				wantT, wantW := full.Neighbors(u)
@@ -222,31 +271,9 @@ func FuzzReadVertexRange(f *testing.F) {
 					t.Fatalf("vertex %d: window %d arcs, ReadAll %d", u, len(gotT), len(wantT))
 				}
 				for k := range wantT {
-					if gotT[k] != wantT[k] || gotW[k] != wantW[k] {
+					if gotT[k] != wantT[k] || math.Float64bits(gotW[k]) != math.Float64bits(wantW[k]) {
 						t.Fatalf("vertex %d arc %d: window (%d,%v), ReadAll (%d,%v)",
 							u, k, gotT[k], gotW[k], wantT[k], wantW[k])
-					}
-				}
-			}
-		}
-		for _, r := range [][2]int{{0, n}, {n / 3, n/3 + (n+2)/3}, {n - 1, n}, {0, 0}} {
-			lo, hi := r[0], r[1]
-			if lo < 0 || hi < lo || hi > n {
-				continue
-			}
-			offs, ts, _, rerr := s.ReadVertexRange(lo, hi)
-			if rerr != nil {
-				t.Fatalf("ReadAll accepted but range [%d,%d) rejected: %v", lo, hi, rerr)
-			}
-			for u := lo; u < hi; u++ {
-				wantT, _ := full.Neighbors(u)
-				gotT := ts[offs[u-lo]:offs[u-lo+1]]
-				if len(gotT) != len(wantT) {
-					t.Fatalf("range vertex %d: %d arcs, want %d", u, len(gotT), len(wantT))
-				}
-				for k := range wantT {
-					if gotT[k] != wantT[k] {
-						t.Fatalf("range vertex %d arc %d mismatch", u, k)
 					}
 				}
 			}

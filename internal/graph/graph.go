@@ -103,15 +103,6 @@ func (g *Graph) MaxDegree() int {
 	return maxd
 }
 
-// DegreeHistogram returns a map degree → vertex count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.NumVertices(); u++ {
-		h[g.Degree(u)]++
-	}
-	return h
-}
-
 // Edges materializes the undirected edge list (u <= v once per edge).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.NumArcs()/2)
@@ -176,46 +167,10 @@ func (g *Graph) hasArc(u, v int, w float64) bool {
 // Each input edge {u,v}, u != v, yields the two symmetric arcs; self-loops
 // yield one arc. Duplicate edges are combined by summing weights. Endpoints
 // must lie in [0, n). A weight of 0 on input is treated as 1 (unweighted
-// convenience).
+// convenience). It is the counting-sort builder of ingest.go run inline;
+// readers that hold a pool hand it to fromEdgesPool and get the same bytes.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	deg := make([]int64, n+1)
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) endpoint out of range [0,%d)", e.U, e.V, n)
-		}
-		deg[e.U+1]++
-		if e.V != e.U {
-			deg[e.V+1]++
-		}
-	}
-	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-	total := offsets[n]
-	targets := make([]int32, total)
-	weights := make([]float64, total)
-	fill := make([]int64, n)
-	put := func(u, v int, w float64) {
-		a := offsets[u] + fill[u]
-		targets[a] = int32(v)
-		weights[a] = w
-		fill[u]++
-	}
-	for _, e := range edges {
-		w := e.W
-		if w == 0 {
-			w = 1
-		}
-		put(e.U, e.V, w)
-		if e.V != e.U {
-			put(e.V, e.U, w)
-		}
-	}
-	g := &Graph{offsets: offsets, targets: targets, weights: weights}
-	g.sortAndCombine()
-	g.finish()
-	return g, nil
+	return fromEdgesPool(n, edges, nil)
 }
 
 // FromArcLists builds a graph directly from per-vertex arc lists. The caller
@@ -241,12 +196,14 @@ func FromArcLists(n int, targets [][]int32, weights [][]float64) (*Graph, error)
 	}
 	g := &Graph{offsets: offsets, targets: flatT, weights: flatW}
 	g.sortAndCombine()
-	g.finish()
+	finishPool(g, nil)
 	return g, nil
 }
 
 // sortAndCombine sorts each vertex's arcs by target and merges arcs with the
-// same target by summing weights (parallel edges collapse to one arc).
+// same target by summing weights (parallel edges collapse to one arc). Only
+// FromArcLists needs it: its input is already grouped by source, so a sort
+// per vertex is the whole job; edge lists go through fromEdgesPool.
 func (g *Graph) sortAndCombine() {
 	n := g.NumVertices()
 	newOffsets := make([]int64, n+1)
@@ -280,32 +237,12 @@ func (g *Graph) sortAndCombine() {
 	g.weights = g.weights[:writeAt]
 }
 
-// finish recomputes cached weighted degrees, 2m, and the self-loop count.
-func (g *Graph) finish() {
-	n := g.NumVertices()
-	g.wdeg = make([]float64, n)
-	g.m2 = 0
-	g.loops = 0
-	for u := 0; u < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		var k float64
-		for a := lo; a < hi; a++ {
-			k += g.weights[a]
-			if int(g.targets[a]) == u {
-				g.loops++
-			}
-		}
-		g.wdeg[u] = k
-		g.m2 += k
-	}
-}
-
 // fromSortedCSR wraps already sorted-and-combined CSR arrays in a Graph.
 // Callers assert monotone offsets and strictly increasing, in-range targets
 // per vertex (the binary readers validate this while decoding).
 func fromSortedCSR(offsets []int64, targets []int32, weights []float64) *Graph {
 	g := &Graph{offsets: offsets, targets: targets, weights: weights}
-	g.finish()
+	finishPool(g, nil)
 	return g
 }
 

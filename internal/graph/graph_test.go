@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,15 +177,11 @@ func TestFromArcListsMismatch(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	// star: center degree 3, leaves degree 1
 	g, err := FromEdges(4, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	h := g.DegreeHistogram()
-	if h[3] != 1 || h[1] != 3 {
-		t.Errorf("DegreeHistogram = %v, want {3:1, 1:3}", h)
 	}
 	if g.MaxDegree() != 3 {
 		t.Errorf("MaxDegree = %d, want 3", g.MaxDegree())
@@ -345,72 +342,57 @@ func TestModularityResolution(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	// Two triangles plus an isolated vertex.
-	g, err := FromEdges(7, []Edge{
-		{0, 1, 1}, {1, 2, 1}, {0, 2, 1},
-		{3, 4, 1}, {4, 5, 1}, {3, 5, 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, k := ConnectedComponents(g)
-	if k != 3 {
-		t.Fatalf("components = %d, want 3", k)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Error("triangle 1 split")
-	}
-	if labels[3] != labels[4] || labels[4] != labels[5] {
-		t.Error("triangle 2 split")
-	}
-	if labels[6] == labels[0] || labels[6] == labels[3] {
-		t.Error("isolated vertex merged")
-	}
-	if got := LargestComponent(g); got != 3 {
-		t.Errorf("LargestComponent = %d, want 3", got)
-	}
-}
-
-func TestConnectedComponentsEmpty(t *testing.T) {
-	g, err := FromEdges(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, k := ConnectedComponents(g)
-	if k != 0 || len(labels) != 0 {
-		t.Errorf("empty graph: k=%d labels=%v", k, labels)
-	}
-	if LargestComponent(g) != 0 {
-		t.Error("LargestComponent of empty graph")
-	}
-}
-
-func TestQuickComponentsPartitionVertices(t *testing.T) {
-	f := func(seed int64) bool {
-		g, err := FromEdges(30, randomEdges(30, 40, seed))
-		if err != nil {
-			return false
+// fromEdgesSerial is the builder FromEdges was before the counting sort
+// became the only one: scatter arcs by source in edge order, sort.Stable
+// each vertex's arcs by target, combine duplicates left to right, then the
+// wdeg/m2/loops caches in one serial pass. Kept as the oracle the counting
+// sort is compared with, bit for bit.
+func fromEdgesSerial(n int, edges []Edge) (*Graph, error) {
+	offsets := make([]int64, n+1)
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) endpoint out of range [0,%d)", e.U, e.V, n)
 		}
-		labels, k := ConnectedComponents(g)
-		// dense labels
-		for _, c := range labels {
-			if c < 0 || c >= k {
-				return false
+		offsets[e.U+1]++
+		if e.V != e.U {
+			offsets[e.V+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	targets := make([]int32, offsets[n])
+	weights := make([]float64, offsets[n])
+	fill := make([]int64, n)
+	put := func(u, v int, w float64) {
+		a := offsets[u] + fill[u]
+		targets[a] = int32(v)
+		weights[a] = w
+		fill[u]++
+	}
+	for _, e := range edges {
+		w := e.W
+		if w == 0 {
+			w = 1
+		}
+		put(e.U, e.V, w)
+		if e.V != e.U {
+			put(e.V, e.U, w)
+		}
+	}
+	g := &Graph{offsets: offsets, targets: targets, weights: weights}
+	g.sortAndCombine()
+	g.wdeg = make([]float64, n)
+	for u := 0; u < n; u++ {
+		var k float64
+		for a := g.offsets[u]; a < g.offsets[u+1]; a++ {
+			k += g.weights[a]
+			if int(g.targets[a]) == u {
+				g.loops++
 			}
 		}
-		// endpoints of every arc share a component
-		for u := 0; u < g.NumVertices(); u++ {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				if labels[u] != labels[g.ArcTarget(a)] {
-					return false
-				}
-			}
-		}
-		return true
+		g.wdeg[u] = k
+		g.m2 += k
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+	return g, nil
 }

@@ -1,28 +1,24 @@
 package graph
 
-// Parallel ingest: chunked edge-list parsing and a counting-sort CSR
-// builder. Both are bit-identical to their serial counterparts
-// (readEdgeList / FromEdges) at every worker count:
+// Ingest: the one edge-list parser and the one CSR builder. Each gives the
+// same bytes on every pool, the nil pool (which runs inline) included:
 //
 //   - The text input is split at newline boundaries, so every chunk parses
-//     whole lines with the exact grammar of the serial scanner
-//     (parseEdgeLine). Per-chunk edge slices concatenate in chunk order,
-//     reproducing the serial edge sequence; the error on the smallest line
-//     number wins, reproducing the serial reader's first error; the
-//     "# vertices" declaration on the greatest line number wins, matching
-//     the serial reader's last-writer-wins header handling.
+//     whole lines with the one grammar (parseEdgeLine). Per-chunk edge
+//     slices concatenate in chunk order, which is file order; the error on
+//     the smallest line number wins and the "# vertices" declaration on the
+//     greatest line number wins, so neither depends on where the cuts fall.
 //
-//   - The CSR builder replaces the per-vertex sort.Stable of sortAndCombine
-//     with a two-pass stable counting sort over the arc sequence (arcs in
-//     edge order, (u,v) before (v,u)): pass A scatters by target, pass B by
-//     source. An LSD radix sort with stable passes yields arcs grouped by
-//     source, sorted by target, ties in original sequence order — exactly
-//     the serial post-sort layout, so the duplicate-combine pass sums
-//     weights in the identical order and every float in the result matches
-//     the serial builder bit for bit. Scatter positions are integers fully
-//     determined by the global arc sequence, so — unlike float reductions —
-//     the chunk count here may depend on the worker count without breaking
-//     determinism.
+//   - The CSR builder is a two-pass stable counting sort over the arc
+//     sequence (arcs in edge order, (u,v) before (v,u)): pass A scatters by
+//     target, pass B by source. An LSD radix sort with stable passes yields
+//     arcs grouped by source, sorted by target, ties in original sequence
+//     order, so the duplicate-combine pass sums weights in input order on
+//     both endpoints and arc symmetry survives floating point. Scatter
+//     positions are integers fully determined by the global arc sequence,
+//     so — unlike float reductions — the chunk count here may depend on the
+//     worker count without breaking determinism. graph_test.go keeps the
+//     per-vertex stable-sort builder this replaced as the oracle.
 //
 // Kernels never touch a communicator (ingest runs before any comm exists),
 // keeping within the internal/par contract.
@@ -37,30 +33,24 @@ import (
 	"repro/internal/par"
 )
 
-// parseChunkMin is the input size below which chunked parsing is not worth
-// the split/merge overhead and the serial reader runs instead.
-const parseChunkMin = 1 << 16
-
 // histChunkCap caps the chunk count of the counting-sort passes: each chunk
 // carries an n-sized histogram, so the scratch is histChunkCap·n ints at
 // most no matter how many workers run.
 const histChunkCap = 16
 
-// ReadEdgeListParallel parses the WriteEdgeList / SNAP text format on up to
-// workers goroutines and builds the CSR with the parallel counting-sort
-// builder. workers <= 1 runs the serial reader; 0 picks a host-sized count.
-// The result is bit-identical to ReadEdgeList for every worker count.
-func ReadEdgeListParallel(r io.Reader, workers int) (*Graph, error) {
-	if resolveWorkers(workers) <= 1 {
-		// The serial reader scans the stream directly; skipping the buffer
-		// makes workers=1 literally the serial path, not a copy of it.
-		return ReadEdgeList(r)
-	}
+// ReadEdgeList parses the text format written by WriteEdgeList on up to
+// workers goroutines (0 = host-sized). It also accepts headerless
+// SNAP-style lists ("u v" or "u v w" per line, '#' comments); in that case
+// the vertex count is 1 + the maximum endpoint. The graph, and the error on
+// a malformed input, are the same at every worker count.
+func ReadEdgeList(r io.Reader, workers int) (*Graph, error) {
 	data, err := readAllSized(r)
 	if err != nil {
 		return nil, err
 	}
-	return readEdgeListParallel(data, workers, math.MaxInt32)
+	pool := par.NewPool(resolveWorkers(workers))
+	defer pool.Close()
+	return parseEdgeList(data, pool, math.MaxInt32)
 }
 
 // readAllSized buffers the whole input, sizing the buffer up front when the
@@ -75,14 +65,6 @@ func readAllSized(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// readEdgeListParallel bounds the vertex-ID space at maxV, mirroring
-// readEdgeList (the fuzz harness lowers the bound).
-func readEdgeListParallel(data []byte, workers, maxV int) (*Graph, error) {
-	pool := par.NewPool(resolveWorkers(workers))
-	defer pool.Close()
-	return readEdgeListPool(data, pool, maxV)
 }
 
 // resolveWorkers maps the cmd-level -workers convention onto a pool size:
@@ -104,16 +86,13 @@ type chunkParse struct {
 	err      error
 }
 
-func readEdgeListPool(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
-	if pool == nil || len(data) < parseChunkMin {
-		return readEdgeList(bytes.NewReader(data), maxV)
-	}
-	return parseEdgeListChunked(data, pool, maxV)
-}
-
-// parseEdgeListChunked is the chunked parser body; the fuzz harness calls
-// it directly so small inputs still exercise the parallel path.
-func parseEdgeListChunked(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
+// parseEdgeList bounds the vertex-ID space at maxV. Arc targets are stored
+// as int32, so IDs beyond that are corrupt by definition — and because a
+// headerless list sizes the graph as 1 + max endpoint, a single hostile
+// line like "99999999999999 0" would otherwise demand a maxID-sized
+// allocation before any validation. The fuzz harness lowers the bound
+// further to keep per-input allocations small.
+func parseEdgeList(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
 	bounds := splitLines(data, pool.Workers()*4)
 	nc := len(bounds) - 1
 
@@ -135,7 +114,7 @@ func parseEdgeListChunked(data []byte, pool *par.Pool, maxV int) (*Graph, error)
 		res[c] = parseChunk(data[bounds[c]:bounds[c+1]], startLine[c], maxV)
 	})
 
-	// Merge: smallest-line error wins (the serial reader's first error),
+	// Merge: the smallest-line error wins (the file's first), the
 	// greatest-line declaration wins (its last), edges concatenate in chunk
 	// order (its sequence).
 	var firstErr error
@@ -224,8 +203,6 @@ func parseChunk(b []byte, lineNo, maxV int) chunkParse {
 		} else {
 			ln, b = b, nil
 		}
-		// The serial scanner's 1 MiB buffer fills before EOF registers, so
-		// any line of maxLineLen bytes or more fails there with ErrTooLong.
 		if len(ln) >= maxLineLen {
 			cp.errLine, cp.err = lineNo, bufio.ErrTooLong
 			return cp
@@ -252,21 +229,9 @@ func parseChunk(b []byte, lineNo, maxV int) chunkParse {
 	return cp
 }
 
-// FromEdgesParallel builds the same graph as FromEdges on up to workers
-// goroutines (0 = host-sized, <= 1 = the serial builder). The output is
-// bit-identical to FromEdges at every worker count.
-func FromEdgesParallel(n int, edges []Edge, workers int) (*Graph, error) {
-	pool := par.NewPool(resolveWorkers(workers))
-	defer pool.Close()
-	return fromEdgesPool(n, edges, pool)
-}
-
-// fromEdgesPool is the counting-sort CSR builder. See the package comment
-// at the top of this file for the determinism argument.
+// fromEdgesPool is the counting-sort CSR builder. See the comment at the top
+// of this file for the determinism argument.
 func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
-	if pool == nil || len(edges) < par.Grain {
-		return FromEdges(n, edges)
-	}
 	nc := pool.Workers()
 	if nc > histChunkCap {
 		nc = histChunkCap
@@ -277,8 +242,8 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 	// chunk. By symmetry the same totals serve as per-source degrees (arc
 	// targets and arc sources are the same multiset), so one histogram feeds
 	// both the CSR offsets and pass A's scatter positions. A chunk stops at
-	// its first bad edge; the globally smallest index wins, reproducing the
-	// serial builder's first error.
+	// its first bad edge; the globally smallest index wins, so the error
+	// names the list's first bad edge whatever the chunking.
 	hist := make([]int64, nc*n)
 	bad := make([]int, nc)
 	pool.ParFor(nc, func(c, _ int) {
@@ -353,7 +318,7 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 
 	// Pass B: stable scatter by source. Stability over the pass-A order
 	// leaves each vertex's arcs sorted by target with duplicates in input
-	// order — the exact layout sortAndCombine's stable sort produces.
+	// order.
 	targets := make([]int32, arcs)
 	weights := make([]float64, arcs)
 	for i := range hist {
@@ -380,9 +345,8 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 		}
 	})
 
-	// Combine duplicates per vertex, summing weights left to right as the
-	// serial combine does. Most graphs have none, in which case the pass-B
-	// arrays are already final.
+	// Combine duplicates per vertex, summing weights left to right. Most
+	// graphs have none, in which case the pass-B arrays are already final.
 	ncV := par.NumChunks(n)
 	newDeg := make([]int64, n)
 	pool.ParFor(ncV, func(cv, _ int) {
@@ -443,10 +407,9 @@ func histToOffsets(hist, base []int64, nc, n int, pool *par.Pool) {
 	})
 }
 
-// finishPool computes the wdeg/m2/loops caches with parallel per-vertex
-// scans. Each k(u) accumulates over u's own arcs in arc order (the serial
-// chain), and m2 sums wdeg serially in ascending u — both float orders are
-// exactly finish()'s, so the caches are bit-identical to the serial build.
+// finishPool computes the wdeg/m2/loops caches with per-vertex scans. Each
+// k(u) accumulates over u's own arcs in arc order and m2 sums wdeg serially
+// in ascending u, so neither float depends on the pool.
 func finishPool(g *Graph, pool *par.Pool) {
 	n := g.NumVertices()
 	g.wdeg = make([]float64, n)

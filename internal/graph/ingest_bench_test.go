@@ -1,10 +1,9 @@
 package graph_test
 
-// Ingest benchmarks for the parallel pipeline. The scale-14 R-MAT input
-// matches the serial seed baseline PR 5 was accepted against (git show
-// 11a6fa5:scripts/bench_seed_pr5.json): >= 2x at 8 workers with workers=1
-// within 10% of the old serial path. This file is an
-// external test package so it can use internal/gen without an import cycle.
+// Ingest benchmarks: the edge-list reader and the sharded decoder at each
+// worker count, on the scale-14 R-MAT input PR 5 was accepted against (git
+// show 11a6fa5:scripts/bench_seed_pr5.json). This file is an external test
+// package so it can use internal/gen without an import cycle.
 
 import (
 	"bytes"
@@ -36,19 +35,11 @@ func benchText(b *testing.B) []byte {
 
 func BenchmarkIngestEdgeList(b *testing.B) {
 	text := benchText(b)
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(text)))
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.ReadEdgeList(bytes.NewReader(text)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(wLabel(w), func(b *testing.B) {
 			b.SetBytes(int64(len(text)))
 			for i := 0; i < b.N; i++ {
-				if _, err := graph.ReadEdgeListParallel(bytes.NewReader(text), w); err != nil {
+				if _, err := graph.ReadEdgeList(bytes.NewReader(text), w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,27 +48,19 @@ func BenchmarkIngestEdgeList(b *testing.B) {
 }
 
 func BenchmarkIngestSharded(b *testing.B) {
-	g := benchGraph()
-	var flat, sharded bytes.Buffer
-	if err := graph.WriteBinary(&flat, g); err != nil {
+	var sharded bytes.Buffer
+	if err := graph.WriteBinaryShardedV2(&sharded, benchGraph(), 16); err != nil {
 		b.Fatal(err)
 	}
-	if err := graph.WriteBinarySharded(&sharded, g, 16); err != nil {
+	s, err := graph.OpenSharded(bytes.NewReader(sharded.Bytes()), int64(sharded.Len()))
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("flat", func(b *testing.B) {
-		b.SetBytes(int64(flat.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.ReadBinary(bytes.NewReader(flat.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(wLabel(w), func(b *testing.B) {
 			b.SetBytes(int64(sharded.Len()))
 			for i := 0; i < b.N; i++ {
-				if _, err := graph.ReadBinarySharded(bytes.NewReader(sharded.Bytes()), w); err != nil {
+				if _, err := s.ReadAll(w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func graphsEqual(a, b *Graph) bool {
@@ -35,7 +39,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ReadEdgeList(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListHeaderless(t *testing.T) {
 	in := "# a comment\n0 1\n1 2 2.5\n\n2 0\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeList(strings.NewReader(in), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestReadEdgeListHeaderless(t *testing.T) {
 func TestReadEdgeListPreservesIsolatedTail(t *testing.T) {
 	// header declares more vertices than appear in edges
 	in := "# vertices 10\n0 1 1\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeList(strings.NewReader(in), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +75,60 @@ func TestReadEdgeListPreservesIsolatedTail(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, bad := range []string{"0\n", "x y\n", "0 y\n", "0 1 z\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil {
-			t.Errorf("input %q: expected error", bad)
+	for _, tc := range []struct{ bad, want string }{
+		{"0\n", "need at least 2 fields"},
+		{"x y\n", "bad source"},
+		{"0 y\n", "bad target"},
+		{"0 1 z\n", "bad weight"},
+		{"0 1\n# vertices -5\n1 2\n", "graph: line 2: declared vertex count -5 is negative"},
+	} {
+		for _, w := range []int{1, 2, 8} {
+			_, err := ReadEdgeList(strings.NewReader(tc.bad), w)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("input %q workers=%d: error %v, want one containing %q", tc.bad, w, err, tc.want)
+			}
+		}
+	}
+}
+
+// writeBinary emits the flat .bin format as gengraph wrote it before the
+// format became read-only. Production code no longer writes it; the tests
+// keep the encoder so ReadBinary has inputs besides the committed file.
+func writeBinary(w io.Writer, g *Graph) error {
+	buf := wire.NewBuffer(int(g.NumArcs())*3 + 64)
+	buf.PutU32(binaryMagic)
+	buf.PutUvarint(uint64(g.NumVertices()))
+	buf.PutUvarint(uint64(g.NumArcs()))
+	for u := 0; u < g.NumVertices(); u++ {
+		lo, hi := g.ArcRange(u)
+		buf.PutUvarint(uint64(hi - lo))
+		prev := int64(0)
+		for a := lo; a < hi; a++ {
+			t := int64(g.ArcTarget(a))
+			buf.PutVarint(t - prev) // delta-coded sorted targets
+			prev = t
+			buf.PutF64(g.ArcWeight(a))
+		}
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// TestReadFileParentBin loads a .bin written by gengraph at the last commit
+// that could write one (c4f0c52: -gen lfr:n=150,mu=0.3,seed=5) and requires
+// the CSR digest that commit's own ReadFile gave for it.
+func TestReadFileParentBin(t *testing.T) {
+	for _, w := range ingestWorkerCounts {
+		g, err := ReadFile(filepath.Join("testdata", "lfr150_parent.bin"), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := csrDigest(g); got != 0x2307f01a67d4b1f0 || g.NumVertices() != 150 || g.NumArcs() != 820 {
+			t.Fatalf("workers=%d: digest %#x, n=%d, arcs=%d; recorded 0x2307f01a67d4b1f0, 150, 820",
+				w, got, g.NumVertices(), g.NumArcs())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -89,7 +144,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := writeBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := ReadBinary(&buf)
@@ -116,7 +171,7 @@ func TestBinaryTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := writeBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

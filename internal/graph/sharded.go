@@ -1,9 +1,10 @@
 package graph
 
-// Sharded binary graph format. The flat WriteBinary format forces a reader
-// to buffer and decode the whole file on one goroutine; the sharded layout
-// prepends a fixed-width index so loaders can decode shards concurrently
-// and fetch only the byte ranges covering the vertices they need.
+// Sharded binary graph format. The flat .bin format (ReadBinary) forces a
+// reader to buffer and decode the whole file on one goroutine; the sharded
+// layout prepends a fixed-width index so loaders can decode shards
+// concurrently and fetch only the byte ranges covering the vertices they
+// need.
 //
 // v1 layout (little-endian):
 //
@@ -13,8 +14,9 @@ package graph
 //	shards × payload
 //
 // Shard s covers vertices [vhi[s-1], vhi[s]) (vhi[-1] = 0); its v1 payload
-// is exactly WriteBinary's per-vertex encoding for those vertices (uvarint
-// degree, then per arc a delta-coded varint target and a fixed f64 weight).
+// is the per-vertex encoding of the flat format for those vertices (uvarint
+// degree, then per arc a delta-coded varint target and a fixed f64 weight),
+// which is why ReadBinary decodes a flat file as one v1 shard.
 // Shard boundaries are chosen to balance arcs, not vertices, so hub-heavy
 // shards do not serialize the parallel decode.
 //
@@ -44,7 +46,6 @@ package graph
 // demanding huge buffers.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -72,19 +73,15 @@ const shardIndexEntryLen = 8 + 8 + 8
 // raw-f64 encoding beyond it.
 const maxWeightDict = 255
 
-// WriteBinarySharded writes g in the sharded binary format (v1: raw f64
-// weights). Shard payloads are encoded concurrently (the byte output is
-// identical at every worker count: each shard's encoding depends only on
-// its own vertices, and shards are concatenated in index order).
-func WriteBinarySharded(w io.Writer, g *Graph, shards int) error {
-	return writeSharded(w, g, shards, nil)
-}
-
 // WriteBinaryShardedV2 writes g in the compressed sharded format: targets
 // delta+varint coded as in v1, weights as runs of indexes into a per-file
 // dictionary. Unit-weight graphs shrink from ~9-10 bytes/arc to ~1-2. A
-// graph with more than 255 distinct weights is written as v1 instead — the
-// caller gets whichever format is smaller to decode, negotiated by magic.
+// graph with more than 255 distinct weights is written as v1 (raw f64
+// weights) instead — the caller gets whichever format is smaller to decode,
+// negotiated by magic. Shard payloads are encoded concurrently; the byte
+// output is identical at every worker count, because each shard's encoding
+// depends only on its own vertices and shards are concatenated in index
+// order.
 func WriteBinaryShardedV2(w io.Writer, g *Graph, shards int) error {
 	dict, dictIdx := weightDict(g.weights)
 	if dict == nil {
@@ -249,8 +246,7 @@ func writeSharded(w io.Writer, g *Graph, shards int, v2 *v2Writer) error {
 }
 
 // Sharded is an opened sharded graph: the validated index plus the source
-// reader. Payloads are fetched on demand by ReadAll / ReadWindow /
-// ReadVertexRange.
+// reader. Payloads are fetched on demand by ReadAll / ReadWindow.
 type Sharded struct {
 	r          io.ReaderAt
 	ver        int       // 1 = raw f64 weights, 2 = dictionary runs
@@ -279,7 +275,7 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 		return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for header", size, shardedHeaderLen)
 	}
 	hb := make([]byte, shardedHeaderLen)
-	if _, err := r.ReadAt(hb, 0); err != nil {
+	if err := readFullAt(r, hb, 0); err != nil {
 		return nil, err
 	}
 	rd := wire.NewReader(hb)
@@ -307,7 +303,7 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 			return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for v2 header", size, shardedHeaderLenV2)
 		}
 		vb := make([]byte, shardedHeaderLenV2-shardedHeaderLen)
-		if _, err := r.ReadAt(vb, shardedHeaderLen); err != nil {
+		if err := readFullAt(r, vb, shardedHeaderLen); err != nil {
 			return nil, err
 		}
 		rd.Reset(vb)
@@ -324,7 +320,7 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 			return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for %d-entry dictionary", size, headerLen, dictLen)
 		}
 		db := make([]byte, 8*dictLen)
-		if _, err := r.ReadAt(db, shardedHeaderLenV2); err != nil {
+		if err := readFullAt(r, db, shardedHeaderLenV2); err != nil {
 			return nil, err
 		}
 		rd.Reset(db)
@@ -342,7 +338,7 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 		return nil, fmt.Errorf("graph: sharded: corrupt header (n=%d arcs=%d for %d payload bytes)", n, arcs, payloadTotal)
 	}
 	ib := make([]byte, indexLen)
-	if _, err := r.ReadAt(ib, headerLen); err != nil {
+	if err := readFullAt(r, ib, headerLen); err != nil {
 		return nil, err
 	}
 	rd.Reset(ib)
@@ -408,23 +404,12 @@ func (s *Sharded) NumArcs() int64 { return s.arcs }
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.vhi) }
 
-// Version returns the on-disk format version (1 or 2).
-func (s *Sharded) Version() int { return s.ver }
-
 // ShardRange returns the vertex range [lo, hi) of shard i.
 func (s *Sharded) ShardRange(i int) (lo, hi int) {
 	if i > 0 {
 		lo = s.vhi[i-1]
 	}
 	return lo, s.vhi[i]
-}
-
-// ShardArcs returns the arc count of shard i from the index.
-func (s *Sharded) ShardArcs(i int) int64 { return s.arcCount[i] }
-
-// ShardOf returns the shard covering vertex u (valid for 0 ≤ u < n).
-func (s *Sharded) ShardOf(u int) int {
-	return sort.Search(len(s.vhi), func(i int) bool { return s.vhi[i] > u })
 }
 
 // payloadBytes fetches shard i's payload, returning an in-place view when
@@ -435,10 +420,20 @@ func (s *Sharded) payloadBytes(i int) ([]byte, error) {
 		return br.Range(s.payloadOff[i], s.payloadLen[i])
 	}
 	data := make([]byte, s.payloadLen[i])
-	if _, err := s.r.ReadAt(data, s.payloadOff[i]); err != nil {
+	if err := readFullAt(s.r, data, s.payloadOff[i]); err != nil {
 		return nil, err
 	}
 	return data, nil
+}
+
+// readFullAt fills p from r at off. io.ReaderAt may report io.EOF beside a
+// complete read that ends at the end of the input — a bytes.Reader does for
+// the empty payload of a vertex-free shard — so only a short read fails.
+func readFullAt(r io.ReaderAt, p []byte, off int64) error {
+	if n, err := r.ReadAt(p, off); n < len(p) {
+		return err
+	}
+	return nil
 }
 
 // ReadAll decodes the whole graph, fetching and decoding shards on up to
@@ -543,65 +538,4 @@ func (s *Sharded) decodeWeightRuns(rd *wire.Reader, ws []float64, u int) error {
 		}
 	}
 	return nil
-}
-
-// ReadVertexRange decodes only the shards covering vertices [lo, hi) and
-// returns that range's CSR slice: offsets is rebased (len hi-lo+1 with
-// offsets[0] = 0), targets/weights hold just the range's arcs. Only the
-// covering shards' byte ranges are fetched, one decoded shard at a time.
-func (s *Sharded) ReadVertexRange(lo, hi int) ([]int64, []int32, []float64, error) {
-	if lo < 0 || hi < lo || hi > s.n {
-		return nil, nil, nil, fmt.Errorf("graph: sharded: vertex range [%d,%d) outside [0,%d]", lo, hi, s.n)
-	}
-	offsets := make([]int64, hi-lo+1)
-	if lo == hi {
-		return offsets, nil, nil, nil
-	}
-	// First and last shard overlapping the range.
-	s0 := sort.Search(s.NumShards(), func(i int) bool { return s.vhi[i] > lo })
-	s1 := sort.Search(s.NumShards(), func(i int) bool { return s.vhi[i] >= hi })
-	var capArcs int64
-	for i := s0; i <= s1; i++ {
-		capArcs += s.arcCount[i]
-	}
-	targets := make([]int32, 0, capArcs)
-	weights := make([]float64, 0, capArcs)
-	for i := s0; i <= s1; i++ {
-		w, err := s.ReadWindow(i)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		klo, khi := max(lo, w.Lo), min(hi, w.Hi)
-		for u := klo; u < khi; u++ {
-			ts, ws := w.Arcs(u)
-			targets = append(targets, ts...)
-			weights = append(weights, ws...)
-			offsets[u-lo+1] = int64(len(targets))
-		}
-	}
-	return offsets, targets, weights, nil
-}
-
-// ReadBinarySharded reads a whole sharded graph from a stream. Inputs that
-// support ReadAt and can report a size (files, bytes.Readers) are opened in
-// place; anything else is buffered once.
-func ReadBinarySharded(r io.Reader, workers int) (*Graph, error) {
-	if ra, ok := r.(io.ReaderAt); ok {
-		if size, sized := inputSize(r); sized {
-			s, err := OpenSharded(ra, size)
-			if err != nil {
-				return nil, err
-			}
-			return s.ReadAll(workers)
-		}
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := OpenSharded(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	return s.ReadAll(workers)
 }

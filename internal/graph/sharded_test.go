@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// readSharded opens an in-memory .sbin of either version and decodes all
+// of it, the road ReadFile takes through OpenShardedFile.
+func readSharded(data []byte, workers int) (*Graph, error) {
+	s, err := OpenSharded(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return s.ReadAll(workers)
+}
+
+// shardedFixture encodes a messy graph as v1 (raw f64 weights), the format
+// WriteBinaryShardedV2 falls back to by itself past 255 distinct weights;
+// calling writeSharded directly gets it for small graphs too.
 func shardedFixture(t *testing.T, n, m, shards int) (*Graph, []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n + m + shards)))
@@ -15,7 +28,7 @@ func shardedFixture(t *testing.T, n, m, shards int) (*Graph, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinarySharded(&buf, g, shards); err != nil {
+	if err := writeSharded(&buf, g, shards, nil); err != nil {
 		t.Fatal(err)
 	}
 	return g, buf.Bytes()
@@ -25,10 +38,11 @@ func TestShardedRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ n, m, shards int }{
 		{1, 0, 1}, {10, 20, 1}, {100, 800, 4}, {500, 5000, 7}, {64, 100, 64},
 		{50, 300, 200}, // more shards than vertices: clamped
+		{0, 0, 1},      // no vertices: one shard with an empty payload
 	} {
 		g, enc := shardedFixture(t, tc.n, tc.m, tc.shards)
 		for _, w := range ingestWorkerCounts {
-			g2, err := ReadBinarySharded(bytes.NewReader(enc), w)
+			g2, err := readSharded(enc, w)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d workers=%d: %v", tc.n, tc.shards, w, err)
 			}
@@ -42,7 +56,7 @@ func TestShardedRoundTrip(t *testing.T) {
 func TestShardedDeterministicEncoding(t *testing.T) {
 	g, enc := shardedFixture(t, 300, 3000, 5)
 	var buf bytes.Buffer
-	if err := WriteBinarySharded(&buf, g, 5); err != nil {
+	if err := writeSharded(&buf, g, 5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, buf.Bytes()) {
@@ -53,53 +67,19 @@ func TestShardedDeterministicEncoding(t *testing.T) {
 func TestShardedMatchesFlat(t *testing.T) {
 	g, enc := shardedFixture(t, 200, 2000, 6)
 	var flat bytes.Buffer
-	if err := WriteBinary(&flat, g); err != nil {
+	if err := writeBinary(&flat, g); err != nil {
 		t.Fatal(err)
 	}
 	gf, err := ReadBinary(bytes.NewReader(flat.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := ReadBinarySharded(bytes.NewReader(enc), 4)
+	gs, err := readSharded(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := graphsIdentical(gf, gs); diff != "" {
 		t.Fatalf("flat vs sharded decode: %s", diff)
-	}
-}
-
-func TestShardedReadVertexRange(t *testing.T) {
-	g, enc := shardedFixture(t, 300, 4000, 8)
-	s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int{{0, 300}, {0, 1}, {299, 300}, {40, 160}, {100, 100}, {0, 37}} {
-		lo, hi := r[0], r[1]
-		offs, ts, ws, err := s.ReadVertexRange(lo, hi)
-		if err != nil {
-			t.Fatalf("range [%d,%d): %v", lo, hi, err)
-		}
-		for u := lo; u < hi; u++ {
-			wantT, wantW := g.Neighbors(u)
-			gotT := ts[offs[u-lo]:offs[u-lo+1]]
-			gotW := ws[offs[u-lo]:offs[u-lo+1]]
-			if len(gotT) != len(wantT) {
-				t.Fatalf("range [%d,%d) vertex %d: %d arcs, want %d", lo, hi, u, len(gotT), len(wantT))
-			}
-			for i := range wantT {
-				if gotT[i] != wantT[i] || gotW[i] != wantW[i] {
-					t.Fatalf("range [%d,%d) vertex %d arc %d mismatch", lo, hi, u, i)
-				}
-			}
-		}
-	}
-	if _, _, _, err := s.ReadVertexRange(-1, 5); err == nil {
-		t.Error("negative lo: expected error")
-	}
-	if _, _, _, err := s.ReadVertexRange(10, 301); err == nil {
-		t.Error("hi beyond n: expected error")
 	}
 }
 
@@ -110,7 +90,7 @@ func TestShardedHostileInputs(t *testing.T) {
 	le := binary.LittleEndian
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := f(append([]byte(nil), enc...))
-		if g, err := ReadBinarySharded(bytes.NewReader(b), 2); err == nil {
+		if g, err := readSharded(b, 2); err == nil {
 			// A mutation may legitimately survive only if the graph still
 			// validates; hostile header fields below never do.
 			t.Errorf("%s: expected error, got graph with %d vertices", name, g.NumVertices())

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func TestShardedV2RoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: magic %#x, want v2 %#x", tc.n, got, shardedMagicV2)
 		}
 		for _, w := range ingestWorkerCounts {
-			g2, err := ReadBinarySharded(bytes.NewReader(enc), w)
+			g2, err := readSharded(enc, w)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d workers=%d: %v", tc.n, tc.shards, w, err)
 			}
@@ -68,7 +69,7 @@ func TestShardedV2Compresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v1, v2 bytes.Buffer
-	if err := WriteBinarySharded(&v1, g, 8); err != nil {
+	if err := writeSharded(&v1, g, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBinaryShardedV2(&v2, g, 8); err != nil {
@@ -98,7 +99,7 @@ func TestShardedV2FallsBackToV1(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(buf.Bytes()); got != shardedMagic {
 		t.Fatalf("magic %#x, want v1 fallback %#x", got, shardedMagic)
 	}
-	g2, err := ReadBinarySharded(bytes.NewReader(buf.Bytes()), 2)
+	g2, err := readSharded(buf.Bytes(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,7 @@ func TestShardedV2FallsBackToV1(t *testing.T) {
 }
 
 // TestWindowsMatchGraph decodes every shard window of v1 and v2 encodings
-// and compares each vertex's arcs against the source graph, plus
-// ReadVertexRange over the v2 path.
+// and compares each vertex's arcs against the source graph.
 func TestWindowsMatchGraph(t *testing.T) {
 	for _, ver := range []int{1, 2} {
 		var g *Graph
@@ -123,8 +123,8 @@ func TestWindowsMatchGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Version() != ver {
-			t.Fatalf("version %d, want %d", s.Version(), ver)
+		if s.ver != ver {
+			t.Fatalf("version %d, want %d", s.ver, ver)
 		}
 		covered := 0
 		for i := 0; i < s.NumShards(); i++ {
@@ -139,7 +139,7 @@ func TestWindowsMatchGraph(t *testing.T) {
 			for u := lo; u < hi; u++ {
 				wantT, wantW := g.Neighbors(u)
 				gotT, gotW := w.Arcs(u)
-				if len(gotT) != len(wantT) || w.Degree(u) != len(wantT) {
+				if len(gotT) != len(wantT) {
 					t.Fatalf("v%d vertex %d: %d arcs, want %d", ver, u, len(gotT), len(wantT))
 				}
 				for k := range wantT {
@@ -154,95 +154,10 @@ func TestWindowsMatchGraph(t *testing.T) {
 		if covered != g.NumVertices() {
 			t.Fatalf("v%d: windows covered %d of %d vertices", ver, covered, g.NumVertices())
 		}
-		for _, r := range [][2]int{{0, 300}, {40, 160}, {299, 300}} {
-			offs, ts, ws, err := s.ReadVertexRange(r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
+		for _, i := range []int{-1, s.NumShards()} {
+			if _, err := s.ReadWindow(i); err == nil {
+				t.Errorf("v%d: window %d of %d: expected error", ver, i, s.NumShards())
 			}
-			for u := r[0]; u < r[1]; u++ {
-				wantT, wantW := g.Neighbors(u)
-				gotT := ts[offs[u-r[0]]:offs[u-r[0]+1]]
-				gotW := ws[offs[u-r[0]]:offs[u-r[0]+1]]
-				if len(gotT) != len(wantT) {
-					t.Fatalf("v%d range %v vertex %d: %d arcs, want %d", ver, r, u, len(gotT), len(wantT))
-				}
-				for k := range wantT {
-					if gotT[k] != wantT[k] || gotW[k] != wantW[k] {
-						t.Fatalf("v%d range %v vertex %d arc %d mismatch", ver, r, u, k)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWindowReaderLRU checks the cache's hit/eviction accounting and that
-// random access through a tiny cache still returns correct neighborhoods.
-func TestWindowReaderLRU(t *testing.T) {
-	g, enc := v2Fixture(t, 400, 6000, 10)
-	s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A cache bigger than the shard count never evicts and loads each
-	// shard exactly once, however often it is re-read.
-	big := NewWindowReader(s, s.NumShards()+1)
-	for pass := 0; pass < 3; pass++ {
-		for i := 0; i < s.NumShards(); i++ {
-			if _, err := big.Window(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if st := big.Stats(); st.Loads != int64(s.NumShards()) || st.Evictions != 0 || st.Hits != int64(2*s.NumShards()) {
-		t.Fatalf("big cache stats: %+v", st)
-	}
-
-	// A one-window cache thrashes on alternating shards but stays correct.
-	small := NewWindowReader(s, 1)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		u := rng.Intn(g.NumVertices())
-		ts, ws, err := small.NeighborsOf(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantT, wantW := g.Neighbors(u)
-		if len(ts) != len(wantT) {
-			t.Fatalf("vertex %d: %d arcs, want %d", u, len(ts), len(wantT))
-		}
-		for k := range wantT {
-			if ts[k] != wantT[k] || ws[k] != wantW[k] {
-				t.Fatalf("vertex %d arc %d mismatch", u, k)
-			}
-		}
-	}
-	if st := small.Stats(); st.Loads < 2 || st.Evictions != st.Loads-1 {
-		t.Fatalf("small cache stats: %+v", st)
-	}
-	if _, _, err := small.NeighborsOf(-1); err == nil {
-		t.Error("negative vertex: expected error")
-	}
-	if _, _, err := small.NeighborsOf(g.NumVertices()); err == nil {
-		t.Error("vertex beyond n: expected error")
-	}
-	if _, err := small.Window(s.NumShards()); err == nil {
-		t.Error("shard beyond count: expected error")
-	}
-}
-
-func TestShardOf(t *testing.T) {
-	_, enc := v2Fixture(t, 200, 3000, 7)
-	s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < s.NumVertices(); u++ {
-		i := s.ShardOf(u)
-		lo, hi := s.ShardRange(i)
-		if u < lo || u >= hi {
-			t.Fatalf("ShardOf(%d) = %d covering [%d,%d)", u, i, lo, hi)
 		}
 	}
 }
@@ -409,15 +324,16 @@ func TestOpenShardedFile(t *testing.T) {
 			t.Fatalf("v%d mmap decode: %s", ver, diff)
 		}
 		// Windowed access over the mapping takes the Range zero-copy path.
-		r := NewWindowReader(s, 2)
-		for u := 0; u < g.NumVertices(); u += 17 {
-			ts, _, err := r.NeighborsOf(u)
+		for i := 0; i < s.NumShards(); i++ {
+			w, err := s.ReadWindow(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantT, _ := g.Neighbors(u)
-			if len(ts) != len(wantT) {
-				t.Fatalf("v%d vertex %d: %d arcs, want %d", ver, u, len(ts), len(wantT))
+			for u := w.Lo; u < w.Hi; u++ {
+				ts, _ := w.Arcs(u)
+				if wantT, _ := g.Neighbors(u); !slices.Equal(ts, wantT) {
+					t.Fatalf("v%d vertex %d: window arcs %v, want %v", ver, u, ts, wantT)
+				}
 			}
 		}
 		if err := closer.Close(); err != nil {
@@ -441,7 +357,7 @@ func TestShardedV2HostileInputs(t *testing.T) {
 	mutate := func(name string, f func(b []byte) []byte) {
 		t.Helper()
 		b := f(append([]byte(nil), enc...))
-		if g, err := ReadBinarySharded(bytes.NewReader(b), 2); err == nil {
+		if g, err := readSharded(b, 2); err == nil {
 			t.Errorf("%s: expected error, got graph with %d vertices", name, g.NumVertices())
 		}
 	}

@@ -169,7 +169,7 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 		{"rmat12", rmatText.Bytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serialG, err := graph.ReadEdgeList(bytes.NewReader(tc.text))
+			serialG, err := graph.ReadEdgeList(bytes.NewReader(tc.text), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, w := range buildWorkerCounts {
-					pg, err := graph.ReadEdgeListParallel(bytes.NewReader(tc.text), w)
+					pg, err := graph.ReadEdgeList(bytes.NewReader(tc.text), w)
 					if err != nil {
 						t.Fatalf("workers=%d: parallel parse: %v", w, err)
 					}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -19,7 +20,7 @@ func streamGraphs(t *testing.T) map[string]*graph.Graph {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	golden, err := graph.ReadEdgeList(f)
+	golden, err := graph.ReadEdgeList(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,42 +35,54 @@ func streamGraphs(t *testing.T) map[string]*graph.Graph {
 // streaming two-pass Build over a sharded file must produce a Layout
 // bit-identical to the in-RAM Build of the decoded graph — golden + R-MAT
 // × both partitionings × worker counts × shard counts × both shard format
-// versions, including the float bit patterns of every weight and 2m.
+// versions, including the float bit patterns of every weight and 2m. The
+// one sharded writer picks the version from the weights, so the v1 files
+// come from the R-MAT graph with a different weight on every edge.
 func TestStreamingBuildMatchesInRAM(t *testing.T) {
-	for name, g := range streamGraphs(t) {
-		for _, ver := range []int{1, 2} {
-			for _, shards := range []int{1, 7, 32} {
-				var buf bytes.Buffer
-				var err error
-				if ver == 1 {
-					err = graph.WriteBinarySharded(&buf, g, shards)
-				} else {
-					err = graph.WriteBinaryShardedV2(&buf, g, shards)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, kind := range []Kind{Delegate, OneD} {
-					for _, p := range []int{1, 2, 4} {
-						for _, workers := range []int{1, 4} {
-							opt := Options{P: p, Kind: kind, Workers: workers}
-							want, err := Build(g, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := BuildStreaming(s, opt)
-							if err != nil {
-								t.Fatalf("%s v%d shards=%d %v p=%d w=%d: %v",
-									name, ver, shards, kind, p, workers, err)
-							}
-							if diff := layoutsIdentical(want, got); diff != "" {
-								t.Fatalf("%s v%d shards=%d %v p=%d w=%d: streaming diverged: %s",
-									name, ver, shards, kind, p, workers, diff)
-							}
+	gs := streamGraphs(t)
+	edges := gs["rmat12"].Edges()
+	for i := range edges {
+		edges[i].W = 1 + float64(i)/4096
+	}
+	weighted, err := graph.FromEdges(gs["rmat12"].NumVertices(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs["rmat12-weighted"] = weighted
+	for name, g := range gs {
+		ver := 2
+		if g == weighted {
+			ver = 1
+		}
+		for _, shards := range []int{1, 7, 32} {
+			var buf bytes.Buffer
+			if err := graph.WriteBinaryShardedV2(&buf, g, shards); err != nil {
+				t.Fatal(err)
+			}
+			// The magic's last byte is 0xA1 + the version.
+			if got := int(binary.LittleEndian.Uint32(buf.Bytes())) - 0x477250A1; got != ver {
+				t.Fatalf("%s: the writer chose format v%d, this row is meant to cover v%d", name, got, ver)
+			}
+			s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []Kind{Delegate, OneD} {
+				for _, p := range []int{1, 2, 4} {
+					for _, workers := range []int{1, 4} {
+						opt := Options{P: p, Kind: kind, Workers: workers}
+						want, err := Build(g, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := BuildStreaming(s, opt)
+						if err != nil {
+							t.Fatalf("%s v%d shards=%d %v p=%d w=%d: %v",
+								name, ver, shards, kind, p, workers, err)
+						}
+						if diff := layoutsIdentical(want, got); diff != "" {
+							t.Fatalf("%s v%d shards=%d %v p=%d w=%d: streaming diverged: %s",
+								name, ver, shards, kind, p, workers, diff)
 						}
 					}
 				}

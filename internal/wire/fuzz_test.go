@@ -9,9 +9,8 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{0x80})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	b := NewBuffer(0)
-	b.PutU64s([]uint64{1, 2, 3})
-	b.PutF64s([]float64{1.5})
-	b.PutBytes([]byte("seed"))
+	b.PutInts([]int{1, -2, 3})
+	b.PutF64(1.5)
 	f.Add(b.Bytes())
 	f.Add(strideStream([]int{3, 7, 403}, 3, 4))
 	f.Add([]byte{0x00, 0x01, 0x00}) // zero distance, then a repeated id
@@ -22,11 +21,7 @@ func FuzzReader(f *testing.F) {
 		r.U32()
 		r.U64()
 		r.F64()
-		r.Bytes()
-		r.U64s()
-		r.I64s()
 		r.Ints()
-		r.F64s()
 		// Err may or may not be set, but the reader must stay in bounds.
 		if r.Remaining() < 0 {
 			t.Fatal("negative remaining")

@@ -40,7 +40,6 @@ func TestNoallocAnnotations(t *testing.T) {
 		"Buffer.PutVarint":      func() { buf.Reset(); buf.PutVarint(-(1 << 40)) },
 		"Buffer.PutU32":         func() { buf.Reset(); buf.PutU32(0xdeadbeef) },
 		"Buffer.PutU64":         func() { buf.Reset(); buf.PutU64(1 << 60) },
-		"Buffer.PutI64":         func() { buf.Reset(); buf.PutI64(-(1 << 60)) },
 		"Buffer.PutF64":         func() { buf.Reset(); buf.PutF64(3.14159) },
 		"Buffer.PutStrideDelta": func() { buf.Reset(); buf.PutStrideDelta(3, 4003, 4) },
 		"Reader.Reset":          func() { rd.Reset(payload) },
@@ -69,12 +68,6 @@ func TestNoallocAnnotations(t *testing.T) {
 			buf.PutU64(42)
 			rd.Reset(buf.Bytes())
 			rd.U64()
-		},
-		"Reader.I64": func() {
-			buf.Reset()
-			buf.PutI64(-42)
-			rd.Reset(buf.Bytes())
-			rd.I64()
 		},
 		"Reader.F64": func() {
 			buf.Reset()

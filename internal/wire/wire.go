@@ -2,7 +2,7 @@
 //
 // All payloads exchanged through the comm layer are encoded with this
 // package: little-endian fixed-width integers and floats, unsigned varints
-// for counts, and bulk slice helpers. The encoding is hand-rolled (no
+// for counts, and a varint slice helper. The encoding is hand-rolled (no
 // encoding/gob, no reflection) so that message sizes are predictable and the
 // communication-volume statistics reported by the experiments are meaningful.
 package wire
@@ -71,13 +71,6 @@ func (w *Buffer) PutU64(v uint64) {
 	w.b = binary.LittleEndian.AppendUint64(w.b, v)
 }
 
-// PutI64 appends a fixed-width little-endian int64.
-//
-//perf:noalloc
-func (w *Buffer) PutI64(v int64) {
-	w.PutU64(uint64(v))
-}
-
 // PutF64 appends a little-endian IEEE-754 float64.
 //
 //perf:noalloc
@@ -106,41 +99,11 @@ func badStride(prev, id, stride int) {
 	panic(fmt.Sprintf("wire: stride-delta id %d does not follow %d in steps of %d", id, prev, stride))
 }
 
-// PutBytes appends a length-prefixed byte slice.
-func (w *Buffer) PutBytes(p []byte) {
-	w.PutUvarint(uint64(len(p)))
-	w.b = append(w.b, p...)
-}
-
-// PutU64s appends a length-prefixed slice of uint64 as varints.
-func (w *Buffer) PutU64s(vs []uint64) {
-	w.PutUvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.PutUvarint(v)
-	}
-}
-
-// PutI64s appends a length-prefixed slice of int64 as varints.
-func (w *Buffer) PutI64s(vs []int64) {
-	w.PutUvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.PutVarint(v)
-	}
-}
-
 // PutInts appends a length-prefixed slice of int as varints.
 func (w *Buffer) PutInts(vs []int) {
 	w.PutUvarint(uint64(len(vs)))
 	for _, v := range vs {
 		w.PutVarint(int64(v))
-	}
-}
-
-// PutF64s appends a length-prefixed slice of float64, fixed width.
-func (w *Buffer) PutF64s(vs []float64) {
-	w.PutUvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.PutF64(v)
 	}
 }
 
@@ -240,11 +203,6 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// I64 reads a fixed-width int64.
-//
-//perf:noalloc
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
 // F64 reads a float64.
 //
 //perf:noalloc
@@ -283,61 +241,6 @@ func (r *Reader) SkipZero() bool {
 	return true
 }
 
-// Bytes reads a length-prefixed byte slice. The result aliases the input.
-func (r *Reader) Bytes() []byte {
-	n := int(r.Uvarint())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("bytes")
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-// U64s reads a length-prefixed slice of varint uint64.
-func (r *Reader) U64s() []uint64 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > r.Remaining() { // each element is at least one byte
-		r.fail("u64 slice length")
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.Uvarint()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return vs
-}
-
-// I64s reads a length-prefixed slice of varint int64.
-func (r *Reader) I64s() []int64 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > r.Remaining() {
-		r.fail("i64 slice length")
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.Varint()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return vs
-}
-
 // Ints reads a length-prefixed slice of varint int.
 func (r *Reader) Ints() []int {
 	n := int(r.Uvarint())
@@ -351,26 +254,6 @@ func (r *Reader) Ints() []int {
 	vs := make([]int, n)
 	for i := range vs {
 		vs[i] = int(r.Varint())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return vs
-}
-
-// F64s reads a length-prefixed slice of float64.
-func (r *Reader) F64s() []float64 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n*8 > r.Remaining() {
-		r.fail("f64 slice length")
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
 	}
 	if r.err != nil {
 		return nil

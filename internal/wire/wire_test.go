@@ -16,7 +16,6 @@ func TestRoundTripScalars(t *testing.T) {
 	b.PutVarint(1 << 40)
 	b.PutU32(0xdeadbeef)
 	b.PutU64(42)
-	b.PutI64(-42)
 	b.PutF64(3.14159)
 	b.PutF64(math.Inf(-1))
 
@@ -42,9 +41,6 @@ func TestRoundTripScalars(t *testing.T) {
 	if got := r.U64(); got != 42 {
 		t.Errorf("U64 = %d", got)
 	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
 	if got := r.F64(); got != 3.14159 {
 		t.Errorf("F64 = %g", got)
 	}
@@ -61,36 +57,16 @@ func TestRoundTripScalars(t *testing.T) {
 
 func TestRoundTripSlices(t *testing.T) {
 	b := NewBuffer(0)
-	u64s := []uint64{0, 1, 1 << 62, 77}
-	i64s := []int64{-5, 0, 9, -1 << 40}
-	ints := []int{3, -4, 0}
-	f64s := []float64{0, -2.5, 1e300}
-	raw := []byte("hello")
-	b.PutU64s(u64s)
-	b.PutI64s(i64s)
+	ints := []int{3, -4, 0, 1 << 40, -1 << 40}
 	b.PutInts(ints)
-	b.PutF64s(f64s)
-	b.PutBytes(raw)
-	b.PutBytes(nil)
+	b.PutInts([]int{7})
 
 	r := NewReader(b.Bytes())
-	if got := r.U64s(); !reflect.DeepEqual(got, u64s) {
-		t.Errorf("U64s = %v, want %v", got, u64s)
-	}
-	if got := r.I64s(); !reflect.DeepEqual(got, i64s) {
-		t.Errorf("I64s = %v, want %v", got, i64s)
-	}
 	if got := r.Ints(); !reflect.DeepEqual(got, ints) {
 		t.Errorf("Ints = %v, want %v", got, ints)
 	}
-	if got := r.F64s(); !reflect.DeepEqual(got, f64s) {
-		t.Errorf("F64s = %v, want %v", got, f64s)
-	}
-	if got := r.Bytes(); string(got) != "hello" {
-		t.Errorf("Bytes = %q, want hello", got)
-	}
-	if got := r.Bytes(); len(got) != 0 {
-		t.Errorf("Bytes = %q, want empty", got)
+	if got := r.Ints(); !reflect.DeepEqual(got, []int{7}) {
+		t.Errorf("Ints = %v, want [7]", got)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -99,14 +75,13 @@ func TestRoundTripSlices(t *testing.T) {
 
 func TestEmptySlicesDecodeNil(t *testing.T) {
 	b := NewBuffer(0)
-	b.PutU64s(nil)
-	b.PutF64s([]float64{})
+	b.PutInts(nil)
+	b.PutInts([]int{})
 	r := NewReader(b.Bytes())
-	if got := r.U64s(); got != nil {
-		t.Errorf("U64s = %v, want nil", got)
-	}
-	if got := r.F64s(); got != nil {
-		t.Errorf("F64s = %v, want nil", got)
+	for i := 0; i < 2; i++ {
+		if got := r.Ints(); got != nil {
+			t.Errorf("Ints = %v, want nil", got)
+		}
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
@@ -116,13 +91,13 @@ func TestEmptySlicesDecodeNil(t *testing.T) {
 func TestTruncatedInputs(t *testing.T) {
 	b := NewBuffer(0)
 	b.PutU64(12345)
-	b.PutF64s([]float64{1, 2, 3})
+	b.PutInts([]int{1, -2, 300})
 	full := b.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		r.U64()
-		r.F64s()
-		if cut < len(full) && r.Err() == nil {
+		r.Ints()
+		if r.Err() == nil {
 			t.Fatalf("truncation at %d/%d not detected", cut, len(full))
 		}
 	}
@@ -134,8 +109,8 @@ func TestCorruptSliceLength(t *testing.T) {
 	b := NewBuffer(0)
 	b.PutUvarint(1 << 40)
 	r := NewReader(b.Bytes())
-	if got := r.U64s(); got != nil || r.Err() == nil {
-		t.Fatalf("U64s on corrupt length: got %v err %v", got, r.Err())
+	if got := r.Ints(); got != nil || r.Err() == nil {
+		t.Fatalf("Ints on corrupt length: got %v err %v", got, r.Err())
 	}
 }
 
@@ -207,16 +182,17 @@ func TestGrowReservesExactFrame(t *testing.T) {
 func TestQuickRoundTripU64s(t *testing.T) {
 	f := func(vs []uint64) bool {
 		b := NewBuffer(0)
-		b.PutU64s(vs)
+		for _, v := range vs {
+			b.PutUvarint(v)
+			b.PutU64(v)
+		}
 		r := NewReader(b.Bytes())
-		got := r.U64s()
-		if r.Err() != nil {
-			return false
+		for _, v := range vs {
+			if r.Uvarint() != v || r.U64() != v {
+				return false
+			}
 		}
-		if len(vs) == 0 {
-			return got == nil
-		}
-		return reflect.DeepEqual(got, vs)
+		return r.Err() == nil && r.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -224,27 +200,24 @@ func TestQuickRoundTripU64s(t *testing.T) {
 }
 
 func TestQuickRoundTripMixed(t *testing.T) {
-	f := func(a int64, b float64, c []byte, d []int64) bool {
+	f := func(a int64, b float64, c uint32, d []int) bool {
 		w := NewBuffer(0)
 		w.PutVarint(a)
 		w.PutF64(b)
-		w.PutBytes(c)
-		w.PutI64s(d)
+		w.PutU32(c)
+		w.PutInts(d)
 		r := NewReader(w.Bytes())
 		ga := r.Varint()
 		gb := r.F64()
-		gc := r.Bytes()
-		gd := r.I64s()
-		if r.Err() != nil {
+		gc := r.U32()
+		gd := r.Ints()
+		if r.Err() != nil || r.Remaining() != 0 {
 			return false
 		}
-		if ga != a {
+		if ga != a || gc != c {
 			return false
 		}
 		if gb != b && !(math.IsNaN(gb) && math.IsNaN(b)) {
-			return false
-		}
-		if string(gc) != string(c) {
 			return false
 		}
 		if len(d) == 0 {

@@ -76,11 +76,11 @@ echo "== fuzz smoke (5s per target) =="
 # fail the go-test side under pipefail)
 go test -list '^FuzzReadBinarySharded$' ./internal/graph | grep '^FuzzReadBinarySharded$' > /dev/null \
     || { echo "error: FuzzReadBinarySharded missing from internal/graph" >&2; exit 1; }
-# The windowed decode paths are what the out-of-core pipeline (PR 9) lives
-# on: FuzzReadVertexRange cross-checks ReadWindow/ReadVertexRange against
-# the whole-file decoder in both format versions, and must stay discovered.
-go test -list '^FuzzReadVertexRange$' ./internal/graph | grep '^FuzzReadVertexRange$' > /dev/null \
-    || { echo "error: FuzzReadVertexRange missing from internal/graph" >&2; exit 1; }
+# The windowed decode path is what the out-of-core pipeline (PR 9) lives
+# on: FuzzReadWindow cross-checks ReadWindow against the whole-file decoder
+# in both format versions, and must stay discovered.
+go test -list '^FuzzReadWindow$' ./internal/graph | grep '^FuzzReadWindow$' > /dev/null \
+    || { echo "error: FuzzReadWindow missing from internal/graph" >&2; exit 1; }
 # Likewise the suppression-directive parser: every //lint:ignore in the tree
 # flows through it, so its fuzz harness must stay in the discovery set.
 go test -list '^FuzzIgnoreDirective$' ./internal/analysis | grep '^FuzzIgnoreDirective$' > /dev/null \
