@@ -39,12 +39,8 @@ var testOnlyExports = map[string]string{
 	"repro/internal/trace.FormatCollectiveSnapshot": "trace table, ROADMAP item 9 (root bench_test.go prints it)",
 	"repro/internal/trace.ResetCollectiveStats":     "trace table, ROADMAP item 9 (root bench_test.go resets it)",
 	"repro/internal/trace.SetLogOutput":             "trace global, ROADMAP item 9",
-	// Found by this test with no caller anywhere, tests included, outside
-	// the packages ISSUE 24 collapses (ROADMAP item 8 lists them).
-	"repro/internal/comm.Stats.Reset":          "no caller but its own unit test",
-	"repro/internal/dserver.World.NumVertices": "no caller",
-	"repro/internal/loadgen.Plan.ExtraPairs":   "no caller",
-	"repro/internal/loadgen.Sweep":             "no caller since the serving ladder moved to BenchmarkServeLoad's own loop",
+	// Found by this test with no caller anywhere, tests included.
+	"repro/internal/loadgen.Sweep": "no caller since the serving ladder moved to BenchmarkServeLoad's own loop",
 }
 
 // exportKey names a function or method independently of which type-check

@@ -141,17 +141,6 @@ func (s *Stats) Snapshot() Snapshot {
 	return snap
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.msgsSent.Store(0)
-	s.msgsRecv.Store(0)
-	s.bytesSent.Store(0)
-	s.bytesRecv.Store(0)
-	s.mu.Lock()
-	s.perPeerTx = nil
-	s.mu.Unlock()
-}
-
 // RunWorld creates an in-process world of p ranks and runs fn once per rank,
 // each on its own goroutine. It returns the joined errors of all ranks.
 // This is the entry point used by all simulations and tests.

@@ -212,17 +212,6 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-func TestStatsReset(t *testing.T) {
-	var s Stats
-	s.recordSend(3, 10)
-	s.recordRecv(5)
-	s.Reset()
-	snap := s.Snapshot()
-	if snap.BytesSent != 0 || snap.BytesRecv != 0 || snap.MsgsSent != 0 || snap.MsgsRecv != 0 || len(snap.PerPeerBytesSent) != 0 {
-		t.Errorf("Reset left counters: %+v", snap)
-	}
-}
-
 func worldSizes() []int { return []int{1, 2, 3, 4, 5, 7, 8, 16} }
 
 func TestBarrierAllSizes(t *testing.T) {

@@ -121,6 +121,7 @@ func (o *activationOracle) audit(s *stage, iter int, _ float64) error {
 // schedules; the same solves check every scan they are about to make against
 // the full-sort oracle.
 func TestActivationSound(t *testing.T) {
+	withInvariants(t)
 	rmat, err := gen.RMAT(gen.Graph500RMAT(8, 7))
 	if err != nil {
 		t.Fatal(err)

@@ -135,8 +135,8 @@ func BenchmarkKernelScanCandidates(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			n := sh.arcs + 1 // vertex 0 is scanned; 1..arcs are its neighbours
 			s := &stage{
-				comm: make([]int32, n), tot: make([]float64, n), cached: make([]bool, n),
-				gamma: 1, m2: 64 * float64(sh.arcs), p: 1,
+				comm: make([]int32, n), tot: make([]int64, n), cached: make([]bool, n),
+				gamma: 1, m2: 64 << 20 * int64(sh.arcs), p: 1,
 			}
 			labels := rng.Perm(sh.arcs)[:sh.comms]
 			adj := make([]partition.Arc, sh.arcs)
@@ -144,13 +144,13 @@ func BenchmarkKernelScanCandidates(b *testing.B) {
 				c := 1 + labels[i%sh.comms]
 				s.comm[1+i] = int32(c)
 				s.cached[c] = true
-				s.tot[c] += float64(1 + rng.Intn(32))
-				adj[i] = partition.Arc{To: 1 + i, W: 1}
+				s.tot[c] += int64(1+rng.Intn(32)) << 20
+				adj[i] = partition.Arc{To: 1 + i, W: 1 << 20}
 			}
 			rng.Shuffle(len(adj), func(i, j int) { adj[i], adj[j] = adj[j], adj[i] })
 			cu := int(s.comm[1])
 			s.comm[0] = int32(cu)
-			k := float64(sh.arcs)
+			k := int64(sh.arcs) << 20
 			s.tot[cu] += k
 			acc := newGainAccumulator(n)
 			b.ReportAllocs()
@@ -200,11 +200,35 @@ func BenchmarkKernelDelegateExchange(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelGlobalModularity measures the full local arc scan plus the
-// −(Σtot/2m)² owner terms and the world reduction.
+// BenchmarkKernelGlobalModularity measures the standalone modularity
+// reduction: the O(1) local value and one world allreduce.
 func BenchmarkKernelGlobalModularity(b *testing.B) {
 	benchKernel(b, func(s *stage) error {
 		_, err := s.globalModularity()
 		return err
 	})
+}
+
+// qSink keeps the benchmarked modularity live.
+var qSink float64
+
+// BenchmarkModularity compares the two ways a rank gets its modularity term
+// on a steady-state stage: "scan" is the full pass over every local arc and
+// owned community slot that every iteration used to make (it now runs only
+// at stage entry, after an update batch, and as the invariant oracle);
+// "incremental" is the per-iteration cost with the terms kept by deltas —
+// what the moves add to those is paid inside the sweep's and the
+// exchanges' own walks.
+func BenchmarkModularity(b *testing.B) {
+	for _, mode := range []string{"scan", "incremental"} {
+		b.Run(mode, func(b *testing.B) {
+			benchKernel(b, func(s *stage) error {
+				if mode == "scan" {
+					s.seedQ()
+				}
+				qSink = s.localModularity()
+				return nil
+			})
+		})
+	}
 }

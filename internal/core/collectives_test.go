@@ -64,13 +64,15 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // The numbers must not move when collectives are refactored — a changed
 // frame layout, an extra exchange or a different reduction tree all show
 // here while Q and the membership stay put. They were re-recorded when the
-// per-iteration aggregate pull became standing watches (PR 14), every row
-// at or below the pull's in both columns, and again when the sweep became
-// the active-set sweep (PR 18): the hub rows converge over different
-// iterations, the no-hub rows did not move (CHANGES.md has the old rows of
-// both). The fixture's default hub threshold yields no hubs, so the delegate
-// rows set DHigh = 8 (24 hubs) to put the hub-proposal allreduce on the wire;
-// P = 3 covers the reduction's fold/unfold legs.
+// per-iteration aggregate pull became standing watches, every row at or
+// below the pull's in both columns; when the sweep became the active-set
+// sweep (the hub rows converge over different iterations); and when Σtot
+// became an exact integer, whose varints replaced the f64 values of the
+// push, flush and merge frames (every byte count fell, no message count
+// moved). CHANGES.md has the old rows. The fixture's default hub threshold
+// yields no hubs, so the delegate rows set DHigh = 8 (24 hubs) to put the
+// hub-proposal allreduce on the wire; P = 3 covers the reduction's
+// fold/unfold legs.
 func TestGoldenTraffic(t *testing.T) {
 	g := goldenGraph(t)
 	for _, tc := range []struct {
@@ -79,16 +81,16 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0},
-		{partition.Delegate, 2, 0, 146, 4496},
-		{partition.Delegate, 4, 0, 912, 12295},
+		{partition.Delegate, 2, 0, 146, 2853},
+		{partition.Delegate, 4, 0, 912, 8836},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 170, 9579},
-		{partition.Delegate, 3, 8, 466, 15223},
-		{partition.Delegate, 4, 8, 708, 21586},
+		{partition.Delegate, 2, 8, 170, 7785},
+		{partition.Delegate, 3, 8, 466, 12461},
+		{partition.Delegate, 4, 8, 708, 18677},
 		{partition.OneD, 1, 0, 0, 0},
-		{partition.OneD, 2, 0, 146, 4496},
-		{partition.OneD, 3, 0, 498, 8103},
-		{partition.OneD, 4, 0, 912, 12295},
+		{partition.OneD, 2, 0, 146, 2853},
+		{partition.OneD, 3, 0, 498, 5525},
+		{partition.OneD, 4, 0, 912, 8836},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})

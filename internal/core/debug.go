@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/trace"
@@ -28,12 +27,13 @@ var testIterHook func(s *stage, iter int, q float64) error
 // testIterHook.
 var testPushHook func(s *stage, iter int) error
 
-// checkInvariants verifies global conservation laws after an iteration:
-// the authoritative Σtot values must sum to 2m and the community sizes to
-// the global vertex count.
+// checkInvariants verifies global conservation laws after an iteration,
+// exactly: the authoritative Σtot values must sum to 2m, an empty community
+// must hold Σtot 0, and the community sizes must sum to the global vertex
+// count. It also holds the incremental modularity terms to their full-scan
+// oracles (scanIn, scanSq) with ==.
 func (s *stage) checkInvariants(iter int) error {
-	var localTot float64
-	var localN, localMax int64
+	var localTot, localN, localMax int64
 	for c := s.rnk; c < s.n; c += s.p {
 		n := int64(s.ownSize[c])
 		if n > localMax {
@@ -44,11 +44,17 @@ func (s *stage) checkInvariants(iter int) error {
 		if n < 0 {
 			return fmt.Errorf("core: iter %d rank %d community %d has negative size %d", iter, s.rnk, c, n)
 		}
-		if n == 0 && math.Abs(s.ownTot[c]) > 1e-6 {
-			return fmt.Errorf("core: iter %d rank %d empty community %d has Σtot %g", iter, s.rnk, c, s.ownTot[c])
+		if n == 0 && s.ownTot[c] != 0 {
+			return fmt.Errorf("core: iter %d rank %d empty community %d has Σtot %d", iter, s.rnk, c, s.ownTot[c])
 		}
 	}
-	gTot, err := comm.AllreduceFloat64Sum(s.c, localTot)
+	if in, _ := s.scanIn(); in != s.sumIn {
+		return fmt.Errorf("core: iter %d rank %d: incremental Σin %d, full scan %d", iter, s.rnk, s.sumIn, in)
+	}
+	if sq := s.scanSq(); sq != s.sumSq {
+		return fmt.Errorf("core: iter %d rank %d: incremental Σ(Σtot)² %v, full scan %v", iter, s.rnk, s.sumSq, sq)
+	}
+	gTot, err := comm.AllreduceInt64Sum(s.c, localTot)
 	if err != nil {
 		return err
 	}
@@ -64,8 +70,8 @@ func (s *stage) checkInvariants(iter int) error {
 	if gN != wantN {
 		return fmt.Errorf("core: iter %d: community sizes sum to %d, want %d", iter, gN, wantN)
 	}
-	if math.Abs(gTot-s.m2) > 1e-6*math.Max(1, s.m2) {
-		return fmt.Errorf("core: iter %d: Σtot sums to %g, want 2m = %g", iter, gTot, s.m2)
+	if gTot != s.m2 {
+		return fmt.Errorf("core: iter %d: Σtot sums to %d, want 2m = %d", iter, gTot, s.m2)
 	}
 	gMax, err := comm.AllreduceInt64Max(s.c, localMax)
 	if err != nil {

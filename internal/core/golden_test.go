@@ -141,6 +141,7 @@ func runTCPRanks(t *testing.T, g *graph.Graph, opt Options) (graph.Membership, f
 }
 
 func TestGoldenEndToEnd(t *testing.T) {
+	withInvariants(t)
 	g := goldenGraph(t)
 	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
 		for _, p := range []int{1, 2, 4} {

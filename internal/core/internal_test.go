@@ -210,13 +210,13 @@ func TestRunRankPMismatch(t *testing.T) {
 
 func TestGainAccumulator(t *testing.T) {
 	acc := newGainAccumulator(10)
-	acc.add(3, 1.5)
-	acc.add(7, 2.0)
-	acc.add(3, 0.5)
-	if acc.w[3] != 2.0 || acc.w[7] != 2.0 {
+	acc.add(3, 3)
+	acc.add(7, 4)
+	acc.add(3, 1)
+	if acc.w[3] != 4 || acc.w[7] != 4 {
 		t.Errorf("weights: %v", acc.w)
 	}
-	acc.add(1, 1.0)
+	acc.add(1, 2)
 	if keys := acc.keys; len(keys) != 3 || keys[0] != 3 || keys[1] != 7 || keys[2] != 1 {
 		t.Errorf("keys (first-touch order): %v", keys)
 	}
@@ -230,7 +230,7 @@ func TestGainAccumulator(t *testing.T) {
 // filtered: every neighbouring community in ascending label order, every one
 // compared, the gain expression written out. It is the oracle the filtered
 // scan must equal bit for bit.
-func (s *stage) scanCandidatesFullSort(u, cu int, k float64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
+func (s *stage) scanCandidatesFullSort(u, cu int, k int64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
 	acc.reset()
 	for _, a := range adj {
 		if a.To == u {
@@ -238,8 +238,9 @@ func (s *stage) scanCandidatesFullSort(u, cu int, k float64, adj []partition.Arc
 		}
 		acc.add(int(s.comm[a.To]), a.W)
 	}
-	totCu := s.lookupTot(cu) - k
-	stayGain = acc.w[cu] - s.gamma*totCu*k/s.m2
+	w := partition.Dequantise
+	totCu := w(s.lookupTot(cu) - k)
+	stayGain = w(acc.w[cu]) - s.gamma*totCu*w(k)/w(s.m2)
 
 	best = stayGain
 	sort.Ints(acc.keys)
@@ -247,7 +248,7 @@ func (s *stage) scanCandidatesFullSort(u, cu int, k float64, adj []partition.Arc
 		if c == cu {
 			continue
 		}
-		gain := acc.w[c] - s.gamma*s.lookupTot(c)*k/s.m2
+		gain := w(acc.w[c]) - s.gamma*w(s.lookupTot(c))*w(k)/w(s.m2)
 		switch {
 		case gain > best+gainEps:
 			best = gain
@@ -263,7 +264,7 @@ func (s *stage) scanCandidatesFullSort(u, cu int, k float64, adj []partition.Arc
 // compares (stayGain, best, cands) to the bit and the arbitration of the
 // candidates under all three heuristics. acc and ref are scratch owned by the
 // caller.
-func checkScan(s *stage, u, cu int, k float64, adj []partition.Arc, acc, ref *gainAccumulator) error {
+func checkScan(s *stage, u, cu int, k int64, adj []partition.Arc, acc, ref *gainAccumulator) error {
 	stay, best, cands := s.scanCandidates(u, cu, k, adj, acc)
 	wantStay, wantBest, wantCands := s.scanCandidatesFullSort(u, cu, k, adj, ref)
 	if math.Float64bits(stay) != math.Float64bits(wantStay) || math.Float64bits(best) != math.Float64bits(wantBest) || !slices.Equal(cands, wantCands) {
@@ -293,12 +294,16 @@ func TestScanCandidatesMatchesFullSort(t *testing.T) {
 	const (
 		n     = 64 // vertex 0 is evaluated; labels and neighbours are 1..n-1
 		cases = 12000
+		unit  = 1 << 20 // one weight in fixed-point units
 	)
 	shapes := []string{"random", "ladder-stay", "ladder-max", "ties", "no-cu", "single", "below-floor"}
 	rng := rand.New(rand.NewSource(23))
+	// With k one weight and 2m = 2^21 weights, a gain is w − Σtot·2^-41:
+	// each fixed-point unit of Σtot lowers it by ≈ gainEps/2.2, so the
+	// ladders below place gains a few gainEps apart through Σtot.
 	s := &stage{
-		comm: make([]int32, n), tot: make([]float64, n), size: make([]int32, n), cached: make([]bool, n),
-		gamma: 1, m2: 1000,
+		comm: make([]int32, n), tot: make([]int64, n), size: make([]int32, n), cached: make([]bool, n),
+		gamma: 1, m2: 1 << 41,
 	}
 	for c := range s.cached {
 		s.cached[c] = true
@@ -317,55 +322,47 @@ func TestScanCandidatesMatchesFullSort(t *testing.T) {
 			labels = labels[:1]
 		}
 		cu := labels[rng.Intn(len(labels))]
-		k := 1 + 4*rng.Float64()
-		// With Σtot(c) = 0 off cu and Σtot(cu) = k, a gain is the arc weight
-		// itself, so the shapes below place gains exactly.
+		k := int64(unit)
 		for c := range s.tot {
 			s.tot[c] = 0
 			s.size[c] = int32(rng.Intn(3))
 		}
-		s.tot[cu] = k
-		gains := make([]float64, len(labels))
-		for j := range gains {
-			switch shape {
-			case "random":
-				gains[j] = 2 * rng.Float64()
-			case "ladder-stay", "single", "no-cu":
-				gains[j] = 1 + float64(rng.Intn(13)-6)*gainEps/2
-			case "ladder-max":
-				gains[j] = 2 + float64(rng.Intn(13)-6)*gainEps/2
-				if rng.Intn(3) == 0 {
-					gains[j] = 1 + rng.Float64()/2
-				}
-			case "ties":
-				gains[j] = float64(1 + rng.Intn(3))
-			case "below-floor":
-				gains[j] = 1 - gainEps - rng.Float64()
-			}
-		}
-		if shape == "random" {
-			for c := range s.tot {
-				s.tot[c] = s.m2 * rng.Float64()
-			}
-		}
 		// One neighbour per label, in random order (the accumulator's keys are
 		// in first-touch order), plus a self-loop the scan must skip.
 		var adj []partition.Arc
-		for j, c := range labels {
-			w := gains[j]
+		for _, c := range labels {
+			var w int64
+			switch shape {
+			case "random":
+				w, s.tot[c] = rng.Int63n(2*unit), rng.Int63n(s.m2)
+			case "ladder-stay", "single", "no-cu":
+				w, s.tot[c] = unit, rng.Int63n(13)
+			case "ladder-max":
+				w, s.tot[c] = 2*unit, rng.Int63n(13)
+				if rng.Intn(3) == 0 {
+					w, s.tot[c] = unit+rng.Int63n(unit/2), 0
+				}
+			case "ties":
+				w = int64(1+rng.Intn(3)) * unit
+			case "below-floor":
+				w = unit - 1 - rng.Int63n(unit-1)
+			}
 			switch {
 			case c != cu:
 			case shape == "no-cu":
 				continue
 			case shape == "ladder-max":
-				w = 0.5
+				w = unit / 2
 			case shape != "random":
-				w = 1
+				w = unit
 			}
 			s.comm[c] = int32(c)
 			adj = append(adj, partition.Arc{To: c, W: w})
 		}
-		adj = append(adj, partition.Arc{To: 0, W: 3})
+		if shape != "random" {
+			s.tot[cu] += k // the stay gain is then w less the ladder offset
+		}
+		adj = append(adj, partition.Arc{To: 0, W: 3 * unit})
 		rng.Shuffle(len(adj), func(a, b int) { adj[a], adj[b] = adj[b], adj[a] })
 		s.comm[0] = int32(cu)
 
@@ -449,8 +446,7 @@ func TestPickEnhancedPreferences(t *testing.T) {
 
 func TestStageInvariantChecker(t *testing.T) {
 	// The debug invariant checker must pass on a healthy run.
-	debugInvariants = true
-	defer func() { debugInvariants = false }()
+	withInvariants(t)
 	g, _, err := gen.LFR(gen.DefaultLFR(300, 0.25, 15))
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +511,7 @@ func TestMergeConservesWeightAndModularity(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := make([]float64, p)
-	weights := make([]float64, p)
+	weights := make([]int64, p)
 	counts := make([]int, p)
 	opt, err := Options{P: p}.withDefaults()
 	if err != nil {
@@ -533,7 +529,7 @@ func TestMergeConservesWeightAndModularity(t *testing.T) {
 		}
 		qs[c.Rank()] = res.Q
 		counts[c.Rank()] = k
-		var local float64
+		var local int64
 		for _, wd := range newSG.OwnedWDeg {
 			local += wd
 		}
@@ -549,12 +545,12 @@ func TestMergeConservesWeightAndModularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var totalW float64
+	var totalW int64
 	for _, w := range weights {
 		totalW += w
 	}
-	if math.Abs(totalW-g.TotalWeight2()) > 1e-6 {
-		t.Errorf("merged 2m = %g, want %g", totalW, g.TotalWeight2())
+	if totalW != layout.Parts[0].TotalWeight2 {
+		t.Errorf("merged 2m = %d, want %d", totalW, layout.Parts[0].TotalWeight2)
 	}
 	for r := 1; r < p; r++ {
 		if counts[r] != counts[0] || qs[r] != qs[0] {
@@ -566,16 +562,16 @@ func TestMergeConservesWeightAndModularity(t *testing.T) {
 	}
 }
 
-// dumpCoarse renders every field of a coarse subgraph, with float weights
-// as raw bits, so string equality is bit-level equality of the merge
-// result (including the dense translation table the next level runs on).
+// dumpCoarse renders every field of a coarse subgraph, so string equality
+// is equality of the merge result (including the dense translation table
+// the next level runs on).
 func dumpCoarse(sg *partition.Subgraph, k int, dense []int32) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k=%d rank=%d p=%d gv=%d\ndense=%v\n", k, sg.Rank, sg.P, sg.GlobalVertices, dense)
 	for i, v := range sg.Owned {
-		fmt.Fprintf(&b, "v%d wdeg=%016x", v, math.Float64bits(sg.OwnedWDeg[i]))
+		fmt.Fprintf(&b, "v%d wdeg=%d", v, sg.OwnedWDeg[i])
 		for _, a := range sg.AdjOwned[i] {
-			fmt.Fprintf(&b, " %d:%016x", a.To, math.Float64bits(a.W))
+			fmt.Fprintf(&b, " %d:%d", a.To, a.W)
 		}
 		fmt.Fprintf(&b, " subs=%v\n", sg.Subscribers[v])
 	}
@@ -585,8 +581,8 @@ func dumpCoarse(sg *partition.Subgraph, k int, dense []int32) string {
 
 // TestMergeMatchesSeedCrossMatrix runs the zero-map merge back-to-back with
 // the retained seed implementation (merge_seed_test.go) on the same
-// converged stage and demands byte-identical coarse subgraphs — weights
-// compared as raw float bits — across the full configuration matrix:
+// converged stage and demands identical coarse subgraphs across the full
+// configuration matrix:
 // workers {1,4} x both partitionings x P {1,2,4}. For a fixed
 // (partitioning, P) the coarse graph must also be identical across worker
 // counts, per the determinism regime.

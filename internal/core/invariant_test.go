@@ -36,16 +36,16 @@ var auditConfigs = []struct {
 // aggregateAuditHook reconciles, on every rank after every iteration:
 //
 //  1. the owner-held Σtot/size of each community against values refolded
-//     serially from the labels and per-vertex weighted degrees, and
+//     serially from the labels and per-vertex weighted degrees, exactly, and
 //  2. the distributed modularity reduction against a serial recompute
 //     from the same labels, Σin from a plain arc scan.
 //
 // The recompute deliberately bypasses the incremental delta pipeline
-// (flushDeltas, caches) it audits; only the labels are shared.
+// (flushDeltas, caches, sumIn/sumSq) it audits; only the labels are shared.
 func aggregateAuditHook(s *stage, iter int, q float64) error {
-	totVec := make([]float64, s.n)
-	sizeVec := make([]float64, s.n)
-	var in float64
+	totVec := make([]int64, s.n)
+	sizeVec := make([]int64, s.n)
+	var in int64
 	for i, u := range s.sg.Owned {
 		cu := s.comm[u]
 		totVec[cu] += s.sg.OwnedWDeg[i]
@@ -70,36 +70,36 @@ func aggregateAuditHook(s *stage, iter int, q float64) error {
 			}
 		}
 	}
-	gTot, err := allreduceF64SliceSum(s.c, totVec)
+	gTot, err := allreduceI64SliceSum(s.c, totVec)
 	if err != nil {
 		return err
 	}
-	gSize, err := allreduceF64SliceSum(s.c, sizeVec)
+	gSize, err := allreduceI64SliceSum(s.c, sizeVec)
 	if err != nil {
 		return err
 	}
-	gIn, err := comm.AllreduceFloat64Sum(s.c, in)
+	gIn, err := comm.AllreduceInt64Sum(s.c, in)
 	if err != nil {
 		return err
 	}
-	tol := 1e-6 * math.Max(1, s.m2)
 	for c := s.rnk; c < s.n; c += s.p {
-		if math.Abs(gTot[c]-s.ownTot[c]) > tol {
-			return fmt.Errorf("iter %d rank %d community %d: ownTot %g, ground truth %g",
+		if gTot[c] != s.ownTot[c] {
+			return fmt.Errorf("iter %d rank %d community %d: ownTot %d, ground truth %d",
 				iter, s.rnk, c, s.ownTot[c], gTot[c])
 		}
-		if int32(math.Round(gSize[c])) != s.ownSize[c] {
-			return fmt.Errorf("iter %d rank %d community %d: ownSize %d, ground truth %g",
+		if gSize[c] != int64(s.ownSize[c]) {
+			return fmt.Errorf("iter %d rank %d community %d: ownSize %d, ground truth %d",
 				iter, s.rnk, c, s.ownSize[c], gSize[c])
 		}
 	}
+	m2 := float64(s.m2)
 	var totTerm float64
 	for _, t := range gTot {
-		x := t / s.m2
+		x := float64(t) / m2
 		totTerm += s.gamma * x * x
 	}
-	qSerial := gIn/s.m2 - totTerm
-	if math.Abs(qSerial-q) > 1e-6 {
+	qSerial := float64(gIn)/m2 - totTerm
+	if math.Abs(qSerial-q) > 1e-9 {
 		return fmt.Errorf("iter %d rank %d: distributed Q %.12f, serial recompute %.12f",
 			iter, s.rnk, q, qSerial)
 	}
@@ -122,21 +122,21 @@ func TestAggregateReconciliation(t *testing.T) {
 	}
 }
 
-// allreduceF64SliceSum sums a fixed-length vector elementwise across ranks
+// allreduceI64SliceSum sums a fixed-length vector elementwise across ranks
 // (ground truth only: the solver itself never reduces whole tables).
-func allreduceF64SliceSum(c comm.Comm, vs []float64) ([]float64, error) {
-	encode := func(vs []float64) []byte {
+func allreduceI64SliceSum(c comm.Comm, vs []int64) ([]int64, error) {
+	encode := func(vs []int64) []byte {
 		buf := wire.NewBuffer(len(vs) * 8)
 		for _, v := range vs {
-			buf.PutF64(v)
+			buf.PutVarint(v)
 		}
 		return buf.Bytes()
 	}
-	decode := func(p []byte) []float64 {
+	decode := func(p []byte) []int64 {
 		rd := wire.NewReader(p)
-		out := make([]float64, len(vs))
+		out := make([]int64, len(vs))
 		for i := range out {
-			out[i] = rd.F64()
+			out[i] = rd.Varint()
 		}
 		return out
 	}
@@ -151,6 +151,16 @@ func allreduceF64SliceSum(c comm.Comm, vs []float64) ([]float64, error) {
 		return nil, err
 	}
 	return decode(out), nil
+}
+
+// withInvariants switches on the exact per-iteration checks of
+// checkInvariants — conservation of Σtot and sizes, and the incremental
+// modularity terms against their full-scan oracles — for the rest of the
+// test.
+func withInvariants(t *testing.T) {
+	t.Helper()
+	debugInvariants = true
+	t.Cleanup(func() { debugInvariants = false })
 }
 
 // benignCoreChaos mirrors the comm package's benign schedule: reordering
@@ -253,6 +263,7 @@ func chaosRun(t *testing.T, g *graph.Graph, opt Options, co comm.ChaosOptions) (
 // fully determine every collective's result. Runs on a random graph and on
 // the golden fixture.
 func TestChaosEndToEndDeterminism(t *testing.T) {
+	withInvariants(t)
 	random, err := randomGraph(21)
 	if err != nil {
 		t.Fatal(err)

@@ -22,14 +22,11 @@ import (
 //     destination before they hit the wire — each frame carries every
 //     distinct cu once and every distinct cv once, delta-coded — so the
 //     topology bytes shrink by the local duplication factor. The weights
-//     themselves are NOT summed on the send side: each individual weight
-//     ships inside its group, in first-encounter order (the two stable
-//     counting passes preserve the translate order within each pair), and
-//     the receiver folds them rank-major left-to-right — the exact
-//     addition order of the seed's map accumulation, so the coarse graph
-//     is byte-identical to the seed's on any weights, not merely when
-//     additions are exact (see docs/PERFORMANCE.md for why summing before
-//     the wire would reparenthesize the fold and drift the goldens).
+//     themselves are not summed on the send side: each individual weight
+//     ships inside its group as a fixed-point varint, in first-encounter
+//     order (the two stable counting passes preserve the translate order
+//     within each pair), and the receiver sums them. The sums are exact
+//     integers, so the coarse graph is byte-identical to the seed's.
 //
 //   - No maps: the seed's denseOf / adj / ghost / subscriber maps are
 //     replaced by a strided owned-community table, flat record arrays, and
@@ -70,9 +67,9 @@ type mergeScratch struct {
 	// Record arrays: two (x, y, w) column sets ping-ponged by the stable
 	// counting scatters. Column meaning is positional per pass (see merge).
 	xA, yA []int32
-	wA     []float64
+	wA     []int64
 	xB, yB []int32
-	wB     []float64
+	wB     []int64
 
 	vtxOff    []int    // translate: per-local-vertex first-record offset
 	hist      []int32  // per-chunk histograms / exclusive scatter positions
@@ -82,7 +79,7 @@ type mergeScratch struct {
 	rowOff    []int    // receiver: per-owned-row record ranges
 	arcOff    []int    // receiver: per-owned-row output arc offsets
 	rowCnt    []int    // receiver: per-owned-row distinct arc count
-	rowW      []float64
+	rowW      []int64
 	subMask   []uint64 // per-owned-row subscriber rank bitmask (p ≤ 64)
 	subMark   []bool   // subscriber dedup marks (p > 64 fallback)
 }
@@ -294,17 +291,16 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// 5. Encode one key-grouped frame per destination, in parallel (one
 	// chunk per destination: each touches only its own rank's buffer).
 	// Frame format: uvarint record count, then per-cu groups of [row
-	// delta, distinct-cv count, (cv delta, weight count, f64 weights...)
-	// ...] — deltas off a -1 predecessor, so they are strictly positive.
-	// Every duplicate (cu, cv) pair costs one tag byte instead of a
-	// repeated cu/cv varint pair; the weights ship unsummed, in translate
-	// encounter order, so the receiver can reproduce the seed's exact
-	// accumulation order.
+	// delta, distinct-cv count, (cv delta, weight count, uvarint
+	// weights...) ...] — deltas off a -1 predecessor, so they are strictly
+	// positive. Every duplicate (cu, cv) pair costs one tag byte instead of
+	// a repeated cu/cv varint pair; the weights ship unsummed, in translate
+	// encounter order.
 	arcBufs := s.sendScratch()
 	s.pool.ParFor(s.p, func(d, _ int) {
 		lo, hi := ms.dstOff[d], ms.dstOff[d+1]
 		b := s.sendBufs[d]
-		want := arcFrameLen(ms.xA, ms.yA, lo, hi, p32)
+		want := arcFrameLen(ms.xA, ms.yA, ms.wA, lo, hi, p32)
 		b.Grow(want)
 		b.PutUvarint(uint64(hi - lo))
 		prevRow := int32(-1)
@@ -334,7 +330,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 				b.PutUvarint(uint64(cv - prevCv))
 				b.PutUvarint(uint64(l - k))
 				for ; k < l; k++ {
-					b.PutF64(ms.wA[k])
+					b.PutUvarint(uint64(ms.wA[k]))
 				}
 				prevCv = cv
 			}
@@ -406,7 +402,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 				for k := 0; k < nw; k++ {
 					ms.xA[pos] = cv // x = cv: pass-1 sort key
 					ms.yA[pos] = row
-					ms.wA[pos] = rd.F64()
+					ms.wA[pos] = int64(rd.Uvarint())
 					pos++
 				}
 				prevCv = cv
@@ -479,9 +475,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		scatterRecords(ms.yB, ms.xB, ms.wB, lo, hi, ms.hist[chunk*rowsLocal:(chunk+1)*rowsLocal], ms.xA, ms.yA, ms.wA)
 	})
 
-	// 8. Combine duplicate (row, cv) runs in place — partial sums fold in
-	// rank order, weighted degrees in ascending-cv order, both matching the
-	// seed — and record per-row counts, degrees, and subscriber masks.
+	// 8. Combine duplicate (row, cv) runs in place — exact integer sums —
+	// and record per-row counts, degrees, and subscriber masks.
 	// Rows are wholly contained in their chunk, so the in-place compaction
 	// and the per-row outputs are disjoint across chunks.
 	ms.rowCnt = grow(ms.rowCnt, rowsLocal)
@@ -493,11 +488,11 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		for row := lo; row < hi; row++ {
 			b, e := ms.rowOff[row], ms.rowOff[row+1]
 			outPos := b
-			var wdeg float64
+			var wdeg int64
 			var mask uint64
 			for i := b; i < e; {
 				cv := ms.yA[i]
-				var w float64
+				var w int64
 				for i < e && ms.yA[i] == cv {
 					w += ms.wA[i]
 					i++
@@ -536,7 +531,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	if rowsLocal > 0 {
 		ns.Owned = make([]int, rowsLocal)
 		ns.AdjOwned = make([][]partition.Arc, rowsLocal)
-		ns.OwnedWDeg = make([]float64, rowsLocal)
+		ns.OwnedWDeg = make([]int64, rowsLocal)
 		flat := make([]partition.Arc, atot)
 		s.pool.ParFor(rChunks, func(chunk, _ int) {
 			lo, hi := par.ChunkSpan(rowsLocal, rChunks, chunk)
@@ -599,11 +594,14 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 }
 
 // arcFrameLen returns the exact encoded length of the arc frame merge step 5
-// builds from records [lo:hi), sorted by (x = cu, y = cv): its uvarints plus
-// 8 bytes per weight. The buffer is reserved at that size up front; grown by
-// doubling under PutF64, the frames were the largest garbage of a run.
-func arcFrameLen(x, y []int32, lo, hi int, p int32) int {
-	n := wire.UvarintLen(uint64(hi-lo)) + 8*(hi-lo)
+// builds from records [lo:hi), sorted by (x = cu, y = cv), with weights w:
+// its uvarints. The buffer is reserved at that size up front; grown by
+// doubling, the frames were the largest garbage of a run.
+func arcFrameLen(x, y []int32, w []int64, lo, hi int, p int32) int {
+	n := wire.UvarintLen(uint64(hi - lo))
+	for _, wt := range w[lo:hi] {
+		n += wire.UvarintLen(uint64(wt))
+	}
 	prevRow := int32(-1)
 	for i := lo; i < hi; {
 		cu, row := x[i], x[i]/p
@@ -696,7 +694,7 @@ func histOffsets(h []int32, nc, ks, stride int, bounds []int) int {
 // the y and w columns along.
 //
 //perf:noalloc
-func scatterRecords(x, y []int32, w []float64, lo, hi int, h []int32, ox, oy []int32, ow []float64) {
+func scatterRecords(x, y []int32, w []int64, lo, hi int, h []int32, ox, oy []int32, ow []int64) {
 	for i := lo; i < hi; i++ {
 		k := x[i]
 		pos := h[k]
@@ -711,7 +709,7 @@ func scatterRecords(x, y []int32, w []float64, lo, hi int, h []int32, ox, oy []i
 // of the x column (matching histCountFused).
 //
 //perf:noalloc
-func scatterFused(x, y []int32, w []float64, lo, hi int, p, rowsCap int32, h []int32, ox, oy []int32, ow []float64) {
+func scatterFused(x, y []int32, w []int64, lo, hi int, p, rowsCap int32, h []int32, ox, oy []int32, ow []int64) {
 	for i := lo; i < hi; i++ {
 		cu := x[i]
 		k := (cu%p)*rowsCap + cu/p

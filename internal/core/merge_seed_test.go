@@ -96,7 +96,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 			cv := int(s.dense[s.comm[a.To]])
 			s.sendBufs[dst].PutVarint(int64(cu))
 			s.sendBufs[dst].PutVarint(int64(cv))
-			s.sendBufs[dst].PutF64(a.W)
+			s.sendBufs[dst].PutVarint(a.W)
 		}
 	}
 	for i, u := range s.sg.Owned {
@@ -115,16 +115,16 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 
 	// 4. Assemble this rank's portion of the merged graph, decoding the
 	// frames in rank order for run-to-run bit identity.
-	adj := make(map[int]map[int]float64)
+	adj := make(map[int]map[int]int64)
 	for r := 0; r < s.p; r++ {
 		rd := wire.NewReader(arcIn[r])
 		for rd.Remaining() > 0 {
 			cu := int(rd.Varint())
 			cv := int(rd.Varint())
-			w := rd.F64()
+			w := rd.Varint()
 			m := adj[cu]
 			if m == nil {
-				m = make(map[int]float64)
+				m = make(map[int]int64)
 				adj[cu] = m
 			}
 			m[cv] += w
@@ -149,7 +149,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 		}
 		sort.Ints(keys)
 		arcs := make([]partition.Arc, len(keys))
-		var wdeg float64
+		var wdeg int64
 		subSet := make(map[int]struct{})
 		for i, t := range keys {
 			arcs[i] = partition.Arc{To: t, W: targets[t]}

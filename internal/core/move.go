@@ -58,11 +58,11 @@ func (s *stage) sweep() ([]hubProposal, int) {
 		s.changed = append(s.changed, u)
 		moved++
 		// The move changed u's label and both communities' aggregates:
-		// re-examine u, its local neighbours and its neighbouring hubs.
-		// Remote neighbours are armed by their own ranks when u's new label
-		// arrives (ghostSwap).
+		// re-examine u, its local neighbours and its neighbouring hubs, and
+		// carry the move into sumIn. Remote neighbours are armed by their own
+		// ranks when u's new label arrives (ghostSwap).
 		s.active[u] = true
-		work += s.arm(adj)
+		work += s.arm(u, adj, cu, target)
 	}
 
 	s.pool.ParFor(s.hubChunks, s.hubKernel)
@@ -73,17 +73,26 @@ func (s *stage) sweep() ([]hubProposal, int) {
 	return s.props, moved
 }
 
-// arm arms the targets of adj, the local arcs of a vertex or hub that moved,
-// and returns the arc count to charge as work. A ghost's flag is set too and
-// never read.
+// arm arms the targets of adj, the local arcs of vertex or hub u, which
+// moved from community a to b, applies the change to sumIn over those arcs
+// (and their local arcs back, arcShare), and returns the arc count to
+// charge as work. A ghost's flag is set too and never read.
 //
 //perf:noalloc
-func (s *stage) arm(adj []partition.Arc) int64 {
-	for _, a := range adj {
-		if hi, hub := s.hubIndex(a.To); hub {
+func (s *stage) arm(u int, adj []partition.Arc, a, b int) int64 {
+	_, uHub := s.hubIndex(u)
+	for _, x := range adj {
+		hi, hub := s.hubIndex(x.To)
+		if hub {
 			s.hubActive[hi] = true
 		} else {
-			s.active[a.To] = true
+			s.active[x.To] = true
+		}
+		if x.To == u {
+			continue // a self-loop stays inside whatever u joins
+		}
+		if f := s.flip(x.To, a, b, x.W); f != 0 {
+			s.sumIn += f * arcShare(uHub, hub, !hub && s.owns(x.To))
 		}
 	}
 	return int64(len(adj))
@@ -95,7 +104,7 @@ func (s *stage) arm(adj []partition.Arc) int64 {
 // set. One accumulator exists per worker, allocated once per stage, so the
 // steady-state sweep allocates nothing.
 type gainAccumulator struct {
-	w     []float64
+	w     []int64
 	seen  []bool
 	keys  []int
 	live  []int
@@ -103,7 +112,7 @@ type gainAccumulator struct {
 }
 
 func newGainAccumulator(n int) *gainAccumulator {
-	return &gainAccumulator{w: make([]float64, n), seen: make([]bool, n)}
+	return &gainAccumulator{w: make([]int64, n), seen: make([]bool, n)}
 }
 
 //perf:noalloc
@@ -116,7 +125,7 @@ func (g *gainAccumulator) reset() {
 }
 
 //perf:noalloc
-func (g *gainAccumulator) add(c int, w float64) {
+func (g *gainAccumulator) add(c int, w int64) {
 	if !g.seen[c] {
 		g.seen[c] = true
 		g.keys = append(g.keys, c)
@@ -125,9 +134,12 @@ func (g *gainAccumulator) add(c int, w float64) {
 }
 
 // gain returns the modularity gain of inserting a vertex of weighted degree k
-// into a community of aggregate tot to which wc of its arc weight goes.
-func (s *stage) gain(wc, tot, k float64) float64 {
-	return wc - s.gamma*tot*k/s.m2
+// into a community of aggregate tot to which wc of its arc weight goes. The
+// fixed-point inputs are converted back to weights first, so on integer
+// weights every gain and tie is bit for bit a float64 solver's.
+func (s *stage) gain(wc, tot, k int64) float64 {
+	w := partition.Dequantise
+	return w(wc) - s.gamma*w(tot)*w(k)/w(s.m2)
 }
 
 // scanCandidates accumulates the arc weights of vertex u (current community
@@ -145,7 +157,7 @@ func (s *stage) gain(wc, tot, k float64) float64 {
 // gainEps: then its key resets cands and nothing ties it, in any order.
 //
 //perf:noalloc
-func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
+func (s *stage) scanCandidates(u, cu int, k int64, adj []partition.Arc, acc *gainAccumulator) (stayGain, best float64, cands []int) {
 	acc.reset()
 	for _, a := range adj {
 		if a.To == u {
@@ -194,7 +206,7 @@ func (s *stage) scanCandidates(u, cu int, k float64, adj []partition.Arc, acc *g
 // ok is false when the vertex stays put.
 //
 //perf:noalloc
-func (s *stage) bestMove(u int, ku float64, adj []partition.Arc, acc *gainAccumulator) (int, bool) {
+func (s *stage) bestMove(u int, ku int64, adj []partition.Arc, acc *gainAccumulator) (int, bool) {
 	cu := int(s.comm[u])
 	stayGain, best, cands := s.scanCandidates(u, cu, ku, adj, acc)
 	if len(cands) == 0 || best <= stayGain+gainEps {
@@ -286,7 +298,7 @@ func (s *stage) pickEnhanced(cands []int) int {
 // the hub's current community, arbitrated by the same heuristic.
 //
 //perf:noalloc
-func (s *stage) hubProposal(h int, kh float64, adj []partition.Arc, acc *gainAccumulator) hubProposal {
+func (s *stage) hubProposal(h int, kh int64, adj []partition.Arc, acc *gainAccumulator) hubProposal {
 	ch := int(s.comm[h])
 	if len(adj) == 0 {
 		return hubProposal{improvement: negInf, target: ch}

@@ -68,11 +68,11 @@ func TestNoallocAnnotations(t *testing.T) {
 		// records over a 4-key space, 2 chunks, ranks p=2 / rowsCap=2.
 		mx := []int32{3, 1, 2, 0, 1, 3, 0, 2}
 		my := []int32{0, 1, 2, 3, 0, 1, 2, 3}
-		mw := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+		mw := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 		mh := make([]int32, 2*4)
 		mox := make([]int32, len(mx))
 		moy := make([]int32, len(my))
-		mow := make([]float64, len(mw))
+		mow := make([]int64, len(mw))
 		mbounds := make([]int, 5)
 		histPrep := func() {
 			histCount(mx, 0, len(mx)/2, mh[:4])
@@ -89,21 +89,30 @@ func TestNoallocAnnotations(t *testing.T) {
 		// community of that vertex, which the stage watches.
 		pushFrame := wire.NewBuffer(0)
 		pushFrame.PutStrideDelta(-1, cu, 1)
-		pushFrame.PutF64(s.tot[cu])
+		pushFrame.PutVarint(s.tot[cu])
 		pushFrame.PutVarint(int64(s.size[cu]))
+
+		// The Σin updates walk a hub's reverse index and a vertex's arcs as if
+		// they had moved from cu to another community.
+		if len(s.sg.Hubs) == 0 {
+			t.Fatal("fixture has no hubs")
+		}
+		h, other := s.sg.Hubs[0], int(s.comm[adj[0].To])+1
 
 		// One driver per annotated function. hubProposal is exercised on an
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
 		drivers := map[string]func(){
 			"stage.sweep":           func() { s.setActive(true); s.sweep() },
-			"stage.arm":             func() { s.arm(adj) },
+			"stage.arm":             func() { s.arm(u, adj, cu, other) },
+			"stage.armRev":          func() { s.armRev(h, cu, other) },
+			"stage.flip":            func() { s.flip(u, cu, other, 1) },
 			"stage.sendScratch":     func() { s.sendScratch() },
 			"stage.encodePush":      func() { s.sendScratch(); s.encodePush() },
 			"stage.applyPush":       func() { s.applyPush(0, pushFrame.Bytes()) },
 			"stage.encodeFlush":     func() { s.sendScratch(); s.encodeFlush() },
 			"gainAccumulator.reset": func() { acc.reset() },
-			"gainAccumulator.add":   func() { acc.reset(); acc.add(cu, 1.0) },
+			"gainAccumulator.add":   func() { acc.reset(); acc.add(cu, 1) },
 			"stage.scanCandidates":  func() { s.scanCandidates(u, cu, ku, adj, acc) },
 			"stage.bestMove":        func() { s.bestMove(u, ku, adj, acc) },
 			"stage.hubProposal":     func() { s.hubProposal(u, ku, adj, acc) },

@@ -80,6 +80,7 @@ func TestDefaultWorkers(t *testing.T) {
 // boundaries depend only on data size and partial results combine in chunk
 // order. Covered across all three heuristics and both partitionings.
 func TestWorkerDeterminism(t *testing.T) {
+	withInvariants(t)
 	g, err := gen.RMAT(gen.Graph500RMAT(11, 8))
 	if err != nil {
 		t.Fatal(err)

@@ -112,6 +112,7 @@ func TestQuickSimWorkDeterministic(t *testing.T) {
 // TestQuickRunRankAgreesAcrossTransports runs the same graph over the
 // in-process and (loopback) TCP transports and checks identical results.
 func TestQuickRunRankAgreesAcrossTransports(t *testing.T) {
+	withInvariants(t)
 	g, err := randomGraph(99)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,13 @@ import (
 const innerStallLimit = 3
 
 // clusterNew runs the clustering loop of a stage fresh from newStage: it
-// registers the watches of the initial singleton labels, then clusters.
+// registers the watches of the initial singleton labels, seeds the
+// incremental modularity terms, then clusters.
 func (s *stage) clusterNew() (stageResult, error) {
 	if err := s.registerWatches(); err != nil {
 		return stageResult{}, err
 	}
+	s.seedQ()
 	return s.cluster()
 }
 
@@ -73,7 +75,7 @@ func (s *stage) cluster() (stageResult, error) {
 		}
 		// Per-iteration scalars. Local values are all computed before the
 		// reduction so one fused collective can carry them:
-		//   - localModularity: this rank's exact Q contribution;
+		//   - localModularity: this rank's Q contribution, in O(1);
 		//   - iterWork: deterministic work units of the iteration (the
 		//     simulated parallel time is the per-iteration max across
 		//     ranks × WorkUnitNS — wall clock cannot separate ranks

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -340,7 +341,7 @@ func (s *Session) install() error {
 	nOwned := len(s.sg.Owned)
 	for i, v := range tracked {
 		st.comm[v] = int32(reps[i])
-		var k float64
+		var k int64
 		if i < nOwned {
 			k = s.sg.OwnedWDeg[i]
 		} else {
@@ -402,7 +403,9 @@ func (s *Session) install() error {
 	}
 
 	// Exact modularity of the installed state (0 by convention on an
-	// edgeless graph — m2 is replicated, so every rank skips together).
+	// edgeless graph — m2 is replicated, so every rank skips together), from
+	// the full scans: the labels were written wholesale.
+	st.seedQ()
 	var q float64
 	if st.m2 > 0 {
 		if q, err = st.globalModularity(); err != nil {
@@ -470,10 +473,13 @@ func (s *Session) Tracked() (vertices, labels []int) {
 	return vertices, labels
 }
 
-// ValidateOps checks an update batch against the Session's ID space:
-// in-range endpoints, no self-loops, positive weights. It does not check
-// edge existence — that is the serving driver's ledger's job.
+// ValidateOps checks an update batch against the Session's ID space and
+// the fixed point: in-range endpoints, no self-loops, nonzero weights
+// partition.Quantise accepts (else an error wrapping partition.ErrWeight)
+// and a 2m within partition.MaxWeight2. It does not check edge existence —
+// that is the serving driver's ledger's job.
 func (s *Session) ValidateOps(ops []EdgeOp) error {
+	m2 := s.sg.TotalWeight2
 	for i, op := range ops {
 		if op.U < 0 || op.U >= s.n || op.V < 0 || op.V >= s.n {
 			return fmt.Errorf("core: op %d: vertex out of range [0,%d): %d-%d", i, s.n, op.U, op.V)
@@ -481,9 +487,20 @@ func (s *Session) ValidateOps(ops []EdgeOp) error {
 		if op.U == op.V {
 			return fmt.Errorf("core: op %d: self-loop %d-%d not supported", i, op.U, op.V)
 		}
-		if op.W <= 0 {
-			return fmt.Errorf("core: op %d: weight %g, want > 0", i, op.W)
+		w, err := partition.Quantise(op.W)
+		if err == nil && w == 0 {
+			err = errors.New("want > 0")
 		}
+		if op.Del {
+			w = -w
+		}
+		if err == nil && w > (partition.MaxWeight2-m2)/2 {
+			err = fmt.Errorf("%w: 2m past %d units", partition.ErrWeight, partition.MaxWeight2)
+		}
+		if err != nil {
+			return fmt.Errorf("core: op %d: weight %g: %w", i, op.W, err)
+		}
+		m2 += 2 * w
 	}
 	return nil
 }
@@ -510,6 +527,9 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	if err := s.st.flushDeltas(); err != nil {
 		return zero, err
 	}
+	// The batch rewrote arcs: the reverse index and sumIn start again.
+	s.st.buildRev()
+	s.st.seedQ()
 	if err := s.seedFromOps(ops); err != nil {
 		return zero, err
 	}
@@ -567,17 +587,17 @@ func (s *Session) drainSeen() int64 {
 }
 
 // applyOps mutates the subgraph and the stage's bookkeeping for one
-// replicated batch. Every rank applies the identical ops in the identical
-// order to its own share, so no agreement is needed; aggregate corrections
-// go through the delta ledger and are flushed once per batch.
+// replicated, validated batch. Every rank applies the identical ops in the
+// identical order to its own share, so no agreement is needed; aggregate
+// corrections go through the delta ledger and are flushed once per batch.
 func (s *Session) applyOps(ops []EdgeOp) {
 	st := s.st
 	for _, op := range ops {
-		s.applyArc(op.U, op.V, op.W, op.Del)
-		s.applyArc(op.V, op.U, op.W, op.Del)
-		dw := op.W
+		dw, _ := partition.Quantise(op.W) // ValidateOps accepted it
+		s.applyArc(op.U, op.V, dw, op.Del)
+		s.applyArc(op.V, op.U, dw, op.Del)
 		if op.Del {
-			dw = -op.W
+			dw = -dw
 		}
 		s.adjustDegree(op.U, dw)
 		s.adjustDegree(op.V, dw)
@@ -586,14 +606,14 @@ func (s *Session) applyOps(ops []EdgeOp) {
 	}
 }
 
-// applyArc places or removes the directed arc x→y. Placement is
-// deterministic: a low vertex's arcs live with its owner (complete
+// applyArc places or removes the directed arc x→y of weight w. Placement
+// is deterministic: a low vertex's arcs live with its owner (complete
 // adjacency); a hub's inserted arc goes to rank y%p's share (which owns y,
 // so hub inserts never create ghosts). Deletion removes every matching
 // entry in whatever share holds one — an edge inserted after partitioning
 // may live on a different rank than its Build-time twin, and the kernels
 // only ever sum entries, so entry multiplicity is benign.
-func (s *Session) applyArc(x, y int, w float64, del bool) {
+func (s *Session) applyArc(x, y int, w int64, del bool) {
 	sg, st := s.sg, s.st
 	if hi, hub := st.hubIndex(x); hub {
 		if del {
@@ -615,13 +635,8 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 		return
 	}
 	sg.AdjOwned[i] = upsertArc(sg.AdjOwned[i], y, w)
-	if _, hub := st.hubIndex(y); hub {
-		st.addRev(y, x)
-		return
-	}
-	if !s.owns(y) {
+	if _, hub := st.hubIndex(y); !hub && !s.owns(y) {
 		sg.AddGhost(y)
-		st.addRev(y, x)
 		if st.comm[y] < 0 {
 			s.newGhosts = append(s.newGhosts, y)
 		}
@@ -633,7 +648,7 @@ func (s *Session) applyArc(x, y int, w float64, del bool) {
 // feeds x's community aggregate through the delta ledger, and — for the
 // low-vertex case — registers any new cross-rank subscription implied by
 // the batch (derivable locally because the batch is replicated).
-func (s *Session) adjustDegree(x int, dw float64) {
+func (s *Session) adjustDegree(x int, dw int64) {
 	st, sg := s.st, s.sg
 	if hi, hub := st.hubIndex(x); hub {
 		sg.HubWDeg[hi] += dw
@@ -804,7 +819,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 // upsertArc returns a copy of adj with weight w added to the entry for y
 // (appended if absent). Copy-on-write keeps Build's pristine adjacency —
 // possibly shared with other Subgraph clones — untouched.
-func upsertArc(adj []partition.Arc, y int, w float64) []partition.Arc {
+func upsertArc(adj []partition.Arc, y int, w int64) []partition.Arc {
 	out := append([]partition.Arc(nil), adj...)
 	for j := range out {
 		if out[j].To == y {

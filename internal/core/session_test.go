@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -176,6 +177,7 @@ func randomStream(g *graph.Graph, seed int64, batches, batchSize int, delFrac fl
 // Solve + install reproduces the batch solver.
 
 func TestSessionInstallMatchesBatchRun(t *testing.T) {
+	withInvariants(t)
 	g := goldenGraph(t)
 	for _, p := range []int{1, 2, 4} {
 		opt := Options{P: p}
@@ -200,6 +202,7 @@ func TestSessionInstallMatchesBatchRun(t *testing.T) {
 // Property test: incremental quality stays pinned to the full-solve oracle.
 
 func TestIncrementalQualityPinned(t *testing.T) {
+	withInvariants(t)
 	rmat, err := gen.RMAT(gen.Graph500RMAT(8, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +253,7 @@ func TestIncrementalQualityPinned(t *testing.T) {
 // drift fallback.
 
 func TestIncrementalFallbackAdversarial(t *testing.T) {
+	withInvariants(t)
 	g, want, err := gen.Caveman(6, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +311,7 @@ func TestIncrementalFallbackAdversarial(t *testing.T) {
 // worker counts.
 
 func TestIncrementalDeterminism(t *testing.T) {
+	withInvariants(t)
 	g := goldenGraph(t)
 	opt := Options{P: 3, DHigh: 6, Workers: 1}
 	stream := randomStream(g, 99, 4, 10, 0.3)
@@ -333,6 +338,7 @@ func TestIncrementalDeterminism(t *testing.T) {
 // match the in-process world bit for bit.
 
 func TestSessionTCPMatchesInproc(t *testing.T) {
+	withInvariants(t)
 	g := goldenGraph(t)
 	opt := Options{P: 2, DHigh: 6}
 	stream := randomStream(g, 7, 2, 8, 0.3)
@@ -391,5 +397,57 @@ func TestSessionTCPMatchesInproc(t *testing.T) {
 	}
 	if math.Float64bits(qs[0]) != math.Float64bits(inproc.Q) {
 		t.Fatalf("TCP final Q %x != inproc %x", qs[0], inproc.Q)
+	}
+}
+
+// TestValidateOpsWeights pins the update half of the quantise gate: every
+// weight an op carries must be one partition.Quantise accepts and nonzero,
+// and the batch's inserts must keep 2m within partition.MaxWeight2; a
+// refused batch fails ApplyUpdates before any rank mutates anything.
+func TestValidateOpsWeights(t *testing.T) {
+	g := goldenGraph(t)
+	layout, err := partition.Build(g, partition.Options{P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.RunWorld(1, func(c comm.Comm) error {
+		ses, err := NewSession(c, layout.Parts[0].CloneForServing(), Options{P: 1})
+		if err != nil {
+			return err
+		}
+		defer ses.Close()
+		if err := ses.Solve(); err != nil {
+			return err
+		}
+		big := partition.Dequantise(partition.MaxWeight2 / 4)
+		for _, tc := range []struct {
+			name   string
+			ops    []EdgeOp
+			weight bool // the refusal must wrap partition.ErrWeight
+		}{
+			{"nan", []EdgeOp{{U: 0, V: 1, W: math.NaN()}}, true},
+			{"+inf", []EdgeOp{{U: 0, V: 1, W: math.Inf(1)}}, true},
+			{"negative", []EdgeOp{{U: 0, V: 1, W: -1}}, true},
+			{"zero", []EdgeOp{{U: 0, V: 1, W: 0}}, false},
+			{"rounds-to-zero", []EdgeOp{{U: 0, V: 1, W: 1e-9}}, true},
+			{"2m-past-limit", []EdgeOp{{U: 0, V: 1, W: big}, {U: 0, V: 2, W: big}}, true},
+		} {
+			if err := ses.ValidateOps(tc.ops); err == nil || tc.weight != errors.Is(err, partition.ErrWeight) {
+				t.Errorf("%s: ValidateOps = %v, want an error (wrapping ErrWeight: %v)", tc.name, err, tc.weight)
+			}
+			q := ses.Modularity()
+			if _, err := ses.ApplyUpdates(tc.ops); err == nil || ses.Modularity() != q {
+				t.Errorf("%s: ApplyUpdates = %v, Q %v -> %v", tc.name, err, q, ses.Modularity())
+			}
+		}
+		// One insert of a quarter of the limit fits.
+		ok := []EdgeOp{{U: 0, V: 1, W: big}}
+		if err := ses.ValidateOps(ok); err != nil {
+			t.Errorf("representable batch refused: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

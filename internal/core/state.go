@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -26,7 +27,7 @@ type stage struct {
 	c     comm.Comm
 	sg    *partition.Subgraph
 	opt   Options
-	m2    float64
+	m2    int64   // 2m in fixed-point units (partition/weight.go)
 	gamma float64 // modularity resolution γ
 	p     int
 	rnk   int
@@ -43,7 +44,7 @@ type stage struct {
 	// for it arrived (pushAggregates, sync.go), and the sweep adjusts the
 	// entries locally in between (Gauss-Seidel within the rank). cached
 	// marks entries that hold a pushed value.
-	tot    []float64
+	tot    []int64
 	size   []int32
 	cached []bool
 
@@ -57,8 +58,14 @@ type stage struct {
 
 	// ownTot and ownSize are the authoritative aggregates for communities
 	// owned by this rank (IDs ≡ rnk mod p), updated by the delta exchange.
-	ownTot  []float64
+	ownTot  []int64
 	ownSize []int32
+
+	// sumIn (this rank's share of Σin, scanIn) and sumSq (Σ(Σtot)² over the
+	// owned communities) are the modularity terms, kept by deltas (docs/
+	// PERFORMANCE.md, "Exact aggregates and incremental modularity").
+	sumIn int64
+	sumSq u128
 
 	// Owner side of the watches, indexed by c/p for an owned community c.
 	// The watcher ranks of a community are a linked list through the
@@ -79,7 +86,7 @@ type stage struct {
 	// Pending aggregate deltas keyed by community, routed to owners at the
 	// end of each iteration. deltaTouched drives O(touched) flush/reset;
 	// deltaMark prevents duplicate entries when a delta transits zero.
-	deltaW       []float64
+	deltaW       []int64
 	deltaN       []int32
 	deltaMark    []bool
 	deltaTouched []int
@@ -132,12 +139,6 @@ type stage struct {
 	// (encodeFlush, ghostSwap).
 	idPrev []int
 
-	// deltaSrc buffers flushDeltas records per source rank: the streaming
-	// exchange decodes frames in arrival order, but Σtot is accumulated in
-	// floating point, so the records are applied in rank order to keep the
-	// sums bit-identical run to run (see docs/PERFORMANCE.md).
-	deltaSrc [][]deltaRec
-
 	// hubBuf is the reusable delegate-exchange encode buffer.
 	hubBuf *wire.Buffer
 
@@ -162,19 +163,15 @@ type stage struct {
 	seen      []bool
 
 	// hubIdx maps a vertex id to its index in sg.Hubs (-1 = not a hub); nil
-	// when the stage has no hubs. revOff/revAdj are the reverse index: the
-	// owned neighbours of ghost or hub t are revAdj[revOff[t]:revOff[t+1]],
-	// built once per stage (buildRev). Arcs a Session inserts later go to the
-	// revMore overflow (addRev).
-	hubIdx  []int32
-	revOff  []int32
-	revAdj  []int32
-	revMore map[int][]int32
-
-	// qKernel/qChunks: the globalModularity arc-scan kernel over the
-	// concatenated owned+hub index space, likewise built once per stage.
-	qKernel func(chunk, worker int)
-	qChunks int
+	// when the stage has no hubs. revOff/revAdj/revW are the weighted
+	// reverse index: the local arcs into ghost or hub t — from owned
+	// vertices, and into a hub also from other hubs' shares — come from
+	// revAdj[revOff[t]:revOff[t+1]], their weights in revW. buildRev builds
+	// it at stage start and after every update batch.
+	hubIdx []int32
+	revOff []int32
+	revAdj []int32
+	revW   []int64
 
 	// needMark/reqs are the dense dedup scratch of neededCommunities:
 	// needMark[c] marks community c as already requested this round, and
@@ -183,11 +180,10 @@ type stage struct {
 	needMark []bool
 	reqs     [][]int
 
-	// chunkQ/chunkWork hold per-chunk partial results of parFor kernels,
-	// combined on the main goroutine in chunk order (bit-identical float
-	// reductions at every worker count). chunkWork is sized max(p,
-	// par.MaxChunks) because the merge's decode kernels chunk by peer rank.
-	chunkQ    [par.MaxChunks]float64
+	// chunkArcs/chunkWork hold per-chunk work counts and error flags of
+	// parFor kernels, combined on the main goroutine. chunkWork is sized
+	// max(p, par.MaxChunks) because the merge's decode kernels chunk by peer
+	// rank.
 	chunkArcs [par.MaxChunks]int64
 	chunkWork []int64
 
@@ -227,13 +223,13 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		rnk:       c.Rank(),
 		n:         n,
 		comm:      make([]int32, n),
-		tot:       make([]float64, n),
+		tot:       make([]int64, n),
 		size:      make([]int32, n),
 		cached:    make([]bool, n),
 		watched:   make([]bool, n),
-		ownTot:    make([]float64, n),
+		ownTot:    make([]int64, n),
 		ownSize:   make([]int32, n),
-		deltaW:    make([]float64, n),
+		deltaW:    make([]int64, n),
 		deltaN:    make([]int32, n),
 		deltaMark: make([]bool, n),
 		needMark:  make([]bool, n),
@@ -264,7 +260,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.rqReqs = make([][]int, s.p)
 	s.rqPos = make([][]int, s.p)
 	s.recvIn = make([][]byte, s.p)
-	s.deltaSrc = make([][]deltaRec, s.p)
 	s.reqs = make([][]int, s.p)
 	s.idPrev = make([]int, s.p)
 	s.wHead = make([]int32, n/s.p+1)
@@ -296,7 +291,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		}
 		s.chunkArcs[chunk] = w
 	}
-	s.buildQKernel()
 	cw := s.p
 	if cw < par.MaxChunks {
 		cw = par.MaxChunks
@@ -353,108 +347,166 @@ func (s *stage) setActive(on bool) {
 	}
 }
 
-// buildRev builds the reverse index from the owned adjacency, which is
-// complete, so it covers every (ghost or hub, owned neighbour) pair: one
-// counting pass and one fill pass over the owned arcs, charged as work.
+// buildRev builds the weighted reverse index from the local arcs: one
+// counting pass and one fill pass over the owned arcs into ghosts and hubs
+// and the hub-share arcs into other hubs, charged as work.
 func (s *stage) buildRev() {
-	foreign := func(t int) bool {
-		_, hub := s.hubIndex(t)
-		return hub || !s.owns(t)
+	// each calls f for every indexed arc u→t of weight w.
+	each := func(f func(u, t int, w int64)) int64 {
+		arcs := int64(0)
+		for i, u := range s.sg.Owned {
+			for _, a := range s.sg.AdjOwned[i] {
+				if _, hub := s.hubIndex(a.To); hub || !s.owns(a.To) {
+					f(u, a.To, a.W)
+				}
+			}
+			arcs += int64(len(s.sg.AdjOwned[i]))
+		}
+		for i, h := range s.sg.Hubs {
+			for _, a := range s.sg.AdjHub[i] {
+				if _, hub := s.hubIndex(a.To); hub && a.To != h {
+					f(h, a.To, a.W)
+				}
+			}
+			arcs += int64(len(s.sg.AdjHub[i]))
+		}
+		return arcs
 	}
 	off := make([]int32, s.n+2)
-	arcs := int64(0)
-	for _, adj := range s.sg.AdjOwned {
-		for _, a := range adj {
-			if foreign(a.To) {
-				off[a.To+2]++
-			}
-		}
-		arcs += int64(len(adj))
-	}
+	arcs := each(func(_, t int, _ int64) { off[t+2]++ })
 	for t := 0; t < s.n; t++ {
 		off[t+2] += off[t+1]
 	}
 	s.revAdj = make([]int32, off[s.n+1])
-	for i, u := range s.sg.Owned {
-		for _, a := range s.sg.AdjOwned[i] {
-			if foreign(a.To) {
-				// The cursor of t lives in off[t+1]; when the fill ends it has
-				// advanced to t+1's start, which is where off[t+1] belongs.
-				s.revAdj[off[a.To+1]] = int32(u)
-				off[a.To+1]++
-			}
-		}
-	}
+	s.revW = make([]int64, off[s.n+1])
+	each(func(u, t int, w int64) {
+		// The cursor of t lives in off[t+1]; when the fill ends it has
+		// advanced to t+1's start, which is where off[t+1] belongs.
+		s.revAdj[off[t+1]], s.revW[off[t+1]] = int32(u), w
+		off[t+1]++
+	})
 	s.revOff = off[:s.n+1]
 	s.addWork(trace.Other, 2*arcs)
 }
 
-// addRev records owned vertex u as a neighbour of ghost or hub t after the
-// index was built (duplicate-free; the lists are per-vertex neighbourhoods,
-// so the linear scans are cheap).
-func (s *stage) addRev(t, u int) {
-	for _, x := range s.revAdj[s.revOff[t]:s.revOff[t+1]] {
-		if int(x) == u {
-			return
+// armRev arms the owned neighbours of ghost or hub t, whose label changed
+// from a to b, applies the change to sumIn over the local arcs into t, and
+// returns the fan-in to charge as work. (A hub source's flag is set too and
+// never read.)
+//
+//perf:noalloc
+func (s *stage) armRev(t, a, b int) int64 {
+	_, hub := s.hubIndex(t)
+	lo, hi := s.revOff[t], s.revOff[t+1]
+	for j := lo; j < hi; j++ {
+		u := int(s.revAdj[j])
+		s.active[u] = true
+		if f := s.flip(u, a, b, s.revW[j]); f != 0 {
+			_, uHub := s.hubIndex(u)
+			s.sumIn += f * arcShare(uHub, hub, false)
 		}
 	}
-	for _, x := range s.revMore[t] {
-		if int(x) == u {
-			return
-		}
-	}
-	if s.revMore == nil {
-		s.revMore = make(map[int][]int32)
-	}
-	s.revMore[t] = append(s.revMore[t], int32(u))
+	return int64(hi - lo)
 }
 
-// armRev arms the owned neighbours of ghost or hub t, whose label changed,
-// and returns the fan-in to charge as work.
-func (s *stage) armRev(t int) int64 {
-	near, more := s.revAdj[s.revOff[t]:s.revOff[t+1]], s.revMore[t]
-	for _, u := range near {
-		s.active[u] = true
+// flip returns the signed change, w, -w or 0, of the match between a vertex
+// x that kept its label and a neighbour that moved from community a to b.
+//
+//perf:noalloc
+func (s *stage) flip(x, a, b int, w int64) int64 {
+	switch int(s.comm[x]) {
+	case b:
+		return w
+	case a:
+		return -w
 	}
-	for _, u := range more {
-		s.active[u] = true
-	}
-	return int64(len(near) + len(more))
+	return 0
 }
 
-// buildQKernel builds the globalModularity arc-scan kernel over the
-// concatenated owned+hub index space, once per stage (the owned and hub
-// tables' lengths are fixed, so the chunk count is too).
-func (s *stage) buildQKernel() {
-	sg := s.sg
-	nOwned := len(sg.Owned)
-	nv := nOwned + len(sg.Hubs)
-	s.qChunks = par.NumChunks(nv)
-	s.qKernel = func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(nv, s.qChunks, chunk)
-		var in float64
-		arcs := int64(0)
-		for i := lo; i < hi; i++ {
-			var cv int32
-			var adj []partition.Arc
-			if i < nOwned {
-				cv = s.comm[sg.Owned[i]]
-				adj = sg.AdjOwned[i]
-			} else {
-				cv = s.comm[sg.Hubs[i-nOwned]]
-				adj = sg.AdjHub[i-nOwned]
-			}
-			for _, a := range adj {
-				if s.comm[a.To] == cv {
-					in += a.W
-				}
-			}
-			arcs += int64(len(adj))
-		}
-		s.chunkQ[chunk] = in
-		s.chunkArcs[chunk] = arcs
+// arcShare is how many times scanIn counts an arc's weight, with the arc
+// back's when that is local too: from an owned vertex 2 into a hub (whose
+// share of the arc back counts 0) or an owned vertex (dstLocal), else 1;
+// between hubs 1.
+func arcShare(srcHub, dstHub, dstLocal bool) int64 {
+	switch {
+	case srcHub && dstHub:
+		return 1
+	case srcHub:
+		return 0
+	case dstHub || dstLocal:
+		return 2
 	}
+	return 1
 }
+
+// scanIn is the exact full scan of this rank's share of Σin, the oracle of
+// sumIn: intra-community arcs from owned vertices, doubled into a hub, and
+// hub-share arcs between hubs. Across the world every edge counts twice,
+// wherever the partitioner put a hub's arcs.
+func (s *stage) scanIn() (in, arcs int64) {
+	for i, u := range s.sg.Owned {
+		cu := s.comm[u]
+		for _, a := range s.sg.AdjOwned[i] {
+			if s.comm[a.To] == cu {
+				_, hub := s.hubIndex(a.To)
+				in += arcShare(false, hub, false) * a.W
+			}
+		}
+		arcs += int64(len(s.sg.AdjOwned[i]))
+	}
+	for i, h := range s.sg.Hubs {
+		ch := s.comm[h]
+		for _, a := range s.sg.AdjHub[i] {
+			if _, hub := s.hubIndex(a.To); hub && s.comm[a.To] == ch {
+				in += a.W
+			}
+		}
+		arcs += int64(len(s.sg.AdjHub[i]))
+	}
+	return in, arcs
+}
+
+// scanSq is the exact full scan of Σ(Σtot)² over the owned communities, the
+// oracle of sumSq.
+func (s *stage) scanSq() u128 {
+	var sq u128
+	for c := s.rnk; c < s.n; c += s.p {
+		sq = sq.addSq(s.ownTot[c], false)
+	}
+	return sq
+}
+
+// seedQ sets sumIn and sumSq from the full scans, charged as work: at stage
+// entry, and where a Session rewrites labels or arcs wholesale.
+func (s *stage) seedQ() {
+	in, arcs := s.scanIn()
+	s.sumIn, s.sumSq = in, s.scanSq()
+	s.addWork(trace.Other, arcs+int64(s.n/s.p))
+}
+
+// u128 is an unsigned 128-bit integer with wrapping arithmetic: sumSq passes
+// through values that are not its final one while records apply in arrival
+// order, and modular arithmetic makes the end result exact regardless.
+type u128 struct{ hi, lo uint64 }
+
+// addSq returns x + t², or x − t² when neg.
+func (x u128) addSq(t int64, neg bool) u128 {
+	if t < 0 {
+		t = -t
+	}
+	hi, lo := bits.Mul64(uint64(t), uint64(t))
+	var c uint64
+	if neg {
+		lo, c = bits.Sub64(x.lo, lo, 0)
+		hi, _ = bits.Sub64(x.hi, hi, c)
+	} else {
+		lo, c = bits.Add64(x.lo, lo, 0)
+		hi, _ = bits.Add64(x.hi, hi, c)
+	}
+	return u128{hi, lo}
+}
+
+func (x u128) float() float64 { return float64(x.hi)*(1<<64) + float64(x.lo) }
 
 // close releases the stage's worker goroutines. The stage's state stays
 // readable (runRank still resolves labels through it); only parallel
@@ -476,7 +528,7 @@ func (s *stage) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
 // lookupTot returns the cached Σtot of community c; every candidate
 // community is the label of a local vertex, hence watched and pushed before
 // the sweep, so a miss is a bug.
-func (s *stage) lookupTot(c int) float64 {
+func (s *stage) lookupTot(c int) int64 {
 	if !s.cached[c] {
 		panic(fmt.Sprintf("core: rank %d missing Σtot for community %d", s.rnk, c))
 	}
@@ -540,7 +592,7 @@ func (s *stage) neededCommunities() [][]int {
 
 // addDelta records that community c gained dw weighted degree and dn
 // members (negative for departures).
-func (s *stage) addDelta(c int, dw float64, dn int32) {
+func (s *stage) addDelta(c int, dw int64, dn int32) {
 	if !s.deltaMark[c] {
 		s.deltaMark[c] = true
 		s.deltaTouched = append(s.deltaTouched, c)
@@ -551,7 +603,7 @@ func (s *stage) addDelta(c int, dw float64, dn int32) {
 
 // applyLocalMove updates the local caches and delta ledger for a vertex of
 // weighted degree k moving from community from to community to.
-func (s *stage) applyLocalMove(from, to int, k float64) {
+func (s *stage) applyLocalMove(from, to int, k int64) {
 	s.tot[from] -= k
 	s.size[from]--
 	if s.cached[to] {

@@ -142,7 +142,7 @@ func (s *stage) encodePush() int64 {
 				continue
 			}
 			buf.PutStrideDelta(prev, c, s.p)
-			buf.PutF64(s.ownTot[c])
+			buf.PutVarint(s.ownTot[c])
 			buf.PutVarint(int64(s.ownSize[c]))
 			prev = c
 			n++
@@ -166,7 +166,7 @@ func (s *stage) applyPush(src int, payload []byte) (int64, error) {
 	prev := src - s.p
 	for rd.Remaining() > 0 {
 		c := rd.StrideDelta(prev, s.p, s.n)
-		tot := rd.F64()
+		tot := rd.Varint()
 		size := int32(rd.Varint())
 		if rd.Err() != nil || !s.watched[c] {
 			return n, s.frameErr("push", src, rd.Err())
@@ -257,9 +257,10 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 		s.comm[h] = int32(target)
 		s.watch(target) // proposed by another rank, so possibly new here
 		// Every rank re-examines the hub from its share, the owned vertices
-		// adjacent to it and the hubs its share reaches.
+		// adjacent to it and the hubs its share reaches; the same walks carry
+		// the move into sumIn.
 		s.hubActive[i] = true
-		armed += s.armRev(h) + s.arm(s.sg.AdjHub[i])
+		armed += s.armRev(h, cur, target) + s.arm(h, s.sg.AdjHub[i], cur, target)
 		if s.cached[cur] {
 			s.tot[cur] -= k
 			s.size[cur]--
@@ -367,7 +368,8 @@ func (s *stage) ghostSwap() error {
 	// its owner, so the per-source writes to s.comm are disjoint and
 	// arrival-order application is deterministic. A frame may only name
 	// vertices its sender owns and this rank already holds. A ghost whose
-	// label changed arms the owned vertices adjacent to it.
+	// label changed arms the owned vertices adjacent to it and carries the
+	// change into sumIn (no local arc joins two ghosts, so order is moot).
 	recvd := int64(0)
 	var rd wire.Reader
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
@@ -379,8 +381,8 @@ func (s *stage) ghostSwap() error {
 			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || ownerOf(v, s.p) != src {
 				return s.frameErr("ghost-swap", src, rd.Err())
 			}
-			if s.comm[v] != int32(c) {
-				recvd += s.armRev(v)
+			if old := int(s.comm[v]); old != int(c) {
+				recvd += s.armRev(v, old, int(c))
 			}
 			s.comm[v] = int32(c)
 			s.watch(int(c))
@@ -398,21 +400,13 @@ func (s *stage) ghostSwap() error {
 
 // flushDeltas routes the pending Σtot/size deltas and the queued watch
 // requests to the community owners, applies the deltas addressed to this
-// rank and registers the watchers. A community is marked dirty when a
-// record for it arrives, not when its value changes: a rank that moved a
-// vertex out of c and another back in holds a cache entry whose bits no
-// longer equal the owner's even if the sum does.
+// rank (in arrival order: Σtot is an exact integer) and registers the
+// watchers. A community is marked dirty when a record for it arrives, not
+// when its value changes: moves on two ranks can cancel at the owner while
+// each rank's cache entry holds only its own half.
 func (s *stage) flushDeltas() error {
 	bufs := s.sendScratch()
 	s.addWork(trace.Other, s.encodeFlush())
-	// Decode overlaps in-flight traffic (arrival order), but Σtot is a
-	// floating-point accumulation whose result depends on addend order, so
-	// the decoded records are buffered per source rank and applied in rank
-	// order below. Registering a watcher commutes, so that happens on
-	// arrival.
-	for r := 0; r < s.p; r++ {
-		s.deltaSrc[r] = s.deltaSrc[r][:0]
-	}
 	applied := int64(0)
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
 		n, err := s.recvFlush(src, payload)
@@ -421,17 +415,6 @@ func (s *stage) flushDeltas() error {
 	})
 	if err != nil {
 		return err
-	}
-	for r := 0; r < s.p; r++ {
-		for _, d := range s.deltaSrc[r] {
-			s.ownTot[d.c] += d.dw
-			s.ownSize[d.c] += d.dn
-			if li := int(d.c) / s.p; !s.dirtyMark[li] {
-				s.dirtyMark[li] = true
-				s.dirty = append(s.dirty, int(d.c))
-			}
-			applied++
-		}
 	}
 	s.addWork(trace.Other, applied)
 	return nil
@@ -455,7 +438,7 @@ func (s *stage) encodeFlush() int64 {
 		o := ownerOf(c, s.p)
 		b := s.sendBufs[o]
 		b.PutStrideDelta(s.idPrev[o], c, s.p)
-		b.PutF64(s.deltaW[c])
+		b.PutVarint(s.deltaW[c])
 		b.PutVarint(int64(s.deltaN[c]))
 		s.idPrev[o] = c
 		s.deltaW[c] = 0
@@ -482,29 +465,37 @@ func (s *stage) encodeFlush() int64 {
 	return n
 }
 
-// recvFlush decodes one flush frame: the delta records are buffered in
-// deltaSrc[src] for the rank-order application, the watchers registered on
-// the spot. It returns the number of watches registered. The stride-delta
-// decode confines every id to the communities this rank owns.
+// recvFlush decodes one flush frame: it applies the delta records — to
+// Σtot, size and sumSq — and registers the watchers, and returns the number
+// of records and watches. The stride-delta decode confines every id to the
+// communities this rank owns.
 func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 	var rd wire.Reader
 	rd.Reset(payload)
+	n := int64(0)
 	prev := s.rnk - s.p
 	for rd.Remaining() > 0 && !rd.SkipZero() {
 		c := rd.StrideDelta(prev, s.p, s.n)
-		d := deltaRec{c: int32(c), dw: rd.F64(), dn: int32(rd.Varint())}
+		dw, dn := rd.Varint(), int32(rd.Varint())
 		if rd.Err() != nil {
-			return 0, s.frameErr("flush", src, rd.Err())
+			return n, s.frameErr("flush", src, rd.Err())
 		}
-		s.deltaSrc[src] = append(s.deltaSrc[src], d)
+		t := s.ownTot[c]
+		s.sumSq = s.sumSq.addSq(t, true).addSq(t+dw, false)
+		s.ownTot[c] = t + dw
+		s.ownSize[c] += dn
+		if li := c / s.p; !s.dirtyMark[li] {
+			s.dirtyMark[li] = true
+			s.dirty = append(s.dirty, c)
+		}
 		prev = c
+		n++
 	}
-	watches := int64(0)
 	prev = s.rnk - s.p
 	for rd.Remaining() > 0 {
 		c := rd.StrideDelta(prev, s.p, s.n)
 		if rd.Err() != nil {
-			return 0, s.frameErr("flush", src, rd.Err())
+			return n, s.frameErr("flush", src, rd.Err())
 		}
 		li := c / s.p
 		s.wRank = append(s.wRank, int32(src))
@@ -512,49 +503,18 @@ func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 		s.wHead[li] = int32(len(s.wRank) - 1)
 		s.first[src] = append(s.first[src], c)
 		prev = c
-		watches++
+		n++
 	}
-	return watches, nil
+	return n, nil
 }
 
-// deltaRec is one decoded Σtot/size delta, buffered per source rank so the
-// floating-point application order stays rank order (see flushDeltas).
-type deltaRec struct {
-	c  int32
-	dw float64
-	dn int32
-}
-
-// localModularity computes this rank's modularity contribution from the
-// current, fully synchronized community state: the weights of matching
-// local arcs plus the −(Σtot/2m)² terms of the non-empty communities this
-// rank owns. Summed across ranks it is the exact global modularity.
-//
-// The arc scan is chunked over the concatenated owned+hub vertex range and
-// runs on the worker pool; the per-chunk partial sums combine in chunk
-// order on the main goroutine, so the float reduction associates
-// identically at every worker count.
+// localModularity returns this rank's modularity contribution from the
+// incremental terms: its share of Σin over 2m minus γ·Σ(Σtot)²/(2m)² over
+// the communities it owns. Summed across ranks it is the global modularity.
+// The fixed-point scale cancels in both ratios.
 func (s *stage) localModularity() float64 {
-	nc := s.qChunks
-	s.pool.ParFor(nc, s.qKernel)
-	var in float64
-	arcs := int64(0)
-	for c := 0; c < nc; c++ {
-		in += s.chunkQ[c]
-		arcs += s.chunkArcs[c]
-	}
-	var totTerm float64
-	owned := int64(0)
-	for c := s.rnk; c < s.n; c += s.p {
-		owned++
-		if s.ownSize[c] <= 0 {
-			continue
-		}
-		t := s.ownTot[c] / s.m2
-		totTerm += s.gamma * t * t
-	}
-	s.addWork(trace.Other, arcs+owned)
-	return in/s.m2 - totTerm
+	m2 := float64(s.m2)
+	return float64(s.sumIn)/m2 - s.gamma*(s.sumSq.float()/m2)/m2
 }
 
 // globalModularity reduces localModularity across ranks. The clustering

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -45,7 +44,7 @@ func (s *stage) fetchCommunityInfo() error {
 		b := wire.NewBuffer(0)
 		rd := wire.NewReader(in[r])
 		for _, c := range rd.Ints() {
-			b.PutF64(s.ownTot[c])
+			b.PutVarint(s.ownTot[c])
 			b.PutVarint(int64(s.ownSize[c]))
 		}
 		if err := rd.Err(); err != nil {
@@ -60,7 +59,7 @@ func (s *stage) fetchCommunityInfo() error {
 	for r := range in {
 		rd := wire.NewReader(in[r])
 		for _, c := range reqs[r] {
-			s.tot[c] = rd.F64()
+			s.tot[c] = rd.Varint()
 			s.size[c] = int32(rd.Varint())
 			s.cached[c] = true
 		}
@@ -75,7 +74,7 @@ func (s *stage) fetchCommunityInfo() error {
 // after a push, no community a local vertex references may be uncached, and
 // pulling every referenced community from its owner must change no byte of
 // the cache — i.e. each cached (Σtot, size) already equals the owner's
-// ownTot/ownSize to the bit.
+// ownTot/ownSize.
 func cacheCoherenceHook(s *stage, iter int) error {
 	for _, cs := range s.neededCommunities() {
 		for _, c := range cs {
@@ -85,16 +84,16 @@ func cacheCoherenceHook(s *stage, iter int) error {
 			}
 		}
 	}
-	tot := append([]float64(nil), s.tot...)
+	tot := append([]int64(nil), s.tot...)
 	size := append([]int32(nil), s.size...)
 	cached := append([]bool(nil), s.cached...)
 	if err := s.fetchCommunityInfo(); err != nil {
 		return err
 	}
 	for c := range tot {
-		if math.Float64bits(tot[c]) != math.Float64bits(s.tot[c]) || size[c] != s.size[c] || cached[c] != s.cached[c] {
-			return fmt.Errorf("iter %d rank %d community %d: pushed cache (%x, %d, %v), the owner holds (%x, %d)",
-				iter, s.rnk, c, math.Float64bits(tot[c]), size[c], cached[c], math.Float64bits(s.tot[c]), s.size[c])
+		if tot[c] != s.tot[c] || size[c] != s.size[c] || cached[c] != s.cached[c] {
+			return fmt.Errorf("iter %d rank %d community %d: pushed cache (%d, %d, %v), the owner holds (%d, %d)",
+				iter, s.rnk, c, tot[c], size[c], cached[c], s.tot[c], s.size[c])
 		}
 	}
 	return nil
@@ -102,6 +101,7 @@ func cacheCoherenceHook(s *stage, iter int) error {
 
 func withCoherenceHook(t *testing.T) {
 	t.Helper()
+	withInvariants(t)
 	testPushHook = cacheCoherenceHook
 	t.Cleanup(func() { testPushHook = nil })
 }
@@ -263,26 +263,26 @@ func TestGarbledFrames(t *testing.T) {
 	}{
 		{"push/out-of-range", "push", enc(func(b *wire.Buffer) {
 			b.PutUvarint(uint64(n)) // 1 + 4·(n−1) ≥ n
-			b.PutF64(1)
+			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"push/repeated-id", "push", enc(func(b *wire.Buffer) {
 			b.PutUvarint(0)
-			b.PutF64(1)
+			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"push/truncated", "push", enc(func(b *wire.Buffer) {
 			b.PutUvarint(1)
-			b.PutU32(7)
+			b.PutVarint(7)
 		})},
 		{"flush/delta-out-of-range", "flush", enc(func(b *wire.Buffer) {
 			b.PutUvarint(uint64(n))
-			b.PutF64(1)
+			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"flush/delta-truncated", "flush", enc(func(b *wire.Buffer) {
 			b.PutUvarint(1)
-			b.PutU32(7)
+			b.PutVarint(7)
 		})},
 		{"flush/watch-out-of-range", "flush", enc(func(b *wire.Buffer) {
 			b.PutUvarint(0)
@@ -389,9 +389,10 @@ func TestGarbledFrames(t *testing.T) {
 // batch's moves dirtied (each dirty community costs its delta records plus
 // one push record per watcher) and must stay under half of that.
 //
-// "Other" work units also hold the modularity arc scan (arcs + owned
-// communities per iteration, unchanged by design: Q stays bit-identical);
-// it is subtracted here so the pin sees the synchronisation alone.
+// "Other" work units also hold what a batch pays once because it rewrote
+// arcs: the reverse-index rebuild and the full modularity scan that reseeds
+// the incremental terms; both are subtracted here so the pin sees the
+// synchronisation alone.
 func TestIncrementalBatchTraffic(t *testing.T) {
 	pullSyncPerIter := [4]int64{205, 221, 198, 187}
 	g, _, err := gen.LFR(gen.DefaultLFR(20000, 0.3, 1))
@@ -433,18 +434,16 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 		}
 		msgs[r] = c.Stats().Snapshot().MsgsSent - before.MsgsSent
 		iters[r] = res.Iters
-		scan := int64(0)
+		arcs := int64(0)
 		for _, adj := range ses.sg.AdjOwned {
-			scan += int64(len(adj))
+			arcs += int64(len(adj))
 		}
 		for _, adj := range ses.sg.AdjHub {
-			scan += int64(len(adj))
+			arcs += int64(len(adj))
 		}
-		for cc := r; cc < ses.n; cc += p {
-			scan++
-		}
-		// One scan per iteration plus the one ApplyUpdates itself reduces.
-		syncUnits[r] = ses.st.workPhase[trace.Other] - other - int64(res.Iters+1)*scan
+		// The reverse-index rebuild (2 per arc) and the modularity reseed
+		// (1 per arc and per owned community slot).
+		syncUnits[r] = ses.st.workPhase[trace.Other] - other - 3*arcs - int64(ses.n/p)
 		return nil
 	})
 	if err != nil {
@@ -504,7 +503,7 @@ func pushUsefulness(t *testing.T, g *graph.Graph, opt Options) (pushed, useful i
 			prev := src - s.p
 			for rd.Remaining() > 0 {
 				c := rd.StrideDelta(prev, s.p, s.n)
-				rd.F64()
+				rd.Varint()
 				rd.Varint()
 				if err := rd.Err(); err != nil {
 					return fmt.Errorf("rank %d: last frame from rank %d is no push frame: %w", s.rnk, src, err)

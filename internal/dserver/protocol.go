@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/partition"
 )
 
 // Line protocol for the resident service. One request per line, one reply
@@ -56,7 +58,7 @@ func (w *World) HandleLine(line string) string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "neighborhood %d", v)
 		for _, a := range arcs {
-			fmt.Fprintf(&b, " %d:%s", a.To, strconv.FormatFloat(a.W, 'g', -1, 64))
+			fmt.Fprintf(&b, " %d:%s", a.To, strconv.FormatFloat(partition.Dequantise(a.W), 'g', -1, 64))
 		}
 		return b.String()
 	case "modularity":

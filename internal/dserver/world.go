@@ -120,7 +120,7 @@ type World struct {
 
 	mu    sync.RWMutex
 	cmds  []chan *command
-	edges map[uint64]float64
+	edges map[uint64]int64 // edge weights in the sessions' fixed-point units
 	stats Stats
 
 	gmu    sync.RWMutex
@@ -158,13 +158,14 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 		n:           g.NumVertices(),
 		autoResolve: opt.AutoResolve,
 		cmds:        make([]chan *command, p),
-		edges:       make(map[uint64]float64, g.NumEdges()),
+		edges:       make(map[uint64]int64, g.NumEdges()),
 		rankMu:      make([]sync.RWMutex, p),
 		sessions:    make([]*core.Session, p),
 		runErr:      make(chan error, 1),
 	}
 	for _, e := range g.Edges() {
-		w.edges[edgeKey(e.U, e.V)] += e.W
+		q, _ := partition.Quantise(e.W) // Build accepted every weight
+		w.edges[edgeKey(e.U, e.V)] += q
 	}
 	for r := range w.cmds {
 		w.cmds[r] = make(chan *command, 1)
@@ -286,9 +287,6 @@ func (w *World) guard() error {
 // P returns the world size.
 func (w *World) P() int { return w.p }
 
-// NumVertices returns the (fixed) vertex-ID space size.
-func (w *World) NumVertices() int { return w.n }
-
 // CommunityOf returns vertex v's current community label (the representative
 // vertex of its community), read straight from the owner rank's session
 // under that rank's read lock — it does not serialize behind updates
@@ -328,7 +326,7 @@ func (w *World) Neighborhood(v int) ([]partition.Arc, error) {
 	}
 	// Holding the world read lock excludes updates, so reading every
 	// session in turn sees one consistent cross-rank snapshot.
-	sum := make(map[int]float64)
+	sum := make(map[int]int64)
 	for r := 0; r < w.p; r++ {
 		for _, a := range w.sessions[r].NeighborhoodOf(v) {
 			sum[a.To] += a.W
@@ -436,15 +434,17 @@ func (w *World) Resolve() error {
 
 // stageLocked validates ops against the ledger and prepares the replicated
 // EdgeOp batch: deletes are filled with the edge's full current weight.
-// Nothing is committed until the ranks accept the batch; commit applies the
-// staged ledger mutations.
+// The batch then passes the sessions' own gate (core.Session.ValidateOps),
+// so one a rank would refuse is refused before any rank sees it. Nothing is
+// committed until the ranks accept the batch; commit applies the staged
+// ledger mutations.
 func (w *World) stageLocked(ops []Op) ([]core.EdgeOp, func(), error) {
 	type entry struct {
-		w  float64
+		w  int64
 		ok bool
 	}
 	overlay := make(map[uint64]entry)
-	get := func(k uint64) (float64, bool) {
+	get := func(k uint64) (int64, bool) {
 		if e, hit := overlay[k]; hit {
 			return e.w, e.ok
 		}
@@ -466,15 +466,20 @@ func (w *World) stageLocked(ops []Op) ([]core.EdgeOp, func(), error) {
 				return nil, nil, fmt.Errorf("dserver: op %d: delete of absent edge (%d,%d)", i, op.U, op.V)
 			}
 			overlay[k] = entry{}
-			eops[i] = core.EdgeOp{U: op.U, V: op.V, W: cur, Del: true}
+			eops[i] = core.EdgeOp{U: op.U, V: op.V, W: partition.Dequantise(cur), Del: true}
 			continue
 		}
-		if op.W <= 0 {
-			return nil, nil, fmt.Errorf("dserver: op %d: insert weight %g, want > 0", i, op.W)
-		}
+		q, _ := partition.Quantise(op.W) // a bad weight fails ValidateOps below
 		cur, _ := get(k)
-		overlay[k] = entry{w: cur + op.W, ok: true}
+		overlay[k] = entry{w: cur + q, ok: true}
 		eops[i] = core.EdgeOp{U: op.U, V: op.V, W: op.W}
+	}
+	// Every rank holds the same 2m, so rank 0's session answers for all.
+	w.rankMu[0].RLock()
+	err := w.sessions[0].ValidateOps(eops)
+	w.rankMu[0].RUnlock()
+	if err != nil {
+		return nil, nil, fmt.Errorf("dserver: %w", err)
 	}
 	commit := func() {
 		for k, e := range overlay {

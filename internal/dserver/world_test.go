@@ -121,8 +121,8 @@ func TestWorldNeighborhood(t *testing.T) {
 			t.Fatalf("vertex %d: %d arcs, want %d (%v)", v, len(arcs), len(want[v]), arcs)
 		}
 		for _, a := range arcs {
-			if want[v][a.To] != a.W {
-				t.Fatalf("vertex %d arc to %d: weight %g, want %g", v, a.To, a.W, want[v][a.To])
+			if got := partition.Dequantise(a.W); want[v][a.To] != got {
+				t.Fatalf("vertex %d arc to %d: weight %g, want %g", v, a.To, got, want[v][a.To])
 			}
 		}
 	}
@@ -230,6 +230,7 @@ func TestGoldenProtocol(t *testing.T) {
 func TestProtocolErrors(t *testing.T) {
 	g := fixtureGraph(t)
 	w := newWorld(t, g, Options{P: 2})
+	before := w.HandleLine("stats")
 	for _, tc := range []struct{ line, wantPrefix string }{
 		{"", ""},
 		{"# comment", ""},
@@ -243,6 +244,14 @@ func TestProtocolErrors(t *testing.T) {
 		{"update -0,1,2", `error: update: op "-0,1,2"`},
 		{"update +0,1,zap", `error: update: op "+0,1,zap": bad weight`},
 		{"update -0,29", "error: dserver: op 0: delete of absent edge (0,29)"},
+		// The quantise gate: what the fixed point cannot carry is refused
+		// before any rank sees it, with the world unchanged (checked below).
+		{"update +0,7,NaN", "error: dserver: core: op 0: weight NaN: weight not representable in fixed point"},
+		{"update +0,7,Inf", "error: dserver: core: op 0: weight +Inf: weight not representable in fixed point"},
+		{"update +0,7,-1", "error: dserver: core: op 0: weight -1: weight not representable in fixed point"},
+		{"update +0,7,1e-9", "error: dserver: core: op 0: weight 1e-09: weight not representable in fixed point: 1e-09 rounds to 0"},
+		{"update +0,7,0", "error: dserver: core: op 0: weight 0: want > 0"},
+		{"update +0,7,4398046511104", "error: dserver: core: op 0: weight 4.398046511104e+12: weight not representable in fixed point: 2m past"},
 	} {
 		got := w.HandleLine(tc.line)
 		if tc.wantPrefix == "" {
@@ -254,6 +263,9 @@ func TestProtocolErrors(t *testing.T) {
 		if !strings.HasPrefix(got, tc.wantPrefix) {
 			t.Errorf("HandleLine(%q) = %q, want prefix %q", tc.line, got, tc.wantPrefix)
 		}
+	}
+	if got, want := w.HandleLine("stats"), before; got != want {
+		t.Errorf("refused lines changed the world:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -171,37 +171,6 @@ func planOps(rng *rand.Rand, n int, cfg Config, tn int, held map[[2]int]bool) []
 	return ops
 }
 
-// ExtraPairs returns the planned edge pairs still held (inserted, not yet
-// deleted) at the end of each tenant's stream — the plan's net effect on
-// the ledger. Tests use it to reconcile the world's final edge count.
-func (pl *Plan) ExtraPairs() [][2]int {
-	held := make(map[[2]int]bool)
-	for _, stream := range pl.Streams {
-		for _, r := range stream {
-			for _, op := range r.Ops {
-				u, v := op.U, op.V
-				if u > v {
-					u, v = v, u
-				}
-				held[[2]int{u, v}] = !op.Del
-			}
-		}
-	}
-	var pairs [][2]int
-	for k, h := range held {
-		if h {
-			pairs = append(pairs, k)
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	return pairs
-}
-
 // Result summarizes one load run.
 type Result struct {
 	Config     Config

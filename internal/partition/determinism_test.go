@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -16,18 +17,6 @@ import (
 // must produce a bit-identical Layout (same shape as core's
 // TestWorkerDeterminism).
 var buildWorkerCounts = []int{1, 2, 3, 8}
-
-func f64sIdentical(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {
@@ -46,7 +35,7 @@ func arcsIdentical(a, b []Arc) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].To != b[i].To || math.Float64bits(a[i].W) != math.Float64bits(b[i].W) {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -54,7 +43,7 @@ func arcsIdentical(a, b []Arc) bool {
 }
 
 // layoutsIdentical reports the first difference between two layouts, down
-// to the bit pattern of every float and the exact order of every slice
+// to every weight and the exact order of every slice
 // ("" means identical). nil and empty slices are treated as different:
 // the parallel path must reproduce even that distinction.
 func layoutsIdentical(a, b *Layout) string {
@@ -75,7 +64,7 @@ func layoutsIdentical(a, b *Layout) string {
 		if (sa.Owned == nil) != (sb.Owned == nil) || !intsEqual(sa.Owned, sb.Owned) {
 			return fmt.Sprintf("rank %d: Owned differs", r)
 		}
-		if !f64sIdentical(sa.OwnedWDeg, sb.OwnedWDeg) {
+		if !slices.Equal(sa.OwnedWDeg, sb.OwnedWDeg) {
 			return fmt.Sprintf("rank %d: OwnedWDeg differs", r)
 		}
 		if len(sa.AdjOwned) != len(sb.AdjOwned) {
@@ -86,7 +75,7 @@ func layoutsIdentical(a, b *Layout) string {
 				return fmt.Sprintf("rank %d: AdjOwned[%d] (vertex %d) differs", r, i, sa.Owned[i])
 			}
 		}
-		if !intsEqual(sa.Hubs, sb.Hubs) || !f64sIdentical(sa.HubWDeg, sb.HubWDeg) {
+		if !intsEqual(sa.Hubs, sb.Hubs) || !slices.Equal(sa.HubWDeg, sb.HubWDeg) {
 			return fmt.Sprintf("rank %d: hub directory differs", r)
 		}
 		if len(sa.AdjHub) != len(sb.AdjHub) {
@@ -108,7 +97,7 @@ func layoutsIdentical(a, b *Layout) string {
 				return fmt.Sprintf("rank %d: Subscribers[%d] differ", r, v)
 			}
 		}
-		if math.Float64bits(sa.TotalWeight2) != math.Float64bits(sb.TotalWeight2) {
+		if sa.TotalWeight2 != sb.TotalWeight2 {
 			return fmt.Sprintf("rank %d: TotalWeight2 differs", r)
 		}
 	}

@@ -56,10 +56,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("unknown partitioning %q", s)
 }
 
-// Arc is one directed arc of a local subgraph, in global vertex IDs.
+// Arc is one directed arc of a local subgraph, in global vertex IDs, with
+// its weight in fixed-point units (weight.go).
 type Arc struct {
 	To int
-	W  float64
+	W  int64
 }
 
 // Subgraph is the portion of the graph materialized on one rank.
@@ -79,9 +80,9 @@ type Subgraph struct {
 	Owned    []int   // sorted global IDs of owned low-degree vertices
 	AdjOwned [][]Arc // complete adjacency of each owned vertex
 
-	Hubs    []int     // sorted global hub IDs (same on all ranks)
-	HubWDeg []float64 // global weighted degree of each hub
-	AdjHub  [][]Arc   // this rank's share of each hub's arcs
+	Hubs    []int   // sorted global hub IDs (same on all ranks)
+	HubWDeg []int64 // global weighted degree of each hub
+	AdjHub  [][]Arc // this rank's share of each hub's arcs
 
 	Ghosts []int // sorted global IDs of non-local, non-hub arc targets
 
@@ -92,10 +93,10 @@ type Subgraph struct {
 	// OwnedWDeg is the weighted degree of each owned vertex (parallel to
 	// Owned). For owned vertices the local adjacency is complete, so this
 	// equals the global weighted degree.
-	OwnedWDeg []float64
+	OwnedWDeg []int64
 
 	// TotalWeight2 is the global 2m, shared by all ranks.
-	TotalWeight2 float64
+	TotalWeight2 int64
 }
 
 // NumLocalArcs returns the number of arcs stored on this rank.
@@ -141,7 +142,7 @@ func Owner(v, p int) int { return v % p }
 type hubArc struct {
 	hub int // index into hubs
 	to  int
-	w   float64
+	w   int64
 }
 
 // workers resolves Options.Workers: 0 picks a host-sized count.
@@ -153,19 +154,23 @@ func (o Options) workers() int {
 }
 
 // Build partitions g across opt.P ranks. An in-RAM Graph already carries
-// its degrees and 2m, so Build goes straight to the emission pass over
-// arc-balanced windows that alias the CSR. The Layout is bit-identical at
-// every worker count and to BuildStreaming of the same graph.
+// its degrees, so Build goes straight to the emission pass over arc-balanced
+// windows that alias the CSR. The Layout is bit-identical at every worker
+// count and to BuildStreaming of the same graph.
 func Build(g *graph.Graph, opt Options) (*Layout, error) {
 	n := g.NumVertices()
 	ws := g.Windows(par.NumChunks(n))
 	readWindow := func(i int) (*graph.Window, error) { return ws[i], nil }
-	return build(n, len(ws), readWindow, g.Degree, g.WeightedDegree, g.TotalWeight2(), opt)
+	return build(n, len(ws), readWindow, g.Degree, opt)
 }
 
 // build is the one emission pass behind Build and BuildStreaming. Windows
-// cover [0, n) as disjoint ascending vertex ranges; degree, wdeg and m2 are
-// the global per-vertex arc counts, weighted degrees and 2m.
+// cover [0, n) as disjoint ascending vertex ranges; degree is the global
+// per-vertex arc count.
+//
+// The pass quantises every arc weight and sums the degrees and 2m from the
+// quantised arcs, exactly; what the fixed point cannot carry fails with
+// ErrWeight.
 //
 // Every vertex's arcs are emitted from its window: an owned vertex carries
 // its complete adjacency to its round-robin owner; a hub arc (h, v) goes to
@@ -177,7 +182,7 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // and the rebalance correction are inherently sequential greedy passes and
 // stay serial.
 func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
-	degree func(u int) int, wdeg func(u int) float64, m2 float64, opt Options) (*Layout, error) {
+	degree func(u int) int, opt Options) (*Layout, error) {
 	if opt.P < 1 {
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
@@ -204,11 +209,14 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 		}
 	}
 
-	parts := newParts(p, n, hubs, wdeg, pool)
+	// Each hub's degree comes from the one chunk that emits its arcs.
+	hubW := make([]int64, len(hubs))
+	wm2 := make([]int64, nWindows)
+	parts := newParts(p, n, hubs, hubW, pool)
 
 	type ownedFrag struct {
 		ids  []int
-		wdeg []float64
+		wdeg []int64
 		adj  [][]Arc
 	}
 	ownedFrags := make([]ownedFrag, nWindows*p)
@@ -222,32 +230,51 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 		}
 		of := ownedFrags[c*p : (c+1)*p]
 		var sf []hubArc
+		m2 := int64(0)    // the window's share of 2m: checked per arc, it bounds every k
+		var scratch []Arc // a hub's arcs, before they are dealt to the ranks
 		for u := w.Lo; u < w.Hi; u++ {
 			ts, ws := w.Arcs(u)
+			var adj []Arc
+			if isHub[u] {
+				scratch = slices.Grow(scratch[:0], len(ts))[:len(ts)]
+				adj = scratch
+			} else {
+				adj = make([]Arc, len(ts))
+			}
+			k := int64(0)
+			for j := range ts {
+				q, err := Quantise(ws[j])
+				if err == nil {
+					m2, err = addWeight(m2, q)
+				}
+				if err != nil {
+					errs[c] = fmt.Errorf("partition: arc %d-%d: %w", u, ts[j], err)
+					return
+				}
+				adj[j] = Arc{To: int(ts[j]), W: q}
+				k += q
+			}
 			if isHub[u] {
 				// A hub lies in exactly one window, so its AdjHub slot on
 				// every rank is appended to by this chunk alone, in arc order.
 				hid := int(hubIdx[u])
-				for k := range ts {
-					v := int(ts[k])
-					if isHub[v] {
-						sf = append(sf, hubArc{hub: hid, to: v, w: ws[k]})
+				hubW[hid] = k
+				for _, a := range adj {
+					if isHub[a.To] {
+						sf = append(sf, hubArc{hub: hid, to: a.To, w: a.W})
 						continue
 					}
-					sp := parts[Owner(v, p)]
-					sp.AdjHub[hid] = append(sp.AdjHub[hid], Arc{To: v, W: ws[k]})
+					sp := parts[Owner(a.To, p)]
+					sp.AdjHub[hid] = append(sp.AdjHub[hid], a)
 				}
 				continue
 			}
 			f := &of[Owner(u, p)]
 			f.ids = append(f.ids, u)
-			f.wdeg = append(f.wdeg, wdeg(u))
-			adj := make([]Arc, len(ts))
-			for k := range ts {
-				adj[k] = Arc{To: int(ts[k]), W: ws[k]}
-			}
+			f.wdeg = append(f.wdeg, k)
 			f.adj = append(f.adj, adj)
 		}
+		wm2[c] = m2
 		spillFrag[c] = sf
 	})
 	for _, err := range errs {
@@ -266,7 +293,7 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 			return
 		}
 		sp.Owned = make([]int, 0, total)
-		sp.OwnedWDeg = make([]float64, 0, total)
+		sp.OwnedWDeg = make([]int64, 0, total)
 		sp.AdjOwned = make([][]Arc, 0, total)
 		for c := 0; c < nWindows; c++ {
 			f := &ownedFrags[c*p+r]
@@ -275,6 +302,15 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 			sp.AdjOwned = append(sp.AdjOwned, f.adj...)
 		}
 	})
+
+	// 2m sums exact degrees, so the order is immaterial.
+	var m2 int64
+	var err error
+	for _, x := range wm2 {
+		if m2, err = addWeight(m2, x); err != nil {
+			return nil, fmt.Errorf("partition: %w", err)
+		}
+	}
 
 	if len(hubs) > 0 {
 		placeHubArcs(parts, slices.Concat(spillFrag...))
@@ -305,9 +341,9 @@ func findHubs(n, dhigh int, degree func(u int) int, isHub []bool, pool *par.Pool
 	return slices.Concat(frag...) // nil when there are no hubs
 }
 
-// newParts allocates the per-rank subgraphs with the shared hub directory
-// and its weighted degrees (wdeg gives a vertex's global weighted degree).
-func newParts(p, n int, hubs []int, wdeg func(u int) float64, pool *par.Pool) []*Subgraph {
+// newParts allocates the per-rank subgraphs with the shared hub directory,
+// its weighted degrees hubW and an empty share of every hub's arcs.
+func newParts(p, n int, hubs []int, hubW []int64, pool *par.Pool) []*Subgraph {
 	parts := make([]*Subgraph, p)
 	pool.ParFor(p, func(r, _ int) {
 		parts[r] = &Subgraph{
@@ -317,11 +353,8 @@ func newParts(p, n int, hubs []int, wdeg func(u int) float64, pool *par.Pool) []
 			Subscribers:    make(map[int][]int),
 		}
 		if len(hubs) > 0 {
-			parts[r].HubWDeg = make([]float64, len(hubs))
+			parts[r].HubWDeg = hubW
 			parts[r].AdjHub = make([][]Arc, len(hubs))
-			for i, h := range hubs {
-				parts[r].HubWDeg[i] = wdeg(h)
-			}
 		}
 	})
 	return parts
@@ -348,7 +381,7 @@ func placeHubArcs(parts []*Subgraph, spill []hubArc) {
 
 // finishLayout runs ghost discovery and subscriber construction from the
 // final arc placement; m2 is the graph's total weight 2m.
-func finishLayout(parts []*Subgraph, isHub []bool, m2 float64, pool *par.Pool) {
+func finishLayout(parts []*Subgraph, isHub []bool, m2 int64, pool *par.Pool) {
 	p := len(parts)
 	// Ghost discovery from the final arc placement: each rank touches only
 	// its own part, and the ghost list is sorted, so per-rank kernels are

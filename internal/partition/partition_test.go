@@ -28,12 +28,12 @@ func allArcs(l *Layout) [][3]float64 {
 	for _, sp := range l.Parts {
 		for i, u := range sp.Owned {
 			for _, a := range sp.AdjOwned[i] {
-				out = append(out, [3]float64{float64(u), float64(a.To), a.W})
+				out = append(out, [3]float64{float64(u), float64(a.To), Dequantise(a.W)})
 			}
 		}
 		for i, h := range sp.Hubs {
 			for _, a := range sp.AdjHub[i] {
-				out = append(out, [3]float64{float64(h), float64(a.To), a.W})
+				out = append(out, [3]float64{float64(h), float64(a.To), Dequantise(a.W)})
 			}
 		}
 	}
@@ -165,8 +165,8 @@ func TestOwnedAdjacencyComplete(t *testing.T) {
 			if len(sp.AdjOwned[i]) != g.Degree(u) {
 				t.Errorf("vertex %d: local adjacency %d, degree %d", u, len(sp.AdjOwned[i]), g.Degree(u))
 			}
-			if sp.OwnedWDeg[i] != g.WeightedDegree(u) {
-				t.Errorf("vertex %d: OwnedWDeg %g, want %g", u, sp.OwnedWDeg[i], g.WeightedDegree(u))
+			if Dequantise(sp.OwnedWDeg[i]) != g.WeightedDegree(u) {
+				t.Errorf("vertex %d: OwnedWDeg %d, want %g", u, sp.OwnedWDeg[i], g.WeightedDegree(u))
 			}
 		}
 	}
@@ -491,7 +491,7 @@ func TestSelfLoopArcsStayWithOwner(t *testing.T) {
 			continue
 		}
 		for _, a := range sp.AdjOwned[i] {
-			if a.To == 2 && a.W == 3 {
+			if a.To == 2 && Dequantise(a.W) == 3 {
 				found = true
 			}
 		}

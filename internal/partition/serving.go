@@ -21,7 +21,7 @@ import "sort"
 func (s *Subgraph) CloneForServing() *Subgraph {
 	c := *s
 	c.Owned = append([]int(nil), s.Owned...)
-	c.OwnedWDeg = append([]float64(nil), s.OwnedWDeg...)
+	c.OwnedWDeg = append([]int64(nil), s.OwnedWDeg...)
 	c.AdjOwned = append([][]Arc(nil), s.AdjOwned...)
 	c.Ghosts = append([]int(nil), s.Ghosts...)
 	c.Subscribers = make(map[int][]int, len(s.Subscribers))
@@ -29,7 +29,7 @@ func (s *Subgraph) CloneForServing() *Subgraph {
 		c.Subscribers[v] = append([]int(nil), subs...)
 	}
 	c.Hubs = append([]int(nil), s.Hubs...)
-	c.HubWDeg = append([]float64(nil), s.HubWDeg...)
+	c.HubWDeg = append([]int64(nil), s.HubWDeg...)
 	c.AdjHub = append([][]Arc(nil), s.AdjHub...)
 	return &c
 }

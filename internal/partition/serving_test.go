@@ -10,7 +10,7 @@ func testSubgraph() *Subgraph {
 		Rank: 1, P: 4,
 		GlobalVertices: 16,
 		Owned:          []int{1, 5, 9, 13},
-		OwnedWDeg:      []float64{2, 3, 4, 5},
+		OwnedWDeg:      []int64{2, 3, 4, 5},
 		AdjOwned: [][]Arc{
 			{{To: 2, W: 1}, {To: 5, W: 1}},
 			{{To: 1, W: 1}, {To: 9, W: 2}},
@@ -20,7 +20,7 @@ func testSubgraph() *Subgraph {
 		Ghosts:      []int{2},
 		Subscribers: map[int][]int{5: {0, 2}},
 		Hubs:        []int{3, 7},
-		HubWDeg:     []float64{6, 8},
+		HubWDeg:     []int64{6, 8},
 		AdjHub:      [][]Arc{{{To: 1, W: 6}}, {{To: 5, W: 8}}},
 	}
 }

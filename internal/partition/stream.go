@@ -4,15 +4,13 @@ package partition
 // sharded graph file instead of an in-RAM Graph, so the global CSR is never
 // materialized.
 //
-// A file, unlike a Graph, does not carry per-vertex degrees or 2m, and the
-// hub directory must be known before the first arc is placed. Pass A
-// therefore scans the shard windows once to collect degrees and weighted
-// degrees (O(n) state, not O(arcs)); the emission pass then re-reads the
-// windows. Per-vertex sums accumulate in arc order and 2m accumulates the
-// per-vertex sums in vertex order, matching the CSR builder's finish pass
-// bit for bit.
+// A file, unlike a Graph, does not carry per-vertex degrees, and the hub
+// directory must be known before the first arc is placed. Pass A therefore
+// scans the shard windows once to collect degrees (O(n) state, not
+// O(arcs)); the emission pass then re-reads the windows and quantises the
+// weights exactly as Build does.
 //
-// Peak memory is the O(n) degree arrays plus the emitted Layout plus one
+// Peak memory is the O(n) degree array plus the emitted Layout plus one
 // decoded shard window per worker — flat in total |E| for a fixed layout
 // size per rank, which is the point: generate → partition → solve never
 // needs the arcs in one block.
@@ -31,9 +29,8 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 	nShards := s.NumShards()
 
 	// Pass A. Shards cover disjoint ascending vertex ranges, so one shard
-	// per chunk writes disjoint slices of the arrays.
+	// per chunk writes a disjoint slice of the array.
 	deg := make([]int32, n)
-	wdeg := make([]float64, n)
 	errs := make([]error, nShards)
 	pool := par.NewPool(opt.workers())
 	pool.ParFor(nShards, func(i, _ int) {
@@ -43,13 +40,7 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 			return
 		}
 		for u := w.Lo; u < w.Hi; u++ {
-			_, ws := w.Arcs(u)
-			deg[u] = int32(len(ws))
-			k := 0.0
-			for _, x := range ws {
-				k += x
-			}
-			wdeg[u] = k
+			deg[u] = int32(w.Offsets[u-w.Lo+1] - w.Offsets[u-w.Lo])
 		}
 	})
 	pool.Close()
@@ -58,12 +49,6 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 			return nil, err
 		}
 	}
-	m2 := 0.0
-	for u := 0; u < n; u++ {
-		m2 += wdeg[u]
-	}
 
-	return build(n, nShards, s.ReadWindow,
-		func(u int) int { return int(deg[u]) },
-		func(u int) float64 { return wdeg[u] }, m2, opt)
+	return build(n, nShards, s.ReadWindow, func(u int) int { return int(deg[u]) }, opt)
 }

@@ -3,6 +3,8 @@ package partition
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"testing"
 
@@ -148,5 +150,55 @@ func TestStreamingBuildErrors(t *testing.T) {
 		if _, err := BuildStreaming(sb, Options{P: 2}); err == nil {
 			t.Error("corrupt payload: expected error")
 		}
+	}
+}
+
+// TestBuildRejectsUnrepresentableWeights pins the quantise gate at both
+// builder entry points: a weight or a 2m the fixed point cannot carry fails
+// the build with ErrWeight instead of reaching the solver, where it would
+// come out as a NaN or meaningless modularity.
+func TestBuildRejectsUnrepresentableWeights(t *testing.T) {
+	const big = 1 << 41 // two arcs of it fit a degree, four overflow 2m
+	for _, tc := range []struct {
+		name string
+		w    []float64 // weights of the path 0-1-2
+	}{
+		{"nan", []float64{math.NaN(), 1}},
+		{"+inf", []float64{1, math.Inf(1)}},
+		{"-inf", []float64{math.Inf(-1), 1}},
+		{"negative", []float64{1, -1}},
+		{"rounds-to-zero", []float64{1e-9, 1}},
+		{"weight-past-limit", []float64{1e13, 1}},
+		{"2m-past-limit", []float64{big, big}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: tc.w[0]}, {U: 1, V: 2, W: tc.w[1]}})
+			if err != nil {
+				t.Skipf("graph layer already refuses it: %v", err)
+			}
+			if _, err := Build(g, Options{P: 2}); !errors.Is(err, ErrWeight) {
+				t.Errorf("Build: %v, want ErrWeight", err)
+			}
+			var buf bytes.Buffer
+			if err := graph.WriteBinaryShardedV2(&buf, g, 2); err != nil {
+				t.Fatal(err)
+			}
+			s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BuildStreaming(s, Options{P: 2}); !errors.Is(err, ErrWeight) {
+				t.Errorf("BuildStreaming: %v, want ErrWeight", err)
+			}
+		})
+	}
+	// The largest weight and the smallest nonzero one that round to a unit
+	// are accepted.
+	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1 << 40}, {U: 1, V: 2, W: 0x1p-21}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(g, Options{P: 2}); err != nil {
+		t.Errorf("representable weights: %v", err)
 	}
 }

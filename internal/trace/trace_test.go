@@ -127,14 +127,13 @@ func TestTimerAccumulates(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	tm.Stop()
 	tm.Stop() // double stop is a no-op
-	if b.Durations[FindBest] <= 0 {
-		t.Error("FindBest not recorded")
+	// time.Sleep guarantees a lower bound and nothing else: under load either
+	// phase may run arbitrarily long, so only the bounds are asserted.
+	if got := b.Durations[FindBest]; got < 2*time.Millisecond {
+		t.Errorf("FindBest recorded %v, want >= 2ms", got)
 	}
-	if b.Durations[SwapGhost] <= 0 {
-		t.Error("SwapGhost not recorded")
-	}
-	if b.Durations[FindBest] < b.Durations[SwapGhost] {
-		t.Errorf("expected FindBest (%v) >= SwapGhost (%v)", b.Durations[FindBest], b.Durations[SwapGhost])
+	if got := b.Durations[SwapGhost]; got < time.Millisecond {
+		t.Errorf("SwapGhost recorded %v, want >= 1ms", got)
 	}
 }
 

@@ -19,7 +19,7 @@ OOCORE_TIME="${OOCORE_TIME:-1x}"
 echo "== kernel microbenchmarks (-benchtime $KERNEL_TIME) ==" >&2
 # scripts/check.sh names each kernel benchmark, so a rename or deletion fails
 # its discovery guard.
-go test -run '^$' -bench '^BenchmarkKernel' -benchtime "$KERNEL_TIME" -benchmem ./internal/core/
+go test -run '^$' -bench '^Benchmark(Kernel|Modularity)' -benchtime "$KERNEL_TIME" -benchmem ./internal/core/
 
 echo "== collective engine benchmarks (-benchtime $COMM_TIME) ==" >&2
 go test -run '^$' \
