@@ -45,7 +45,7 @@ func main() {
 		outPath     = flag.String("o", "", "write the final membership (vertex community) to this file")
 		gamma       = flag.Float64("gamma", 1, "modularity resolution γ (>1 = more, smaller communities)")
 		showLevels  = flag.Bool("levels", false, "print the dendrogram (communities per clustering level)")
-		workers     = flag.Int("workers", 0, "intra-rank workers for the parallel kernels (0 = GOMAXPROCS/p, 1 = serial; results are identical)")
+		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		commDL      = flag.Duration("comm-deadline", 0, "per-receive deadline for the rank goroutines; 0 blocks forever (docs/ROBUSTNESS.md)")

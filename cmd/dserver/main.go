@@ -34,7 +34,7 @@ func main() {
 		dhigh       = flag.Int("dhigh", 0, "hub degree threshold (0 = automatic)")
 		heuristic   = flag.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
 		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d")
-		workers     = flag.Int("workers", 0, "intra-rank workers for the parallel kernels (0 = GOMAXPROCS/p)")
+		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		listen      = flag.String("listen", "", "serve the line protocol on this TCP address instead of stdin/stdout")
 		autoResolve = flag.Bool("auto-resolve", false, "run the full-solve fallback inside the update call when drift crosses a threshold")
 		driftQ      = flag.Float64("drift-q", 0, "cumulative |ΔQ| that forces the full-solve fallback (0 = default 0.05)")

@@ -34,7 +34,7 @@ func main() {
 		genSpec     = flag.String("gen", "", "generator spec (all workers must use the same spec)")
 		oocore      = flag.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
 		heuristic   = flag.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
-		workers     = flag.Int("workers", 0, "intra-rank workers for ingest and the parallel kernels (0 = automatic, 1 = serial; results are identical)")
+		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
 
 		// Robustness knobs (docs/ROBUSTNESS.md). Workers of one world are

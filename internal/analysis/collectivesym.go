@@ -31,9 +31,8 @@ import (
 //
 // The analyzer additionally flags collectives issued off the rank's main
 // goroutine: inside a function literal launched with `go`, or inside a task
-// literal handed to a worker pool's ParFor (internal/par's pool, behind
-// internal/core's intra-rank kernels and the ingest and partition
-// pipelines). The communicator matches messages by
+// literal handed to a worker pool's ParFor (internal/par's pool, behind the
+// ingest and partition pipelines). The communicator matches messages by
 // (source, tag) in program order on the rank's goroutine, so a collective
 // from a concurrent goroutine races that matching even when every rank
 // reaches it.
@@ -292,9 +291,9 @@ func (w *symWalker) walkStmt(s ast.Stmt, div ast.Node, async string) {
 }
 
 // isParForCall reports whether call invokes a ParFor method/function
-// (internal/par.Pool.ParFor, the one worker-pool dispatch of the solver and
-// the ingest and partition pipelines; matched by name so fixtures and future
-// pools are covered without importing the package).
+// (internal/par.Pool.ParFor, the one worker-pool dispatch of the ingest and
+// partition pipelines; matched by name so fixtures and future pools are
+// covered without importing the package).
 func isParForCall(call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:

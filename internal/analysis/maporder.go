@@ -12,7 +12,7 @@ import (
 // randomizes map iteration on purpose, so any byte stream, message, or
 // floating-point sum built in that order differs run to run and rank to
 // rank — exactly the silent nondeterminism the bit-identical contract
-// (TestWorkerDeterminism, the transport conformance suite) exists to rule
+// (the goldens, the transport conformance suite) exists to rule
 // out, but can only catch on graphs the tests happen to cover.
 //
 // The analyzer runs a small taint walk per function, in source order:

@@ -10,16 +10,15 @@ import (
 // kernel (or a plain `go` closure) may write only state it owns — variables
 // it declares itself, or slots of captured slices indexed by a value
 // derived from the kernel's chunk/worker parameters. Anything else is a
-// data race or a nondeterministic combine, the exact class
-// TestWorkerDeterminism can only catch on graphs it happens to run
-// (Halappanavar et al.'s hazard of parallelizing vertex sweeps).
+// data race or a nondeterministic combine, the exact class the ingest and
+// partition worker-determinism tests can only catch on graphs they happen
+// to run (Halappanavar et al.'s hazard of parallelizing vertex sweeps).
 //
 // Kernels are found three ways, package-wide:
 //
 //   - function literals passed directly to a ParFor call;
 //   - function literals assigned to a variable or field that is later
-//     handed to ParFor (the stage-kernel idiom of internal/core,
-//     where newStage builds s.hubKernel and sweep dispatches it);
+//     handed to ParFor, possibly from another file of the package;
 //   - function literals launched with `go`.
 //
 // For each kernel, the kernel's parameters seed a derived-value fixpoint
@@ -78,8 +77,8 @@ func runParForShare(p *Pass) {
 		})
 	}
 	// Pass 2: literals assigned (anywhere in the package) to a name that
-	// pass 1 saw dispatched to ParFor — internal/core builds its kernels in
-	// newStage and invokes them from other files.
+	// pass 1 saw dispatched to ParFor — a kernel may be built in one file
+	// and dispatched from another.
 	if len(kernelNames) > 0 {
 		for _, file := range p.Files {
 			ast.Inspect(file, func(n ast.Node) bool {

@@ -193,7 +193,6 @@ func TestConvergedSweepEvaluatesNothing(t *testing.T) {
 	}
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[c.Rank()], opt)
-		defer s.close()
 		steadyState(t, c, s)
 		clear(s.seen)
 		before := s.workPhase[trace.FindBest]

@@ -45,7 +45,6 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 	b.ReportAllocs()
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[c.Rank()], opt)
-		defer s.close()
 		// Warm up to the fixed point: iterate the full per-iteration
 		// protocol until no vertex moves anywhere in the world.
 		if err := s.registerWatches(); err != nil {

@@ -42,7 +42,6 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 	b.ReportAllocs()
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[c.Rank()], opt)
-		defer s.close()
 		if err := s.registerWatches(); err != nil {
 			return err
 		}

@@ -69,7 +69,8 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // sweep (the hub rows converge over different iterations); and when Σtot
 // became an exact integer, whose varints replaced the f64 values of the
 // push, flush and merge frames (every byte count fell, no message count
-// moved). CHANGES.md has the old rows. The fixture's default hub threshold
+// moved); and when the merge began summing each (cu, cv) pair before the
+// wire (byte counts only, again). CHANGES.md has the old rows. The fixture's default hub threshold
 // yields no hubs, so the delegate rows set DHigh = 8 (24 hubs) to put the
 // hub-proposal allreduce on the wire; P = 3 covers the reduction's
 // fold/unfold legs.
@@ -81,16 +82,16 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0},
-		{partition.Delegate, 2, 0, 146, 2853},
-		{partition.Delegate, 4, 0, 912, 8836},
+		{partition.Delegate, 2, 0, 146, 2312},
+		{partition.Delegate, 4, 0, 912, 8074},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 170, 7785},
-		{partition.Delegate, 3, 8, 466, 12461},
-		{partition.Delegate, 4, 8, 708, 18677},
+		{partition.Delegate, 2, 8, 170, 7219},
+		{partition.Delegate, 3, 8, 466, 11823},
+		{partition.Delegate, 4, 8, 708, 18014},
 		{partition.OneD, 1, 0, 0, 0},
-		{partition.OneD, 2, 0, 146, 2853},
-		{partition.OneD, 3, 0, 498, 5525},
-		{partition.OneD, 4, 0, 912, 8836},
+		{partition.OneD, 2, 0, 146, 2312},
+		{partition.OneD, 3, 0, 498, 4783},
+		{partition.OneD, 4, 0, 912, 8074},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})

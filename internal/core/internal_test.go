@@ -96,7 +96,6 @@ func TestResolveQueries(t *testing.T) {
 	stageOf := queryStages(t, 4)
 	err := comm.RunWorld(4, func(c comm.Comm) error {
 		s := stageOf(c)
-		defer s.close()
 		// lookup(x) = x*10, evaluated at owner x%4 and nowhere else.
 		queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
 		res, err := s.resolveQueries(queries, func(x int) int {
@@ -124,7 +123,6 @@ func TestResolveQueriesEmpty(t *testing.T) {
 	stageOf := queryStages(t, 3)
 	err := comm.RunWorld(3, func(c comm.Comm) error {
 		s := stageOf(c)
-		defer s.close()
 		res, err := s.resolveQueries(nil, func(x int) int { return x })
 		if err != nil {
 			return err
@@ -581,11 +579,8 @@ func dumpCoarse(sg *partition.Subgraph, k int, dense []int32) string {
 
 // TestMergeMatchesSeedCrossMatrix runs the zero-map merge back-to-back with
 // the retained seed implementation (merge_seed_test.go) on the same
-// converged stage and demands identical coarse subgraphs across the full
-// configuration matrix:
-// workers {1,4} x both partitionings x P {1,2,4}. For a fixed
-// (partitioning, P) the coarse graph must also be identical across worker
-// counts, per the determinism regime.
+// converged stage and demands identical coarse subgraphs across both
+// partitionings x P {1,2,4}.
 func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.25, 91))
 	if err != nil {
@@ -593,65 +588,49 @@ func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 	}
 	for _, kind := range []partition.Kind{partition.Delegate, partition.OneD} {
 		for _, p := range []int{1, 2, 4} {
+			name := fmt.Sprintf("kind=%d/p=%d", kind, p)
 			layout, err := partition.Build(g, partition.Options{P: p, Kind: kind, DHigh: 40})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []string // per-rank dumps at the first worker count
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("kind=%d/p=%d/w=%d", kind, p, workers)
-				opt, err := (Options{P: p, Workers: workers, DHigh: 40, Partitioning: kind}).withDefaults()
+			opt, err := (Options{P: p, DHigh: 40, Partitioning: kind}).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = comm.RunWorld(p, func(c comm.Comm) error {
+				st := newStage(c, layout.Parts[c.Rank()], opt)
+				if _, err := st.clusterNew(); err != nil {
+					return err
+				}
+				seedSG, seedK, err := st.mergeSeed()
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				dumps := make([]string, p)
-				err = comm.RunWorld(p, func(c comm.Comm) error {
-					st := newStage(c, layout.Parts[c.Rank()], opt)
-					defer st.close()
-					if _, err := st.clusterNew(); err != nil {
-						return err
-					}
-					seedSG, seedK, err := st.mergeSeed()
-					if err != nil {
-						return err
-					}
-					seedDump := dumpCoarse(seedSG, seedK, st.dense)
-					newSG, k, err := st.merge()
-					if err != nil {
-						return err
-					}
-					got := dumpCoarse(newSG, k, st.dense)
-					if got != seedDump {
-						t.Errorf("%s rank %d: merge() differs from seed:\nnew:\n%sseed:\n%s", name, c.Rank(), got, seedDump)
-					}
-					if !reflect.DeepEqual(newSG, seedSG) {
-						t.Errorf("%s rank %d: DeepEqual mismatch between merge() and seed subgraphs", name, c.Rank())
-					}
-					dumps[c.Rank()] = got
-					return nil
-				})
+				seedDump := dumpCoarse(seedSG, seedK, st.dense)
+				newSG, k, err := st.merge()
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					return err
 				}
-				if want == nil {
-					want = dumps
-				} else {
-					for r := range dumps {
-						if dumps[r] != want[r] {
-							t.Errorf("%s rank %d: coarse graph differs from the first worker count of this (kind, p)", name, r)
-						}
-					}
+				if got := dumpCoarse(newSG, k, st.dense); got != seedDump {
+					t.Errorf("%s rank %d: merge() differs from seed:\nnew:\n%sseed:\n%s", name, c.Rank(), got, seedDump)
 				}
+				if !reflect.DeepEqual(newSG, seedSG) {
+					t.Errorf("%s rank %d: DeepEqual mismatch between merge() and seed subgraphs", name, c.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}
 }
 
 // TestMergePreaggWireVolume is the wire-volume property test: over the
-// same converged stage, the key-grouped frames of the new merge must ship
-// no more collective payload bytes than the seed's one-record-per-arc
-// frames — strictly fewer on a clustered graph at P=4 — while decoding to
-// bit-identical totals. Snapshots of the process-global collective
+// same converged stage, the pair-summed frames of the new merge must ship at
+// most half the collective payload bytes of the seed's one-record-per-arc
+// frames on a clustered graph at P=4 (frames that carry every duplicate
+// weight ship 68% here) while decoding to bit-identical totals. Snapshots of the process-global collective
 // counters are taken by rank 0 between double barriers, so no rank can be
 // inside either merge while a snapshot is read.
 func TestMergePreaggWireVolume(t *testing.T) {
@@ -682,7 +661,6 @@ func TestMergePreaggWireVolume(t *testing.T) {
 	}
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
-		defer st.close()
 		if _, err := st.clusterNew(); err != nil {
 			return err
 		}
@@ -719,15 +697,14 @@ func TestMergePreaggWireVolume(t *testing.T) {
 	if newBytes <= 0 || seedBytes <= 0 {
 		t.Fatalf("collective counters recorded nothing: seed=%d new=%d", seedBytes, newBytes)
 	}
-	if newBytes >= seedBytes {
-		t.Errorf("pre-aggregated merge shipped %d bytes, seed shipped %d: want strictly fewer", newBytes, seedBytes)
+	if 2*newBytes > seedBytes {
+		t.Errorf("pre-aggregated merge shipped %d bytes, seed shipped %d: want at most half", newBytes, seedBytes)
 	}
 	t.Logf("merge wire volume: seed=%dB preagg=%dB (%.1f%% of seed)", seedBytes, newBytes, 100*float64(newBytes)/float64(seedBytes))
 }
 
-// TestMergeWideWorldSubscribers covers the p > 64 subscriber path, where
-// the per-row destination bitmask no longer fits a uint64 and the merge
-// falls back to the boolean-mark walk.
+// TestMergeWideWorldSubscribers runs the subscriber marks walk on a world
+// wider than 64 ranks, past where a one-word rank bitmask would fit.
 func TestMergeWideWorldSubscribers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65-rank world under -short")
@@ -747,7 +724,6 @@ func TestMergeWideWorldSubscribers(t *testing.T) {
 	}
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
-		defer st.close()
 		if _, err := st.clusterNew(); err != nil {
 			return err
 		}

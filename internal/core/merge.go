@@ -2,56 +2,36 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/wire"
 )
 
 // This file implements the paper's distributed graph merging (Algorithm 3)
-// as a zero-map, pool-parallel pipeline: communities become the vertices of
-// a coarser graph, arcs are translated to dense community IDs, combined
-// locally, and shipped to the new owners (1D partitioning by new-ID mod P),
-// and each rank assembles its portion of the merged graph with the same
-// histogram → offsets → stable-scatter counting sort the ingest CSR builder
-// uses (graph.FromEdges). Three properties are load-bearing:
+// as a zero-map serial pipeline: communities become the vertices of a
+// coarser graph, arcs are translated to dense community IDs, summed locally,
+// and shipped to the new owners (1D partitioning by new-ID mod P), and each
+// rank assembles its portion of the merged graph with the same histogram →
+// offsets → stable-scatter counting sort the ingest CSR builder uses
+// (graph.FromEdges). Three properties are load-bearing:
 //
-//   - Pre-aggregation: duplicate (cu, cv) arc pairs are grouped per
+//   - Pre-aggregation: duplicate (cu, cv) arc pairs are summed per
 //     destination before they hit the wire — each frame carries every
-//     distinct cu once and every distinct cv once, delta-coded — so the
-//     topology bytes shrink by the local duplication factor. The weights
-//     themselves are not summed on the send side: each individual weight
-//     ships inside its group as a fixed-point varint, in first-encounter
-//     order (the two stable counting passes preserve the translate order
-//     within each pair), and the receiver sums them. The sums are exact
-//     integers, so the coarse graph is byte-identical to the seed's.
+//     distinct cu once and every distinct (cu, cv) pair once, with one
+//     weight, delta-coded — so the bytes shrink by the local duplication
+//     factor. The receiver sums the per-source weights of a pair again.
+//     The sums are exact integers, so the coarse graph is byte-identical to
+//     the seed's whatever order they are taken in.
 //
 //   - No maps: the seed's denseOf / adj / ghost / subscriber maps are
 //     replaced by a strided owned-community table, flat record arrays, and
-//     per-row bitmasks, all pooled in a mergeScratch that the session
-//     threads through successive merge levels, so steady-state levels
-//     reuse their storage.
+//     a subscriber marks array, all pooled in a mergeScratch that the
+//     session threads through successive merge levels, so steady-state
+//     levels reuse their storage.
 //
 //   - The collective schedule (one allgather + three all-to-alls, in that
 //     order) is exactly the seed's; only the arc payload bytes differ.
-
-// mergeHistChunks caps the per-chunk histogram count of the merge's
-// counting passes: each chunk owns a keyspace-sized histogram row, so the
-// cap bounds the scratch at mergeHistChunks × coarse-vertex-count entries
-// per rank regardless of the pool's chunk limit.
-const mergeHistChunks = 8
-
-// mergeChunks returns the chunk count for the merge's record passes over m
-// records: the pool's usual data-size rule, capped by mergeHistChunks.
-func mergeChunks(m int) int {
-	nc := par.NumChunks(m)
-	if nc > mergeHistChunks {
-		nc = mergeHistChunks
-	}
-	return nc
-}
 
 // mergeScratch holds the merge pipeline's reusable arrays. The session
 // threads one instance through its successive stages (st2.ms = cs.ms), so
@@ -71,17 +51,12 @@ type mergeScratch struct {
 	xB, yB []int32
 	wB     []int64
 
-	vtxOff    []int    // translate: per-local-vertex first-record offset
-	hist      []int32  // per-chunk histograms / exclusive scatter positions
+	hist      []int32  // key histogram / exclusive scatter positions
 	dstOff    []int    // sender: per-destination record ranges (p+1)
 	frameOff  []int    // receiver: per-source record ranges (p+1)
 	frameBody [][]byte // receiver: frame payloads after the count header
 	rowOff    []int    // receiver: per-owned-row record ranges
-	arcOff    []int    // receiver: per-owned-row output arc offsets
-	rowCnt    []int    // receiver: per-owned-row distinct arc count
-	rowW      []int64
-	subMask   []uint64 // per-owned-row subscriber rank bitmask (p ≤ 64)
-	subMark   []bool   // subscriber dedup marks (p > 64 fallback)
+	subMark   []bool   // subscriber dedup marks, one per rank
 }
 
 // grow returns s resized to n entries, reusing the backing array when it
@@ -195,117 +170,71 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 
 	// 3. Translate every local arc to dense IDs, in the seed's ship order
-	// (owned vertices in order, then hubs, adjacency order within each) —
-	// the encounter order all duplicate combining below preserves. The
-	// per-vertex record offsets make the pass embarrassingly parallel.
+	// (owned vertices in order, then hubs, adjacency order within each).
 	sg := s.sg
-	nOwned := len(sg.Owned)
-	nv := nOwned + len(sg.Hubs)
-	ms.vtxOff = grow(ms.vtxOff, nv+1)
 	m := 0
-	for i := 0; i < nOwned; i++ {
-		ms.vtxOff[i] = m
+	for i := range sg.AdjOwned {
 		m += len(sg.AdjOwned[i])
 	}
-	for i := 0; i < len(sg.Hubs); i++ {
-		ms.vtxOff[nOwned+i] = m
+	for i := range sg.AdjHub {
 		m += len(sg.AdjHub[i])
 	}
-	ms.vtxOff[nv] = m
 	ms.xA, ms.yA, ms.wA = grow(ms.xA, m), grow(ms.yA, m), grow(ms.wA, m)
 	ms.xB, ms.yB, ms.wB = grow(ms.xB, m), grow(ms.yB, m), grow(ms.wB, m)
-	tChunks := par.NumChunks(nv)
-	s.pool.ParFor(tChunks, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(nv, tChunks, chunk)
-		bad := int64(0)
-		for i := lo; i < hi; i++ {
-			var u int
-			var adj []partition.Arc
-			if i < nOwned {
-				u, adj = sg.Owned[i], sg.AdjOwned[i]
-			} else {
-				u, adj = sg.Hubs[i-nOwned], sg.AdjHub[i-nOwned]
-			}
-			cu := s.dense[s.comm[u]]
-			if cu < 0 {
-				cu, bad = 0, bad+1
-			}
-			pos := ms.vtxOff[i]
-			for _, a := range adj {
-				cv := s.dense[s.comm[a.To]]
-				if cv < 0 {
-					cv, bad = 0, bad+1
-				}
-				ms.xA[pos] = cv // x = cv: pass-1 sort key
-				ms.yA[pos] = cu
-				ms.wA[pos] = a.W
-				pos++
-			}
+	pos, unmapped := 0, false
+	translate := func(u int, adj []partition.Arc) {
+		cu := s.dense[s.comm[u]]
+		unmapped = unmapped || cu < 0
+		for _, a := range adj {
+			cv := s.dense[s.comm[a.To]]
+			unmapped = unmapped || cv < 0
+			ms.xA[pos] = cv // x = cv: pass-1 sort key
+			ms.yA[pos] = cu
+			ms.wA[pos] = a.W
+			pos++
 		}
-		s.chunkWork[chunk] = bad
-	})
-	for c := 0; c < tChunks; c++ {
-		if s.chunkWork[c] != 0 {
-			return nil, 0, fmt.Errorf("core: rank %d: merge: local vertex references an unmapped community", s.rnk)
-		}
+	}
+	for i, u := range sg.Owned {
+		translate(u, sg.AdjOwned[i])
+	}
+	for i, h := range sg.Hubs {
+		translate(h, sg.AdjHub[i])
+	}
+	if unmapped {
+		return nil, 0, fmt.Errorf("core: rank %d: merge: local vertex references an unmapped community", s.rnk)
 	}
 
 	// 4. Two stable counting scatters bring the records into destination-
 	// major (cu, cv)-sorted order: first by cv, then by the fused key
 	// (cu mod p)·rowsCap + cu/p, whose major dimension is the destination
-	// rank. Stability keeps equal (cu, cv) pairs in translate order.
-	nc := mergeChunks(m)
-	ks := total
-	ms.hist = grow(ms.hist, nc*ks)
-	s.pool.ParFor(nc, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(m, nc, chunk)
-		histCount(ms.xA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks])
-	})
-	histOffsets(ms.hist, nc, ks, 0, nil)
-	s.pool.ParFor(nc, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(m, nc, chunk)
-		scatterRecords(ms.xA, ms.yA, ms.wA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks], ms.xB, ms.yB, ms.wB)
-	})
+	// rank. Then each (cu, cv) run is summed into one record.
+	ms.hist = grow(ms.hist, total)
+	histCount(ms.xA[:m], ms.hist)
+	histOffsets(ms.hist, 0, nil)
+	scatterRecords(ms.xA[:m], ms.yA, ms.wA, ms.hist, ms.xB, ms.yB, ms.wB)
 	rowsCap := (total + s.p - 1) / s.p
-	ks2 := s.p * rowsCap
-	ms.hist = grow(ms.hist, nc*ks2)
-	ms.dstOff = grow(ms.dstOff, s.p+1)
 	p32, rc32 := int32(s.p), int32(rowsCap)
-	s.pool.ParFor(nc, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(m, nc, chunk)
-		histCountFused(ms.yB, lo, hi, p32, rc32, ms.hist[chunk*ks2:(chunk+1)*ks2])
-	})
-	if rowsCap > 0 {
-		histOffsets(ms.hist, nc, ks2, rowsCap, ms.dstOff[:s.p+1])
-	} else {
-		for i := range ms.dstOff {
-			ms.dstOff[i] = 0
-		}
-	}
-	s.pool.ParFor(nc, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(m, nc, chunk)
-		// Key on the cu column; the swap lands the output as (x=cu, y=cv).
-		scatterFused(ms.yB, ms.xB, ms.wB, lo, hi, p32, rc32, ms.hist[chunk*ks2:(chunk+1)*ks2], ms.xA, ms.yA, ms.wA)
-	})
+	ms.hist = grow(ms.hist, s.p*rowsCap)
+	ms.dstOff = grow(ms.dstOff, s.p+1)
+	histCountFused(ms.yB[:m], p32, rc32, ms.hist)
+	histOffsets(ms.hist, rowsCap, ms.dstOff)
+	// Key on the cu column; the swap lands the output as (x=cu, y=cv).
+	scatterFused(ms.yB[:m], ms.xB, ms.wB, p32, rc32, ms.hist, ms.xA, ms.yA, ms.wA)
+	foldRuns(ms.xA, ms.yA, ms.wA, ms.dstOff)
 
-	// 5. Encode one key-grouped frame per destination, in parallel (one
-	// chunk per destination: each touches only its own rank's buffer).
-	// Frame format: uvarint record count, then per-cu groups of [row
-	// delta, distinct-cv count, (cv delta, weight count, uvarint
-	// weights...) ...] — deltas off a -1 predecessor, so they are strictly
-	// positive. Every duplicate (cu, cv) pair costs one tag byte instead of
-	// a repeated cu/cv varint pair; the weights ship unsummed, in translate
-	// encounter order.
+	// 5. Encode one key-grouped frame per destination. Frame format:
+	// uvarint record count, then per-cu groups of [row delta, distinct-cv
+	// count, (cv delta, uvarint weight) ...] — deltas off a -1 predecessor,
+	// so they are strictly positive.
 	arcBufs := s.sendScratch()
-	s.pool.ParFor(s.p, func(d, _ int) {
+	for d := 0; d < s.p; d++ {
 		lo, hi := ms.dstOff[d], ms.dstOff[d+1]
 		b := s.sendBufs[d]
 		want := arcFrameLen(ms.xA, ms.yA, ms.wA, lo, hi, p32)
 		b.Grow(want)
 		b.PutUvarint(uint64(hi - lo))
 		prevRow := int32(-1)
-		i := lo
-		for i < hi {
+		for i := lo; i < hi; {
 			cu := ms.xA[i]
 			j := i
 			for j < hi && ms.xA[j] == cu {
@@ -313,37 +242,19 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 			}
 			row := cu / p32
 			b.PutUvarint(uint64(row - prevRow))
-			distinct := 0
-			for k := i; k < j; k++ {
-				if k == i || ms.yA[k] != ms.yA[k-1] {
-					distinct++
-				}
-			}
-			b.PutUvarint(uint64(distinct))
+			b.PutUvarint(uint64(j - i))
 			prevCv := int32(-1)
-			for k := i; k < j; {
-				cv := ms.yA[k]
-				l := k
-				for l < j && ms.yA[l] == cv {
-					l++
-				}
-				b.PutUvarint(uint64(cv - prevCv))
-				b.PutUvarint(uint64(l - k))
-				for ; k < l; k++ {
-					b.PutUvarint(uint64(ms.wA[k]))
-				}
-				prevCv = cv
+			for ; i < j; i++ {
+				b.PutUvarint(uint64(ms.yA[i] - prevCv))
+				b.PutUvarint(uint64(ms.wA[i]))
+				prevCv = ms.yA[i]
 			}
 			prevRow = row
-			i = j
+		}
+		if b.Len() != want {
+			return nil, 0, fmt.Errorf("core: rank %d: merge: arc frame for rank %d is %d bytes off its predicted length", s.rnk, d, b.Len()-want)
 		}
 		arcBufs[d] = b.Bytes()
-		s.chunkWork[d] = int64(b.Len() - want)
-	})
-	for d := 0; d < s.p; d++ {
-		if s.chunkWork[d] != 0 {
-			return nil, 0, fmt.Errorf("core: rank %d: merge: arc frame for rank %d is %d bytes off its predicted length", s.rnk, d, s.chunkWork[d])
-		}
 	}
 	arcIn, err := s.alltoallv(arcBufs)
 	if err != nil {
@@ -353,7 +264,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// 6. Size the receive regions from the frame headers — rank-ordered,
 	// so the concatenated record array preserves rank order for duplicate
 	// (row, cv) pairs through the stable passes below — then decode the
-	// frame bodies in parallel into disjoint regions.
+	// frame bodies into them.
 	ms.frameOff = grow(ms.frameOff, s.p+1)
 	ms.frameBody = grow(ms.frameBody, s.p)
 	mr := 0
@@ -361,15 +272,15 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		ms.frameOff[r] = mr
 		var rd wire.Reader
 		rd.Reset(arcIn[r])
-		n := int(rd.Uvarint())
-		if err := rd.Err(); err != nil {
-			return nil, 0, err
+		n := rd.Uvarint()
+		if rd.Err() != nil {
+			return nil, 0, s.frameErr("merge arc", r, rd.Err())
 		}
-		if n < 0 || n > len(arcIn[r]) {
-			return nil, 0, fmt.Errorf("core: rank %d: merge: malformed arc frame from rank %d", s.rnk, r)
+		if n > uint64(len(arcIn[r])) {
+			return nil, 0, s.frameErr("merge arc", r, nil)
 		}
 		ms.frameBody[r] = arcIn[r][len(arcIn[r])-rd.Remaining():]
-		mr += n
+		mr += int(n)
 	}
 	ms.frameOff[s.p] = mr
 	ms.xA, ms.yA, ms.wA = grow(ms.xA, mr), grow(ms.yA, mr), grow(ms.wA, mr)
@@ -378,46 +289,9 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	if total > s.rnk {
 		rowsLocal = (total-s.rnk-1)/s.p + 1
 	}
-	rl32, t32 := int32(rowsLocal), int32(total)
-	s.pool.ParFor(s.p, func(r, _ int) {
-		var rd wire.Reader
-		rd.Reset(ms.frameBody[r])
-		pos, end := ms.frameOff[r], ms.frameOff[r+1]
-		prevRow := int32(-1)
-		for pos < end {
-			row := prevRow + int32(rd.Uvarint())
-			ncv := int(rd.Uvarint())
-			if rd.Err() != nil || row <= prevRow || row >= rl32 || ncv <= 0 || ncv > end-pos {
-				s.chunkWork[r] = -1
-				return
-			}
-			prevCv := int32(-1)
-			for j := 0; j < ncv; j++ {
-				cv := prevCv + int32(rd.Uvarint())
-				nw := int(rd.Uvarint())
-				if rd.Err() != nil || cv <= prevCv || cv >= t32 || nw <= 0 || nw > end-pos {
-					s.chunkWork[r] = -1
-					return
-				}
-				for k := 0; k < nw; k++ {
-					ms.xA[pos] = cv // x = cv: pass-1 sort key
-					ms.yA[pos] = row
-					ms.wA[pos] = int64(rd.Uvarint())
-					pos++
-				}
-				prevCv = cv
-			}
-			prevRow = row
-		}
-		if rd.Err() != nil || rd.Remaining() != 0 {
-			s.chunkWork[r] = -1
-			return
-		}
-		s.chunkWork[r] = 0
-	})
 	for r := 0; r < s.p; r++ {
-		if s.chunkWork[r] != 0 {
-			return nil, 0, fmt.Errorf("core: rank %d: merge: malformed arc frame from rank %d", s.rnk, r)
+		if err := s.decodeArcFrame(r, ms.frameBody[r], ms.frameOff[r], ms.frameOff[r+1], rowsLocal, total); err != nil {
+			return nil, 0, err
 		}
 	}
 
@@ -425,23 +299,16 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// After both passes the records are row-major with ascending cv inside
 	// each row and rank order inside each (row, cv) — exactly the order the
 	// seed accumulated and emitted them in.
-	ncr := mergeChunks(mr)
-	ms.hist = grow(ms.hist, ncr*ks)
-	s.pool.ParFor(ncr, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(mr, ncr, chunk)
-		histCount(ms.xA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks])
-	})
-	histOffsets(ms.hist, ncr, ks, 0, nil)
-	s.pool.ParFor(ncr, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(mr, ncr, chunk)
-		scatterRecords(ms.xA, ms.yA, ms.wA, lo, hi, ms.hist[chunk*ks:(chunk+1)*ks], ms.xB, ms.yB, ms.wB)
-	})
-	// Ghosts drop out of the cv-sorted intermediate: one serial walk over
-	// the distinct cv values, ascending — the seed's sorted ghost set.
+	ms.hist = grow(ms.hist, total)
+	histCount(ms.xA[:mr], ms.hist)
+	histOffsets(ms.hist, 0, nil)
+	scatterRecords(ms.xA[:mr], ms.yA, ms.wA, ms.hist, ms.xB, ms.yB, ms.wB)
+	// Ghosts drop out of the cv-sorted intermediate: one walk over the
+	// distinct cv values, ascending — the seed's sorted ghost set.
 	nGhost := 0
 	prev := int32(-1)
-	for i := 0; i < mr; i++ {
-		if cv := ms.xB[i]; cv != prev {
+	for _, cv := range ms.xB[:mr] {
+		if cv != prev {
 			prev = cv
 			if !s.owns(int(cv)) {
 				nGhost++
@@ -450,8 +317,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ghosts := make([]int, 0, nGhost)
 	prev = -1
-	for i := 0; i < mr; i++ {
-		if cv := ms.xB[i]; cv != prev {
+	for _, cv := range ms.xB[:mr] {
+		if cv != prev {
 			prev = cv
 			if !s.owns(int(cv)) {
 				ghosts = append(ghosts, int(cv))
@@ -459,68 +326,17 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 	}
 	ms.rowOff = grow(ms.rowOff, rowsLocal+1)
-	ms.hist = grow(ms.hist, ncr*rowsLocal)
-	s.pool.ParFor(ncr, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(mr, ncr, chunk)
-		histCount(ms.yB, lo, hi, ms.hist[chunk*rowsLocal:(chunk+1)*rowsLocal])
-	})
-	if rowsLocal > 0 {
-		histOffsets(ms.hist, ncr, rowsLocal, 1, ms.rowOff[:rowsLocal+1])
-	} else {
-		ms.rowOff[0] = 0
-	}
-	s.pool.ParFor(ncr, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(mr, ncr, chunk)
-		// Key on the row column; the swap lands the output as (x=row, y=cv).
-		scatterRecords(ms.yB, ms.xB, ms.wB, lo, hi, ms.hist[chunk*rowsLocal:(chunk+1)*rowsLocal], ms.xA, ms.yA, ms.wA)
-	})
+	ms.hist = grow(ms.hist, rowsLocal)
+	histCount(ms.yB[:mr], ms.hist)
+	histOffsets(ms.hist, 1, ms.rowOff)
+	// Key on the row column; the swap lands the output as (x=row, y=cv).
+	scatterRecords(ms.yB[:mr], ms.xB, ms.wB, ms.hist, ms.xA, ms.yA, ms.wA)
 
-	// 8. Combine duplicate (row, cv) runs in place — exact integer sums —
-	// and record per-row counts, degrees, and subscriber masks.
-	// Rows are wholly contained in their chunk, so the in-place compaction
-	// and the per-row outputs are disjoint across chunks.
-	ms.rowCnt = grow(ms.rowCnt, rowsLocal)
-	ms.rowW = grow(ms.rowW, rowsLocal)
-	ms.subMask = grow(ms.subMask, rowsLocal)
-	rChunks := par.NumChunks(rowsLocal)
-	s.pool.ParFor(rChunks, func(chunk, _ int) {
-		lo, hi := par.ChunkSpan(rowsLocal, rChunks, chunk)
-		for row := lo; row < hi; row++ {
-			b, e := ms.rowOff[row], ms.rowOff[row+1]
-			outPos := b
-			var wdeg int64
-			var mask uint64
-			for i := b; i < e; {
-				cv := ms.yA[i]
-				var w int64
-				for i < e && ms.yA[i] == cv {
-					w += ms.wA[i]
-					i++
-				}
-				ms.yA[outPos] = cv
-				ms.wA[outPos] = w
-				outPos++
-				wdeg += w
-				if d := ownerOf(int(cv), s.p); d != s.rnk && s.p <= 64 {
-					mask |= 1 << uint(d)
-				}
-			}
-			ms.rowCnt[row] = outPos - b
-			ms.rowW[row] = wdeg
-			ms.subMask[row] = mask
-		}
-	})
-
-	// 9. Build the coarse subgraph: one flat arc array carved into per-row
-	// windows (exclusive prefix over the combined counts), filled in
-	// parallel by row chunk.
-	ms.arcOff = grow(ms.arcOff, rowsLocal+1)
-	atot := 0
-	for row := 0; row < rowsLocal; row++ {
-		ms.arcOff[row] = atot
-		atot += ms.rowCnt[row]
-	}
-	ms.arcOff[rowsLocal] = atot
+	// 8. Sum each (row, cv) run across sources — exact integer sums — and
+	// build the coarse subgraph: one flat arc array carved into per-row
+	// windows, the weighted degrees, and each row's subscriber ranks,
+	// deduplicated against the marks array in rank order.
+	atot := foldRuns(ms.xA, ms.yA, ms.wA, ms.rowOff)
 	ns := &partition.Subgraph{
 		Rank: s.rnk, P: s.p,
 		GlobalVertices: total,
@@ -532,91 +348,103 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		ns.Owned = make([]int, rowsLocal)
 		ns.AdjOwned = make([][]partition.Arc, rowsLocal)
 		ns.OwnedWDeg = make([]int64, rowsLocal)
-		flat := make([]partition.Arc, atot)
-		s.pool.ParFor(rChunks, func(chunk, _ int) {
-			lo, hi := par.ChunkSpan(rowsLocal, rChunks, chunk)
-			for row := lo; row < hi; row++ {
-				b := ms.rowOff[row]
-				o, cnt := ms.arcOff[row], ms.rowCnt[row]
-				seg := flat[o : o+cnt : o+cnt]
-				for j := 0; j < cnt; j++ {
-					seg[j] = partition.Arc{To: int(ms.yA[b+j]), W: ms.wA[b+j]}
-				}
-				ns.Owned[row] = s.rnk + row*s.p
-				ns.AdjOwned[row] = seg
-				ns.OwnedWDeg[row] = ms.rowW[row]
-			}
-		})
 	}
-	if s.p <= 64 {
-		for row := 0; row < rowsLocal; row++ {
-			mask := ms.subMask[row]
-			if mask == 0 {
-				continue
+	flat := make([]partition.Arc, atot)
+	ms.subMark = grow(ms.subMark, s.p)
+	clear(ms.subMark)
+	for row := 0; row < rowsLocal; row++ {
+		b, e := ms.rowOff[row], ms.rowOff[row+1]
+		seg := flat[b:e:e]
+		var wdeg int64
+		nsub := 0
+		for j := range seg {
+			cv, w := int(ms.yA[b+j]), ms.wA[b+j]
+			seg[j] = partition.Arc{To: cv, W: w}
+			wdeg += w
+			if d := ownerOf(cv, s.p); d != s.rnk && !ms.subMark[d] {
+				ms.subMark[d] = true
+				nsub++
 			}
-			subs := make([]int, 0, bits.OnesCount64(mask))
-			for d := 0; d < s.p; d++ {
-				if mask&(1<<uint(d)) != 0 {
-					subs = append(subs, d)
-				}
-			}
-			ns.Subscribers[s.rnk+row*s.p] = subs
 		}
-	} else {
-		// Wide worlds overflow the 64-bit mask: dedup subscriber ranks per
-		// row against a marks array instead (serial, O(arcs + rows·p)).
-		ms.subMark = grow(ms.subMark, s.p)
-		for i := range ms.subMark {
-			ms.subMark[i] = false
+		v := s.rnk + row*s.p
+		ns.Owned[row] = v
+		ns.AdjOwned[row] = seg
+		ns.OwnedWDeg[row] = wdeg
+		if nsub == 0 {
+			continue
 		}
-		for row := 0; row < rowsLocal; row++ {
-			cnt := 0
-			for _, a := range ns.AdjOwned[row] {
-				if d := ownerOf(a.To, s.p); d != s.rnk && !ms.subMark[d] {
-					ms.subMark[d] = true
-					cnt++
-				}
+		subs := make([]int, 0, nsub)
+		for d := range ms.subMark {
+			if ms.subMark[d] {
+				subs = append(subs, d)
+				ms.subMark[d] = false
 			}
-			if cnt == 0 {
-				continue
-			}
-			subs := make([]int, 0, cnt)
-			for d := 0; d < s.p; d++ {
-				if ms.subMark[d] {
-					subs = append(subs, d)
-					ms.subMark[d] = false
-				}
-			}
-			ns.Subscribers[s.rnk+row*s.p] = subs
 		}
+		ns.Subscribers[v] = subs
 	}
 	return ns, total, nil
 }
 
+// decodeArcFrame decodes the arc frame body from rank src into the records
+// [pos:end) as (x = cv, y = row, w) — cv is the receiver's pass-1 sort key.
+// Rows and cvs must strictly ascend inside their groups and stay below the
+// receiver's row count and the coarse vertex count total, each group must
+// fit the frame's record count, and the body must end with its last record.
+func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) error {
+	ms := s.ms
+	var rd wire.Reader
+	rd.Reset(body)
+	prevRow := int32(-1)
+	for pos < end {
+		dRow, ncv := rd.Uvarint(), rd.Uvarint()
+		if rd.Err() != nil {
+			return s.frameErr("merge arc", src, rd.Err())
+		}
+		if dRow == 0 || dRow >= uint64(int32(rows)-prevRow) || ncv == 0 || ncv > uint64(end-pos) {
+			return s.frameErr("merge arc", src, nil)
+		}
+		row := prevRow + int32(dRow)
+		prevCv := int32(-1)
+		for ; ncv > 0; ncv-- {
+			dCv, w := rd.Uvarint(), rd.Uvarint()
+			if rd.Err() != nil {
+				return s.frameErr("merge arc", src, rd.Err())
+			}
+			if dCv == 0 || dCv >= uint64(int32(total)-prevCv) {
+				return s.frameErr("merge arc", src, nil)
+			}
+			cv := prevCv + int32(dCv)
+			ms.xA[pos], ms.yA[pos], ms.wA[pos] = cv, row, int64(w)
+			pos++
+			prevCv = cv
+		}
+		prevRow = row
+	}
+	if rd.Remaining() != 0 {
+		return s.frameErr("merge arc", src, errLongFrame)
+	}
+	return nil
+}
+
 // arcFrameLen returns the exact encoded length of the arc frame merge step 5
-// builds from records [lo:hi), sorted by (x = cu, y = cv), with weights w:
-// its uvarints. The buffer is reserved at that size up front; grown by
-// doubling, the frames were the largest garbage of a run.
+// builds from records [lo:hi), sorted by (x = cu, y = cv) with each pair
+// summed into one record of weight w: its uvarints. The buffer is reserved
+// at that size up front; grown by doubling, the frames were the largest
+// garbage of a run.
 func arcFrameLen(x, y []int32, w []int64, lo, hi int, p int32) int {
 	n := wire.UvarintLen(uint64(hi - lo))
-	for _, wt := range w[lo:hi] {
-		n += wire.UvarintLen(uint64(wt))
-	}
 	prevRow := int32(-1)
 	for i := lo; i < hi; {
 		cu, row := x[i], x[i]/p
 		n += wire.UvarintLen(uint64(row - prevRow))
 		prevRow = row
-		distinct, prevCv := 0, int32(-1)
-		for ; i < hi && x[i] == cu; distinct++ {
-			cv, k := y[i], i
-			for i < hi && x[i] == cu && y[i] == cv {
-				i++
-			}
-			n += wire.UvarintLen(uint64(cv-prevCv)) + wire.UvarintLen(uint64(i-k))
-			prevCv = cv
+		j, prevCv := i, int32(-1)
+		for ; j < hi && x[j] == cu; j++ {
+			n += wire.UvarintLen(uint64(y[j]-prevCv)) + wire.UvarintLen(uint64(w[j]))
+			prevCv = y[j]
 		}
-		n += wire.UvarintLen(uint64(distinct))
+		n += wire.UvarintLen(uint64(j - i))
+		i = j
 	}
 	return n
 }
@@ -631,16 +459,13 @@ func fillInt32(s []int32, v int32) {
 	}
 }
 
-// histCount zeroes h and counts keys[lo:hi] into it (one histogram row per
-// chunk; the caller passes this chunk's row).
+// histCount zeroes h and counts keys into it.
 //
 //perf:noalloc
-func histCount(keys []int32, lo, hi int, h []int32) {
-	for i := range h {
-		h[i] = 0
-	}
-	for i := lo; i < hi; i++ {
-		h[keys[i]]++
+func histCount(keys []int32, h []int32) {
+	clear(h)
+	for _, k := range keys {
+		h[k]++
 	}
 }
 
@@ -648,55 +473,41 @@ func histCount(keys []int32, lo, hi int, h []int32) {
 // destination-major fused key of the sender's second pass.
 //
 //perf:noalloc
-func histCountFused(keys []int32, lo, hi int, p, rowsCap int32, h []int32) {
-	for i := range h {
-		h[i] = 0
-	}
-	for i := lo; i < hi; i++ {
-		k := keys[i]
+func histCountFused(keys []int32, p, rowsCap int32, h []int32) {
+	clear(h)
+	for _, k := range keys {
 		h[(k%p)*rowsCap+k/p]++
 	}
 }
 
-// histOffsets converts the per-chunk key counts in h (nc rows of ks keys)
-// into exclusive scatter positions, chunk-major within each key so the
-// scatter is stable, and returns the total count. When stride > 0 it also
-// captures the running total at every stride-th key into bounds (bounds[j]
-// = first position of key j·stride) and fills the tail with the total —
-// the per-group ranges the callers slice records by.
+// histOffsets converts the key counts in h into exclusive scatter positions.
+// When stride > 0 it also captures the running total at every stride-th key
+// into bounds (bounds[j] = first position of key j·stride); every bound past
+// the last key gets the total — the per-group ranges the callers slice
+// records by.
 //
 //perf:noalloc
-func histOffsets(h []int32, nc, ks, stride int, bounds []int) int {
-	sum := 0
-	bi := 0
-	for k := 0; k < ks; k++ {
+func histOffsets(h []int32, stride int, bounds []int) {
+	sum, bi := 0, 0
+	for k, v := range h {
 		if stride > 0 && k%stride == 0 {
 			bounds[bi] = sum
 			bi++
 		}
-		for c := 0; c < nc; c++ {
-			i := c*ks + k
-			v := int(h[i])
-			h[i] = int32(sum)
-			sum += v
-		}
+		h[k] = int32(sum)
+		sum += int(v)
 	}
-	if stride > 0 {
-		for ; bi < len(bounds); bi++ {
-			bounds[bi] = sum
-		}
+	for ; bi < len(bounds); bi++ {
+		bounds[bi] = sum
 	}
-	return sum
 }
 
-// scatterRecords stably scatters records [lo:hi) keyed by their x column to
-// the positions in h (this chunk's row, prepared by histOffsets), carrying
-// the y and w columns along.
+// scatterRecords stably scatters the records keyed by x to the positions in
+// h (prepared by histOffsets), carrying the y and w columns along.
 //
 //perf:noalloc
-func scatterRecords(x, y []int32, w []int64, lo, hi int, h []int32, ox, oy []int32, ow []int64) {
-	for i := lo; i < hi; i++ {
-		k := x[i]
+func scatterRecords(x, y []int32, w []int64, h []int32, ox, oy []int32, ow []int64) {
+	for i, k := range x {
 		pos := h[k]
 		h[k] = pos + 1
 		ox[pos] = k
@@ -709,9 +520,8 @@ func scatterRecords(x, y []int32, w []int64, lo, hi int, h []int32, ox, oy []int
 // of the x column (matching histCountFused).
 //
 //perf:noalloc
-func scatterFused(x, y []int32, w []int64, lo, hi int, p, rowsCap int32, h []int32, ox, oy []int32, ow []int64) {
-	for i := lo; i < hi; i++ {
-		cu := x[i]
+func scatterFused(x, y []int32, w []int64, p, rowsCap int32, h []int32, ox, oy []int32, ow []int64) {
+	for i, cu := range x {
 		k := (cu%p)*rowsCap + cu/p
 		pos := h[k]
 		h[k] = pos + 1
@@ -719,6 +529,30 @@ func scatterFused(x, y []int32, w []int64, lo, hi int, p, rowsCap int32, h []int
 		oy[pos] = y[i]
 		ow[pos] = w[i]
 	}
+}
+
+// foldRuns sums each run of equal (x, y) records into one record, range by
+// range and in place: off holds the record ranges on entry and the folded
+// ranges on return. It returns the folded record count.
+//
+//perf:noalloc
+func foldRuns(x, y []int32, w []int64, off []int) int {
+	out := 0
+	for r := 0; r+1 < len(off); r++ {
+		lo, hi := off[r], off[r+1]
+		off[r] = out
+		for i := lo; i < hi; {
+			kx, ky := x[i], y[i]
+			var sum int64
+			for ; i < hi && x[i] == kx && y[i] == ky; i++ {
+				sum += w[i]
+			}
+			x[out], y[out], w[out] = kx, ky, sum
+			out++
+		}
+	}
+	off[len(off)-1] = out
+	return out
 }
 
 // resolveQueries maps each query x to lookup(x) evaluated on the rank that

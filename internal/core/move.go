@@ -22,21 +22,19 @@ const gainEps = 1e-12
 // only once a neighbour's label changed (vertex pruning, arXiv 2301.12390,
 // 1410.1237), and a resident stage evaluates what its Session seeded. An
 // unarmed vertex costs one work unit, an evaluated one its arcs + 4 and a
-// moved one its arcs again for the arming.
+// moved one its arcs again for the arming; an unarmed hub costs one unit and
+// an evaluated one its arcs + 1.
 //
-// The owned-vertex loop is sequential by design: each move updates the
-// cached aggregates the next decision reads (the paper's Gauss-Seidel
-// semantics), and arms neighbours the same pass still reaches. The hub loop
-// reads a state no proposal mutates, so it runs on the worker pool in
-// data-sized chunks; props[i] and hubActive[i] are written by exactly one
-// chunk and the per-chunk work counts combine in chunk order, keeping the
-// result bit-identical to the serial path.
+// Each move updates the cached aggregates the next decision reads (the
+// paper's Gauss-Seidel semantics) and arms neighbours the same pass still
+// reaches. The hub loop runs after the owned-vertex loop and mutates no state
+// a proposal reads.
 //
 //perf:noalloc
 func (s *stage) sweep() ([]hubProposal, int) {
 	s.changed = s.changed[:0]
 	moved := 0
-	acc := s.accs[0]
+	acc := s.acc
 
 	work := int64(0)
 	for i, u := range s.sg.Owned {
@@ -65,9 +63,18 @@ func (s *stage) sweep() ([]hubProposal, int) {
 		work += s.arm(u, adj, cu, target)
 	}
 
-	s.pool.ParFor(s.hubChunks, s.hubKernel)
-	for c := 0; c < s.hubChunks; c++ {
-		work += s.chunkArcs[c]
+	for i, h := range s.sg.Hubs {
+		if !s.hubActive[i] {
+			// A negInf proposal never wins the reduction, so a hub no rank
+			// has armed stays put without perturbing the collective schedule.
+			work++
+			s.props[i] = hubProposal{improvement: negInf, target: int(s.comm[h])}
+			continue
+		}
+		s.hubActive[i] = false
+		s.seen[h] = true
+		work += int64(len(s.sg.AdjHub[i])) + 1
+		s.props[i] = s.hubProposal(h, s.sg.HubWDeg[i], s.sg.AdjHub[i], acc)
 	}
 	s.addWork(trace.FindBest, work)
 	return s.props, moved
@@ -101,8 +108,8 @@ func (s *stage) arm(u int, adj []partition.Arc, a, b int) int64 {
 // gainAccumulator gathers w(u→c) per neighboring community for one vertex,
 // with O(touched) reset. live and cands are the reusable scratch of
 // scanCandidates: the keys that can still win, and the equal-gain candidate
-// set. One accumulator exists per worker, allocated once per stage, so the
-// steady-state sweep allocates nothing.
+// set. One accumulator exists per stage, so the steady-state sweep allocates
+// nothing.
 type gainAccumulator struct {
 	w     []int64
 	seen  []bool

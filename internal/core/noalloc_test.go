@@ -31,7 +31,7 @@ func TestNoallocAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := (Options{P: 1, DHigh: 32, Workers: 1}).withDefaults()
+	opt, err := (Options{P: 1, DHigh: 32}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,12 @@ func TestNoallocAnnotations(t *testing.T) {
 	}
 	err = comm.RunWorld(1, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[0], opt)
-		defer s.close()
 		steadyState(t, c, s)
 
 		// The scan drivers run on a vertex that still has candidates at the
 		// fixed point (a tie with staying), so the survivor scratch of
 		// scanCandidates is exercised, not just its empty case.
-		acc := s.accs[0]
+		acc := s.acc
 		vi := -1
 		for i, v := range s.sg.Owned {
 			s.scanCandidates(v, int(s.comm[v]), s.sg.OwnedWDeg[i], s.sg.AdjOwned[i], acc)
@@ -65,24 +64,22 @@ func TestNoallocAnnotations(t *testing.T) {
 		cu := int(s.comm[u])
 
 		// Preallocated operands for the merge counting-sort kernels: 8
-		// records over a 4-key space, 2 chunks, ranks p=2 / rowsCap=2.
+		// records over a 4-key space, ranks p=2 / rowsCap=2.
 		mx := []int32{3, 1, 2, 0, 1, 3, 0, 2}
 		my := []int32{0, 1, 2, 3, 0, 1, 2, 3}
 		mw := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-		mh := make([]int32, 2*4)
+		mh := make([]int32, 4)
 		mox := make([]int32, len(mx))
 		moy := make([]int32, len(my))
 		mow := make([]int64, len(mw))
 		mbounds := make([]int, 5)
 		histPrep := func() {
-			histCount(mx, 0, len(mx)/2, mh[:4])
-			histCount(mx, len(mx)/2, len(mx), mh[4:])
-			histOffsets(mh, 2, 4, 0, nil)
+			histCount(mx, mh)
+			histOffsets(mh, 0, nil)
 		}
 		histPrepFused := func() {
-			histCountFused(mx, 0, len(mx)/2, 2, 2, mh[:4])
-			histCountFused(mx, len(mx)/2, len(mx), 2, 2, mh[4:])
-			histOffsets(mh, 2, 4, 0, nil)
+			histCountFused(mx, 2, 2, mh)
+			histOffsets(mh, 0, nil)
 		}
 
 		// A push frame as rank 0 sends it to itself: one record for the
@@ -117,16 +114,23 @@ func TestNoallocAnnotations(t *testing.T) {
 			"stage.bestMove":        func() { s.bestMove(u, ku, adj, acc) },
 			"stage.hubProposal":     func() { s.hubProposal(u, ku, adj, acc) },
 			"fillInt32":             func() { fillInt32(mh, -1) },
-			"histCount":             func() { histCount(mx, 0, len(mx), mh[:4]) },
-			"histCountFused":        func() { histCountFused(mx, 0, len(mx), 2, 2, mh[:4]) },
-			"histOffsets":           func() { histPrep(); histOffsets(mh, 2, 4, 1, mbounds) },
+			"histCount":             func() { histCount(mx, mh) },
+			"histCountFused":        func() { histCountFused(mx, 2, 2, mh) },
+			"histOffsets":           func() { histPrep(); histOffsets(mh, 1, mbounds) },
 			"scatterRecords": func() {
 				histPrep()
-				scatterRecords(mx, my, mw, 0, len(mx)/2, mh[:4], mox, moy, mow)
+				scatterRecords(mx, my, mw, mh, mox, moy, mow)
 			},
 			"scatterFused": func() {
 				histPrepFused()
-				scatterFused(mx, my, mw, 0, len(mx)/2, 2, 2, mh[:4], mox, moy, mow)
+				scatterFused(mx, my, mw, 2, 2, mh, mox, moy, mow)
+			},
+			"foldRuns": func() {
+				copy(mox, mx)
+				copy(moy, my)
+				copy(mow, mw)
+				mbounds[0], mbounds[1] = 0, len(mx)
+				foldRuns(mox, moy, mow, mbounds[:2])
 			},
 		}
 

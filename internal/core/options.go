@@ -106,11 +106,10 @@ type Options struct {
 	// TrackLevels records the membership of the original vertices after
 	// every clustering stage (the dendrogram), in Result.LevelMemberships.
 	TrackLevels bool
-	// Workers is the intra-rank worker count for the parallel read-only
-	// kernels (hub proposals, the merge's record passes). 0 selects
-	// GOMAXPROCS/P (min 1); 1 forces the serial path. Results are
-	// bit-identical at every setting: chunk boundaries depend only on data
-	// size and chunks write disjoint slots or integer counts.
+	// Workers sizes the ingest and partitioning worker pools, which
+	// PartitionOptions forwards it to; the solver runs one goroutine per
+	// rank. 0 selects GOMAXPROCS; 1 forces the serial path. Results are
+	// bit-identical at every setting.
 	Workers int
 	// Comm is the α-β cost model used for the simulated communication
 	// times (Result.Stage1CommSim/Stage2CommSim). The zero value selects

@@ -122,13 +122,10 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 // owns reports whether this rank owns vertex (or community) id.
 func (s *Session) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
 
-// Close releases the resident stage's worker goroutines. Local (no
-// collectives); the Session is unusable afterwards.
+// Close drops the resident stage. Local (no collectives); the Session is
+// unusable afterwards.
 func (s *Session) Close() {
-	if s.st != nil {
-		s.st.close()
-		s.st = nil
-	}
+	s.st = nil
 }
 
 // Solve runs the full hierarchical solve on the current subgraph and
@@ -167,10 +164,7 @@ func (s *Session) solve() (*rankOut, error) {
 	cur := append([]int(nil), tracked...) // current coarse vertex of each tracked original vertex
 
 	st := newStage(c, sg, opt)
-	cs := st
-	// cs tracks the live stage; close releases its intra-rank worker
-	// goroutines (the stage's state stays readable for label resolution).
-	defer func() { cs.close() }()
+	cs := st // the live stage
 	t1 := trace.Now()
 	res1, err := st.clusterNew()
 	if err != nil {
@@ -236,10 +230,8 @@ func (s *Session) solve() (*rankOut, error) {
 		st2.ms = cs.ms // successive merge levels reuse the grown scratch
 		r2, err := st2.clusterNew()
 		if err != nil {
-			st2.close()
 			return nil, err
 		}
-		cs.close()
 		cs = st2
 		out.workUnits += st2.work
 		out.outer++
@@ -318,9 +310,6 @@ func (s *Session) install() error {
 	}
 
 	// Fresh flat stage over the (possibly mutated) original subgraph.
-	if s.st != nil {
-		s.st.close()
-	}
 	st := newStage(s.c, s.sg, s.opt)
 	s.st = st
 

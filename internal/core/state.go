@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -115,12 +114,9 @@ type stage struct {
 	rqReqs   [][]int
 	rqPos    [][]int
 
-	// Intra-rank parallelism (internal/par). pool is nil at one worker;
-	// accs holds one gain accumulator per worker (index = worker ID), so
-	// the parallel hub-proposal kernel needs no locking and the steady
-	// state allocates no scratch.
-	pool *par.Pool
-	accs []*gainAccumulator
+	// acc is the sweep's gain accumulator, allocated once per stage so the
+	// steady state allocates no scratch.
+	acc *gainAccumulator
 
 	// Reusable communication scratch, one slot per peer rank: encode
 	// buffers (Reset keeps their storage) and the frame headers handed to
@@ -142,13 +138,8 @@ type stage struct {
 	// hubBuf is the reusable delegate-exchange encode buffer.
 	hubBuf *wire.Buffer
 
-	// props is the reusable hub-proposal slice returned by sweep, filled by
-	// hubKernel over hubChunks chunks. The kernel closure is built once per
-	// stage (the hub list is immutable) so the steady-state sweep allocates
-	// nothing.
-	props     []hubProposal
-	hubKernel func(chunk, worker int)
-	hubChunks int
+	// props is the reusable hub-proposal slice returned by sweep.
+	props []hubProposal
 
 	// Active-set sweep (docs/PERFORMANCE.md, "Active-set sweep"). active
 	// (by vertex id, read for owned vertices only) and hubActive (by hub
@@ -179,13 +170,6 @@ type stage struct {
 	// O(touched) at the end of each call.
 	needMark []bool
 	reqs     [][]int
-
-	// chunkArcs/chunkWork hold per-chunk work counts and error flags of
-	// parFor kernels, combined on the main goroutine. chunkWork is sized
-	// max(p, par.MaxChunks) because the merge's decode kernels chunk by peer
-	// rank.
-	chunkArcs [par.MaxChunks]int64
-	chunkWork []int64
 
 	bd trace.Breakdown
 	tm *trace.Timer
@@ -238,15 +222,7 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		hubActive: make([]bool, len(sg.Hubs)),
 		seen:      make([]bool, n),
 	}
-	nw := opt.Workers
-	if nw <= 0 {
-		nw = par.DefaultWorkers(s.p)
-	}
-	s.pool = par.NewPool(nw)
-	s.accs = make([]*gainAccumulator, nw)
-	for w := range s.accs {
-		s.accs[w] = newGainAccumulator(n)
-	}
+	s.acc = newGainAccumulator(n)
 	s.sendBufs = make([]*wire.Buffer, s.p)
 	for r := range s.sendBufs {
 		s.sendBufs[r] = wire.NewBuffer(0)
@@ -269,33 +245,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
-	s.hubChunks = par.NumChunks(nh)
-	s.hubKernel = func(chunk, worker int) {
-		lo, hi := par.ChunkSpan(nh, s.hubChunks, chunk)
-		w := int64(0)
-		acc := s.accs[worker]
-		for i := lo; i < hi; i++ {
-			h := s.sg.Hubs[i]
-			if !s.hubActive[i] {
-				// A negInf proposal never wins the reduction, so a hub no
-				// rank has armed stays put without perturbing the collective
-				// schedule.
-				w++
-				s.props[i] = hubProposal{improvement: negInf, target: int(s.comm[h])}
-				continue
-			}
-			s.hubActive[i] = false
-			s.seen[h] = true
-			w += int64(len(s.sg.AdjHub[i])) + 1
-			s.props[i] = s.hubProposal(h, s.sg.HubWDeg[i], s.sg.AdjHub[i], acc)
-		}
-		s.chunkArcs[chunk] = w
-	}
-	cw := s.p
-	if cw < par.MaxChunks {
-		cw = par.MaxChunks
-	}
-	s.chunkWork = make([]int64, cw)
 	s.tm = trace.NewTimer(&s.bd)
 	for i := range s.comm {
 		s.comm[i] = -1
@@ -507,14 +456,6 @@ func (x u128) addSq(t int64, neg bool) u128 {
 }
 
 func (x u128) float() float64 { return float64(x.hi)*(1<<64) + float64(x.lo) }
-
-// close releases the stage's worker goroutines. The stage's state stays
-// readable (runRank still resolves labels through it); only parallel
-// kernels become unavailable.
-func (s *stage) close() {
-	s.pool.Close()
-	s.pool = nil
-}
 
 // ownerOf returns the rank that owns vertex or community id in a world of p
 // ranks. Ownership is static: the partitioner deals vertices out by id mod p,

@@ -180,19 +180,21 @@ func TestPullOracleOnLFR(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Garbled frames.
 
-// tamperComm hands a chosen payload to the caller in place of the next
-// frame received from one source, once armed. The real frame is consumed,
-// so the transport's matching stays intact.
+// tamperComm hands a chosen payload to the caller in place of a frame
+// received from one source, once armed: the frame after the first skip ones
+// from that source. The real frame is consumed, so the transport's matching
+// stays intact.
 type tamperComm struct {
 	comm.Comm
 	mu   sync.Mutex
 	src  int
+	skip int
 	fake []byte // nil = disarmed
 }
 
-func (c *tamperComm) arm(src int, fake []byte) {
+func (c *tamperComm) arm(src, skip int, fake []byte) {
 	c.mu.Lock()
-	c.src, c.fake = src, fake
+	c.src, c.skip, c.fake = src, skip, fake
 	c.mu.Unlock()
 }
 
@@ -201,16 +203,20 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && c.fake != nil && src == c.src {
-		got, c.fake = c.fake, nil
+		if c.skip > 0 {
+			c.skip--
+		} else {
+			got, c.fake = c.fake, nil
+		}
 	}
 	return got, err
 }
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
-// exchanges — an id past the end of the dense arrays, a repeated id, a
-// vertex the sender does not own, a truncated record, a hub-proposal vector
-// of the wrong length — into rank 0's
-// receive path from rank 1. Every one must come back from the exchange as
+// exchanges and of the merge's arc exchange — an id past the end of the
+// dense arrays, a repeated id, a vertex the sender does not own, a truncated
+// record, a hub-proposal vector of the wrong length, a record count the
+// frame cannot hold, trailing bytes — into rank 0's receive path from rank 1. Every one must come back from the exchange as
 // an error naming rank 1: no panic, no write. (A community id of another
 // rank's residue cannot be written down at all: the stride-delta streams
 // only reach the addressed owner's slots.) At the parent commit an
@@ -312,6 +318,44 @@ func TestGarbledFrames(t *testing.T) {
 		{"hub/short-frame", "hub", hubFrame(nh-1, 0)},
 		{"hub/long-frame", "hub", hubFrame(nh+1, 0)},
 		{"hub/bad-target", "hub", hubFrame(nh, n)},
+		// Merge arc frames: a record count, then per-row groups of [row
+		// delta, cv count, (cv delta, weight) ...]. Rank 0 owns coarse row 0
+		// (vertex 0), and the coarse graph has fewer than n vertices.
+		{"merge/truncated", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+		})},
+		{"merge/repeated-row", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(2)
+			for _, row := range []uint64{1, 0} {
+				b.PutUvarint(row)
+				b.PutUvarint(1)
+				b.PutUvarint(1)
+				b.PutUvarint(1)
+			}
+		})},
+		{"merge/cv-out-of-range", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(uint64(n) + 1) // cv n
+			b.PutUvarint(1)
+		})},
+		{"merge/count-past-frame", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(3)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+		})},
+		{"merge/trailing-bytes", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(7)
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,32 +365,42 @@ func TestGarbledFrames(t *testing.T) {
 			world := comm.RunWorld(p, func(c comm.Comm) error {
 				tc0 := &tamperComm{Comm: c}
 				s := newStage(tc0, layout.Parts[c.Rank()], opt)
-				defer s.close()
 				run := func() error {
+					if tc.step == "merge" {
+						if _, err := s.clusterNew(); err != nil {
+							return err
+						}
+						if c.Rank() == 0 {
+							// Pass the request and reply legs; garble the arcs.
+							tc0.arm(1, 2, tc.frame)
+						}
+						_, _, err := s.merge()
+						return err
+					}
 					if err := s.registerWatches(); err != nil {
 						return err
 					}
 					if tc.step == "push" && c.Rank() == 0 {
-						tc0.arm(1, tc.frame)
+						tc0.arm(1, 0, tc.frame)
 					}
 					if err := s.pushAggregates(); err != nil {
 						return err
 					}
 					props, _ := s.sweep()
 					if tc.step == "hub" && c.Rank() == 0 {
-						tc0.arm(1, tc.frame)
+						tc0.arm(1, 0, tc.frame)
 					}
 					if _, err := s.delegateExchange(props); err != nil {
 						return err
 					}
 					if tc.step == "ghost" && c.Rank() == 0 {
-						tc0.arm(1, tc.frame)
+						tc0.arm(1, 0, tc.frame)
 					}
 					if err := s.ghostSwap(); err != nil {
 						return err
 					}
 					if tc.step == "flush" && c.Rank() == 0 {
-						tc0.arm(1, tc.frame)
+						tc0.arm(1, 0, tc.frame)
 					}
 					return s.flushDeltas()
 				}
@@ -362,8 +416,12 @@ func TestGarbledFrames(t *testing.T) {
 			if rank0 == nil {
 				t.Fatal("the garbled frame was accepted")
 			}
-			if !strings.Contains(rank0.Error(), "from rank 1") {
-				t.Fatalf("want an error naming rank 1, got: %v", rank0)
+			want := "from rank 1"
+			if tc.step == "merge" {
+				want = "merge arc frame from rank 1"
+			}
+			if !strings.Contains(rank0.Error(), want) {
+				t.Fatalf("want an error naming %q, got: %v", want, rank0)
 			}
 		})
 	}

@@ -1,9 +1,7 @@
-// Package par provides the repository's shared intra-process worker pool
-// and its deterministic chunking rules. It began life as internal/core's
-// intra-rank pool (PR 2) and was extracted so the data-loading pipeline —
-// edge-list parsing and CSR construction in internal/graph, partitioning in
-// internal/partition — can reuse the exact machinery the solve phase is
-// built on.
+// Package par provides the data-loading pipeline's worker pool and its
+// deterministic chunking rules: edge-list parsing and CSR construction in
+// internal/graph, partitioning in internal/partition. The solver does not
+// use it; it runs one goroutine per rank.
 //
 // Two rules keep every parallel path bit-identical to its serial
 // counterpart, no matter the worker count:

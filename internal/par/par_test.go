@@ -52,28 +52,31 @@ func TestNewPoolSerialIsNil(t *testing.T) {
 	}
 }
 
+// TestParFor runs every chunk exactly once with in-range worker indexes,
+// for pools both smaller and larger than the chunk count.
 func TestParFor(t *testing.T) {
 	for _, nw := range []int{1, 2, 3, 8} {
 		pool := NewPool(nw)
-		const nChunks = 37
-		var hits [nChunks]atomic.Int32
-		var total atomic.Int64
-		pool.ParFor(nChunks, func(c, w int) {
-			if w < 0 || w >= pool.Workers() {
-				t.Errorf("nw=%d: worker index %d out of [0,%d)", nw, w, pool.Workers())
+		for _, nChunks := range []int{1, 2, 3, 37} {
+			hits := make([]atomic.Int32, nChunks)
+			var total atomic.Int64
+			pool.ParFor(nChunks, func(c, w int) {
+				if w < 0 || w >= pool.Workers() {
+					t.Errorf("nw=%d: worker index %d out of [0,%d)", nw, w, pool.Workers())
+				}
+				hits[c].Add(1)
+				total.Add(int64(c))
+			})
+			for c := range hits {
+				if got := hits[c].Load(); got != 1 {
+					t.Fatalf("nw=%d nChunks=%d: chunk %d ran %d times", nw, nChunks, c, got)
+				}
 			}
-			hits[c].Add(1)
-			total.Add(int64(c))
-		})
+			if want := int64(nChunks * (nChunks - 1) / 2); total.Load() != want {
+				t.Fatalf("nw=%d nChunks=%d: total %d, want %d", nw, nChunks, total.Load(), want)
+			}
+		}
 		pool.Close()
-		for c := range hits {
-			if got := hits[c].Load(); got != 1 {
-				t.Fatalf("nw=%d: chunk %d ran %d times", nw, c, got)
-			}
-		}
-		if want := int64(nChunks * (nChunks - 1) / 2); total.Load() != want {
-			t.Fatalf("nw=%d: total %d, want %d", nw, total.Load(), want)
-		}
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 )
 
 // buildWorkerCounts is the contract grid for Options.Workers: every count
-// must produce a bit-identical Layout (same shape as core's
-// TestWorkerDeterminism).
+// must produce a bit-identical Layout.
 var buildWorkerCounts = []int{1, 2, 3, 8}
 
 func intsEqual(a, b []int) bool {
