@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/partition"
+	"repro/internal/wire"
 )
 
 // Tests for the solver's use of the collective engine: the per-iteration
@@ -70,10 +73,13 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // became an exact integer, whose varints replaced the f64 values of the
 // push, flush and merge frames (every byte count fell, no message count
 // moved); and when the merge began summing each (cu, cv) pair before the
-// wire (byte counts only, again). CHANGES.md has the old rows. The fixture's default hub threshold
-// yields no hubs, so the delegate rows set DHigh = 8 (24 hubs) to put the
-// hub-proposal allreduce on the wire; P = 3 covers the reduction's
-// fold/unfold legs.
+// wire (byte counts only, again); and when hub moves became the owner's
+// decision, shipped as live proposals to the owner and moves on the ghost
+// frames instead of a dense per-hub vector through every reduction round
+// (the hub rows only). CHANGES.md has the old rows. The fixture's default
+// hub threshold yields no hubs, so the delegate rows set DHigh = 8 (24 hubs)
+// to put the hub-proposal exchange and the move sections on the wire; P = 3
+// keeps an odd world size in the set.
 func TestGoldenTraffic(t *testing.T) {
 	g := goldenGraph(t)
 	for _, tc := range []struct {
@@ -85,9 +91,9 @@ func TestGoldenTraffic(t *testing.T) {
 		{partition.Delegate, 2, 0, 146, 2312},
 		{partition.Delegate, 4, 0, 912, 8074},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 170, 7219},
-		{partition.Delegate, 3, 8, 466, 11823},
-		{partition.Delegate, 4, 8, 708, 18014},
+		{partition.Delegate, 2, 8, 170, 3396},
+		{partition.Delegate, 3, 8, 482, 6987},
+		{partition.Delegate, 4, 8, 736, 8326},
 		{partition.OneD, 1, 0, 0, 0},
 		{partition.OneD, 2, 0, 146, 2312},
 		{partition.OneD, 3, 0, 498, 4783},
@@ -106,4 +112,112 @@ func TestGoldenTraffic(t *testing.T) {
 			t.Errorf("%s: %d messages / %d bytes on the wire, recorded %d / %d", name, msgs, bytes, tc.msgs, tc.bytes)
 		}
 	}
+}
+
+// sendLogComm keeps a copy of every payload its rank sends, in order.
+type sendLogComm struct {
+	comm.Comm
+	sent [][]byte
+	hubs []int32 // the hub labels at the last push (TestHubTrafficFollowsLiveProposals)
+}
+
+func (c *sendLogComm) Send(dst, tag int, data []byte) error {
+	c.sent = append(c.sent, append([]byte(nil), data...))
+	return c.Comm.Send(dst, tag, data)
+}
+
+// TestHubTrafficFollowsLiveProposals pins what the delegate exchange puts on
+// the wire per iteration, on the golden fixture with DHigh = 8 (24 hubs):
+//
+//   - a rank's proposal frames carry its live proposals for hubs other ranks
+//     own, at most 13 bytes each, so a rank with none sends empty frames and
+//     an iteration with no live proposal anywhere sends no proposal byte;
+//   - every ghost frame a rank sends carries a move section exactly when the
+//     rank decided moves, and the section lists exactly those: its hubs
+//     whose label changed during the iteration, with their new labels.
+//
+// After the push that opens an iteration a rank sends the proposal exchange
+// and then the ghost swap, one frame per peer each; the push hook clears the
+// log and snapshots the hub labels, the iteration hook checks both.
+func TestHubTrafficFollowsLiveProposals(t *testing.T) {
+	g := goldenGraph(t)
+	var mu sync.Mutex
+	quiet, moving := 0, 0 // rank-iterations with no live remote proposal / with moves
+	testPushHook = func(s *stage, iter int) error {
+		lc := s.c.(*sendLogComm)
+		lc.sent = lc.sent[:0]
+		lc.hubs = lc.hubs[:0]
+		for _, h := range s.sg.Hubs {
+			lc.hubs = append(lc.hubs, s.comm[h])
+		}
+		return nil
+	}
+	testIterHook = func(s *stage, iter int, q float64) error {
+		if len(s.sg.Hubs) == 0 {
+			return nil
+		}
+		lc := s.c.(*sendLogComm)
+		if len(lc.sent) < 2*(s.p-1) {
+			return fmt.Errorf("rank %d iter %d: %d sends after the push", s.rnk, iter, len(lc.sent))
+		}
+		live, propBytes := 0, 0
+		for i, pr := range s.props {
+			if pr.improvement > gainEps && !s.owns(s.sg.Hubs[i]) {
+				live++
+			}
+		}
+		for _, f := range lc.sent[:s.p-1] {
+			propBytes += len(f)
+		}
+		if propBytes > 13*live {
+			return fmt.Errorf("rank %d iter %d: %d proposal bytes for %d live remote proposals", s.rnk, iter, propBytes, live)
+		}
+		want := wire.NewBuffer(0)
+		prev := -1
+		for i, h := range s.sg.Hubs {
+			if s.owns(h) && s.comm[h] != lc.hubs[i] {
+				want.PutStrideDelta(prev, i, 1)
+				want.PutVarint(int64(s.comm[h]))
+				prev = i
+			}
+		}
+		for _, f := range lc.sent[s.p-1 : 2*(s.p-1)] {
+			rd := wire.NewReader(f)
+			section := false
+			for rd.Remaining() > 0 && !section {
+				if section = rd.SkipZero(); !section {
+					rd.Uvarint()
+					rd.Varint()
+				}
+			}
+			rest := f[len(f)-rd.Remaining():]
+			if rd.Err() != nil || section != (prev >= 0) || !bytes.Equal(rest, want.Bytes()) {
+				return fmt.Errorf("rank %d iter %d: ghost frame move section %v %x, its moves %x", s.rnk, iter, section, rest, want.Bytes())
+			}
+		}
+		mu.Lock()
+		if live == 0 {
+			quiet++
+		}
+		if prev >= 0 {
+			moving++
+		}
+		mu.Unlock()
+		return nil
+	}
+	t.Cleanup(func() { testPushHook, testIterHook = nil, nil })
+	for _, p := range []int{2, 3, 4} {
+		opt := Options{P: p, DHigh: 8}
+		err := comm.RunWorld(p, func(c comm.Comm) error {
+			_, err := RunRank(&sendLogComm{Comm: c}, g, opt)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+	if quiet == 0 || moving == 0 {
+		t.Fatalf("%d rank-iterations without a live remote proposal, %d with moves: a check never ran", quiet, moving)
+	}
+	t.Logf("%d rank-iterations without a live remote proposal, %d with moves", quiet, moving)
 }

@@ -18,57 +18,92 @@ import (
 	"repro/internal/wire"
 )
 
-func TestCombineHubProposalsPicksMaxAndTieBreaks(t *testing.T) {
-	enc := func(props ...hubProposal) []byte {
+// foldHubFrames feeds an owner three ranks' proposal frames in the given
+// arrival order, then lets it decide. Rank 0 of 3 owns every hub: vertices 0,
+// 3, 6 and 9, in communities 8, 3, 6 and 9.
+func foldHubFrames(t *testing.T, order []int) (win []hubProposal, moves []int, to []int32) {
+	t.Helper()
+	type rec struct {
+		hub    int
+		imp    float64
+		target int
+	}
+	frame := func(recs ...rec) []byte {
 		b := wire.NewBuffer(0)
-		for _, p := range props {
-			b.PutF64(p.improvement)
-			b.PutVarint(int64(p.target))
+		prev := -1
+		for _, r := range recs {
+			b.PutStrideDelta(prev, r.hub, 1)
+			b.PutF64(r.imp)
+			b.PutVarint(int64(r.target))
+			prev = r.hub
 		}
 		return b.Bytes()
 	}
-	a := enc(hubProposal{1.0, 5}, hubProposal{negInf, 9}, hubProposal{0.5, 3})
-	b := enc(hubProposal{2.0, 7}, hubProposal{0.1, 2}, hubProposal{0.5, 1})
-	out, err := combineHubProposals(a, b, 3, 10)
-	if err != nil {
-		t.Fatal(err)
+	frames := [][]byte{
+		frame(rec{0, 1.0, 5}, rec{1, 0.5, 8}, rec{3, 3.0, 2}),
+		frame(rec{0, 2.0, 7}, rec{2, 0.3, 9}, rec{3, 3.0, 2}),
+		frame(rec{0, 2.0, 4}, rec{1, 0.5, 3}),
 	}
-	rd := wire.NewReader(out)
-	// hub 0: b wins on improvement
-	if imp, tgt := rd.F64(), rd.Varint(); imp != 2.0 || tgt != 7 {
-		t.Errorf("hub 0: (%g,%d)", imp, tgt)
+	s := &stage{
+		p: 3, n: 10, opt: Options{Heuristic: HeuristicEnhanced},
+		sg:     &partition.Subgraph{Hubs: []int{0, 3, 6, 9}},
+		comm:   []int32{8, -1, -1, 3, -1, -1, 6, -1, -1, 9},
+		hubWin: make([]hubProposal, 4),
+		moveTo: make([]int32, 4),
 	}
-	// hub 1: a had -Inf, b wins
-	if imp, tgt := rd.F64(), rd.Varint(); imp != 0.1 || tgt != 2 {
-		t.Errorf("hub 1: (%g,%d)", imp, tgt)
+	for i := range s.hubWin {
+		s.hubWin[i].improvement = negInf
 	}
-	// hub 2: tie on improvement, smaller target wins
-	if imp, tgt := rd.F64(), rd.Varint(); imp != 0.5 || tgt != 1 {
-		t.Errorf("hub 2: (%g,%d)", imp, tgt)
+	for _, src := range order {
+		if _, err := s.recvProposals(src, frames[src]); err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
 	}
-	if rd.Err() != nil || rd.Remaining() != 0 {
-		t.Fatalf("decode: err=%v rem=%d", rd.Err(), rd.Remaining())
+	win = slices.Clone(s.hubWin)
+	if moved := s.decideHubs(); moved != len(s.hubLive) {
+		t.Errorf("order %v: decideHubs reports %d moves, lists %v", order, moved, s.hubLive)
+	}
+	for _, i := range s.hubLive {
+		to = append(to, s.moveTo[i])
+	}
+	for i, w := range s.hubWin {
+		if w.improvement != negInf {
+			t.Errorf("order %v: hub %d's fold not reset: %v", order, i, w)
+		}
+	}
+	return win, slices.Clone(s.hubLive), to
+}
+
+// TestCombineHubProposalsPicksMaxAndTieBreaks checks the owner-side fold: the
+// higher improvement wins, ties go to the smaller target, and decideHubs moves
+// no hub to its own label, nor to a larger one under the enhanced heuristic.
+func TestCombineHubProposalsPicksMaxAndTieBreaks(t *testing.T) {
+	win, moves, to := foldHubFrames(t, []int{0, 1, 2})
+	// hub 0: 2.0 beats 1.0, and of the two 2.0s target 4 beats 7.
+	// hub 1: tie on 0.5, target 3 wins; 3 is hub 1's own label, so no move.
+	// hub 2: one proposal, but 9 > 6 under the enhanced heuristic, so no move.
+	// hub 3: the same record twice; 2 < 9, so it moves.
+	if want := []hubProposal{{2.0, 4}, {0.5, 3}, {0.3, 9}, {3.0, 2}}; !slices.Equal(win, want) {
+		t.Errorf("winners %v, want %v", win, want)
+	}
+	if want := []int{0, 3}; !slices.Equal(moves, want) {
+		t.Errorf("moves %v, want %v", moves, want)
+	}
+	if want := []int32{4, 2}; !slices.Equal(to, want) {
+		t.Errorf("targets %v, want %v", to, want)
 	}
 }
 
+// TestCombineHubProposalsCommutative requires the same winners and moves in
+// all six arrival orders of three sources' frames, ties included.
 func TestCombineHubProposalsCommutative(t *testing.T) {
-	enc := func(props ...hubProposal) []byte {
-		b := wire.NewBuffer(0)
-		for _, p := range props {
-			b.PutF64(p.improvement)
-			b.PutVarint(int64(p.target))
+	win0, moves0, to0 := foldHubFrames(t, []int{0, 1, 2})
+	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		win, moves, to := foldHubFrames(t, order)
+		if !slices.Equal(win, win0) || !slices.Equal(moves, moves0) || !slices.Equal(to, to0) {
+			t.Errorf("order %v: winners %v moves %v -> %v, order [0 1 2] gave %v %v -> %v",
+				order, win, moves, to, win0, moves0, to0)
 		}
-		return b.Bytes()
-	}
-	a := enc(hubProposal{1.5, 4}, hubProposal{0.0, 8})
-	b := enc(hubProposal{1.5, 2}, hubProposal{-1.0, 6})
-	ab, errAB := combineHubProposals(a, b, 2, 10)
-	ba, errBA := combineHubProposals(b, a, 2, 10)
-	if errAB != nil || errBA != nil {
-		t.Fatal(errAB, errBA)
-	}
-	if string(ab) != string(ba) {
-		t.Error("combine is not commutative")
 	}
 }
 

@@ -65,8 +65,7 @@ func (s *stage) sweep() ([]hubProposal, int) {
 
 	for i, h := range s.sg.Hubs {
 		if !s.hubActive[i] {
-			// A negInf proposal never wins the reduction, so a hub no rank
-			// has armed stays put without perturbing the collective schedule.
+			// A negInf proposal is not live: it never leaves the rank.
 			work++
 			s.props[i] = hubProposal{improvement: negInf, target: int(s.comm[h])}
 			continue

@@ -96,6 +96,20 @@ func TestNoallocAnnotations(t *testing.T) {
 		}
 		h, other := s.sg.Hubs[0], int(s.comm[adj[0].To])+1
 
+		// The hub-move path on hub 0, which rank 0 owns: a live proposal
+		// for it, a proposal frame and a ghost frame's move section carrying
+		// one, and a move to the hub's own label (which changes nothing).
+		live := make([]hubProposal, len(s.sg.Hubs))
+		live[0] = hubProposal{improvement: 1, target: 0}
+		propFrame := wire.NewBuffer(0)
+		propFrame.PutStrideDelta(-1, 0, 1)
+		propFrame.PutF64(1)
+		propFrame.PutVarint(0)
+		moveFrame := wire.NewBuffer(0)
+		moveFrame.PutStrideDelta(-1, 0, 1)
+		moveFrame.PutVarint(int64(s.comm[h]))
+		var rd wire.Reader
+
 		// One driver per annotated function. hubProposal is exercised on an
 		// owned vertex's data: it only reads stage state, so any vertex with
 		// adjacency stands in for a hub.
@@ -108,6 +122,24 @@ func TestNoallocAnnotations(t *testing.T) {
 			"stage.encodePush":      func() { s.sendScratch(); s.encodePush() },
 			"stage.applyPush":       func() { s.applyPush(0, pushFrame.Bytes()) },
 			"stage.encodeFlush":     func() { s.sendScratch(); s.encodeFlush() },
+			"stage.encodeProposals": func() { s.sendScratch(); s.encodeProposals(live) },
+			"stage.recvProposals":   func() { s.recvProposals(0, propFrame.Bytes()) },
+			"stage.decideHubs":      func() { s.recvProposals(0, propFrame.Bytes()); s.decideHubs() },
+			"stage.encodeMoves": func() {
+				s.sendScratch()
+				s.hubLive = append(s.hubLive[:0], 0)
+				s.encodeMoves()
+			},
+			"stage.recvMoves": func() {
+				rd.Reset(moveFrame.Bytes())
+				s.moves = s.moves[:0]
+				s.recvMoves(0, &rd)
+			},
+			"stage.applyHubMoves": func() {
+				s.moves = append(s.moves[:0], 0)
+				s.moveTo[0] = s.comm[h]
+				s.applyHubMoves()
+			},
 			"gainAccumulator.reset": func() { acc.reset() },
 			"gainAccumulator.add":   func() { acc.reset(); acc.add(cu, 1) },
 			"stage.scanCandidates":  func() { s.scanCandidates(u, cu, ku, adj, acc) },

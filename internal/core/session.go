@@ -345,13 +345,13 @@ func (s *Session) install() error {
 
 	// Hub labels are replicated state: every rank learns every hub's
 	// representative from the hub's owner (disjoint writes, rank order).
-	hubBuf := wire.NewBuffer(0)
+	repBuf := wire.NewBuffer(0)
 	for i := nOwned; i < len(tracked); i++ {
 		hi, _ := st.hubIndex(tracked[i])
-		hubBuf.PutUvarint(uint64(hi))
-		hubBuf.PutVarint(int64(reps[i]))
+		repBuf.PutUvarint(uint64(hi))
+		repBuf.PutVarint(int64(reps[i]))
 	}
-	hubFrames, err := comm.Allgather(s.c, hubBuf.Bytes())
+	hubFrames, err := comm.Allgather(s.c, repBuf.Bytes())
 	if err != nil {
 		return err
 	}

@@ -135,11 +135,19 @@ type stage struct {
 	// (encodeFlush, ghostSwap).
 	idPrev []int
 
-	// hubBuf is the reusable delegate-exchange encode buffer.
-	hubBuf *wire.Buffer
-
 	// props is the reusable hub-proposal slice returned by sweep.
 	props []hubProposal
+
+	// Hub-move scratch, by hub index (docs/PERFORMANCE.md, "Owner-arbitrated
+	// hub moves"). On a hub's owner, hubWin folds the live proposals received
+	// (improvement negInf = none yet) and hubLive lists the hubs that got one;
+	// decideHubs filters hubLive down to the owner's moves, targets in
+	// moveTo. moves lists the world's moves decoded by the ghost swap, every
+	// rank's copy, their targets in moveTo too.
+	hubWin  []hubProposal
+	hubLive []int
+	moveTo  []int32
+	moves   []int
 
 	// Active-set sweep (docs/PERFORMANCE.md, "Active-set sweep"). active
 	// (by vertex id, read for owned vertices only) and hubActive (by hub
@@ -217,7 +225,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		deltaN:    make([]int32, n),
 		deltaMark: make([]bool, n),
 		needMark:  make([]bool, n),
-		hubBuf:    wire.NewBuffer(0),
 		active:    make([]bool, n),
 		hubActive: make([]bool, len(sg.Hubs)),
 		seen:      make([]bool, n),
@@ -245,6 +252,13 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
+	s.hubWin = make([]hubProposal, nh)
+	for i := range s.hubWin {
+		s.hubWin[i].improvement = negInf
+	}
+	s.moveTo = make([]int32, nh)
+	s.hubLive = make([]int, 0, nh)
+	s.moves = make([]int, 0, nh)
 	s.tm = trace.NewTimer(&s.bd)
 	for i := range s.comm {
 		s.comm[i] = -1

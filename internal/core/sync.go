@@ -53,7 +53,10 @@ func (s *stage) frameErr(kind string, src int, cause error) error {
 	return fmt.Errorf("core: rank %d: malformed %s frame from rank %d: %w", s.rnk, kind, src, cause)
 }
 
-var errForeignID = errors.New("id outside what the sender may address")
+var (
+	errForeignID = errors.New("id outside what the sender may address")
+	errLongFrame = errors.New("bytes after the last record")
+)
 
 // registerWatches queues a watch for the label of every locally known
 // vertex and ships the queue (with whatever the delta ledger holds) in one
@@ -182,163 +185,131 @@ func (s *stage) applyPush(src int, payload []byte) (int64, error) {
 
 // hubProposal is one rank's best move for one hub, computed from the rank's
 // local share of the hub's arcs. Improvement is the modularity-gain
-// advantage over keeping the hub in its current community; negative or
-// -Inf proposals never win.
+// advantage over keeping the hub in its current community; a proposal is
+// live when it exceeds gainEps, and only live proposals leave the rank.
 type hubProposal struct {
 	improvement float64
 	target      int
 }
 
-// delegateExchange reduces per-rank hub proposals to a global winner per hub
-// (max improvement, ties to the smaller target label) and applies the
-// winning moves identically on every rank. It returns the number of hubs
-// that moved *and are owned by this rank*, so the world-wide sum counts each
-// hub once. Only the hub's owner emits aggregate deltas, for the same
-// reason.
+// delegateExchange routes every live hub proposal to the hub's owner, which
+// folds them to one winner per hub and decides the hub's move; the moves
+// ride the ghost swap that follows, and every rank applies them there
+// (docs/PERFORMANCE.md, "Owner-arbitrated hub moves"). It returns the number
+// of moves this rank decided: each hub has one owner, so the world-wide sum
+// counts each hub once. Only the owner emits the hub's aggregate deltas, for
+// the same reason.
 func (s *stage) delegateExchange(props []hubProposal) (int, error) {
-	nh := len(s.sg.Hubs)
-	if nh == 0 {
+	if len(s.sg.Hubs) == 0 {
 		return 0, nil
 	}
-	s.hubBuf.Reset()
-	for _, pr := range props {
-		s.hubBuf.PutF64(pr.improvement)
-		s.hubBuf.PutVarint(int64(pr.target))
-	}
-	// Encode + apply are O(hubs) on every rank; the reduction itself adds
-	// O(hubs · log p) combine work, charged here as well.
-	s.addWork(trace.BroadcastDelegates, int64(nh)*int64(2+log2ceil(s.p)))
-	// The reduction hands combine a peer's frame with no word on who sent it;
-	// from tracks the source of the last receive, which is that peer (and,
-	// for a rank folded out of the power-of-two core, the sender of the
-	// result). A bad frame is not combined: this rank keeps forwarding its
-	// own well-formed value so no peer blocks, and fails when the collective
-	// ends.
-	from := &lastSource{Comm: s.c, src: s.rnk}
-	var bad error
-	win, err := comm.AllreduceBytes(from, s.hubBuf.Bytes(), func(a, b []byte) []byte {
-		out, err := combineHubProposals(a, b, nh, s.n)
-		if err != nil {
-			if bad == nil {
-				bad = s.frameErr("hub-proposal", from.src, err)
-			}
-			return a
-		}
-		return out
+	out := s.sendScratch()
+	s.addWork(trace.BroadcastDelegates, s.encodeProposals(props))
+	recvd := int64(0)
+	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
+		n, err := s.recvProposals(src, payload)
+		recvd += n
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	if bad != nil {
-		return 0, bad
+	s.addWork(trace.BroadcastDelegates, recvd+int64(len(s.hubLive)))
+	return s.decideHubs(), nil
+}
+
+// encodeProposals fills the send frames of delegateExchange with this rank's
+// live proposals, each to its hub's owner as (hub-index stride-delta,
+// improvement, target), and returns the number of records encoded. Dropping
+// the rest is exact: if any rank's proposal for a hub is live, the maximum is
+// a live one, and if none is, the hub stays put either way.
+//
+//perf:noalloc
+func (s *stage) encodeProposals(props []hubProposal) int64 {
+	for r := range s.idPrev {
+		s.idPrev[r] = -1
 	}
-	var rd wire.Reader
-	rd.Reset(win)
-	moved := 0
-	armed := int64(0)
-	for i, h := range s.sg.Hubs {
-		imp := rd.F64()
-		target := int(rd.Varint())
-		if rd.Err() != nil || target < 0 || target >= s.n {
-			return 0, s.frameErr("hub-proposal", from.src, rd.Err())
-		}
-		cur := int(s.comm[h])
-		if !(imp > gainEps) || target == cur {
+	n := int64(0)
+	for i, pr := range props {
+		if !(pr.improvement > gainEps) {
 			continue
 		}
-		// A hub's community state is inherently cross-rank, so hub moves
-		// take the minimum-label constraint under the enhanced and strict
-		// heuristics. The decision is identical on every rank because all
-		// inputs are replicated.
-		if s.opt.Heuristic != HeuristicSimple && target > cur {
-			continue
-		}
-		k := s.sg.HubWDeg[i]
-		s.comm[h] = int32(target)
-		s.watch(target) // proposed by another rank, so possibly new here
-		// Every rank re-examines the hub from its share, the owned vertices
-		// adjacent to it and the hubs its share reaches; the same walks carry
-		// the move into sumIn.
-		s.hubActive[i] = true
-		armed += s.armRev(h, cur, target) + s.arm(h, s.sg.AdjHub[i], cur, target)
-		if s.cached[cur] {
-			s.tot[cur] -= k
-			s.size[cur]--
-		}
-		if s.cached[target] {
-			s.tot[target] += k
-			s.size[target]++
-		}
-		if s.owns(h) {
-			s.addDelta(cur, -k, -1)
-			s.addDelta(target, k, 1)
-			moved++
-		}
-	}
-	if rd.Remaining() > 0 {
-		return 0, s.frameErr("hub-proposal", from.src, errLongFrame)
-	}
-	s.addWork(trace.BroadcastDelegates, armed)
-	return moved, nil
-}
-
-// lastSource remembers which rank the most recent Recv named.
-type lastSource struct {
-	comm.Comm
-	src int
-}
-
-func (c *lastSource) Recv(src, tag int) ([]byte, error) {
-	c.src = src
-	//lint:ignore tagconst forwarding decorator; the tag is the caller's registered constant
-	return c.Comm.Recv(src, tag)
-}
-
-var errLongFrame = errors.New("bytes after the last record")
-
-func log2ceil(v int) int {
-	n := 0
-	for 1<<n < v {
+		o := ownerOf(s.sg.Hubs[i], s.p)
+		b := s.sendBufs[o]
+		b.PutStrideDelta(s.idPrev[o], i, 1)
+		b.PutF64(pr.improvement)
+		b.PutVarint(int64(pr.target))
+		s.idPrev[o] = i
 		n++
+	}
+	for r := 0; r < s.p; r++ {
+		s.frames[r] = s.sendBufs[r].Bytes()
 	}
 	return n
 }
 
-// combineHubProposals merges two encoded proposal vectors elementwise,
-// keeping the higher improvement and breaking ties toward the smaller
-// target label: an exact semilattice, so it is associative and commutative
-// as AllreduceBytes requires and the winner never depends on the reduction
-// tree. a is this rank's accumulated vector; b came off the wire and must
-// hold exactly nh records, each naming a community below n. (A truncated b
-// would otherwise read as (0, 0) records, which beat every negative
-// proposal and then fail the gain test — a hub's move dropped on every
-// rank without an error.)
-func combineHubProposals(a, b []byte, nh, n int) ([]byte, error) {
-	ra, rb := wire.NewReader(a), wire.NewReader(b)
-	out := wire.NewBuffer(len(a))
-	for i := 0; i < nh; i++ {
-		ia, ta := ra.F64(), ra.Varint()
-		ib, tb := rb.F64(), rb.Varint()
-		if err := rb.Err(); err != nil {
-			return nil, err
+// recvProposals folds one rank's proposal frame into hubWin and returns the
+// number of records. Each record must name a hub this rank owns, once per
+// frame, with a live improvement and a community below n. The fold keeps the
+// higher improvement and breaks ties toward the smaller target: an exact
+// semilattice, so the winner does not depend on the order frames arrive in.
+//
+//perf:noalloc
+func (s *stage) recvProposals(src int, payload []byte) (int64, error) {
+	var rd wire.Reader
+	rd.Reset(payload)
+	n := int64(0)
+	prev := -1
+	for rd.Remaining() > 0 {
+		i := rd.StrideDelta(prev, 1, len(s.sg.Hubs))
+		imp, t := rd.F64(), rd.Varint()
+		if rd.Err() != nil || !s.owns(s.sg.Hubs[i]) || !(imp > gainEps) || t < 0 || t >= int64(s.n) {
+			return n, s.frameErr("hub-proposal", src, rd.Err())
 		}
-		if tb < 0 || tb >= int64(n) {
-			return nil, errForeignID
+		w := &s.hubWin[i]
+		if w.improvement == negInf {
+			s.hubLive = append(s.hubLive, i)
 		}
-		if ib > ia || (ib == ia && tb < ta) {
-			ia, ta = ib, tb
+		if imp > w.improvement || (imp == w.improvement && int(t) < w.target) {
+			*w = hubProposal{improvement: imp, target: int(t)}
 		}
-		out.PutF64(ia)
-		out.PutVarint(ta)
+		prev = i
+		n++
 	}
-	if rb.Remaining() > 0 {
-		return nil, errLongFrame
+	return n, nil
+}
+
+// decideHubs turns the folded winners into this rank's hub moves. A winner
+// moves its hub unless the target is the hub's label or, under the enhanced
+// and strict heuristics, a larger label: a hub's community state is
+// inherently cross-rank, so hub moves take the minimum-label rule. Hub labels
+// are replicated, so this is the decision every rank would reach from the
+// same winner. Afterwards hubLive lists the moving hubs in ascending order,
+// their targets in moveTo, for ghostSwap to ship; hubWin is reset for the
+// next fold. It returns the number of moves.
+//
+//perf:noalloc
+func (s *stage) decideHubs() int {
+	sort.Ints(s.hubLive)
+	moving := s.hubLive[:0]
+	for _, i := range s.hubLive {
+		w := s.hubWin[i]
+		s.hubWin[i].improvement = negInf
+		cur := int(s.comm[s.sg.Hubs[i]])
+		if w.target == cur || (s.opt.Heuristic != HeuristicSimple && w.target > cur) {
+			continue
+		}
+		s.moveTo[i] = int32(w.target)
+		moving = append(moving, i)
 	}
-	return out.Bytes(), nil
+	s.hubLive = moving
+	return len(moving)
 }
 
 // ghostSwap pushes the labels of changed owned vertices to every rank that
-// holds them as ghosts, and applies the symmetric updates received.
+// holds them as ghosts, and the hub moves this rank decided (decideHubs) to
+// every rank; it applies the ghost labels as they arrive and the world's hub
+// moves once the exchange is complete (applyHubMoves).
 func (s *stage) ghostSwap() error {
 	bufs := s.sendScratch()
 	sent := int64(0)
@@ -360,22 +331,24 @@ func (s *stage) ghostSwap() error {
 			sent++
 		}
 	}
+	s.addWork(trace.SwapGhost, sent)
+	s.addWork(trace.BroadcastDelegates, s.encodeMoves())
 	for r := 0; r < s.p; r++ {
 		bufs[r] = s.sendBufs[r].Bytes()
 	}
-	s.addWork(trace.SwapGhost, sent)
 	// Stream the inbound label updates: every vertex is published only by
 	// its owner, so the per-source writes to s.comm are disjoint and
 	// arrival-order application is deterministic. A frame may only name
 	// vertices its sender owns and this rank already holds. A ghost whose
 	// label changed arms the owned vertices adjacent to it and carries the
 	// change into sumIn (no local arc joins two ghosts, so order is moot).
-	recvd := int64(0)
+	recvd, hubRecs := int64(0), int64(0)
+	s.moves = s.moves[:0]
 	var rd wire.Reader
 	err := comm.AlltoallvFunc(s.c, bufs, func(src int, payload []byte) error {
 		rd.Reset(payload)
 		prev := -1
-		for rd.Remaining() > 0 {
+		for rd.Remaining() > 0 && !rd.SkipZero() {
 			v := rd.StrideDelta(prev, 1, s.n)
 			c := rd.Varint()
 			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || ownerOf(v, s.p) != src {
@@ -389,13 +362,103 @@ func (s *stage) ghostSwap() error {
 			prev = v
 			recvd++
 		}
-		return nil
+		n, err := s.recvMoves(src, &rd)
+		hubRecs += n
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	s.addWork(trace.SwapGhost, recvd)
+	s.addWork(trace.BroadcastDelegates, hubRecs+s.applyHubMoves())
 	return nil
+}
+
+// encodeMoves appends this rank's hub moves to every ghost-swap frame, its
+// own included: a zero byte closes the ghost stream (no stride-delta id
+// starts with one), then a (hub-index stride-delta, target) record per move.
+// A rank that decided no move adds nothing. It returns the records encoded.
+//
+//perf:noalloc
+func (s *stage) encodeMoves() int64 {
+	if len(s.hubLive) == 0 {
+		return 0
+	}
+	for r := 0; r < s.p; r++ {
+		b := s.sendBufs[r]
+		b.PutUvarint(0)
+		prev := -1
+		for _, i := range s.hubLive {
+			b.PutStrideDelta(prev, i, 1)
+			b.PutVarint(int64(s.moveTo[i]))
+			prev = i
+		}
+	}
+	n := int64(s.p * len(s.hubLive))
+	s.hubLive = s.hubLive[:0]
+	return n
+}
+
+// recvMoves decodes the move section of one ghost-swap frame, the rest of
+// rd, into moves and moveTo, and returns the number of moves. A move must name
+// a hub its sender owns, once, and a community below n; the owners partition
+// the hubs, so no hub arrives twice.
+//
+//perf:noalloc
+func (s *stage) recvMoves(src int, rd *wire.Reader) (int64, error) {
+	n := int64(0)
+	prev := -1
+	for rd.Remaining() > 0 {
+		i := rd.StrideDelta(prev, 1, len(s.sg.Hubs))
+		t := rd.Varint()
+		if rd.Err() != nil || ownerOf(s.sg.Hubs[i], s.p) != src || t < 0 || t >= int64(s.n) {
+			return n, s.frameErr("hub-move", src, rd.Err())
+		}
+		s.moveTo[i] = int32(t)
+		s.moves = append(s.moves, i)
+		prev = i
+		n++
+	}
+	return n, nil
+}
+
+// applyHubMoves applies the hub moves the ghost swap decoded (the world's
+// moves of this iteration) in ascending hub index, identically on every
+// rank, and returns the fan-in to charge as work. It runs after the ghost
+// labels of the same exchange, and the order cannot show: a ghost's label
+// change walks arcs from owned vertices only, and a hub's walk counts its
+// arcs into ghosts with arcShare 0, so neither reads a label the other
+// writes.
+//
+//perf:noalloc
+func (s *stage) applyHubMoves() int64 {
+	sort.Ints(s.moves)
+	armed := int64(0)
+	for _, i := range s.moves {
+		h := s.sg.Hubs[i]
+		cur, target := int(s.comm[h]), int(s.moveTo[i])
+		k := s.sg.HubWDeg[i]
+		s.comm[h] = int32(target)
+		s.watch(target) // decided by another rank, so possibly new here
+		// Every rank re-examines the hub from its share, the owned vertices
+		// adjacent to it and the hubs its share reaches; the same walks carry
+		// the move into sumIn.
+		s.hubActive[i] = true
+		armed += s.armRev(h, cur, target) + s.arm(h, s.sg.AdjHub[i], cur, target)
+		if s.cached[cur] {
+			s.tot[cur] -= k
+			s.size[cur]--
+		}
+		if s.cached[target] {
+			s.tot[target] += k
+			s.size[target]++
+		}
+		if s.owns(h) {
+			s.addDelta(cur, -k, -1)
+			s.addDelta(target, k, 1)
+		}
+	}
+	return armed
 }
 
 // flushDeltas routes the pending Σtot/size deltas and the queued watch

@@ -214,15 +214,15 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
 // exchanges and of the merge's arc exchange — an id past the end of the
-// dense arrays, a repeated id, a vertex the sender does not own, a truncated
-// record, a hub-proposal vector of the wrong length, a record count the
-// frame cannot hold, trailing bytes — into rank 0's receive path from rank 1. Every one must come back from the exchange as
-// an error naming rank 1: no panic, no write. (A community id of another
-// rank's residue cannot be written down at all: the stride-delta streams
-// only reach the addressed owner's slots.) At the parent commit an
-// out-of-range id panicked inside the rank goroutine (index out of range in
-// flushDeltas, ghostSwap and the answer kernel) and a foreign one was
-// applied silently.
+// dense arrays, a repeated id, a vertex or hub outside what the sender may
+// address, a truncated record, a record count the frame cannot hold,
+// trailing bytes — into rank 0's receive path from rank 1. Every one must
+// come back from the exchange as an error naming rank 1: no panic, no write.
+// (A community id of another rank's residue cannot be written down at all:
+// the stride-delta streams only reach the addressed owner's slots.) At the
+// parent commit an out-of-range id panicked inside the rank goroutine (index
+// out of range in flushDeltas, ghostSwap and the answer kernel) and a
+// foreign one was applied silently.
 func TestGarbledFrames(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.25, 91))
 	if err != nil {
@@ -244,22 +244,28 @@ func TestGarbledFrames(t *testing.T) {
 		return b.Bytes()
 	}
 	nh := len(layout.Hubs)
-	if nh == 0 {
-		t.Fatal("fixture has no hubs; the hub-proposal rows would skip the reduction")
-	}
-	// hubFrame is a proposal vector of the given record count whose last
-	// record proposes target with a winning improvement.
-	hubFrame := func(records, target int) []byte {
-		return enc(func(b *wire.Buffer) {
-			for i := 0; i < records; i++ {
-				b.PutF64(1)
-				if i == records-1 {
-					b.PutVarint(int64(target))
-				} else {
-					b.PutVarint(0)
-				}
+	// hubOf returns the index of the first hub whose owner passes keep.
+	hubOf := func(keep func(owner int) bool) uint64 {
+		for i, h := range layout.Hubs {
+			if keep(ownerOf(h, p)) {
+				return uint64(i)
 			}
-		})
+		}
+		t.Fatal("fixture has no hub with the wanted owner")
+		return 0
+	}
+	ownedBy := func(r int) func(int) bool { return func(o int) bool { return o == r } }
+	notOwnedBy := func(r int) func(int) bool { return func(o int) bool { return o != r } }
+	// proposal is a live record for hub index i as the first of its frame.
+	proposal := func(b *wire.Buffer, i uint64, target int) {
+		b.PutUvarint(i + 1)
+		b.PutF64(1)
+		b.PutVarint(int64(target))
+	}
+	// moves opens the move section of a ghost frame that carries no ghost.
+	moves := func(b *wire.Buffer, i uint64) {
+		b.PutUvarint(0)
+		b.PutUvarint(i + 1)
 	}
 	// Frames as rank 1 would address them to rank 0 (p = 4).
 	cases := []struct {
@@ -311,13 +317,36 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutUvarint(2) // vertex 1, the sender's own
 			b.PutVarint(int64(n))
 		})},
-		// Hub-proposal vectors, one (improvement, target) record per hub. The
-		// reduction's combine used to read a short frame's missing records
-		// as (0, 0), ignore a long frame's tail, and leave a bad target to a
-		// check that did not name the sender.
-		{"hub/short-frame", "hub", hubFrame(nh-1, 0)},
-		{"hub/long-frame", "hub", hubFrame(nh+1, 0)},
-		{"hub/bad-target", "hub", hubFrame(nh, n)},
+		// Proposal frames: (hub-index delta, improvement, target) records for
+		// the hubs the receiver owns.
+		{"hub/index-out-of-range", "hub", enc(func(b *wire.Buffer) { proposal(b, uint64(nh), 0) })},
+		{"hub/foreign-hub", "hub", enc(func(b *wire.Buffer) { proposal(b, hubOf(notOwnedBy(0)), 0) })},
+		{"hub/repeated-index", "hub", enc(func(b *wire.Buffer) {
+			proposal(b, hubOf(ownedBy(0)), 0)
+			b.PutUvarint(0)
+			b.PutF64(1)
+			b.PutVarint(0)
+		})},
+		{"hub/bad-target", "hub", enc(func(b *wire.Buffer) { proposal(b, hubOf(ownedBy(0)), n) })},
+		{"hub/short-frame", "hub", enc(func(b *wire.Buffer) {
+			b.PutUvarint(hubOf(ownedBy(0)) + 1)
+			b.PutVarint(1) // one byte where the improvement's eight belong
+		})},
+		// The move section of a ghost frame: a zero byte, then (hub-index
+		// delta, target) records for the hubs the sender owns.
+		{"move/foreign-hub", "ghost", enc(func(b *wire.Buffer) {
+			moves(b, hubOf(notOwnedBy(1)))
+			b.PutVarint(0)
+		})},
+		{"move/bad-target", "ghost", enc(func(b *wire.Buffer) {
+			moves(b, hubOf(ownedBy(1)))
+			b.PutVarint(int64(n))
+		})},
+		{"move/index-out-of-range", "ghost", enc(func(b *wire.Buffer) {
+			moves(b, uint64(nh))
+			b.PutVarint(0)
+		})},
+		{"move/truncated", "ghost", enc(func(b *wire.Buffer) { moves(b, hubOf(ownedBy(1))) })},
 		// Merge arc frames: a record count, then per-row groups of [row
 		// delta, cv count, (cv delta, weight) ...]. Rank 0 owns coarse row 0
 		// (vertex 0), and the coarse graph has fewer than n vertices.
@@ -437,7 +466,7 @@ func TestGarbledFrames(t *testing.T) {
 //
 // Messages per rank: an iteration sends the three exchanges and the
 // IterStats record of TestIterationSingleAllreduce (11) plus the
-// hub-proposal reduction (log2 p; the layout has hubs), and the batch
+// hub-proposal exchange (p−1; the layout has hubs), and the batch
 // around them sends the new-ghost query and reply, the ledger flush, one
 // exchange per seeding hop and the UpdateStats record.
 //
@@ -464,10 +493,10 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(layout.Hubs) == 0 {
-		t.Fatal("fixture has no hubs; the hub-proposal reduction would not be on the wire")
+		t.Fatal("fixture has no hubs; the hub-proposal exchange would not be on the wire")
 	}
 	const (
-		perIter  = 3*(p-1) + 2 + 2
+		perIter  = 4*(p-1) + 2
 		perBatch = (3+2)*(p-1) + 2 // UpdateKHops defaults to 2
 	)
 	batch := randomStream(g, 5, 1, 4, 0.3)[0]
