@@ -8,7 +8,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/louvain"
-	"repro/internal/trace"
 )
 
 // One benchmark per table and figure of the paper's evaluation. Each runs
@@ -45,23 +44,8 @@ func BenchmarkFig6Partition(b *testing.B) { benchExperiment(b, "fig6") }
 func BenchmarkFig7DelegateVs1D(b *testing.B) { benchExperiment(b, "fig7") }
 
 // BenchmarkFig8Breakdown regenerates Figure 8 (stage times and the
-// per-iteration phase breakdown), and additionally reports the collective
-// engine's own counters — calls, wall time, and bytes through the leaf
-// collectives — so changes to the comm layer show up in the breakdown
-// benchmark directly rather than only through the simulated α-β cost.
-func BenchmarkFig8Breakdown(b *testing.B) {
-	trace.EnableCollectiveStats(true)
-	trace.ResetCollectiveStats()
-	defer trace.EnableCollectiveStats(false)
-	benchExperiment(b, "fig8")
-	tot := trace.CollectiveTotals()
-	if b.N > 0 {
-		b.ReportMetric(float64(tot.Calls)/float64(b.N), "coll-calls/op")
-		b.ReportMetric(float64(tot.NS)/float64(b.N), "coll-ns/op")
-		b.ReportMetric(float64(tot.Bytes)/float64(b.N), "coll-B/op")
-	}
-	b.Logf("collectives: %s", trace.FormatCollectiveSnapshot(trace.CollectiveSnapshot()))
-}
+// per-iteration phase breakdown).
+func BenchmarkFig8Breakdown(b *testing.B) { benchExperiment(b, "fig8") }
 
 // BenchmarkFig9Scaling regenerates Figure 9 (strong scaling over the
 // dataset registry).

@@ -53,11 +53,9 @@ var collectiveNames = map[string]bool{
 	"AllreduceBytes":      true,
 	"AllreduceFloat64Sum": true,
 	"AllreduceInt64Sum":   true,
-	"AllreduceInt64Max":   true,
 	"Allgather":           true,
 	"AllgatherInto":       true,
 	"Alltoallv":           true,
-	"AlltoallvInto":       true,
 	"AlltoallvFunc":       true,
 	"Gather":              true,
 	// The per-iteration record reduction.

@@ -42,10 +42,9 @@ var AnalyzerCommErr = &Analyzer{
 var commErrOps = map[string]bool{
 	"Send": true, "Recv": true,
 	"Barrier": true, "Bcast": true, "AllreduceBytes": true,
-	"AllreduceFloat64Sum": true, "AllreduceInt64Sum": true,
-	"AllreduceInt64Max": true, "AllreduceIterStats": true,
+	"AllreduceFloat64Sum": true, "AllreduceInt64Sum": true, "AllreduceIterStats": true,
 	"Allgather": true, "AllgatherInto": true, "Gather": true,
-	"Alltoallv": true, "AlltoallvInto": true, "AlltoallvFunc": true,
+	"Alltoallv": true, "AlltoallvFunc": true,
 	"RunWorld": true, "RunWorldStats": true, "DialTCPWorld": true,
 	// Robustness layer: deadline-bounded receives, retry wrappers,
 	// configurable dialing, and chaos worlds fail for the same reasons the

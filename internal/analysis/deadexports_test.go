@@ -24,21 +24,11 @@ var testOnlyExports = map[string]string{
 	"repro/internal/partition.Census.TotalArcs": "arc-conservation check of the partition tests",
 	"repro/internal/expt.RunAll":                "runs every experiment; the smoke test is its caller, cmd/experiments runs them by name",
 	"repro/internal/loadgen.Replay":             "deterministic replay of a plan, pinned by TestReplayDeterministic",
+	"repro/internal/trace.Breakdown.Total":      "phase sum that core's TestStage1TimingsPopulated checks is positive",
 	// Collectives the conformance suite covers on both transports and the
 	// kernel benchmarks call, with no production caller since PR 13.
-	"repro/internal/comm.Alltoallv": "conformance-suite collective; AlltoallvInto/AlltoallvFunc are the production forms",
-	"repro/internal/comm.Barrier":   "conformance-suite collective; kernel benchmarks use it to line ranks up",
-	"repro/internal/comm.Bcast":     "conformance-suite collective",
-	// internal/trace's process-wide tables: ROADMAP item 9 deletes them with
-	// the singletons they read, so they are not touched piecemeal here.
-	"repro/internal/trace.Breakdown.Merge":          "trace table, ROADMAP item 9",
-	"repro/internal/trace.Breakdown.Total":          "trace table, ROADMAP item 9",
-	"repro/internal/trace.CollectiveSnapshot":       "trace table, ROADMAP item 9 (root bench_test.go reads it)",
-	"repro/internal/trace.CollectiveTotals":         "trace table, ROADMAP item 9 (root and core benchmarks read it)",
-	"repro/internal/trace.EnableCollectiveStats":    "trace table, ROADMAP item 9 (root and core benchmarks switch it on)",
-	"repro/internal/trace.FormatCollectiveSnapshot": "trace table, ROADMAP item 9 (root bench_test.go prints it)",
-	"repro/internal/trace.ResetCollectiveStats":     "trace table, ROADMAP item 9 (root bench_test.go resets it)",
-	"repro/internal/trace.SetLogOutput":             "trace global, ROADMAP item 9",
+	"repro/internal/comm.Barrier": "conformance-suite collective; kernel benchmarks use it to line ranks up",
+	"repro/internal/comm.Bcast":   "conformance-suite collective",
 	// Found by this test with no caller anywhere, tests included.
 	"repro/internal/loadgen.Sweep": "no caller since the serving ladder moved to BenchmarkServeLoad's own loop",
 }

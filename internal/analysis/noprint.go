@@ -21,7 +21,7 @@ import (
 //
 // Writer-explicit printing (fmt.Fprintf(w, ...)) is fine — that is the
 // pattern the experiment tables use. Diagnostics wanted at runtime go
-// through trace.Logf, which tests can redirect.
+// through trace.Eventf, whose sink tests and operators install.
 var AnalyzerNoPrint = &Analyzer{
 	Name: "noprint",
 	Doc: "forbids fmt.Print* and the log package in internal/* library code " +
@@ -54,7 +54,7 @@ func runNoPrint(p *Pass) {
 			if !isFmtPkg(p.Info, sel) {
 				return true
 			}
-			p.Reportf(call.Pos(), "fmt.%s writes to stdout from library code: with p ranks this interleaves into garbage and corrupts piped output; use trace.Logf or take an io.Writer", sel.Sel.Name)
+			p.Reportf(call.Pos(), "fmt.%s writes to stdout from library code: with p ranks this interleaves into garbage and corrupts piped output; take an io.Writer or emit a trace.Eventf event", sel.Sel.Name)
 			return true
 		})
 	}

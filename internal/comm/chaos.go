@@ -287,7 +287,7 @@ func (cc *ChaosComm) Send(dst, tag int, data []byte) error {
 	lane.q = append(lane.q, it)
 	lane.mu.Unlock()
 	lane.nw.Signal()
-	cc.stats.recordSend(dst, len(data))
+	cc.stats.recordSend(len(data))
 	return nil
 }
 

@@ -1,48 +1,15 @@
 package comm
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // Collectives built on point-to-point messaging. All ranks of the world must
 // call the same collective in the same order (bulk-synchronous usage), as
 // with MPI. The personalized exchanges (Alltoallv, AlltoallvFunc) live in
 // overlap.go, the fixed-width record reductions in reduce.go.
 
-// collStart returns a start timestamp when per-collective trace accounting
-// is enabled and the zero time otherwise, so the disabled path costs one
-// atomic load and no clock reads.
-func collStart() time.Time {
-	if !trace.CollectiveStatsEnabled() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// collDone reports one finished collective call begun at t0; bytes is the
-// payload volume this rank contributed.
-func collDone(k trace.Collective, t0 time.Time, bytes int64) {
-	if t0.IsZero() {
-		return
-	}
-	trace.RecordCollective(k, int64(time.Since(t0)), bytes)
-}
-
-func framesLen(out [][]byte) int64 {
-	var n int64
-	for _, b := range out {
-		n += int64(len(b))
-	}
-	return n
-}
-
 // Barrier blocks until every rank has entered it (dissemination barrier,
 // ⌈log₂ p⌉ rounds).
 func Barrier(c Comm) error {
-	defer collDone(trace.CollBarrier, collStart(), 0)
 	p := c.Size()
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.Rank() + k) % p
@@ -64,7 +31,6 @@ func Bcast(c Comm, root int, data []byte) ([]byte, error) {
 	if err := checkPeer(c, root); err != nil {
 		return nil, err
 	}
-	defer collDone(trace.CollBcast, collStart(), int64(len(data)))
 	p := c.Size()
 	// Work in a rotated rank space where the root is 0.
 	vrank := (c.Rank() - root + p) % p
@@ -106,7 +72,6 @@ func AllreduceBytes(c Comm, data []byte, combine func(a, b []byte) []byte) ([]by
 	if p == 1 {
 		return data, nil
 	}
-	defer collDone(trace.CollAllreduce, collStart(), int64(len(data)))
 	r := c.Rank()
 	pow2 := 1
 	for pow2*2 <= p {
@@ -175,7 +140,6 @@ func AllgatherInto(c Comm, mine []byte, in [][]byte) ([][]byte, error) {
 	if p == 1 {
 		return in, nil
 	}
-	defer collDone(trace.CollAllgather, collStart(), int64(len(mine)))
 	next := (r + 1) % p
 	prev := (r - 1 + p) % p
 	carry := in[r]
@@ -213,7 +177,6 @@ func Gather(c Comm, root int, mine []byte) ([][]byte, error) {
 	if p == 1 {
 		return out, nil
 	}
-	defer collDone(trace.CollGather, collStart(), int64(len(mine)))
 	type arrival struct {
 		src  int
 		data []byte

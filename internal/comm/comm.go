@@ -17,8 +17,8 @@
 //     connections with length-prefixed frames. This demonstrates the same
 //     algorithm code running truly distributed.
 //
-// Every endpoint keeps traffic statistics (message and byte counts, per-peer
-// byte counts) so the experiments can report communication volume exactly.
+// Every endpoint keeps traffic statistics (message and byte counts) so the
+// experiments can report communication volume exactly.
 //
 // The layer is fault-aware: failures surface as typed sentinels (ErrPeerDown,
 // ErrTimeout, ErrClosed, ErrRetriesExhausted — see errors.go) rather than
@@ -96,20 +96,11 @@ type Stats struct {
 	msgsRecv  atomic.Int64
 	bytesSent atomic.Int64
 	bytesRecv atomic.Int64
-
-	mu        sync.Mutex
-	perPeerTx map[int]int64
 }
 
-func (s *Stats) recordSend(dst int, n int) {
+func (s *Stats) recordSend(n int) {
 	s.msgsSent.Add(1)
 	s.bytesSent.Add(int64(n))
-	s.mu.Lock()
-	if s.perPeerTx == nil {
-		s.perPeerTx = make(map[int]int64)
-	}
-	s.perPeerTx[dst] += int64(n)
-	s.mu.Unlock()
 }
 
 func (s *Stats) recordRecv(n int) {
@@ -121,24 +112,16 @@ func (s *Stats) recordRecv(n int) {
 type Snapshot struct {
 	MsgsSent, MsgsRecv   int64
 	BytesSent, BytesRecv int64
-	PerPeerBytesSent     map[int]int64
 }
 
 // Snapshot returns a copy of the current counters.
 func (s *Stats) Snapshot() Snapshot {
-	snap := Snapshot{
+	return Snapshot{
 		MsgsSent:  s.msgsSent.Load(),
 		MsgsRecv:  s.msgsRecv.Load(),
 		BytesSent: s.bytesSent.Load(),
 		BytesRecv: s.bytesRecv.Load(),
 	}
-	s.mu.Lock()
-	snap.PerPeerBytesSent = make(map[int]int64, len(s.perPeerTx))
-	for k, v := range s.perPeerTx {
-		snap.PerPeerBytesSent[k] = v
-	}
-	s.mu.Unlock()
-	return snap
 }
 
 // RunWorld creates an in-process world of p ranks and runs fn once per rank,

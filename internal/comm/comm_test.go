@@ -204,9 +204,6 @@ func TestStatsCounts(t *testing.T) {
 	if ws.PerRank[1].BytesRecv != 100 || ws.PerRank[1].MsgsRecv != 1 {
 		t.Errorf("rank 1 stats = %+v", ws.PerRank[1])
 	}
-	if ws.PerRank[0].PerPeerBytesSent[1] != 100 {
-		t.Errorf("per-peer bytes = %v", ws.PerRank[0].PerPeerBytesSent)
-	}
 	if ws.TotalBytesSent() != 100 || ws.MaxBytesSent() != 100 {
 		t.Errorf("aggregates: total %d max %d", ws.TotalBytesSent(), ws.MaxBytesSent())
 	}
@@ -298,11 +295,11 @@ func TestAllreduceSumsAllSizes(t *testing.T) {
 				if i != wantI {
 					return fmt.Errorf("rank %d int sum = %d, want %d", c.Rank(), i, wantI)
 				}
-				m, err := AllreduceInt64Max(c, int64(c.Rank()*10))
+				m, err := allreduceScalar(c, laneMaxI64, uint64(c.Rank()*10))
 				if err != nil {
 					return err
 				}
-				if m != int64((p-1)*10) {
+				if m != uint64((p-1)*10) {
 					return fmt.Errorf("rank %d max = %d, want %d", c.Rank(), m, (p-1)*10)
 				}
 				return nil

@@ -72,7 +72,7 @@ func (e *inprocEndpoint) Send(dst, tag int, data []byte) error {
 	peer.inbox = append(peer.inbox, inprocMessage{src: e.rank, tag: tag, data: cp})
 	peer.mu.Unlock()
 	peer.cond.Broadcast()
-	e.stats.recordSend(dst, len(data))
+	e.stats.recordSend(len(data))
 	return nil
 }
 

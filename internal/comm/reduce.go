@@ -99,12 +99,6 @@ func AllreduceInt64Sum(c Comm, v int64) (int64, error) {
 	return int64(bits), err
 }
 
-// AllreduceInt64Max returns the maximum of v across all ranks.
-func AllreduceInt64Max(c Comm, v int64) (int64, error) {
-	bits, err := allreduceScalar(c, laneMaxI64, uint64(v))
-	return int64(bits), err
-}
-
 // IterStats is the per-iteration scalar bundle of the stage-1 clustering
 // loop, reduced as one collective (one log p latency term instead of
 // four). Each field carries its own reduction.

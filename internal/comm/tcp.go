@@ -315,7 +315,7 @@ func (t *TCPEndpoint) Send(dst, tag int, data []byte) error {
 		t.inbox = append(t.inbox, inprocMessage{src: t.rank, tag: tag, data: cp})
 		t.mu.Unlock()
 		t.cond.Broadcast()
-		t.stats.recordSend(dst, len(data))
+		t.stats.recordSend(len(data))
 		return nil
 	}
 	t.mu.Lock()
@@ -340,7 +340,7 @@ func (t *TCPEndpoint) Send(dst, tag int, data []byte) error {
 	tc.q = append(tc.q, frame)
 	tc.mu.Unlock()
 	tc.nw.Signal()
-	t.stats.recordSend(dst, len(data))
+	t.stats.recordSend(len(data))
 	return nil
 }
 

@@ -3,9 +3,9 @@ package core
 // Benchmarks for the stage-2 distributed merge (Algorithm 3): the retained
 // seed implementation (merge_seed_test.go) versus the zero-map pipeline in
 // merge.go, on the same converged p=4 world. Besides ns/op and allocs/op,
-// each reports wire-B/op — the per-rank collective payload of one merge,
-// measured with the trace collective counters — so BENCH_<pr>.json records
-// the pre-aggregation wire reduction alongside the speedup.
+// each reports wire-B/op — the bytes one merge sends, averaged over ranks,
+// from each endpoint's traffic counters — so the pre-aggregation wire
+// reduction is recorded alongside the speedup.
 
 import (
 	"testing"
@@ -13,14 +13,13 @@ import (
 	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/partition"
-	"repro/internal/trace"
 )
 
 // benchMerge times op (a full merge) on every rank of a steady-state stage,
-// exactly like benchKernel, and additionally reports the per-rank wire
-// bytes of one op from the process-global collective counters. One untimed
-// warm call settles scratch growth first, so the timed region measures the
-// pooled steady state.
+// exactly like benchKernel, and additionally reports the bytes one op sends
+// per rank, from each endpoint's traffic counters. One untimed warm call
+// settles scratch growth first, so the timed region measures the pooled
+// steady state.
 func benchMerge(b *testing.B, op func(s *stage) error) {
 	b.Helper()
 	g, err := gen.RMAT(gen.Graph500RMAT(12, 7))
@@ -37,8 +36,7 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace.EnableCollectiveStats(true)
-	defer trace.EnableCollectiveStats(false)
+	sent := make([]int64, opt.P)
 	b.ReportAllocs()
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		s := newStage(c, layout.Parts[c.Rank()], opt)
@@ -74,28 +72,26 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 		if err := comm.Barrier(c); err != nil {
 			return err
 		}
-		var t0 trace.CollectiveStat
 		if c.Rank() == 0 {
-			t0 = trace.CollectiveTotals()
 			b.ResetTimer()
 		}
+		before := c.Stats().Snapshot().BytesSent
 		for i := 0; i < b.N; i++ {
 			if err := op(s); err != nil {
 				return err
 			}
 		}
-		if err := comm.Barrier(c); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			t1 := trace.CollectiveTotals()
-			b.ReportMetric(float64(t1.Bytes-t0.Bytes)/float64(b.N)/float64(opt.P), "wire-B/op")
-		}
+		sent[c.Rank()] = c.Stats().Snapshot().BytesSent - before
 		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var total int64
+	for _, n := range sent {
+		total += n
+	}
+	b.ReportMetric(float64(total)/float64(b.N)/float64(opt.P), "wire-B/op")
 }
 
 // BenchmarkMergeSeed measures the seed-era merge: serial map-of-maps

@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/trace"
 )
 
 // debugInvariants enables per-iteration conservation checks in cluster();
 // it is switched on by tests only.
 var debugInvariants = false
-
-// debugVerbose prints per-iteration community statistics.
-var debugVerbose = false
 
 // testIterHook, when non-nil, runs on every rank after each clustering
 // iteration (post aggregate flush and modularity reduction) with the live
@@ -33,12 +29,9 @@ var testPushHook func(s *stage, iter int) error
 // count. It also holds the incremental modularity terms to their full-scan
 // oracles (scanIn, scanSq) with ==.
 func (s *stage) checkInvariants(iter int) error {
-	var localTot, localN, localMax int64
+	var localTot, localN int64
 	for c := s.rnk; c < s.n; c += s.p {
 		n := int64(s.ownSize[c])
-		if n > localMax {
-			localMax = n
-		}
 		localN += n
 		localTot += s.ownTot[c]
 		if n < 0 {
@@ -72,13 +65,6 @@ func (s *stage) checkInvariants(iter int) error {
 	}
 	if gTot != s.m2 {
 		return fmt.Errorf("core: iter %d: Σtot sums to %d, want 2m = %d", iter, gTot, s.m2)
-	}
-	gMax, err := comm.AllreduceInt64Max(s.c, localMax)
-	if err != nil {
-		return err
-	}
-	if debugVerbose && s.rnk == 0 {
-		trace.Logf("dbg: verts=%d iter %d maxsz=%d", gN, iter, gMax)
 	}
 	return nil
 }

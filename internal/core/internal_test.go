@@ -14,7 +14,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -133,7 +132,7 @@ func TestResolveQueries(t *testing.T) {
 		s := stageOf(c)
 		// lookup(x) = x*10, evaluated at owner x%4 and nowhere else.
 		queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
-		res, err := s.resolveQueries(queries, func(x int) int {
+		res, err := s.resolveQueries(queries, 10*s.n, func(x int) int {
 			if x%4 != c.Rank() {
 				t.Errorf("rank %d asked to look up %d, which rank %d owns", c.Rank(), x, x%4)
 			}
@@ -158,7 +157,7 @@ func TestResolveQueriesEmpty(t *testing.T) {
 	stageOf := queryStages(t, 3)
 	err := comm.RunWorld(3, func(c comm.Comm) error {
 		s := stageOf(c)
-		res, err := s.resolveQueries(nil, func(x int) int { return x })
+		res, err := s.resolveQueries(nil, 1, func(x int) int { return x })
 		if err != nil {
 			return err
 		}
@@ -662,12 +661,11 @@ func TestMergeMatchesSeedCrossMatrix(t *testing.T) {
 }
 
 // TestMergePreaggWireVolume is the wire-volume property test: over the
-// same converged stage, the pair-summed frames of the new merge must ship at
-// most half the collective payload bytes of the seed's one-record-per-arc
-// frames on a clustered graph at P=4 (frames that carry every duplicate
-// weight ship 68% here) while decoding to bit-identical totals. Snapshots of the process-global collective
-// counters are taken by rank 0 between double barriers, so no rank can be
-// inside either merge while a snapshot is read.
+// same converged stage, the pair-summed frames of the new merge must send at
+// most half the bytes of the seed's one-record-per-arc frames on a clustered
+// graph at P=4 (frames that carry every duplicate weight send 68% here)
+// while decoding to bit-identical totals. Each rank reads its own
+// endpoint's byte counter around each merge.
 func TestMergePreaggWireVolume(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.25, 93))
 	if err != nil {
@@ -682,58 +680,42 @@ func TestMergePreaggWireVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace.EnableCollectiveStats(true)
-	defer trace.EnableCollectiveStats(false)
-	var seedBytes, newBytes int64
-	snap := func(c comm.Comm, into *trace.CollectiveStat) error {
-		if err := comm.Barrier(c); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			*into = trace.CollectiveTotals()
-		}
-		return comm.Barrier(c)
-	}
+	seedSent, newSent := make([]int64, p), make([]int64, p)
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		st := newStage(c, layout.Parts[c.Rank()], opt)
 		if _, err := st.clusterNew(); err != nil {
 			return err
 		}
-		var t0, t1, t2 trace.CollectiveStat
-		if err := snap(c, &t0); err != nil {
-			return err
-		}
+		sent := func() int64 { return c.Stats().Snapshot().BytesSent }
+		t0 := sent()
 		seedSG, _, err := st.mergeSeed()
 		if err != nil {
 			return err
 		}
-		if err := snap(c, &t1); err != nil {
-			return err
-		}
+		t1 := sent()
 		newSG, _, err := st.merge()
 		if err != nil {
 			return err
 		}
-		if err := snap(c, &t2); err != nil {
-			return err
-		}
+		seedSent[c.Rank()], newSent[c.Rank()] = t1-t0, sent()-t1
 		if !reflect.DeepEqual(seedSG.OwnedWDeg, newSG.OwnedWDeg) {
 			t.Errorf("rank %d: decoded weighted degrees differ between seed and pre-aggregated merge", c.Rank())
-		}
-		if c.Rank() == 0 {
-			seedBytes = t1.Bytes - t0.Bytes
-			newBytes = t2.Bytes - t1.Bytes
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seedBytes, newBytes int64
+	for r := 0; r < p; r++ {
+		seedBytes += seedSent[r]
+		newBytes += newSent[r]
+	}
 	if newBytes <= 0 || seedBytes <= 0 {
-		t.Fatalf("collective counters recorded nothing: seed=%d new=%d", seedBytes, newBytes)
+		t.Fatalf("traffic counters recorded nothing: seed=%d new=%d", seedBytes, newBytes)
 	}
 	if 2*newBytes > seedBytes {
-		t.Errorf("pre-aggregated merge shipped %d bytes, seed shipped %d: want at most half", newBytes, seedBytes)
+		t.Errorf("pre-aggregated merge sent %d bytes, seed sent %d: want at most half", newBytes, seedBytes)
 	}
 	t.Logf("merge wire volume: seed=%dB preagg=%dB (%.1f%% of seed)", seedBytes, newBytes, 100*float64(newBytes)/float64(seedBytes))
 }

@@ -43,6 +43,7 @@ type mergeScratch struct {
 	dense    []int32      // community → dense coarse ID (s.dense aliases this)
 	denseOwn []int32      // owned-community row c/p → dense ID, -1 = empty
 	cnt      *wire.Buffer // dense-count allgather encode scratch
+	need     []int        // referenced communities, grouped by owner, ascending
 
 	// Record arrays: two (x, y, w) column sets ping-ponged by the stable
 	// counting scatters. Column meaning is positional per pass (see merge).
@@ -117,40 +118,19 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 	}
 
-	// 2. Every rank learns the dense ID of each community it references.
-	// The exchange reuses the stage's pooled encode buffers (sendScratch).
-	reqs := s.neededCommunities()
-	out := s.sendScratch()
-	for r := 0; r < s.p; r++ {
-		b := s.sendBufs[r]
-		b.PutInts(reqs[r])
-		out[r] = b.Bytes()
+	// 2. Every rank learns the dense ID of each community it references from
+	// the community's owner. An empty community has no dense ID (-1), which
+	// the reply check refuses: every label in use is non-empty at its owner.
+	ms.need = ms.need[:0]
+	for _, cs := range s.neededCommunities() {
+		ms.need = append(ms.need, cs...)
 	}
-	in, err := s.alltoallv(out)
+	ids, err := s.resolveQueries(ms.need, total, func(c int) int { return int(ms.denseOwn[c/s.p]) })
 	if err != nil {
 		return nil, 0, err
 	}
-	replies := s.sendScratch()
-	for r := 0; r < s.p; r++ {
-		rd := wire.NewReader(in[r])
-		ids := rd.Ints()
-		if err := rd.Err(); err != nil {
-			return nil, 0, err
-		}
-		b := s.sendBufs[r]
-		for _, c := range ids {
-			d := int32(-1) // requested an empty or foreign community: must not happen for labels in use
-			if c >= 0 && c < s.n && s.owns(c) {
-				d = ms.denseOwn[c/s.p]
-			}
-			b.PutVarint(int64(d))
-		}
-		replies[r] = b.Bytes()
-	}
-	// Install dense IDs as each reply arrives: every community is in
-	// exactly one request bucket, so the per-source writes are disjoint
-	// and arrival order is immaterial. The dense table is pooled scratch
-	// reused across merge levels, reset by a sized fill.
+	// The dense table is pooled scratch reused across merge levels, reset by
+	// a sized fill.
 	if cap(ms.dense) >= s.n {
 		s.dense = ms.dense[:s.n]
 	} else {
@@ -158,15 +138,8 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.dense = s.dense
 	fillInt32(s.dense, -1)
-	err = comm.AlltoallvFunc(s.c, replies, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		for _, c := range reqs[src] {
-			s.dense[c] = int32(rd.Varint())
-		}
-		return rd.Err()
-	})
-	if err != nil {
-		return nil, 0, err
+	for i, c := range ms.need {
+		s.dense[c] = int32(ids[i])
 	}
 
 	// 3. Translate every local arc to dense IDs, in the seed's ship order
@@ -181,13 +154,11 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.xA, ms.yA, ms.wA = grow(ms.xA, m), grow(ms.yA, m), grow(ms.wA, m)
 	ms.xB, ms.yB, ms.wB = grow(ms.xB, m), grow(ms.yB, m), grow(ms.wB, m)
-	pos, unmapped := 0, false
+	pos := 0
 	translate := func(u int, adj []partition.Arc) {
 		cu := s.dense[s.comm[u]]
-		unmapped = unmapped || cu < 0
 		for _, a := range adj {
 			cv := s.dense[s.comm[a.To]]
-			unmapped = unmapped || cv < 0
 			ms.xA[pos] = cv // x = cv: pass-1 sort key
 			ms.yA[pos] = cu
 			ms.wA[pos] = a.W
@@ -199,9 +170,6 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	for i, h := range sg.Hubs {
 		translate(h, sg.AdjHub[i])
-	}
-	if unmapped {
-		return nil, 0, fmt.Errorf("core: rank %d: merge: local vertex references an unmapped community", s.rnk)
 	}
 
 	// 4. Two stable counting scatters bring the records into destination-
@@ -256,7 +224,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 		arcBufs[d] = b.Bytes()
 	}
-	arcIn, err := s.alltoallv(arcBufs)
+	arcIn, err := comm.Alltoallv(s.c, arcBufs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -561,9 +529,14 @@ func foldRuns(x, y []int32, w []int64, off []int) int {
 // only on r's frame), and each reply is scattered into the result as it
 // lands (pos buckets are disjoint), so all decode/encode work overlaps
 // in-flight traffic. The request routing slices and both legs' encode
-// buffers are pooled on the stage, so repeated calls (one per merge level,
+// buffers are pooled on the stage, so repeated calls (two per merge level,
 // one per update batch, one per install) allocate only the result slice.
-func (s *stage) resolveQueries(queries []int, lookup func(int) int) ([]int, error) {
+//
+// Each owner's queries go out in the order given, so ascending queries
+// make ascending request frames. Both legs come from peers and are checked:
+// a request may only name an id below n that this rank owns, and a reply
+// must hold one value in [0, bound) per query asked of its sender.
+func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) ([]int, error) {
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
 		s.rqPos[r] = s.rqPos[r][:0]
@@ -589,10 +562,13 @@ func (s *stage) resolveQueries(queries []int, lookup func(int) int) ([]int, erro
 		rd := wire.NewReader(payload)
 		ids := rd.Ints()
 		if err := rd.Err(); err != nil {
-			return err
+			return s.frameErr("resolve request", src, err)
 		}
 		b := s.rqBufs[src]
 		for _, x := range ids {
+			if x < 0 || x >= s.n || !s.owns(x) {
+				return s.frameErr("resolve request", src, nil)
+			}
 			b.PutVarint(int64(lookup(x)))
 		}
 		s.rqFrames[src] = b.Bytes()
@@ -605,9 +581,16 @@ func (s *stage) resolveQueries(queries []int, lookup func(int) int) ([]int, erro
 	err = comm.AlltoallvFunc(s.c, s.rqFrames, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for _, i := range s.rqPos[src] {
-			res[i] = int(rd.Varint())
+			v := rd.Varint()
+			if rd.Err() != nil || v < 0 || v >= int64(bound) {
+				return s.frameErr("resolve reply", src, rd.Err())
+			}
+			res[i] = int(v)
 		}
-		return rd.Err()
+		if rd.Remaining() != 0 {
+			return s.frameErr("resolve reply", src, errLongFrame)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -51,7 +51,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 		b.PutInts(reqs[r])
 		out[r] = b.Bytes()
 	}
-	in, err := s.alltoallv(out)
+	in, err := comm.Alltoallv(s.c, out)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -108,7 +108,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 	for r := 0; r < s.p; r++ {
 		arcBufs[r] = s.sendBufs[r].Bytes()
 	}
-	arcIn, err := s.alltoallv(arcBufs)
+	arcIn, err := comm.Alltoallv(s.c, arcBufs)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -202,7 +202,7 @@ func (s *Session) solve() (*rankOut, error) {
 	}
 	for {
 		if opt.MaxOuterLevels > 0 && out.outer >= opt.MaxOuterLevels {
-			cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.comm[x]) })
+			cur, err = cs.resolveQueries(cur, cs.n, func(x int) int { return int(cs.comm[x]) })
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func (s *Session) solve() (*rankOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.dense[cs.comm[x]]) })
+		cur, err = cs.resolveQueries(cur, k, func(x int) int { return int(cs.dense[cs.comm[x]]) })
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +241,7 @@ func (s *Session) solve() (*rankOut, error) {
 		out.comm2NS += r2.CommSimNS
 		if r2.Q-prevQ < opt.MinGain {
 			// Keep this stage's (possibly tiny) improvement, then stop.
-			cur, err = cs.resolveQueries(cur, func(x int) int { return int(cs.comm[x]) })
+			cur, err = cs.resolveQueries(cur, cs.n, func(x int) int { return int(cs.comm[x]) })
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +314,7 @@ func (s *Session) install() error {
 	s.st = st
 
 	// Exchange 2: resolve every tracked vertex's label to its representative.
-	reps, err := st.resolveQueries(labels, func(l int) int { return repOf[l] })
+	reps, err := st.resolveQueries(labels, s.n, func(l int) int { return repOf[l] })
 	if err != nil {
 		return err
 	}
@@ -687,14 +687,11 @@ func (s *Session) subscribeFor(x, y int) {
 // even when their own list is empty.
 func (s *Session) resolveNewGhosts() error {
 	st := s.st
-	labels, err := st.resolveQueries(s.newGhosts, func(v int) int { return int(st.comm[v]) })
+	labels, err := st.resolveQueries(s.newGhosts, s.n, func(v int) int { return int(st.comm[v]) })
 	if err != nil {
 		return err
 	}
 	for i, g := range s.newGhosts {
-		if labels[i] < 0 || labels[i] >= s.n {
-			return fmt.Errorf("core: rank %d: owner of new ghost %d answered community %d outside [0,%d)", s.rnk, g, labels[i], s.n)
-		}
 		st.comm[g] = int32(labels[i])
 		st.watch(labels[i]) // registered by the flush that follows in ApplyUpdates
 	}
@@ -783,7 +780,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 			st.sendBufs[r].PutInts(out)
 			bufs[r] = st.sendBufs[r].Bytes()
 		}
-		in, err := st.alltoallv(bufs)
+		in, err := comm.Alltoallv(s.c, bufs)
 		if err != nil {
 			return err
 		}

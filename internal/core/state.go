@@ -125,12 +125,6 @@ type stage struct {
 	sendBufs []*wire.Buffer
 	frames   [][]byte
 
-	// recvIn is the receive-side scratch handed to comm.AlltoallvInto: the
-	// slice header and the self-copy backing array are reused across
-	// exchanges, so steady-state iterations allocate nothing for them (the
-	// peer slots are replaced by transport buffers each call).
-	recvIn [][]byte
-
 	// idPrev holds the previous id per peer for the stride-delta encoders
 	// (encodeFlush, ghostSwap).
 	idPrev []int
@@ -242,7 +236,6 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.rqFrames = make([][]byte, s.p)
 	s.rqReqs = make([][]int, s.p)
 	s.rqPos = make([][]int, s.p)
-	s.recvIn = make([][]byte, s.p)
 	s.reqs = make([][]int, s.p)
 	s.idPrev = make([]int, s.p)
 	s.wHead = make([]int32, n/s.p+1)

@@ -26,12 +26,6 @@ func (s *stage) sendScratch() [][]byte {
 	return s.frames
 }
 
-// alltoallv is the stage's personalized exchange with the received frames
-// landing in pooled scratch.
-func (s *stage) alltoallv(out [][]byte) ([][]byte, error) {
-	return comm.AlltoallvInto(s.c, out, s.recvIn)
-}
-
 // Aggregate synchronisation (docs/PERFORMANCE.md, "Aggregate
 // synchronisation"). A rank does not ask for the aggregates it needs every
 // iteration; it registers a standing watch with a community's owner the

@@ -213,11 +213,12 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 }
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
-// exchanges and of the merge's arc exchange — an id past the end of the
-// dense arrays, a repeated id, a vertex or hub outside what the sender may
-// address, a truncated record, a record count the frame cannot hold,
-// trailing bytes — into rank 0's receive path from rank 1. Every one must
-// come back from the exchange as an error naming rank 1: no panic, no write.
+// exchanges, of the owner lookups (both legs) and of the merge's arc
+// exchange — an id past the end of the dense arrays, a repeated id, a vertex
+// or hub outside what the sender may address, a truncated record, a record
+// count the frame cannot hold, trailing bytes — into rank 0's receive path
+// from rank 1. Every one must come back from the exchange as an error
+// naming rank 1: no panic, no write.
 // (A community id of another rank's residue cannot be written down at all:
 // the stride-delta streams only reach the addressed owner's slots.) At the
 // parent commit an out-of-range id panicked inside the rank goroutine (index
@@ -266,6 +267,20 @@ func TestGarbledFrames(t *testing.T) {
 	moves := func(b *wire.Buffer, i uint64) {
 		b.PutUvarint(0)
 		b.PutUvarint(i + 1)
+	}
+	// denseReply is rank 1's dense-ID reply to rank 0's merge request: one id
+	// per community asked, the first far past the coarse vertex count.
+	denseReply := func(s *stage) []byte {
+		k := len(s.neededCommunities()[1])
+		if k == 0 {
+			t.Error("rank 0 references no community of rank 1")
+		}
+		return enc(func(b *wire.Buffer) {
+			b.PutVarint(1 << 30)
+			for i := 1; i < k; i++ {
+				b.PutVarint(0)
+			}
+		})
 	}
 	// Frames as rank 1 would address them to rank 0 (p = 4).
 	cases := []struct {
@@ -385,6 +400,17 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutUvarint(1)
 			b.PutUvarint(7)
 		})},
+		// Owner lookups: a request is a length-prefixed id list, a reply one
+		// varint per id asked. Every rank asks for vertices 0–3, one per owner.
+		{"resolve/request-out-of-range", "request", enc(func(b *wire.Buffer) { b.PutInts([]int{n + 5}) })},
+		{"resolve/request-foreign", "request", enc(func(b *wire.Buffer) { b.PutInts([]int{1}) })},
+		{"resolve/reply-truncated", "reply", []byte{}},
+		{"resolve/reply-trailing", "reply", enc(func(b *wire.Buffer) {
+			b.PutVarint(1)
+			b.PutVarint(1)
+		})},
+		{"resolve/reply-out-of-range", "reply", enc(func(b *wire.Buffer) { b.PutVarint(int64(n)) })},
+		{"merge/dense-reply-out-of-range", "dense", nil}, // denseReply
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -395,15 +421,28 @@ func TestGarbledFrames(t *testing.T) {
 				tc0 := &tamperComm{Comm: c}
 				s := newStage(tc0, layout.Parts[c.Rank()], opt)
 				run := func() error {
-					if tc.step == "merge" {
+					switch tc.step {
+					case "merge", "dense":
 						if _, err := s.clusterNew(); err != nil {
 							return err
 						}
-						if c.Rank() == 0 {
+						if c.Rank() == 0 && tc.step == "merge" {
 							// Pass the request and reply legs; garble the arcs.
 							tc0.arm(1, 2, tc.frame)
+						} else if c.Rank() == 0 {
+							tc0.arm(1, 1, denseReply(s))
 						}
 						_, _, err := s.merge()
+						return err
+					case "request", "reply":
+						if c.Rank() == 0 {
+							skip := 0
+							if tc.step == "reply" {
+								skip = 1
+							}
+							tc0.arm(1, skip, tc.frame)
+						}
+						_, err := s.resolveQueries([]int{0, 1, 2, 3}, n, func(x int) int { return int(s.comm[x]) })
 						return err
 					}
 					if err := s.registerWatches(); err != nil {
@@ -446,8 +485,13 @@ func TestGarbledFrames(t *testing.T) {
 				t.Fatal("the garbled frame was accepted")
 			}
 			want := "from rank 1"
-			if tc.step == "merge" {
+			switch tc.step {
+			case "merge":
 				want = "merge arc frame from rank 1"
+			case "request":
+				want = "resolve request frame from rank 1"
+			case "reply", "dense":
+				want = "resolve reply frame from rank 1"
 			}
 			if !strings.Contains(rank0.Error(), want) {
 				t.Fatalf("want an error naming %q, got: %v", want, rank0)

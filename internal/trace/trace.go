@@ -7,11 +7,8 @@ package trace
 import (
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +16,7 @@ import (
 // packages under internal/ must not write to process-global streams (the
 // noprint analyzer enforces this — experiment tables own stdout, and p
 // ranks printing concurrently interleave into garbage), so runtime
-// diagnostics go through Logf, whose writer is injectable and serialized.
+// diagnostics go through Eventf, whose writer is injectable and serialized.
 
 // Now returns the current wall-clock time. It exists so solver packages
 // can take timestamps without calling time.Now directly: the nondet
@@ -32,38 +29,10 @@ func Now() time.Time { return time.Now() }
 // Since returns the wall-clock time elapsed since t (see Now).
 func Since(t time.Time) time.Duration { return time.Since(t) }
 
-var (
-	logMu  sync.Mutex
-	logOut io.Writer = os.Stderr
-)
-
-// SetLogOutput redirects Logf; w == nil restores the default (stderr).
-// Tests use this to capture or silence library diagnostics.
-func SetLogOutput(w io.Writer) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	if w == nil {
-		w = os.Stderr
-	}
-	logOut = w
-}
-
-// Logf writes one diagnostic line (a newline is appended if missing).
-// Safe for concurrent use from multiple ranks.
-func Logf(format string, args ...any) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	fmt.Fprintf(logOut, format, args...)
-	if !strings.HasSuffix(format, "\n") {
-		io.WriteString(logOut, "\n")
-	}
-}
-
-// Event stream. Unlike Logf (diagnostics that default to stderr), events
-// are high-volume runtime occurrences — fault injections, retries,
-// reconnects — that are silenced by default and enabled by tests or
-// operators chasing a robustness problem. Each line is prefixed with its
-// kind so a capture can be grepped per event class.
+// Event stream. Events are high-volume runtime occurrences — fault
+// injections, retries, reconnects — that are silenced by default and enabled
+// by tests or operators chasing a robustness problem. Each line is prefixed
+// with its kind so a capture can be grepped per event class.
 
 var (
 	eventMu  sync.Mutex
@@ -90,141 +59,6 @@ func Eventf(kind, format string, args ...any) {
 	fmt.Fprintf(eventOut, format, args...)
 	if !strings.HasSuffix(format, "\n") {
 		io.WriteString(eventOut, "\n")
-	}
-}
-
-// Per-collective accounting. The comm layer reports every collective call
-// (kind, wall time, payload bytes) here when enabled; benchmarks use the
-// snapshot to attribute per-iteration latency and volume to individual
-// collective kinds (the Fig. 8 communication breakdown). Disabled by
-// default: the guard is a single atomic load, so production runs pay no
-// time.Now() calls.
-
-// Collective identifies one collective-operation kind.
-type Collective int
-
-const (
-	// CollAlltoallv covers Alltoallv, AlltoallvInto and the streaming
-	// AlltoallvFunc.
-	CollAlltoallv Collective = iota
-	// CollAllgather is the ring allgather.
-	CollAllgather
-	// CollAllreduce covers AllreduceBytes and every record reduction built
-	// on it (the scalar wrappers, IterStats, UpdateStats).
-	CollAllreduce
-	// CollGather is the rooted gather.
-	CollGather
-	// CollBcast is the binomial-tree broadcast.
-	CollBcast
-	// CollBarrier is the dissemination barrier.
-	CollBarrier
-
-	numCollectives
-)
-
-func (k Collective) String() string {
-	switch k {
-	case CollAlltoallv:
-		return "Alltoallv"
-	case CollAllgather:
-		return "Allgather"
-	case CollAllreduce:
-		return "Allreduce"
-	case CollGather:
-		return "Gather"
-	case CollBcast:
-		return "Bcast"
-	case CollBarrier:
-		return "Barrier"
-	default:
-		return fmt.Sprintf("Collective(%d)", int(k))
-	}
-}
-
-var collStatsOn atomic.Bool
-
-type collCounter struct {
-	calls atomic.Int64
-	ns    atomic.Int64
-	bytes atomic.Int64
-}
-
-var collStats [numCollectives]collCounter
-
-// EnableCollectiveStats switches per-collective accounting on or off.
-func EnableCollectiveStats(on bool) { collStatsOn.Store(on) }
-
-// CollectiveStatsEnabled reports whether accounting is on. Callers check
-// this before taking timestamps so the disabled path costs one atomic load.
-func CollectiveStatsEnabled() bool { return collStatsOn.Load() }
-
-// RecordCollective accumulates one collective call. Safe for concurrent use
-// from multiple ranks; a no-op while accounting is disabled.
-func RecordCollective(k Collective, ns, bytes int64) {
-	if !collStatsOn.Load() || k < 0 || k >= numCollectives {
-		return
-	}
-	collStats[k].calls.Add(1)
-	collStats[k].ns.Add(ns)
-	collStats[k].bytes.Add(bytes)
-}
-
-// CollectiveStat is a point-in-time copy of one collective kind's counters.
-type CollectiveStat struct {
-	Calls, NS, Bytes int64
-}
-
-// CollectiveTotals sums the counters over all collective kinds.
-func CollectiveTotals() CollectiveStat {
-	var t CollectiveStat
-	for i := range collStats {
-		t.Calls += collStats[i].calls.Load()
-		t.NS += collStats[i].ns.Load()
-		t.Bytes += collStats[i].bytes.Load()
-	}
-	return t
-}
-
-// CollectiveSnapshot returns the non-zero counters keyed by kind name.
-func CollectiveSnapshot() map[string]CollectiveStat {
-	m := make(map[string]CollectiveStat)
-	for i := range collStats {
-		s := CollectiveStat{
-			Calls: collStats[i].calls.Load(),
-			NS:    collStats[i].ns.Load(),
-			Bytes: collStats[i].bytes.Load(),
-		}
-		if s.Calls != 0 {
-			m[Collective(i).String()] = s
-		}
-	}
-	return m
-}
-
-// FormatCollectiveSnapshot renders a snapshot as one stable-ordered line.
-func FormatCollectiveSnapshot(m map[string]CollectiveStat) string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			sb.WriteString(" ")
-		}
-		s := m[k]
-		fmt.Fprintf(&sb, "%s{calls=%d ns=%d bytes=%d}", k, s.Calls, s.NS, s.Bytes)
-	}
-	return sb.String()
-}
-
-// ResetCollectiveStats zeroes all per-collective counters.
-func ResetCollectiveStats() {
-	for i := range collStats {
-		collStats[i].calls.Store(0)
-		collStats[i].ns.Store(0)
-		collStats[i].bytes.Store(0)
 	}
 }
 
@@ -272,14 +106,6 @@ type Breakdown struct {
 // Add accumulates d into phase p.
 func (b *Breakdown) Add(p Phase, d time.Duration) {
 	b.Durations[p] += d
-}
-
-// Merge adds another breakdown into this one.
-func (b *Breakdown) Merge(o Breakdown) {
-	for i := range b.Durations {
-		b.Durations[i] += o.Durations[i]
-	}
-	b.Iters += o.Iters
 }
 
 // Total returns the summed duration over all phases.

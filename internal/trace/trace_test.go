@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -18,25 +17,6 @@ func TestBreakdownAddAndTotal(t *testing.T) {
 	}
 	if got := b.Total(); got != 16*time.Millisecond {
 		t.Errorf("Total = %v", got)
-	}
-}
-
-func TestBreakdownMerge(t *testing.T) {
-	var a, b Breakdown
-	a.Add(Other, time.Second)
-	a.Iters = 2
-	b.Add(Other, time.Second)
-	b.Add(BroadcastDelegates, time.Millisecond)
-	b.Iters = 3
-	a.Merge(b)
-	if a.Durations[Other] != 2*time.Second {
-		t.Errorf("Other = %v", a.Durations[Other])
-	}
-	if a.Durations[BroadcastDelegates] != time.Millisecond {
-		t.Errorf("BroadcastDelegates = %v", a.Durations[BroadcastDelegates])
-	}
-	if a.Iters != 5 {
-		t.Errorf("Iters = %d", a.Iters)
 	}
 }
 
@@ -76,44 +56,6 @@ func TestBreakdownString(t *testing.T) {
 	for _, want := range []string{"FindBestCommunity=", "SwapGhostVertexState=", "Other="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
-		}
-	}
-}
-
-func TestLogfRedirects(t *testing.T) {
-	var buf bytes.Buffer
-	SetLogOutput(&buf)
-	defer SetLogOutput(nil)
-	Logf("hello %d", 7)
-	Logf("already terminated\n")
-	if got := buf.String(); got != "hello 7\nalready terminated\n" {
-		t.Errorf("Logf output = %q", got)
-	}
-}
-
-func TestLogfConcurrent(t *testing.T) {
-	// Lines from concurrent ranks must come out whole, not interleaved.
-	var buf bytes.Buffer
-	SetLogOutput(&buf)
-	defer SetLogOutput(nil)
-	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				Logf("rank %d line %d", r, i)
-			}
-		}(r)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 8*50 {
-		t.Fatalf("got %d lines, want %d", len(lines), 8*50)
-	}
-	for _, ln := range lines {
-		if !strings.HasPrefix(ln, "rank ") || !strings.Contains(ln, " line ") {
-			t.Fatalf("torn log line %q", ln)
 		}
 	}
 }

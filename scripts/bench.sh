@@ -47,8 +47,8 @@ go test -run '^$' -bench '^BenchmarkOocorePipeline$' -timeout 12h \
 echo "== merge benchmarks (-benchtime $MACRO_TIME) ==" >&2
 # Stage-2 distributed merge (PR 10): the seed map-of-maps implementation
 # against the zero-map counting-sort pipeline on the same converged world.
-# ns/op, allocs/op, and wire-B/op (per-rank collective payload, from the
-# trace collective counters) are the acceptance metrics.
+# ns/op, allocs/op, and wire-B/op (bytes sent per rank, from each
+# endpoint's traffic counters) are the acceptance metrics.
 go test -run '^$' -bench '^BenchmarkMerge(Seed|Preagg)$' -benchtime "$MACRO_TIME" -benchmem \
     ./internal/core/
 
