@@ -8,6 +8,8 @@
 //	worker -rank 0 -addrs $ADDRS -gen lfr:n=5000,mu=0.3 &
 //	worker -rank 1 -addrs $ADDRS -gen lfr:n=5000,mu=0.3 &
 //	worker -rank 2 -addrs $ADDRS -gen lfr:n=5000,mu=0.3
+//
+// Exit status: 0 solved, 1 loading, connecting or solving failed, 2 usage.
 package main
 
 import (
@@ -26,48 +28,73 @@ import (
 	"repro/internal/wire"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the testable body of the command: args are the raw command-line
+// arguments (program name excluded), output goes to the given writers, and
+// the return value is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		rank        = flag.Int("rank", -1, "this worker's rank")
-		addrList    = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
-		graphPath   = flag.String("graph", "", "path to a graph file (.txt/.bin/.sbin/.metis; all workers must use the same input)")
-		genSpec     = flag.String("gen", "", "generator spec (all workers must use the same spec)")
-		oocore      = flag.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
-		heuristic   = flag.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
-		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
+		rank        = fs.Int("rank", -1, "this worker's rank")
+		addrList    = fs.String("addrs", "", "comma-separated listen addresses, one per rank")
+		graphPath   = fs.String("graph", "", "path to a graph file (.txt/.bin/.sbin/.metis; all workers must use the same input)")
+		genSpec     = fs.String("gen", "", "generator spec (all workers must use the same spec)")
+		oocore      = fs.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
+		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
+		workers     = fs.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
 
 		// Robustness knobs (docs/ROBUSTNESS.md). Workers of one world are
 		// rarely started simultaneously, so dials retry with backoff until
 		// -dial-total; once the world is up, -comm-deadline bounds every
 		// receive so a dead peer fails the run instead of hanging it.
-		dialTotal    = flag.Duration("dial-total", 30*time.Second, "total budget for dialing the other workers (retries with backoff)")
-		dialBase     = flag.Duration("dial-base", 50*time.Millisecond, "initial dial retry backoff")
-		commDeadline = flag.Duration("comm-deadline", 0, "per-receive deadline; 0 blocks forever (e.g. 30s)")
+		dialTotal    = fs.Duration("dial-total", 30*time.Second, "total budget for dialing the other workers (retries with backoff)")
+		dialBase     = fs.Duration("dial-base", 50*time.Millisecond, "initial dial retry backoff")
+		commDeadline = fs.Duration("comm-deadline", 0, "per-receive deadline; 0 blocks forever (e.g. 30s)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "worker: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "worker:", err)
+		return 1
+	}
 
 	addrs := strings.Split(*addrList, ",")
 	if *rank < 0 || *rank >= len(addrs) {
-		fatal(fmt.Errorf("-rank %d out of range for %d addresses", *rank, len(addrs)))
+		return usage("-rank %d out of range for %d addresses", *rank, len(addrs))
 	}
+	if *oocore && !strings.HasSuffix(*graphPath, ".sbin") {
+		return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin")
+	}
+	opt := core.Options{P: len(addrs), CommDeadline: *commDeadline, Workers: *workers}
+	var err error
+	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
+		return usage("%v", err)
+	}
+	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
+		return usage("%v", err)
+	}
+
 	tIngest := time.Now()
 	var (
-		g   *graph.Graph
-		s   *graph.Sharded
-		sc  io.Closer
-		err error
+		g  *graph.Graph
+		s  *graph.Sharded
+		sc io.Closer
 	)
 	if *oocore {
-		if !strings.HasSuffix(*graphPath, ".sbin") {
-			fatal(fmt.Errorf("-oocore solves from a sharded binary; pass -graph FILE.sbin"))
-		}
 		s, sc, err = graph.OpenShardedFile(*graphPath)
 	} else {
 		g, _, err = gen.Load(*graphPath, *genSpec, *workers)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	ingestTime := time.Since(tIngest)
 
@@ -75,17 +102,9 @@ func main() {
 		Backoff: comm.Backoff{Base: *dialBase, Total: *dialTotal},
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer ep.Close()
-
-	opt := core.Options{P: len(addrs), CommDeadline: *commDeadline, Workers: *workers}
-	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
-		fatal(err)
-	}
-	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
-		fatal(err)
-	}
 
 	var res *core.RankResult
 	if *oocore {
@@ -94,18 +113,18 @@ func main() {
 		// rank ever holds the whole graph.
 		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
 		if berr != nil {
-			fatal(berr)
+			return fail(berr)
 		}
 		opt.DHigh = layout.DHigh
 		if err := sc.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		res, err = core.RunRankLayout(ep, layout.Parts[*rank], opt)
 	} else {
 		res, err = core.RunRank(ep, g, opt)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	// Gather every rank's piece at rank 0 and assemble the membership. Each
@@ -117,13 +136,13 @@ func main() {
 	b.PutInts([]int{int(res.WorkUnits)})
 	pieces, err := comm.Gather(ep, 0, b.Bytes())
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *rank != 0 {
-		fmt.Printf("rank %d done: Q=%.6f, stage1 iters %d\n", *rank, res.Modularity, res.Stage1Iters)
-		return
+		fmt.Fprintf(stdout, "rank %d done: Q=%.6f, stage1 iters %d\n", *rank, res.Modularity, res.Stage1Iters)
+		return 0
 	}
-	fmt.Printf("times: ingest %v, stage1 %v, stage2 %v\n", ingestTime, res.Stage1Time, res.Stage2Time)
+	fmt.Fprintf(stdout, "times: ingest %v, stage1 %v, stage2 %v\n", ingestTime, res.Stage1Time, res.Stage2Time)
 	nGlobal := 0
 	if g != nil {
 		nGlobal = g.NumVertices()
@@ -138,7 +157,7 @@ func main() {
 		labels := rd.Ints()
 		work := rd.Ints()
 		if err := rd.Err(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for i, u := range tracked {
 			membership[u] = labels[i]
@@ -150,22 +169,18 @@ func main() {
 		}
 	}
 	k := membership.Normalize()
-	fmt.Printf("distributed run over %d TCP workers complete\n", len(addrs))
+	fmt.Fprintf(stdout, "distributed run over %d TCP workers complete\n", len(addrs))
 	if g != nil {
-		fmt.Printf("modularity: %.6f (%d communities), verified %.6f\n",
+		fmt.Fprintf(stdout, "modularity: %.6f (%d communities), verified %.6f\n",
 			res.Modularity, k, graph.Modularity(g, membership))
 	} else {
 		// Out of core there is no in-RAM graph to recompute Q against.
-		fmt.Printf("modularity: %.6f (%d communities)\n", res.Modularity, k)
+		fmt.Fprintf(stdout, "modularity: %.6f (%d communities)\n", res.Modularity, k)
 	}
 	balance := 0.0
 	if workSum > 0 {
 		balance = float64(workMax) * float64(len(addrs)) / float64(workSum)
 	}
-	fmt.Printf("load: balance=%.3f (work max/mean)\n", balance)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "worker:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "load: balance=%.3f (work max/mean)\n", balance)
+	return 0
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // AnalyzerCollectiveSym flags the classic SPMD deadlock pattern: a comm
-// collective (Barrier, Bcast, Allreduce*, Allgather, Alltoallv, Gather)
+// collective (Allreduce*, Allgather, Alltoallv*, Gather)
 // that is lexically nested inside rank-dependent control flow. Every rank
 // must execute the same sequence of collectives in the same order; a
 // collective reached by only some ranks leaves the others blocked in a
@@ -48,22 +48,15 @@ var AnalyzerCollectiveSym = &Analyzer{
 // symmetrically by every rank of the world. TestCommTablesMatchPackage
 // keeps the table equal to the package's exported surface.
 var collectiveNames = map[string]bool{
-	"Barrier":             true,
-	"Bcast":               true,
 	"AllreduceBytes":      true,
 	"AllreduceFloat64Sum": true,
 	"AllreduceInt64Sum":   true,
 	"Allgather":           true,
-	"AllgatherInto":       true,
 	"Alltoallv":           true,
 	"AlltoallvFunc":       true,
 	"Gather":              true,
 	// The per-iteration record reduction.
 	"AllreduceIterStats": true,
-	// Resident serving: every rank of a resident world must enter the
-	// per-batch drift reduction, or the update call wedges with some ranks
-	// inside the collective and the rest back in their command loop.
-	"AllreduceUpdateStats": true,
 }
 
 // rankNames are identifiers assumed to hold a rank by naming convention.

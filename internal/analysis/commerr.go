@@ -14,10 +14,10 @@ import (
 //
 // Flagged forms, for Send/Recv and every collective:
 //
-//	comm.Barrier(c)            // call statement, result dropped
+//	comm.Allgather(c, b)       // call statement, result dropped
 //	_ = c.Send(dst, tag, b)    // error assigned to blank
 //	b, _ := c.Recv(src, tag)   // error position assigned to blank
-//	go comm.Barrier(c)         // error unobservable in go/defer
+//	go comm.Allgather(c, b)    // error unobservable in go/defer
 //
 // Close is deliberately not in the checked set: teardown errors after the
 // final gather are routinely unactionable (mirroring common io.Closer
@@ -41,20 +41,14 @@ var AnalyzerCommErr = &Analyzer{
 // TestCommTablesMatchPackage fails on a name the comm package no longer has.
 var commErrOps = map[string]bool{
 	"Send": true, "Recv": true,
-	"Barrier": true, "Bcast": true, "AllreduceBytes": true,
-	"AllreduceFloat64Sum": true, "AllreduceInt64Sum": true, "AllreduceIterStats": true,
-	"Allgather": true, "AllgatherInto": true, "Gather": true,
-	"Alltoallv": true, "AlltoallvFunc": true,
+	"AllreduceBytes": true, "AllreduceFloat64Sum": true,
+	"AllreduceInt64Sum": true, "AllreduceIterStats": true,
+	"Allgather": true, "Gather": true, "Alltoallv": true, "AlltoallvFunc": true,
 	"RunWorld": true, "RunWorldStats": true, "DialTCPWorld": true,
-	// Robustness layer: deadline-bounded receives, retry wrappers,
-	// configurable dialing, and chaos worlds fail for the same reasons the
-	// plain operations do, so their errors carry the same obligation.
-	"RecvTimeout": true, "Retry": true,
-	"DialTCPWorldConfig": true, "RunWorldChaos": true, "Drain": true,
-	// Resident serving: the fused drift reduction behind every incremental
-	// update batch. A dropped error here leaves the drift accounting
-	// divergent across ranks, so the fallback decision splits.
-	"AllreduceUpdateStats": true,
+	// Robustness layer: retry wrappers, configurable dialing, and chaos
+	// worlds fail for the same reasons the plain operations do, so their
+	// errors carry the same obligation.
+	"Retry": true, "DialTCPWorldConfig": true, "RunWorldChaos": true, "Drain": true,
 }
 
 // graphIOOps are the graph package's IO entry points: every one reports

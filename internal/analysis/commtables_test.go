@@ -7,10 +7,10 @@ import (
 )
 
 // nonCollectives are the exported comm functions that take a Comm first
-// and are NOT symmetric collectives: a decorator constructor and the two
-// per-endpoint deadline helpers.
+// and are NOT symmetric collectives: a decorator constructor and the
+// per-endpoint deadline setting.
 var nonCollectives = map[string]bool{
-	"NewChaosComm": true, "SetRecvTimeout": true, "RecvTimeout": true,
+	"NewChaosComm": true, "SetRecvTimeout": true,
 }
 
 // declaredNames returns every package-level function name of pkg and every

@@ -24,13 +24,8 @@ var testOnlyExports = map[string]string{
 	"repro/internal/partition.Census.TotalArcs": "arc-conservation check of the partition tests",
 	"repro/internal/expt.RunAll":                "runs every experiment; the smoke test is its caller, cmd/experiments runs them by name",
 	"repro/internal/loadgen.Replay":             "deterministic replay of a plan, pinned by TestReplayDeterministic",
+	"repro/internal/loadgen.Run":                "the timed run of a plan, with the latency percentiles TestRunClosedLoop checks",
 	"repro/internal/trace.Breakdown.Total":      "phase sum that core's TestStage1TimingsPopulated checks is positive",
-	// Collectives the conformance suite covers on both transports and the
-	// kernel benchmarks call, with no production caller since PR 13.
-	"repro/internal/comm.Barrier": "conformance-suite collective; kernel benchmarks use it to line ranks up",
-	"repro/internal/comm.Bcast":   "conformance-suite collective",
-	// Found by this test with no caller anywhere, tests included.
-	"repro/internal/loadgen.Sweep": "no caller since the serving ladder moved to BenchmarkServeLoad's own loop",
 }
 
 // exportKey names a function or method independently of which type-check

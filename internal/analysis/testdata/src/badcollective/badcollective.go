@@ -5,13 +5,13 @@ package badcollective
 
 import "repro/internal/comm"
 
-// RootOnlyBarrier is the textbook SPMD deadlock: rank 0 enters the
-// Barrier, every other rank returns, and rank 0 blocks forever.
-func RootOnlyBarrier(c comm.Comm) error {
+// RootOnlyGather is the textbook SPMD deadlock: rank 0 enters the
+// Gather, every other rank returns, and rank 0 blocks forever.
+func RootOnlyGather(c comm.Comm) ([][]byte, error) {
 	if c.Rank() == 0 {
-		return comm.Barrier(c) // want collectivesym
+		return comm.Gather(c, 0, nil) // want collectivesym
 	}
-	return nil
+	return nil, nil
 }
 
 // DerivedRank exercises the dataflow heuristic: the branch condition does
@@ -39,7 +39,8 @@ func SwitchOnRank(c comm.Comm) ([][]byte, error) {
 // branching on it keeps the collective schedule symmetric.
 func SymmetricOK(c comm.Comm) error {
 	if c.Size() > 1 {
-		return comm.Barrier(c)
+		_, err := comm.AllreduceInt64Sum(c, 1)
+		return err
 	}
 	return nil
 }

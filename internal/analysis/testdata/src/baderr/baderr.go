@@ -12,9 +12,9 @@ import (
 
 const tagWork = 2
 
-// DropStatement drops Barrier's error on the floor.
+// DropStatement drops Allgather's error on the floor.
 func DropStatement(c comm.Comm) {
-	comm.Barrier(c) // want commerr
+	comm.Allgather(c, nil) // want commerr
 }
 
 // DropBlank assigns Send's error to the blank identifier.
@@ -30,13 +30,13 @@ func DropRecvErr(c comm.Comm, src int) []byte {
 
 // DropInGo makes the error unobservable by construction.
 func DropInGo(c comm.Comm) {
-	go comm.Barrier(c) // want collectivesym commerr
+	go comm.Allgather(c, nil) // want collectivesym commerr
 }
 
-// DropRecvTimeout blanks the error of a deadline-bounded receive; an
-// elapsed deadline means a wedged or dead peer and must be propagated.
-func DropRecvTimeout(c comm.Comm, src int) []byte {
-	b, _ := comm.RecvTimeout(c, src, tagWork, 0) // want commerr
+// DropGather blanks the error of the gather to a root; a failed gather
+// means a wedged or dead peer and must be propagated.
+func DropGather(c comm.Comm, root int) [][]byte {
+	b, _ := comm.Gather(c, root, nil) // want commerr
 	return b
 }
 
@@ -59,14 +59,15 @@ func DropDrain(cc *comm.ChaosComm) {
 
 // HandledOK is the control case.
 func HandledOK(c comm.Comm) error {
-	return comm.Barrier(c)
+	_, err := comm.Allgather(c, nil)
+	return err
 }
 
 // HandledRobustnessOK is the control case for the robustness layer.
 func HandledRobustnessOK(c comm.Comm, src int) error {
 	pol := comm.Backoff{}
 	if err := pol.Retry("recv", func() error {
-		_, err := comm.RecvTimeout(c, src, tagWork, 0)
+		_, err := c.Recv(src, tagWork)
 		return err
 	}); err != nil {
 		return err

@@ -21,13 +21,13 @@ func (p *pool) ParFor(nChunks int, kernel func(chunk, worker int)) {
 	}
 }
 
-// BarrierInTask puts a collective inside a ParFor kernel: with more than
-// one worker the Barrier's point-to-point traffic interleaves with whatever
-// the main goroutine posts next.
-func BarrierInTask(c comm.Comm, p *pool) error {
+// AllgatherInTask puts a collective inside a ParFor kernel: with more than
+// one worker the Allgather's point-to-point traffic interleaves with
+// whatever the main goroutine posts next.
+func AllgatherInTask(c comm.Comm, p *pool) error {
 	errs := make([]error, 4)
 	p.ParFor(4, func(chunk, worker int) {
-		errs[chunk] = comm.Barrier(c) // want collectivesym
+		_, errs[chunk] = comm.Allgather(c, nil) // want collectivesym
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -52,11 +52,12 @@ func ReduceInTask(c comm.Comm, p *pool) ([]float64, error) {
 	return sums, nil
 }
 
-// BarrierInGoroutine covers the plain go-statement form of the same bug.
-func BarrierInGoroutine(c comm.Comm) error {
+// AllgatherInGoroutine covers the plain go-statement form of the same bug.
+func AllgatherInGoroutine(c comm.Comm) error {
 	done := make(chan error, 1)
 	go func() {
-		done <- comm.Barrier(c) // want collectivesym
+		_, err := comm.Allgather(c, nil) // want collectivesym
+		done <- err
 	}()
 	return <-done
 }
@@ -112,11 +113,11 @@ func (p *exportedPool) ParFor(nChunks int, kernel func(chunk, worker int)) {
 	}
 }
 
-// BarrierInExportedTask covers the exported ParFor entry point.
-func BarrierInExportedTask(c comm.Comm, p *exportedPool) error {
+// AllgatherInExportedTask covers the exported ParFor entry point.
+func AllgatherInExportedTask(c comm.Comm, p *exportedPool) error {
 	errs := make([]error, 4)
 	p.ParFor(4, func(chunk, worker int) {
-		errs[chunk] = comm.Barrier(c) // want collectivesym
+		_, errs[chunk] = comm.Allgather(c, nil) // want collectivesym
 	})
 	for _, err := range errs {
 		if err != nil {

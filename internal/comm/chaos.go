@@ -246,7 +246,7 @@ func (cc *ChaosComm) setSticky(err error) {
 // fault script from the rank's seeded stream. The data slice is copied
 // immediately, honoring the Comm reuse contract.
 func (cc *ChaosComm) Send(dst, tag int, data []byte) error {
-	if err := checkPeer(cc, dst); err != nil {
+	if err := checkPeer(dst, cc.Size()); err != nil {
 		return err
 	}
 	if err := cc.opGate(); err != nil {
@@ -341,9 +341,13 @@ func (l *chaosLane) deliver(it chaosItem) {
 	}
 	if it.dup {
 		cc.dups.Add(1)
+		// The copy is redundant: the original is already on its way, and a
+		// peer that has received it may finish and close before the copy is
+		// sent (TCP then reports it down). A lost copy loses nothing, so it
+		// does not poison the endpoint.
 		//lint:ignore tagconst decorator lane forwards the caller's tag verbatim
 		if err := cc.inner.Send(l.dst, l.tag, it.frame); err != nil {
-			cc.setSticky(err)
+			trace.Eventf("chaos", "rank %d duplicate to %d tag %d not sent: %v", cc.inner.Rank(), l.dst, l.tag, err)
 		}
 	}
 }
@@ -351,25 +355,7 @@ func (l *chaosLane) deliver(it chaosItem) {
 // Recv receives the next non-duplicate message from (src, tag), honoring
 // the inner transport's deadline configuration.
 func (cc *ChaosComm) Recv(src, tag int) ([]byte, error) {
-	//lint:ignore tagconst decorator forwards the caller's tag verbatim
-	return cc.recv(src, tag, func() ([]byte, error) { return cc.inner.Recv(src, tag) })
-}
-
-// RecvTimeout is Recv bounded by d per matching attempt (duplicates
-// restart the wait; dedup is invisible to the deadline only in the
-// pathological case of a duplicate arriving right at expiry).
-func (cc *ChaosComm) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	return cc.recv(src, tag, func() ([]byte, error) { return RecvTimeout(cc.inner, src, tag, d) })
-}
-
-// SetRecvTimeout forwards the endpoint-wide deadline to the inner
-// transport when it supports one.
-func (cc *ChaosComm) SetRecvTimeout(d time.Duration) {
-	SetRecvTimeout(cc.inner, d)
-}
-
-func (cc *ChaosComm) recv(src, tag int, inner func() ([]byte, error)) ([]byte, error) {
-	if err := checkPeer(cc, src); err != nil {
+	if err := checkPeer(src, cc.Size()); err != nil {
 		return nil, err
 	}
 	if err := cc.opGate(); err != nil {
@@ -377,7 +363,8 @@ func (cc *ChaosComm) recv(src, tag int, inner func() ([]byte, error)) ([]byte, e
 	}
 	key := pairKey{src, tag}
 	for {
-		raw, err := inner()
+		//lint:ignore tagconst decorator forwards the caller's tag verbatim
+		raw, err := cc.inner.Recv(src, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -399,6 +386,12 @@ func (cc *ChaosComm) recv(src, tag int, inner func() ([]byte, error)) ([]byte, e
 		cc.stats.recordRecv(len(payload))
 		return payload, nil
 	}
+}
+
+// SetRecvTimeout forwards the endpoint-wide deadline to the inner
+// transport when it supports one.
+func (cc *ChaosComm) SetRecvTimeout(d time.Duration) {
+	SetRecvTimeout(cc.inner, d)
 }
 
 // Drain blocks until every scheduled delivery has run and returns the

@@ -5,11 +5,13 @@
 // A Comm is one rank's endpoint in a world of Size() ranks. Point-to-point
 // messages are byte slices addressed by (destination rank, tag); matching on
 // the receive side is by (source rank, tag) with FIFO order per pair, which
-// mirrors MPI's non-overtaking guarantee. Collectives (Barrier, Bcast,
-// Allreduce, Allgather, Alltoallv) are built on top of point-to-point in
-// collectives.go, overlap.go and reduce.go and work with any transport.
+// mirrors MPI's non-overtaking guarantee. The collectives are two
+// algorithms built on point-to-point, so they work with any transport: the
+// personalised all-to-all (overlap.go), which Allgather and Gather reuse
+// (collectives.go), and the recursive-doubling allreduce (collectives.go)
+// under the fixed-width record reductions (reduce.go).
 //
-// Two transports are provided:
+// Two transports are provided, sharing one receive path (mailbox.go):
 //
 //   - in-process (inproc.go): ranks are goroutines, messages travel through
 //     in-memory mailboxes. This is how the simulations and tests run.
@@ -22,7 +24,7 @@
 //
 // The layer is fault-aware: failures surface as typed sentinels (ErrPeerDown,
 // ErrTimeout, ErrClosed, ErrRetriesExhausted — see errors.go) rather than
-// hangs; receives can be deadline-bounded (deadline.go); dialing and writing
+// hangs; receives can be deadline-bounded (SetRecvTimeout); dialing and writing
 // retry transient errors with seeded exponential backoff (retry.go); and a
 // deterministic chaos-injection wrapper (chaos.go) plus a cross-transport
 // conformance suite (conformance_test.go) prove those contracts on every CI
@@ -61,8 +63,9 @@ type Comm interface {
 // tag registry below is the sole thing preventing two concurrent protocols
 // from consuming each other's messages:
 //
-//   - Tags < 0 are reserved for the collectives in collectives.go and are
-//     allocated here, in one block, via iota — never ad hoc.
+//   - Tags < 0 are reserved for the collectives and are allocated here, in
+//     one block, via iota — never ad hoc. tagBarrier and tagBcast belong to
+//     the test-only reference collectives (reference_test.go).
 //   - Tags >= 0 belong to user code (algorithm phases, experiment
 //     harnesses, tests).
 //   - Every tag used with Send/Recv must be a named constant with a tag
@@ -77,14 +80,13 @@ const (
 	tagBarrier = -1 - iota
 	tagBcast
 	tagReduce
-	tagAllgather
 	tagAlltoallv
-	tagGather
 )
 
-func checkPeer(c Comm, peer int) error {
-	if peer < 0 || peer >= c.Size() {
-		return fmt.Errorf("comm: peer rank %d out of range [0,%d)", peer, c.Size())
+// checkPeer rejects a peer rank outside a world of p ranks.
+func checkPeer(peer, p int) error {
+	if peer < 0 || peer >= p {
+		return fmt.Errorf("comm: peer rank %d out of range [0,%d)", peer, p)
 	}
 	return nil
 }
@@ -128,29 +130,8 @@ func (s *Stats) Snapshot() Snapshot {
 // each on its own goroutine. It returns the joined errors of all ranks.
 // This is the entry point used by all simulations and tests.
 func RunWorld(p int, fn func(Comm) error) error {
-	if p < 1 {
-		return fmt.Errorf("comm: world size %d, want >= 1", p)
-	}
-	world := newInprocWorld(p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			// Mark the rank dead once fn is finished (or has panicked), so
-			// peers blocked on it fail fast instead of deadlocking.
-			defer world.markDead(r)
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[r] = fmt.Errorf("comm: rank %d panicked: %v", r, rec)
-				}
-			}()
-			errs[r] = fn(world.endpoint(r))
-		}(r)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	_, err := RunWorldStats(p, fn)
+	return err
 }
 
 // WorldStats aggregates per-rank snapshots collected by RunWorldStats.
@@ -190,19 +171,21 @@ func RunWorldStats(p int, fn func(Comm) error) (WorldStats, error) {
 	for r := 0; r < p; r++ {
 		go func(r int) {
 			defer wg.Done()
+			// Mark the rank dead once fn is finished (or has panicked), so
+			// peers blocked on it fail fast instead of deadlocking.
 			defer world.markDead(r)
 			defer func() {
 				if rec := recover(); rec != nil {
 					errs[r] = fmt.Errorf("comm: rank %d panicked: %v", r, rec)
 				}
 			}()
-			errs[r] = fn(world.endpoint(r))
+			errs[r] = fn(world.eps[r])
 		}(r)
 	}
 	wg.Wait()
 	ws := WorldStats{PerRank: make([]Snapshot, p)}
 	for r := 0; r < p; r++ {
-		ws.PerRank[r] = world.endpoint(r).Stats().Snapshot()
+		ws.PerRank[r] = world.eps[r].Stats().Snapshot()
 	}
 	return ws, errors.Join(errs...)
 }

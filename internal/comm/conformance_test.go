@@ -237,8 +237,9 @@ func batteryTagIsolation(c Comm) error {
 	return nil
 }
 
-// batteryCollectives runs all seven collectives (plus the scalar wrappers)
-// and compares every result against a locally computed expectation,
+// batteryCollectives runs every collective, production and reference (plus
+// the scalar wrappers), and compares every result against a locally
+// computed expectation,
 // byte-for-byte. Under benign chaos this is the bit-identical-results
 // guarantee of the conformance suite.
 func batteryCollectives(c Comm) error {
@@ -355,21 +356,6 @@ func batteryCollectives(c Comm) error {
 		return fmt.Errorf("alltoallv-func: rank %d calls=%d first=%d, want %d calls and self first", r, calls, first, p)
 	}
 
-	// Scratch-reusing allgather, twice through the same scratch to prove a
-	// second round leaves no stale bytes behind.
-	agScratch := make([][]byte, p)
-	for round := 0; round < 2; round++ {
-		res, err := AllgatherInto(c, payload("ag2", r, round), agScratch)
-		if err != nil {
-			return fmt.Errorf("allgather-into: %w", err)
-		}
-		for i := 0; i < p; i++ {
-			if want := payload("ag2", i, round); !bytes.Equal(res[i], want) {
-				return fmt.Errorf("allgather-into: rank %d round %d slot %d got %q want %q", r, round, i, res[i], want)
-			}
-		}
-	}
-
 	gath, err := Gather(c, 0, payload("root", r))
 	if err != nil {
 		return fmt.Errorf("gather: %w", err)
@@ -416,7 +402,6 @@ func batteryFusedRecord(c Comm) error {
 			Q:      (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(30)-15)),
 		}
 		var want IterStats
-		var touched int64
 		var work, commNS uint64
 		var err error
 		if want.Moved, err = AllreduceInt64Sum(c, v.Moved); err != nil {
@@ -432,9 +417,6 @@ func batteryFusedRecord(c Comm) error {
 		if want.Q, err = AllreduceFloat64Sum(c, v.Q); err != nil {
 			return err
 		}
-		if touched, err = AllreduceInt64Sum(c, v.CommNS); err != nil {
-			return err
-		}
 		got, err := AllreduceIterStats(c, v)
 		if err != nil {
 			return err
@@ -444,25 +426,17 @@ func batteryFusedRecord(c Comm) error {
 			return fmt.Errorf("iterstats: p=%d rank %d round %d: fused %+v (Q %x), lane by lane %+v (Q %x)",
 				p, r, round, got, math.Float64bits(got.Q), want, math.Float64bits(want.Q))
 		}
-		us, err := AllreduceUpdateStats(c, UpdateStats{Moved: v.Moved, Touched: v.CommNS, Q: v.Q})
-		if err != nil {
-			return err
-		}
-		if us.Moved != want.Moved || us.Touched != touched || math.Float64bits(us.Q) != math.Float64bits(want.Q) {
-			return fmt.Errorf("updatestats: p=%d rank %d round %d: fused %+v, lane by lane {%d %d %x}",
-				p, r, round, us, want.Moved, touched, math.Float64bits(want.Q))
-		}
 	}
 	return nil
 }
 
 // batteryLossSafe is the battery for lossy regimes: Barrier, Bcast,
-// AllreduceBytes, Alltoallv, and Gather each use every (src, tag) stream
-// for at most one message at p=4, so a dropped message can only starve a
-// Recv (a typed ErrTimeout/ErrPeerDown), never shift a multi-message
-// stream and surface as a content mismatch. Ring-based collectives, which
-// reuse one stream per neighbor, are deliberately excluded here and
-// covered by the benign regimes.
+// AllreduceBytes and Alltoallv each use every (src, tag) stream for at most
+// one message at p=4, so a dropped message can only starve a Recv (a typed
+// ErrTimeout/ErrPeerDown), never shift a multi-message stream and surface
+// as a content mismatch. Collectives that reuse a stream are deliberately
+// excluded here and covered by the benign regimes: the ring allreduce, and
+// Allgather and Gather, which are Alltoallv again on its tag.
 func batteryLossSafe(c Comm) error {
 	p, r := c.Size(), c.Rank()
 	if err := Barrier(c); err != nil {
@@ -505,17 +479,6 @@ func batteryLossSafe(c Comm) error {
 	for i := 0; i < p; i++ {
 		if want := payload("a2a", i, r); !bytes.Equal(in[i], want) {
 			return fmt.Errorf("alltoallv: rank %d from %d got %q want %q", r, i, in[i], want)
-		}
-	}
-	gath, err := Gather(c, 0, payload("root", r))
-	if err != nil {
-		return fmt.Errorf("gather: %w", err)
-	}
-	if r == 0 {
-		for i := 0; i < p; i++ {
-			if want := payload("root", i); !bytes.Equal(gath[i], want) {
-				return fmt.Errorf("gather: slot %d got %q want %q", i, gath[i], want)
-			}
 		}
 	}
 	return nil

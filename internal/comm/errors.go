@@ -15,7 +15,7 @@ import (
 //   - ErrClosed: this endpoint was closed locally while an operation was
 //     in flight (e.g. a Recv pending across Close).
 //   - ErrTimeout: a receive deadline (Options.CommDeadline /
-//     RecvTimeout) expired before a matching message arrived. Either a
+//     SetRecvTimeout) expired before a matching message arrived. Either a
 //     peer is stalled past the deadline or a message was lost.
 //   - ErrRetriesExhausted: a retrying helper (Backoff.Retry, the TCP
 //     dialer) gave up after its attempt/time budget.

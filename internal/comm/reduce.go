@@ -123,30 +123,3 @@ func AllreduceIterStats(c Comm, v IterStats) (IterStats, error) {
 	}
 	return IterStats{Moved: int64(rec[0]), Work: int64(rec[1]), CommNS: int64(rec[2]), Q: math.Float64frombits(rec[3])}, nil
 }
-
-// UpdateStats is the fused per-update-batch reduction of the resident
-// clustering service (internal/core's Session.ApplyUpdates): one collective
-// carries everything the drift tracker needs. All three fields are world
-// sums.
-type UpdateStats struct {
-	// Moved is the number of vertices that changed community while
-	// re-clustering the batch.
-	Moved int64
-	// Touched is the number of distinct vertices the incremental sweep
-	// re-examined (each vertex counted by its owner).
-	Touched int64
-	// Q is the modularity contribution.
-	Q float64
-}
-
-var updateStatsOps = []laneOp{laneSumI64, laneSumI64, laneSumF64}
-
-// AllreduceUpdateStats reduces v across all ranks in a single collective;
-// the serving layer issues exactly one per applied update batch.
-func AllreduceUpdateStats(c Comm, v UpdateStats) (UpdateStats, error) {
-	rec := [3]uint64{uint64(v.Moved), uint64(v.Touched), math.Float64bits(v.Q)}
-	if err := allreduceRecord(c, updateStatsOps, rec[:]); err != nil {
-		return UpdateStats{}, err
-	}
-	return UpdateStats{Moved: int64(rec[0]), Touched: int64(rec[1]), Q: math.Float64frombits(rec[2])}, nil
-}

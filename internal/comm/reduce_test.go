@@ -47,10 +47,9 @@ func TestRecordReductionRejectsWrongLength(t *testing.T) {
 				_, err := AllreduceIterStats(c, IterStats{Moved: 1, Work: 2, CommNS: 3, Q: 0.5})
 				return err
 			}},
-			{"updatestats", 24, func(c Comm) error {
-				_, err := AllreduceUpdateStats(c, UpdateStats{Moved: 1, Touched: 2, Q: 0.5})
-				return err
-			}},
+			// The serving path's per-batch reduction: Session.ApplyUpdates
+			// sums the touched-vertex count in one int64 lane.
+			{"updatestats", 8, func(c Comm) error { _, err := AllreduceInt64Sum(c, 2); return err }},
 		}
 		for _, m := range mangles {
 			for _, call := range calls {

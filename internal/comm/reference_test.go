@@ -7,6 +7,60 @@ import "fmt"
 // forms of both are kept here, as internal/core keeps merge_seed_test.go, so
 // the conformance battery and FuzzAllreduceBytes can assert byte equality
 // against them and the benchmarks can keep reporting what overlap buys.
+// Barrier and Bcast, which no production code needs, live here too: the
+// conformance battery and the chaos matrix drive them on every transport.
+
+// Barrier blocks until every rank has entered it (dissemination barrier,
+// ⌈log₂ p⌉ rounds).
+func Barrier(c Comm) error {
+	p := c.Size()
+	for k := 1; k < p; k <<= 1 {
+		dst := (c.Rank() + k) % p
+		src := (c.Rank() - k%p + p) % p
+		if err := c.Send(dst, tagBarrier, nil); err != nil {
+			return err
+		}
+		if _, err := c.Recv(src, tagBarrier); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Bcast distributes root's data to every rank via a binomial tree and
+// returns it. Non-root ranks pass data=nil (any input on non-roots is
+// ignored).
+func Bcast(c Comm, root int, data []byte) ([]byte, error) {
+	if err := checkPeer(root, c.Size()); err != nil {
+		return nil, err
+	}
+	p := c.Size()
+	// Work in a rotated rank space where the root is 0.
+	vrank := (c.Rank() - root + p) % p
+	if vrank != 0 {
+		// Receive from parent: clear the lowest set bit.
+		parent := (vrank&(vrank-1) + root) % p
+		got, err := c.Recv(parent, tagBcast)
+		if err != nil {
+			return nil, err
+		}
+		data = got
+	}
+	// Forward to children: set each bit above the lowest set bit while in range.
+	lowest := vrank & (-vrank)
+	if vrank == 0 {
+		lowest = 1 << 62
+	}
+	for bit := 1; bit < p && bit < lowest; bit <<= 1 {
+		child := vrank | bit
+		if child < p && child != vrank {
+			if err := c.Send((child+root)%p, tagBcast, data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return data, nil
+}
 
 // AlltoallvSeq is the sequential alltoall: p−1 blocking Send/Recv steps, so
 // latency is the sum over peers where Alltoallv pays the maximum. It shares

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,9 +84,10 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestRecvTimeout checks the deadline surface on both transports: a Recv
-// with no matching sender fails with ErrTimeout after roughly d, and the
-// timeout does not disturb messages that arrive later.
+// TestRecvTimeout checks the deadline surface on every transport: with an
+// endpoint deadline set, a Recv with no matching sender fails with
+// ErrTimeout after roughly d, and the timeout does not disturb messages
+// that arrive later.
 func TestRecvTimeout(t *testing.T) {
 	scenario := func(c Comm) error {
 		if c.Size() != 2 {
@@ -99,20 +101,17 @@ func TestRecvTimeout(t *testing.T) {
 			}
 			return c.Send(0, 2, []byte("late"))
 		}
-		start := time.Now()
-		_, err := RecvTimeout(c, 1, 2, 30*time.Millisecond)
-		if !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("got %v, want ErrTimeout", err)
-		}
-		if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-			return fmt.Errorf("timed out after only %v", elapsed)
-		}
-		// Endpoint-wide default deadline drives plain Recv the same way.
 		if !SetRecvTimeout(c, 30*time.Millisecond) {
 			return fmt.Errorf("transport does not support SetRecvTimeout")
 		}
-		if _, err := c.Recv(1, 2); !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("default deadline: got %v, want ErrTimeout", err)
+		for i := 0; i < 2; i++ {
+			start := time.Now()
+			if _, err := c.Recv(1, 2); !errors.Is(err, ErrTimeout) {
+				return fmt.Errorf("recv %d: got %v, want ErrTimeout", i, err)
+			}
+			if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
+				return fmt.Errorf("recv %d timed out after only %v", i, elapsed)
+			}
 		}
 		SetRecvTimeout(c, 0)
 		// Unblock rank 1; the following Recv must then succeed: deadlines
@@ -141,6 +140,69 @@ func TestRecvTimeout(t *testing.T) {
 	})
 	t.Run("chaos-inproc", func(t *testing.T) {
 		if err := RunWorldChaos(2, ChaosOptions{Seed: 3}, scenario); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRecvDrainsBeforePeerDown pins the mailbox's decision order on both
+// transports: frames a peer sent before it went away are delivered before
+// its failure is reported. Rank 1 sends n frames on each of two tags and
+// leaves — its function returns (in-process) or its endpoint closes (TCP) —
+// while rank 0 sleeps past the departure before its first Recv. Rank 0 must
+// still get every frame, in per-pair FIFO order, and only then a prompt
+// error wrapping ErrPeerDown.
+func TestRecvDrainsBeforePeerDown(t *testing.T) {
+	const n = 100
+	tags := [2]int{3, 4}
+	frame := func(tag, i int) []byte {
+		b := make([]byte, 8<<10)
+		binary.LittleEndian.PutUint64(b, uint64(tag)<<32|uint64(i))
+		return b
+	}
+	scenario := func(c Comm) error {
+		if c.Rank() == 1 {
+			for i := 0; i < n; i++ {
+				for _, tag := range tags {
+					if err := c.Send(0, tag, frame(tag, i)); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		time.Sleep(1100 * time.Millisecond)
+		// Bound the final Recv: a mailbox that lost the failure would
+		// otherwise block forever instead of failing the test.
+		SetRecvTimeout(c, 10*time.Second)
+		for _, tag := range []int{tags[1], tags[0]} {
+			for i := 0; i < n; i++ {
+				got, err := c.Recv(1, tag)
+				if err != nil {
+					return fmt.Errorf("tag %d frame %d of %d: %w", tag, i, n, err)
+				}
+				if !bytes.Equal(got, frame(tag, i)) {
+					return fmt.Errorf("tag %d frame %d: out of order or corrupt", tag, i)
+				}
+			}
+		}
+		start := time.Now()
+		_, err := c.Recv(1, tags[0])
+		if !errors.Is(err, ErrPeerDown) {
+			return fmt.Errorf("recv after the last frame: got %v, want ErrPeerDown", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			return fmt.Errorf("ErrPeerDown took %v", d)
+		}
+		return nil
+	}
+	t.Run("inproc", func(t *testing.T) {
+		if err := withWatchdog(t, conformanceWatchdog, func() error { return RunWorld(2, scenario) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		if err := withWatchdog(t, conformanceWatchdog, func() error { return runTCPWorld(t, 2, scenario) }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -242,6 +304,50 @@ func TestTCPCloseReleasesRecv(t *testing.T) {
 	}
 
 	waitGoroutines(t, baseline)
+}
+
+// closedAfterFirst is a Comm whose peers are gone after its first Send, the
+// way a TCP peer that received a frame, finished and closed is: every later
+// Send fails with ErrPeerDown.
+type closedAfterFirst struct {
+	Comm
+	mu   sync.Mutex
+	sent int
+}
+
+func (c *closedAfterFirst) Send(dst, tag int, data []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sent++; c.sent > 1 {
+		return fmt.Errorf("comm: rank %d peer %d %w: EOF", c.Rank(), dst, ErrPeerDown)
+	}
+	return nil
+}
+
+// TestChaosDuplicateAfterPeerClose: an injected duplicate is redundant, so
+// when the peer has already received the original and closed, the failed
+// copy must not poison the sender. This is the benign TCP chaos matrix's
+// "peer down: EOF" under the race detector, made deterministic.
+func TestChaosDuplicateAfterPeerClose(t *testing.T) {
+	err := RunWorld(2, func(c Comm) error {
+		if c.Rank() == 1 {
+			return nil
+		}
+		cc := NewChaosComm(&closedAfterFirst{Comm: c}, ChaosOptions{Seed: 1, DupProb: 1})
+		if err := cc.Send(1, tagStress, []byte("once")); err != nil {
+			return err
+		}
+		if err := cc.Close(); err != nil {
+			return fmt.Errorf("a lost duplicate poisoned the endpoint: %w", err)
+		}
+		if got := cc.Faults().Dups; got != 1 {
+			return fmt.Errorf("%d duplicates injected, want 1", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestChaosDeterministicFaults re-runs one seed and checks the injected

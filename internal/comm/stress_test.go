@@ -11,7 +11,7 @@ import (
 // against concurrent Recv and Send on every other endpoint. They are
 // meant to run under -race (scripts/check.sh does), and they repeat each
 // world many times internally because the interesting interleavings —
-// a rank dying between a peer's inbox scan and its cond.Wait — are rare.
+// a rank dying between a peer's mailbox scan and its cond.Wait — are rare.
 
 const tagStress = 11
 

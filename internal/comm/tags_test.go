@@ -11,9 +11,7 @@ var registeredTags = map[string]int{
 	"tagBarrier":   tagBarrier,
 	"tagBcast":     tagBcast,
 	"tagReduce":    tagReduce,
-	"tagAllgather": tagAllgather,
 	"tagAlltoallv": tagAlltoallv,
-	"tagGather":    tagGather,
 }
 
 // TestTagRegistry asserts the two registry invariants: every collective

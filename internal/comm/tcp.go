@@ -17,8 +17,8 @@ import (
 //
 //	[tag int64][payloadLen uint32][payload]
 //
-// A reader goroutine per connection demultiplexes frames into the same
-// mailbox structure the in-process transport uses; a writer goroutine per
+// A reader goroutine per connection puts frames into the mailbox the
+// in-process transport uses too (mailbox.go); a writer goroutine per
 // connection drains an unbounded queue so Send never blocks on TCP
 // backpressure (preventing collective deadlock).
 //
@@ -60,19 +60,13 @@ func (o DialOptions) withDefaults() DialOptions {
 
 // TCPEndpoint is a Comm backed by TCP connections to all peers.
 type TCPEndpoint struct {
-	rank, size int
-	stats      Stats
-	opt        DialOptions
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inbox    []inprocMessage
-	conns    []*tcpConn // indexed by peer rank; nil at own rank
-	peerDown []error    // per-peer transport error (EOF = normal shutdown)
-	deadline time.Duration
-
+	mailbox
+	opt DialOptions
+	// conns is indexed by peer rank (nil at the own rank). Each slot is
+	// written once while dialing, before DialTCPWorldConfig returns, and
+	// only read afterwards.
+	conns    []*tcpConn
 	listener net.Listener
-	closed   bool
 }
 
 type tcpConn struct {
@@ -85,7 +79,7 @@ type tcpConn struct {
 }
 
 func (t *TCPEndpoint) Rank() int     { return t.rank }
-func (t *TCPEndpoint) Size() int     { return t.size }
+func (t *TCPEndpoint) Size() int     { return len(t.conns) }
 func (t *TCPEndpoint) Stats() *Stats { return &t.stats }
 
 // DialTCPWorld joins a TCP world with default DialOptions. addrs[i] is the
@@ -108,8 +102,8 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", myRank, p)
 	}
 	o = o.withDefaults()
-	ep := &TCPEndpoint{rank: myRank, size: p, opt: o, conns: make([]*tcpConn, p), peerDown: make([]error, p)}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep := &TCPEndpoint{opt: o, conns: make([]*tcpConn, p)}
+	ep.init(myRank, p)
 
 	ln, err := net.Listen("tcp", addrs[myRank])
 	if err != nil {
@@ -222,9 +216,7 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 func (t *TCPEndpoint) attach(peer int, c net.Conn) {
 	tc := &tcpConn{c: c, done: make(chan struct{}), rdone: make(chan struct{})}
 	tc.nw = sync.NewCond(&tc.mu)
-	t.mu.Lock()
 	t.conns[peer] = tc
-	t.mu.Unlock()
 	go t.readLoop(peer, tc)
 	go t.writeLoop(peer, tc)
 }
@@ -234,20 +226,17 @@ func (t *TCPEndpoint) readLoop(peer int, tc *tcpConn) {
 	var hdr [12]byte
 	for {
 		if _, err := io.ReadFull(tc.c, hdr[:]); err != nil {
-			t.markPeerDown(peer, err)
+			t.peerDown(peer, err)
 			return
 		}
 		tag := int(int64(binary.LittleEndian.Uint64(hdr[:8])))
 		n := binary.LittleEndian.Uint32(hdr[8:])
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(tc.c, payload); err != nil {
-			t.markPeerDown(peer, err)
+			t.peerDown(peer, err)
 			return
 		}
-		t.mu.Lock()
-		t.inbox = append(t.inbox, inprocMessage{src: peer, tag: tag, data: payload})
-		t.mu.Unlock()
-		t.cond.Broadcast()
+		t.put(peer, tag, payload)
 	}
 }
 
@@ -279,24 +268,16 @@ func (t *TCPEndpoint) writeLoop(peer int, tc *tcpConn) {
 			return werr
 		})
 		if err != nil {
-			t.markPeerDown(peer, err)
+			t.peerDown(peer, err)
 			return
 		}
 	}
 }
 
-// markPeerDown records a transport failure (or normal EOF at shutdown) for
-// one peer and wakes blocked receivers so Recvs targeting that peer fail.
-func (t *TCPEndpoint) markPeerDown(peer int, err error) {
-	t.mu.Lock()
-	first := t.peerDown[peer] == nil
-	if first {
-		t.peerDown[peer] = err
-	}
-	closed := t.closed
-	t.mu.Unlock()
-	t.cond.Broadcast()
-	if first && !closed {
+// peerDown records a transport failure (or normal EOF at shutdown) for one
+// peer in the mailbox, tracing it unless the endpoint itself is closing.
+func (t *TCPEndpoint) peerDown(peer int, err error) {
+	if t.fail(peer, err) {
 		trace.Eventf("peerdown", "rank %d: peer %d down: %v", t.rank, peer, err)
 	}
 }
@@ -305,30 +286,20 @@ func (t *TCPEndpoint) markPeerDown(peer int, err error) {
 // to a peer whose connection already failed returns an error wrapping
 // ErrPeerDown (fail fast: the data could never be delivered).
 func (t *TCPEndpoint) Send(dst, tag int, data []byte) error {
-	if err := checkPeer(t, dst); err != nil {
+	if err := checkPeer(dst, t.Size()); err != nil {
 		return err
 	}
 	if dst == t.rank {
 		cp := make([]byte, len(data))
 		copy(cp, data)
-		t.mu.Lock()
-		t.inbox = append(t.inbox, inprocMessage{src: t.rank, tag: tag, data: cp})
-		t.mu.Unlock()
-		t.cond.Broadcast()
+		t.put(t.rank, tag, cp)
 		t.stats.recordSend(len(data))
 		return nil
 	}
-	t.mu.Lock()
+	if err := t.sendErr(dst); err != nil {
+		return err
+	}
 	tc := t.conns[dst]
-	down := t.peerDown[dst]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return fmt.Errorf("comm: rank %d send to %d: %w", t.rank, dst, ErrClosed)
-	}
-	if down != nil {
-		return fmt.Errorf("comm: rank %d peer %d %w: %v", t.rank, dst, ErrPeerDown, down)
-	}
 	if tc == nil {
 		return fmt.Errorf("comm: rank %d has no connection to %d", t.rank, dst)
 	}
@@ -344,59 +315,10 @@ func (t *TCPEndpoint) Send(dst, tag int, data []byte) error {
 	return nil
 }
 
-// SetRecvTimeout sets the endpoint-wide default deadline applied to every
-// subsequent Recv; d <= 0 restores unbounded blocking.
-func (t *TCPEndpoint) SetRecvTimeout(d time.Duration) {
-	t.mu.Lock()
-	t.deadline = d
-	t.mu.Unlock()
-}
-
 // Recv blocks until a message from src with the given tag arrives, the
-// transport fails (ErrPeerDown), the endpoint is closed (ErrClosed), or
+// endpoint is closed (ErrClosed), src's connection fails (ErrPeerDown), or
 // the endpoint deadline expires (ErrTimeout).
-func (t *TCPEndpoint) Recv(src, tag int) ([]byte, error) {
-	t.mu.Lock()
-	d := t.deadline
-	t.mu.Unlock()
-	return t.RecvTimeout(src, tag, d)
-}
-
-// RecvTimeout is Recv bounded by d (<= 0 blocks without a deadline).
-func (t *TCPEndpoint) RecvTimeout(src, tag int, d time.Duration) ([]byte, error) {
-	if err := checkPeer(t, src); err != nil {
-		return nil, err
-	}
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for i := range t.inbox {
-			m := t.inbox[i]
-			if m.src == src && m.tag == tag {
-				t.inbox = append(t.inbox[:i], t.inbox[i+1:]...)
-				t.stats.recordRecv(len(m.data))
-				return m.data, nil
-			}
-		}
-		// Closed wins over peer-down: Close force-closes the connections,
-		// which the readers observe as transport failures and record via
-		// markPeerDown — a locally-initiated close must still surface as
-		// ErrClosed, not as a phantom peer failure.
-		if t.closed {
-			return nil, fmt.Errorf("comm: rank %d recv from %d: %w", t.rank, src, ErrClosed)
-		}
-		if src != t.rank && t.peerDown[src] != nil {
-			return nil, fmt.Errorf("comm: rank %d peer %d %w: %v", t.rank, src, ErrPeerDown, t.peerDown[src])
-		}
-		if waitOrDeadline(t.cond, deadline) {
-			return nil, fmt.Errorf("comm: rank %d recv from %d tag %d: no message within %v: %w", t.rank, src, tag, d, ErrTimeout)
-		}
-	}
-}
+func (t *TCPEndpoint) Recv(src, tag int) ([]byte, error) { return t.recv(src, tag) }
 
 // Close shuts down the endpoint: the listener stops, queued frames get a
 // bounded window (DialOptions.DrainTimeout) to flush, and then every
@@ -405,20 +327,13 @@ func (t *TCPEndpoint) RecvTimeout(src, tag int, d time.Duration) ([]byte, error)
 // and a writer is wedged mid-Write. Pending Recv callers are woken and
 // fail with ErrClosed. Close is idempotent.
 func (t *TCPEndpoint) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.close() {
 		return nil
 	}
-	t.closed = true
-	conns := make([]*tcpConn, len(t.conns))
-	copy(conns, t.conns)
-	t.mu.Unlock()
-	t.cond.Broadcast()
 	if t.listener != nil {
 		t.listener.Close()
 	}
-	for _, tc := range conns {
+	for _, tc := range t.conns {
 		if tc == nil {
 			continue
 		}
@@ -431,12 +346,8 @@ func (t *TCPEndpoint) Close() error {
 	// sent just before Close (e.g. a final gather) reach the peers, then
 	// force the connection closed regardless: an unresponsive peer must
 	// not leak this endpoint's reader/writer goroutines.
-	drain := t.opt.DrainTimeout
-	if drain <= 0 {
-		drain = 5 * time.Second
-	}
-	deadline := time.Now().Add(drain)
-	for _, tc := range conns {
+	deadline := time.Now().Add(t.opt.DrainTimeout)
+	for _, tc := range t.conns {
 		if tc == nil {
 			continue
 		}
@@ -452,7 +363,7 @@ func (t *TCPEndpoint) Close() error {
 	}
 	// The readers observe the closed connection promptly; wait for them so
 	// Close returning means no goroutine of this endpoint survives.
-	for _, tc := range conns {
+	for _, tc := range t.conns {
 		if tc == nil {
 			continue
 		}

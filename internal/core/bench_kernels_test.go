@@ -77,7 +77,8 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 		if err := s.pushAggregates(); err != nil {
 			return err
 		}
-		if err := comm.Barrier(c); err != nil {
+		// Line the ranks up before timing.
+		if _, err := comm.AllreduceInt64Sum(c, 0); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -88,7 +89,8 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 				return err
 			}
 		}
-		return comm.Barrier(c)
+		_, err := comm.AllreduceInt64Sum(c, 0)
+		return err
 	})
 	if err != nil {
 		b.Fatal(err)

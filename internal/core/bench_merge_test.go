@@ -69,7 +69,8 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 		if err := op(s); err != nil { // settle one-time scratch growth
 			return err
 		}
-		if err := comm.Barrier(c); err != nil {
+		// Line the ranks up before timing.
+		if _, err := comm.AllreduceInt64Sum(c, 0); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {

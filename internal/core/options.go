@@ -111,10 +111,6 @@ type Options struct {
 	// rank. 0 selects GOMAXPROCS; 1 forces the serial path. Results are
 	// bit-identical at every setting.
 	Workers int
-	// Comm is the α-β cost model used for the simulated communication
-	// times (Result.Stage1CommSim/Stage2CommSim). The zero value selects
-	// DefaultCommModel.
-	Comm CommModel
 	// CommDeadline bounds every receive of the run: when > 0 and the
 	// transport supports deadlines (both built-in transports do), a rank
 	// whose Recv waits longer than this fails with an error wrapping
@@ -139,30 +135,22 @@ type Options struct {
 	DriftTouched float64
 }
 
-// CommModel is an α-β communication cost model: sending a message of b
-// bytes costs LatencyNS + b/BytesPerNS nanoseconds. It prices the traffic
-// the comm layer measures exactly, giving a simulated communication time
-// alongside the simulated compute time (see EXPERIMENTS.md). The paper's
-// Section VI argues communication becomes the bottleneck once local
-// clustering is GPU-accelerated; this model lets the extension experiment
-// quantify that projection.
-type CommModel struct {
-	// LatencyNS is α, the fixed per-message cost in nanoseconds.
-	LatencyNS float64
-	// BytesPerNS is 1/β, the bandwidth in bytes per nanosecond
-	// (1.0 = 1 GB/s ≈ 10 Gb Ethernet payload rate; 10.0 ≈ HPC fabric).
-	BytesPerNS float64
-}
+// The α-β communication cost model behind the simulated communication
+// times (Result.Stage1CommSim/Stage2CommSim): sending a message of b bytes
+// costs commLatencyNS + b/commBytesPerNS nanoseconds, a commodity cluster
+// fabric of 1 µs latency and 10 GB/s. It prices the traffic the comm layer
+// measures exactly, giving a simulated communication time alongside the
+// simulated compute time (see EXPERIMENTS.md). The paper's Section VI argues
+// communication becomes the bottleneck once local clustering is
+// GPU-accelerated; the gpu experiment quantifies that projection with it.
+const (
+	commLatencyNS  = 1000 // α, the fixed per-message cost in nanoseconds
+	commBytesPerNS = 10   // 1/β, the bandwidth in bytes per nanosecond
+)
 
-// DefaultCommModel models a commodity cluster fabric: 1 µs message latency
-// and 10 GB/s bandwidth.
-func DefaultCommModel() CommModel {
-	return CommModel{LatencyNS: 1000, BytesPerNS: 10}
-}
-
-// costNS prices a traffic delta of msgs messages totaling bytes bytes.
-func (m CommModel) costNS(msgs, bytes int64) int64 {
-	return int64(m.LatencyNS*float64(msgs) + float64(bytes)/m.BytesPerNS)
+// commCostNS prices a traffic delta of msgs messages totaling bytes bytes.
+func commCostNS(msgs, bytes int64) int64 {
+	return int64(commLatencyNS*float64(msgs) + float64(bytes)/commBytesPerNS)
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -180,9 +168,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Resolution <= 0 {
 		o.Resolution = 1
-	}
-	if o.Comm == (CommModel{}) {
-		o.Comm = DefaultCommModel()
 	}
 	if o.UpdateKHops <= 0 {
 		o.UpdateKHops = 2

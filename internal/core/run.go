@@ -86,7 +86,7 @@ func (s *stage) cluster() (stageResult, error) {
 		local := s.localModularity()
 		iterWork := s.work - workStart
 		snapEnd := s.c.Stats().Snapshot()
-		commNS := s.opt.Comm.costNS(snapEnd.MsgsSent-snapStart.MsgsSent,
+		commNS := commCostNS(snapEnd.MsgsSent-snapStart.MsgsSent,
 			snapEnd.BytesSent-snapStart.BytesSent)
 		st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
 			Moved:  int64(movedLocal + hubMoved),
@@ -162,7 +162,8 @@ type Result struct {
 	TotalTime     time.Duration
 
 	// Stage1CommSim and Stage2CommSim are the simulated communication
-	// times under Options.Comm (α-β pricing of the measured traffic).
+	// times under the α-β model of commCostNS (1 µs, 10 GB/s) applied to the
+	// measured traffic.
 	Stage1CommSim time.Duration
 	Stage2CommSim time.Duration
 

@@ -527,24 +527,19 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	if err != nil {
 		return zero, err
 	}
-	var localQ float64
-	if s.st.m2 > 0 {
-		localQ = s.st.localModularity()
-	}
-	// Moved is already a world total: the clustering loop reduced it.
-	stats, err := comm.AllreduceUpdateStats(s.c, comm.UpdateStats{
-		Touched: s.drainSeen(),
-		Q:       localQ,
-	})
+	// Moved and Q are already world values: the clustering loop's last
+	// AllreduceIterStats reduced them from the state the loop left (Q is 0
+	// on an edgeless graph). The touched count is the batch's one reduction.
+	touched, err := comm.AllreduceInt64Sum(s.c, s.drainSeen())
 	if err != nil {
 		return zero, err
 	}
-	s.q = stats.Q
+	s.q = res.Q
 	s.driftQ += math.Abs(s.q - qBefore)
-	s.driftTouch += float64(stats.Touched) / float64(s.n)
+	s.driftTouch += float64(touched) / float64(s.n)
 	return UpdateResult{
 		Moved:    res.Moved,
-		Touched:  stats.Touched,
+		Touched:  touched,
 		Q:        s.q,
 		Iters:    res.Iters,
 		NeedFull: s.driftQ > s.opt.DriftQ || s.driftTouch > s.opt.DriftTouched,

@@ -426,11 +426,14 @@ func TestGarbledFrames(t *testing.T) {
 						if _, err := s.clusterNew(); err != nil {
 							return err
 						}
+						// Rank 1's first frame to rank 0 in a merge is its
+						// community count (the Allgather), then come the
+						// request and reply legs of the dense-ID lookup.
 						if c.Rank() == 0 && tc.step == "merge" {
-							// Pass the request and reply legs; garble the arcs.
-							tc0.arm(1, 2, tc.frame)
+							// Pass the count and both legs; garble the arcs.
+							tc0.arm(1, 3, tc.frame)
 						} else if c.Rank() == 0 {
-							tc0.arm(1, 1, denseReply(s))
+							tc0.arm(1, 2, denseReply(s))
 						}
 						_, _, err := s.merge()
 						return err
@@ -512,7 +515,7 @@ func TestGarbledFrames(t *testing.T) {
 // IterStats record of TestIterationSingleAllreduce (11) plus the
 // hub-proposal exchange (p−1; the layout has hubs), and the batch
 // around them sends the new-ghost query and reply, the ledger flush, one
-// exchange per seeding hop and the UpdateStats record.
+// exchange per seeding hop and the touched-count sum.
 //
 // Work units: while the aggregates were pulled, synchronisation cost
 // 205/221/198/187 units per iteration on ranks 0–3, three per referenced

@@ -7,8 +7,7 @@
 // pin the world's final state bit-for-bit. Timing enters only in the run:
 // open-loop Poisson arrivals (Rate > 0) paced by the wall clock, or a
 // closed loop (Rate <= 0) that issues each tenant's next request as soon
-// as the previous one returns. Sweep then walks a rate ladder until the
-// world saturates (BenchmarkServeLoad).
+// as the previous one returns.
 package loadgen
 
 import (
@@ -301,23 +300,4 @@ func Replay(w *dserver.World, pl *Plan) (Result, error) {
 			return res, nil
 		}
 	}
-}
-
-// Sweep runs the same workload shape at each offered rate in order,
-// stopping early once a rate saturates (higher rates would too). Each rate
-// gets a fresh plan with a rate-salted seed so streams differ across
-// steps but stay reproducible.
-func Sweep(w *dserver.World, n int, base Config, rates []float64) []Result {
-	var results []Result
-	for i, rate := range rates {
-		cfg := base
-		cfg.Rate = rate
-		cfg.Seed = base.Seed + int64(i+1)*104729
-		res := Run(w, NewPlan(n, cfg))
-		results = append(results, res)
-		if res.Saturated {
-			break
-		}
-	}
-	return results
 }
