@@ -45,7 +45,6 @@ func main() {
 		outPath     = flag.String("o", "", "write the final membership (vertex community) to this file")
 		gamma       = flag.Float64("gamma", 1, "modularity resolution γ (>1 = more, smaller communities)")
 		showLevels  = flag.Bool("levels", false, "print the dendrogram (communities per clustering level)")
-		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 		commDL      = flag.Duration("comm-deadline", 0, "per-receive deadline for the rank goroutines; 0 blocks forever (docs/ROBUSTNESS.md)")
@@ -99,7 +98,7 @@ func main() {
 		fmt.Printf("graph: %d vertices, %d edges, %d shards (out of core)\n",
 			s.NumVertices(), s.NumArcs()/2, s.NumShards())
 	} else {
-		g, truth, err = gen.Load(*graphPath, *genSpec, *workers)
+		g, truth, err = gen.Load(*graphPath, *genSpec)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,7 +113,7 @@ func main() {
 
 	opt := core.Options{
 		P: *p, DHigh: *dhigh, TrackTrace: *showTrace, Resolution: *gamma,
-		TrackLevels: *showLevels, Workers: *workers, CommDeadline: *commDL,
+		TrackLevels: *showLevels, CommDeadline: *commDL,
 	}
 	if opt.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
 		fatal(err)

@@ -34,7 +34,6 @@ func main() {
 		dhigh       = flag.Int("dhigh", 0, "hub degree threshold (0 = automatic)")
 		heuristic   = flag.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
 		partitioner = flag.String("partitioning", "delegate", "partitioning: delegate|1d")
-		workers     = flag.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		listen      = flag.String("listen", "", "serve the line protocol on this TCP address instead of stdin/stdout")
 		autoResolve = flag.Bool("auto-resolve", false, "run the full-solve fallback inside the update call when drift crosses a threshold")
 		driftQ      = flag.Float64("drift-q", 0, "cumulative |ΔQ| that forces the full-solve fallback (0 = default 0.05)")
@@ -43,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, _, err := gen.Load(*graphPath, *genSpec, *workers)
+	g, _, err := gen.Load(*graphPath, *genSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -51,7 +50,7 @@ func main() {
 		P:           *p,
 		AutoResolve: *autoResolve,
 		Core: core.Options{
-			DHigh: *dhigh, Workers: *workers,
+			DHigh:  *dhigh,
 			DriftQ: *driftQ, DriftTouched: *driftTouch, UpdateKHops: *khops,
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,6 +16,13 @@ func gengraph(args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
 	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
+// value when t ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // canonical is g as the one-shard .sbin the production writer emits: two
@@ -45,8 +53,9 @@ func TestFormatsReadBackEqual(t *testing.T) {
 		if code != 0 || !strings.HasPrefix(stdout, "wrote "+path+": 300 vertices, ") || stderr != "" {
 			t.Fatalf("%s: exit %d\nstdout: %s\nstderr: %s", name, code, stdout, stderr)
 		}
-		for _, workers := range []int{1, 3} {
-			g, err := graph.ReadFile(path, workers)
+		for _, procs := range []int{1, 3} {
+			setProcs(t, procs)
+			g, err := graph.ReadFile(path)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -54,11 +63,11 @@ func TestFormatsReadBackEqual(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			enc := canonical(t, g)
-			if i == 0 && workers == 1 {
+			if i == 0 && procs == 1 {
 				first = enc
 			}
 			if !bytes.Equal(enc, first) {
-				t.Errorf("%s workers=%d: read back a different CSR than g.txt at one worker", name, workers)
+				t.Errorf("%s procs=%d: read back a different CSR than g.txt at GOMAXPROCS 1", name, procs)
 			}
 		}
 	}
@@ -84,7 +93,7 @@ func TestStreamEqualsInRAM(t *testing.T) {
 		if code, _, stderr := gengraph(args...); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr)
 		}
-		g, err := graph.ReadFile(path, 2)
+		g, err := graph.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

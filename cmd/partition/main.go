@@ -5,6 +5,8 @@
 //
 //	partition -gen rmat:scale=14 -procs 256,1024,4096
 //	partition -graph web.txt -procs 64 -dhigh 128
+//
+// Exit status: 0 analyzed, 1 loading or partitioning failed, 2 usage.
 package main
 
 import (
@@ -21,88 +23,101 @@ import (
 	"repro/internal/partition"
 )
 
-func main() {
-	var (
-		graphPath = flag.String("graph", "", "path to a graph file (.txt edge list, .bin, .sbin, or .metis)")
-		genSpec   = flag.String("gen", "", "generator spec (see internal/gen.ParseSpec)")
-		procsArg  = flag.String("procs", "64,256,1024", "comma-separated processor counts")
-		dhigh     = flag.Int("dhigh", 0, "hub degree threshold (0 = 2× average degree)")
-		workers   = flag.Int("workers", 0, "workers for parallel ingest and partitioning (0 = automatic, 1 = serial; results are identical)")
-		oocore    = flag.Bool("oocore", false, "partition from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the testable body of the command: args are the raw command-line
+// arguments (program name excluded), output goes to the given writers, and
+// the return value is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		g   *graph.Graph
-		s   *graph.Sharded
-		err error
+		graphPath = fs.String("graph", "", "path to a graph file (.txt edge list, .bin, .sbin, or .metis)")
+		genSpec   = fs.String("gen", "", "generator spec (see internal/gen.ParseSpec)")
+		procsArg  = fs.String("procs", "64,256,1024", "comma-separated processor counts")
+		dhigh     = fs.Int("dhigh", 0, "hub degree threshold (0 = 2× average degree)")
+		oocore    = fs.Bool("oocore", false, "partition from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
 	)
-	var n int
-	var arcs int64
-	if *oocore {
-		if !strings.HasSuffix(*graphPath, ".sbin") {
-			fatal(fmt.Errorf("-oocore reads a sharded binary; pass -graph FILE.sbin"))
-		}
-		var sc io.Closer
-		s, sc, err = graph.OpenShardedFile(*graphPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer sc.Close()
-		n, arcs = s.NumVertices(), s.NumArcs()
-		fmt.Printf("graph: %d vertices, %d edges, %d shards, avg degree %.1f (out of core)\n\n",
-			n, arcs/2, s.NumShards(), float64(arcs)/float64(n))
-	} else {
-		g, _, err = gen.Load(*graphPath, *genSpec, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		n, arcs = g.NumVertices(), g.NumArcs()
-		fmt.Printf("graph: %d vertices, %d edges, max degree %d, avg degree %.1f\n\n",
-			g.NumVertices(), g.NumEdges(), g.MaxDegree(),
-			float64(arcs)/float64(n))
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	threshold := *dhigh
-	if threshold <= 0 {
-		threshold = 2 * int(arcs) / n
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "partition: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "partition:", err)
+		return 1
 	}
 
 	var procs []int
 	for _, s := range strings.Split(*procsArg, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || p < 1 {
-			fatal(fmt.Errorf("bad processor count %q", s))
+			return usage("bad processor count %q", s)
 		}
 		procs = append(procs, p)
 	}
+	if *oocore && !strings.HasSuffix(*graphPath, ".sbin") {
+		return usage("-oocore reads a sharded binary; pass -graph FILE.sbin")
+	}
 
-	fmt.Printf("%-6s %-9s %10s %10s %10s %8s %10s %6s\n",
+	var (
+		g            *graph.Graph
+		s            *graph.Sharded
+		n            int
+		arcs         int64
+		header, tail string
+		err          error
+	)
+	if *oocore {
+		var sc io.Closer
+		if s, sc, err = graph.OpenShardedFile(*graphPath); err != nil {
+			return fail(err)
+		}
+		defer sc.Close()
+		n, arcs = s.NumVertices(), s.NumArcs()
+		header = fmt.Sprintf("%d vertices, %d edges, %d shards", n, arcs/2, s.NumShards())
+		tail = " (out of core)"
+	} else {
+		if g, _, err = gen.Load(*graphPath, *genSpec); err != nil {
+			return fail(err)
+		}
+		n, arcs = g.NumVertices(), g.NumArcs()
+		header = fmt.Sprintf("%d vertices, %d edges, max degree %d", n, g.NumEdges(), g.MaxDegree())
+	}
+	avgDeg := 0.0
+	if n > 0 {
+		avgDeg = float64(arcs) / float64(n)
+	}
+	fmt.Fprintf(stdout, "graph: %s, avg degree %.1f%s\n\n", header, avgDeg, tail)
+
+	threshold := *dhigh
+	if threshold <= 0 && n > 0 {
+		threshold = 2 * int(arcs) / n
+	}
+
+	fmt.Fprintf(stdout, "%-6s %-9s %10s %10s %10s %8s %10s %6s\n",
 		"p", "kind", "min edges", "med edges", "max edges", "W", "max ghosts", "hubs")
 	for _, p := range procs {
 		for _, kind := range []partition.Kind{partition.OneD, partition.Delegate} {
-			opt := partition.Options{P: p, Kind: kind, DHigh: threshold, Workers: *workers}
+			opt := partition.Options{P: p, Kind: kind, DHigh: threshold}
 			var l *partition.Layout
-			var err error
 			if *oocore {
 				l, err = partition.BuildStreaming(s, opt)
 			} else {
 				l, err = partition.Build(g, opt)
 			}
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			c := l.Census()
 			arcs := append([]int64(nil), c.ArcsPerRank...)
 			sort.Slice(arcs, func(i, j int) bool { return arcs[i] < arcs[j] })
-			fmt.Printf("%-6d %-9s %10d %10d %10d %8.3f %10d %6d\n",
+			fmt.Fprintf(stdout, "%-6d %-9s %10d %10d %10d %8.3f %10d %6d\n",
 				p, kind, arcs[0], arcs[len(arcs)/2], arcs[len(arcs)-1],
 				c.ImbalanceW(), c.MaxGhosts(), c.HubCount)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "partition:", err)
-	os.Exit(1)
+	return 0
 }

@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		genSpec     = fs.String("gen", "", "generator spec (all workers must use the same spec)")
 		oocore      = fs.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
 		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
-		workers     = fs.Int("workers", 0, "ingest and partitioning workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d (all workers must agree)")
 
 		// Robustness knobs (docs/ROBUSTNESS.md). Workers of one world are
@@ -73,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *oocore && !strings.HasSuffix(*graphPath, ".sbin") {
 		return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin")
 	}
-	opt := core.Options{P: len(addrs), CommDeadline: *commDeadline, Workers: *workers}
+	opt := core.Options{P: len(addrs), CommDeadline: *commDeadline}
 	var err error
 	if opt.Partitioning, err = partition.ParseKind(*partitioner); err != nil {
 		return usage("%v", err)
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *oocore {
 		s, sc, err = graph.OpenShardedFile(*graphPath)
 	} else {
-		g, _, err = gen.Load(*graphPath, *genSpec, *workers)
+		g, _, err = gen.Load(*graphPath, *genSpec)
 	}
 	if err != nil {
 		return fail(err)

@@ -264,14 +264,28 @@ func (s *suppressions) stale(enabled map[string]bool) []Finding {
 
 // ---- shared helpers used by the analyzers ----
 
-// commPkgSuffix identifies the communication package by import-path suffix,
-// so the analyzers keep working if the module is ever renamed and so the
-// negative fixtures under testdata (which import the real package) match.
-const commPkgSuffix = "internal/comm"
+// commPkgSuffix and parPkgSuffix identify the communication package and the
+// parallel-for package by import-path suffix, so the analyzers keep working
+// if the module is ever renamed and so the negative fixtures under testdata
+// (which import the real packages) match.
+const (
+	commPkgSuffix = "internal/comm"
+	parPkgSuffix  = "internal/par"
+)
+
+// isPkgPath reports whether path is the package with import-path suffix.
+func isPkgPath(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
 
 // isCommPath reports whether path is the comm package.
-func isCommPath(path string) bool {
-	return path == commPkgSuffix || strings.HasSuffix(path, "/"+commPkgSuffix)
+func isCommPath(path string) bool { return isPkgPath(path, commPkgSuffix) }
+
+// isParForCall reports whether call resolves to par.For, the one
+// parallel-for of the ingest and partition pipelines.
+func isParForCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	return fn != nil && fn.Name() == "For" && fn.Pkg() != nil && isPkgPath(fn.Pkg().Path(), parPkgSuffix)
 }
 
 // calleeFunc resolves the called function or method of call, if the type

@@ -30,9 +30,9 @@ import (
 // //lint:ignore collectivesym <reason>.
 //
 // The analyzer additionally flags collectives issued off the rank's main
-// goroutine: inside a function literal launched with `go`, or inside a task
-// literal handed to a worker pool's ParFor (internal/par's pool, behind the
-// ingest and partition pipelines). The communicator matches messages by
+// goroutine: inside a function literal launched with `go`, or inside a
+// kernel literal handed to par.For (the parallel-for behind the ingest and
+// partition pipelines). The communicator matches messages by
 // (source, tag) in program order on the rank's goroutine, so a collective
 // from a concurrent goroutine races that matching even when every rank
 // reaches it.
@@ -40,7 +40,7 @@ var AnalyzerCollectiveSym = &Analyzer{
 	Name: "collectivesym",
 	Doc: "flags comm collectives reachable only under rank-dependent control flow " +
 		"(the SPMD deadlock pattern: some ranks enter the collective, the rest never do) " +
-		"and collectives issued from goroutines or worker-pool tasks off the rank's main goroutine",
+		"and collectives issued from goroutines or par.For kernels off the rank's main goroutine",
 	Run: runCollectiveSym,
 }
 
@@ -281,25 +281,11 @@ func (w *symWalker) walkStmt(s ast.Stmt, div ast.Node, async string) {
 	}
 }
 
-// isParForCall reports whether call invokes a ParFor method/function
-// (internal/par.Pool.ParFor, the one worker-pool dispatch of the ingest and
-// partition pipelines; matched by name so fixtures and future pools are
-// covered without importing the package).
-func isParForCall(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "ParFor"
-	case *ast.Ident:
-		return fun.Name == "ParFor"
-	}
-	return false
-}
-
 // checkExpr reports collective calls inside e when the surrounding path is
 // rank-divergent or runs off the rank's main goroutine. Function literals
 // are scanned with the context of their definition site (conservative: a
 // literal built under a rank branch is usually invoked there too); literals
-// passed to ParFor are scanned as worker-pool tasks.
+// passed to par.For are scanned as kernels.
 func (w *symWalker) checkExpr(e ast.Expr, div ast.Node, async string) {
 	if e == nil {
 		return
@@ -313,11 +299,11 @@ func (w *symWalker) checkExpr(e ast.Expr, div ast.Node, async string) {
 			w.walkStmt(x.Body, div, async)
 			return false
 		case *ast.CallExpr:
-			if isParForCall(x) {
+			if isParForCall(w.pass.Info, x) {
 				for _, arg := range x.Args {
 					if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 						w.handled[fl] = true
-						w.walkStmt(fl.Body, div, "a worker-pool ParFor task")
+						w.walkStmt(fl.Body, div, "a par.For kernel")
 					}
 				}
 			}

@@ -34,10 +34,10 @@ func TestDefUseWalk(t *testing.T) {
 		analyzer string
 		want     int
 	}{
-		{"map_sort_encode.go", "maporder", 0},   // sort launders the collected keys
-		{"map_encode.go", "maporder", 2},        // both Put calls fire
-		{"worker_indexed.go", "parforshare", 0}, // worker/chunk-derived indexes own their slots
-		{"shared_write.go", "parforshare", 1},   // captured-scalar accumulation fires
+		{"map_sort_encode.go", "maporder", 0},  // sort launders the collected keys
+		{"map_encode.go", "maporder", 2},       // both Put calls fire
+		{"chunk_indexed.go", "parforshare", 0}, // chunk-derived indexes own their slots
+		{"shared_write.go", "parforshare", 1},  // captured-scalar accumulation fires
 	}
 	for _, tc := range cases {
 		if n := got[tc.file][tc.analyzer]; n != tc.want {

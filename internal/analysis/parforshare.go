@@ -5,20 +5,20 @@ import (
 	"go/types"
 )
 
-// AnalyzerParForShare enforces the worker-pool write discipline that keeps
-// parallel sweeps bit-identical to their serial counterparts: a ParFor
+// AnalyzerParForShare enforces the parallel-for write discipline that keeps
+// parallel sweeps bit-identical to their serial counterparts: a par.For
 // kernel (or a plain `go` closure) may write only state it owns — variables
 // it declares itself, or slots of captured slices indexed by a value
-// derived from the kernel's chunk/worker parameters. Anything else is a
-// data race or a nondeterministic combine, the exact class the ingest and
-// partition worker-determinism tests can only catch on graphs they happen
-// to run (Halappanavar et al.'s hazard of parallelizing vertex sweeps).
+// derived from the kernel's chunk parameter. Anything else is a data race
+// or a nondeterministic combine, the exact class the ingest and partition
+// determinism tests can only catch on graphs they happen to run
+// (Halappanavar et al.'s hazard of parallelizing vertex sweeps).
 //
 // Kernels are found three ways, package-wide:
 //
-//   - function literals passed directly to a ParFor call;
+//   - function literals passed directly to par.For;
 //   - function literals assigned to a variable or field that is later
-//     handed to ParFor, possibly from another file of the package;
+//     handed to par.For, possibly from another file of the package;
 //   - function literals launched with `go`.
 //
 // For each kernel, the kernel's parameters seed a derived-value fixpoint
@@ -28,8 +28,8 @@ import (
 // regardless of key.
 var AnalyzerParForShare = &Analyzer{
 	Name: "parforshare",
-	Doc: "flags ParFor kernels and go-closures writing captured variables, maps, or " +
-		"slice elements not indexed by a value derived from the kernel's chunk/worker parameters",
+	Doc: "flags par.For kernels and go-closures writing captured variables, maps, or " +
+		"slice elements not indexed by a value derived from the kernel's chunk parameter",
 	Run: runParForShare,
 }
 
@@ -49,19 +49,19 @@ func runParForShare(p *Pass) {
 			units = append(units, kernelUnit{fl, desc})
 		}
 	}
-	// Pass 1: direct literal kernels, names dispatched to ParFor, and go
+	// Pass 1: direct literal kernels, names dispatched to par.For, and go
 	// closures.
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				if !isParForCall(x) {
+				if !isParForCall(p.Info, x) {
 					return true
 				}
 				for _, arg := range x.Args {
 					switch a := ast.Unparen(arg).(type) {
 					case *ast.FuncLit:
-						add(a, "ParFor kernel")
+						add(a, "par.For kernel")
 					case *ast.Ident:
 						kernelNames[a.Name] = true
 					case *ast.SelectorExpr:
@@ -77,7 +77,7 @@ func runParForShare(p *Pass) {
 		})
 	}
 	// Pass 2: literals assigned (anywhere in the package) to a name that
-	// pass 1 saw dispatched to ParFor — a kernel may be built in one file
+	// pass 1 saw dispatched to par.For — a kernel may be built in one file
 	// and dispatched from another.
 	if len(kernelNames) > 0 {
 		for _, file := range p.Files {
@@ -99,7 +99,7 @@ func runParForShare(p *Pass) {
 						name = l.Sel.Name
 					}
 					if kernelNames[name] {
-						add(fl, "ParFor kernel")
+						add(fl, "par.For kernel")
 					}
 				}
 				return true
@@ -158,7 +158,7 @@ func checkKernelWrite(p *Pass, u kernelUnit, derived map[types.Object]bool, lhs 
 	}
 	if len(indexes) == 0 {
 		p.Reportf(lhs.Pos(),
-			"%s writes captured variable %s: kernels run concurrently, so writes must go to per-chunk or per-worker state combined by the caller in chunk order", u.desc, target)
+			"%s writes captured variable %s: kernels run concurrently, so writes must go to per-chunk state combined by the caller in chunk order", u.desc, target)
 		return
 	}
 	for _, idx := range indexes {
@@ -167,5 +167,5 @@ func checkKernelWrite(p *Pass, u kernelUnit, derived map[types.Object]bool, lhs 
 		}
 	}
 	p.Reportf(lhs.Pos(),
-		"%s writes %s at an index not derived from the kernel's chunk/worker parameters: overlapping slots race and combine nondeterministically", u.desc, target)
+		"%s writes %s at an index not derived from the kernel's chunk parameter: overlapping slots race and combine nondeterministically", u.desc, target)
 }

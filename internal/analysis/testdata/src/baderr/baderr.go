@@ -90,7 +90,7 @@ func DropFusedReduce(c comm.Comm) comm.IterStats {
 // DropParallelIngest blanks the edge-list parser's error and carries a nil
 // graph forward.
 func DropParallelIngest(r io.Reader) *graph.Graph {
-	g, _ := graph.ReadEdgeList(r, 4) // want commerr
+	g, _ := graph.ReadEdgeList(r) // want commerr
 	return g
 }
 
@@ -102,13 +102,13 @@ func DropFlatRead(data []byte) *graph.Graph {
 
 // DropReadFile blanks the by-extension loader's error.
 func DropReadFile(path string) *graph.Graph {
-	g, _ := graph.ReadFile(path, 2) // want commerr
+	g, _ := graph.ReadFile(path) // want commerr
 	return g
 }
 
 // HandledIngestOK is the control case for graph IO.
 func HandledIngestOK(r io.Reader) (*graph.Graph, error) {
-	return graph.ReadEdgeList(r, 4)
+	return graph.ReadEdgeList(r)
 }
 
 // DropV2Write drops the sharded writer's error: a truncated .sbin on disk

@@ -1,32 +1,23 @@
 // Package badpool is a negative fixture for the collectivesym analyzer's
 // async rule: comm collectives issued off the rank's main goroutine, from
-// inside a worker-pool ParFor task or a goroutine. The communicator matches
-// messages by (source, tag) in program order on the rank's goroutine, so
-// these race the matching even when every rank reaches the collective.
-// Errors are captured (not dropped) so commerr stays quiet and the
-// collectivesym findings are isolated.
+// inside a par.For kernel or a goroutine. The communicator matches messages
+// by (source, tag) in program order on the rank's goroutine, so these race
+// the matching even when every rank reaches the collective. Errors are
+// captured (not dropped) so commerr stays quiet and the collectivesym
+// findings are isolated.
 package badpool
 
-import "repro/internal/comm"
+import (
+	"repro/internal/comm"
+	"repro/internal/par"
+)
 
-// pool mimics the worker-pool dispatch of internal/par: ParFor runs a
-// chunked kernel, possibly on worker goroutines. The analyzer matches the
-// method by name, so this local stand-in exercises the same rule the real
-// pool is checked by.
-type pool struct{}
-
-func (p *pool) ParFor(nChunks int, kernel func(chunk, worker int)) {
-	for c := 0; c < nChunks; c++ {
-		kernel(c, 0)
-	}
-}
-
-// AllgatherInTask puts a collective inside a ParFor kernel: with more than
-// one worker the Allgather's point-to-point traffic interleaves with
+// AllgatherInTask puts a collective inside a par.For kernel: with more than
+// one goroutine the Allgather's point-to-point traffic interleaves with
 // whatever the main goroutine posts next.
-func AllgatherInTask(c comm.Comm, p *pool) error {
+func AllgatherInTask(c comm.Comm) error {
 	errs := make([]error, 4)
-	p.ParFor(4, func(chunk, worker int) {
+	par.For(4, func(chunk int) {
 		_, errs[chunk] = comm.Allgather(c, nil) // want collectivesym
 	})
 	for _, err := range errs {
@@ -37,11 +28,11 @@ func AllgatherInTask(c comm.Comm, p *pool) error {
 	return nil
 }
 
-// ReduceInTask covers a value-returning collective in a task.
-func ReduceInTask(c comm.Comm, p *pool) ([]float64, error) {
+// ReduceInTask covers a value-returning collective in a kernel.
+func ReduceInTask(c comm.Comm) ([]float64, error) {
 	sums := make([]float64, 2)
 	errs := make([]error, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		sums[chunk], errs[chunk] = comm.AllreduceFloat64Sum(c, float64(chunk)) // want collectivesym
 	})
 	for _, err := range errs {
@@ -63,10 +54,10 @@ func AllgatherInGoroutine(c comm.Comm) error {
 }
 
 // TaskThenCollectiveOK is the control case: the kernel does pure compute
-// and the collective runs on the main goroutine after ParFor returns.
-func TaskThenCollectiveOK(c comm.Comm, p *pool, xs []float64) (float64, error) {
+// and the collective runs on the main goroutine after par.For returns.
+func TaskThenCollectiveOK(c comm.Comm, xs []float64) (float64, error) {
 	partial := make([]float64, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		lo, hi := chunk*len(xs)/2, (chunk+1)*len(xs)/2
 		for _, x := range xs[lo:hi] {
 			partial[chunk] += x
@@ -86,11 +77,11 @@ func StreamingAlltoallInGoroutine(c comm.Comm, out [][]byte) error {
 	return <-done
 }
 
-// FusedReduceInTask puts the fused per-iteration reduction inside a ParFor
-// kernel.
-func FusedReduceInTask(c comm.Comm, p *pool) error {
+// FusedReduceInTask puts the fused per-iteration reduction inside a
+// par.For kernel.
+func FusedReduceInTask(c comm.Comm) error {
 	errs := make([]error, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		_, errs[chunk] = comm.AllreduceIterStats(c, comm.IterStats{}) // want collectivesym
 	})
 	for _, err := range errs {
@@ -101,23 +92,14 @@ func FusedReduceInTask(c comm.Comm, p *pool) error {
 	return nil
 }
 
-// exportedPool is a second pool type with the same method name (matching is
-// by name, not by receiver): the ingest and partition pipelines dispatch
-// through ParFor too, and a collective inside one of their kernels is the
-// same race.
-type exportedPool struct{}
-
-func (p *exportedPool) ParFor(nChunks int, kernel func(chunk, worker int)) {
-	for c := 0; c < nChunks; c++ {
-		kernel(c, 0)
-	}
-}
-
-// AllgatherInExportedTask covers the exported ParFor entry point.
-func AllgatherInExportedTask(c comm.Comm, p *exportedPool) error {
+// AllgatherInNestedTask puts the collective one par.For deeper: an inner
+// kernel runs off the main goroutine no matter which goroutine called it.
+func AllgatherInNestedTask(c comm.Comm) error {
 	errs := make([]error, 4)
-	p.ParFor(4, func(chunk, worker int) {
-		_, errs[chunk] = comm.Allgather(c, nil) // want collectivesym
+	par.For(2, func(outer int) {
+		par.For(2, func(inner int) {
+			_, errs[2*outer+inner] = comm.Allgather(c, nil) // want collectivesym
+		})
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -128,10 +110,10 @@ func AllgatherInExportedTask(c comm.Comm, p *exportedPool) error {
 }
 
 // IngestThenGatherOK is the control case for the ingest shape: chunk kernels
-// do pure parsing work and the collective runs after the pool drains.
-func IngestThenGatherOK(c comm.Comm, p *exportedPool, data []byte) ([][]byte, error) {
+// do pure parsing work and the collective runs after par.For returns.
+func IngestThenGatherOK(c comm.Comm, data []byte) ([][]byte, error) {
 	counts := make([]int, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		lo, hi := chunk*len(data)/2, (chunk+1)*len(data)/2
 		for _, b := range data[lo:hi] {
 			if b == '\n' {
@@ -143,12 +125,12 @@ func IngestThenGatherOK(c comm.Comm, p *exportedPool, data []byte) ([][]byte, er
 }
 
 // EncodeThenShipOK is the control case for the merge encode shape (PR 10):
-// per-destination ParFor kernels only fill disjoint frame buffers; the
-// all-to-all that ships them runs on the main goroutine after the pool
-// drains.
-func EncodeThenShipOK(c comm.Comm, p *pool, recs []int) ([][]byte, error) {
+// per-destination par.For kernels only fill disjoint frame buffers; the
+// all-to-all that ships them runs on the main goroutine after par.For
+// returns.
+func EncodeThenShipOK(c comm.Comm, recs []int) ([][]byte, error) {
 	frames := make([][]byte, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		lo, hi := chunk*len(recs)/2, (chunk+1)*len(recs)/2
 		for _, r := range recs[lo:hi] {
 			frames[chunk] = append(frames[chunk], byte(r))
@@ -159,9 +141,9 @@ func EncodeThenShipOK(c comm.Comm, p *pool, recs []int) ([][]byte, error) {
 
 // ShipPerDestinationInTask is the tempting wrong version of the same shape:
 // issuing the exchange from inside the per-destination kernel.
-func ShipPerDestinationInTask(c comm.Comm, p *pool, frames [][]byte) error {
+func ShipPerDestinationInTask(c comm.Comm, frames [][]byte) error {
 	errs := make([]error, 2)
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		_, errs[chunk] = comm.Alltoallv(c, frames) // want collectivesym
 	})
 	for _, err := range errs {

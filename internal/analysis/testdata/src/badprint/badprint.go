@@ -5,6 +5,8 @@ package badprint
 import (
 	"fmt"
 	"log" // want noprint
+
+	"repro/internal/par"
 )
 
 // Chatter writes to stdout and stderr from library code.
@@ -18,20 +20,11 @@ func WriterOK(w interface{ Write([]byte) (int, error) }, n int) {
 	fmt.Fprintf(w, "processed %d\n", n)
 }
 
-// ingestPool mimics internal/par's exported Pool used by the parallel
-// ingest pipeline (PR 5); progress printing from a chunk kernel interleaves
-// across workers on top of being library noise.
-type ingestPool struct{}
-
-func (p *ingestPool) ParFor(nChunks int, kernel func(chunk, worker int)) {
-	for c := 0; c < nChunks; c++ {
-		kernel(c, 0)
-	}
-}
-
-// ChattyIngest prints per-chunk progress from a parse kernel.
-func ChattyIngest(p *ingestPool, data []byte) {
-	p.ParFor(4, func(chunk, worker int) {
+// ChattyIngest prints per-chunk progress from a par.For parse kernel, the
+// shape of the parallel ingest pipeline: the lines interleave across
+// goroutines on top of being library noise.
+func ChattyIngest(data []byte) {
+	par.For(4, func(chunk int) {
 		fmt.Printf("chunk %d: %d bytes\n", chunk, len(data)/4) // want noprint
 	})
 }

@@ -1,10 +1,12 @@
 package dfcases
 
-// SharedWrite accumulates into a captured scalar from a ParFor kernel:
+import "repro/internal/par"
+
+// SharedWrite accumulates into a captured scalar from a par.For kernel:
 // parforshare must flag the write.
-func SharedWrite(p *dfPool, xs []float64) float64 {
+func SharedWrite(xs []float64) float64 {
 	var sum float64
-	p.ParFor(2, func(chunk, worker int) {
+	par.For(2, func(chunk int) {
 		lo, hi := chunk*len(xs)/2, (chunk+1)*len(xs)/2
 		for i := lo; i < hi; i++ {
 			sum += xs[i]

@@ -106,11 +106,6 @@ type Options struct {
 	// TrackLevels records the membership of the original vertices after
 	// every clustering stage (the dendrogram), in Result.LevelMemberships.
 	TrackLevels bool
-	// Workers sizes the ingest and partitioning worker pools, which
-	// PartitionOptions forwards it to; the solver runs one goroutine per
-	// rank. 0 selects GOMAXPROCS; 1 forces the serial path. Results are
-	// bit-identical at every setting.
-	Workers int
 	// CommDeadline bounds every receive of the run: when > 0 and the
 	// transport supports deadlines (both built-in transports do), a rank
 	// whose Recv waits longer than this fails with an error wrapping
@@ -191,5 +186,5 @@ func (o Options) PartitionOptions(n int, arcs int64) partition.Options {
 	if dhigh <= 0 {
 		dhigh = DefaultDHigh(o.P, n, arcs)
 	}
-	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: dhigh, Workers: o.Workers}
+	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: dhigh}
 }

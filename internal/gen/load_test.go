@@ -5,10 +5,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
+// value when t ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // TestLoad drives the commands' shared loader over every file format it
 // picks by extension and over the -graph/-gen misuse cases. The .metis row
@@ -74,23 +82,24 @@ func TestLoad(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.want
-			for _, workers := range []int{1, 3} {
-				got, truth, err := Load(tc.path, tc.spec, workers)
+			for _, procs := range []int{1, 3} {
+				setProcs(t, procs)
+				got, truth, err := Load(tc.path, tc.spec)
 				if tc.wantErr {
 					if err == nil {
-						t.Fatalf("workers=%d: no error", workers)
+						t.Fatalf("procs=%d: no error", procs)
 					}
 					continue
 				}
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				if truth != nil {
-					t.Errorf("workers=%d: planted truth for a graph without one", workers)
+					t.Errorf("procs=%d: planted truth for a graph without one", procs)
 				}
 				if got.NumVertices() != want.NumVertices() || got.NumArcs() != want.NumArcs() ||
 					got.TotalWeight2() != want.TotalWeight2() {
-					t.Fatalf("workers=%d: %d vertices / %d arcs / 2m=%v, wrote %d / %d / %v", workers,
+					t.Fatalf("procs=%d: %d vertices / %d arcs / 2m=%v, wrote %d / %d / %v", procs,
 						got.NumVertices(), got.NumArcs(), got.TotalWeight2(),
 						want.NumVertices(), want.NumArcs(), want.TotalWeight2())
 				}
@@ -98,11 +107,11 @@ func TestLoad(t *testing.T) {
 					gt, gw := got.Neighbors(u)
 					wt, ww := want.Neighbors(u)
 					if len(gt) != len(wt) {
-						t.Fatalf("workers=%d: vertex %d has %d arcs, wrote %d", workers, u, len(gt), len(wt))
+						t.Fatalf("procs=%d: vertex %d has %d arcs, wrote %d", procs, u, len(gt), len(wt))
 					}
 					for i := range wt {
 						if gt[i] != wt[i] || gw[i] != ww[i] {
-							t.Fatalf("workers=%d: vertex %d arc %d differs from the written graph", workers, u, i)
+							t.Fatalf("procs=%d: vertex %d arc %d differs from the written graph", procs, u, i)
 						}
 					}
 				}

@@ -34,12 +34,12 @@ func ParseSpec(spec string) (*graph.Graph, graph.Membership, error) {
 // (a graph file, decoded by graph.ReadFile) and spec (a ParseSpec generator
 // spec) must be set. The membership is the planted truth of a generated
 // graph, nil for a file.
-func Load(path, spec string, workers int) (*graph.Graph, graph.Membership, error) {
+func Load(path, spec string) (*graph.Graph, graph.Membership, error) {
 	switch {
 	case path != "" && spec != "":
 		return nil, nil, fmt.Errorf("pass either -graph or -gen, not both")
 	case path != "":
-		g, err := graph.ReadFile(path, workers)
+		g, err := graph.ReadFile(path)
 		return g, nil, err
 	case spec != "":
 		return ParseSpec(spec)

@@ -57,7 +57,7 @@ func TestStreamRMATMatchesInRAM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.ReadAll(2)
+		got, err := s.ReadAll(0)
 		if err != nil {
 			t.Fatal(err)
 		}

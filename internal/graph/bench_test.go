@@ -77,7 +77,7 @@ func BenchmarkShardedV2Read(b *testing.B) {
 			b.SetBytes(arcBytes)
 			b.ReportMetric(float64(len(c.data)), "file-B")
 			for i := 0; i < b.N; i++ {
-				if _, err := s.ReadAll(1); err != nil {
+				if _, err := s.ReadAll(0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/wire"
 )
 
@@ -25,8 +24,9 @@ func seedFromTestdata(f *testing.F, name string) {
 
 // FuzzReadEdgeList exercises the text parser against arbitrary input: it
 // must return an error or a structurally valid graph, never panic; the
-// inline run and a 3-worker pool must agree on the graph and on the error
-// text; and an accepted graph must survive a write/reparse round trip.
+// inline run (4 line splits, 1 sort chunk) and a 12-split, 3-chunk run must
+// agree on the graph and on the error text; and an accepted graph must
+// survive a write/reparse round trip.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2 2.5\n")
 	f.Add("# vertices 10\n0 1 1\n")
@@ -39,21 +39,19 @@ func FuzzReadEdgeList(f *testing.F) {
 		// Lower the vertex bound: a single hostile line can legitimately ask
 		// ReadEdgeList for a ~2^31-vertex graph, which is valid but far too
 		// large to allocate per fuzz input.
-		g, err := parseEdgeList([]byte(input), nil, 1<<20)
-		pool := par.NewPool(3)
-		gp, perr := parseEdgeList([]byte(input), pool, 1<<20)
-		pool.Close()
+		g, err := parseEdgeList([]byte(input), 4, 1, 1<<20)
+		gp, perr := parseEdgeList([]byte(input), 12, 3, 1<<20)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("inline err %v, pool err %v", err, perr)
+			t.Fatalf("inline err %v, chunked err %v", err, perr)
 		}
 		if err != nil {
 			if err.Error() != perr.Error() {
-				t.Fatalf("inline error %q, pool error %q", err, perr)
+				t.Fatalf("inline error %q, chunked error %q", err, perr)
 			}
 			return
 		}
 		if diff := graphsIdentical(g, gp); diff != "" {
-			t.Fatalf("pool parse diverged from the inline one: %s", diff)
+			t.Fatalf("chunked parse diverged from the inline one: %s", diff)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("parser accepted input %q but produced invalid graph: %v", input, err)
@@ -64,7 +62,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatalf("writing accepted graph back: %v", err)
 		}
-		g2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()), 1)
+		g2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reparsing written graph: %v", err)
 		}
@@ -120,7 +118,7 @@ func FuzzReadBinarySharded(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xa2, 0x50, 0x72, 0x47, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := readSharded(data, 2)
+		g, err := readSharded(data)
 		if err != nil {
 			return
 		}
@@ -189,7 +187,7 @@ func FuzzReadBinary(f *testing.F) {
 			}
 			return
 		}
-		gs, serr := readSharded(sbin, 1)
+		gs, serr := readSharded(sbin)
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("flat err %v, one-shard v1 err %v", err, serr)
 		}
@@ -240,7 +238,7 @@ func FuzzReadWindow(f *testing.F) {
 		if err != nil {
 			return
 		}
-		full, ferr := s.ReadAll(2)
+		full, ferr := s.ReadAll(0)
 		if ferr != nil {
 			// The input fails somewhere in a payload; the windowed decoder
 			// shares those validation paths and must fail cleanly too, but

@@ -168,9 +168,10 @@ func (g *Graph) hasArc(u, v int, w float64) bool {
 // yield one arc. Duplicate edges are combined by summing weights. Endpoints
 // must lie in [0, n). A weight of 0 on input is treated as 1 (unweighted
 // convenience). It is the counting-sort builder of ingest.go run inline;
-// readers that hold a pool hand it to fromEdgesPool and get the same bytes.
+// ReadEdgeList runs the same builder over several chunks and gets the same
+// bytes.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	return fromEdgesPool(n, edges, nil)
+	return fromEdges(n, edges, 1)
 }
 
 // FromArcLists builds a graph directly from per-vertex arc lists. The caller
@@ -196,14 +197,14 @@ func FromArcLists(n int, targets [][]int32, weights [][]float64) (*Graph, error)
 	}
 	g := &Graph{offsets: offsets, targets: flatT, weights: flatW}
 	g.sortAndCombine()
-	finishPool(g, nil)
+	finish(g, 1)
 	return g, nil
 }
 
 // sortAndCombine sorts each vertex's arcs by target and merges arcs with the
 // same target by summing weights (parallel edges collapse to one arc). Only
 // FromArcLists needs it: its input is already grouped by source, so a sort
-// per vertex is the whole job; edge lists go through fromEdgesPool.
+// per vertex is the whole job; edge lists go through fromEdges.
 func (g *Graph) sortAndCombine() {
 	n := g.NumVertices()
 	newOffsets := make([]int64, n+1)
@@ -242,7 +243,7 @@ func (g *Graph) sortAndCombine() {
 // per vertex (the binary readers validate this while decoding).
 func fromSortedCSR(offsets []int64, targets []int32, weights []float64) *Graph {
 	g := &Graph{offsets: offsets, targets: targets, weights: weights}
-	finishPool(g, nil)
+	finish(g, 1)
 	return g
 }
 

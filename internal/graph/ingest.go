@@ -1,7 +1,8 @@
 package graph
 
 // Ingest: the one edge-list parser and the one CSR builder. Each gives the
-// same bytes on every pool, the nil pool (which runs inline) included:
+// same bytes at every chunk count and every GOMAXPROCS, one (which runs
+// inline) included:
 //
 //   - The text input is split at newline boundaries, so every chunk parses
 //     whole lines with the one grammar (parseEdgeLine). Per-chunk edge
@@ -16,8 +17,8 @@ package graph
 //     order, so the duplicate-combine pass sums weights in input order on
 //     both endpoints and arc symmetry survives floating point. Scatter
 //     positions are integers fully determined by the global arc sequence,
-//     so — unlike float reductions — the chunk count here may depend on the
-//     worker count without breaking determinism. graph_test.go keeps the
+//     so — unlike float reductions — the chunk count here may depend on
+//     GOMAXPROCS without breaking determinism. graph_test.go keeps the
 //     per-vertex stable-sort builder this replaced as the oracle.
 //
 // Kernels never touch a communicator (ingest runs before any comm exists),
@@ -29,28 +30,28 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"repro/internal/par"
 )
 
 // histChunkCap caps the chunk count of the counting-sort passes: each chunk
 // carries an n-sized histogram, so the scratch is histChunkCap·n ints at
-// most no matter how many workers run.
+// most no matter how many cores the host has.
 const histChunkCap = 16
 
 // ReadEdgeList parses the text format written by WriteEdgeList on up to
-// workers goroutines (0 = host-sized). It also accepts headerless
-// SNAP-style lists ("u v" or "u v w" per line, '#' comments); in that case
-// the vertex count is 1 + the maximum endpoint. The graph, and the error on
-// a malformed input, are the same at every worker count.
-func ReadEdgeList(r io.Reader, workers int) (*Graph, error) {
+// GOMAXPROCS goroutines. It also accepts headerless SNAP-style lists ("u v"
+// or "u v w" per line, '#' comments); in that case the vertex count is 1 +
+// the maximum endpoint. The graph, and the error on a malformed input, are
+// the same at every GOMAXPROCS.
+func ReadEdgeList(r io.Reader) (*Graph, error) {
 	data, err := readAllSized(r)
 	if err != nil {
 		return nil, err
 	}
-	pool := par.NewPool(resolveWorkers(workers))
-	defer pool.Close()
-	return parseEdgeList(data, pool, math.MaxInt32)
+	procs := runtime.GOMAXPROCS(0)
+	return parseEdgeList(data, procs*4, min(procs, histChunkCap), math.MaxInt32)
 }
 
 // readAllSized buffers the whole input, sizing the buffer up front when the
@@ -67,15 +68,6 @@ func readAllSized(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// resolveWorkers maps the cmd-level -workers convention onto a pool size:
-// 0 = host-sized (ingest is a host-global phase, so worldSize is 1).
-func resolveWorkers(workers int) int {
-	if workers == 0 {
-		return par.DefaultWorkers(1)
-	}
-	return workers
-}
-
 // chunkParse is one chunk's parse result.
 type chunkParse struct {
 	edges    []Edge
@@ -86,20 +78,22 @@ type chunkParse struct {
 	err      error
 }
 
-// parseEdgeList bounds the vertex-ID space at maxV. Arc targets are stored
-// as int32, so IDs beyond that are corrupt by definition — and because a
-// headerless list sizes the graph as 1 + max endpoint, a single hostile
-// line like "99999999999999 0" would otherwise demand a maxID-sized
-// allocation before any validation. The fuzz harness lowers the bound
-// further to keep per-input allocations small.
-func parseEdgeList(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
-	bounds := splitLines(data, pool.Workers()*4)
+// parseEdgeList cuts data into splits line-aligned chunks and builds the
+// CSR with sortChunks counting-sort chunks (see fromEdges). It bounds the
+// vertex-ID space at maxV. Arc targets are stored as int32, so IDs beyond
+// that are corrupt by definition — and because a headerless list sizes the
+// graph as 1 + max endpoint, a single hostile line like "99999999999999 0"
+// would otherwise demand a maxID-sized allocation before any validation.
+// The fuzz harness lowers the bound further to keep per-input allocations
+// small.
+func parseEdgeList(data []byte, splits, sortChunks, maxV int) (*Graph, error) {
+	bounds := splitLines(data, splits)
 	nc := len(bounds) - 1
 
 	// Line numbers: each chunk starts right after a newline, so the chunk's
 	// first line number is 1 + the newlines before it.
 	nlines := make([]int, nc)
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		nlines[c] = bytes.Count(data[bounds[c]:bounds[c+1]], []byte{'\n'})
 	})
 	startLine := make([]int, nc)
@@ -110,7 +104,7 @@ func parseEdgeList(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
 	}
 
 	res := make([]chunkParse, nc)
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		res[c] = parseChunk(data[bounds[c]:bounds[c+1]], startLine[c], maxV)
 	})
 
@@ -145,14 +139,14 @@ func parseEdgeList(data []byte, pool *par.Pool, maxV int) (*Graph, error) {
 		at[c] = pos
 		pos += len(res[c].edges)
 	}
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		copy(edges[at[c]:], res[c].edges)
 	})
 	n := declN
 	if declLine == 0 {
 		n = maxID + 1
 	}
-	return fromEdgesPool(n, edges, pool)
+	return fromEdges(n, edges, sortChunks)
 }
 
 // splitLines returns nc+1 chunk boundaries over data, each boundary placed
@@ -229,12 +223,15 @@ func parseChunk(b []byte, lineNo, maxV int) chunkParse {
 	return cp
 }
 
-// fromEdgesPool is the counting-sort CSR builder. See the comment at the top
-// of this file for the determinism argument.
-func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
-	nc := pool.Workers()
-	if nc > histChunkCap {
-		nc = histChunkCap
+// fromEdges is the counting-sort CSR builder over nc edge chunks; nc = 1
+// runs every pass inline. See the comment at the top of this file for the
+// determinism argument.
+func fromEdges(n int, edges []Edge, nc int) (*Graph, error) {
+	// The per-vertex passes cut the vertex range finer than the edge passes,
+	// so skewed degrees still balance; a serial build keeps them serial.
+	ncV := 1
+	if nc > 1 {
+		ncV = par.NumChunks(n)
 	}
 	ne := len(edges)
 
@@ -246,7 +243,7 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 	// names the list's first bad edge whatever the chunking.
 	hist := make([]int64, nc*n)
 	bad := make([]int, nc)
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		h := hist[c*n : (c+1)*n]
 		lo, hi := par.ChunkSpan(ne, nc, c)
 		first := -1
@@ -292,7 +289,7 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 	aSrc := make([]int32, arcs)
 	aTgt := make([]int32, arcs)
 	aW := make([]float64, arcs)
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		pos := hist[c*n : (c+1)*n]
 		lo, hi := par.ChunkSpan(ne, nc, c)
 		for i := lo; i < hi; i++ {
@@ -325,15 +322,15 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 		hist[i] = 0
 	}
 	na := int(arcs)
-	pool.ParFor(nc, func(c, _ int) {
+	par.For(nc, func(c int) {
 		h := hist[c*n : (c+1)*n]
 		lo, hi := par.ChunkSpan(na, nc, c)
 		for i := lo; i < hi; i++ {
 			h[aSrc[i]]++
 		}
 	})
-	histToOffsets(hist, offsets, nc, n, pool)
-	pool.ParFor(nc, func(c, _ int) {
+	histToOffsets(hist, offsets, nc, n, ncV)
+	par.For(nc, func(c int) {
 		pos := hist[c*n : (c+1)*n]
 		lo, hi := par.ChunkSpan(na, nc, c)
 		for i := lo; i < hi; i++ {
@@ -347,9 +344,8 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 
 	// Combine duplicates per vertex, summing weights left to right. Most
 	// graphs have none, in which case the pass-B arrays are already final.
-	ncV := par.NumChunks(n)
 	newDeg := make([]int64, n)
-	pool.ParFor(ncV, func(cv, _ int) {
+	par.For(ncV, func(cv int) {
 		lo, hi := par.ChunkSpan(n, ncV, cv)
 		for u := lo; u < hi; u++ {
 			var d int64
@@ -369,7 +365,7 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 	if newOffsets[n] != arcs {
 		nt := make([]int32, newOffsets[n])
 		nw := make([]float64, newOffsets[n])
-		pool.ParFor(ncV, func(cv, _ int) {
+		par.For(ncV, func(cv int) {
 			lo, hi := par.ChunkSpan(n, ncV, cv)
 			for u := lo; u < hi; u++ {
 				wr := newOffsets[u]
@@ -387,16 +383,15 @@ func fromEdgesPool(n int, edges []Edge, pool *par.Pool) (*Graph, error) {
 		})
 		g.targets, g.weights = nt, nw
 	}
-	finishPool(g, pool)
+	finish(g, ncV)
 	return g, nil
 }
 
 // histToOffsets converts per-chunk histograms into exclusive scatter
 // offsets in place: the position of chunk c's first item with key v is
-// base[v] + Σ_{c'<c} hist[c'][v]. Parallel over vertex ranges.
-func histToOffsets(hist, base []int64, nc, n int, pool *par.Pool) {
-	ncV := par.NumChunks(n)
-	pool.ParFor(ncV, func(cv, _ int) {
+// base[v] + Σ_{c'<c} hist[c'][v]. Parallel over ncV vertex ranges.
+func histToOffsets(hist, base []int64, nc, n, ncV int) {
+	par.For(ncV, func(cv int) {
 		lo, hi := par.ChunkSpan(n, ncV, cv)
 		for v := lo; v < hi; v++ {
 			run := base[v]
@@ -407,15 +402,14 @@ func histToOffsets(hist, base []int64, nc, n int, pool *par.Pool) {
 	})
 }
 
-// finishPool computes the wdeg/m2/loops caches with per-vertex scans. Each
-// k(u) accumulates over u's own arcs in arc order and m2 sums wdeg serially
-// in ascending u, so neither float depends on the pool.
-func finishPool(g *Graph, pool *par.Pool) {
+// finish computes the wdeg/m2/loops caches with per-vertex scans over ncV
+// vertex ranges. Each k(u) accumulates over u's own arcs in arc order and m2
+// sums wdeg serially in ascending u, so neither float depends on ncV.
+func finish(g *Graph, ncV int) {
 	n := g.NumVertices()
 	g.wdeg = make([]float64, n)
-	ncV := par.NumChunks(n)
 	loopCnt := make([]int64, ncV)
-	pool.ParFor(ncV, func(cv, _ int) {
+	par.For(ncV, func(cv int) {
 		lo, hi := par.ChunkSpan(n, ncV, cv)
 		var loops int64
 		for u := lo; u < hi; u++ {

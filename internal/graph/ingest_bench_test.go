@@ -1,8 +1,9 @@
 package graph_test
 
-// Ingest benchmarks: the edge-list reader and the sharded decoder at each
-// worker count, on the scale-14 R-MAT input PR 5 was accepted against (git
-// show 11a6fa5:scripts/bench_seed_pr5.json). This file is an external test
+// Ingest benchmarks: the edge-list reader and the sharded decoder on a
+// scale-14 R-MAT input (the one the parallel ingest was first measured on,
+// at commit 11a6fa5). Both run on up to GOMAXPROCS goroutines, so
+// `go test -cpu 1,2,4,8` sweeps them. This file is an external test
 // package so it can use internal/gen without an import cycle.
 
 import (
@@ -35,15 +36,11 @@ func benchText(b *testing.B) []byte {
 
 func BenchmarkIngestEdgeList(b *testing.B) {
 	text := benchText(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(wLabel(w), func(b *testing.B) {
-			b.SetBytes(int64(len(text)))
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.ReadEdgeList(bytes.NewReader(text), w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(text)))
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.ReadEdgeList(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -56,18 +53,10 @@ func BenchmarkIngestSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(wLabel(w), func(b *testing.B) {
-			b.SetBytes(int64(sharded.Len()))
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ReadAll(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(sharded.Len()))
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ReadAll(0); err != nil {
+			b.Fatal(err)
+		}
 	}
-}
-
-func wLabel(w int) string {
-	return "w=" + string(rune('0'+w))
 }

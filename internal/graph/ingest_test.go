@@ -8,16 +8,26 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/par"
 )
 
-// ingestWorkerCounts is the matrix the reader tests sweep; 1 runs inline on
-// a nil pool, 3 is an uneven split, 8 the bench configuration.
-var ingestWorkerCounts = []int{1, 2, 3, 8}
+// ingestProcs is the GOMAXPROCS matrix the reader tests sweep, and
+// ingestChunks the chunk-count matrix of the CSR builder tests: 1 runs
+// inline, 3 is an uneven split, 8 more than this host may have cores.
+var (
+	ingestProcs  = []int{1, 2, 3, 8}
+	ingestChunks = []int{1, 2, 3, 8}
+)
+
+// setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
+// value when t ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // graphsIdentical reports the first bit-level difference between two graphs,
 // or "" when they match exactly — offsets, targets, weights, and the
@@ -106,18 +116,6 @@ func csrDigest(g *Graph) uint64 {
 	return h.Sum64()
 }
 
-// ingestPools runs f on the nil pool (inline) and on 2-, 3- and 8-worker
-// pools: the inline run, an even split, an uneven one, and more workers
-// than this host has cores.
-func ingestPools(f func(name string, pool *par.Pool)) {
-	f("nil", nil)
-	for _, w := range []int{2, 3, 8} {
-		pool := par.NewPool(w)
-		f(fmt.Sprintf("%d workers", w), pool)
-		pool.Close()
-	}
-}
-
 // poolFixture is the committed input of TestFromEdgesDeterministicAcrossPools:
 // 40 vertices of which the last 8 are isolated, duplicate edges in both
 // orientations whose weights do not add associatively, self-loops (one of
@@ -137,7 +135,7 @@ func poolFixture() (int, []Edge) {
 
 // TestFromEdgesDeterministicAcrossPools is what "parallel matches serial"
 // became when FromEdges lost its serial body: on the committed fixture the
-// counting sort must give the same CSR bytes on every pool, those bytes
+// counting sort must give the same CSR bytes at every chunk count, those bytes
 // must be the ones the old per-vertex sort.Stable builder (fromEdgesSerial)
 // gives, and they must hash to the committed digest, so a change to both
 // builders at once still shows.
@@ -149,26 +147,26 @@ func TestFromEdgesDeterministicAcrossPools(t *testing.T) {
 	}
 	// Recorded from FromEdges at c4f0c52, where it was the serial builder.
 	const fixtureDigest = 0x8699a7ab654e2c16
-	ingestPools(func(name string, pool *par.Pool) {
-		got, err := fromEdgesPool(n, edges, pool)
+	for _, nc := range ingestChunks {
+		got, err := fromEdges(n, edges, nc)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("chunks=%d: %v", nc, err)
 		}
 		if diff := graphsIdentical(want, got); diff != "" {
-			t.Fatalf("%s: differs from the oracle: %s", name, diff)
+			t.Fatalf("chunks=%d: differs from the oracle: %s", nc, diff)
 		}
 		if d := csrDigest(got); d != fixtureDigest {
-			t.Fatalf("%s: CSR digest %#x, committed %#x", name, d, uint64(fixtureDigest))
+			t.Fatalf("chunks=%d: CSR digest %#x, committed %#x", nc, d, uint64(fixtureDigest))
 		}
-	})
+	}
 	if want.Degree(39) != 0 || want.NumVertices() != 40 {
 		t.Fatalf("isolated tail lost: n=%d, degree(39)=%d", want.NumVertices(), want.Degree(39))
 	}
 }
 
-// TestFromEdgesParallelMatchesSerial compares the counting sort on every
-// pool with the serial oracle on random messy inputs large enough that each
-// of 8 workers gets a real share of the edges.
+// TestFromEdgesParallelMatchesSerial compares the counting sort at every
+// chunk count with the serial oracle on random messy inputs large enough
+// that each of 8 chunks gets a real share of the edges.
 func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct{ n, m int }{{50, 2000}, {1000, 20000}, {4096, 60000}} {
@@ -177,15 +175,15 @@ func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ingestPools(func(name string, pool *par.Pool) {
-			got, err := fromEdgesPool(tc.n, edges, pool)
+		for _, nc := range ingestChunks {
+			got, err := fromEdges(tc.n, edges, nc)
 			if err != nil {
-				t.Fatalf("n=%d, %s: %v", tc.n, name, err)
+				t.Fatalf("n=%d, chunks=%d: %v", tc.n, nc, err)
 			}
 			if diff := graphsIdentical(want, got); diff != "" {
-				t.Fatalf("n=%d m=%d, %s: %s", tc.n, tc.m, name, diff)
+				t.Fatalf("n=%d m=%d, chunks=%d: %s", tc.n, tc.m, nc, diff)
 			}
-		})
+		}
 	}
 }
 
@@ -198,16 +196,16 @@ func TestFromEdgesParallelBadEndpoint(t *testing.T) {
 	if serr == nil {
 		t.Fatal("oracle: expected error")
 	}
-	ingestPools(func(name string, pool *par.Pool) {
-		_, perr := fromEdgesPool(100, edges, pool)
+	for _, nc := range ingestChunks {
+		_, perr := fromEdges(100, edges, nc)
 		if perr == nil || perr.Error() != serr.Error() {
-			t.Fatalf("%s: error %q, want %q", name, perr, serr)
+			t.Fatalf("chunks=%d: error %q, want %q", nc, perr, serr)
 		}
-	})
+	}
 }
 
 // bigEdgeListText renders a text edge list large enough that every chunk of
-// an 8-worker parse holds many lines, with comments and blank lines
+// a parse at GOMAXPROCS 8 holds many lines, with comments and blank lines
 // sprinkled through it.
 func bigEdgeListText(rng *rand.Rand, n, m int) string {
 	var sb strings.Builder
@@ -271,20 +269,21 @@ func TestReadEdgeListParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	text := bigEdgeListText(rng, 3000, 40000)
 	want := scanEdgeList(t, text)
-	for _, w := range ingestWorkerCounts {
-		got, err := ReadEdgeList(strings.NewReader(text), w)
+	for _, procs := range ingestProcs {
+		setProcs(t, procs)
+		got, err := ReadEdgeList(strings.NewReader(text))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		if diff := graphsIdentical(want, got); diff != "" {
-			t.Fatalf("workers=%d: %s", w, diff)
+			t.Fatalf("procs=%d: %s", procs, diff)
 		}
 	}
 }
 
 // TestReadEdgeListParallelErrors plants errors in a list long enough to be
 // cut into many chunks: the reader must report the one on the smallest line
-// number, with the same text at every worker count.
+// number, with the same text at every GOMAXPROCS.
 func TestReadEdgeListParallelErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := bigEdgeListText(rng, 500, 20000)
@@ -316,19 +315,20 @@ func TestReadEdgeListParallelErrors(t *testing.T) {
 				t.Fatalf("%s: reference has %d vertices, the last declaration says 9000", tc.name, want.NumVertices())
 			}
 		}
-		for _, w := range ingestWorkerCounts {
-			got, err := ReadEdgeList(strings.NewReader(text), w)
+		for _, procs := range ingestProcs {
+			setProcs(t, procs)
+			got, err := ReadEdgeList(strings.NewReader(text))
 			if tc.wantErr != "" {
 				if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
-					t.Fatalf("%s workers=%d: error %v, want prefix %q", tc.name, w, err, tc.wantErr)
+					t.Fatalf("%s procs=%d: error %v, want prefix %q", tc.name, procs, err, tc.wantErr)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+				t.Fatalf("%s procs=%d: %v", tc.name, procs, err)
 			}
 			if diff := graphsIdentical(want, got); diff != "" {
-				t.Fatalf("%s workers=%d: %s", tc.name, w, diff)
+				t.Fatalf("%s procs=%d: %s", tc.name, procs, diff)
 			}
 		}
 	}

@@ -16,16 +16,16 @@ import (
 // ReadFile reads a whole graph from path, choosing the decoder by
 // extension: .sbin (sharded binary, either version), .bin (the flat binary
 // earlier versions of gengraph wrote), .metis, and a text edge list for
-// anything else. workers bounds the parallel decoders (0 = automatic); the
-// graph is identical at every count.
-func ReadFile(path string, workers int) (*Graph, error) {
+// anything else. The parallel decoders run on up to GOMAXPROCS goroutines;
+// the graph is identical at every GOMAXPROCS.
+func ReadFile(path string) (*Graph, error) {
 	if strings.HasSuffix(path, ".sbin") {
 		s, closer, err := OpenShardedFile(path)
 		if err != nil {
 			return nil, err
 		}
 		defer closer.Close()
-		return s.ReadAll(workers)
+		return s.ReadAll(0)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -38,7 +38,7 @@ func ReadFile(path string, workers int) (*Graph, error) {
 	case strings.HasSuffix(path, ".metis"):
 		return ReadMETIS(f)
 	default:
-		return ReadEdgeList(f, workers)
+		return ReadEdgeList(f)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf, 1)
+	g2, err := ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListHeaderless(t *testing.T) {
 	in := "# a comment\n0 1\n1 2 2.5\n\n2 0\n"
-	g, err := ReadEdgeList(strings.NewReader(in), 1)
+	g, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReadEdgeListHeaderless(t *testing.T) {
 func TestReadEdgeListPreservesIsolatedTail(t *testing.T) {
 	// header declares more vertices than appear in edges
 	in := "# vertices 10\n0 1 1\n"
-	g, err := ReadEdgeList(strings.NewReader(in), 1)
+	g, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,11 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"0 1 z\n", "bad weight"},
 		{"0 1\n# vertices -5\n1 2\n", "graph: line 2: declared vertex count -5 is negative"},
 	} {
-		for _, w := range []int{1, 2, 8} {
-			_, err := ReadEdgeList(strings.NewReader(tc.bad), w)
+		for _, procs := range []int{1, 2, 8} {
+			setProcs(t, procs)
+			_, err := ReadEdgeList(strings.NewReader(tc.bad))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("input %q workers=%d: error %v, want one containing %q", tc.bad, w, err, tc.want)
+				t.Errorf("input %q procs=%d: error %v, want one containing %q", tc.bad, procs, err, tc.want)
 			}
 		}
 	}
@@ -118,14 +119,15 @@ func writeBinary(w io.Writer, g *Graph) error {
 // that could write one (c4f0c52: -gen lfr:n=150,mu=0.3,seed=5) and requires
 // the CSR digest that commit's own ReadFile gave for it.
 func TestReadFileParentBin(t *testing.T) {
-	for _, w := range ingestWorkerCounts {
-		g, err := ReadFile(filepath.Join("testdata", "lfr150_parent.bin"), w)
+	for _, procs := range ingestProcs {
+		setProcs(t, procs)
+		g, err := ReadFile(filepath.Join("testdata", "lfr150_parent.bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := csrDigest(g); got != 0x2307f01a67d4b1f0 || g.NumVertices() != 150 || g.NumArcs() != 820 {
-			t.Fatalf("workers=%d: digest %#x, n=%d, arcs=%d; recorded 0x2307f01a67d4b1f0, 150, 820",
-				w, got, g.NumVertices(), g.NumArcs())
+			t.Fatalf("procs=%d: digest %#x, n=%d, arcs=%d; recorded 0x2307f01a67d4b1f0, 150, 820",
+				procs, got, g.NumVertices(), g.NumArcs())
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)

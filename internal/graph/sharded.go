@@ -79,7 +79,7 @@ const maxWeightDict = 255
 // graph with more than 255 distinct weights is written as v1 (raw f64
 // weights) instead — the caller gets whichever format is smaller to decode,
 // negotiated by magic. Shard payloads are encoded concurrently; the byte
-// output is identical at every worker count, because each shard's encoding
+// output is identical at every GOMAXPROCS, because each shard's encoding
 // depends only on its own vertices and shards are concatenated in index
 // order.
 func WriteBinaryShardedV2(w io.Writer, g *Graph, shards int) error {
@@ -176,9 +176,7 @@ func writeSharded(w io.Writer, g *Graph, shards int, v2 *v2Writer) error {
 	shards = len(vhi)
 
 	bufs := make([]*wire.Buffer, shards)
-	pool := par.NewPool(par.DefaultWorkers(1))
-	defer pool.Close()
-	pool.ParFor(shards, func(s, _ int) {
+	par.For(shards, func(s int) {
 		lo := 0
 		if s > 0 {
 			lo = vhi[s-1]
@@ -437,18 +435,17 @@ func readFullAt(r io.ReaderAt, p []byte, off int64) error {
 }
 
 // ReadAll decodes the whole graph, fetching and decoding shards on up to
-// workers goroutines (0 = host-sized). The index pins every shard's arc
+// GOMAXPROCS goroutines. The argument is ignored; it is kept so existing
+// callers still compile. The index pins every shard's arc
 // range, so shards decode straight into the final CSR arrays — no
 // per-shard intermediate graphs and no whole-file double buffer.
-func (s *Sharded) ReadAll(workers int) (*Graph, error) {
-	pool := par.NewPool(resolveWorkers(workers))
-	defer pool.Close()
+func (s *Sharded) ReadAll(int) (*Graph, error) {
 	offsets := make([]int64, s.n+1)
 	targets := make([]int32, s.arcs)
 	weights := make([]float64, s.arcs)
 	shards := s.NumShards()
 	errs := make([]error, shards)
-	pool.ParFor(shards, func(i, _ int) {
+	par.For(shards, func(i int) {
 		data, err := s.payloadBytes(i)
 		if err != nil {
 			errs[i] = err

@@ -9,12 +9,12 @@ import (
 
 // readSharded opens an in-memory .sbin of either version and decodes all
 // of it, the road ReadFile takes through OpenShardedFile.
-func readSharded(data []byte, workers int) (*Graph, error) {
+func readSharded(data []byte) (*Graph, error) {
 	s, err := OpenSharded(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	return s.ReadAll(workers)
+	return s.ReadAll(0)
 }
 
 // shardedFixture encodes a messy graph as v1 (raw f64 weights), the format
@@ -41,13 +41,14 @@ func TestShardedRoundTrip(t *testing.T) {
 		{0, 0, 1},      // no vertices: one shard with an empty payload
 	} {
 		g, enc := shardedFixture(t, tc.n, tc.m, tc.shards)
-		for _, w := range ingestWorkerCounts {
-			g2, err := readSharded(enc, w)
+		for _, procs := range ingestProcs {
+			setProcs(t, procs)
+			g2, err := readSharded(enc)
 			if err != nil {
-				t.Fatalf("n=%d shards=%d workers=%d: %v", tc.n, tc.shards, w, err)
+				t.Fatalf("n=%d shards=%d procs=%d: %v", tc.n, tc.shards, procs, err)
 			}
 			if diff := graphsIdentical(g, g2); diff != "" {
-				t.Fatalf("n=%d shards=%d workers=%d: %s", tc.n, tc.shards, w, diff)
+				t.Fatalf("n=%d shards=%d procs=%d: %s", tc.n, tc.shards, procs, diff)
 			}
 		}
 	}
@@ -74,7 +75,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := readSharded(enc, 4)
+	gs, err := readSharded(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestShardedHostileInputs(t *testing.T) {
 	le := binary.LittleEndian
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := f(append([]byte(nil), enc...))
-		if g, err := readSharded(b, 2); err == nil {
+		if g, err := readSharded(b); err == nil {
 			// A mutation may legitimately survive only if the graph still
 			// validates; hostile header fields below never do.
 			t.Errorf("%s: expected error, got graph with %d vertices", name, g.NumVertices())

@@ -2,7 +2,7 @@ package graph
 
 // Windowed access to a sharded graph: decode one shard's vertex range at a
 // time instead of the whole file, so a consumer's peak memory is bounded by
-// its own working state plus one shard window per worker. This is
+// its own working state plus one shard window per goroutine. This is
 // the read side of the out-of-core pipeline — the streaming partitioner and
 // the -oocore cmds iterate the file through these windows and never build
 // the global CSR.

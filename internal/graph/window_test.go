@@ -47,13 +47,14 @@ func TestShardedV2RoundTrip(t *testing.T) {
 		if got := binary.LittleEndian.Uint32(enc); got != shardedMagicV2 {
 			t.Fatalf("n=%d: magic %#x, want v2 %#x", tc.n, got, shardedMagicV2)
 		}
-		for _, w := range ingestWorkerCounts {
-			g2, err := readSharded(enc, w)
+		for _, procs := range ingestProcs {
+			setProcs(t, procs)
+			g2, err := readSharded(enc)
 			if err != nil {
-				t.Fatalf("n=%d shards=%d workers=%d: %v", tc.n, tc.shards, w, err)
+				t.Fatalf("n=%d shards=%d procs=%d: %v", tc.n, tc.shards, procs, err)
 			}
 			if diff := graphsIdentical(g, g2); diff != "" {
-				t.Fatalf("n=%d shards=%d workers=%d: %s", tc.n, tc.shards, w, diff)
+				t.Fatalf("n=%d shards=%d procs=%d: %s", tc.n, tc.shards, procs, diff)
 			}
 		}
 	}
@@ -99,7 +100,7 @@ func TestShardedV2FallsBackToV1(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(buf.Bytes()); got != shardedMagic {
 		t.Fatalf("magic %#x, want v1 fallback %#x", got, shardedMagic)
 	}
-	g2, err := readSharded(buf.Bytes(), 2)
+	g2, err := readSharded(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestOpenShardedFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := s.ReadAll(3)
+		g2, err := s.ReadAll(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +358,7 @@ func TestShardedV2HostileInputs(t *testing.T) {
 	mutate := func(name string, f func(b []byte) []byte) {
 		t.Helper()
 		b := f(append([]byte(nil), enc...))
-		if g, err := readSharded(b, 2); err == nil {
+		if g, err := readSharded(b); err == nil {
 			t.Errorf("%s: expected error, got graph with %d vertices", name, g.NumVertices())
 		}
 	}

@@ -1,9 +1,17 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
+// value when t ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func TestChunkSpanCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 7, Grain, Grain*3 + 1, Grain * MaxChunks * 2} {
@@ -28,87 +36,61 @@ func TestChunkSpanCoversRange(t *testing.T) {
 func TestNumChunksIgnoresWorkerCount(t *testing.T) {
 	// The determinism contract: chunk boundaries depend on the data size
 	// only. NumChunks takes nothing else, so this pins the signature's
-	// intent against a future "helpful" worker parameter.
-	if a, b := NumChunks(10*Grain), NumChunks(10*Grain); a != b {
-		t.Fatalf("NumChunks not pure: %d vs %d", a, b)
+	// intent against a future "helpful" GOMAXPROCS dependence.
+	a := NumChunks(10 * Grain)
+	setProcs(t, 1)
+	if b := NumChunks(10 * Grain); a != b {
+		t.Fatalf("NumChunks depends on GOMAXPROCS: %d vs %d", a, b)
 	}
 }
 
-func TestDefaultWorkersFloorsAtOne(t *testing.T) {
-	if w := DefaultWorkers(1 << 20); w != 1 {
-		t.Fatalf("DefaultWorkers(huge world) = %d, want 1", w)
-	}
-	if w := DefaultWorkers(1); w < 1 || w > MaxChunks {
-		t.Fatalf("DefaultWorkers(1) = %d out of [1,%d]", w, MaxChunks)
-	}
-}
-
-func TestNewPoolSerialIsNil(t *testing.T) {
-	for _, nw := range []int{-1, 0, 1} {
-		if p := NewPool(nw); p != nil {
-			p.Close()
-			t.Fatalf("NewPool(%d) != nil", nw)
-		}
-	}
-}
-
-// TestParFor runs every chunk exactly once with in-range worker indexes,
-// for pools both smaller and larger than the chunk count.
+// TestParFor runs every chunk exactly once, at GOMAXPROCS both smaller and
+// larger than the chunk count.
 func TestParFor(t *testing.T) {
-	for _, nw := range []int{1, 2, 3, 8} {
-		pool := NewPool(nw)
-		for _, nChunks := range []int{1, 2, 3, 37} {
+	for _, procs := range []int{1, 2, 3, 8} {
+		setProcs(t, procs)
+		for _, nChunks := range []int{0, 1, 2, 3, 37} {
 			hits := make([]atomic.Int32, nChunks)
 			var total atomic.Int64
-			pool.ParFor(nChunks, func(c, w int) {
-				if w < 0 || w >= pool.Workers() {
-					t.Errorf("nw=%d: worker index %d out of [0,%d)", nw, w, pool.Workers())
-				}
+			For(nChunks, func(c int) {
 				hits[c].Add(1)
 				total.Add(int64(c))
 			})
 			for c := range hits {
 				if got := hits[c].Load(); got != 1 {
-					t.Fatalf("nw=%d nChunks=%d: chunk %d ran %d times", nw, nChunks, c, got)
+					t.Fatalf("procs=%d nChunks=%d: chunk %d ran %d times", procs, nChunks, c, got)
 				}
 			}
 			if want := int64(nChunks * (nChunks - 1) / 2); total.Load() != want {
-				t.Fatalf("nw=%d nChunks=%d: total %d, want %d", nw, nChunks, total.Load(), want)
+				t.Fatalf("procs=%d nChunks=%d: total %d, want %d", procs, nChunks, total.Load(), want)
 			}
 		}
-		pool.Close()
 	}
 }
 
+// TestParForNilPoolRunsInOrder pins the serial path: at GOMAXPROCS 1 every
+// chunk runs inline on the caller, in ascending order.
 func TestParForNilPoolRunsInOrder(t *testing.T) {
-	var pool *Pool
+	setProcs(t, 1)
 	var order []int
-	pool.ParFor(5, func(c, w int) {
-		if w != 0 {
-			t.Fatalf("nil pool worker index %d, want 0", w)
-		}
-		order = append(order, c)
-	})
+	For(5, func(c int) { order = append(order, c) })
 	for c, got := range order {
 		if got != c {
-			t.Fatalf("nil pool ran chunks %v, want ascending order", order)
+			t.Fatalf("serial For ran chunks %v, want ascending order", order)
 		}
 	}
 	if len(order) != 5 {
-		t.Fatalf("nil pool ran %d chunks, want 5", len(order))
-	}
-	pool.Close() // nil-safe
-	if pool.Workers() != 1 {
-		t.Fatalf("nil pool Workers() = %d, want 1", pool.Workers())
+		t.Fatalf("serial For ran %d chunks, want 5", len(order))
 	}
 }
 
+// TestParForReusable calls For back to back: nothing of one call may leak
+// into the next.
 func TestParForReusable(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
+	setProcs(t, 4)
 	for round := 0; round < 50; round++ {
 		var n atomic.Int32
-		pool.ParFor(11, func(c, w int) { n.Add(1) })
+		For(11, func(c int) { n.Add(1) })
 		if n.Load() != 11 {
 			t.Fatalf("round %d: %d chunks ran, want 11", round, n.Load())
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,9 +14,16 @@ import (
 	"repro/internal/graph"
 )
 
-// buildWorkerCounts is the contract grid for Options.Workers: every count
-// must produce a bit-identical Layout.
-var buildWorkerCounts = []int{1, 2, 3, 8}
+// buildProcs is the GOMAXPROCS contract grid: every setting must produce a
+// bit-identical Layout.
+var buildProcs = []int{1, 2, 3, 8}
+
+// setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
+// value when t ends.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {
@@ -134,7 +142,7 @@ func graphsBitIdentical(a, b *graph.Graph) string {
 // TestBuildWorkerDeterminism is the end-to-end determinism property for the
 // ingest-and-partition pipeline: parallel edge-list parsing, the parallel
 // counting-sort CSR build behind it, and partition.Build must all be
-// bit-identical to their one-worker runs at every worker count, for both
+// bit-identical to their GOMAXPROCS=1 runs at every GOMAXPROCS, for both
 // partitioning kinds, on the golden fixture graph and a scale-12 R-MAT.
 func TestBuildWorkerDeterminism(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", "graph.txt"))
@@ -157,29 +165,32 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 		{"rmat12", rmatText.Bytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serialG, err := graph.ReadEdgeList(bytes.NewReader(tc.text), 1)
+			setProcs(t, 1)
+			serialG, err := graph.ReadEdgeList(bytes.NewReader(tc.text))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, kind := range []Kind{OneD, Delegate} {
-				base, err := Build(serialG, Options{P: 4, Kind: kind, Workers: 1})
+				setProcs(t, 1)
+				base, err := Build(serialG, Options{P: 4, Kind: kind})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range buildWorkerCounts {
-					pg, err := graph.ReadEdgeList(bytes.NewReader(tc.text), w)
+				for _, procs := range buildProcs {
+					setProcs(t, procs)
+					pg, err := graph.ReadEdgeList(bytes.NewReader(tc.text))
 					if err != nil {
-						t.Fatalf("workers=%d: parallel parse: %v", w, err)
+						t.Fatalf("procs=%d: parallel parse: %v", procs, err)
 					}
 					if diff := graphsBitIdentical(serialG, pg); diff != "" {
-						t.Fatalf("workers=%d: parallel parse diverged: %s", w, diff)
+						t.Fatalf("procs=%d: parallel parse diverged: %s", procs, diff)
 					}
-					l, err := Build(pg, Options{P: 4, Kind: kind, Workers: w})
+					l, err := Build(pg, Options{P: 4, Kind: kind})
 					if err != nil {
-						t.Fatalf("%v workers=%d: %v", kind, w, err)
+						t.Fatalf("%v procs=%d: %v", kind, procs, err)
 					}
 					if diff := layoutsIdentical(base, l); diff != "" {
-						t.Fatalf("%v workers=%d: layout diverged from workers=1: %s", kind, w, diff)
+						t.Fatalf("%v procs=%d: layout diverged from procs=1: %s", kind, procs, diff)
 					}
 				}
 			}
@@ -187,25 +198,29 @@ func TestBuildWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildDefaultWorkersMatchesInline pins Workers=0 (the host-sized pool a
-// production caller actually gets) to Workers=1, where every chunk runs
-// inline on the caller.
+// TestBuildDefaultWorkersMatchesInline pins a build at the host's default
+// GOMAXPROCS (what a production caller actually gets) to one at
+// GOMAXPROCS=1, where every chunk runs inline on the caller.
 func TestBuildDefaultWorkersMatchesInline(t *testing.T) {
 	g, err := gen.BarabasiAlbert(1500, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{OneD, Delegate} {
-		base, err := Build(g, Options{P: 5, Kind: kind, Workers: 1})
+	kinds := []Kind{OneD, Delegate}
+	auto := make([]*Layout, len(kinds))
+	for i, kind := range kinds {
+		if auto[i], err = Build(g, Options{P: 5, Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setProcs(t, 1)
+	for i, kind := range kinds {
+		base, err := Build(g, Options{P: 5, Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto, err := Build(g, Options{P: 5, Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := layoutsIdentical(base, auto); diff != "" {
-			t.Fatalf("%v: auto-workers layout diverged: %s", kind, diff)
+		if diff := layoutsIdentical(base, auto[i]); diff != "" {
+			t.Fatalf("%v: default-GOMAXPROCS layout diverged: %s", kind, diff)
 		}
 	}
 }

@@ -149,9 +149,9 @@ var layoutDigests = []struct {
 // and n (one vertex per window; all three graphs have few enough distinct
 // weights to be written as v2 — BuildStreaming sees decoded windows either
 // way, and TestStreamingBuildMatchesInRAM has a v1 file), and through build
-// over 1, 3 and 64 in-RAM windows at 1, 2 and 8 workers. The last grid is
-// the proof that fragments combine in an order independent of how the
-// vertex range is chunked and of which worker ran which chunk.
+// over 1, 3 and 64 in-RAM windows at GOMAXPROCS 1, 2 and 8. The last grid
+// is the proof that fragments combine in an order independent of how the
+// vertex range is chunked and of which goroutine ran which chunk.
 func TestLayoutDigests(t *testing.T) {
 	gs := digestGraphs(t)
 	type file struct {
@@ -174,7 +174,7 @@ func TestLayoutDigests(t *testing.T) {
 	}
 	for _, row := range layoutDigests {
 		name := fmt.Sprintf("%s/%v/dhigh=%d/p=%d", row.graph, row.kind, row.dhigh, row.p)
-		opt := Options{P: row.p, Kind: row.kind, DHigh: row.dhigh, Workers: 2}
+		opt := Options{P: row.p, Kind: row.kind, DHigh: row.dhigh}
 		g := gs[row.graph]
 		l, err := Build(g, opt)
 		if err != nil {
@@ -186,14 +186,14 @@ func TestLayoutDigests(t *testing.T) {
 		for _, k := range []int{1, 3, 64} {
 			ws := g.Windows(k)
 			readWindow := func(i int) (*graph.Window, error) { return ws[i], nil }
-			for _, workers := range []int{1, 2, 8} {
-				opt.Workers = workers
+			for _, procs := range []int{1, 2, 8} {
+				setProcs(t, procs)
 				l, err := build(g.NumVertices(), len(ws), readWindow, g.Degree, opt)
 				if err != nil {
-					t.Fatalf("%s windows=%d workers=%d: %v", name, k, workers, err)
+					t.Fatalf("%s windows=%d procs=%d: %v", name, k, procs, err)
 				}
 				if d := layoutDigest(l); d != row.digest {
-					t.Errorf("%s: build windows=%d workers=%d digest %#016x, recorded %#016x", name, k, workers, d, row.digest)
+					t.Errorf("%s: build windows=%d procs=%d digest %#016x, recorded %#016x", name, k, procs, d, row.digest)
 				}
 			}
 		}

@@ -116,13 +116,6 @@ type Options struct {
 	P     int  // number of ranks, >= 1
 	Kind  Kind // OneD or Delegate
 	DHigh int  // hub degree threshold; <= 0 means DHigh = P (the paper's setting)
-
-	// Workers bounds the builder's intra-process parallelism: 0 picks a
-	// host-sized count, 1 runs every chunk inline on the caller. Every
-	// worker count produces a bit-identical Layout (chunk boundaries are a
-	// pure function of the data and partial results combine in chunk
-	// order; see internal/par).
-	Workers int
 }
 
 // Layout is a full partitioning of a graph: one Subgraph per rank plus the
@@ -145,18 +138,10 @@ type hubArc struct {
 	w   int64
 }
 
-// workers resolves Options.Workers: 0 picks a host-sized count.
-func (o Options) workers() int {
-	if o.Workers == 0 {
-		return par.DefaultWorkers(1)
-	}
-	return o.Workers
-}
-
 // Build partitions g across opt.P ranks. An in-RAM Graph already carries
 // its degrees, so Build goes straight to the emission pass over arc-balanced
-// windows that alias the CSR. The Layout is bit-identical at every worker
-// count and to BuildStreaming of the same graph.
+// windows that alias the CSR. The Layout is bit-identical at every
+// GOMAXPROCS and to BuildStreaming of the same graph.
 func Build(g *graph.Graph, opt Options) (*Layout, error) {
 	n := g.NumVertices()
 	ws := g.Windows(par.NumChunks(n))
@@ -175,10 +160,10 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // Every vertex's arcs are emitted from its window: an owned vertex carries
 // its complete adjacency to its round-robin owner; a hub arc (h, v) goes to
 // the owner of its target (co-locating delegate and target), hub→hub arcs
-// to a spill pool. One window is one ParFor chunk, and per-(window, rank)
+// to a spill pool. One window is one par.For chunk, and per-(window, rank)
 // fragments concatenate in ascending window order — the serial
 // ascending-vertex append order on every rank — so the Layout does not
-// depend on the window count or the worker count. The spill-pool placement
+// depend on the window count or GOMAXPROCS. The spill-pool placement
 // and the rebalance correction are inherently sequential greedy passes and
 // stay serial.
 func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
@@ -191,13 +176,11 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 		dhigh = opt.P
 	}
 	p := opt.P
-	pool := par.NewPool(opt.workers())
-	defer pool.Close()
 
 	isHub := make([]bool, n)
 	var hubs []int
 	if opt.Kind == Delegate {
-		hubs = findHubs(n, dhigh, degree, isHub, pool)
+		hubs = findHubs(n, dhigh, degree, isHub)
 	}
 	// hubIdx[u] is u's position in the hub directory, so the pass can route
 	// a hub's arcs without a directory search per vertex.
@@ -212,7 +195,7 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 	// Each hub's degree comes from the one chunk that emits its arcs.
 	hubW := make([]int64, len(hubs))
 	wm2 := make([]int64, nWindows)
-	parts := newParts(p, n, hubs, hubW, pool)
+	parts := newParts(p, n, hubs, hubW)
 
 	type ownedFrag struct {
 		ids  []int
@@ -222,7 +205,7 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 	ownedFrags := make([]ownedFrag, nWindows*p)
 	spillFrag := make([][]hubArc, nWindows)
 	errs := make([]error, nWindows)
-	pool.ParFor(nWindows, func(c, _ int) {
+	par.For(nWindows, func(c int) {
 		w, err := readWindow(c)
 		if err != nil {
 			errs[c] = err
@@ -283,7 +266,7 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 		}
 	}
 
-	pool.ParFor(p, func(r, _ int) {
+	par.For(p, func(r int) {
 		sp := parts[r]
 		total := 0
 		for c := 0; c < nWindows; c++ {
@@ -316,7 +299,7 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 		placeHubArcs(parts, slices.Concat(spillFrag...))
 	}
 
-	finishLayout(parts, isHub, m2, pool)
+	finishLayout(parts, isHub, m2)
 
 	return &Layout{P: p, Kind: opt.Kind, DHigh: dhigh, Hubs: hubs, Parts: parts}, nil
 }
@@ -324,10 +307,10 @@ func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
 // findHubs marks and lists the vertices with degree ≥ dhigh. Per-chunk
 // lists concatenate in chunk order, so the directory is ascending exactly
 // as a serial scan produces it.
-func findHubs(n, dhigh int, degree func(u int) int, isHub []bool, pool *par.Pool) []int {
+func findHubs(n, dhigh int, degree func(u int) int, isHub []bool) []int {
 	ncV := par.NumChunks(n)
 	frag := make([][]int, ncV)
-	pool.ParFor(ncV, func(c, _ int) {
+	par.For(ncV, func(c int) {
 		lo, hi := par.ChunkSpan(n, ncV, c)
 		var hs []int
 		for u := lo; u < hi; u++ {
@@ -343,9 +326,9 @@ func findHubs(n, dhigh int, degree func(u int) int, isHub []bool, pool *par.Pool
 
 // newParts allocates the per-rank subgraphs with the shared hub directory,
 // its weighted degrees hubW and an empty share of every hub's arcs.
-func newParts(p, n int, hubs []int, hubW []int64, pool *par.Pool) []*Subgraph {
+func newParts(p, n int, hubs []int, hubW []int64) []*Subgraph {
 	parts := make([]*Subgraph, p)
-	pool.ParFor(p, func(r, _ int) {
+	par.For(p, func(r int) {
 		parts[r] = &Subgraph{
 			Rank: r, P: p,
 			GlobalVertices: n,
@@ -381,12 +364,12 @@ func placeHubArcs(parts []*Subgraph, spill []hubArc) {
 
 // finishLayout runs ghost discovery and subscriber construction from the
 // final arc placement; m2 is the graph's total weight 2m.
-func finishLayout(parts []*Subgraph, isHub []bool, m2 int64, pool *par.Pool) {
+func finishLayout(parts []*Subgraph, isHub []bool, m2 int64) {
 	p := len(parts)
 	// Ghost discovery from the final arc placement: each rank touches only
 	// its own part, and the ghost list is sorted, so per-rank kernels are
 	// independent and deterministic.
-	pool.ParFor(p, func(r, _ int) {
+	par.For(p, func(r int) {
 		sp := parts[r]
 		ghostSet := make(map[int]struct{})
 		note := func(v int) {

@@ -11,7 +11,7 @@ package partition
 // weights exactly as Build does.
 //
 // Peak memory is the O(n) degree array plus the emitted Layout plus one
-// decoded shard window per worker — flat in total |E| for a fixed layout
+// decoded shard window per goroutine — flat in total |E| for a fixed layout
 // size per rank, which is the point: generate → partition → solve never
 // needs the arcs in one block.
 
@@ -32,8 +32,7 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 	// per chunk writes a disjoint slice of the array.
 	deg := make([]int32, n)
 	errs := make([]error, nShards)
-	pool := par.NewPool(opt.workers())
-	pool.ParFor(nShards, func(i, _ int) {
+	par.For(nShards, func(i int) {
 		w, err := s.ReadWindow(i)
 		if err != nil {
 			errs[i] = err
@@ -43,7 +42,6 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 			deg[u] = int32(w.Offsets[u-w.Lo+1] - w.Offsets[u-w.Lo])
 		}
 	})
-	pool.Close()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

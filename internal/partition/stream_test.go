@@ -22,7 +22,7 @@ func streamGraphs(t *testing.T) map[string]*graph.Graph {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	golden, err := graph.ReadEdgeList(f, 1)
+	golden, err := graph.ReadEdgeList(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func streamGraphs(t *testing.T) map[string]*graph.Graph {
 // TestStreamingBuildMatchesInRAM is the tentpole acceptance test: the
 // streaming two-pass Build over a sharded file must produce a Layout
 // bit-identical to the in-RAM Build of the decoded graph — golden + R-MAT
-// × both partitionings × worker counts × shard counts × both shard format
+// × both partitionings × GOMAXPROCS × shard counts × both shard format
 // versions, including the float bit patterns of every weight and 2m. The
 // one sharded writer picks the version from the weights, so the v1 files
 // come from the R-MAT graph with a different weight on every edge.
@@ -71,20 +71,21 @@ func TestStreamingBuildMatchesInRAM(t *testing.T) {
 			}
 			for _, kind := range []Kind{Delegate, OneD} {
 				for _, p := range []int{1, 2, 4} {
-					for _, workers := range []int{1, 4} {
-						opt := Options{P: p, Kind: kind, Workers: workers}
+					for _, procs := range []int{1, 4} {
+						setProcs(t, procs)
+						opt := Options{P: p, Kind: kind}
 						want, err := Build(g, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
 						got, err := BuildStreaming(s, opt)
 						if err != nil {
-							t.Fatalf("%s v%d shards=%d %v p=%d w=%d: %v",
-								name, ver, shards, kind, p, workers, err)
+							t.Fatalf("%s v%d shards=%d %v p=%d procs=%d: %v",
+								name, ver, shards, kind, p, procs, err)
 						}
 						if diff := layoutsIdentical(want, got); diff != "" {
-							t.Fatalf("%s v%d shards=%d %v p=%d w=%d: streaming diverged: %s",
-								name, ver, shards, kind, p, workers, diff)
+							t.Fatalf("%s v%d shards=%d %v p=%d procs=%d: streaming diverged: %s",
+								name, ver, shards, kind, p, procs, diff)
 						}
 					}
 				}
@@ -94,7 +95,7 @@ func TestStreamingBuildMatchesInRAM(t *testing.T) {
 }
 
 // TestStreamingBuildWorkerDeterminism pins the streaming path's own
-// worker-count contract, independent of the in-RAM comparison.
+// GOMAXPROCS contract, independent of the in-RAM comparison.
 func TestStreamingBuildWorkerDeterminism(t *testing.T) {
 	g, err := gen.RMAT(gen.Graph500RMAT(12, 4))
 	if err != nil {
@@ -109,17 +110,19 @@ func TestStreamingBuildWorkerDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{Delegate, OneD} {
-		base, err := BuildStreaming(s, Options{P: 4, Kind: kind, Workers: 1})
+		setProcs(t, 1)
+		base, err := BuildStreaming(s, Options{P: 4, Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range buildWorkerCounts[1:] {
-			l, err := BuildStreaming(s, Options{P: 4, Kind: kind, Workers: w})
+		for _, procs := range buildProcs[1:] {
+			setProcs(t, procs)
+			l, err := BuildStreaming(s, Options{P: 4, Kind: kind})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if diff := layoutsIdentical(base, l); diff != "" {
-				t.Fatalf("%v workers=%d: %s", kind, w, diff)
+				t.Fatalf("%v procs=%d: %s", kind, procs, diff)
 			}
 		}
 	}

@@ -26,11 +26,12 @@ go test -run '^$' \
     -bench '^(BenchmarkAlltoallvSeq|BenchmarkAlltoallvOverlap)$' \
     -benchtime "$COMM_TIME" -benchmem ./internal/comm/
 
-echo "== ingest & partition benchmarks (-benchtime $INGEST_TIME) ==" >&2
+# Ingest and partitioning run on up to GOMAXPROCS goroutines; -cpu sweeps it.
+echo "== ingest & partition benchmarks (-benchtime $INGEST_TIME, -cpu 1,2,4,8) ==" >&2
 go test -run '^$' -bench '^(BenchmarkIngestEdgeList|BenchmarkIngestSharded)$' \
-    -benchtime "$INGEST_TIME" -benchmem ./internal/graph/
+    -cpu 1,2,4,8 -benchtime "$INGEST_TIME" -benchmem ./internal/graph/
 go test -run '^$' -bench '^BenchmarkPartitionBuild$' \
-    -benchtime "$INGEST_TIME" -benchmem ./internal/partition/
+    -cpu 1,2,4,8 -benchtime "$INGEST_TIME" -benchmem ./internal/partition/
 
 echo "== out-of-core benchmarks (-benchtime $INGEST_TIME / $OOCORE_TIME) ==" >&2
 # The PR-9 numbers: compressed v2 decode throughput and on-disk size
