@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -13,6 +14,7 @@ import (
 // partition peaks, which last much longer than one interval.
 type heapWatch struct {
 	stop chan struct{}
+	once sync.Once
 	done chan struct{}
 	high atomic.Uint64
 }
@@ -40,8 +42,9 @@ func startHeapWatch() *heapWatch {
 }
 
 // Stop takes a final sample and returns the high-water HeapInuse in bytes.
+// Calls after the first return the same value.
 func (w *heapWatch) Stop() uint64 {
-	close(w.stop)
+	w.once.Do(func() { close(w.stop) })
 	<-w.done
 	return w.high.Load()
 }

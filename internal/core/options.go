@@ -88,16 +88,19 @@ type Options struct {
 	DHigh int
 	// Heuristic selects the convergence heuristic.
 	Heuristic Heuristic
-	// MinGain is the θ threshold: the minimum global modularity improvement
-	// for another outer level. Defaults to 1e-6.
+	// MinGain is the θ threshold: the smallest global modularity
+	// improvement that counts as progress, for an outer level over the
+	// last and for an inner iteration over its stage's best (the floor
+	// under the relative stop rule, StopRule). Defaults to 1e-6.
 	MinGain float64
 	// MaxInnerIters caps the local-clustering iterations per stage.
-	// Defaults to 100 (a safety net for HeuristicNone).
+	// Defaults to 100; HeuristicSimple's bouncing labels are what runs
+	// into it.
 	MaxInnerIters int
 	// MaxOuterLevels caps merge levels; 0 means no cap.
 	MaxOuterLevels int
 	// TrackTrace records the global modularity after every inner iteration
-	// of the first clustering stage (Figure 5).
+	// of every clustering stage (Result.QTrace; Figure 5).
 	TrackTrace bool
 	// Resolution is the γ of generalized (Reichardt–Bornholdt) modularity;
 	// 0 or 1 is standard modularity, larger values produce more, smaller

@@ -77,7 +77,7 @@ func RunRankLayout(c comm.Comm, sg *partition.Subgraph, opt Options) (*RankResul
 	if err != nil {
 		return nil, err
 	}
-	out, err := runRank(c, sg, opt)
+	out, err := runRank(c, sg, opt, defaultStop)
 	if err != nil {
 		return nil, err
 	}

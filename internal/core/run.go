@@ -11,9 +11,79 @@ import (
 	"repro/internal/trace"
 )
 
-// innerStallLimit is the number of consecutive non-improving iterations
-// after which a clustering stage stops (see cluster).
+// innerStallLimit is the number of consecutive iterations without progress
+// after which a clustering stage stops (see StopRule).
 const innerStallLimit = 3
+
+// StopRule decides how long a clustering stage runs (docs/PERFORMANCE.md,
+// "Stage length"). An iteration of a stage at level l (0 = stage 1, l = the
+// stage after the l-th merge) makes progress when it lifts the stage's best
+// Q by more than τ_l·|Q|, where τ_l = Tau0/Scale^l, and never by less than
+// Options.MinGain. A stage stops after innerStallLimit iterations without
+// progress, when nothing moved anywhere, or at Options.MaxInnerIters.
+//
+// The solver has one rule, DefaultStop; RunStop exists so that the converge
+// experiment can sweep the alternatives. The resident stage a Session
+// serves from always runs at τ = 0, the bare MinGain test.
+type StopRule struct {
+	// Tau0 is the relative threshold of stage 1; 0 leaves only MinGain.
+	Tau0 float64
+	// Scale divides τ at every coarser level; 1 (or less) keeps one τ.
+	Scale float64
+	// AggTol, when > 0, also ends the hierarchy after a merge that keeps
+	// more than this fraction of the vertices (Sahu's aggregation
+	// tolerance, arXiv 2301.12390).
+	AggTol float64
+}
+
+// defaultStop is Lu et al.'s coarse-then-fine threshold (arXiv 1410.1237):
+// stage 1 stops once an iteration adds less than 0.3% of Q, and every
+// coarser level asks ten times finer. The converge experiment picked τ0.
+var defaultStop = StopRule{Tau0: 3e-3, Scale: 10}
+
+// DefaultStop returns the stop rule every solve runs.
+func DefaultStop() StopRule { return defaultStop }
+
+// tau returns the relative threshold of a stage at level.
+func (r StopRule) tau(level int) float64 {
+	t := r.Tau0
+	for ; level > 0 && r.Scale > 1; level-- {
+		t /= r.Scale
+	}
+	return t
+}
+
+// coarsensTooLittle reports whether a merge of n vertices into k
+// communities ends the hierarchy under AggTol.
+func (r StopRule) coarsensTooLittle(k, n int) bool {
+	return r.AggTol > 0 && float64(k) > r.AggTol*float64(n)
+}
+
+// stopper is one stage's stop decision. Every rank feeds it the replicated
+// Q and move count of the fused IterStats reduction, so all ranks stop at
+// the same iteration without a collective of its own.
+type stopper struct {
+	tau, minGain float64
+	maxIters     int
+	best         float64
+	stall        int
+}
+
+func newStopper(tau float64, opt Options) stopper {
+	return stopper{tau: tau, minGain: opt.MinGain, maxIters: opt.MaxInnerIters, best: math.Inf(-1)}
+}
+
+// done records iteration iter's world Q and moves and reports whether the
+// stage ends with it.
+func (s *stopper) done(iter int, q float64, moved int64) bool {
+	if q > s.best+max(s.tau*math.Abs(q), s.minGain) {
+		s.best = q
+		s.stall = 0
+	} else {
+		s.stall++
+	}
+	return moved == 0 || s.stall >= innerStallLimit || iter >= s.maxIters
+}
 
 // clusterNew runs the clustering loop of a stage fresh from newStage: it
 // registers the watches of the initial singleton labels, seeds the
@@ -41,11 +111,11 @@ func (s *stage) cluster() (stageResult, error) {
 		res.Iters = 1
 		return res, nil
 	}
-	// Stall detection: the heuristics guarantee the modularity plateaus,
-	// but a handful of vertices can keep exchanging equally-good labels
-	// forever; stop once Q has not improved for a few iterations.
-	bestQ := math.Inf(-1)
-	stall := 0
+	// The heuristics guarantee the modularity plateaus, but a handful of
+	// vertices can keep exchanging equally-good labels forever, and a
+	// pruned sweep creeps up long after the stage has done its work: the
+	// stopper ends the stage once Q stops making progress at this level.
+	stop := newStopper(s.tau, s.opt)
 	for iter := 1; ; iter++ {
 		workStart := s.work
 		snapStart := s.c.Stats().Snapshot()
@@ -117,13 +187,7 @@ func (s *stage) cluster() (stageResult, error) {
 		if s.opt.TrackTrace {
 			res.QTrace = append(res.QTrace, st.Q)
 		}
-		if st.Q > bestQ+s.opt.MinGain {
-			bestQ = st.Q
-			stall = 0
-		} else {
-			stall++
-		}
-		if st.Moved == 0 || stall >= innerStallLimit || iter >= s.opt.MaxInnerIters {
+		if stop.done(iter, st.Q, st.Moved) {
 			return res, nil
 		}
 	}
@@ -233,6 +297,12 @@ func DefaultDHigh(p, n int, arcs int64) int {
 // Run executes the full distributed Louvain algorithm on g with opt.P ranks
 // simulated as goroutines over the in-process transport.
 func Run(g *graph.Graph, opt Options) (*Result, error) {
+	return RunStop(g, opt, defaultStop)
+}
+
+// RunStop is Run under another stop rule: the converge experiment's entry
+// point (cmd/experiments -only converge).
+func RunStop(g *graph.Graph, opt Options, rule StopRule) (*Result, error) {
 	if _, err := opt.withDefaults(); err != nil {
 		return nil, err
 	}
@@ -242,7 +312,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		return nil, err
 	}
 	partTime := trace.Since(t0)
-	res, err := RunLayout(layout, opt)
+	res, err := runLayout(layout, opt, rule)
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +329,10 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 // the layout's threshold so session heuristics see the partitioner's
 // value.
 func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
+	return runLayout(layout, opt, defaultStop)
+}
+
+func runLayout(layout *partition.Layout, opt Options, rule StopRule) (*Result, error) {
 	if layout == nil || len(layout.Parts) == 0 {
 		return nil, fmt.Errorf("core: RunLayout needs a non-empty layout")
 	}
@@ -280,7 +354,7 @@ func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
 	outs := make([]*rankOut, opt.P)
 	tStart := trace.Now()
 	stats, err := comm.RunWorldStats(opt.P, func(c comm.Comm) error {
-		o, err := runRank(c, layout.Parts[c.Rank()], opt)
+		o, err := runRank(c, layout.Parts[c.Rank()], opt, rule)
 		if err != nil {
 			return fmt.Errorf("rank %d: %w", c.Rank(), err)
 		}
@@ -351,11 +425,12 @@ func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
 // merge/recluster rounds without delegates until modularity stops improving
 // (Algorithm 1). The body lives in Session.solve (session.go); the batch
 // path drives the Session without installing its resident serving state.
-func runRank(c comm.Comm, sg *partition.Subgraph, opt Options) (*rankOut, error) {
+func runRank(c comm.Comm, sg *partition.Subgraph, opt Options, rule StopRule) (*rankOut, error) {
 	ses, err := NewSession(c, sg, opt)
 	if err != nil {
 		return nil, err
 	}
 	defer ses.Close()
+	ses.stop = rule
 	return ses.solve()
 }

@@ -49,6 +49,8 @@ type Session struct {
 	p   int
 	rnk int
 
+	stop StopRule // how long each stage of solve() runs
+
 	st  *stage   // resident flat stage; nil until Solve() installs it
 	out *rankOut // result of the last hierarchical solve
 
@@ -110,12 +112,13 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 		return nil, err
 	}
 	return &Session{
-		c:   c,
-		sg:  sg,
-		opt: opt,
-		n:   sg.GlobalVertices,
-		p:   c.Size(),
-		rnk: c.Rank(),
+		c:    c,
+		sg:   sg,
+		opt:  opt,
+		n:    sg.GlobalVertices,
+		p:    c.Size(),
+		rnk:  c.Rank(),
+		stop: defaultStop,
 	}, nil
 }
 
@@ -164,6 +167,7 @@ func (s *Session) solve() (*rankOut, error) {
 	cur := append([]int(nil), tracked...) // current coarse vertex of each tracked original vertex
 
 	st := newStage(c, sg, opt)
+	st.tau = s.stop.tau(0)
 	cs := st // the live stage
 	t1 := trace.Now()
 	res1, err := st.clusterNew()
@@ -219,15 +223,16 @@ func (s *Session) solve() (*rankOut, error) {
 			return nil, err
 		}
 		snapshot()
-		if k <= 1 || k == curCount {
-			// Fully merged, or merging achieved nothing: done.
+		if k <= 1 || k == curCount || s.stop.coarsensTooLittle(k, curCount) {
+			// Fully merged, or merging achieved nothing (or too little): done.
 			out.labels = cur
 			return out, nil
 		}
 		curCount = k
 
 		st2 := newStage(c, newSG, opt)
-		st2.ms = cs.ms // successive merge levels reuse the grown scratch
+		st2.tau = s.stop.tau(out.outer) // out.outer stages ran: this is level out.outer
+		st2.ms = cs.ms                  // successive merge levels reuse the grown scratch
 		r2, err := st2.clusterNew()
 		if err != nil {
 			return nil, err

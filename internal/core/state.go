@@ -32,6 +32,10 @@ type stage struct {
 	rnk   int
 	n     int // vertex-ID space size of this stage
 
+	// tau is the stage's relative progress threshold (StopRule): set by
+	// Session.solve from the stage's level, 0 everywhere else.
+	tau float64
+
 	// comm holds the community label of every locally known vertex:
 	// owned low vertices, hubs (replicated), and ghosts. Entries for
 	// unknown vertices are -1.

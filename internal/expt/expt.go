@@ -6,7 +6,7 @@ import (
 )
 
 // Experiment names accepted by Run and cmd/experiments.
-var Names = []string{"table1", "fig5", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "comm", "gpu"}
+var Names = []string{"table1", "fig5", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "comm", "gpu", "converge"}
 
 // Run executes one named experiment and writes its tables to w.
 func Run(name string, p Profile, w io.Writer) error {
@@ -61,6 +61,8 @@ func Tables(name string, p Profile) ([]*Table, error) {
 		var t *Table
 		t, err = FigGPU(p)
 		tables = []*Table{t}
+	case "converge":
+		tables, err = Converge(p)
 	default:
 		return nil, fmt.Errorf("expt: unknown experiment %q (known: %v)", name, Names)
 	}

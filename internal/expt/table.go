@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a formatted experiment result: a titled grid plus free-form
@@ -36,12 +37,12 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", t.Title)
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && utf8.RuneCountInString(c) > widths[i] {
+				widths[i] = utf8.RuneCountInString(c)
 			}
 		}
 	}
@@ -53,7 +54,7 @@ func (t *Table) Fprint(w io.Writer) {
 			}
 			pad := 0
 			if i < len(widths) {
-				pad = widths[i] - len(c)
+				pad = widths[i] - utf8.RuneCountInString(c)
 			}
 			sb.WriteString(c)
 			sb.WriteString(strings.Repeat(" ", pad))
