@@ -114,8 +114,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		go func() {
 			defer conn.Close()
-			// The world serializes requests internally, so concurrent
-			// connections are safe; errors here are connection-local.
+			// The world serializes mutations and serves reads from its
+			// published snapshot, so concurrent connections are safe;
+			// errors here are connection-local.
 			if err := w.Serve(conn, conn); err != nil {
 				fmt.Fprintf(stderr, "dserver: %v: %v\n", conn.RemoteAddr(), err)
 			}

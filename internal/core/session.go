@@ -24,13 +24,13 @@ import (
 // flat stage over the original graph: the converged hierarchy is projected
 // back to a single community assignment in original-vertex space (community
 // IDs are representative vertices — the minimum original vertex of each
-// final community — so community c stays owned by rank c mod p). The rank
-// then stays resident, answering queries from the installed stage and
-// applying batched edge updates with ApplyUpdates, which re-clusters
-// *incrementally*: it is the batch solver's clustering loop and sweep on a
-// stage that starts with nothing armed, where only the vertices within
-// Options.UpdateKHops hops of a changed edge are seeded into the stage's
-// active set (state.go).
+// final community — so community c stays owned by rank c mod p). The
+// Session then stays resident, across worlds (Attach), reporting its labels
+// (Tracked) and applying batched edge updates with ApplyUpdates, which
+// re-clusters *incrementally*: it is the batch solver's clustering loop and
+// sweep on a stage that starts with nothing armed, where only the vertices
+// within Options.UpdateKHops hops of a changed edge are seeded into the
+// stage's active set (state.go).
 //
 // Incremental quality drifts from the full-solve oracle; the Session tracks
 // that drift (cumulative |ΔQ| plus the cumulative fraction of vertices
@@ -417,28 +417,20 @@ func (s *Session) Modularity() float64 { return s.q }
 // |ΔQ| across batches and the summed touched-vertex fraction.
 func (s *Session) Drift() (dq, dtouched float64) { return s.driftQ, s.driftTouch }
 
-// CommunityOf returns vertex v's current community (its representative
-// vertex) when this rank owns v (v mod p); ok is false otherwise — exactly
-// one rank answers any vertex.
-func (s *Session) CommunityOf(v int) (int, bool) {
-	if s.st == nil || v < 0 || v >= s.n || !s.owns(v) {
-		return 0, false
+// Attach rebinds the Session, and its resident stage, to c: this rank's
+// endpoint in a new world of the same size. It applies
+// Options.CommDeadline to c. The serving layer runs every mutation in a
+// fresh world over the same Sessions; local (no collectives).
+func (s *Session) Attach(c comm.Comm) error {
+	if c.Rank() != s.rnk || c.Size() != s.p {
+		return fmt.Errorf("core: session of rank %d/%d cannot attach endpoint %d/%d", s.rnk, s.p, c.Rank(), c.Size())
 	}
-	return int(s.st.comm[v]), true
-}
-
-// NeighborhoodOf returns this rank's share of v's adjacency: the complete
-// adjacency when v is an owned low vertex, the local arc share when v is a
-// hub, nil otherwise. The caller merges shares across ranks for hubs.
-func (s *Session) NeighborhoodOf(v int) []partition.Arc {
-	if s.st == nil || v < 0 || v >= s.n {
-		return nil
+	s.c = c
+	if s.st != nil {
+		s.st.c = c
 	}
-	if hi, ok := s.st.hubIndex(v); ok {
-		return append([]partition.Arc(nil), s.sg.AdjHub[hi]...)
-	}
-	if i, ok := s.sg.OwnedIndex(v); ok {
-		return append([]partition.Arc(nil), s.sg.AdjOwned[i]...)
+	if s.opt.CommDeadline > 0 {
+		comm.SetRecvTimeout(c, s.opt.CommDeadline)
 	}
 	return nil
 }

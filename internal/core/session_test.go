@@ -449,3 +449,58 @@ func TestValidateOpsWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionAttach moves solved sessions into a fresh world for every
+// batch, as the serving layer does, and pins the results to one long-lived
+// world's; an endpoint of a world of another size is refused.
+func TestSessionAttach(t *testing.T) {
+	g, _, err := gen.Caveman(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{P: 2}
+	batches := [][]EdgeOp{{{U: 2, V: 14, W: 1.5}}, {{U: 2, V: 14, W: 1.5, Del: true}, {U: 3, V: 20, W: 2}}}
+	want := runSessionBatches(t, g, opt, batches, false)
+
+	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.DHigh = layout.DHigh
+	sessions := make([]*Session, opt.P)
+	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
+		ses, err := NewSession(c, layout.Parts[c.Rank()].CloneForServing(), opt)
+		if err != nil {
+			return err
+		}
+		sessions[c.Rank()] = ses
+		return ses.Solve()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, batch := range batches {
+		res := make([]UpdateResult, opt.P)
+		err := comm.RunWorld(opt.P, func(c comm.Comm) error {
+			ses := sessions[c.Rank()]
+			if err := ses.Attach(c); err != nil {
+				return err
+			}
+			var err error
+			res[c.Rank()], err = ses.ApplyUpdates(batch)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if res[0] != want.Results[i] {
+			t.Fatalf("batch %d: attached result %+v, one world gave %+v", i, res[0], want.Results[i])
+		}
+	}
+	if q := sessions[0].Modularity(); math.Float64bits(q) != math.Float64bits(want.Q) {
+		t.Fatalf("attached final Q %x, one world gave %x", q, want.Q)
+	}
+	if err := comm.RunWorld(1, func(c comm.Comm) error { return sessions[0].Attach(c) }); err == nil {
+		t.Fatal("a session of a 2-rank world attached to a 1-rank endpoint")
+	}
+}

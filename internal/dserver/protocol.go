@@ -24,7 +24,9 @@ import (
 //	resolve                -> resolve ok q=<hexfloat>
 //
 // where <op> is +u,v,w (insert weight w > 0) or -u,v (delete the edge).
-// Any failure answers "error: <message>" and leaves the world unchanged.
+// Any failure answers "error: <message>". A refused request leaves the world
+// unchanged; a rank failure mid-mutation leaves it failed, answering every
+// later request with that error.
 
 // HandleLine executes one protocol line and returns the reply line (without
 // a trailing newline). Blank and comment lines return "".
@@ -81,12 +83,13 @@ func (w *World) HandleLine(line string) string {
 			mode = "full"
 		}
 		return fmt.Sprintf("update ok ops=%d mode=%s moved=%d touched=%d needfull=%v q=%s",
-			len(ops), mode, out.Moved, out.Touched, out.NeedFull, hexFloat(w.Stats().Modularity))
+			len(ops), mode, out.Moved, out.Touched, out.NeedFull, hexFloat(out.Q))
 	case "resolve":
-		if err := w.Resolve(); err != nil {
+		q, err := w.Resolve()
+		if err != nil {
 			return "error: " + err.Error()
 		}
-		return "resolve ok q=" + hexFloat(w.Stats().Modularity)
+		return "resolve ok q=" + hexFloat(q)
 	case "stats":
 		s := w.Stats()
 		return fmt.Sprintf("stats batches=%d incremental=%d full=%d ops=%d edges=%d q=%s driftq=%s drifttouch=%s",

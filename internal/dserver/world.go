@@ -1,34 +1,32 @@
-// Package dserver hosts a resident clustering service: a world of ranks
-// that stays up after the initial solve, keeping the partitioned graph and
-// the converged communities in memory, and answering queries and edge
-// updates without re-ingesting anything.
+// Package dserver hosts a resident clustering service: the partitioned graph
+// and the converged communities stay in memory after the initial solve, and
+// queries and edge updates are answered without re-ingesting anything.
 //
-// The driver (World) owns the authoritative edge ledger and the public API;
-// each rank runs a command loop around a core.Session. Queries that only
-// need replicated or owner-local state (community-of-vertex, modularity)
-// touch a single rank; updates are replicated batches that every rank
-// applies through Session.ApplyUpdates, which re-clusters incrementally
-// from the vertices within UpdateKHops of the changed edges. When the
-// session reports drift past the configured thresholds the world falls
-// back to a full solve (the quality oracle), in the same Update call when
-// AutoResolve is set.
+// A World is one core.Session per rank and one immutable snapshot that
+// answers every read. The snapshot holds the edge ledger: one arc slice per
+// vertex, in the sessions' fixed-point weights. A mutation (the initial solve, Update,
+// Resolve) runs in a fresh in-process world: comm.RunWorld starts one
+// goroutine per rank, each attaches its stored Session to the new endpoint,
+// and all run the same collective step. Updates re-cluster incrementally
+// from the vertices within UpdateKHops of the changed edges; past the drift
+// thresholds the world falls back to a full solve (in the same call with
+// AutoResolve). Then the world has exited, and a new snapshot with the
+// committed ledger is published: no goroutine outlives the call.
 //
-// All public methods are safe for concurrent use. Mutations (Update,
-// Resolve) serialize behind the world's write lock so each replicated
-// command reaches every rank exactly once and in the same order; queries
-// never enter the command loop at all — the driver reads each rank's
-// Session directly under that rank's read lock, so community and
-// modularity lookups on idle ranks proceed concurrently with each other
-// and even with an in-flight update that is busy on other ranks.
-// Multi-rank reads (Neighborhood, Membership) take the world's read lock
-// instead, which excludes updates and therefore sees a consistent
-// cross-rank snapshot.
+// All methods are safe for concurrent use. Mutations serialize behind one
+// mutex; reads take no lock and load the current snapshot, so no read waits
+// for a solve. A mutation that fails on any rank latches the world as
+// failed: the ledger keeps its last commit and every later call answers the
+// error.
 package dserver
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -62,7 +60,8 @@ type Stats struct {
 	DriftTouch  float64
 }
 
-// UpdateOutcome reports one Update call.
+// UpdateOutcome reports one Update call. Its Q is the modularity the call
+// published: the fallback's when Full.
 type UpdateOutcome struct {
 	core.UpdateResult
 	// Full is true when this call ran the full-solve fallback (AutoResolve).
@@ -78,63 +77,34 @@ type Op struct {
 	Del  bool
 }
 
-type cmdKind int
-
-// Only mutating, collective operations flow through the command loop;
-// queries read the sessions directly.
-const (
-	cmdUpdate cmdKind = iota
-	cmdSolve
-)
-
-type rankReply struct {
-	rank int
-	err  error
-	res  core.UpdateResult
-	q    float64
-}
-
-type command struct {
-	kind  cmdKind
-	ops   []core.EdgeOp
-	reply chan rankReply
-}
-
-// World is the resident service: p rank goroutines inside a comm.RunWorld,
-// plus the driver state (edge ledger, counters) guarded by mu.
-//
-// Lock order (always acquire left to right): mu → gmu → rankMu[r].
-//   - mu (RW): writers are Update/Resolve/Close; multi-rank readers
-//     (Neighborhood, Membership, Stats) hold it shared.
-//   - gmu (RW): liveness guard (failed/closed). Every direct session read
-//     holds it shared for its whole duration so shutdown — which closes
-//     the sessions — cannot begin mid-read.
-//   - rankMu[r] (RW): rank r's session state. The rank goroutine takes the
-//     write lock around each command it executes (and around the final
-//     session close); single-rank queries take the read lock, so they
-//     only ever wait on their own rank's in-flight work.
+// World is the resident service. mu serializes the mutations (Update,
+// Resolve, Close), which alone touch sessions and publish snap; reads load
+// snap.
 type World struct {
 	p           int
 	n           int
 	autoResolve bool
 
-	mu    sync.RWMutex
-	cmds  []chan *command
-	edges map[uint64]int64 // edge weights in the sessions' fixed-point units
-	stats Stats
+	mu       sync.Mutex
+	sessions []*core.Session // one per rank; nil once closed
 
-	gmu    sync.RWMutex
-	closed bool
-	failed error // sticky: first rank error wires the world shut
-
-	rankMu   []sync.RWMutex
-	sessions []*core.Session // filled by the rank loops before ready
-
-	runErr chan error
+	snap atomic.Pointer[snapshot]
 }
 
-// New builds the world from g, solves it, and leaves the ranks resident.
-// It returns once every rank has converged and is accepting commands.
+// snapshot is what every read answers from. It is never modified after
+// publication: a commit clones the outer ledger slice and replaces the rows
+// it changes, so a row is shared by every snapshot that has it.
+type snapshot struct {
+	labels []int32           // community label (representative vertex) of every vertex
+	adj    [][]partition.Arc // the ledger: v's arcs, sorted by target
+	stats  Stats             // Edges counts adj's undirected edges, self-loops once
+	err    error             // sticky: the world failed or was closed
+}
+
+// runWorld runs one mutation's world. Tests swap in comm.RunWorldChaos.
+var runWorld = comm.RunWorld
+
+// New builds the world from g, solves it, and leaves the sessions resident.
 func New(g *graph.Graph, opt Options) (*World, error) {
 	p := opt.P
 	if p <= 0 {
@@ -157,231 +127,170 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 		p:           p,
 		n:           g.NumVertices(),
 		autoResolve: opt.AutoResolve,
-		cmds:        make([]chan *command, p),
-		edges:       make(map[uint64]int64, g.NumEdges()),
-		rankMu:      make([]sync.RWMutex, p),
 		sessions:    make([]*core.Session, p),
-		runErr:      make(chan error, 1),
 	}
-	for _, e := range g.Edges() {
-		q, _ := partition.Quantise(e.W) // Build accepted every weight
-		w.edges[edgeKey(e.U, e.V)] += q
-	}
-	for r := range w.cmds {
-		w.cmds[r] = make(chan *command, 1)
-	}
-
-	ready := make(chan error, p)
-	go func() {
-		w.runErr <- comm.RunWorld(p, func(c comm.Comm) error {
-			return w.rankLoop(c, layout, copt, ready)
-		})
-	}()
-	for r := 0; r < p; r++ {
-		if err := <-ready; err != nil {
-			// Drain the world: close the command channels so healthy ranks
-			// exit their loops, then wait for RunWorld to join.
-			w.mu.Lock()
-			w.gmu.Lock()
-			w.shutdownGLocked()
-			w.gmu.Unlock()
-			w.mu.Unlock()
-			<-w.runErr
-			return nil, err
+	err = w.run(func(c comm.Comm) error {
+		s, err := core.NewSession(c, layout.Parts[c.Rank()].CloneForServing(), copt)
+		if err != nil {
+			return err
 		}
+		w.sessions[c.Rank()] = s
+		return s.Solve()
+	})
+	if err != nil {
+		return nil, err
 	}
-	w.mu.Lock()
-	w.refreshStatsLocked()
-	w.mu.Unlock()
+	w.publish(Stats{Edges: g.NumEdges()}, ledger(g))
 	return w, nil
 }
 
-func (w *World) rankLoop(c comm.Comm, layout *partition.Layout, copt core.Options, ready chan<- error) error {
-	rank := c.Rank()
-	ses, err := core.NewSession(c, layout.Parts[rank].CloneForServing(), copt)
+// ledger lays out g's CSR rows as the edge ledger. The rows are sorted by
+// target with duplicates combined and a self-loop as one arc, and each
+// weight is quantised as partition.Build quantised it (Build accepted every
+// one), so the ledger holds exactly what the sessions hold.
+func ledger(g *graph.Graph) [][]partition.Arc {
+	flat := make([]partition.Arc, g.NumArcs())
+	adj := make([][]partition.Arc, g.NumVertices())
+	for u := range adj {
+		lo, hi := g.ArcRange(u)
+		ts, ws := g.Neighbors(u)
+		for j, t := range ts {
+			q, _ := partition.Quantise(ws[j])
+			flat[lo+int64(j)] = partition.Arc{To: int(t), W: q}
+		}
+		adj[u] = flat[lo:hi:hi]
+	}
+	return adj
+}
+
+// run executes step on every rank of a fresh world. Of the ranks' errors it
+// returns the lowest rank's that is not ErrPeerDown, the echo the others see
+// once a failed rank has left, so the reply names the cause on one line.
+func (w *World) run(step func(c comm.Comm) error) error {
+	err := runWorld(w.p, func(c comm.Comm) error {
+		if err := step(c); err != nil {
+			return fmt.Errorf("dserver: rank %d: %w", c.Rank(), err)
+		}
+		return nil
+	})
+	j, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return err
+	}
+	for _, e := range j.Unwrap() {
+		if !errors.Is(e, comm.ErrPeerDown) {
+			return e
+		}
+	}
+	return j.Unwrap()[0]
+}
+
+// each runs step on every stored session, attached to a fresh world, and
+// latches a failure. Caller holds mu.
+func (w *World) each(step func(rank int, s *core.Session) error) error {
+	err := w.run(func(c comm.Comm) error {
+		s := w.sessions[c.Rank()]
+		if err := s.Attach(c); err != nil {
+			return err
+		}
+		return step(c.Rank(), s)
+	})
 	if err != nil {
-		ready <- err
-		return err
+		// A rank stopped mid-collective, so the sessions may disagree:
+		// the world answers nothing further.
+		w.latch(err)
 	}
-	// The close must exclude concurrent direct readers of this rank's
-	// session, exactly like a command.
-	defer func() {
-		w.rankMu[rank].Lock()
-		ses.Close()
-		w.rankMu[rank].Unlock()
-	}()
-	if err := ses.Solve(); err != nil {
-		ready <- err
-		return err
-	}
-	// Publish the session for direct driver-side reads. The ready send
-	// orders this before any query New's caller can issue.
-	w.sessions[rank] = ses
-	ready <- nil
-	for cmd := range w.cmds[rank] {
-		w.rankMu[rank].Lock()
-		rep := rankReply{rank: rank}
-		switch cmd.kind {
-		case cmdUpdate:
-			rep.res, rep.err = ses.ApplyUpdates(cmd.ops)
-		case cmdSolve:
-			rep.err = ses.Solve()
-		}
-		rep.q = ses.Modularity()
-		w.rankMu[rank].Unlock()
-		cmd.reply <- rep
-		if rep.err != nil {
-			return rep.err
-		}
-	}
-	return nil
+	return err
 }
 
-// broadcastLocked sends cmd to every rank and collects all replies in rank
-// order. Collective commands (update, solve) require this shape: every rank
-// must enter the collective, so the sends all happen before any wait.
-// Caller holds w.mu (write).
-func (w *World) broadcastLocked(kind cmdKind, ops []core.EdgeOp) ([]rankReply, error) {
-	cmd := &command{kind: kind, ops: ops, reply: make(chan rankReply, w.p)}
-	for _, ch := range w.cmds {
-		ch <- cmd
-	}
-	reps := make([]rankReply, w.p)
-	var firstErr error
-	for i := 0; i < w.p; i++ {
-		rep := <-cmd.reply
-		reps[rep.rank] = rep
-		if rep.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("dserver: rank %d: %w", rep.rank, rep.err)
+// publish replaces the snapshot with the sessions' labels, the ledger adj,
+// and st completed by rank 0's replicated Q, which it returns, and drift.
+// Caller holds mu (or is New), so the sessions are quiescent.
+func (w *World) publish(st Stats, adj [][]partition.Arc) float64 {
+	labels := make([]int32, w.n)
+	for _, s := range w.sessions {
+		vertices, ls := s.Tracked()
+		for i, v := range vertices {
+			labels[v] = int32(ls[i])
 		}
 	}
-	if firstErr != nil {
-		// A rank that errored has left its command loop; the world cannot
-		// run further collectives. Latch the failure and drain.
-		w.gmu.Lock()
-		w.failed = firstErr
-		w.shutdownGLocked()
-		w.gmu.Unlock()
-	}
-	return reps, firstErr
+	st.Modularity = w.sessions[0].Modularity()
+	st.DriftQ, st.DriftTouch = w.sessions[0].Drift()
+	w.snap.Store(&snapshot{labels: labels, adj: adj, stats: st})
+	return st.Modularity
 }
 
-// liveGLocked reports the world's liveness. Caller holds gmu (either mode).
-func (w *World) liveGLocked() error {
-	if w.failed != nil {
-		return w.failed
-	}
-	if w.closed {
-		return fmt.Errorf("dserver: world closed")
-	}
-	return nil
+// latch republishes the current snapshot with the sticky error err.
+func (w *World) latch(err error) {
+	s := *w.snap.Load()
+	s.err = err
+	w.snap.Store(&s)
 }
 
-// guard checks liveness for a mutating caller that holds w.mu.
-func (w *World) guard() error {
-	w.gmu.RLock()
-	defer w.gmu.RUnlock()
-	return w.liveGLocked()
+// live returns the current snapshot, or the world's sticky error.
+func (w *World) live() (*snapshot, error) {
+	s := w.snap.Load()
+	return s, s.err
+}
+
+// vertex returns the current snapshot after checking liveness and v.
+func (w *World) vertex(v int) (*snapshot, error) {
+	s, err := w.live()
+	if err == nil && (v < 0 || v >= w.n) {
+		err = fmt.Errorf("dserver: vertex %d out of range [0,%d)", v, w.n)
+	}
+	return s, err
 }
 
 // P returns the world size.
 func (w *World) P() int { return w.p }
 
 // CommunityOf returns vertex v's current community label (the representative
-// vertex of its community), read straight from the owner rank's session
-// under that rank's read lock — it does not serialize behind updates
-// unless the owner itself is mid-command.
+// vertex of its community).
 func (w *World) CommunityOf(v int) (int, error) {
-	w.gmu.RLock()
-	defer w.gmu.RUnlock()
-	if err := w.liveGLocked(); err != nil {
+	s, err := w.vertex(v)
+	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v >= w.n {
-		return 0, fmt.Errorf("dserver: vertex %d out of range [0,%d)", v, w.n)
-	}
-	r := v % w.p
-	w.rankMu[r].RLock()
-	comm, ok := w.sessions[r].CommunityOf(v)
-	w.rankMu[r].RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("dserver: rank %d does not own vertex %d", r, v)
-	}
-	return comm, nil
+	return int(s.labels[v]), nil
 }
 
-// Neighborhood returns vertex v's current adjacency, merged across ranks
-// (a hub's arcs are sharded; a low vertex lives wholly on its owner) and
-// normalized to one arc per neighbor, sorted by target.
+// Neighborhood returns vertex v's current adjacency from the ledger: one arc
+// per neighbor, sorted by target, in fixed-point weights.
 func (w *World) Neighborhood(v int) ([]partition.Arc, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	w.gmu.RLock()
-	defer w.gmu.RUnlock()
-	if err := w.liveGLocked(); err != nil {
+	s, err := w.vertex(v)
+	if err != nil {
 		return nil, err
 	}
-	if v < 0 || v >= w.n {
-		return nil, fmt.Errorf("dserver: vertex %d out of range [0,%d)", v, w.n)
-	}
-	// Holding the world read lock excludes updates, so reading every
-	// session in turn sees one consistent cross-rank snapshot.
-	sum := make(map[int]int64)
-	for r := 0; r < w.p; r++ {
-		for _, a := range w.sessions[r].NeighborhoodOf(v) {
-			sum[a.To] += a.W
-		}
-	}
-	arcs := make([]partition.Arc, 0, len(sum))
-	for to, wt := range sum {
-		arcs = append(arcs, partition.Arc{To: to, W: wt})
-	}
-	sort.Slice(arcs, func(i, j int) bool { return arcs[i].To < arcs[j].To })
-	return arcs, nil
+	return slices.Clone(s.adj[v]), nil
 }
 
-// Modularity returns the current global modularity (replicated state; rank
-// 0's session answers directly under its read lock).
+// Modularity returns the current global modularity.
 func (w *World) Modularity() (float64, error) {
-	w.gmu.RLock()
-	defer w.gmu.RUnlock()
-	if err := w.liveGLocked(); err != nil {
+	s, err := w.live()
+	if err != nil {
 		return 0, err
 	}
-	w.rankMu[0].RLock()
-	q := w.sessions[0].Modularity()
-	w.rankMu[0].RUnlock()
-	return q, nil
+	return s.stats.Modularity, nil
 }
 
-// Membership assembles the full current membership from every rank's
-// tracked vertices, normalized to compact community IDs.
+// Membership returns the full current membership, normalized to compact
+// community IDs.
 func (w *World) Membership() (graph.Membership, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	w.gmu.RLock()
-	defer w.gmu.RUnlock()
-	if err := w.liveGLocked(); err != nil {
+	s, err := w.live()
+	if err != nil {
 		return nil, err
 	}
 	m := make(graph.Membership, w.n)
-	for i := range m {
-		m[i] = -1
-	}
-	for r := 0; r < w.p; r++ {
-		vertices, labels := w.sessions[r].Tracked()
-		for i, v := range vertices {
-			m[v] = labels[i]
-		}
-	}
-	for v, c := range m {
-		if c < 0 {
-			return nil, fmt.Errorf("dserver: vertex %d reported by no rank", v)
-		}
+	for v, c := range s.labels {
+		m[v] = int(c)
 	}
 	m.Normalize()
 	return m, nil
 }
+
+// Stats returns the serving counters of the current snapshot.
+func (w *World) Stats() Stats { return w.snap.Load().stats }
 
 // Update validates ops against the edge ledger, applies them on every rank
 // as one replicated incremental batch, and (with AutoResolve) runs the
@@ -389,165 +298,146 @@ func (w *World) Membership() (graph.Membership, error) {
 func (w *World) Update(ops []Op) (UpdateOutcome, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.guard(); err != nil {
-		return UpdateOutcome{}, err
-	}
-	eops, commit, err := w.stageLocked(ops)
+	cur, err := w.live()
 	if err != nil {
 		return UpdateOutcome{}, err
 	}
-	reps, err := w.broadcastLocked(cmdUpdate, eops)
+	eops, next, grown, err := w.stage(cur.adj, ops)
 	if err != nil {
 		return UpdateOutcome{}, err
 	}
-	commit()
-	out := UpdateOutcome{UpdateResult: reps[0].res}
-	w.stats.Batches++
-	w.stats.Ops += int64(len(eops))
-	if out.NeedFull && w.autoResolve {
-		if _, err := w.broadcastLocked(cmdSolve, nil); err != nil {
-			return UpdateOutcome{}, err
+	var out UpdateOutcome
+	err = w.each(func(rank int, s *core.Session) error {
+		res, err := s.ApplyUpdates(eops)
+		if err != nil {
+			return err
 		}
-		out.Full = true
-		w.stats.Full++
-	} else {
-		w.stats.Incremental++
+		if rank == 0 {
+			out.UpdateResult = res
+		}
+		if res.NeedFull && w.autoResolve {
+			return s.Solve()
+		}
+		return nil
+	})
+	if err != nil {
+		return UpdateOutcome{}, err
 	}
-	w.refreshStatsLocked()
+	adj := slices.Clone(cur.adj)
+	for v, arcs := range next {
+		adj[v] = arcs
+	}
+	st := cur.stats
+	st.Edges += grown
+	st.Batches++
+	st.Ops += int64(len(eops))
+	if out.Full = out.NeedFull && w.autoResolve; out.Full {
+		st.Full++
+	} else {
+		st.Incremental++
+	}
+	out.Q = w.publish(st, adj)
 	return out, nil
 }
 
-// Resolve forces the full-solve fallback now, resetting drift.
-func (w *World) Resolve() error {
+// Resolve forces the full-solve fallback now, resetting drift, and returns
+// the modularity it published.
+func (w *World) Resolve() (float64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.guard(); err != nil {
-		return err
+	cur, err := w.live()
+	if err != nil {
+		return 0, err
 	}
-	if _, err := w.broadcastLocked(cmdSolve, nil); err != nil {
-		return err
+	if err := w.each(func(_ int, s *core.Session) error { return s.Solve() }); err != nil {
+		return 0, err
 	}
-	w.stats.Full++
-	w.refreshStatsLocked()
-	return nil
+	st := cur.stats
+	st.Full++
+	return w.publish(st, cur.adj), nil
 }
 
-// stageLocked validates ops against the ledger and prepares the replicated
+// stage validates ops against the ledger adj and prepares the replicated
 // EdgeOp batch: deletes are filled with the edge's full current weight.
 // The batch then passes the sessions' own gate (core.Session.ValidateOps),
 // so one a rank would refuse is refused before any rank sees it. Nothing is
-// committed until the ranks accept the batch; commit applies the staged
-// ledger mutations.
-func (w *World) stageLocked(ops []Op) ([]core.EdgeOp, func(), error) {
-	type entry struct {
-		w  int64
-		ok bool
-	}
-	overlay := make(map[uint64]entry)
-	get := func(k uint64) (int64, bool) {
-		if e, hit := overlay[k]; hit {
-			return e.w, e.ok
+// committed here: next holds the new arc slice of every vertex the batch
+// changes, and grown the change in edge count. Caller holds mu.
+func (w *World) stage(adj [][]partition.Arc, ops []Op) (eops []core.EdgeOp, next map[int][]partition.Arc, grown int64, err error) {
+	next = make(map[int][]partition.Arc)
+	find := func(u, v int) ([]partition.Arc, int, bool) {
+		arcs, ok := next[u]
+		if !ok {
+			arcs = adj[u]
 		}
-		wt, ok := w.edges[k]
-		return wt, ok
+		i, found := slices.BinarySearchFunc(arcs, v, func(a partition.Arc, t int) int { return cmp.Compare(a.To, t) })
+		return arcs, i, found
 	}
-	eops := make([]core.EdgeOp, len(ops))
+	// put sets arc u→v to wt in u's private copy; wt 0 removes it.
+	put := func(u, v int, wt int64) {
+		arcs, i, found := find(u, v)
+		if _, ok := next[u]; !ok {
+			arcs = slices.Clone(arcs)
+		}
+		switch {
+		case found && wt == 0:
+			arcs = slices.Delete(arcs, i, i+1)
+		case found:
+			arcs[i].W = wt
+		default:
+			arcs = slices.Insert(arcs, i, partition.Arc{To: v, W: wt})
+		}
+		next[u] = arcs
+	}
+	eops = make([]core.EdgeOp, len(ops))
 	for i, op := range ops {
 		if op.U < 0 || op.U >= w.n || op.V < 0 || op.V >= w.n {
-			return nil, nil, fmt.Errorf("dserver: op %d: vertex out of range [0,%d)", i, w.n)
+			return nil, nil, 0, fmt.Errorf("dserver: op %d: vertex out of range [0,%d)", i, w.n)
 		}
 		if op.U == op.V {
-			return nil, nil, fmt.Errorf("dserver: op %d: self-loop %d", i, op.U)
+			return nil, nil, 0, fmt.Errorf("dserver: op %d: self-loop %d", i, op.U)
 		}
-		k := edgeKey(op.U, op.V)
+		arcs, j, found := find(op.U, op.V)
+		var cur int64
+		if found {
+			cur = arcs[j].W
+		}
 		if op.Del {
-			cur, ok := get(k)
-			if !ok {
-				return nil, nil, fmt.Errorf("dserver: op %d: delete of absent edge (%d,%d)", i, op.U, op.V)
+			if !found {
+				return nil, nil, 0, fmt.Errorf("dserver: op %d: delete of absent edge (%d,%d)", i, op.U, op.V)
 			}
-			overlay[k] = entry{}
+			put(op.U, op.V, 0)
+			put(op.V, op.U, 0)
+			grown--
 			eops[i] = core.EdgeOp{U: op.U, V: op.V, W: partition.Dequantise(cur), Del: true}
 			continue
 		}
 		q, _ := partition.Quantise(op.W) // a bad weight fails ValidateOps below
-		cur, _ := get(k)
-		overlay[k] = entry{w: cur + q, ok: true}
+		put(op.U, op.V, cur+q)
+		put(op.V, op.U, cur+q)
+		if !found {
+			grown++
+		}
 		eops[i] = core.EdgeOp{U: op.U, V: op.V, W: op.W}
 	}
 	// Every rank holds the same 2m, so rank 0's session answers for all.
-	w.rankMu[0].RLock()
-	err := w.sessions[0].ValidateOps(eops)
-	w.rankMu[0].RUnlock()
-	if err != nil {
-		return nil, nil, fmt.Errorf("dserver: %w", err)
+	if err := w.sessions[0].ValidateOps(eops); err != nil {
+		return nil, nil, 0, fmt.Errorf("dserver: %w", err)
 	}
-	commit := func() {
-		for k, e := range overlay {
-			if e.ok {
-				w.edges[k] = e.w
-			} else {
-				delete(w.edges, k)
-			}
-		}
-	}
-	return eops, commit, nil
+	return eops, next, grown, nil
 }
 
-// Stats returns a snapshot of the serving counters.
-func (w *World) Stats() Stats {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.stats
-}
-
-// refreshStatsLocked re-reads rank 0's replicated scalars. Caller holds
-// w.mu (write), so the ranks are quiescent.
-func (w *World) refreshStatsLocked() {
-	w.gmu.RLock()
-	live := w.liveGLocked() == nil
-	w.gmu.RUnlock()
-	if !live {
-		return
-	}
-	w.rankMu[0].RLock()
-	ses := w.sessions[0]
-	w.stats.Modularity = ses.Modularity()
-	w.stats.DriftQ, w.stats.DriftTouch = ses.Drift()
-	w.rankMu[0].RUnlock()
-	w.stats.Edges = int64(len(w.edges))
-}
-
-// Close shuts the world down and waits for every rank to exit.
+// Close drops the sessions; later calls answer "world closed" unless the
+// world had failed. No goroutine runs between calls, so Close returns nil.
 func (w *World) Close() error {
 	w.mu.Lock()
-	w.gmu.Lock()
-	already := w.closed
-	w.shutdownGLocked()
-	w.gmu.Unlock()
-	w.mu.Unlock()
-	if already {
-		return nil
+	defer w.mu.Unlock()
+	for _, s := range w.sessions {
+		s.Close()
 	}
-	return <-w.runErr
-}
-
-// shutdownGLocked closes the command channels so the rank loops drain.
-// Caller holds gmu (write): no direct reader is mid-read, and none can
-// start before seeing closed.
-func (w *World) shutdownGLocked() {
-	if w.closed {
-		return
+	w.sessions = nil
+	if w.snap.Load().err == nil {
+		w.latch(errors.New("dserver: world closed"))
 	}
-	w.closed = true
-	for _, ch := range w.cmds {
-		close(ch)
-	}
-}
-
-// edgeKey packs an undirected edge into a map key (low vertex first).
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
+	return nil
 }

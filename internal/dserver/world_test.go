@@ -1,6 +1,7 @@
 package dserver
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -384,11 +386,11 @@ func soakTenant(w *World, n, tn int) error {
 	return nil
 }
 
-// TestWorldReadersBypassWorldLock pins the per-rank read-lock design:
-// single-rank queries (CommunityOf, Modularity) must answer while the
-// world's command mutex is held — they read the owner session directly and
-// never serialize behind updates. Holding w.mu here simulates a stalled
-// mutation; before the rework this deadlocked.
+// TestWorldReadersBypassWorldLock pins the snapshot design: every read
+// (CommunityOf, Neighborhood, Modularity, Membership, Stats) must answer
+// while the world's mutation mutex is held — reads load the published
+// snapshot and never serialize behind updates. Holding w.mu here simulates
+// a stalled mutation, such as a full solve.
 func TestWorldReadersBypassWorldLock(t *testing.T) {
 	g := fixtureGraph(t)
 	w := newWorld(t, g, Options{P: 4})
@@ -399,7 +401,16 @@ func TestWorldReadersBypassWorldLock(t *testing.T) {
 			done <- err
 			return
 		}
-		_, err := w.Modularity()
+		if _, err := w.Neighborhood(3); err != nil {
+			done <- err
+			return
+		}
+		if _, err := w.Modularity(); err != nil {
+			done <- err
+			return
+		}
+		w.Stats()
+		_, err := w.Membership()
 		done <- err
 	}()
 	select {
@@ -409,9 +420,96 @@ func TestWorldReadersBypassWorldLock(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		w.mu.Unlock()
-		t.Fatal("single-rank queries serialized behind the world lock")
+		t.Fatal("reads serialized behind the world lock")
 	}
 	w.mu.Unlock()
+}
+
+// TestWorldFailedUpdate kills rank 1 inside ApplyUpdates and checks the
+// world's failure mode: Update reports the kill (or its echo on a peer), the
+// ledger keeps its last committed state, every later verb answers an error
+// in bounded time, and Close leaves no goroutine behind.
+func TestWorldFailedUpdate(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	g := fixtureGraph(t)
+	w, err := New(g, Options{P: 4})
+	if err != nil {
+		t.Fatalf("dserver.New: %v", err)
+	}
+	before := w.Stats()
+	runWorld = func(p int, fn func(comm.Comm) error) error {
+		return comm.RunWorldChaos(p, comm.ChaosOptions{Seed: 1, KillRank: 1, KillAfter: 3}, fn)
+	}
+	defer func() { runWorld = comm.RunWorld }()
+
+	done := make(chan []string, 1)
+	go func() {
+		_, err := w.Update([]Op{{U: 2, V: 14, W: 1.5}})
+		if !errors.Is(err, comm.ErrChaosKill) && !errors.Is(err, comm.ErrPeerDown) {
+			t.Errorf("update on a killed world: %v, want ErrChaosKill or ErrPeerDown", err)
+		}
+		var replies []string
+		for _, line := range []string{"community 3", "neighborhood 3", "modularity", "update +2,14,1", "resolve"} {
+			replies = append(replies, w.HandleLine(line))
+		}
+		done <- replies
+	}()
+	select {
+	case replies := <-done:
+		for _, rep := range replies {
+			if !strings.HasPrefix(rep, "error: ") {
+				t.Errorf("failed world replied %q, want an error", rep)
+			}
+		}
+	case <-time.After(2 * time.Minute):
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("watchdog: failed world still answering after 2m\n%s", buf[:n])
+	}
+	if after := w.Stats(); after.Edges != before.Edges || after.Batches != before.Batches {
+		t.Errorf("failed update mutated the ledger: %+v -> %+v", before, after)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// FuzzHandleLine feeds arbitrary request lines to a P = 2 world: the request
+// loop must not panic, must answer one line that is empty, echoes the verb or
+// is an error, and a refused line must leave the world's counters unchanged.
+func FuzzHandleLine(f *testing.F) {
+	for _, line := range []string{
+		"community 3", "neighborhood 0", "modularity", "stats", "resolve",
+		"update +0,29,1.5", "update -0,1", "update +0,29,1;-0,29", "update +0,7,NaN",
+		"community -1", "update +3,3,1", "frobnicate 3", "# comment", "",
+	} {
+		f.Add(line)
+	}
+	g, _, err := gen.Caveman(5, 6)
+	if err != nil {
+		f.Fatalf("caveman: %v", err)
+	}
+	w, err := New(g, Options{P: 2, AutoResolve: true})
+	if err != nil {
+		f.Fatalf("dserver.New: %v", err)
+	}
+	f.Cleanup(func() { w.Close() })
+	f.Fuzz(func(t *testing.T, line string) {
+		before := w.HandleLine("stats")
+		rep := w.HandleLine(line)
+		if strings.Contains(rep, "\n") {
+			t.Fatalf("HandleLine(%q) = %q: more than one line", line, rep)
+		}
+		verb, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		refused := strings.HasPrefix(rep, "error: ")
+		if rep != "" && !refused && !strings.HasPrefix(rep, verb+" ") && rep != verb {
+			t.Fatalf("HandleLine(%q) = %q: neither the verb nor an error", line, rep)
+		}
+		if after := w.HandleLine("stats"); refused && after != before {
+			t.Fatalf("refused line %q changed the world:\n got %s\nwant %s", line, after, before)
+		}
+	})
 }
 
 // TestWorldConcurrentReaderSoak hammers one world with many pure-reader
@@ -451,7 +549,7 @@ func TestWorldConcurrentReaderSoak(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if err := w.Resolve(); err != nil {
+					if _, err := w.Resolve(); err != nil {
 						errs[0] = fmt.Errorf("writer resolve %d: %w", i, err)
 						return
 					}

@@ -215,7 +215,7 @@ func BenchmarkFullResolve(b *testing.B) {
 	defer w.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.Resolve(); err != nil {
+		if _, err := w.Resolve(); err != nil {
 			b.Fatalf("resolve: %v", err)
 		}
 	}

@@ -90,7 +90,11 @@ go test -list '^FuzzReadWindow$' ./internal/graph | grep '^FuzzReadWindow$' > /d
 # flows through it, so its fuzz harness must stay in the discovery set.
 go test -list '^FuzzIgnoreDirective$' ./internal/analysis | grep '^FuzzIgnoreDirective$' > /dev/null \
     || { echo "error: FuzzIgnoreDirective missing from internal/analysis" >&2; exit 1; }
-for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis; do
+# And the serving request loop: FuzzHandleLine feeds hostile lines to a
+# resident world, which must answer one line and refuse without side effects.
+go test -list '^FuzzHandleLine$' ./internal/dserver | grep '^FuzzHandleLine$' > /dev/null \
+    || { echo "error: FuzzHandleLine missing from internal/dserver" >&2; exit 1; }
+for pkg in ./internal/wire ./internal/graph ./internal/comm ./internal/analysis ./internal/dserver; do
     for tgt in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
         echo "-- fuzz $pkg $tgt"
         go test -run '^$' -fuzz "^${tgt}\$" -fuzztime 5s "$pkg"
