@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dlouvain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		graphPath   = fs.String("graph", "", "path to a graph file (.txt edge list, .sbin sharded binary, .metis; flat .bin files written by older gengraphs still load)")
+		graphPath   = fs.String("graph", "", "path to a graph file (.txt edge list, .sbin sharded binary, or .metis)")
 		genSpec     = fs.String("gen", "", "generator spec, e.g. lfr:n=5000,mu=0.3,seed=1 (see internal/gen.ParseSpec)")
 		p           = fs.Int("p", 4, "number of ranks (simulated processors)")
 		dhigh       = fs.Int("dhigh", 0, "hub degree threshold (0 = automatic)")

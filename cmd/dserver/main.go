@@ -39,7 +39,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		graphPath   = fs.String("graph", "", "path to an edge-list (.txt), binary (.bin), or sharded binary (.sbin) graph file")
+		graphPath   = fs.String("graph", "", "path to an edge-list (.txt), sharded binary (.sbin), or METIS (.metis) graph file")
 		genSpec     = fs.String("gen", "", "generator spec, e.g. caveman:cliques=50,size=10 (see internal/gen.ParseSpec)")
 		p           = fs.Int("p", 4, "number of resident ranks")
 		dhigh       = fs.Int("dhigh", 0, "hub degree threshold (0 = automatic)")

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		spec      = fs.String("gen", "", "generator spec (see internal/gen.ParseSpec)")
-		outPath   = fs.String("o", "", "output path (.sbin = sharded binary, .metis = METIS, otherwise edge list)")
+		outPath   = fs.String("o", "", "output path (.sbin = sharded binary, .metis = METIS, any other suffix = text edge list)")
 		truthPath = fs.String("truth", "", "write the planted membership here (LFR/SBM/caveman only)")
 		shards    = fs.Int("shards", 16, "shard count for .sbin output (readers decode shards concurrently)")
 		skew      = fs.Float64("skew", 0, "rmat only: quadrant skew in (0,1); 0.57 = Graph500 defaults (see gen.SetSkew)")
@@ -57,9 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *spec == "" || *outPath == "" {
 		return usage("-gen SPEC and -o FILE are required")
-	}
-	if strings.HasSuffix(*outPath, ".bin") {
-		return usage("the flat .bin format is read-only; write %s.sbin instead (every reader takes it)", strings.TrimSuffix(*outPath, ".bin"))
 	}
 	if *stream && !strings.HasSuffix(*outPath, ".sbin") {
 		return usage("-stream writes sharded binaries; output %q must end in .sbin", *outPath)
@@ -99,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	err = writeFile(*outPath, func(w io.Writer) error {
 		switch {
 		case strings.HasSuffix(*outPath, ".sbin"):
-			// v2 run-codes the weights (falling back to v1 past 255 distinct
-			// values); every reader negotiates the version by magic.
 			return graph.WriteBinaryShardedV2(w, g, *shards)
 		case strings.HasSuffix(*outPath, ".metis"):
 			return graph.WriteMETIS(w, g)

@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		graphPath = fs.String("graph", "", "path to a graph file (.txt edge list, .bin, .sbin, or .metis)")
+		graphPath = fs.String("graph", "", "path to a graph file (.txt edge list, .sbin, or .metis)")
 		genSpec   = fs.String("gen", "", "generator spec (see internal/gen.ParseSpec)")
 		procsArg  = fs.String("procs", "64,256,1024", "comma-separated processor counts")
 		dhigh     = fs.Int("dhigh", 0, "hub degree threshold (0 = 2× average degree)")

@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		rank        = fs.Int("rank", -1, "this worker's rank")
 		addrList    = fs.String("addrs", "", "comma-separated listen addresses, one per rank")
-		graphPath   = fs.String("graph", "", "path to a graph file (.txt/.bin/.sbin/.metis; all workers must use the same input)")
+		graphPath   = fs.String("graph", "", "path to a graph file (.txt/.sbin/.metis; all workers must use the same input)")
 		genSpec     = fs.String("gen", "", "generator spec (all workers must use the same spec)")
 		oocore      = fs.Bool("oocore", false, "partition and solve out of core from a .sbin file's shard windows (all workers must pass it)")
 		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")

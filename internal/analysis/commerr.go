@@ -57,7 +57,7 @@ var commErrOps = map[string]bool{
 // io.ReadAll and friends are untouched. TestCommTablesMatchPackage fails on
 // a name the graph package no longer has.
 var graphIOOps = map[string]bool{
-	"ReadFile": true, "ReadEdgeList": true, "ReadBinary": true, "ReadMETIS": true,
+	"ReadFile": true, "ReadEdgeList": true, "ReadMETIS": true,
 	"WriteEdgeList": true, "WriteMETIS": true, "WriteBinaryShardedV2": true,
 	"OpenSharded": true, "OpenShardedFile": true, "OpenMmap": true,
 	"ReadAll": true, "ReadWindow": true,

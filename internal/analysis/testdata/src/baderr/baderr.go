@@ -94,9 +94,9 @@ func DropParallelIngest(r io.Reader) *graph.Graph {
 	return g
 }
 
-// DropFlatRead blanks the flat-binary loader's error.
-func DropFlatRead(data []byte) *graph.Graph {
-	g, _ := graph.ReadBinary(bytes.NewReader(data)) // want commerr
+// DropMETISRead blanks the METIS loader's error.
+func DropMETISRead(data []byte) *graph.Graph {
+	g, _ := graph.ReadMETIS(bytes.NewReader(data)) // want commerr
 	return g
 }
 

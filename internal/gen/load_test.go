@@ -1,7 +1,7 @@
 package gen
 
 import (
-	"encoding/binary"
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -28,21 +28,21 @@ func TestLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same graph with a different weight on every edge: more than 255
-	// distinct values, which WriteBinaryShardedV2 writes as v1 by itself.
+	// distinct values, which no .sbin can hold.
 	edges := rmat.Edges()
 	for i := range edges {
 		edges[i].W = 1 + float64(i)/1024
 	}
-	weighted, err := graph.FromEdges(rmat.NumVertices(), edges)
+	wide, err := graph.FromEdges(rmat.NumVertices(), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The committed .bin is gengraph's output for this spec at c4f0c52, the
-	// last commit that wrote the flat format.
+	// The committed .sbin is gengraph's output for this spec at -shards 4.
 	lfr, _, err := ParseSpec("lfr:n=150,mu=0.3,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
+	parent := filepath.Join("..", "graph", "testdata", "lfr150_parent.sbin")
 	dir := t.TempDir()
 	file := func(name string, g *graph.Graph, write func(io.Writer, *graph.Graph) error) string {
 		t.Helper()
@@ -61,9 +61,27 @@ func TestLoad(t *testing.T) {
 	}
 	sharded := func(w io.Writer, g *graph.Graph) error { return graph.WriteBinaryShardedV2(w, g, 5) }
 	txt := file("g.txt", rmat, graph.WriteEdgeList)
-	v1 := file("v1.sbin", weighted, sharded)
-	if head, err := os.ReadFile(v1); err != nil || binary.LittleEndian.Uint32(head) != 0x477250A2 {
-		t.Fatalf("v1.sbin does not start with the v1 magic (read error %v)", err)
+	var lfrEnc bytes.Buffer
+	if err := graph.WriteBinaryShardedV2(&lfrEnc, lfr, 4); err != nil {
+		t.Fatal(err)
+	}
+	if committed, err := os.ReadFile(parent); err != nil || !bytes.Equal(committed, lfrEnc.Bytes()) {
+		t.Fatalf("%s is not the writer's encoding of the generator's graph (read error %v)", parent, err)
+	}
+	// A refused write leaves an empty file, which Load then rejects.
+	refused := filepath.Join(dir, "wide.sbin")
+	f, err := os.Create(refused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded(f, wide); err == nil {
+		t.Fatal("a 256-weight graph was written")
+	}
+	if st, err := f.Stat(); err != nil || st.Size() != 0 {
+		t.Fatalf("a refused write left bytes behind (stat error %v)", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name, path, spec string
@@ -71,8 +89,8 @@ func TestLoad(t *testing.T) {
 		wantErr          bool
 	}{
 		{"txt", txt, "", rmat, false},
-		{"bin", filepath.Join("..", "graph", "testdata", "lfr150_parent.bin"), "", lfr, false},
-		{"sbin-v1", v1, "", weighted, false},
+		{"bin", parent, "", lfr, false},
+		{"sbin-256-weights", refused, "", nil, true},
 		{"sbin-v2", file("v2.sbin", rmat, sharded), "", rmat, false},
 		{"metis", file("g.metis", rmat, graph.WriteMETIS), "", rmat, false},
 		{"gen", "", "rmat:scale=7,seed=3", rmat, false},

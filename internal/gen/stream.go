@@ -6,7 +6,7 @@ package gen
 // bit) in bounded memory: generated arcs are appended to temporary bucket
 // files by source-vertex range, then each shard's buckets are loaded,
 // sorted, and deduplicated one shard at a time and encoded straight into a
-// v2 .sbin through graph.ShardedWriter. Peak memory is ~16 bytes per arc
+// .sbin through graph.ShardedWriter. Peak memory is ~16 bytes per arc
 // of the largest shard (its raw records plus their sort keys), flat in
 // total |E| for a fixed |E|/shards.
 //
@@ -48,7 +48,7 @@ const maxStreamBuckets = 1024
 // tgt, little-endian.
 const streamBucketRecord = 8
 
-// StreamRMAT generates RMAT(cfg) directly into path as a v2 sharded binary
+// StreamRMAT generates RMAT(cfg) directly into path as a sharded binary
 // graph with the given shard count, never holding more than one shard's
 // arcs in memory. Shard boundaries are chosen to balance arcs (like the
 // in-RAM sharded writer), from the observed bucket sizes rather than a CSR.

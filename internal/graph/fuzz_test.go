@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // seedFromTestdata adds the contents of a testdata file to the corpus, so
@@ -94,6 +92,16 @@ func FuzzReadMETIS(f *testing.F) {
 	})
 }
 
+// nanGraph is a small seed graph whose dictionary holds a NaN after an
+// ordinary weight, so the corpus starts from weights other than 1.
+func nanGraph(f *testing.F) *Graph {
+	g, err := FromEdges(5, []Edge{{U: 0, V: 1, W: 0.25}, {U: 1, V: 2, W: math.NaN()}, {U: 2, V: 3, W: 7}, {U: 3, V: 4, W: 0.25}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return g
+}
+
 // FuzzReadBinarySharded exercises the sharded loader against arbitrary
 // bytes: hostile shard indexes (bad offsets, counts, bounds) must produce
 // errors, never panics or payload-sized allocations, and an accepted graph
@@ -103,20 +111,13 @@ func FuzzReadBinarySharded(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	nan := nanGraph(f)
 	for _, shards := range []int{1, 3} {
-		var buf bytes.Buffer
-		if err := writeSharded(&buf, g, shards, nil); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		var v2 bytes.Buffer
-		if err := WriteBinaryShardedV2(&v2, g, shards); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v2.Bytes())
+		f.Add(encodeSharded(f, nan, shards))
+		f.Add(encodeSharded(f, g, shards))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xa2, 0x50, 0x72, 0x47, 0xff})
+	f.Add([]byte{0xa3, 0x50, 0x72, 0x47, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := readSharded(data)
 		if err != nil {
@@ -136,76 +137,9 @@ func FuzzReadBinarySharded(f *testing.F) {
 	})
 }
 
-// flatAsShard rewrites a flat .bin as the one-shard v1 .sbin holding the
-// same payload: the flat header's magic + uvarint n + uvarint arcs become
-// the fixed-width sharded header and a single index entry. ok is false when
-// the flat header itself does not parse.
-func flatAsShard(data []byte) (sbin []byte, ok bool) {
-	rd := wire.NewReader(data)
-	m, n, arcs := rd.U32(), rd.Uvarint(), rd.Uvarint()
-	if rd.Err() != nil || m != binaryMagic {
-		return nil, false
-	}
-	payload := data[len(data)-rd.Remaining():]
-	b := wire.NewBuffer(shardedHeaderLen + shardIndexEntryLen + len(payload))
-	b.PutU32(shardedMagic)
-	b.PutU64(n)
-	b.PutU64(arcs)
-	b.PutU32(1)
-	b.PutU64(n)
-	b.PutU64(uint64(len(payload)))
-	b.PutU64(arcs)
-	return append(b.Bytes(), payload...), true
-}
-
-// FuzzReadBinary exercises the flat binary parser against arbitrary bytes:
-// an error or a graph with sane counts, never a panic or a header-sized
-// allocation. And since ReadBinary decodes a flat file as one v1 shard, it
-// must accept exactly the inputs whose one-shard rewrite the sharded reader
-// accepts, with the same graph.
-func FuzzReadBinary(f *testing.F) {
-	g, err := FromEdges(4, []Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0xff})
-	// Hostile headers: n and arcs far beyond what the bytes present can hold.
-	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00})
-	f.Add([]byte{0xa1, 0x50, 0x72, 0x47, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		sbin, ok := flatAsShard(data)
-		if !ok {
-			if err == nil {
-				t.Fatal("accepted a file whose header does not parse")
-			}
-			return
-		}
-		gs, serr := readSharded(sbin)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("flat err %v, one-shard v1 err %v", err, serr)
-		}
-		if err != nil {
-			return
-		}
-		if g.NumVertices() < 0 || g.NumArcs() < 0 {
-			t.Fatal("negative sizes")
-		}
-		if diff := graphsIdentical(g, gs); diff != "" {
-			t.Fatalf("flat decode differs from its one-shard v1 rewrite: %s", diff)
-		}
-	})
-}
-
 // FuzzReadWindow exercises the windowed decode path (ReadWindow, which the
 // out-of-core pipeline lives on) against arbitrary bytes — hostile headers,
-// truncated windows, overlapping shard indexes — in both format versions.
+// truncated windows, overlapping shard indexes, a NaN in the dictionary.
 // The invariant: whenever the whole-file decoder accepts the input, every
 // window must decode without error to exactly the matching slice of
 // ReadAll's graph; and on rejected input the windowed path must error,
@@ -218,18 +152,13 @@ func FuzzReadWindow(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	nan := nanGraph(f)
 	for _, shards := range []int{1, 3} {
-		var v1, v2 bytes.Buffer
-		if err := writeSharded(&v1, g, shards, nil); err != nil {
-			f.Fatal(err)
-		}
-		if err := WriteBinaryShardedV2(&v2, g, shards); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
-		f.Add(v2.Bytes())
+		enc := encodeSharded(f, g, shards)
+		f.Add(encodeSharded(f, nan, shards))
+		f.Add(enc)
 		// Truncated-window seed: the index survives, the payload does not.
-		f.Add(v2.Bytes()[:v2.Len()-2])
+		f.Add(enc[:len(enc)-2])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xa3, 0x50, 0x72, 0x47, 0xff})

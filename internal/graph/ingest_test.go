@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -346,11 +345,7 @@ func TestNumEdgesCached(t *testing.T) {
 	if g.loops != 2 {
 		t.Errorf("loops = %d, want 2", g.loops)
 	}
-	var buf bytes.Buffer
-	if err := writeBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
+	g2, err := readSharded(encodeSharded(t, g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
-
-	"repro/internal/wire"
 )
 
 // ReadFile reads a whole graph from path, choosing the decoder by
-// extension: .sbin (sharded binary, either version), .bin (the flat binary
-// earlier versions of gengraph wrote), .metis, and a text edge list for
+// extension: .sbin (sharded binary), .metis, and a text edge list for
 // anything else. The parallel decoders run on up to GOMAXPROCS goroutines;
 // the graph is identical at every GOMAXPROCS.
 func ReadFile(path string) (*Graph, error) {
@@ -32,14 +29,10 @@ func ReadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".bin"):
-		return ReadBinary(f)
-	case strings.HasSuffix(path, ".metis"):
+	if strings.HasSuffix(path, ".metis") {
 		return ReadMETIS(f)
-	default:
-		return ReadEdgeList(f)
 	}
+	return ReadEdgeList(f)
 }
 
 // WriteEdgeList writes the graph as a text edge list: one "u v w" line per
@@ -211,8 +204,6 @@ func parseWeight(b []byte) (float64, error) {
 	return strconv.ParseFloat(string(b), 64)
 }
 
-const binaryMagic = uint32(0x477250A1) // "GrP" + version 1
-
 // inputSize reports how many bytes remain in r when r can seek (files,
 // bytes.Readers); ok=false for plain streams.
 func inputSize(r io.Reader) (int64, bool) {
@@ -232,42 +223,4 @@ func inputSize(r io.Reader) (int64, bool) {
 		return 0, false
 	}
 	return end - cur, true
-}
-
-// ReadBinary parses the flat binary format (.bin): a u32 magic, uvarint n,
-// uvarint arcs, then for every vertex the record a v1 sharded payload holds
-// (sharded.go). Nothing writes it any more — gengraph emits .sbin — so this
-// is the reader for files already on disk: it validates the header against
-// the bytes present before any header-sized allocation and decodes the rest
-// as the one shard of a v1 file, through the same decodeShard.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	data, err := readAllSized(r)
-	if err != nil {
-		return nil, err
-	}
-	rd := wire.NewReader(data)
-	if m := rd.U32(); rd.Err() == nil && m != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x (want %#x)", m, binaryMagic)
-	}
-	n := int(rd.Uvarint())
-	arcs := int64(rd.Uvarint())
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	// Every vertex contributes at least a one-byte degree and every arc at
-	// least 9 encoded bytes (1 varint + 8 weight), so a header demanding
-	// more than the input can possibly hold is corrupt. Checking before
-	// allocating keeps hostile headers from requesting huge blocks.
-	payload := int64(rd.Remaining())
-	if n < 0 || arcs < 0 || int64(n) > payload || arcs > (payload-int64(n))/9 {
-		return nil, fmt.Errorf("graph: corrupt header (n=%d arcs=%d for %d payload bytes)", n, arcs, payload)
-	}
-	offsets := make([]int64, n+1)
-	targets := make([]int32, arcs)
-	weights := make([]float64, arcs)
-	flat := &Sharded{ver: 1, n: n, arcCount: []int64{arcs}}
-	if err := flat.decodeShard(0, data[len(data)-rd.Remaining():], 0, n, offsets, 0, targets, weights); err != nil {
-		return nil, err
-	}
-	return fromSortedCSR(offsets, targets, weights), nil
 }

@@ -2,13 +2,10 @@ package graph
 
 import (
 	"bytes"
-	"io"
-	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 func graphsEqual(a, b *Graph) bool {
@@ -92,36 +89,19 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-// writeBinary emits the flat .bin format as gengraph wrote it before the
-// format became read-only. Production code no longer writes it; the tests
-// keep the encoder so ReadBinary has inputs besides the committed file.
-func writeBinary(w io.Writer, g *Graph) error {
-	buf := wire.NewBuffer(int(g.NumArcs())*3 + 64)
-	buf.PutU32(binaryMagic)
-	buf.PutUvarint(uint64(g.NumVertices()))
-	buf.PutUvarint(uint64(g.NumArcs()))
-	for u := 0; u < g.NumVertices(); u++ {
-		lo, hi := g.ArcRange(u)
-		buf.PutUvarint(uint64(hi - lo))
-		prev := int64(0)
-		for a := lo; a < hi; a++ {
-			t := int64(g.ArcTarget(a))
-			buf.PutVarint(t - prev) // delta-coded sorted targets
-			prev = t
-			buf.PutF64(g.ArcWeight(a))
-		}
+// TestReadFileParentSbin loads the .sbin gengraph wrote for
+// -gen lfr:n=150,mu=0.3,seed=5 -shards 4 at the commit before the format
+// lost its v1 layout, requires the CSR digest that graph had then, and
+// requires the writer to reproduce the file byte for byte.
+func TestReadFileParentSbin(t *testing.T) {
+	path := filepath.Join("testdata", "lfr150_parent.sbin")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// TestReadFileParentBin loads a .bin written by gengraph at the last commit
-// that could write one (c4f0c52: -gen lfr:n=150,mu=0.3,seed=5) and requires
-// the CSR digest that commit's own ReadFile gave for it.
-func TestReadFileParentBin(t *testing.T) {
 	for _, procs := range ingestProcs {
 		setProcs(t, procs)
-		g, err := ReadFile(filepath.Join("testdata", "lfr150_parent.bin"))
+		g, err := ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,57 +112,8 @@ func TestReadFileParentBin(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	edges := make([]Edge, 500)
-	for i := range edges {
-		edges[i] = Edge{U: rng.Intn(100), V: rng.Intn(100), W: rng.Float64() * 10}
-	}
-	g, err := FromEdges(100, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Error("binary round trip mismatch")
-	}
-	if g2.TotalWeight2() != g.TotalWeight2() {
-		t.Errorf("2m mismatch: %g vs %g", g2.TotalWeight2(), g.TotalWeight2())
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5})); err == nil {
-		t.Error("expected error for bad magic")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g, err := FromEdges(10, []Edge{{0, 1, 1}, {2, 3, 1}, {4, 5, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{4, 6, len(full) - 1} {
-		if cut >= len(full) {
-			continue
-		}
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncated at %d: expected error", cut)
+		if !bytes.Equal(encodeSharded(t, g, 4), want) {
+			t.Fatalf("procs=%d: rewriting the decoded graph at 4 shards differs from the file", procs)
 		}
 	}
 }

@@ -1,28 +1,8 @@
 package graph
 
-// Sharded binary graph format. The flat .bin format (ReadBinary) forces a
-// reader to buffer and decode the whole file on one goroutine; the sharded
-// layout prepends a fixed-width index so loaders can decode shards
-// concurrently and fetch only the byte ranges covering the vertices they
-// need.
-//
-// v1 layout (little-endian):
-//
-//	u32 magic 0x477250A2
-//	u64 n, u64 arcs, u32 shards
-//	shards × { u64 vhi, u64 payloadLen, u64 arcCount }   — the index
-//	shards × payload
-//
-// Shard s covers vertices [vhi[s-1], vhi[s]) (vhi[-1] = 0); its v1 payload
-// is the per-vertex encoding of the flat format for those vertices (uvarint
-// degree, then per arc a delta-coded varint target and a fixed f64 weight),
-// which is why ReadBinary decodes a flat file as one v1 shard.
-// Shard boundaries are chosen to balance arcs, not vertices, so hub-heavy
-// shards do not serialize the parallel decode.
-//
-// v2 adds weight compression for the (dominant) case of few distinct arc
-// weights — unit-weight R-MAT and test graphs pay 8 of their ~9-10 bytes
-// per arc for a weight that is always 1.0:
+// Sharded binary graph format (.sbin). A fixed-width index lets loaders
+// decode shards concurrently and fetch only the byte ranges covering the
+// vertices they need. The layout (little-endian):
 //
 //	u32 magic 0x477250A3
 //	u64 n, u64 arcs, u32 shards
@@ -31,124 +11,167 @@ package graph
 //	shards × { u64 vhi, u64 payloadLen, u64 arcCount }    — the index
 //	shards × payload
 //
-// A v2 per-vertex record is: uvarint degree d, then d delta-coded varint
+// Shard s covers vertices [vhi[s-1], vhi[s]) (vhi[-1] = 0). Its payload is
+// one record per vertex: uvarint degree d, then d delta-coded varint
 // targets, then the d weights as (uvarint dictIndex, uvarint runLength)
-// pairs whose run lengths sum to d. Writers fall back to v1 when a graph
-// has more than 255 distinct weights; readers negotiate the version by
-// magic, so every .sbin consumer handles both.
+// pairs whose run lengths sum to d. Shard boundaries are chosen to balance
+// arcs, not vertices, so hub-heavy shards do not serialize the parallel
+// decode. Unit-weight graphs cost ~1-2 bytes per arc. The dictionary holds
+// at most 255 weights, which keeps an out-of-core reader's dictionary O(1);
+// a graph with more distinct weights cannot be written.
 //
 // Every index field is validated against the actual input size before any
 // payload-sized allocation: Σ payloadLen must equal the bytes present, Σ
 // arcCount must equal the header arc count, vhi must be monotone and end at
-// n, and each shard must satisfy payloadLen ≥ (vhi−vlo) + minArcBytes ·
-// arcCount (a degree byte per vertex; ≥ 9 bytes per v1 arc, ≥ 1 byte per
-// v2 arc). Hostile headers therefore fail in the index check instead of
-// demanding huge buffers.
+// n, and each shard must satisfy payloadLen ≥ (vhi−vlo) + arcCount (a
+// degree byte per vertex, a target byte per arc). Hostile headers therefore
+// fail in the index check instead of demanding huge buffers.
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/par"
 	"repro/internal/wire"
 )
 
-const (
-	shardedMagic   = uint32(0x477250A2) // "GrP" + sharded, raw f64 weights
-	shardedMagicV2 = uint32(0x477250A3) // "GrP" + sharded, dictionary weights
-)
+const shardedMagicV2 = uint32(0x477250A3) // "GrP" + sharded, format version 2
 
-// shardedHeaderLen is the fixed v1 prefix: magic + n + arcs + shard count.
-const shardedHeaderLen = 4 + 8 + 8 + 4
-
-// shardedHeaderLenV2 is the fixed v2 prefix: v1 fields + flags + dictLen
-// (the dictionary entries follow, before the index).
-const shardedHeaderLenV2 = shardedHeaderLen + 4 + 4
+// shardedHeaderLen is the fixed prefix: magic + n + arcs + shard count +
+// flags + dictLen (the dictionary entries follow, before the index).
+const shardedHeaderLen = 4 + 8 + 8 + 4 + 4 + 4
 
 // shardIndexEntryLen is one index record: vhi + payloadLen + arcCount.
 const shardIndexEntryLen = 8 + 8 + 8
 
-// maxWeightDict caps the v2 weight dictionary; writers fall back to the v1
-// raw-f64 encoding beyond it.
+// maxWeightDict caps the weight dictionary.
 const maxWeightDict = 255
 
-// WriteBinaryShardedV2 writes g in the compressed sharded format: targets
-// delta+varint coded as in v1, weights as runs of indexes into a per-file
-// dictionary. Unit-weight graphs shrink from ~9-10 bytes/arc to ~1-2. A
-// graph with more than 255 distinct weights is written as v1 (raw f64
-// weights) instead — the caller gets whichever format is smaller to decode,
-// negotiated by magic. Shard payloads are encoded concurrently; the byte
-// output is identical at every GOMAXPROCS, because each shard's encoding
-// depends only on its own vertices and shards are concatenated in index
-// order.
+// WriteBinaryShardedV2 writes g in the sharded format: targets delta+varint
+// coded, weights as runs of indexes into a per-file dictionary. A graph
+// with more than 255 distinct weights is refused before any byte is
+// written. Shard payloads are encoded concurrently; the byte output is
+// identical at every GOMAXPROCS, because each shard's encoding depends only
+// on its own vertices and shards are concatenated in index order.
 func WriteBinaryShardedV2(w io.Writer, g *Graph, shards int) error {
-	dict, dictIdx := weightDict(g.weights)
-	if dict == nil {
-		return writeSharded(w, g, shards, nil)
+	dict, dictIdx, err := weightDict(g.weights)
+	if err != nil {
+		return err
 	}
-	return writeSharded(w, g, shards, &v2Writer{dict: dict, dictIdx: dictIdx})
+	vhi := shardBoundaries(g.offsets, g.NumVertices(), g.NumArcs(), shards)
+	bufs := make([]*wire.Buffer, len(vhi))
+	plens := make([]int64, len(vhi))
+	acnts := make([]int64, len(vhi))
+	par.For(len(vhi), func(s int) {
+		lo := 0
+		if s > 0 {
+			lo = vhi[s-1]
+		}
+		offs := g.offsets[lo : vhi[s]+1]
+		arcs := offs[len(offs)-1] - offs[0]
+		buf := wire.NewBuffer(int(arcs)*3 + len(offs))
+		putShard(buf, offs, g.targets, g.weights, dictIdx)
+		bufs[s], plens[s], acnts[s] = buf, int64(buf.Len()), arcs
+	})
+	if _, err := w.Write(shardedHeader(g.NumVertices(), dict, vhi, plens, acnts)); err != nil {
+		return err
+	}
+	for _, buf := range bufs {
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// v2Writer carries the weight dictionary of an in-flight v2 write.
-type v2Writer struct {
-	dict    []float64
-	dictIdx map[float64]int
-}
-
-// weightDict collects the distinct values of ws in first-appearance order.
-// It returns (nil, nil) when they exceed maxWeightDict, which sends the
-// writer down the v1 path. An arc-free graph gets the one-entry dictionary
-// {1} so dictLen ≥ 1 always holds.
-func weightDict(ws []float64) ([]float64, map[float64]int) {
+// weightDict collects the distinct values of ws in first-appearance order,
+// keyed by bit pattern so a NaN finds itself. More than maxWeightDict of
+// them is an error. An arc-free graph gets the one-entry dictionary {1} so
+// dictLen ≥ 1 always holds.
+func weightDict(ws []float64) ([]float64, map[uint64]int, error) {
 	dict := make([]float64, 0, 16)
-	idx := make(map[float64]int, 16)
+	idx := make(map[uint64]int, 16)
 	for _, w := range ws {
-		if _, ok := idx[w]; ok {
+		b := math.Float64bits(w)
+		if _, ok := idx[b]; ok {
 			continue
 		}
 		if len(dict) == maxWeightDict {
-			return nil, nil
+			return nil, nil, fmt.Errorf("graph: sharded: more than %d distinct weights", maxWeightDict)
 		}
-		idx[w] = len(dict)
+		idx[b] = len(dict)
 		dict = append(dict, w)
 	}
 	if len(dict) == 0 {
 		dict = append(dict, 1)
-		idx[1] = 0
+		idx[math.Float64bits(1)] = 0
 	}
-	return dict, idx
+	return dict, idx, nil
 }
 
-// putVertexV2 appends one vertex's v2 record: uvarint degree, delta-coded
-// varint targets, then (dictIndex, runLength) weight runs. ws == nil means
-// every arc takes dictionary index 0 (the streaming generator's case).
-func putVertexV2(buf *wire.Buffer, ts []int32, ws []float64, dictIdx map[float64]int) {
-	buf.PutUvarint(uint64(len(ts)))
-	prev := int64(0)
-	for _, t := range ts {
-		buf.PutVarint(int64(t) - prev)
-		prev = int64(t)
+// shardedHeader builds every byte before the first payload: the fixed
+// header, the weight dictionary and the index of the shards ending at vhi
+// with payload lengths plens and arc counts acnts.
+func shardedHeader(n int, dict []float64, vhi []int, plens, acnts []int64) []byte {
+	var arcs int64
+	for _, a := range acnts {
+		arcs += a
 	}
-	if len(ts) == 0 {
-		return
+	hdr := wire.NewBuffer(shardedHeaderLen + 8*len(dict) + len(vhi)*shardIndexEntryLen)
+	hdr.PutU32(shardedMagicV2)
+	hdr.PutU64(uint64(n))
+	hdr.PutU64(uint64(arcs))
+	hdr.PutU32(uint32(len(vhi)))
+	hdr.PutU32(0) // flags, reserved
+	hdr.PutU32(uint32(len(dict)))
+	for _, w := range dict {
+		hdr.PutF64(w)
 	}
-	if ws == nil {
-		buf.PutUvarint(0)
+	for s := range vhi {
+		hdr.PutU64(uint64(vhi[s]))
+		hdr.PutU64(uint64(plens[s]))
+		hdr.PutU64(uint64(acnts[s]))
+	}
+	return hdr.Bytes()
+}
+
+// putShard appends one shard's payload: for the i-th of len(offs)-1
+// vertices, whose arcs are targets[offs[i]:offs[i+1]], a uvarint degree,
+// the delta-coded varint targets, then (dictIndex, runLength) weight runs.
+// weights == nil means every arc takes dictionary index 0 (the streaming
+// generator's case).
+func putShard(buf *wire.Buffer, offs []int64, targets []int32, weights []float64, dictIdx map[uint64]int) {
+	for i := 0; i+1 < len(offs); i++ {
+		ts := targets[offs[i]:offs[i+1]]
 		buf.PutUvarint(uint64(len(ts)))
-		return
-	}
-	runIdx, runLen := dictIdx[ws[0]], 1
-	for _, w := range ws[1:] {
-		if idx := dictIdx[w]; idx != runIdx {
-			buf.PutUvarint(uint64(runIdx))
-			buf.PutUvarint(uint64(runLen))
-			runIdx, runLen = idx, 0
+		prev := int64(0)
+		for _, t := range ts {
+			buf.PutVarint(int64(t) - prev)
+			prev = int64(t)
 		}
-		runLen++
+		if len(ts) == 0 {
+			continue
+		}
+		if weights == nil {
+			buf.PutUvarint(0)
+			buf.PutUvarint(uint64(len(ts)))
+			continue
+		}
+		ws := weights[offs[i]:offs[i+1]]
+		runIdx, runLen := dictIdx[math.Float64bits(ws[0])], 1
+		for _, w := range ws[1:] {
+			if idx := dictIdx[math.Float64bits(w)]; idx != runIdx {
+				buf.PutUvarint(uint64(runIdx))
+				buf.PutUvarint(uint64(runLen))
+				runIdx, runLen = idx, 0
+			}
+			runLen++
+		}
+		buf.PutUvarint(uint64(runIdx))
+		buf.PutUvarint(uint64(runLen))
 	}
-	buf.PutUvarint(uint64(runIdx))
-	buf.PutUvarint(uint64(runLen))
 }
 
 // shardBoundaries picks shard upper bounds that balance arcs: shard s ends
@@ -169,86 +192,11 @@ func shardBoundaries(offsets []int64, n int, arcs int64, shards int) []int {
 	return vhi
 }
 
-func writeSharded(w io.Writer, g *Graph, shards int, v2 *v2Writer) error {
-	n := g.NumVertices()
-	arcs := g.NumArcs()
-	vhi := shardBoundaries(g.offsets, n, arcs, shards)
-	shards = len(vhi)
-
-	bufs := make([]*wire.Buffer, shards)
-	par.For(shards, func(s int) {
-		lo := 0
-		if s > 0 {
-			lo = vhi[s-1]
-		}
-		hi := vhi[s]
-		shardArcs := int(g.offsets[hi] - g.offsets[lo])
-		if v2 != nil {
-			buf := wire.NewBuffer(shardArcs*3 + (hi - lo))
-			for u := lo; u < hi; u++ {
-				alo, ahi := g.offsets[u], g.offsets[u+1]
-				putVertexV2(buf, g.targets[alo:ahi], g.weights[alo:ahi], v2.dictIdx)
-			}
-			bufs[s] = buf
-			return
-		}
-		buf := wire.NewBuffer(shardArcs*10 + (hi - lo))
-		for u := lo; u < hi; u++ {
-			alo, ahi := g.offsets[u], g.offsets[u+1]
-			buf.PutUvarint(uint64(ahi - alo))
-			prev := int64(0)
-			for a := alo; a < ahi; a++ {
-				t := int64(g.targets[a])
-				buf.PutVarint(t - prev)
-				prev = t
-				buf.PutF64(g.weights[a])
-			}
-		}
-		bufs[s] = buf
-	})
-
-	hdr := wire.NewBuffer(shardedHeaderLenV2 + shards*shardIndexEntryLen + 8*maxWeightDict)
-	if v2 != nil {
-		hdr.PutU32(shardedMagicV2)
-	} else {
-		hdr.PutU32(shardedMagic)
-	}
-	hdr.PutU64(uint64(n))
-	hdr.PutU64(uint64(arcs))
-	hdr.PutU32(uint32(shards))
-	if v2 != nil {
-		hdr.PutU32(0) // flags, reserved
-		hdr.PutU32(uint32(len(v2.dict)))
-		for _, wv := range v2.dict {
-			hdr.PutF64(wv)
-		}
-	}
-	for s := 0; s < shards; s++ {
-		lo := 0
-		if s > 0 {
-			lo = vhi[s-1]
-		}
-		hdr.PutU64(uint64(vhi[s]))
-		hdr.PutU64(uint64(bufs[s].Len()))
-		hdr.PutU64(uint64(g.offsets[vhi[s]] - g.offsets[lo]))
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
-	for s := 0; s < shards; s++ {
-		if _, err := w.Write(bufs[s].Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Sharded is an opened sharded graph: the validated index plus the source
 // reader. Payloads are fetched on demand by ReadAll / ReadWindow.
 type Sharded struct {
 	r          io.ReaderAt
-	ver        int       // 1 = raw f64 weights, 2 = dictionary runs
-	dict       []float64 // v2 weight dictionary (nil for v1)
+	dict       []float64 // weight dictionary
 	n          int
 	arcs       int64
 	vhi        []int   // shard s covers vertices [vhi[s-1], vhi[s])
@@ -265,9 +213,8 @@ type byteRanger interface {
 	Range(off, n int64) ([]byte, error)
 }
 
-// OpenSharded reads and validates the header and index of a sharded graph
-// of the given total size, accepting both the v1 and v2 formats. No
-// payload bytes are touched.
+// OpenSharded reads and validates the header, dictionary and index of a
+// sharded graph of the given total size. No payload bytes are touched.
 func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 	if size < shardedHeaderLen {
 		return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for header", size, shardedHeaderLen)
@@ -277,62 +224,42 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 		return nil, err
 	}
 	rd := wire.NewReader(hb)
-	ver := 0
-	switch m := rd.U32(); m {
-	case shardedMagic:
-		ver = 1
-	case shardedMagicV2:
-		ver = 2
-	default:
-		return nil, fmt.Errorf("graph: bad magic %#x (want %#x or %#x)", m, shardedMagic, shardedMagicV2)
+	if m := rd.U32(); m != shardedMagicV2 {
+		return nil, fmt.Errorf("graph: bad magic %#x (want %#x)", m, shardedMagicV2)
 	}
 	n := int(rd.U64())
 	arcs := int64(rd.U64())
 	shards := int(rd.U32())
+	flags := rd.U32()
+	dictLen := int(rd.U32())
 	if n < 0 || arcs < 0 || shards < 1 {
 		return nil, fmt.Errorf("graph: sharded: corrupt header (n=%d arcs=%d shards=%d)", n, arcs, shards)
 	}
-	headerLen := int64(shardedHeaderLen)
-	minArcBytes := int64(9) // varint target + f64 weight
-	var dict []float64
-	if ver == 2 {
-		minArcBytes = 1 // varint target; weight runs amortize to < 1 byte
-		if size < shardedHeaderLenV2 {
-			return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for v2 header", size, shardedHeaderLenV2)
-		}
-		vb := make([]byte, shardedHeaderLenV2-shardedHeaderLen)
-		if err := readFullAt(r, vb, shardedHeaderLen); err != nil {
-			return nil, err
-		}
-		rd.Reset(vb)
-		flags := rd.U32()
-		dictLen := int(rd.U32())
-		if flags != 0 {
-			return nil, fmt.Errorf("graph: sharded: unsupported v2 flags %#x", flags)
-		}
-		if dictLen < 1 || dictLen > maxWeightDict {
-			return nil, fmt.Errorf("graph: sharded: weight dictionary length %d outside [1,%d]", dictLen, maxWeightDict)
-		}
-		headerLen = shardedHeaderLenV2 + 8*int64(dictLen)
-		if size < headerLen {
-			return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for %d-entry dictionary", size, headerLen, dictLen)
-		}
-		db := make([]byte, 8*dictLen)
-		if err := readFullAt(r, db, shardedHeaderLenV2); err != nil {
-			return nil, err
-		}
-		rd.Reset(db)
-		dict = make([]float64, dictLen)
-		for i := range dict {
-			dict[i] = rd.F64()
-		}
+	if flags != 0 {
+		return nil, fmt.Errorf("graph: sharded: unsupported flags %#x", flags)
+	}
+	if dictLen < 1 || dictLen > maxWeightDict {
+		return nil, fmt.Errorf("graph: sharded: weight dictionary length %d outside [1,%d]", dictLen, maxWeightDict)
+	}
+	headerLen := shardedHeaderLen + 8*int64(dictLen)
+	if size < headerLen {
+		return nil, fmt.Errorf("graph: sharded: input %d bytes, need %d for %d-entry dictionary", size, headerLen, dictLen)
+	}
+	db := make([]byte, 8*dictLen)
+	if err := readFullAt(r, db, shardedHeaderLen); err != nil {
+		return nil, err
+	}
+	rd.Reset(db)
+	dict := make([]float64, dictLen)
+	for i := range dict {
+		dict[i] = rd.F64()
 	}
 	indexLen := int64(shards) * shardIndexEntryLen
 	payloadTotal := size - headerLen - indexLen
 	if payloadTotal < 0 {
 		return nil, fmt.Errorf("graph: sharded: %d shards need %d index bytes, input has %d", shards, indexLen, size-headerLen)
 	}
-	if int64(n) > payloadTotal || arcs > payloadTotal/minArcBytes {
+	if int64(n) > payloadTotal || arcs > payloadTotal {
 		return nil, fmt.Errorf("graph: sharded: corrupt header (n=%d arcs=%d for %d payload bytes)", n, arcs, payloadTotal)
 	}
 	ib := make([]byte, indexLen)
@@ -342,7 +269,6 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 	rd.Reset(ib)
 	s := &Sharded{
 		r:          r,
-		ver:        ver,
 		dict:       dict,
 		n:          n,
 		arcs:       arcs,
@@ -368,7 +294,7 @@ func OpenSharded(r io.ReaderAt, size int64) (*Sharded, error) {
 		if plen < 0 || plen > payloadTotal || acnt < 0 || acnt > arcs {
 			return nil, fmt.Errorf("graph: sharded: shard %d index (%d bytes, %d arcs) exceeds input (%d bytes, %d arcs)", i, plen, acnt, payloadTotal, arcs)
 		}
-		if plen < int64(hi-prevHi)+minArcBytes*acnt {
+		if plen < int64(hi-prevHi)+acnt {
 			return nil, fmt.Errorf("graph: sharded: shard %d index (%d vertices, %d arcs) impossible in %d bytes", i, hi-prevHi, acnt, plen)
 		}
 		s.vhi[i] = hi
@@ -488,12 +414,9 @@ func (s *Sharded) decodeShard(i int, data []byte, lo, hi int, offs []int64, base
 			}
 			prev = t
 			targets[cur] = int32(t)
-			if s.ver == 1 {
-				weights[cur] = rd.F64()
-			}
 			cur++
 		}
-		if s.ver == 2 && d > 0 {
+		if d > 0 {
 			if err := s.decodeWeightRuns(rd, weights[cur-int64(d):cur], u); err != nil {
 				return err
 			}
@@ -512,7 +435,7 @@ func (s *Sharded) decodeShard(i int, data []byte, lo, hi int, offs []int64, base
 	return nil
 }
 
-// decodeWeightRuns fills ws from v2 (dictIndex, runLength) pairs. The run
+// decodeWeightRuns fills ws from (dictIndex, runLength) pairs. The run
 // lengths must sum exactly to len(ws) and every index must be inside the
 // dictionary; hostile run tables fail here without writing out of range.
 func (s *Sharded) decodeWeightRuns(rd *wire.Reader, ws []float64, u int) error {

@@ -1,6 +1,6 @@
 package graph
 
-// ShardedWriter emits a v2 sharded graph shard-by-shard so a producer (the
+// ShardedWriter emits a sharded graph shard-by-shard so a producer (the
 // streaming R-MAT generator, a future checkpointer) never holds more than
 // one shard's CSR window in memory. Payload lengths are unknown until each
 // shard is encoded, so payloads are appended first and the header + index
@@ -10,11 +10,12 @@ package graph
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/wire"
 )
 
-// ShardedWriter writes one v2 sharded graph. Shards must be appended in
+// ShardedWriter writes one sharded graph. Shards must be appended in
 // vertex order, exactly covering [0, n) across exactly the shard count
 // given to NewShardedWriter.
 type ShardedWriter struct {
@@ -22,7 +23,7 @@ type ShardedWriter struct {
 	n        int
 	shards   int
 	dict     []float64
-	dictIdx  map[float64]int
+	dictIdx  map[uint64]int
 	off      int64 // absolute offset of the next payload byte
 	nextLo   int
 	arcs     int64
@@ -33,7 +34,7 @@ type ShardedWriter struct {
 	finished bool
 }
 
-// NewShardedWriter starts a v2 sharded graph of n vertices and the given
+// NewShardedWriter starts a sharded graph of n vertices and the given
 // shard count, with the given weight dictionary (1..255 entries; every
 // weight later appended must be in it).
 func NewShardedWriter(w io.WriterAt, n, shards int, dict []float64) (*ShardedWriter, error) {
@@ -46,14 +47,14 @@ func NewShardedWriter(w io.WriterAt, n, shards int, dict []float64) (*ShardedWri
 	if len(dict) < 1 || len(dict) > maxWeightDict {
 		return nil, fmt.Errorf("graph: sharded writer: dictionary length %d outside [1,%d]", len(dict), maxWeightDict)
 	}
-	idx := make(map[float64]int, len(dict))
+	idx := make(map[uint64]int, len(dict))
 	for i, v := range dict {
-		if _, dup := idx[v]; dup {
+		if _, dup := idx[math.Float64bits(v)]; dup {
 			return nil, fmt.Errorf("graph: sharded writer: duplicate dictionary weight %v", v)
 		}
-		idx[v] = i
+		idx[math.Float64bits(v)] = i
 	}
-	headerLen := int64(shardedHeaderLenV2) + 8*int64(len(dict)) + int64(shards)*shardIndexEntryLen
+	headerLen := int64(shardedHeaderLen) + 8*int64(len(dict)) + int64(shards)*shardIndexEntryLen
 	return &ShardedWriter{
 		w:       w,
 		n:       n,
@@ -92,23 +93,18 @@ func (sw *ShardedWriter) AppendShard(hi int, offsets []int64, targets []int32, w
 	if weights != nil && len(weights) != len(targets) {
 		return fmt.Errorf("graph: sharded writer: %d weights for %d targets", len(weights), len(targets))
 	}
+	for i := 1; i < len(offsets); i++ {
+		if offsets[i] < offsets[i-1] {
+			return fmt.Errorf("graph: sharded writer: offsets not monotone at vertex %d", lo+i-1)
+		}
+	}
 	for _, w := range weights {
-		if _, ok := sw.dictIdx[w]; !ok {
+		if _, ok := sw.dictIdx[math.Float64bits(w)]; !ok {
 			return fmt.Errorf("graph: sharded writer: weight %v not in dictionary", w)
 		}
 	}
 	sw.buf.Reset()
-	for u := lo; u < hi; u++ {
-		a, b := offsets[u-lo], offsets[u-lo+1]
-		if b < a {
-			return fmt.Errorf("graph: sharded writer: offsets not monotone at vertex %d", u)
-		}
-		var ws []float64
-		if weights != nil {
-			ws = weights[a:b]
-		}
-		putVertexV2(sw.buf, targets[a:b], ws, sw.dictIdx)
-	}
+	putShard(sw.buf, offsets, targets, weights, sw.dictIdx)
 	if _, err := sw.w.WriteAt(sw.buf.Bytes(), sw.off); err != nil {
 		return err
 	}
@@ -135,21 +131,6 @@ func (sw *ShardedWriter) Finish() error {
 			len(sw.vhi), sw.nextLo, sw.n, sw.shards)
 	}
 	sw.finished = true
-	hdr := wire.NewBuffer(shardedHeaderLenV2 + 8*len(sw.dict) + sw.shards*shardIndexEntryLen)
-	hdr.PutU32(shardedMagicV2)
-	hdr.PutU64(uint64(sw.n))
-	hdr.PutU64(uint64(sw.arcs))
-	hdr.PutU32(uint32(sw.shards))
-	hdr.PutU32(0) // flags, reserved
-	hdr.PutU32(uint32(len(sw.dict)))
-	for _, v := range sw.dict {
-		hdr.PutF64(v)
-	}
-	for s := 0; s < sw.shards; s++ {
-		hdr.PutU64(uint64(sw.vhi[s]))
-		hdr.PutU64(uint64(sw.plens[s]))
-		hdr.PutU64(uint64(sw.acnts[s]))
-	}
-	_, err := sw.w.WriteAt(hdr.Bytes(), 0)
+	_, err := sw.w.WriteAt(shardedHeader(sw.n, sw.dict, sw.vhi, sw.plens, sw.acnts), 0)
 	return err
 }

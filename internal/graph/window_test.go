@@ -10,40 +10,11 @@ import (
 	"testing"
 )
 
-// dictEdges generates messy edges (duplicates, self-loops) whose weights
-// come from a small set, so the v2 writer keeps its dictionary encoding.
-func dictEdges(rng *rand.Rand, n, m int) []Edge {
-	weights := []float64{1, 2, 0.5}
-	edges := make([]Edge, m)
-	for i := range edges {
-		e := Edge{U: rng.Intn(n), V: rng.Intn(n), W: weights[rng.Intn(len(weights))]}
-		if rng.Intn(8) == 0 {
-			e.V = e.U
-		}
-		edges[i] = e
-	}
-	return edges
-}
-
-func v2Fixture(t *testing.T, n, m, shards int) (*Graph, []byte) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(3*n + m + shards)))
-	g, err := FromEdges(n, dictEdges(rng, n, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinaryShardedV2(&buf, g, shards); err != nil {
-		t.Fatal(err)
-	}
-	return g, buf.Bytes()
-}
-
 func TestShardedV2RoundTrip(t *testing.T) {
 	for _, tc := range []struct{ n, m, shards int }{
 		{1, 0, 1}, {10, 20, 1}, {100, 800, 4}, {500, 5000, 7}, {64, 100, 64},
 	} {
-		g, enc := v2Fixture(t, tc.n, tc.m, tc.shards)
+		g, enc := shardedFixture(t, tc.n, tc.m, tc.shards)
 		if got := binary.LittleEndian.Uint32(enc); got != shardedMagicV2 {
 			t.Fatalf("n=%d: magic %#x, want v2 %#x", tc.n, got, shardedMagicV2)
 		}
@@ -60,120 +31,111 @@ func TestShardedV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedV2Compresses pins the point of the format: a low-cardinality
-// weight graph must encode materially smaller than v1 (the f64 weight is
-// ~8 of v1's ~10 bytes/arc).
+// TestShardedV2Compresses pins the point of the format: a few-weight graph
+// costs under half the 9 bytes per arc that a one-byte target and a raw
+// f64 weight would take.
 func TestShardedV2Compresses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, err := FromEdges(2000, dictEdges(rng, 2000, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := writeSharded(&v1, g, 8, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinaryShardedV2(&v2, g, 8); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len()*2 >= v1.Len() {
-		t.Fatalf("v2 %d bytes vs v1 %d: expected at least 2x smaller", v2.Len(), v1.Len())
+	if size := len(encodeSharded(t, g, 8)); 2*int64(size) >= 9*g.NumArcs() {
+		t.Fatalf("%d bytes for %d arcs: expected under 4.5 bytes per arc", size, g.NumArcs())
 	}
 }
 
-// TestShardedV2FallsBackToV1 checks that a graph with more than 255
-// distinct weights is silently written in the v1 format, which every
-// reader accepts by magic.
-func TestShardedV2FallsBackToV1(t *testing.T) {
-	edges := make([]Edge, 400)
-	for i := range edges {
-		edges[i] = Edge{U: i, V: (i + 1) % 500, W: 1 + float64(i)/512}
-	}
-	g, err := FromEdges(500, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinaryShardedV2(&buf, g, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()); got != shardedMagic {
-		t.Fatalf("magic %#x, want v1 fallback %#x", got, shardedMagic)
-	}
-	g2, err := readSharded(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := graphsIdentical(g, g2); diff != "" {
-		t.Fatal(diff)
-	}
-}
-
-// TestWindowsMatchGraph decodes every shard window of v1 and v2 encodings
-// and compares each vertex's arcs against the source graph.
-func TestWindowsMatchGraph(t *testing.T) {
-	for _, ver := range []int{1, 2} {
-		var g *Graph
-		var enc []byte
-		if ver == 1 {
-			g, enc = shardedFixture(t, 300, 4000, 8)
-		} else {
-			g, enc = v2Fixture(t, 300, 4000, 8)
-		}
-		s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
+// TestShardedV2RefusesManyWeights checks the dictionary cap: a graph with
+// 256 distinct weights is refused before any byte is written, and one with
+// 255 is written.
+func TestShardedV2RefusesManyWeights(t *testing.T) {
+	for _, m := range []int{maxWeightDict, maxWeightDict + 1} {
+		g, err := FromEdges(m+1, wideEdges(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.ver != ver {
-			t.Fatalf("version %d, want %d", s.ver, ver)
+		var buf bytes.Buffer
+		err = WriteBinaryShardedV2(&buf, g, 4)
+		if m > maxWeightDict && (err == nil || buf.Len() != 0) {
+			t.Fatalf("%d weights: error %v after %d bytes, want an error and nothing written", m, err, buf.Len())
+		}
+		if m <= maxWeightDict && err != nil {
+			t.Fatalf("%d weights: %v", m, err)
+		}
+	}
+}
+
+// windowFixtures are the graphs the windowed-access tests decode: a messy
+// few-weight graph and a path with a full 255-entry dictionary.
+func windowFixtures(t *testing.T, n, m, shards int) map[string]*Graph {
+	t.Helper()
+	few, _ := shardedFixture(t, n, m, shards)
+	wide, err := FromEdges(maxWeightDict+1, wideEdges(maxWeightDict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Graph{"few": few, "wide": wide}
+}
+
+// TestWindowsMatchGraph decodes every shard window of the encodings and
+// compares each vertex's arcs against the source graph.
+func TestWindowsMatchGraph(t *testing.T) {
+	for name, g := range windowFixtures(t, 300, 4000, 8) {
+		enc := encodeSharded(t, g, 8)
+		s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
+		if err != nil {
+			t.Fatal(err)
 		}
 		covered := 0
 		for i := 0; i < s.NumShards(); i++ {
 			w, err := s.ReadWindow(i)
 			if err != nil {
-				t.Fatalf("v%d shard %d: %v", ver, i, err)
+				t.Fatalf("%s shard %d: %v", name, i, err)
 			}
 			lo, hi := s.ShardRange(i)
 			if w.Lo != lo || w.Hi != hi {
-				t.Fatalf("v%d shard %d: window [%d,%d), want [%d,%d)", ver, i, w.Lo, w.Hi, lo, hi)
+				t.Fatalf("%s shard %d: window [%d,%d), want [%d,%d)", name, i, w.Lo, w.Hi, lo, hi)
 			}
 			for u := lo; u < hi; u++ {
 				wantT, wantW := g.Neighbors(u)
 				gotT, gotW := w.Arcs(u)
 				if len(gotT) != len(wantT) {
-					t.Fatalf("v%d vertex %d: %d arcs, want %d", ver, u, len(gotT), len(wantT))
+					t.Fatalf("%s vertex %d: %d arcs, want %d", name, u, len(gotT), len(wantT))
 				}
 				for k := range wantT {
 					if gotT[k] != wantT[k] || gotW[k] != wantW[k] {
-						t.Fatalf("v%d vertex %d arc %d: (%d,%v) want (%d,%v)",
-							ver, u, k, gotT[k], gotW[k], wantT[k], wantW[k])
+						t.Fatalf("%s vertex %d arc %d: (%d,%v) want (%d,%v)",
+							name, u, k, gotT[k], gotW[k], wantT[k], wantW[k])
 					}
 				}
 				covered++
 			}
 		}
 		if covered != g.NumVertices() {
-			t.Fatalf("v%d: windows covered %d of %d vertices", ver, covered, g.NumVertices())
+			t.Fatalf("%s: windows covered %d of %d vertices", name, covered, g.NumVertices())
 		}
 		for _, i := range []int{-1, s.NumShards()} {
 			if _, err := s.ReadWindow(i); err == nil {
-				t.Errorf("v%d: window %d of %d: expected error", ver, i, s.NumShards())
+				t.Errorf("%s: window %d of %d: expected error", name, i, s.NumShards())
 			}
 		}
 	}
 }
 
-// TestShardedWriterMatchesInRAM replays the in-RAM v2 writer's exact shard
+// TestShardedWriterMatchesInRAM replays the in-RAM writer's exact shard
 // boundaries through the streaming ShardedWriter and requires the output
 // files to be byte-identical — the streaming generate path therefore
 // produces the same artifact a load-then-write pipeline would.
 func TestShardedWriterMatchesInRAM(t *testing.T) {
-	g, enc := v2Fixture(t, 300, 4000, 6)
+	g, enc := shardedFixture(t, 300, 4000, 6)
 	s, err := OpenSharded(bytes.NewReader(enc), int64(len(enc)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict, _ := weightDict(g.weights)
+	dict, _, err := weightDict(g.weights)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "stream.sbin")
 	f, err := os.Create(path)
 	if err != nil {
@@ -299,18 +261,11 @@ func TestShardedWriterErrors(t *testing.T) {
 }
 
 // TestOpenShardedFile exercises the mmap-backed open + zero-copy decode
-// path end to end for both format versions.
+// path end to end.
 func TestOpenShardedFile(t *testing.T) {
-	for _, ver := range []int{1, 2} {
-		var g *Graph
-		var enc []byte
-		if ver == 1 {
-			g, enc = shardedFixture(t, 250, 3000, 5)
-		} else {
-			g, enc = v2Fixture(t, 250, 3000, 5)
-		}
+	for name, g := range windowFixtures(t, 250, 3000, 5) {
 		path := filepath.Join(t.TempDir(), "g.sbin")
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
+		if err := os.WriteFile(path, encodeSharded(t, g, 5), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, closer, err := OpenShardedFile(path)
@@ -322,7 +277,7 @@ func TestOpenShardedFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diff := graphsIdentical(g, g2); diff != "" {
-			t.Fatalf("v%d mmap decode: %s", ver, diff)
+			t.Fatalf("%s mmap decode: %s", name, diff)
 		}
 		// Windowed access over the mapping takes the Range zero-copy path.
 		for i := 0; i < s.NumShards(); i++ {
@@ -333,7 +288,7 @@ func TestOpenShardedFile(t *testing.T) {
 			for u := w.Lo; u < w.Hi; u++ {
 				ts, _ := w.Arcs(u)
 				if wantT, _ := g.Neighbors(u); !slices.Equal(ts, wantT) {
-					t.Fatalf("v%d vertex %d: window arcs %v, want %v", ver, u, ts, wantT)
+					t.Fatalf("%s vertex %d: window arcs %v, want %v", name, u, ts, wantT)
 				}
 			}
 		}
@@ -346,14 +301,14 @@ func TestOpenShardedFile(t *testing.T) {
 	}
 }
 
-// TestShardedV2HostileInputs mutates a valid v2 encoding into hostile
-// variants; every one must produce an error, never a panic or an
-// input-disproportionate allocation.
+// TestShardedV2HostileInputs mutates the dictionary and the payloads of a
+// valid encoding into hostile variants; every one must produce an error,
+// never a panic or an input-disproportionate allocation.
 func TestShardedV2HostileInputs(t *testing.T) {
-	_, enc := v2Fixture(t, 100, 900, 4)
+	_, enc := shardedFixture(t, 100, 900, 4)
 	le := binary.LittleEndian
 	dictLen := int(le.Uint32(enc[28:]))
-	indexOff := shardedHeaderLenV2 + 8*dictLen
+	indexOff := shardedHeaderLen + 8*dictLen
 	payloadOff := indexOff + 4*shardIndexEntryLen
 	mutate := func(name string, f func(b []byte) []byte) {
 		t.Helper()
@@ -366,11 +321,7 @@ func TestShardedV2HostileInputs(t *testing.T) {
 	mutate("zero dictLen", func(b []byte) []byte { le.PutUint32(b[28:], 0); return b })
 	mutate("huge dictLen", func(b []byte) []byte { le.PutUint32(b[28:], 1<<20); return b })
 	mutate("dictLen beyond cap", func(b []byte) []byte { le.PutUint32(b[28:], 256); return b })
-	mutate("truncated dict", func(b []byte) []byte { return b[:shardedHeaderLenV2+3] })
-	mutate("truncated index", func(b []byte) []byte { return b[:indexOff+5] })
-	mutate("truncated payload", func(b []byte) []byte { return b[:len(b)-1] })
-	mutate("huge arcs", func(b []byte) []byte { le.PutUint64(b[12:], 1<<60); return b })
-	mutate("vhi not monotone", func(b []byte) []byte { le.PutUint64(b[indexOff:], 1<<40); return b })
+	mutate("truncated dict", func(b []byte) []byte { return b[:shardedHeaderLen+3] })
 	mutate("overlapping shard index", func(b []byte) []byte {
 		// Shrink shard 0's upper bound below shard 1's range start while
 		// leaving lengths alone: coverage and arc sums no longer line up.

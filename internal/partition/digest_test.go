@@ -146,9 +146,7 @@ var layoutDigests = []struct {
 
 // TestLayoutDigests pins the Layout of every row to the recorded digest
 // through Build, through BuildStreaming over an .sbin at shard counts 1, 16
-// and n (one vertex per window; all three graphs have few enough distinct
-// weights to be written as v2 — BuildStreaming sees decoded windows either
-// way, and TestStreamingBuildMatchesInRAM has a v1 file), and through build
+// and n (one vertex per window), and through build
 // over 1, 3 and 64 in-RAM windows at GOMAXPROCS 1, 2 and 8. The last grid
 // is the proof that fragments combine in an order independent of how the
 // vertex range is chunked and of which goroutine ran which chunk.

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -36,15 +35,14 @@ func streamGraphs(t *testing.T) map[string]*graph.Graph {
 // TestStreamingBuildMatchesInRAM is the tentpole acceptance test: the
 // streaming two-pass Build over a sharded file must produce a Layout
 // bit-identical to the in-RAM Build of the decoded graph — golden + R-MAT
-// × both partitionings × GOMAXPROCS × shard counts × both shard format
-// versions, including the float bit patterns of every weight and 2m. The
-// one sharded writer picks the version from the weights, so the v1 files
-// come from the R-MAT graph with a different weight on every edge.
+// × both partitionings × GOMAXPROCS × shard counts, including the float
+// bit patterns of every weight and 2m. The weighted R-MAT row spreads its
+// edges over 200 fractional weights, most of the dictionary's 255.
 func TestStreamingBuildMatchesInRAM(t *testing.T) {
 	gs := streamGraphs(t)
 	edges := gs["rmat12"].Edges()
 	for i := range edges {
-		edges[i].W = 1 + float64(i)/4096
+		edges[i].W = 1 + float64(i%200)/256
 	}
 	weighted, err := graph.FromEdges(gs["rmat12"].NumVertices(), edges)
 	if err != nil {
@@ -52,18 +50,10 @@ func TestStreamingBuildMatchesInRAM(t *testing.T) {
 	}
 	gs["rmat12-weighted"] = weighted
 	for name, g := range gs {
-		ver := 2
-		if g == weighted {
-			ver = 1
-		}
 		for _, shards := range []int{1, 7, 32} {
 			var buf bytes.Buffer
 			if err := graph.WriteBinaryShardedV2(&buf, g, shards); err != nil {
 				t.Fatal(err)
-			}
-			// The magic's last byte is 0xA1 + the version.
-			if got := int(binary.LittleEndian.Uint32(buf.Bytes())) - 0x477250A1; got != ver {
-				t.Fatalf("%s: the writer chose format v%d, this row is meant to cover v%d", name, got, ver)
 			}
 			s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 			if err != nil {
@@ -80,12 +70,12 @@ func TestStreamingBuildMatchesInRAM(t *testing.T) {
 						}
 						got, err := BuildStreaming(s, opt)
 						if err != nil {
-							t.Fatalf("%s v%d shards=%d %v p=%d procs=%d: %v",
-								name, ver, shards, kind, p, procs, err)
+							t.Fatalf("%s shards=%d %v p=%d procs=%d: %v",
+								name, shards, kind, p, procs, err)
 						}
 						if diff := layoutsIdentical(want, got); diff != "" {
-							t.Fatalf("%s v%d shards=%d %v p=%d procs=%d: streaming diverged: %s",
-								name, ver, shards, kind, p, procs, diff)
+							t.Fatalf("%s shards=%d %v p=%d procs=%d: streaming diverged: %s",
+								name, shards, kind, p, procs, diff)
 						}
 					}
 				}
@@ -167,6 +157,7 @@ func TestBuildRejectsUnrepresentableWeights(t *testing.T) {
 		w    []float64 // weights of the path 0-1-2
 	}{
 		{"nan", []float64{math.NaN(), 1}},
+		{"nan-second", []float64{1, math.NaN()}},
 		{"+inf", []float64{1, math.Inf(1)}},
 		{"-inf", []float64{math.Inf(-1), 1}},
 		{"negative", []float64{1, -1}},

@@ -34,7 +34,7 @@ go test -run '^$' -bench '^BenchmarkPartitionBuild$' \
     -cpu 1,2,4,8 -benchtime "$INGEST_TIME" -benchmem ./internal/partition/
 
 echo "== out-of-core benchmarks (-benchtime $INGEST_TIME / $OOCORE_TIME) ==" >&2
-# The PR-9 numbers: compressed v2 decode throughput and on-disk size
+# The PR-9 numbers: sharded decode throughput and on-disk size
 # (file-B), the two-pass streaming partitioner against the in-RAM builder,
 # and the full streamed generate -> partition -> solve pipeline with the
 # heap high-water (heap-MB) as the acceptance metric. Set OOCORE_SCALE=23
