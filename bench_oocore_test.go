@@ -79,11 +79,7 @@ func BenchmarkOocorePipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			opt := core.Options{P: 4}
-			layout, err := partition.BuildStreaming(s, partition.Options{
-				P:     opt.P,
-				Kind:  partition.Delegate,
-				DHigh: core.DefaultDHigh(opt.P, s.NumVertices(), s.NumArcs()),
-			})
+			layout, err := partition.BuildStreaming(s, opt.PartitionOptions())
 			if err != nil {
 				b.Fatal(err)
 			}

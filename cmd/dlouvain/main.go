@@ -75,6 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if (*graphPath == "") == (*genSpec == "") {
+		return usage("pass one of -graph FILE and -gen SPEC")
+	}
+	if *p < 1 {
+		return usage("-p %d, want >= 1", *p)
+	}
 	if *oocore {
 		if !strings.HasSuffix(*graphPath, ".sbin") {
 			return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -stream writes one)")
@@ -144,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var res *core.Result
 	if *oocore {
 		tPart := time.Now()
-		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
+		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions())
 		if berr != nil {
 			return fail(berr)
 		}

@@ -36,6 +36,10 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"bad-flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\n"},
+		{"no-input", nil, 2, "dlouvain: pass one of -graph FILE and -gen SPEC\n"},
+		{"both-inputs", []string{"-graph", filepath.Join(dir, "none.txt"), "-gen", "rmat:scale=4"}, 2,
+			"dlouvain: pass one of -graph FILE and -gen SPEC\n"},
+		{"zero-ranks", []string{"-graph", filepath.Join(dir, "none.txt"), "-p", "0"}, 2, "dlouvain: -p 0, want >= 1\n"},
 		{"oocore-not-sbin", []string{"-oocore", "-graph", nan}, 2,
 			"dlouvain: -oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -stream writes one)\n"},
 		{"oocore-seq", []string{"-oocore", "-graph", "g.sbin", "-seq"}, 2,

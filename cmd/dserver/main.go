@@ -66,6 +66,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if (*graphPath == "") == (*genSpec == "") {
 		return usage("pass one of -graph FILE and -gen SPEC")
 	}
+	if *p < 1 {
+		return usage("-p %d, want >= 1", *p)
+	}
 	opt := dserver.Options{
 		P:           *p,
 		AutoResolve: *autoResolve,

@@ -31,6 +31,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad-heuristic", []string{"-graph", missing, "-heuristic", "greedy"}, 2, "dserver: unknown heuristic \"greedy\"\n"},
 		{"bad-partitioning", []string{"-graph", missing, "-partitioning", "2d"}, 2, "dserver: unknown partitioning \"2d\"\n"},
 		{"no-graph", nil, 2, "dserver: pass one of -graph FILE and -gen SPEC\n"},
+		{"zero-ranks", []string{"-graph", missing, "-p", "0"}, 2, "dserver: -p 0, want >= 1\n"},
 		{"missing-graph", []string{"-graph", missing}, 1, "dserver: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		graphPath = fs.String("graph", "", "path to a graph file (.txt edge list, .sbin, or .metis)")
 		genSpec   = fs.String("gen", "", "generator spec (see internal/gen.ParseSpec)")
 		procsArg  = fs.String("procs", "64,256,1024", "comma-separated processor counts")
-		dhigh     = fs.Int("dhigh", 0, "hub degree threshold (0 = 2× average degree)")
+		dhigh     = fs.Int("dhigh", 0, "hub degree threshold (0 = the partitioner's default, as dlouvain uses)")
 		oocore    = fs.Bool("oocore", false, "partition from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -50,6 +50,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if (*graphPath == "") == (*genSpec == "") {
+		return usage("pass one of -graph FILE and -gen SPEC")
+	}
 	var procs []int
 	for _, s := range strings.Split(*procsArg, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(s))
@@ -92,16 +95,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "graph: %s, avg degree %.1f%s\n\n", header, avgDeg, tail)
 
-	threshold := *dhigh
-	if threshold <= 0 && n > 0 {
-		threshold = 2 * int(arcs) / n
-	}
-
 	fmt.Fprintf(stdout, "%-6s %-9s %10s %10s %10s %8s %10s %6s\n",
 		"p", "kind", "min edges", "med edges", "max edges", "W", "max ghosts", "hubs")
 	for _, p := range procs {
 		for _, kind := range []partition.Kind{partition.OneD, partition.Delegate} {
-			opt := partition.Options{P: p, Kind: kind, DHigh: threshold}
+			opt := partition.Options{P: p, Kind: kind, DHigh: *dhigh}
 			var l *partition.Layout
 			if *oocore {
 				l, err = partition.BuildStreaming(s, opt)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -29,10 +32,40 @@ func TestCensusRows(t *testing.T) {
 
 p      kind       min edges  med edges  max edges        W max ghosts   hubs
 4      1d              1591       4383      10542    1.021        580      0
-4      delegate        5217       5218       5218    0.000        179    171
+4      delegate        5217       5218       5218    0.000        404     56
 `
 	if stdout != want {
 		t.Errorf("stdout:\n%s\nwant:\n%s", stdout, want)
+	}
+}
+
+// TestHubsMatchSolver pins that the census describes the layout dlouvain
+// solves: at the default -dhigh, the delegate row counts the hubs core.Run
+// reports for the same graph and P.
+func TestHubsMatchSolver(t *testing.T) {
+	const spec = "rmat:scale=10,seed=1"
+	g, _, err := gen.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(g, core.Options{P: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := partitionCmd("-gen", spec, "-procs", "4")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	var hubs int
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) == 8 && f[1] == "delegate" {
+			if hubs, err = strconv.Atoi(f[7]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if hubs != res.HubCount {
+		t.Errorf("census reports %d delegate hubs, core.Run solves with %d\n%s", hubs, res.HubCount, stdout)
 	}
 }
 
@@ -64,6 +97,9 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"bad-flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\n"},
+		{"no-input", nil, 2, "partition: pass one of -graph FILE and -gen SPEC\n"},
+		{"both-inputs", []string{"-graph", filepath.Join(dir, "none.txt"), "-gen", "rmat:scale=4"}, 2,
+			"partition: pass one of -graph FILE and -gen SPEC\n"},
 		{"bad-procs", []string{"-gen", "rmat:scale=4", "-procs", "4,0"}, 2, "partition: bad processor count \"0\"\n"},
 		{"oocore-not-sbin", []string{"-oocore", "-graph", empty}, 2,
 			"partition: -oocore reads a sharded binary; pass -graph FILE.sbin\n"},

@@ -69,6 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rank < 0 || *rank >= len(addrs) {
 		return usage("-rank %d out of range for %d addresses", *rank, len(addrs))
 	}
+	if (*graphPath == "") == (*genSpec == "") {
+		return usage("pass one of -graph FILE and -gen SPEC")
+	}
 	if *oocore && !strings.HasSuffix(*graphPath, ".sbin") {
 		return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin")
 	}
@@ -107,14 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var res *core.RankResult
 	if *oocore {
-		// Every worker derives the same threshold and runs the same
-		// deterministic streaming build, then keeps only its own part — no
-		// rank ever holds the whole graph.
-		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
+		// Every worker runs the same deterministic streaming build, then
+		// keeps only its own part — no rank ever holds the whole graph.
+		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions())
 		if berr != nil {
 			return fail(berr)
 		}
-		opt.DHigh = layout.DHigh
 		if err := sc.Close(); err != nil {
 			return fail(err)
 		}

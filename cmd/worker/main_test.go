@@ -126,6 +126,9 @@ func TestExitCodes(t *testing.T) {
 		{"no-rank", []string{"-addrs", "127.0.0.1:1"}, 2, "worker: -rank -1 out of range for 1 addresses\n"},
 		{"rank-past-addrs", []string{"-rank", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}, 2,
 			"worker: -rank 2 out of range for 2 addresses\n"},
+		{"no-input", []string{"-rank", "0", "-addrs", "127.0.0.1:1"}, 2, "worker: pass one of -graph FILE and -gen SPEC\n"},
+		{"both-inputs", []string{"-rank", "0", "-addrs", "127.0.0.1:1", "-graph", filepath.Join(dir, "none.txt"), "-gen", "rmat:scale=4"}, 2,
+			"worker: pass one of -graph FILE and -gen SPEC\n"},
 		{"oocore-not-sbin", []string{"-rank", "0", "-addrs", "127.0.0.1:1", "-oocore", "-graph", filepath.Join(dir, "g.txt")}, 2,
 			"worker: -oocore solves from a sharded binary; pass -graph FILE.sbin\n"},
 		{"bad-heuristic", []string{"-rank", "0", "-addrs", "127.0.0.1:1", "-heuristic", "greedy", "-gen", "rmat:scale=4"}, 2,

@@ -27,9 +27,8 @@ func main() {
 
 	// Partition balance: the hub problem and the delegate fix.
 	fmt.Println("partition balance at p=64 (W = max/avg - 1, lower is better):")
-	dhigh := 2 * int(g.NumArcs()) / g.NumVertices()
 	for _, kind := range []partition.Kind{partition.OneD, partition.Delegate} {
-		l, err := partition.Build(g, partition.Options{P: 64, Kind: kind, DHigh: dhigh})
+		l, err := partition.Build(g, partition.Options{P: 64, Kind: kind})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -224,7 +224,7 @@ func TestSessionSeedsStageFlags(t *testing.T) {
 	}
 	const p = 4
 	opt := Options{P: p, DHigh: 8, UpdateKHops: 1}
-	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxInnerIters != 100 || opt.DHigh != 4 {
+	if opt.MaxInnerIters != 100 || opt.DHigh != 0 {
 		t.Errorf("defaults: %+v", opt)
 	}
 	if _, err := (Options{}).withDefaults(); err == nil {

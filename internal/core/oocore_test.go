@@ -44,9 +44,9 @@ func TestGoldenOutOfCore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The streaming path never sees the Graph; the file's counts
-				// through the shared mapping give the DHigh Run derives.
-				layout, err := partition.BuildStreaming(s, opt.PartitionOptions(s.NumVertices(), s.NumArcs()))
+				// The streaming path never sees the Graph; the partitioner
+				// derives the same default DHigh from the file's degrees.
+				layout, err := partition.BuildStreaming(s, opt.PartitionOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,9 +81,7 @@ func TestRunRankLayoutTCP(t *testing.T) {
 	s := goldenSharded(t, 3)
 	const p = 4
 	opt := Options{P: p}
-	popt := opt.PartitionOptions(s.NumVertices(), s.NumArcs())
-	opt.DHigh = popt.DHigh
-	layout, err := partition.BuildStreaming(s, popt)
+	layout, err := partition.BuildStreaming(s, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestRunRankLayoutTCP(t *testing.T) {
 				return
 			}
 			defer ep.Close()
-			l, err := partition.BuildStreaming(s, popt)
+			l, err := partition.BuildStreaming(s, opt.PartitionOptions())
 			if err != nil {
 				errs[r] = err
 				return

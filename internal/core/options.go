@@ -76,15 +76,17 @@ func ParseHeuristic(s string) (Heuristic, error) {
 	return 0, fmt.Errorf("unknown heuristic %q", s)
 }
 
-// Options configures a distributed run. The zero value uses the paper's
-// settings: delegate partitioning with DHigh = P and the enhanced heuristic.
+// Options configures a distributed run. The zero value uses delegate
+// partitioning with the partitioner's default hub threshold and the
+// enhanced heuristic.
 type Options struct {
 	// P is the number of ranks (processors). Required, >= 1.
 	P int
 	// Partitioning selects delegate partitioning (default) or plain 1D
 	// (the Cheong-style baseline of Figure 7).
 	Partitioning partition.Kind
-	// DHigh is the hub degree threshold; <= 0 means P (the paper's choice).
+	// DHigh is the hub degree threshold; <= 0 leaves it to the
+	// partitioner's default (partition.Options.DHigh).
 	DHigh int
 	// Heuristic selects the convergence heuristic.
 	Heuristic Heuristic
@@ -151,9 +153,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxInnerIters <= 0 {
 		o.MaxInnerIters = 100
 	}
-	if o.DHigh <= 0 {
-		o.DHigh = o.P
-	}
 	if o.Resolution <= 0 {
 		o.Resolution = 1
 	}
@@ -169,15 +168,10 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// PartitionOptions maps o onto the partitioner's options for a graph of n
-// vertices and arcs arcs. It is the one place an unset DHigh becomes
-// DefaultDHigh, so every entry point — Run, RunRank, the resident service
-// and the out-of-core drivers — cuts the same graph the same way. The
-// Layout records the threshold it was built with; RunLayout inherits it.
-func (o Options) PartitionOptions(n int, arcs int64) partition.Options {
-	dhigh := o.DHigh
-	if dhigh <= 0 {
-		dhigh = DefaultDHigh(o.P, n, arcs)
-	}
-	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: dhigh}
+// PartitionOptions maps o onto the partitioner's options. Every entry
+// point — Run, RunRank, the resident service and the out-of-core drivers —
+// partitions through it, so they all cut the same graph the same way; an
+// unset DHigh stays unset and the partitioner decides it.
+func (o Options) PartitionOptions() partition.Options {
+	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: o.DHigh}
 }

@@ -39,17 +39,13 @@ func RunRank(c comm.Comm, g *graph.Graph, opt Options) (*RankResult, error) {
 	if opt.P != c.Size() {
 		return nil, fmt.Errorf("core: Options.P = %d but communicator has %d ranks", opt.P, c.Size())
 	}
-	if _, err := opt.withDefaults(); err != nil {
-		return nil, err
-	}
 	// Deterministic partitioning: every process computes the same layout
 	// and keeps its own part (a real deployment would distribute this
 	// step; the layout is a pure function of the graph and options).
-	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		return nil, err
 	}
-	opt.DHigh = layout.DHigh
 	return RunRankLayout(c, layout.Parts[c.Rank()], opt)
 }
 
@@ -57,25 +53,14 @@ func RunRank(c comm.Comm, g *graph.Graph, opt Options) (*RankResult, error) {
 // subgraph — the out-of-core worker entry point, where every process ran
 // partition.BuildStreaming over the sharded file and kept only its own
 // part. The subgraph must be rank c.Rank() of a layout built with P =
-// c.Size() ranks, and opt.DHigh should carry the layout's threshold (the
-// deterministic partitioner makes both true on every rank by
-// construction).
+// c.Size() ranks (the deterministic partitioner makes that true on every
+// rank by construction).
 func RunRankLayout(c comm.Comm, sg *partition.Subgraph, opt Options) (*RankResult, error) {
-	if opt.P == 0 {
-		opt.P = c.Size()
-	}
-	if opt.P != c.Size() {
-		return nil, fmt.Errorf("core: Options.P = %d but communicator has %d ranks", opt.P, c.Size())
-	}
 	if sg == nil {
 		return nil, fmt.Errorf("core: RunRankLayout needs a subgraph")
 	}
 	if sg.Rank != c.Rank() {
 		return nil, fmt.Errorf("core: subgraph is rank %d's part but communicator rank is %d", sg.Rank, c.Rank())
-	}
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
 	}
 	out, err := runRank(c, sg, opt, defaultStop)
 	if err != nil {

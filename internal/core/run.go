@@ -283,22 +283,11 @@ type rankOut struct {
 	workUnits int64 // total deterministic work units across all stages
 }
 
-// DefaultDHigh is the hub-threshold default shared by every entry point
-// (through Options.PartitionOptions). The paper sets dhigh = p in a regime
-// where p (thousands) far exceeds the average degree, so hubs are a thin
-// tail. Floor the default at four times the average degree so the hub
-// fraction stays comparably thin at small p; explicit DHigh values are
-// always honored.
-func DefaultDHigh(p, n int, arcs int64) int {
-	if p < 1 || n <= 0 {
-		return 0
-	}
-	d := p
-	if floor := 4 * int(arcs) / n; floor > d {
-		d = floor
-	}
-	return d
-}
+// DefaultDHigh returns 0, which asks the partitioner for its default hub
+// threshold (partition.Options.DHigh): the threshold is decided where the
+// degrees are. It stays, with its signature, because callers outside this
+// module pass its result on as DHigh.
+func DefaultDHigh(p, n int, arcs int64) int { return 0 }
 
 // Run executes the full distributed Louvain algorithm on g with opt.P ranks
 // simulated as goroutines over the in-process transport.
@@ -313,7 +302,7 @@ func RunStop(g *graph.Graph, opt Options, rule StopRule) (*Result, error) {
 		return nil, err
 	}
 	t0 := trace.Now()
-	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -331,9 +320,8 @@ func RunStop(g *graph.Graph, opt Options, rule StopRule) (*Result, error) {
 // partition.BuildStreaming and no in-RAM Graph exists. The Result is
 // identical to Run of the graph the layout was cut from (PartitionTime is
 // left zero; the caller timed the build). opt.P may be zero (it then
-// follows the layout) but must otherwise match; an unset DHigh inherits
-// the layout's threshold so session heuristics see the partitioner's
-// value.
+// follows the layout) but must otherwise match; opt.DHigh is not read, the
+// layout already carries its hubs.
 func RunLayout(layout *partition.Layout, opt Options) (*Result, error) {
 	return runLayout(layout, opt, defaultStop)
 }
@@ -347,13 +335,6 @@ func runLayout(layout *partition.Layout, opt Options, rule StopRule) (*Result, e
 	}
 	if opt.P != layout.P {
 		return nil, fmt.Errorf("core: Options.P = %d but layout has %d ranks", opt.P, layout.P)
-	}
-	if opt.DHigh <= 0 {
-		opt.DHigh = layout.DHigh
-	}
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
 	}
 	nGlobal := layout.Parts[0].GlobalVertices
 

@@ -30,11 +30,10 @@ func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]Ed
 	t.Helper()
 	// Run's own mapping, so session worlds partition exactly like the batch
 	// oracle they are compared against.
-	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.DHigh = layout.DHigh
 	results := make([][]UpdateResult, opt.P)
 	fallbacks := make([][]bool, opt.P)
 	qs := make([]float64, opt.P)
@@ -462,11 +461,10 @@ func TestSessionAttach(t *testing.T) {
 	batches := [][]EdgeOp{{{U: 2, V: 14, W: 1.5}}, {{U: 2, V: 14, W: 1.5, Del: true}, {U: 3, V: 20, W: 2}}}
 	want := runSessionBatches(t, g, opt, batches, false)
 
-	layout, err := partition.Build(g, opt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.DHigh = layout.DHigh
 	sessions := make([]*Session, opt.P)
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		ses, err := NewSession(c, layout.Parts[c.Rank()].CloneForServing(), opt)

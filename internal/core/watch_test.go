@@ -534,8 +534,8 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	opt := Options{P: p, DHigh: DefaultDHigh(p, g.NumVertices(), g.NumArcs())}
-	layout, err := partition.Build(g, partition.Options{P: p, Kind: opt.Partitioning, DHigh: opt.DHigh})
+	opt := Options{P: p}
+	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ import (
 // Options configures a World.
 type Options struct {
 	// Core is passed to every rank's core.Session. P must match the world
-	// size (0 adopts P below). DHigh <= 0 gets the same default core.Run
-	// applies: max(P, 4*arcs/vertices).
+	// size (0 adopts P below). DHigh <= 0 leaves the hub threshold to the
+	// partitioner, as core.Run does.
 	Core core.Options
 	// P is the number of resident ranks.
 	P int
@@ -117,11 +117,10 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 	copt.P = p
 	// The same mapping core.Run uses, so a served world and a batch run
 	// over the same graph see the same partition (and the same answer).
-	layout, err := partition.Build(g, copt.PartitionOptions(g.NumVertices(), g.NumArcs()))
+	layout, err := partition.Build(g, copt.PartitionOptions())
 	if err != nil {
 		return nil, err
 	}
-	copt.DHigh = layout.DHigh
 
 	w := &World{
 		p:           p,

@@ -175,9 +175,9 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 }
 
 // FromArcLists builds a graph directly from per-vertex arc lists. The caller
-// asserts the lists are already symmetric (every (u,v) has its (v,u)); this
-// is the fast path used by the distributed merge. Duplicate targets within a
-// vertex are combined by summing weights.
+// asserts the lists are already symmetric (every (u,v) has its (v,u)), as
+// METIS adjacency and louvain.Aggregate's community graph are. Duplicate
+// targets within a vertex are combined by summing weights.
 func FromArcLists(n int, targets [][]int32, weights [][]float64) (*Graph, error) {
 	if len(targets) != n || len(weights) != n {
 		return nil, fmt.Errorf("graph: FromArcLists needs %d lists, got %d/%d", n, len(targets), len(weights))

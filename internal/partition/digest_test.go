@@ -106,42 +106,42 @@ var layoutDigests = []struct {
 	dhigh, p int
 	digest   uint64
 }{
-	{"golden", Delegate, 0, 1, 0x1a3ea09186a2fd82},  // hubs 48
-	{"golden", Delegate, 0, 2, 0x9cda24b8ad558e47},  // hubs 48
-	{"golden", Delegate, 0, 4, 0xef5ce4b0c1a26dbe},  // hubs 47
-	{"golden", Delegate, 0, 7, 0xb85545f481c3bb48},  // hubs 31
+	{"golden", Delegate, 1, 1, 0x1a3ea09186a2fd82},  // hubs 48
+	{"golden", Delegate, 2, 2, 0x9cda24b8ad558e47},  // hubs 48
+	{"golden", Delegate, 4, 4, 0xef5ce4b0c1a26dbe},  // hubs 47
+	{"golden", Delegate, 7, 7, 0xb85545f481c3bb48},  // hubs 31
 	{"golden", Delegate, 8, 1, 0x9559420a69369b48},  // hubs 24
 	{"golden", Delegate, 8, 2, 0x8c3b8a8db88ffbf0},  // hubs 24
 	{"golden", Delegate, 8, 4, 0xa9680a5104e61bc8},  // hubs 24
 	{"golden", Delegate, 8, 7, 0x14e1b27b4f6eaef1},  // hubs 24
-	{"golden", OneD, 0, 1, 0xfe7e1dcbeab81573},      // hubs 0
-	{"golden", OneD, 0, 2, 0x5fff1d63edf0ae49},      // hubs 0
-	{"golden", OneD, 0, 4, 0xaffce7adc9026380},      // hubs 0
-	{"golden", OneD, 0, 7, 0x150df411d0db3b39},      // hubs 0
-	{"rmat12", Delegate, 0, 1, 0x7c3a3b5af46017ab},  // hubs 3350
-	{"rmat12", Delegate, 0, 2, 0x5264fe2c9897b2d0},  // hubs 2867
-	{"rmat12", Delegate, 0, 4, 0x32506b1473cbfe14},  // hubs 2284
-	{"rmat12", Delegate, 0, 7, 0x38c4be2918ee98d3},  // hubs 1783
+	{"golden", OneD, 1, 1, 0xfe7e1dcbeab81573},      // hubs 0
+	{"golden", OneD, 2, 2, 0x5fff1d63edf0ae49},      // hubs 0
+	{"golden", OneD, 4, 4, 0xaffce7adc9026380},      // hubs 0
+	{"golden", OneD, 7, 7, 0x150df411d0db3b39},      // hubs 0
+	{"rmat12", Delegate, 1, 1, 0x7c3a3b5af46017ab},  // hubs 3350
+	{"rmat12", Delegate, 2, 2, 0x5264fe2c9897b2d0},  // hubs 2867
+	{"rmat12", Delegate, 4, 4, 0x32506b1473cbfe14},  // hubs 2284
+	{"rmat12", Delegate, 7, 7, 0x38c4be2918ee98d3},  // hubs 1783
 	{"rmat12", Delegate, 8, 1, 0xb1ab1bc53c2ddfe6},  // hubs 1685
 	{"rmat12", Delegate, 8, 2, 0xb2004b37782cae75},  // hubs 1685
 	{"rmat12", Delegate, 8, 4, 0x8af6006542fd3bb3},  // hubs 1685
 	{"rmat12", Delegate, 8, 7, 0x56c1c5dc6f4b2690},  // hubs 1685
-	{"rmat12", OneD, 0, 1, 0xc90fe49dab314370},      // hubs 0
-	{"rmat12", OneD, 0, 2, 0xc71cb94c8762f608},      // hubs 0
-	{"rmat12", OneD, 0, 4, 0xa9e559d1d1446535},      // hubs 0
-	{"rmat12", OneD, 0, 7, 0x93ea89705ce1ca95},      // hubs 0
-	{"lfr3000", Delegate, 0, 1, 0xa3a783b5a49b7a48}, // hubs 3000
-	{"lfr3000", Delegate, 0, 2, 0xb592e1eeec96026e}, // hubs 3000
-	{"lfr3000", Delegate, 0, 4, 0x92acdbec24147573}, // hubs 2902
-	{"lfr3000", Delegate, 0, 7, 0x9dae9eae3ba72467}, // hubs 1164
+	{"rmat12", OneD, 1, 1, 0xc90fe49dab314370},      // hubs 0
+	{"rmat12", OneD, 2, 2, 0xc71cb94c8762f608},      // hubs 0
+	{"rmat12", OneD, 4, 4, 0xa9e559d1d1446535},      // hubs 0
+	{"rmat12", OneD, 7, 7, 0x93ea89705ce1ca95},      // hubs 0
+	{"lfr3000", Delegate, 1, 1, 0xa3a783b5a49b7a48}, // hubs 3000
+	{"lfr3000", Delegate, 2, 2, 0xb592e1eeec96026e}, // hubs 3000
+	{"lfr3000", Delegate, 4, 4, 0x92acdbec24147573}, // hubs 2902
+	{"lfr3000", Delegate, 7, 7, 0x9dae9eae3ba72467}, // hubs 1164
 	{"lfr3000", Delegate, 8, 1, 0x69e218395ffa08cf}, // hubs 911
 	{"lfr3000", Delegate, 8, 2, 0x4a1731538b007c31}, // hubs 911
 	{"lfr3000", Delegate, 8, 4, 0x02acce8060fb6437}, // hubs 911
 	{"lfr3000", Delegate, 8, 7, 0xb2aa9f07a6712726}, // hubs 911
-	{"lfr3000", OneD, 0, 1, 0xb5ff939dacc0a748},     // hubs 0
-	{"lfr3000", OneD, 0, 2, 0x4df48614dcdac5c6},     // hubs 0
-	{"lfr3000", OneD, 0, 4, 0xd8d80824da923cf1},     // hubs 0
-	{"lfr3000", OneD, 0, 7, 0x298dc545aba107ec},     // hubs 0
+	{"lfr3000", OneD, 1, 1, 0xb5ff939dacc0a748},     // hubs 0
+	{"lfr3000", OneD, 2, 2, 0x4df48614dcdac5c6},     // hubs 0
+	{"lfr3000", OneD, 4, 4, 0xd8d80824da923cf1},     // hubs 0
+	{"lfr3000", OneD, 7, 7, 0x298dc545aba107ec},     // hubs 0
 }
 
 // TestLayoutDigests pins the Layout of every row to the recorded digest
@@ -186,7 +186,7 @@ func TestLayoutDigests(t *testing.T) {
 			readWindow := func(i int) (*graph.Window, error) { return ws[i], nil }
 			for _, procs := range []int{1, 2, 8} {
 				setProcs(t, procs)
-				l, err := build(g.NumVertices(), len(ws), readWindow, g.Degree, opt)
+				l, err := build(g.NumVertices(), g.NumArcs(), len(ws), readWindow, g.Degree, opt)
 				if err != nil {
 					t.Fatalf("%s windows=%d procs=%d: %v", name, k, procs, err)
 				}
@@ -204,5 +204,66 @@ func TestLayoutDigests(t *testing.T) {
 				t.Errorf("%s: BuildStreaming %s digest %#016x, recorded %#016x", name, f.name, d, row.digest)
 			}
 		}
+	}
+}
+
+// TestDefaultThreshold pins the one default hub threshold: DHigh <= 0 means
+// max(P, 4·arcs/n) in Build and in BuildStreaming alike, and the layout is
+// the one an explicit DHigh of that value builds. A graph without vertices
+// records P.
+func TestDefaultThreshold(t *testing.T) {
+	for name, g := range digestGraphs(t) {
+		var buf bytes.Buffer
+		if err := graph.WriteBinaryShardedV2(&buf, g, 16); err != nil {
+			t.Fatal(err)
+		}
+		s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 4, 7} {
+			want := max(p, 4*int(g.NumArcs())/g.NumVertices())
+			explicit, err := Build(g, Options{P: p, Kind: Delegate, DHigh: want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inRAM, err := Build(g, Options{P: p, Kind: Delegate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := BuildStreaming(s, Options{P: p, Kind: Delegate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range []*Layout{inRAM, streamed} {
+				if l.DHigh != want || layoutDigest(l) != layoutDigest(explicit) {
+					t.Errorf("%s p=%d: default DHigh %d, digest %#016x; want %d, digest %#016x",
+						name, p, l.DHigh, layoutDigest(l), want, layoutDigest(explicit))
+				}
+			}
+		}
+	}
+	empty, err := graph.FromEdges(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteBinaryShardedV2(&buf, empty, 1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inRAM, err := Build(empty, Options{P: 3, Kind: Delegate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := BuildStreaming(s, Options{P: 3, Kind: Delegate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inRAM.DHigh != 3 || streamed.DHigh != 3 {
+		t.Errorf("0 vertices: default DHigh %d in RAM, %d streamed; want P = 3", inRAM.DHigh, streamed.DHigh)
 	}
 }

@@ -115,7 +115,7 @@ func (s *Subgraph) NumLocalArcs() int64 {
 type Options struct {
 	P     int  // number of ranks, >= 1
 	Kind  Kind // OneD or Delegate
-	DHigh int  // hub degree threshold; <= 0 means DHigh = P (the paper's setting)
+	DHigh int  // hub degree threshold; <= 0 means the default, max(P, 4·arcs/n)
 }
 
 // Layout is a full partitioning of a graph: one Subgraph per rank plus the
@@ -146,12 +146,19 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 	n := g.NumVertices()
 	ws := g.Windows(par.NumChunks(n))
 	readWindow := func(i int) (*graph.Window, error) { return ws[i], nil }
-	return build(n, len(ws), readWindow, g.Degree, opt)
+	return build(n, g.NumArcs(), len(ws), readWindow, g.Degree, opt)
 }
 
 // build is the one emission pass behind Build and BuildStreaming. Windows
 // cover [0, n) as disjoint ascending vertex ranges; degree is the global
-// per-vertex arc count.
+// per-vertex arc count and arcs their sum.
+//
+// It is the one place an unset threshold becomes a number: DHigh <= 0
+// means max(P, 4·arcs/n), and P when n = 0. The paper sets dhigh = p in a
+// regime where p (thousands) far exceeds the average degree, so hubs are a
+// thin tail; the floor at four times the average degree keeps the hub
+// fraction comparably thin at small p. The Layout records the threshold
+// it used.
 //
 // The pass quantises every arc weight and sums the degrees and 2m from the
 // quantised arcs, exactly; what the fixed point cannot carry fails with
@@ -166,16 +173,19 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // depend on the window count or GOMAXPROCS. The spill-pool placement
 // and the rebalance correction are inherently sequential greedy passes and
 // stay serial.
-func build(n, nWindows int, readWindow func(i int) (*graph.Window, error),
+func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Window, error),
 	degree func(u int) int, opt Options) (*Layout, error) {
 	if opt.P < 1 {
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
+	p := opt.P
 	dhigh := opt.DHigh
 	if dhigh <= 0 {
-		dhigh = opt.P
+		dhigh = p
+		if n > 0 {
+			dhigh = max(p, 4*int(arcs)/n)
+		}
 	}
-	p := opt.P
 
 	isHub := make([]bool, n)
 	var hubs []int

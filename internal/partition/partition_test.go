@@ -184,13 +184,13 @@ func TestHubThresholdRespected(t *testing.T) {
 	if l.DHigh != 10 {
 		t.Errorf("DHigh = %d", l.DHigh)
 	}
-	// default threshold = P
+	// default threshold = max(P, 4·arcs/n) = max(4, 4·80/41)
 	l, err = Build(g, Options{P: 4, Kind: Delegate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.DHigh != 4 {
-		t.Errorf("default DHigh = %d, want 4", l.DHigh)
+	if l.DHigh != 7 {
+		t.Errorf("default DHigh = %d, want 7", l.DHigh)
 	}
 }
 

@@ -48,5 +48,5 @@ func BuildStreaming(s *graph.Sharded, opt Options) (*Layout, error) {
 		}
 	}
 
-	return build(n, nShards, s.ReadWindow, func(u int) int { return int(deg[u]) }, opt)
+	return build(n, s.NumArcs(), nShards, s.ReadWindow, func(u int) int { return int(deg[u]) }, opt)
 }

@@ -82,8 +82,8 @@ echo "== fuzz smoke (5s per target) =="
 go test -list '^FuzzReadBinarySharded$' ./internal/graph | grep '^FuzzReadBinarySharded$' > /dev/null \
     || { echo "error: FuzzReadBinarySharded missing from internal/graph" >&2; exit 1; }
 # The windowed decode path is what the out-of-core pipeline (PR 9) lives
-# on: FuzzReadWindow cross-checks ReadWindow against the whole-file decoder
-# in both format versions, and must stay discovered.
+# on: FuzzReadWindow cross-checks ReadWindow against the whole-file decoder,
+# and must stay discovered.
 go test -list '^FuzzReadWindow$' ./internal/graph | grep '^FuzzReadWindow$' > /dev/null \
     || { echo "error: FuzzReadWindow missing from internal/graph" >&2; exit 1; }
 # Likewise the suppression-directive parser: every //lint:ignore in the tree
