@@ -212,10 +212,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			s.NMI, s.FMeasure, s.NVD, s.RI, s.ARI, s.JI)
 	}
 	if *seq {
-		runSequential(stdout, g, res)
+		runSequential(stdout, g, res, *gamma)
 	}
 	if *outPath != "" {
-		if err := writeMembership(*outPath, res.Membership); err != nil {
+		f, err := os.Create(*outPath)
+		if err != nil {
+			return fail(err)
+		}
+		err = graph.WriteMembership(f, res.Membership)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "membership written to %s\n", *outPath)
@@ -238,24 +246,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runSequential(w io.Writer, g *graph.Graph, dist *core.Result) {
+// runSequential runs the serial baseline at the same resolution γ as the
+// distributed solve, so the printed ΔQ compares like with like.
+func runSequential(w io.Writer, g *graph.Graph, dist *core.Result, gamma float64) {
 	t0 := time.Now()
-	seq := louvain.Run(g, louvain.Options{})
+	seq := louvain.Run(g, louvain.Options{Resolution: gamma})
 	fmt.Fprintf(w, "sequential baseline: Q=%.6f (%d communities) in %v — parallel ΔQ %+.4f\n",
 		seq.Modularity, seq.Membership.NumCommunities(), time.Since(t0),
 		dist.Modularity-seq.Modularity)
-}
-
-func writeMembership(path string, m graph.Membership) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for v, c := range m {
-		if _, err := fmt.Fprintf(f, "%d %d\n", v, c); err != nil {
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/louvain"
 	"repro/internal/partition"
 )
 
@@ -98,5 +99,28 @@ func TestMembershipFile(t *testing.T) {
 	// The trace marks where stage 1 ends.
 	if res.OuterLevels > 1 && !strings.Contains(stdout, " | ") {
 		t.Errorf("trace has no stage-1 bar:\n%s", stdout)
+	}
+}
+
+// TestSequentialGamma pins -seq to the resolution of the distributed solve:
+// the serial baseline's printed Q is louvain.Run's at the same -gamma, not
+// its standard modularity.
+func TestSequentialGamma(t *testing.T) {
+	const spec = "lfr:n=1000,mu=0.3,seed=1"
+	g, _, err := gen.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := louvain.Run(g, louvain.Options{Resolution: 2})
+	if std := louvain.Run(g, louvain.Options{}); fmt.Sprintf("%.6f", std.Modularity) == fmt.Sprintf("%.6f", seq.Modularity) {
+		t.Fatalf("γ=2 and γ=1 give the same serial Q %.6f; the graph cannot tell them apart", seq.Modularity)
+	}
+	code, stdout, stderr := dlouvain("-gen", spec, "-p", "4", "-gamma", "2", "-seq")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	want := fmt.Sprintf("sequential baseline: Q=%.6f (%d communities) in ", seq.Modularity, seq.Membership.NumCommunities())
+	if !strings.Contains(stdout, want) {
+		t.Errorf("stdout lacks %q:\n%s", want, stdout)
 	}
 }

@@ -6,7 +6,7 @@
 //	gengraph -gen rmat:scale=14,ef=16,seed=1 -o web.txt
 //	gengraph -gen lfr:n=10000,mu=0.3 -o social.sbin -truth social.communities
 //	gengraph -gen rmat:scale=20 -o web.sbin -shards 16
-//	gengraph -gen rmat:scale=14 -skew 0.7 -o skewed.txt
+//	gengraph -gen rmat:scale=14,skew=0.7 -o skewed.txt
 //	gengraph -gen rmat:scale=26 -o huge.sbin -shards 256 -stream
 //
 // -stream generates rmat directly into a sharded binary in bounded memory
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outPath   = fs.String("o", "", "output path (.sbin = sharded binary, .metis = METIS, any other suffix = text edge list)")
 		truthPath = fs.String("truth", "", "write the planted membership here (LFR/SBM/caveman only)")
 		shards    = fs.Int("shards", 16, "shard count for .sbin output (readers decode shards concurrently)")
-		skew      = fs.Float64("skew", 0, "rmat only: quadrant skew in (0,1); 0.57 = Graph500 defaults (see gen.SetSkew)")
 		stream    = fs.Bool("stream", false, "rmat + .sbin only: generate out of core, holding one shard's arcs at a time")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,19 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stream && !strings.HasSuffix(*outPath, ".sbin") {
 		return usage("-stream writes sharded binaries; output %q must end in .sbin", *outPath)
 	}
-	genSpec := *spec
-	if *skew != 0 {
-		if !strings.HasPrefix(genSpec, "rmat") {
-			return fail(fmt.Errorf("-skew applies only to rmat specs, got %q", genSpec))
-		}
-		sep := ","
-		if !strings.Contains(genSpec, ":") {
-			sep = ":"
-		}
-		genSpec = fmt.Sprintf("%s%sskew=%g", genSpec, sep, *skew)
-	}
 	if *stream {
-		cfg, err := gen.ParseRMATSpec(genSpec)
+		cfg, err := gen.ParseRMATSpec(*spec)
 		if err != nil {
 			return fail(err)
 		}
@@ -89,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	g, truth, err := gen.ParseSpec(genSpec)
+	g, truth, err := gen.ParseSpec(*spec)
 	if err != nil {
 		return fail(err)
 	}
@@ -112,14 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if truth == nil {
 			return fail(fmt.Errorf("generator %q has no planted ground truth", *spec))
 		}
-		err := writeFile(*truthPath, func(w io.Writer) error {
-			bw := bufio.NewWriter(w)
-			for v, c := range truth {
-				fmt.Fprintf(bw, "%d %d\n", v, c) // a failed write sticks in bw; Flush reports it
-			}
-			return bw.Flush()
-		})
-		if err != nil {
+		if err := writeFile(*truthPath, func(w io.Writer) error { return graph.WriteMembership(w, truth) }); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "wrote %s: %d communities\n", *truthPath, truth.NumCommunities())

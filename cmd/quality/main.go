@@ -3,101 +3,74 @@
 // measures.
 //
 //	quality -a detected.communities -b truth.communities
+//
+// Exit status: 0 scored, 1 a file is missing or malformed or the two
+// disagree on the vertex count, 2 usage.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/graph"
 	"repro/internal/quality"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the testable body of the command: args are the raw command-line
+// arguments (program name excluded), output goes to the given writers, and
+// the return value is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quality", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		aPath = flag.String("a", "", "first membership file (vertex community per line)")
-		bPath = flag.String("b", "", "second membership file (typically the ground truth)")
+		aPath = fs.String("a", "", "first membership file (vertex community per line)")
+		bPath = fs.String("b", "", "second membership file (typically the ground truth)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *aPath == "" || *bPath == "" {
-		fmt.Fprintln(os.Stderr, "quality: -a FILE and -b FILE are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "quality: -a FILE and -b FILE are required")
+		return 2
 	}
-	a, err := readMembership(*aPath)
-	if err != nil {
-		fatal(err)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "quality:", err)
+		return 1
 	}
-	b, err := readMembership(*bPath)
-	if err != nil {
-		fatal(err)
+	var ms [2]graph.Membership
+	for i, path := range []string{*aPath, *bPath} {
+		f, err := os.Open(path)
+		if err != nil {
+			return fail(err)
+		}
+		ms[i], err = graph.ReadMembership(f)
+		f.Close()
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", path, err))
+		}
 	}
+	a, b := ms[0], ms[1]
 	s, err := quality.Compare(a, b)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("vertices: %d   communities: %d vs %d\n",
-		len(a), a.NumCommunities(), b.NumCommunities())
-	fmt.Printf("NMI       %.4f\n", s.NMI)
-	fmt.Printf("F-measure %.4f\n", s.FMeasure)
-	fmt.Printf("NVD       %.4f (distance: lower is better)\n", s.NVD)
-	fmt.Printf("RI        %.4f\n", s.RI)
-	fmt.Printf("ARI       %.4f\n", s.ARI)
-	fmt.Printf("JI        %.4f\n", s.JI)
 	v, err := quality.VMeasure(a, b)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("homogeneity %.4f  completeness %.4f  V %.4f\n",
+	fmt.Fprintf(stdout, "vertices: %d   communities: %d vs %d\n",
+		len(a), a.NumCommunities(), b.NumCommunities())
+	fmt.Fprintf(stdout, "NMI       %.4f\n", s.NMI)
+	fmt.Fprintf(stdout, "F-measure %.4f\n", s.FMeasure)
+	fmt.Fprintf(stdout, "NVD       %.4f (distance: lower is better)\n", s.NVD)
+	fmt.Fprintf(stdout, "RI        %.4f\n", s.RI)
+	fmt.Fprintf(stdout, "ARI       %.4f\n", s.ARI)
+	fmt.Fprintf(stdout, "JI        %.4f\n", s.JI)
+	fmt.Fprintf(stdout, "homogeneity %.4f  completeness %.4f  V %.4f\n",
 		v.Homogeneity, v.Completeness, v.V)
-}
-
-// readMembership parses "vertex community" lines into a dense membership.
-func readMembership(path string) (graph.Membership, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	labels := map[int]int{}
-	maxV := -1
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		var v, c int
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
-		if _, err := fmt.Sscanf(text, "%d %d", &v, &c); err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("%s:%d: negative vertex %d", path, line, v)
-		}
-		labels[v] = c
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	m := make(graph.Membership, maxV+1)
-	for v := range m {
-		c, ok := labels[v]
-		if !ok {
-			return nil, fmt.Errorf("%s: vertex %d missing", path, v)
-		}
-		m[v] = c
-	}
-	return m, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "quality:", err)
-	os.Exit(1)
+	return 0
 }

@@ -59,8 +59,9 @@ var commErrOps = map[string]bool{
 var graphIOOps = map[string]bool{
 	"ReadFile": true, "ReadEdgeList": true, "ReadMETIS": true,
 	"WriteEdgeList": true, "WriteMETIS": true, "WriteBinaryShardedV2": true,
-	"OpenSharded": true, "OpenShardedFile": true, "OpenMmap": true,
+	"OpenSharded": true, "OpenShardedFile": true,
 	"ReadAll": true, "ReadWindow": true,
+	"WriteMembership": true, "ReadMembership": true,
 }
 
 // graphPkgSuffix identifies the graph package by import-path suffix.

@@ -236,9 +236,9 @@ func (l *Loader) loadDir(dir string, overlay map[string][]byte) (*Package, error
 			continue
 		}
 		// Respect build constraints (//go:build lines and _GOOS suffixes)
-		// for the host platform, like the compiler does — otherwise
-		// platform-split files (e.g. graph's mmap pair) both land in the
-		// package and redeclare their shared surface.
+		// for the host platform, like the compiler does — otherwise both
+		// halves of a platform-split file pair land in the package and
+		// redeclare their shared surface.
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}

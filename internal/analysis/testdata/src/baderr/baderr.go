@@ -130,15 +130,22 @@ func DropReadAll(s *graph.Sharded) *graph.Graph {
 	return g
 }
 
-// DropMmapOpen blanks the mmap open error and dereferences a nil view.
-func DropMmapOpen(path string) *graph.MappedFile {
-	m, _ := graph.OpenMmap(path) // want commerr
-	return m
-}
-
-// DropShardedFileOpen drops the one-call open-and-map error.
+// DropShardedFileOpen drops the one-call file open error.
 func DropShardedFileOpen(path string) {
 	graph.OpenShardedFile(path) // want commerr
+}
+
+// DropMembershipWrite drops the membership writer's error: a file cut
+// short by a failed write would pass for a whole one.
+func DropMembershipWrite(w io.Writer, m graph.Membership) {
+	graph.WriteMembership(w, m) // want commerr
+}
+
+// DropMembershipRead blanks the membership reader's error and scores a nil
+// membership.
+func DropMembershipRead(r io.Reader) graph.Membership {
+	m, _ := graph.ReadMembership(r) // want commerr
+	return m
 }
 
 // HandledOocoreOK is the control case for the out-of-core layer: ReadAll

@@ -100,7 +100,7 @@ func (o *activationOracle) audit(s *stage, iter int, _ float64) error {
 			}
 			pairs++
 			_, hub := s.hubIndex(t)
-			after := !hub && ownerOf(t, s.p) == s.rnk && t < u && s.seen[u]
+			after := !hub && partition.Owner(t, s.p) == s.rnk && t < u && s.seen[u]
 			if !s.active[u] && !after {
 				return fmt.Errorf("rank %d iter %d: neighbour %d of owned vertex %d went %d -> %d, and %d is neither armed nor evaluated after it",
 					s.rnk, iter, t, u, prev[t], s.comm[t], u)

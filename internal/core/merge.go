@@ -329,7 +329,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 			cv, w := int(ms.yA[b+j]), ms.wA[b+j]
 			seg[j] = partition.Arc{To: cv, W: w}
 			wdeg += w
-			if d := ownerOf(cv, s.p); d != s.rnk && !ms.subMark[d] {
+			if d := partition.Owner(cv, s.p); d != s.rnk && !ms.subMark[d] {
 				ms.subMark[d] = true
 				nsub++
 			}
@@ -542,7 +542,7 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 		s.rqPos[r] = s.rqPos[r][:0]
 	}
 	for i, x := range queries {
-		o := ownerOf(x, s.p)
+		o := partition.Owner(x, s.p)
 		s.rqReqs[o] = append(s.rqReqs[o], x)
 		s.rqPos[o] = append(s.rqPos[o], i)
 	}

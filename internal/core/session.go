@@ -123,7 +123,7 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 }
 
 // owns reports whether this rank owns vertex (or community) id.
-func (s *Session) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
+func (s *Session) owns(id int) bool { return partition.Owner(id, s.p) == s.rnk }
 
 // Close drops the resident stage. Local (no collectives); the Session is
 // unusable afterwards.
@@ -282,7 +282,7 @@ func (s *Session) install() error {
 		bufs[r] = wire.NewBuffer(0)
 	}
 	for _, l := range keys {
-		b := bufs[ownerOf(l, s.p)]
+		b := bufs[partition.Owner(l, s.p)]
 		b.PutVarint(int64(l))
 		b.PutVarint(int64(localMin[l]))
 	}
@@ -660,7 +660,7 @@ func (s *Session) subscribeFor(x, y int) {
 	if _, hub := s.st.hubIndex(x); hub {
 		return // hub arcs to y live on this rank already
 	}
-	if r := ownerOf(x, s.p); r != s.rnk {
+	if r := partition.Owner(x, s.p); r != s.rnk {
 		s.sg.Subscribe(y, r)
 	}
 }
@@ -725,7 +725,7 @@ func (s *Session) seedFromOps(ops []EdgeOp) error {
 				}
 				return
 			}
-			o := ownerOf(t, s.p)
+			o := partition.Owner(t, s.p)
 			targets[o] = append(targets[o], t)
 		}
 		for _, u := range frontier {

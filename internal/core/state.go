@@ -15,7 +15,7 @@ import (
 // stage is the per-rank runtime state of one clustering stage (with or
 // without delegates — a stage without delegates simply has an empty hub
 // list). Community IDs live in the stage's vertex-ID space; vertex v and
-// community c are owned by rank id mod P (ownerOf) for the life of the stage,
+// community c are owned by rank partition.Owner(id, P) for the life of the stage,
 // and a community's owner keeps the authoritative Σtot and size for it.
 //
 // All hot state is kept in dense arrays indexed by vertex/community ID (the
@@ -468,14 +468,8 @@ func (x u128) addSq(t int64, neg bool) u128 {
 
 func (x u128) float() float64 { return float64(x.hi)*(1<<64) + float64(x.lo) }
 
-// ownerOf returns the rank that owns vertex or community id in a world of p
-// ranks. Ownership is static: the partitioner deals vertices out by id mod p,
-// a community's id is a vertex id, and nothing moves either afterwards. Every
-// routing decision in this package goes through here.
-func ownerOf(id, p int) int { return id % p }
-
 // owns reports whether this rank owns vertex or community id.
-func (s *stage) owns(id int) bool { return ownerOf(id, s.p) == s.rnk }
+func (s *stage) owns(id int) bool { return partition.Owner(id, s.p) == s.rnk }
 
 // lookupTot returns the cached Σtot of community c; every candidate
 // community is the label of a local vertex, hence watched and pushed before
@@ -521,7 +515,7 @@ func (s *stage) neededCommunities() [][]int {
 			return
 		}
 		s.needMark[c] = true
-		o := ownerOf(c, s.p)
+		o := partition.Owner(c, s.p)
 		s.reqs[o] = append(s.reqs[o], c)
 	}
 	for _, u := range s.sg.Owned {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/partition"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -228,7 +229,7 @@ func (s *stage) encodeProposals(props []hubProposal) int64 {
 		if !(pr.improvement > gainEps) {
 			continue
 		}
-		o := ownerOf(s.sg.Hubs[i], s.p)
+		o := partition.Owner(s.sg.Hubs[i], s.p)
 		b := s.sendBufs[o]
 		b.PutStrideDelta(s.idPrev[o], i, 1)
 		b.PutF64(pr.improvement)
@@ -345,7 +346,7 @@ func (s *stage) ghostSwap() error {
 		for rd.Remaining() > 0 && !rd.SkipZero() {
 			v := rd.StrideDelta(prev, 1, s.n)
 			c := rd.Varint()
-			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || ownerOf(v, s.p) != src {
+			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || partition.Owner(v, s.p) != src {
 				return s.frameErr("ghost-swap", src, rd.Err())
 			}
 			if old := int(s.comm[v]); old != int(c) {
@@ -405,7 +406,7 @@ func (s *stage) recvMoves(src int, rd *wire.Reader) (int64, error) {
 	for rd.Remaining() > 0 {
 		i := rd.StrideDelta(prev, 1, len(s.sg.Hubs))
 		t := rd.Varint()
-		if rd.Err() != nil || ownerOf(s.sg.Hubs[i], s.p) != src || t < 0 || t >= int64(s.n) {
+		if rd.Err() != nil || partition.Owner(s.sg.Hubs[i], s.p) != src || t < 0 || t >= int64(s.n) {
 			return n, s.frameErr("hub-move", src, rd.Err())
 		}
 		s.moveTo[i] = int32(t)
@@ -492,7 +493,7 @@ func (s *stage) encodeFlush() int64 {
 		s.idPrev[r] = r - s.p
 	}
 	for _, c := range s.deltaTouched {
-		o := ownerOf(c, s.p)
+		o := partition.Owner(c, s.p)
 		b := s.sendBufs[o]
 		b.PutStrideDelta(s.idPrev[o], c, s.p)
 		b.PutVarint(s.deltaW[c])
@@ -506,7 +507,7 @@ func (s *stage) encodeFlush() int64 {
 		s.idPrev[r] = r - s.p
 	}
 	for _, c := range s.watchNew {
-		o := ownerOf(c, s.p)
+		o := partition.Owner(c, s.p)
 		if s.idPrev[o] < 0 { // the owner's first watch: close its delta stream
 			s.sendBufs[o].PutUvarint(0)
 		}

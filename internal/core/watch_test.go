@@ -248,7 +248,7 @@ func TestGarbledFrames(t *testing.T) {
 	// hubOf returns the index of the first hub whose owner passes keep.
 	hubOf := func(keep func(owner int) bool) uint64 {
 		for i, h := range layout.Hubs {
-			if keep(ownerOf(h, p)) {
+			if keep(partition.Owner(h, p)) {
 				return uint64(i)
 			}
 		}

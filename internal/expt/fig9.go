@@ -49,8 +49,7 @@ func fig9Sweep(p Profile) ([]fig9Run, error) {
 }
 
 // Fig9 reproduces Figure 9: total clustering time (stage 1 + stage 2) per
-// dataset across processor counts, with the sequential time and the
-// delegate-partitioning time for reference.
+// dataset across processor counts, with the sequential time for reference.
 func Fig9(p Profile) (*Table, error) {
 	runs, err := fig9Sweep(p)
 	if err != nil {
@@ -61,7 +60,7 @@ func Fig9(p Profile) (*Table, error) {
 		Header: []string{"Dataset", "sequential (ms)"},
 		Notes: []string{
 			"times are simulated parallel clustering times: per-iteration max across ranks of per-rank busy time (the host serializes ranks on its cores; see EXPERIMENTS.md)",
-			"partition (preprocessing) time is negligible; see cmd/experiments -fig9 -v for it",
+			"partition (preprocessing) time is negligible and not tabled; dlouvain prints it per run on its times: line",
 		},
 	}
 	for _, pp := range p.Procs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,6 +115,52 @@ func TestReadFileParentSbin(t *testing.T) {
 		}
 		if !bytes.Equal(encodeSharded(t, g, 4), want) {
 			t.Fatalf("procs=%d: rewriting the decoded graph at 4 shards differs from the file", procs)
+		}
+	}
+}
+
+// TestReadMembership round-trips WriteMembership and reads a file whose
+// lines come out of vertex order with a blank line between.
+func TestReadMembership(t *testing.T) {
+	want := Membership{5, 5, 7, 0, 7}
+	var buf bytes.Buffer
+	if err := WriteMembership(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "0 5\n1 5\n2 7\n3 0\n4 7\n" {
+		t.Fatalf("written %q", buf.String())
+	}
+	for _, in := range []string{buf.String(), "4 7\n\n2 7\n  0 5 \n3 0\n1\t5"} {
+		m, err := ReadMembership(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if !slices.Equal(m, want) {
+			t.Errorf("%q: read %v, want %v", in, m, want)
+		}
+	}
+	if m, err := ReadMembership(strings.NewReader("")); err != nil || len(m) != 0 {
+		t.Errorf("empty input: %v, %v", m, err)
+	}
+}
+
+// TestReadMembershipErrors: every malformed file fails with the line it
+// broke on, and an id far beyond the line count fails before the reader
+// sizes anything by it.
+func TestReadMembershipErrors(t *testing.T) {
+	for _, tc := range []struct{ in, err string }{
+		{"0 1\n2 1\n", "line 2: vertex 2 outside [0,2)"}, // vertex 1 missing
+		{"0 0\n4000000000 1\n", "line 2: vertex 4000000000 outside [0,2)"},
+		{"0 0\n0 1\n1 1\n", "line 2: vertex 0 listed twice"},
+		{"-1 0\n", `line 1: bad vertex "-1"`},
+		{"x y\n", `line 1: bad vertex "x"`},
+		{"0 y\n", `line 1: bad community "y"`},
+		{"0\n", "line 1: want"},
+		{"0 1 2\n", "line 1: want"},
+		{"0 99999999999999999999\n", "line 1: bad community"},
+	} {
+		if _, err := ReadMembership(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%q: err %v, want one containing %q", tc.in, err, tc.err)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package graph
 
-import "sort"
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"sort"
+)
 
 // Membership assigns every vertex a community label. Labels are arbitrary
 // non-negative integers; Normalize produces dense labels 0..K-1.
@@ -44,6 +49,61 @@ func (m Membership) Sizes() map[int]int {
 		s[c]++
 	}
 	return s
+}
+
+// WriteMembership writes m as "vertex community" lines, one per vertex in
+// vertex order — the format cmd/dlouvain -o and cmd/gengraph -truth emit
+// and ReadMembership reads back.
+func WriteMembership(w io.Writer, m Membership) error {
+	bw := bufio.NewWriter(w)
+	for v, c := range m {
+		fmt.Fprintf(bw, "%d %d\n", v, c) // a failed write sticks in bw; Flush reports it
+	}
+	return bw.Flush()
+}
+
+// ReadMembership parses "vertex community" lines, in any order, into a
+// dense membership; blank lines are skipped. Every vertex 0..k-1 must be
+// listed exactly once, where k is the number of non-blank lines, so a
+// vertex id at or beyond k or a repeated vertex is an error. The membership
+// is sized by k, never by the largest id in the input.
+func ReadMembership(r io.Reader) (Membership, error) {
+	type entry struct{ line, v, c int }
+	var es []entry
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		f, nf := splitFields(sc.Bytes())
+		if nf == 0 {
+			continue
+		}
+		if nf != 2 {
+			return nil, fmt.Errorf("graph: membership line %d: want \"vertex community\", got %q", line, sc.Text())
+		}
+		v, err := atoiField(f[0])
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("graph: membership line %d: bad vertex %q", line, f[0])
+		}
+		c, err := atoiField(f[1])
+		if err != nil {
+			return nil, fmt.Errorf("graph: membership line %d: bad community %q", line, f[1])
+		}
+		es = append(es, entry{line, v, c})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	m := make(Membership, len(es))
+	seen := make([]bool, len(es))
+	for _, e := range es {
+		if e.v >= len(es) {
+			return nil, fmt.Errorf("graph: membership line %d: vertex %d outside [0,%d), the number of entries", e.line, e.v, len(es))
+		}
+		if seen[e.v] {
+			return nil, fmt.Errorf("graph: membership line %d: vertex %d listed twice", e.line, e.v)
+		}
+		seen[e.v], m[e.v] = true, e.c
+	}
+	return m, nil
 }
 
 // Modularity computes Newman's modularity Q of the membership on g:

@@ -193,7 +193,8 @@ func shardBoundaries(offsets []int64, n int, arcs int64, shards int) []int {
 }
 
 // Sharded is an opened sharded graph: the validated index plus the source
-// reader. Payloads are fetched on demand by ReadAll / ReadWindow.
+// reader. Payloads are fetched on demand by ReadAll / ReadWindow, each
+// shard with one positioned read into a fresh buffer.
 type Sharded struct {
 	r          io.ReaderAt
 	dict       []float64 // weight dictionary
@@ -204,13 +205,6 @@ type Sharded struct {
 	payloadLen []int64
 	arcCount   []int64
 	arcStart   []int64 // exclusive prefix sum of arcCount
-}
-
-// byteRanger is implemented by ReaderAts whose backing bytes are
-// addressable in place (MappedFile); Range returns a view of [off, off+n),
-// not a copy, giving shard decoders a zero-copy read path.
-type byteRanger interface {
-	Range(off, n int64) ([]byte, error)
 }
 
 // OpenSharded reads and validates the header, dictionary and index of a
@@ -336,25 +330,26 @@ func (s *Sharded) ShardRange(i int) (lo, hi int) {
 	return lo, s.vhi[i]
 }
 
-// payloadBytes fetches shard i's payload, returning an in-place view when
-// the source supports zero-copy ranging (a MappedFile) and a fresh copy
-// otherwise.
+// payloadBytes reads shard i's payload into a fresh buffer. A short read —
+// the file truncated after the index was validated — fails with an error
+// naming the shard and wrapping io.ErrUnexpectedEOF.
 func (s *Sharded) payloadBytes(i int) ([]byte, error) {
-	if br, ok := s.r.(byteRanger); ok {
-		return br.Range(s.payloadOff[i], s.payloadLen[i])
-	}
 	data := make([]byte, s.payloadLen[i])
 	if err := readFullAt(s.r, data, s.payloadOff[i]); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: sharded: shard %d payload: %w", i, err)
 	}
 	return data, nil
 }
 
 // readFullAt fills p from r at off. io.ReaderAt may report io.EOF beside a
 // complete read that ends at the end of the input — a bytes.Reader does for
-// the empty payload of a vertex-free shard — so only a short read fails.
+// the empty payload of a vertex-free shard — so only a short read fails,
+// and a short read at the end of the input is io.ErrUnexpectedEOF.
 func readFullAt(r io.ReaderAt, p []byte, off int64) error {
 	if n, err := r.ReadAt(p, off); n < len(p) {
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	return nil

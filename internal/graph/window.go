@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"io"
+	"os"
 )
 
 // Window is one decoded shard: the CSR slice covering vertices [Lo, Hi).
@@ -72,19 +73,26 @@ func (s *Sharded) ReadWindow(i int) (*Window, error) {
 	return w, nil
 }
 
-// OpenShardedFile opens path as a sharded graph backed by a read-only
-// memory mapping (plain pread on platforms without mmap support), without
-// decoding any payload bytes. Closing the returned closer unmaps the file;
-// the Sharded must not be used after.
+// OpenShardedFile opens path as a sharded graph without decoding any
+// payload bytes; shards are then fetched with positioned reads (pread) on
+// every platform. There is no memory mapping: a file truncated under an
+// open reader surfaces as an error from ReadAll or ReadWindow, where a
+// mapping would fault the process. Closing the returned closer closes the
+// file; the Sharded must not be used after.
 func OpenShardedFile(path string) (*Sharded, io.Closer, error) {
-	m, err := OpenMmap(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := OpenSharded(m, m.Size())
+	st, err := f.Stat()
 	if err != nil {
-		m.Close()
+		f.Close()
 		return nil, nil, err
 	}
-	return s, m, nil
+	s, err := OpenSharded(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return s, f, nil
 }

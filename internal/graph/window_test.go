@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -260,7 +262,7 @@ func TestShardedWriterErrors(t *testing.T) {
 	}
 }
 
-// TestOpenShardedFile exercises the mmap-backed open + zero-copy decode
+// TestOpenShardedFile exercises the file open + positioned-read decode
 // path end to end.
 func TestOpenShardedFile(t *testing.T) {
 	for name, g := range windowFixtures(t, 250, 3000, 5) {
@@ -277,9 +279,9 @@ func TestOpenShardedFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diff := graphsIdentical(g, g2); diff != "" {
-			t.Fatalf("%s mmap decode: %s", name, diff)
+			t.Fatalf("%s file decode: %s", name, diff)
 		}
-		// Windowed access over the mapping takes the Range zero-copy path.
+		// Windowed access reads each shard's payload from the file.
 		for i := 0; i < s.NumShards(); i++ {
 			w, err := s.ReadWindow(i)
 			if err != nil {
@@ -298,6 +300,62 @@ func TestOpenShardedFile(t *testing.T) {
 	}
 	if _, _, err := OpenShardedFile(filepath.Join(t.TempDir(), "missing.sbin")); err == nil {
 		t.Error("missing file: expected error")
+	}
+}
+
+// TestOpenShardedFileHostile covers files that change or were never graphs:
+// a file truncated under an open reader must fail every read the cut
+// reaches with io.ErrUnexpectedEOF (not fault the process), and an empty
+// file or a directory must fail the open.
+func TestOpenShardedFileHostile(t *testing.T) {
+	g, enc := shardedFixture(t, 400, 4000, 6)
+	path := filepath.Join(t.TempDir(), "g.sbin")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, closer, err := OpenShardedFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if err := os.Truncate(path, int64(len(enc)/2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadAll(0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated ReadAll: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	// The cut lies inside the payloads, so the last shard is always short;
+	// shards wholly before the cut still decode.
+	short := 0
+	for i := 0; i < s.NumShards(); i++ {
+		w, err := s.ReadWindow(i)
+		if err != nil {
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("truncated ReadWindow(%d): err %v, want io.ErrUnexpectedEOF", i, err)
+			}
+			short++
+			continue
+		}
+		for u := w.Lo; u < w.Hi; u++ {
+			ts, _ := w.Arcs(u)
+			if wantT, _ := g.Neighbors(u); !slices.Equal(ts, wantT) {
+				t.Fatalf("truncated file, intact shard %d vertex %d: arcs differ", i, u)
+			}
+		}
+	}
+	if short == 0 {
+		t.Error("truncated file: every ReadWindow succeeded")
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty.sbin")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenShardedFile(empty); err == nil {
+		t.Error("empty file: expected error")
+	}
+	if _, _, err := OpenShardedFile(t.TempDir()); err == nil {
+		t.Error("directory: expected error")
 	}
 }
 

@@ -128,8 +128,11 @@ type Layout struct {
 	Parts []*Subgraph
 }
 
-// Owner returns the owning rank of a low-degree (non-hub) vertex.
-func Owner(v, p int) int { return v % p }
+// Owner returns the rank that owns vertex or community id in a world of p
+// ranks. It is the one ownership rule: the partitioner deals non-hub
+// vertices out by it, and the solver routes every frame by it — a
+// community's id is a vertex id, and nothing moves either afterwards.
+func Owner(id, p int) int { return id % p }
 
 // hubArc is one arc of a hub vertex awaiting placement.
 type hubArc struct {
