@@ -27,7 +27,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"bad-flag", []string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag\n"},
 		{"unknown-only", []string{"-quick", "-only", "fig5,bogus"},
-			"experiments: unknown experiment \"bogus\" (known: table1,fig5,table2,fig6,fig7,fig8,fig9,fig10,fig11,comm,gpu,converge)\n"},
+			"experiments: unknown experiment \"bogus\" (known: table1,fig5,table2,fig6,fig7,fig8,fig9,fig10,fig11,comm,gpu,converge,hubs)\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := experiments(tc.args...)
@@ -67,5 +67,26 @@ func TestQuickTable1(t *testing.T) {
 	}
 	if !bytes.Contains(csv, []byte("DBLP")) {
 		t.Errorf("table1.csv lacks the DBLP row:\n%s", csv)
+	}
+}
+
+// TestQuickHubs runs the hubs lane at the quick profile. Its numbers are
+// functions of the graph and the options, so rows are pinned: on R-MAT the
+// default threshold (starred) keeps 37 of the floor's 56 hubs at p = 4 for
+// W = 0.100; on LFR it keeps none, and the row equals 1D's.
+func TestQuickHubs(t *testing.T) {
+	code, stdout, stderr := experiments("-quick", "-only", "hubs")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	for _, row := range []string{
+		"1     4   floor       82     56    0.000  11.0           1.0       0.3        0.11       0.11395\n",
+		"1     4   ε = 0.1 *   125    37    0.100  11.0           1.0       0.3        0.11       0.11925\n",
+		"1     4   ε = 0.1 *  80     0     0.071  15.0           1.1       0.4        0.24       0.57040  0.8306\n",
+		"1     4   ∞ (1D)     ∞      0     0.071  15.0           1.1       0.4        0.24       0.57040  0.8306\n",
+	} {
+		if !strings.Contains(stdout, row) {
+			t.Errorf("stdout lacks the row %q:\n%s", row, stdout)
+		}
 	}
 }

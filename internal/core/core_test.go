@@ -396,8 +396,19 @@ func TestRMATScaleFreeRun(t *testing.T) {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		checkResult(t, g, res)
-		if res.HubCount == 0 {
-			t.Errorf("p=%d: no hubs delegated on a scale-free graph", p)
+		// The default threshold's contract: the solve delegates the hubs of
+		// the partitioner's layout, and above its floor they hold every
+		// rank within 10% of the mean arc load.
+		l, err := partition.Build(g, Options{P: p}.PartitionOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HubCount != len(l.Hubs) {
+			t.Errorf("p=%d: %d hubs delegated, the layout has %d", p, res.HubCount, len(l.Hubs))
+		}
+		floor := max(p, 4*int(g.NumArcs())/g.NumVertices())
+		if w := res.Census.ImbalanceW(); l.DHigh > floor && w > 0.1 {
+			t.Errorf("p=%d: DHigh %d above the floor %d leaves W = %.3f", p, l.DHigh, floor, w)
 		}
 		if res.Modularity <= 0 {
 			t.Errorf("p=%d: Q = %g", p, res.Modularity)

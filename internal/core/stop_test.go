@@ -89,27 +89,37 @@ func TestStopRuleLevels(t *testing.T) {
 
 // TestStopRuleEndsCreep runs one R-MAT whose stage 1 creeps: under the bare
 // MinGain test it runs 33 iterations, under the solver's rule 19, for less
-// simulated time and no worse Q. The resident stage of a Session keeps the
-// MinGain test, which the golden and protocol fixtures pin.
+// simulated time and no worse Q. The pinned row holds DHigh at the old
+// default, max(P, 4·arcs/n), whose many hubs made the creep; the default
+// threshold's row must be no worse. The resident stage of a Session keeps
+// the MinGain test, which the golden and protocol fixtures pin.
 func TestStopRuleEndsCreep(t *testing.T) {
 	g, _, err := gen.ParseSpec("rmat:scale=13,seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{P: 4}
-	old, err := RunStop(g, opt, StopRule{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stage1Iters >= old.Stage1Iters || res.Stage1Sim+res.Stage2Sim >= old.Stage1Sim+old.Stage2Sim {
-		t.Errorf("stage 1 ran %d iterations (%v simulated in all) against %d (%v) under the bare MinGain test",
+	for _, dhigh := range []int{max(4, 4*int(g.NumArcs())/g.NumVertices()), 0} {
+		opt := Options{P: 4, DHigh: dhigh}
+		old, err := RunStop(g, opt, StopRule{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worse := res.Stage1Iters > old.Stage1Iters || res.Stage1Sim+res.Stage2Sim > old.Stage1Sim+old.Stage2Sim
+		if dhigh > 0 {
+			worse = res.Stage1Iters >= old.Stage1Iters || res.Stage1Sim+res.Stage2Sim >= old.Stage1Sim+old.Stage2Sim
+		}
+		if worse {
+			t.Errorf("DHigh %d: stage 1 ran %d iterations (%v simulated in all) against %d (%v) under the bare MinGain test",
+				dhigh, res.Stage1Iters, res.Stage1Sim+res.Stage2Sim, old.Stage1Iters, old.Stage1Sim+old.Stage2Sim)
+		}
+		if res.Modularity < old.Modularity {
+			t.Errorf("DHigh %d: Q = %.6f, below the bare MinGain test's %.6f", dhigh, res.Modularity, old.Modularity)
+		}
+		t.Logf("DHigh %d: %d hubs, stage 1 %d iterations (%v sim), MinGain test %d (%v)", dhigh, res.HubCount,
 			res.Stage1Iters, res.Stage1Sim+res.Stage2Sim, old.Stage1Iters, old.Stage1Sim+old.Stage2Sim)
-	}
-	if res.Modularity < old.Modularity {
-		t.Errorf("Q = %.6f, below the bare MinGain test's %.6f", res.Modularity, old.Modularity)
 	}
 }

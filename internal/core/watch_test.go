@@ -511,17 +511,23 @@ func TestGarbledFrames(t *testing.T) {
 // ends up, and so how many iterations it runs, follows the state the
 // initial solve landed in; what is pinned is what an iteration costs.
 //
+// The pinned row sets DHigh to the old default, max(P, 4·arcs/n), so the
+// layout has hubs and the hub exchange is on the wire. The default
+// threshold delegates nothing on this graph (1D is within 10% of balance),
+// so its row drops the hub-proposal exchange and must cost no more.
+//
 // Messages per rank: an iteration sends the three exchanges and the
-// IterStats record of TestIterationSingleAllreduce (11) plus the
-// hub-proposal exchange (p−1; the layout has hubs), and the batch
-// around them sends the new-ghost query and reply, the ledger flush, one
-// exchange per seeding hop and the touched-count sum.
+// IterStats record of TestIterationSingleAllreduce (11) plus, with hubs,
+// the hub-proposal exchange (p−1), and the batch around them sends the
+// new-ghost query and reply, the ledger flush, one exchange per seeding hop
+// and the touched-count sum.
 //
 // Work units: while the aggregates were pulled, synchronisation cost
-// 205/221/198/187 units per iteration on ranks 0–3, three per referenced
-// community, whatever the batch touched. With watches it follows what the
-// batch's moves dirtied (each dirty community costs its delta records plus
-// one push record per watcher) and must stay under half of that.
+// 205/221/198/187 units per iteration on ranks 0–3 of the pinned row, three
+// per referenced community, whatever the batch touched. With watches it
+// follows what the batch's moves dirtied (each dirty community costs its
+// delta records plus one push record per watcher) and must stay under half
+// of that.
 //
 // "Other" work units also hold what a batch pays once because it rewrote
 // arcs: the reverse-index rebuild and the full modularity scan that reseeds
@@ -534,64 +540,73 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	opt := Options{P: p}
-	layout, err := partition.Build(g, opt.PartitionOptions())
-	if err != nil {
-		t.Fatal(err)
+	const perBatch = (3+2)*(p-1) + 2 // UpdateKHops defaults to 2
+	for _, row := range []struct {
+		name    string
+		dhigh   int
+		hubs    bool
+		perIter int64
+	}{
+		{"old-default", max(p, 4*int(g.NumArcs())/g.NumVertices()), true, 4*(p-1) + 2},
+		{"default", 0, false, 3*(p-1) + 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opt := Options{P: p, DHigh: row.dhigh}
+			layout, err := partition.Build(g, opt.PartitionOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hubs := len(layout.Hubs) > 0; hubs != row.hubs {
+				t.Fatalf("fixture has %d hubs at DHigh %d; want hubs: %v", len(layout.Hubs), layout.DHigh, row.hubs)
+			}
+			batch := randomStream(g, 5, 1, 4, 0.3)[0]
+			msgs := make([]int64, p)
+			syncUnits := make([]int64, p)
+			iters := make([]int, p)
+			err = comm.RunWorld(p, func(c comm.Comm) error {
+				r := c.Rank()
+				ses, err := NewSession(c, layout.Parts[r].CloneForServing(), opt)
+				if err != nil {
+					return err
+				}
+				defer ses.Close()
+				if err := ses.Solve(); err != nil {
+					return err
+				}
+				before := c.Stats().Snapshot()
+				other := ses.st.workPhase[trace.Other]
+				res, err := ses.ApplyUpdates(batch)
+				if err != nil {
+					return err
+				}
+				msgs[r] = c.Stats().Snapshot().MsgsSent - before.MsgsSent
+				iters[r] = res.Iters
+				arcs := int64(0)
+				for _, adj := range ses.sg.AdjOwned {
+					arcs += int64(len(adj))
+				}
+				for _, adj := range ses.sg.AdjHub {
+					arcs += int64(len(adj))
+				}
+				// The reverse-index rebuild (2 per arc) and the modularity reseed
+				// (1 per arc and per owned community slot).
+				syncUnits[r] = ses.st.workPhase[trace.Other] - other - 3*arcs - int64(ses.n/p)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < p; r++ {
+				if want := perBatch + int64(iters[r])*row.perIter; msgs[r] != want {
+					t.Errorf("rank %d sent %d messages over %d iterations, want %d + %d per iteration = %d", r, msgs[r], iters[r], perBatch, row.perIter, want)
+				}
+				if per := syncUnits[r] / int64(iters[r]); 2*per > pullSyncPerIter[r] {
+					t.Errorf("rank %d: %d synchronisation work units per iteration over %d iterations; the pull spent %d", r, per, iters[r], pullSyncPerIter[r])
+				}
+			}
+			t.Logf("batch: messages per rank %v, sync units per rank %v over %d iterations", msgs, syncUnits, iters[0])
+		})
 	}
-	if len(layout.Hubs) == 0 {
-		t.Fatal("fixture has no hubs; the hub-proposal exchange would not be on the wire")
-	}
-	const (
-		perIter  = 4*(p-1) + 2
-		perBatch = (3+2)*(p-1) + 2 // UpdateKHops defaults to 2
-	)
-	batch := randomStream(g, 5, 1, 4, 0.3)[0]
-	msgs := make([]int64, p)
-	syncUnits := make([]int64, p)
-	iters := make([]int, p)
-	err = comm.RunWorld(p, func(c comm.Comm) error {
-		r := c.Rank()
-		ses, err := NewSession(c, layout.Parts[r].CloneForServing(), opt)
-		if err != nil {
-			return err
-		}
-		defer ses.Close()
-		if err := ses.Solve(); err != nil {
-			return err
-		}
-		before := c.Stats().Snapshot()
-		other := ses.st.workPhase[trace.Other]
-		res, err := ses.ApplyUpdates(batch)
-		if err != nil {
-			return err
-		}
-		msgs[r] = c.Stats().Snapshot().MsgsSent - before.MsgsSent
-		iters[r] = res.Iters
-		arcs := int64(0)
-		for _, adj := range ses.sg.AdjOwned {
-			arcs += int64(len(adj))
-		}
-		for _, adj := range ses.sg.AdjHub {
-			arcs += int64(len(adj))
-		}
-		// The reverse-index rebuild (2 per arc) and the modularity reseed
-		// (1 per arc and per owned community slot).
-		syncUnits[r] = ses.st.workPhase[trace.Other] - other - 3*arcs - int64(ses.n/p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < p; r++ {
-		if want := int64(perBatch + iters[r]*perIter); msgs[r] != want {
-			t.Errorf("rank %d sent %d messages over %d iterations, want %d + %d per iteration = %d", r, msgs[r], iters[r], perBatch, perIter, want)
-		}
-		if per := syncUnits[r] / int64(iters[r]); 2*per > pullSyncPerIter[r] {
-			t.Errorf("rank %d: %d synchronisation work units per iteration over %d iterations; the pull spent %d", r, per, iters[r], pullSyncPerIter[r])
-		}
-	}
-	t.Logf("batch: messages per rank %v, sync units per rank %v over %d iterations", msgs, syncUnits, iters[0])
 }
 
 // lastFrameComm remembers the last payload received from every source.

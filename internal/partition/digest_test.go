@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -207,12 +208,46 @@ func TestLayoutDigests(t *testing.T) {
 	}
 }
 
-// TestDefaultThreshold pins the one default hub threshold: DHigh <= 0 means
-// max(P, 4·arcs/n) in Build and in BuildStreaming alike, and the layout is
-// the one an explicit DHigh of that value builds. A graph without vertices
-// records P.
+// thresholdOracle is HubThreshold by brute force: it tries every candidate
+// d from one past the largest degree (at least the floor) down to the floor,
+// recomputes every rank's non-hub arc load from scratch, and returns the
+// first d at which none exceeds (1 + slack)·arcs/p; the floor when none does.
+func thresholdOracle(g *graph.Graph, p int, slack float64) int {
+	n := g.NumVertices()
+	if n == 0 {
+		return p
+	}
+	floor := max(p, 4*int(g.NumArcs())/n)
+	limit := (1 + slack) * float64(g.NumArcs()) / float64(p)
+	for d := max(floor, g.MaxDegree()+1); d >= floor; d-- {
+		loads := make([]int64, p)
+		for u := 0; u < n; u++ {
+			if g.Degree(u) < d {
+				loads[Owner(u, p)] += int64(g.Degree(u))
+			}
+		}
+		if float64(slices.Max(loads)) <= limit {
+			return d
+		}
+	}
+	return floor
+}
+
+// TestDefaultThreshold pins the one default hub threshold to its oracle:
+// DHigh <= 0 means HubThreshold at hubSlack in Build and BuildStreaming
+// alike, and the layout is the one an explicit DHigh of that value builds.
+// The corpus reaches all three outcomes — the floor, a threshold between
+// the floor and the largest degree, and no hubs (always so at P = 1). An
+// explicit DHigh wins over the rule, and a graph without vertices records P.
 func TestDefaultThreshold(t *testing.T) {
-	for name, g := range digestGraphs(t) {
+	gs := digestGraphs(t)
+	ba, err := gen.BarabasiAlbert(2000, 4, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs["ba2000"] = ba
+	outcomes := map[string]int{}
+	for name, g := range gs {
 		var buf bytes.Buffer
 		if err := graph.WriteBinaryShardedV2(&buf, g, 16); err != nil {
 			t.Fatal(err)
@@ -221,8 +256,20 @@ func TestDefaultThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{1, 2, 4, 7} {
-			want := max(p, 4*int(g.NumArcs())/g.NumVertices())
+		for _, p := range []int{1, 2, 4, 7, 16, 64} {
+			want := thresholdOracle(g, p, hubSlack)
+			floor := max(p, 4*int(g.NumArcs())/g.NumVertices())
+			switch {
+			case want > g.MaxDegree():
+				outcomes["no hubs"]++
+			case want == floor:
+				outcomes["floor"]++
+			default:
+				outcomes["between"]++
+			}
+			if p == 1 && want <= g.MaxDegree() {
+				t.Errorf("%s p=1: oracle threshold %d leaves hubs", name, want)
+			}
 			explicit, err := Build(g, Options{P: p, Kind: Delegate, DHigh: want})
 			if err != nil {
 				t.Fatal(err)
@@ -241,6 +288,27 @@ func TestDefaultThreshold(t *testing.T) {
 						name, p, l.DHigh, layoutDigest(l), want, layoutDigest(explicit))
 				}
 			}
+			// An explicit DHigh wins: the old floor rule's threshold builds
+			// its own hub set, whatever the rule would have picked.
+			pinned, err := BuildStreaming(s, Options{P: p, Kind: Delegate, DHigh: floor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hubs := 0
+			for u := 0; u < g.NumVertices(); u++ {
+				if g.Degree(u) >= floor {
+					hubs++
+				}
+			}
+			if pinned.DHigh != floor || len(pinned.Hubs) != hubs {
+				t.Errorf("%s p=%d: DHigh %d gave DHigh %d and %d hubs, want %d hubs",
+					name, p, floor, pinned.DHigh, len(pinned.Hubs), hubs)
+			}
+		}
+	}
+	for _, o := range []string{"no hubs", "floor", "between"} {
+		if outcomes[o] == 0 {
+			t.Errorf("no corpus row lands on outcome %q (%v)", o, outcomes)
 		}
 	}
 	empty, err := graph.FromEdges(0, nil)

@@ -8,12 +8,18 @@
 // arcs whose source is a hub initially go to the target's owner and are then
 // rebalanced freely across ranks until every rank holds ≈ |arcs|/p arcs.
 //
+// A vertex is replicated only because 1D cannot balance its arcs, as in
+// Pearce et al.: the default threshold (HubThreshold) is the highest one
+// that keeps every rank's non-hub arcs within 10% of the mean, so a graph
+// that 1D already balances gets no hubs.
+//
 // The package also produces the per-rank census (arc counts, ghost counts,
 // workload imbalance W = max/avg − 1) that the paper reports in Figure 6.
 package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -115,7 +121,7 @@ func (s *Subgraph) NumLocalArcs() int64 {
 type Options struct {
 	P     int  // number of ranks, >= 1
 	Kind  Kind // OneD or Delegate
-	DHigh int  // hub degree threshold; <= 0 means the default, max(P, 4·arcs/n)
+	DHigh int  // hub degree threshold; <= 0 means the default, HubThreshold at a 10% slack
 }
 
 // Layout is a full partitioning of a graph: one Subgraph per rank plus the
@@ -157,11 +163,12 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // per-vertex arc count and arcs their sum.
 //
 // It is the one place an unset threshold becomes a number: DHigh <= 0
-// means max(P, 4·arcs/n), and P when n = 0. The paper sets dhigh = p in a
-// regime where p (thousands) far exceeds the average degree, so hubs are a
-// thin tail; the floor at four times the average degree keeps the hub
-// fraction comparably thin at small p. The Layout records the threshold
-// it used.
+// means HubThreshold at hubSlack — the highest threshold, at or above the
+// floor max(P, 4·arcs/n), that keeps every rank's non-hub arcs within 10%
+// of the mean; P when n = 0. The paper sets dhigh = p in a regime where p
+// (thousands) far exceeds the average degree, so hubs are a thin tail; the
+// rule keeps only the hubs 1D needs, and none at P = 1 or on a graph 1D
+// already balances. The Layout records the threshold it used.
 //
 // The pass quantises every arc weight and sums the degrees and 2m from the
 // quantised arcs, exactly; what the fixed point cannot carry fails with
@@ -184,10 +191,7 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	p := opt.P
 	dhigh := opt.DHigh
 	if dhigh <= 0 {
-		dhigh = p
-		if n > 0 {
-			dhigh = max(p, 4*int(arcs)/n)
-		}
+		dhigh = HubThreshold(p, n, arcs, degree, hubSlack)
 	}
 
 	isHub := make([]bool, n)
@@ -317,6 +321,87 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	return &Layout{P: p, Kind: opt.Kind, DHigh: dhigh, Hubs: hubs, Parts: parts}, nil
 }
 
+// hubSlack is how far over the mean arc load, as a fraction of it, the
+// default hub threshold lets a rank's non-hub arcs reach: ε in HubThreshold.
+// cmd/experiments -only hubs measured the choice (docs/PERFORMANCE.md).
+const hubSlack = 0.1
+
+// HubThreshold returns the hub threshold an unset DHigh means for a world of
+// p ranks and a graph of n vertices whose degree sum is arcs: the largest d
+// at or above the floor f = max(p, 4·arcs/n) (p when n = 0) at which no
+// rank's non-hub arcs exceed (1 + slack)·arcs/p. A non-hub vertex's arcs
+// count at its owner; hub arcs fill the ranks below the mean, which is what
+// placeHubArcs and rebalance do with them. When 1D is already that balanced
+// the threshold is one past the largest degree (at least f), so no vertex is
+// a hub; at p = 1 that is always so.
+//
+// Only vertices of degree ≥ f can become hubs, so the sweep sorts just that
+// tail, descending, and delegates it one degree class at a time until every
+// rank is within the bound; the first class that gets there sets the
+// threshold, and when none does it is f. The rule reads only degree, so
+// Build and BuildStreaming reach the same threshold.
+func HubThreshold(p, n int, arcs int64, degree func(u int) int, slack float64) int {
+	if n == 0 {
+		return p
+	}
+	floor := max(p, 4*int(arcs)/n)
+
+	type tailVertex struct{ deg, owner int }
+	ncV := par.NumChunks(n)
+	loadFrag := make([][]int64, ncV)
+	tailFrag := make([][]tailVertex, ncV)
+	par.For(ncV, func(c int) {
+		lo, hi := par.ChunkSpan(n, ncV, c)
+		loads := make([]int64, p)
+		var tail []tailVertex
+		for u := lo; u < hi; u++ {
+			d, r := degree(u), Owner(u, p)
+			loads[r] += int64(d)
+			if d >= floor {
+				tail = append(tail, tailVertex{d, r})
+			}
+		}
+		loadFrag[c], tailFrag[c] = loads, tail
+	})
+	loads := make([]int64, p)
+	for _, ls := range loadFrag {
+		for r, l := range ls {
+			loads[r] += l
+		}
+	}
+	tail := slices.Concat(tailFrag...)
+	slices.SortFunc(tail, func(a, b tailVertex) int { return b.deg - a.deg })
+
+	limit := (1 + slack) * float64(arcs) / float64(p)
+	over := 0 // ranks whose non-hub load exceeds limit
+	for _, l := range loads {
+		if float64(l) > limit {
+			over++
+		}
+	}
+	if over == 0 {
+		if len(tail) == 0 {
+			return floor
+		}
+		return tail[0].deg + 1
+	}
+	for i := 0; i < len(tail); {
+		d := tail[i].deg
+		for ; i < len(tail) && tail[i].deg == d; i++ {
+			r := tail[i].owner
+			was := float64(loads[r]) > limit
+			loads[r] -= int64(d)
+			if was && float64(loads[r]) <= limit {
+				over--
+			}
+		}
+		if over == 0 {
+			return d
+		}
+	}
+	return floor
+}
+
 // findHubs marks and lists the vertices with degree ≥ dhigh. Per-chunk
 // lists concatenate in chunk order, so the directory is ascending exactly
 // as a serial scan produces it.
@@ -380,16 +465,17 @@ func placeHubArcs(parts []*Subgraph, spill []hubArc) {
 func finishLayout(parts []*Subgraph, isHub []bool, m2 int64) {
 	p := len(parts)
 	// Ghost discovery from the final arc placement: each rank touches only
-	// its own part, and the ghost list is sorted, so per-rank kernels are
-	// independent and deterministic.
+	// its own part and reads its ghost set out in ascending order, so
+	// per-rank kernels are independent and deterministic.
+	n := len(isHub)
 	par.For(p, func(r int) {
 		sp := parts[r]
-		ghostSet := make(map[int]struct{})
+		seen := make([]uint64, (n+63)/64) // one bit per vertex: an n-bit ghost set
 		note := func(v int) {
 			if isHub[v] || Owner(v, p) == r {
 				return
 			}
-			ghostSet[v] = struct{}{}
+			seen[v/64] |= 1 << (v % 64)
 		}
 		for _, adj := range sp.AdjOwned {
 			for _, a := range adj {
@@ -401,11 +487,16 @@ func finishLayout(parts []*Subgraph, isHub []bool, m2 int64) {
 				note(a.To)
 			}
 		}
-		sp.Ghosts = make([]int, 0, len(ghostSet))
-		for v := range ghostSet {
-			sp.Ghosts = append(sp.Ghosts, v)
+		count := 0
+		for _, b := range seen {
+			count += bits.OnesCount64(b)
 		}
-		sort.Ints(sp.Ghosts)
+		sp.Ghosts = make([]int, 0, count)
+		for i, b := range seen {
+			for ; b != 0; b &= b - 1 {
+				sp.Ghosts = append(sp.Ghosts, i*64+bits.TrailingZeros64(b))
+			}
+		}
 		sp.TotalWeight2 = m2
 	})
 
@@ -449,27 +540,38 @@ func rebalance(parts []*Subgraph, loads []int64) {
 		hub int
 		a   Arc
 	}
+	// A donor gives one arc per hub per pass, in ascending hub order, from
+	// the hubs that still hold arcs on it; live is that list, compacted as
+	// hubs run dry, so a pass never revisits an empty slot.
 	var spare []donation
+	var live []int
 	for r := 0; r < p; r++ {
 		sp := parts[r]
-		for loads[r] > avg+1 {
-			moved := false
-			for hi := range sp.AdjHub {
-				if len(sp.AdjHub[hi]) == 0 {
-					continue
-				}
-				last := len(sp.AdjHub[hi]) - 1
-				spare = append(spare, donation{hub: hi, a: sp.AdjHub[hi][last]})
-				sp.AdjHub[hi] = sp.AdjHub[hi][:last]
-				loads[r]--
-				moved = true
+		if loads[r] <= avg+1 {
+			continue
+		}
+		live = live[:0]
+		for hi, adj := range sp.AdjHub {
+			if len(adj) > 0 {
+				live = append(live, hi)
+			}
+		}
+		for len(live) > 0 && loads[r] > avg+1 {
+			keep := live[:0]
+			for _, hi := range live {
 				if loads[r] <= avg+1 {
 					break
 				}
+				adj := sp.AdjHub[hi]
+				last := len(adj) - 1
+				spare = append(spare, donation{hub: hi, a: adj[last]})
+				sp.AdjHub[hi] = adj[:last]
+				loads[r]--
+				if last > 0 {
+					keep = append(keep, hi)
+				}
 			}
-			if !moved {
-				break // nothing left to donate on this rank
-			}
+			live = keep
 		}
 	}
 	si := 0

@@ -184,13 +184,16 @@ func TestHubThresholdRespected(t *testing.T) {
 	if l.DHigh != 10 {
 		t.Errorf("DHigh = %d", l.DHigh)
 	}
-	// default threshold = max(P, 4·arcs/n) = max(4, 4·80/41)
+	// The default keeps the centre a hub, and only it: with the centre's 40
+	// arcs on rank 0 its load is 50 of 80 at P = 4, far over 1.1 × the mean
+	// of 20; delegated, rank 0 keeps its 10 leaves. So the threshold is the
+	// centre's degree, not the floor max(P, 4·80/41) = 7.
 	l, err = Build(g, Options{P: 4, Kind: Delegate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.DHigh != 7 {
-		t.Errorf("default DHigh = %d, want 7", l.DHigh)
+	if l.DHigh != 40 || len(l.Hubs) != 1 || l.Hubs[0] != 0 {
+		t.Errorf("default DHigh = %d, hubs %v; want 40, [0]", l.DHigh, l.Hubs)
 	}
 }
 
@@ -227,17 +230,27 @@ func TestDelegateImbalanceOnScaleFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		del, err := Build(g, Options{P: p, Kind: Delegate})
+		// The default threshold buys balance only down to hubSlack; the
+		// paper's dhigh = p delegates enough to balance the arcs fully.
+		def, err := Build(g, Options{P: p, Kind: Delegate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		del, err := Build(g, Options{P: p, Kind: Delegate, DHigh: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w1 := oneD.Census().ImbalanceW()
+		wdef := def.Census().ImbalanceW()
 		wd := del.Census().ImbalanceW()
-		if wd > w1 {
-			t.Errorf("p=%d: delegate W %.3f worse than 1D W %.3f", p, wd, w1)
+		if wdef > w1 || wd > w1 {
+			t.Errorf("p=%d: delegate W %.3f (default) or %.3f (DHigh = p) worse than 1D W %.3f", p, wdef, wd, w1)
+		}
+		if wdef > hubSlack {
+			t.Errorf("p=%d: default delegate W = %.3f, want <= %g", p, wdef, hubSlack)
 		}
 		if wd > 0.05 {
-			t.Errorf("p=%d: delegate W = %.3f, want near 0", p, wd)
+			t.Errorf("p=%d: DHigh = p delegate W = %.3f, want near 0", p, wd)
 		}
 	}
 }
