@@ -11,6 +11,10 @@
 // (optionally) the per-iteration modularity trace, phase breakdown, and
 // quality scores against planted ground truth.
 //
+// With -addrs A0,…,Ap−1 -rank r the process is rank r of a world of OS
+// processes over TCP: start one per rank with the same input, and rank 0
+// prints the report dlouvain -p p prints.
+//
 // Exit status: 0 solved, 1 loading, solving or writing failed, 2 usage.
 package main
 
@@ -21,9 +25,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -56,12 +62,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		showLevels  = fs.Bool("levels", false, "print the dendrogram (communities per clustering level)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
-		commDL      = fs.Duration("comm-deadline", 0, "per-receive deadline for the rank goroutines; 0 blocks forever (docs/ROBUSTNESS.md)")
+		commDL      = fs.Duration("comm-deadline", 0, "per-receive deadline of every rank; 0 blocks forever (docs/ROBUSTNESS.md)")
 		events      = fs.Bool("events", false, "stream runtime events (retries, peer-down, chaos injections) to stderr")
 
 		// Out-of-core mode (docs/PERFORMANCE.md).
 		oocore   = fs.Bool("oocore", false, "partition and solve from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
 		memstats = fs.Bool("memstats", false, "sample the heap during the run and print its high-water mark")
+
+		// Multi-process mode: ranks are processes over TCP (docs/ROBUSTNESS.md).
+		addrList  = fs.String("addrs", "", "comma-separated listen addresses, one per rank: run as rank -rank of a TCP world")
+		rank      = fs.Int("rank", -1, "this process's rank in -addrs")
+		dialTotal = fs.Duration("dial-total", 30*time.Second, "with -addrs: budget for dialing the other ranks, which retries with backoff")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,6 +91,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *p < 1 {
 		return usage("-p %d, want >= 1", *p)
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var addrs []string
+	if set["addrs"] {
+		addrs = strings.Split(*addrList, ",")
+		if slices.Contains(addrs, "") {
+			return usage("-addrs %q has an empty address", *addrList)
+		}
+		if *rank < 0 || *rank >= len(addrs) {
+			return usage("-rank %d out of range for %d addresses", *rank, len(addrs))
+		}
+		if set["p"] && *p != len(addrs) {
+			return usage("-p %d but -addrs lists %d ranks", *p, len(addrs))
+		}
+		*p = len(addrs)
+	} else if set["rank"] || set["dial-total"] {
+		return usage("-rank and -dial-total need -addrs")
 	}
 	if *oocore {
 		if !strings.HasSuffix(*graphPath, ".sbin") {
@@ -147,24 +176,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace.SetEventOutput(stderr)
 	}
 
-	var res *core.Result
+	tPart := time.Now()
+	var layout *partition.Layout
 	if *oocore {
-		tPart := time.Now()
-		layout, berr := partition.BuildStreaming(s, opt.PartitionOptions())
-		if berr != nil {
-			return fail(berr)
+		layout, err = partition.BuildStreaming(s, opt.PartitionOptions())
+		if err == nil {
+			err = sc.Close()
 		}
-		partTime := time.Since(tPart)
-		if err := sc.Close(); err != nil {
-			return fail(err)
-		}
-		if res, err = core.RunLayout(layout, opt); err != nil {
-			return fail(err)
-		}
-		res.PartitionTime = partTime
-	} else if res, err = core.Run(g, opt); err != nil {
+	} else {
+		layout, err = partition.Build(g, opt.PartitionOptions())
+	}
+	if err != nil {
 		return fail(err)
 	}
+	partTime := time.Since(tPart)
+	var res *core.Result
+	if addrs == nil {
+		res, err = core.RunLayout(layout, opt)
+	} else {
+		var ep *comm.TCPEndpoint
+		if ep, err = comm.DialTCPWorldConfig(*rank, addrs, comm.DialOptions{Backoff: comm.Backoff{Total: *dialTotal}}); err != nil {
+			return fail(err)
+		}
+		defer ep.Close()
+		res, err = core.RunRankLayout(ep, layout.Parts[*rank], opt)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	heapLine := func() {
+		if hw != nil {
+			fmt.Fprintf(stdout, "heap high-water: %.1f MB\n", float64(hw.Stop())/(1<<20))
+		}
+	}
+	if res == nil {
+		fmt.Fprintf(stdout, "rank %d: answer gathered at rank 0\n", *rank)
+		heapLine()
+		return 0
+	}
+	res.PartitionTime = partTime
 	fmt.Fprintf(stdout, "modularity: %.6f (%d communities)\n", res.Modularity, res.Membership.NumCommunities())
 	fmt.Fprintf(stdout, "hubs: %d  stage1 iters: %d  outer levels: %d\n",
 		res.HubCount, res.Stage1Iters, res.OuterLevels)
@@ -188,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "dendrogram:")
 		for l, m := range res.LevelMemberships {
 			fmt.Fprintf(stdout, "  level %d: %d communities, Q=%.4f\n",
-				l+1, m.NumCommunities(), graph.Modularity(g, m))
+				l+1, m.NumCommunities(), graph.ModularityResolution(g, m, *gamma))
 		}
 	}
 	if *showTrace {
@@ -240,9 +290,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "heap profile written to %s\n", *memProfile)
 	}
-	if hw != nil {
-		fmt.Fprintf(stdout, "heap high-water: %.1f MB\n", float64(hw.Stop())/(1<<20))
-	}
+	heapLine()
 	return 0
 }
 

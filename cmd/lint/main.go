@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go run ./cmd/lint ./...           # whole module
-//	go run ./cmd/lint ./internal/comm ./cmd/worker
+//	go run ./cmd/lint ./internal/comm ./cmd/dlouvain
 //	go run ./cmd/lint -doc            # describe the analyzers
 //
 // Exit status: 0 clean, 1 findings, 2 operational error. Findings are

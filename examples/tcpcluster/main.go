@@ -1,7 +1,7 @@
 // TCP cluster scenario: the same distributed Louvain algorithm running over
 // the TCP transport — each rank is a separate endpoint connected by a full
 // mesh of real sockets on loopback (in production each rank would be its
-// own process or machine; see cmd/worker for the multi-process form).
+// own process or machine; see dlouvain -addrs for the multi-process form).
 //
 //	go run ./examples/tcpcluster
 package main
@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func main() {
@@ -26,6 +27,11 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges; clustering over %d TCP ranks\n",
 		g.NumVertices(), g.NumEdges(), p)
+	opt := core.Options{P: p}
+	layout, err := partition.Build(g, opt.PartitionOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Reserve p loopback ports.
 	addrs := make([]string, p)
@@ -42,9 +48,9 @@ func main() {
 		ln.Close()
 	}
 
-	results := make([]*core.RankResult, p)
-	var totalBytes int64
-	var mu sync.Mutex
+	// Every rank solves its part and sends its answer to rank 0, which
+	// alone gets the world's Result.
+	results := make([]*core.Result, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -55,27 +61,15 @@ func main() {
 				log.Fatalf("rank %d: %v", r, err)
 			}
 			defer ep.Close()
-			res, err := core.RunRank(ep, g, core.Options{P: p})
-			if err != nil {
+			if results[r], err = core.RunRankLayout(ep, layout.Parts[r], opt); err != nil {
 				log.Fatalf("rank %d: %v", r, err)
 			}
-			mu.Lock()
-			results[r] = res
-			//lint:ignore parforshare mutex-guarded commutative integer sum in the example driver; order cannot reach the output
-			totalBytes += ep.Stats().Snapshot().BytesSent
-			mu.Unlock()
 		}(r)
 	}
 	wg.Wait()
 
-	membership := make(graph.Membership, g.NumVertices())
-	for _, res := range results {
-		for i, u := range res.Tracked {
-			membership[u] = res.Labels[i]
-		}
-	}
-	k := membership.Normalize()
-	fmt.Printf("modularity %.4f across %d communities\n", results[0].Modularity, k)
-	fmt.Printf("verified against membership: %.4f\n", graph.Modularity(g, membership))
-	fmt.Printf("%d bytes moved over real TCP sockets\n", totalBytes)
+	res := results[0]
+	fmt.Printf("modularity %.4f across %d communities\n", res.Modularity, res.Membership.NumCommunities())
+	fmt.Printf("verified against membership: %.4f\n", graph.Modularity(g, res.Membership))
+	fmt.Printf("%d bytes moved over real TCP sockets\n", res.CommStats.TotalBytesSent())
 }

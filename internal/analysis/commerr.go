@@ -43,7 +43,7 @@ var commErrOps = map[string]bool{
 	"AllreduceBytes": true, "AllreduceFloat64Sum": true,
 	"AllreduceInt64Sum": true, "AllreduceIterStats": true,
 	"Allgather": true, "Gather": true, "Alltoallv": true, "AlltoallvFunc": true,
-	"RunWorld": true, "RunWorldStats": true, "DialTCPWorld": true,
+	"RunWorld": true, "DialTCPWorld": true,
 	// Robustness layer: retry wrappers, configurable dialing, and chaos
 	// worlds fail for the same reasons the plain operations do, so their
 	// errors carry the same obligation.

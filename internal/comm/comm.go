@@ -133,11 +133,32 @@ func (s *Stats) Snapshot() Snapshot {
 // each on its own goroutine. It returns the joined errors of all ranks.
 // This is the entry point used by all simulations and tests.
 func RunWorld(p int, fn func(Comm) error) error {
-	_, err := RunWorldStats(p, fn)
-	return err
+	if p < 1 {
+		return fmt.Errorf("comm: world size %d, want >= 1", p)
+	}
+	world := newInprocWorld(p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for r := 0; r < p; r++ {
+		go func(r int) {
+			defer wg.Done()
+			// Mark the rank dead once fn is finished (or has panicked), so
+			// peers blocked on it fail fast instead of deadlocking.
+			defer world.markDead(r)
+			defer func() {
+				if rec := recover(); rec != nil {
+					errs[r] = fmt.Errorf("comm: rank %d panicked: %v", r, rec)
+				}
+			}()
+			errs[r] = fn(world.eps[r])
+		}(r)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// WorldStats aggregates per-rank snapshots collected by RunWorldStats.
+// WorldStats is the per-rank traffic of a world, one snapshot per rank.
 type WorldStats struct {
 	PerRank []Snapshot
 }
@@ -160,35 +181,4 @@ func (w WorldStats) MaxBytesSent() int64 {
 		}
 	}
 	return m
-}
-
-// RunWorldStats is RunWorld plus a final per-rank traffic snapshot.
-func RunWorldStats(p int, fn func(Comm) error) (WorldStats, error) {
-	if p < 1 {
-		return WorldStats{}, fmt.Errorf("comm: world size %d, want >= 1", p)
-	}
-	world := newInprocWorld(p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			// Mark the rank dead once fn is finished (or has panicked), so
-			// peers blocked on it fail fast instead of deadlocking.
-			defer world.markDead(r)
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[r] = fmt.Errorf("comm: rank %d panicked: %v", r, rec)
-				}
-			}()
-			errs[r] = fn(world.eps[r])
-		}(r)
-	}
-	wg.Wait()
-	ws := WorldStats{PerRank: make([]Snapshot, p)}
-	for r := 0; r < p; r++ {
-		ws.PerRank[r] = world.eps[r].Stats().Snapshot()
-	}
-	return ws, errors.Join(errs...)
 }

@@ -188,7 +188,10 @@ func TestPeerRangeChecks(t *testing.T) {
 }
 
 func TestStatsCounts(t *testing.T) {
-	ws, err := RunWorldStats(2, func(c Comm) error {
+	ws := WorldStats{PerRank: make([]Snapshot, 2)}
+	err := RunWorld(2, func(c Comm) error {
+		// Each rank snapshots its own counters after its last operation.
+		defer func() { ws.PerRank[c.Rank()] = c.Stats().Snapshot() }()
 		if c.Rank() == 0 {
 			return c.Send(1, 0, make([]byte, 100))
 		}

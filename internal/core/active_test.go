@@ -144,8 +144,7 @@ func TestActivationSound(t *testing.T) {
 				}
 				for seed := int64(1); seed <= 3; seed++ {
 					err := comm.RunWorldChaos(p, benignCoreChaos(seed), func(c comm.Comm) error {
-						_, err := RunRank(c, gr.g, opt)
-						return err
+						return solveRank(c, gr.g, opt)
 					})
 					if err != nil {
 						t.Fatalf("%s chaos seed %d: %v", name, seed, err)

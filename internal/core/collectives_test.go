@@ -209,8 +209,7 @@ func TestHubTrafficFollowsLiveProposals(t *testing.T) {
 	for _, p := range []int{2, 3, 4} {
 		opt := Options{P: p, DHigh: 8}
 		err := comm.RunWorld(p, func(c comm.Comm) error {
-			_, err := RunRank(&sendLogComm{Comm: c}, g, opt)
-			return err
+			return solveRank(&sendLogComm{Comm: c}, g, opt)
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)

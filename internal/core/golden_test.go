@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // Golden end-to-end test: a committed fixture graph with the expected
@@ -103,41 +106,85 @@ func coreFreeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-// runTCPRanks executes RunRank on p TCP-loopback endpoints and assembles
-// the normalized membership and rank-0 modularity.
-func runTCPRanks(t *testing.T, g *graph.Graph, opt Options) (graph.Membership, float64) {
+// worldFunc starts a world of p ranks and runs fn on each, the signature
+// of comm.RunWorld.
+type worldFunc func(p int, fn func(comm.Comm) error) error
+
+// tcpWorld is comm.RunWorld over TCP loopback: p endpoints on reserved
+// ports, one goroutine per rank.
+func tcpWorld(t *testing.T) worldFunc {
+	return func(p int, fn func(comm.Comm) error) error {
+		addrs := coreFreeAddrs(t, p)
+		errs := make([]error, p)
+		var wg sync.WaitGroup
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				ep, err := comm.DialTCPWorld(r, addrs)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				defer ep.Close()
+				errs[r] = fn(ep)
+			}(r)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+}
+
+// worldResult solves g through RunRankLayout on every rank of a world that
+// world starts, and returns rank 0's Result.
+func worldResult(t *testing.T, world worldFunc, g *graph.Graph, opt Options) *Result {
 	t.Helper()
-	addrs := coreFreeAddrs(t, opt.P)
-	results := make([]*RankResult, opt.P)
-	errs := make([]error, opt.P)
-	var wg sync.WaitGroup
-	for r := 0; r < opt.P; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep, err := comm.DialTCPWorld(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
+	layout, err := partition.Build(g, opt.PartitionOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	err = world(opt.P, func(c comm.Comm) error {
+		r, err := RunRankLayout(c, layout.Parts[c.Rank()], opt)
+		if c.Rank() == 0 {
+			res = r
+		} else if r != nil {
+			return fmt.Errorf("rank %d returned a Result", c.Rank())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameResult reports every field where got differs from want, except the
+// wall-clock ones: PartitionTime, the stage and total times and Breakdown.
+func sameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for i := 0; i < gv.NumField(); i++ {
+		switch f := gv.Type().Field(i).Name; f {
+		case "PartitionTime", "Stage1Time", "Stage2Time", "TotalTime", "Breakdown":
+		default:
+			if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+				t.Errorf("%s: %s differs from the in-process run's", name, f)
 			}
-			defer ep.Close()
-			results[r], errs[r] = RunRank(ep, g, opt)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	m := make(graph.Membership, g.NumVertices())
-	for _, res := range results {
-		for i, u := range res.Tracked {
-			m[u] = res.Labels[i]
-		}
+}
+
+// solveRank is one rank's solve without the answer gather, on its part of
+// g's layout: for tests that wrap a rank's communicator to log or audit
+// its frames.
+func solveRank(c comm.Comm, g *graph.Graph, opt Options) error {
+	layout, err := partition.Build(g, opt.PartitionOptions())
+	if err != nil {
+		return err
 	}
-	m.Normalize()
-	return m, results[0].Modularity
+	_, err = runRank(c, layout.Parts[c.Rank()], opt, defaultStop)
+	return err
 }
 
 func TestGoldenEndToEnd(t *testing.T) {
@@ -177,8 +224,8 @@ func TestGoldenEndToEnd(t *testing.T) {
 				if p > 1 && res.BalanceRatio < 1 {
 					t.Errorf("BalanceRatio = %g, want >= 1 (work max over work mean)", res.BalanceRatio)
 				}
-				tcpM, tcpQ := runTCPRanks(t, g, opt)
-				check("tcp", tcpQ, tcpM)
+				tcp := worldResult(t, tcpWorld(t), g, opt)
+				check("tcp", tcp.Modularity, tcp.Membership)
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -185,59 +186,113 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRankMatchesRun drives RunRankLayout by hand on every rank of an
+// in-process world: rank 0's Result is Run's, field by field, and the other
+// ranks get nil.
 func TestRunRankMatchesRun(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(600, 0.25, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, Options{P: 3})
+	opt := Options{P: 3, TrackTrace: true, TrackLevels: true}
+	want, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive RunRank manually over an in-process world and assemble.
-	pieces := make([]*RankResult, 3)
-	err = comm.RunWorld(3, func(c comm.Comm) error {
-		res, err := RunRank(c, g, Options{P: 3})
-		if err != nil {
-			return err
-		}
-		pieces[c.Rank()] = res
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := make(graph.Membership, g.NumVertices())
-	for _, piece := range pieces {
-		for i, u := range piece.Tracked {
-			m[u] = piece.Labels[i]
-		}
-	}
-	m.Normalize()
-	if pieces[0].Modularity != want.Modularity {
-		t.Errorf("RunRank Q = %v, Run Q = %v", pieces[0].Modularity, want.Modularity)
-	}
-	for i := range m {
-		if m[i] != want.Membership[i] {
-			t.Fatal("memberships differ between Run and RunRank")
-		}
-	}
+	sameResult(t, "RunRankLayout", worldResult(t, comm.RunWorld, g, opt), want)
 }
 
+// TestRunRankPMismatch pins RunRankLayout's refusals, all before the rank
+// sends anything: a world size other than Options.P, another rank's part,
+// and no part.
 func TestRunRankPMismatch(t *testing.T) {
 	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	layout, err := partition.Build(g, partition.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = comm.RunWorld(2, func(c comm.Comm) error {
-		_, err := RunRank(c, g, Options{P: 5})
-		if err == nil {
-			t.Error("expected P mismatch error")
+		for _, tc := range []struct {
+			name string
+			sg   *partition.Subgraph
+			opt  Options
+		}{
+			{"P mismatch", layout.Parts[c.Rank()], Options{P: 5}},
+			{"another rank's part", layout.Parts[1-c.Rank()], Options{}},
+			{"no part", nil, Options{}},
+		} {
+			if _, err := RunRankLayout(c, tc.sg, tc.opt); err == nil {
+				t.Errorf("rank %d, %s: expected an error", c.Rank(), tc.name)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssembleHostileAnswers feeds rank 0 answer frames that do not tile
+// [0, n). Each must fail with a frameErr naming the sender, never panic or
+// assemble a membership; every prefix of a valid frame is a truncation.
+func TestAssembleHostileAnswers(t *testing.T) {
+	const n = 4
+	answer := func(tracked, labels []int, levels ...[]int) *rankOut {
+		return &rankOut{tracked: tracked, labels: labels, levels: levels, workUnits: 7,
+			traffic: comm.Snapshot{MsgsSent: 3, BytesSent: 40}, arcs: 5, ghosts: 1}
+	}
+	root := answer([]int{0, 2}, []int{0, 0}, []int{0, 0})
+	root.finalQ, root.stage1Iters, root.busyBD.Durations[1] = 0.2, 2, 30
+	r0 := root.encode()
+	good := answer([]int{1, 3}, []int{1, 3}, []int{1, 1}).encode()
+	res, err := assemble([][]byte{r0, good}, root, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Membership, graph.Membership{0, 1, 0, 2}) || res.Modularity != 0.2 ||
+		!slices.Equal(res.LevelMemberships[0], graph.Membership{0, 1, 0, 1}) ||
+		res.CommStats.TotalBytesSent() != 80 || res.Census.TotalArcs() != 10 || res.BalanceRatio != 1 ||
+		res.Stage1Iters != 2 || res.BusyBreakdown.Durations[1] != 30 {
+		t.Fatalf("assembled %+v", res)
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+		cause error // nil: any decode error
+	}{
+		{"trailing-byte", append(slices.Clone(good), 0), errLongFrame},
+		{"repeated-vertex", answer([]int{1, 2}, []int{1, 1}, []int{1, 1}).encode(), errTiling},
+		{"vertex-past-n", answer([]int{1, n}, []int{1, 1}, []int{1, 1}).encode(), errForeignID},
+		{"negative-vertex", answer([]int{-1, 3}, []int{1, 1}, []int{1, 1}).encode(), errForeignID},
+		{"label-past-n", answer([]int{1, 3}, []int{1, n}, []int{1, 1}).encode(), errForeignID},
+		{"level-label-past-n", answer([]int{1, 3}, []int{1, 1}, []int{n, 1}).encode(), errForeignID},
+		{"unpaired-labels", answer([]int{1, 3}, []int{1}, []int{1, 1}).encode(), errTiling},
+		{"missing-level", answer([]int{1, 3}, []int{1, 1}).encode(), errTiling},
+		{"empty", nil, nil},
+	}
+	for i := 1; i < len(good); i++ {
+		cases = append(cases, struct {
+			name  string
+			frame []byte
+			cause error
+		}{fmt.Sprintf("truncated-%d", i), good[:i], nil})
+	}
+	for _, tc := range cases {
+		res, err := assemble([][]byte{r0, tc.frame}, root, n)
+		if err == nil || res != nil {
+			t.Errorf("%s: assembled %v, err %v", tc.name, res, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "malformed answer frame from rank 1") ||
+			(tc.cause != nil && !errors.Is(err, tc.cause)) {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+	if _, err := assemble([][]byte{r0, answer([]int{1}, []int{1}, []int{1}).encode()}, root, n); err == nil {
+		t.Error("vertex 3 reported by no rank: assembled")
 	}
 }
 

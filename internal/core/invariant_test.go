@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -185,8 +184,7 @@ func TestAggregateReconciliationUnderChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = comm.RunWorldChaos(4, benignCoreChaos(int64(cfg.h)*10+int64(cfg.pk)), func(c comm.Comm) error {
-			_, err := RunRank(c, g, Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk})
-			return err
+			return solveRank(c, g, Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk})
 		})
 		if err != nil {
 			t.Fatalf("h=%v part=%v: %v", cfg.h, cfg.pk, err)
@@ -225,36 +223,6 @@ func TestStage1ModularityMonotone(t *testing.T) {
 	}
 }
 
-// chaosRun executes a full distributed run over a chaos-wrapped in-process
-// world and assembles the membership and final modularity, mirroring what
-// Run reports.
-func chaosRun(t *testing.T, g *graph.Graph, opt Options, co comm.ChaosOptions) (graph.Membership, float64) {
-	t.Helper()
-	var mu sync.Mutex
-	m := make(graph.Membership, g.NumVertices())
-	var finalQ float64
-	err := comm.RunWorldChaos(opt.P, co, func(c comm.Comm) error {
-		rr, err := RunRank(c, g, opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, u := range rr.Tracked {
-			m[u] = rr.Labels[i]
-		}
-		if c.Rank() == 0 {
-			finalQ = rr.Modularity
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Normalize()
-	return m, finalQ
-}
-
 // TestChaosEndToEndDeterminism is the algorithm-level chaos guarantee:
 // a full stage-1 + stage-2 Louvain run under message reordering, delays,
 // duplicates, and retried transient failures produces exactly the final
@@ -277,7 +245,11 @@ func TestChaosEndToEndDeterminism(t *testing.T) {
 				t.Fatalf("%s clean: %v", label, err)
 			}
 			for seed := int64(1); seed <= 3; seed++ {
-				m, q := chaosRun(t, g, opt, benignCoreChaos(seed))
+				co := benignCoreChaos(seed)
+				res := worldResult(t, func(p int, fn func(comm.Comm) error) error {
+					return comm.RunWorldChaos(p, co, fn)
+				}, g, opt)
+				m, q := res.Membership, res.Modularity
 				if q != clean.Modularity {
 					t.Fatalf("%s chaos seed %d: Q %.17g, clean %.17g", label, seed, q, clean.Modularity)
 				}
@@ -310,8 +282,7 @@ func TestCommDeadlineOption(t *testing.T) {
 			if c.Rank() == 3 {
 				return nil // desert the world before clustering starts
 			}
-			_, err := RunRank(c, g, Options{P: 4, CommDeadline: 200 * time.Millisecond})
-			return err
+			return solveRank(c, g, Options{P: 4, CommDeadline: 200 * time.Millisecond})
 		})
 	}()
 	select {

@@ -242,10 +242,10 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		rd.Reset(arcIn[r])
 		n := rd.Uvarint()
 		if rd.Err() != nil {
-			return nil, 0, s.frameErr("merge arc", r, rd.Err())
+			return nil, 0, frameErr(s.rnk, "merge arc", r, rd.Err())
 		}
 		if n > uint64(len(arcIn[r])) {
-			return nil, 0, s.frameErr("merge arc", r, nil)
+			return nil, 0, frameErr(s.rnk, "merge arc", r, nil)
 		}
 		ms.frameBody[r] = arcIn[r][len(arcIn[r])-rd.Remaining():]
 		mr += int(n)
@@ -366,20 +366,20 @@ func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) 
 	for pos < end {
 		dRow, ncv := rd.Uvarint(), rd.Uvarint()
 		if rd.Err() != nil {
-			return s.frameErr("merge arc", src, rd.Err())
+			return frameErr(s.rnk, "merge arc", src, rd.Err())
 		}
 		if dRow == 0 || dRow >= uint64(int32(rows)-prevRow) || ncv == 0 || ncv > uint64(end-pos) {
-			return s.frameErr("merge arc", src, nil)
+			return frameErr(s.rnk, "merge arc", src, nil)
 		}
 		row := prevRow + int32(dRow)
 		prevCv := int32(-1)
 		for ; ncv > 0; ncv-- {
 			dCv, w := rd.Uvarint(), rd.Uvarint()
 			if rd.Err() != nil {
-				return s.frameErr("merge arc", src, rd.Err())
+				return frameErr(s.rnk, "merge arc", src, rd.Err())
 			}
 			if dCv == 0 || dCv >= uint64(int32(total)-prevCv) {
-				return s.frameErr("merge arc", src, nil)
+				return frameErr(s.rnk, "merge arc", src, nil)
 			}
 			cv := prevCv + int32(dCv)
 			ms.xA[pos], ms.yA[pos], ms.wA[pos] = cv, row, int64(w)
@@ -389,7 +389,7 @@ func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) 
 		prevRow = row
 	}
 	if rd.Remaining() != 0 {
-		return s.frameErr("merge arc", src, errLongFrame)
+		return frameErr(s.rnk, "merge arc", src, errLongFrame)
 	}
 	return nil
 }
@@ -562,12 +562,12 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 		rd := wire.NewReader(payload)
 		ids := rd.Ints()
 		if err := rd.Err(); err != nil {
-			return s.frameErr("resolve request", src, err)
+			return frameErr(s.rnk, "resolve request", src, err)
 		}
 		b := s.rqBufs[src]
 		for _, x := range ids {
 			if x < 0 || x >= s.n || !s.owns(x) {
-				return s.frameErr("resolve request", src, nil)
+				return frameErr(s.rnk, "resolve request", src, nil)
 			}
 			b.PutVarint(int64(lookup(x)))
 		}
@@ -583,12 +583,12 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 		for _, i := range s.rqPos[src] {
 			v := rd.Varint()
 			if rd.Err() != nil || v < 0 || v >= int64(bound) {
-				return s.frameErr("resolve reply", src, rd.Err())
+				return frameErr(s.rnk, "resolve reply", src, rd.Err())
 			}
 			res[i] = int(v)
 		}
 		if rd.Remaining() != 0 {
-			return s.frameErr("resolve reply", src, errLongFrame)
+			return frameErr(s.rnk, "resolve reply", src, errLongFrame)
 		}
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -75,8 +74,8 @@ func TestGoldenOutOfCore(t *testing.T) {
 
 // TestRunRankLayoutTCP drives the per-process out-of-core entry point:
 // every TCP rank builds the streaming layout itself, keeps its part, and
-// solves via RunRankLayout. The assembled membership must match the
-// in-process RunLayout result exactly.
+// solves via RunRankLayout. Rank 0's Result must be the in-process
+// RunLayout's, field by field.
 func TestRunRankLayoutTCP(t *testing.T) {
 	s := goldenSharded(t, 3)
 	const p = 4
@@ -89,52 +88,22 @@ func TestRunRankLayoutTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	addrs := coreFreeAddrs(t, p)
-	results := make([]*RankResult, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep, err := comm.DialTCPWorld(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			defer ep.Close()
-			l, err := partition.BuildStreaming(s, opt.PartitionOptions())
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			results[r], errs[r] = RunRankLayout(ep, l.Parts[r], opt)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+	var got *Result
+	err = tcpWorld(t)(p, func(c comm.Comm) error {
+		l, err := partition.BuildStreaming(s, opt.PartitionOptions())
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			return err
 		}
-	}
-	m := make(graph.Membership, s.NumVertices())
-	for _, res := range results {
-		for i, u := range res.Tracked {
-			m[u] = res.Labels[i]
+		res, err := RunRankLayout(c, l.Parts[c.Rank()], opt)
+		if c.Rank() == 0 {
+			got = res
 		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Normalize()
-	if results[0].Modularity != want.Modularity {
-		t.Errorf("Q = %s, in-process %s",
-			strconv.FormatFloat(results[0].Modularity, 'x', -1, 64),
-			strconv.FormatFloat(want.Modularity, 'x', -1, 64))
-	}
-	for u := range m {
-		if m[u] != want.Membership[u] {
-			t.Fatalf("vertex %d in community %d, in-process %d", u, m[u], want.Membership[u])
-		}
-	}
+	sameResult(t, "tcp", got, want)
 }
 
 func TestRunLayoutErrors(t *testing.T) {

@@ -169,9 +169,9 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // PartitionOptions maps o onto the partitioner's options. Every entry
-// point — Run, RunRank, the resident service and the out-of-core drivers —
-// partitions through it, so they all cut the same graph the same way; an
-// unset DHigh stays unset and the partitioner decides it.
+// point — Run, RunRankLayout's callers, the resident service, the -oocore
+// drivers — partitions through it, so they all cut the same graph the same
+// way; an unset DHigh stays unset and the partitioner decides it.
 func (o Options) PartitionOptions() partition.Options {
 	return partition.Options{P: o.P, Kind: o.Partitioning, DHigh: o.DHigh}
 }

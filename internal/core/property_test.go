@@ -1,15 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"sync"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/comm"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // randomGraph builds a small random weighted graph from a seed.
@@ -109,102 +109,50 @@ func TestQuickSimWorkDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuickRunRankAgreesAcrossTransports runs the same graph over the
-// in-process and (loopback) TCP transports and checks identical results.
+// TestQuickRunRankAgreesAcrossTransports runs the same random graph over the
+// in-process and (loopback) TCP transports and checks identical Results.
 func TestQuickRunRankAgreesAcrossTransports(t *testing.T) {
 	withInvariants(t)
 	g, err := randomGraph(99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inprocQ float64
-	err = comm.RunWorld(3, func(c comm.Comm) error {
-		res, err := RunRank(c, g, Options{P: 3})
-		if err != nil {
-			return err
-		}
-		// Every rank reports the same Q; only rank 0 writes the shared
-		// variable (concurrent same-value writes are still a data race).
-		if c.Rank() == 0 {
-			inprocQ = res.Modularity
-		}
-		return nil
-	})
+	opt := Options{P: 3}
+	want, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, Options{P: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inprocQ != want.Modularity {
-		t.Errorf("RunRank Q %.9f != Run Q %.9f", inprocQ, want.Modularity)
-	}
+	sameResult(t, "tcp", worldResult(t, tcpWorld(t), g, opt), want)
 }
 
-// TestTCPTransportMatchesInProcess runs the identical clustering over real
-// loopback TCP sockets and asserts bit-identical results with the
-// in-process transport.
+// TestTCPTransportMatchesInProcess solves over real loopback TCP sockets and
+// asserts that rank 0's Result is RunLayout's field by field — membership,
+// Q, trace, dendrogram, per-rank traffic, census, balance and the busy
+// breakdown — on the golden fixture and a hub-bearing R-MAT, for both
+// partitionings at P = 2, 3, 4. Only wall-clock fields may differ.
 func TestTCPTransportMatchesInProcess(t *testing.T) {
-	g, err := randomGraph(123)
+	rmat, err := gen.RMAT(gen.Graph500RMAT(11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, Options{P: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reserve three loopback ports.
-	addrs := make([]string, 3)
-	lns := make([]net.Listener, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-
-	results := make([]*RankResult, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep, err := comm.DialTCPWorld(r, addrs)
-			if err != nil {
-				errs[r] = err
-				return
+	for _, gr := range []struct {
+		name  string
+		g     *graph.Graph
+		dhigh int
+	}{{"golden", goldenGraph(t), 0}, {"rmat11", rmat, 64}} {
+		for _, kind := range []partition.Kind{partition.Delegate, partition.OneD} {
+			for _, p := range []int{2, 3, 4} {
+				name := fmt.Sprintf("%s/%v/p=%d", gr.name, kind, p)
+				opt := Options{P: p, Partitioning: kind, DHigh: gr.dhigh, TrackTrace: true, TrackLevels: true}
+				want, err := Run(gr.g, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if gr.dhigh > 0 && kind == partition.Delegate && want.HubCount == 0 {
+					t.Fatalf("%s: no hubs", name)
+				}
+				sameResult(t, name, worldResult(t, tcpWorld(t), gr.g, opt), want)
 			}
-			defer ep.Close()
-			results[r], errs[r] = RunRank(ep, g, Options{P: 3})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	m := make(graph.Membership, g.NumVertices())
-	for _, res := range results {
-		for i, u := range res.Tracked {
-			m[u] = res.Labels[i]
-		}
-	}
-	m.Normalize()
-	if results[0].Modularity != want.Modularity {
-		t.Errorf("TCP Q %.9f != in-process Q %.9f", results[0].Modularity, want.Modularity)
-	}
-	for i := range m {
-		if m[i] != want.Membership[i] {
-			t.Fatal("TCP membership differs from in-process membership")
 		}
 	}
 }

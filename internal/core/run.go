@@ -36,10 +36,6 @@ type StopRule struct {
 	Tau0 float64
 	// Scale divides τ at every coarser level; 1 (or less) keeps one τ.
 	Scale float64
-	// AggTol, when > 0, also ends the hierarchy after a merge that keeps
-	// more than this fraction of the vertices (Sahu's aggregation
-	// tolerance, arXiv 2301.12390).
-	AggTol float64
 }
 
 // defaultStop is Lu et al.'s coarse-then-fine threshold (arXiv 1410.1237):
@@ -57,12 +53,6 @@ func (r StopRule) tau(level int) float64 {
 		t /= r.Scale
 	}
 	return t
-}
-
-// coarsensTooLittle reports whether a merge of n vertices into k
-// communities ends the hierarchy under AggTol.
-func (r StopRule) coarsensTooLittle(k, n int) bool {
-	return r.AggTol > 0 && float64(k) > r.AggTol*float64(n)
 }
 
 // stopper is one stage's stop decision. Every rank feeds it the replicated
@@ -225,7 +215,7 @@ type Result struct {
 
 	// Timings. Stage1Time covers the delegate clustering stage; Stage2Time
 	// covers merging plus all later stages. Both are the maximum across
-	// ranks; TotalTime is wall clock for the whole world.
+	// ranks; TotalTime is rank 0's wall clock up to this Result's assembly.
 	PartitionTime time.Duration
 	Stage1Time    time.Duration
 	Stage2Time    time.Duration
@@ -254,33 +244,13 @@ type Result struct {
 	// uses this; see EXPERIMENTS.md).
 	BusyBreakdown trace.Breakdown
 
-	// CommStats is the per-rank traffic census of the whole run.
+	// CommStats is the per-rank traffic census of the whole run, up to the
+	// answer gather that ends it (each rank snapshots before it answers).
 	CommStats comm.WorldStats
 
 	// BalanceRatio is the whole-run work balance: max over ranks of total
 	// deterministic work units divided by the mean (1.0 = perfect balance).
 	BalanceRatio float64
-}
-
-// rankOut is what each rank contributes to the final Result.
-type rankOut struct {
-	tracked  []int // original vertex IDs this rank reports
-	labels   []int // final community labels, parallel to tracked
-	stage1   stageResult
-	qtrace   []float64
-	finalQ   float64
-	outer    int
-	stage1NS int64
-	stage2NS int64
-	sim1NS   int64
-	sim2NS   int64
-	comm1NS  int64
-	comm2NS  int64
-	bd       trace.Breakdown
-	busyBD   trace.Breakdown
-	levels   [][]int // per-stage label snapshots of tracked vertices
-
-	workUnits int64 // total deterministic work units across all stages
 }
 
 // DefaultDHigh returns 0, which asks the partitioner for its default hub
@@ -330,80 +300,21 @@ func runLayout(layout *partition.Layout, opt Options, rule StopRule) (*Result, e
 	if layout == nil || len(layout.Parts) == 0 {
 		return nil, fmt.Errorf("core: RunLayout needs a non-empty layout")
 	}
-	if opt.P == 0 {
-		opt.P = layout.P
-	}
-	if opt.P != layout.P {
-		return nil, fmt.Errorf("core: Options.P = %d but layout has %d ranks", opt.P, layout.P)
-	}
-	nGlobal := layout.Parts[0].GlobalVertices
-
-	outs := make([]*rankOut, opt.P)
-	tStart := trace.Now()
-	stats, err := comm.RunWorldStats(opt.P, func(c comm.Comm) error {
-		o, err := runRank(c, layout.Parts[c.Rank()], opt, rule)
+	// The world follows the layout; an opt.P other than its P fails on
+	// every rank in NewSession.
+	var res *Result
+	err := comm.RunWorld(layout.P, func(c comm.Comm) error {
+		r, err := runRankLayout(c, layout.Parts[c.Rank()], opt, rule)
 		if err != nil {
 			return fmt.Errorf("rank %d: %w", c.Rank(), err)
 		}
-		outs[c.Rank()] = o
+		if c.Rank() == 0 {
+			res = r
+		}
 		return nil
 	})
-	totalTime := trace.Since(tStart)
 	if err != nil {
 		return nil, err
-	}
-
-	res := &Result{
-		Membership:    make(graph.Membership, nGlobal),
-		TotalTime:     totalTime,
-		CommStats:     stats,
-		HubCount:      len(layout.Hubs),
-		Census:        layout.Census(),
-		Breakdown:     outs[0].bd,
-		BusyBreakdown: outs[0].busyBD,
-		Stage1Iters:   outs[0].stage1.Iters,
-		OuterLevels:   outs[0].outer,
-		Modularity:    outs[0].finalQ,
-		QTrace:        outs[0].qtrace,
-	}
-	for _, o := range outs {
-		for i, u := range o.tracked {
-			res.Membership[u] = o.labels[i]
-		}
-		if d := time.Duration(o.stage1NS); d > res.Stage1Time {
-			res.Stage1Time = d
-		}
-		if d := time.Duration(o.stage2NS); d > res.Stage2Time {
-			res.Stage2Time = d
-		}
-	}
-	var wmax, wsum int64
-	for _, o := range outs {
-		wsum += o.workUnits
-		if o.workUnits > wmax {
-			wmax = o.workUnits
-		}
-	}
-	if wsum > 0 {
-		res.BalanceRatio = float64(wmax) * float64(len(outs)) / float64(wsum)
-	}
-	res.Stage1Sim = time.Duration(outs[0].sim1NS)
-	res.Stage2Sim = time.Duration(outs[0].sim2NS)
-	res.Stage1CommSim = time.Duration(outs[0].comm1NS)
-	res.Stage2CommSim = time.Duration(outs[0].comm2NS)
-	res.Membership.Normalize()
-	if opt.TrackLevels && len(outs[0].levels) > 0 {
-		nLevels := len(outs[0].levels)
-		for l := 0; l < nLevels; l++ {
-			m := make(graph.Membership, nGlobal)
-			for _, o := range outs {
-				for i, u := range o.tracked {
-					m[u] = o.levels[l][i]
-				}
-			}
-			m.Normalize()
-			res.LevelMemberships = append(res.LevelMemberships, m)
-		}
 	}
 	return res, nil
 }

@@ -16,7 +16,7 @@ import (
 // It is the refactor seam between the batch CLI and the resident serving
 // layer (cmd/dserver): both drive the same object.
 //
-// The batch path (core.Run / core.RunRank) constructs a Session and calls
+// The batch path (core.Run / core.RunRankLayout) constructs a Session and calls
 // solve(), the hierarchical solve of Algorithm 1; the Session adds no
 // collectives and no state to that path.
 //
@@ -175,16 +175,16 @@ func (s *Session) solve() (*rankOut, error) {
 		return nil, err
 	}
 	out := &rankOut{
-		tracked:  tracked,
-		stage1:   res1,
-		qtrace:   append([]float64(nil), res1.QTrace...),
-		finalQ:   res1.Q,
-		outer:    1,
-		stage1NS: int64(trace.Since(t1)),
-		sim1NS:   res1.SimNS,
-		comm1NS:  res1.CommSimNS,
-		bd:       st.bd,
-		busyBD:   st.workBreakdown(),
+		tracked:     tracked,
+		stage1Iters: res1.Iters,
+		qtrace:      append([]float64(nil), res1.QTrace...),
+		finalQ:      res1.Q,
+		outer:       1,
+		stage1NS:    int64(trace.Since(t1)),
+		sim1NS:      res1.SimNS,
+		comm1NS:     res1.CommSimNS,
+		bd:          st.bd,
+		busyBD:      st.workBreakdown(),
 	}
 	out.workUnits += st.work
 
@@ -214,8 +214,8 @@ func (s *Session) solve() (*rankOut, error) {
 			return nil, err
 		}
 		snapshot()
-		if k <= 1 || k == curCount || s.stop.coarsensTooLittle(k, curCount) {
-			// Fully merged, or merging achieved nothing (or too little): done.
+		if k <= 1 || k == curCount {
+			// Fully merged, or merging achieved nothing: done.
 			out.labels = cur
 			return out, nil
 		}

@@ -63,7 +63,7 @@ func TestStopDecision(t *testing.T) {
 	}
 }
 
-// TestStopRuleLevels pins τ_l and the aggregation tolerance.
+// TestStopRuleLevels pins τ_l.
 func TestStopRuleLevels(t *testing.T) {
 	for _, tc := range []struct {
 		rule  StopRule
@@ -80,10 +80,6 @@ func TestStopRuleLevels(t *testing.T) {
 		if got := tc.rule.tau(tc.level); math.Abs(got-tc.want) > 1e-12*tc.want {
 			t.Errorf("%+v.tau(%d) = %g, want %g", tc.rule, tc.level, got, tc.want)
 		}
-	}
-	sahu := StopRule{AggTol: 0.8}
-	if !sahu.coarsensTooLittle(81, 100) || sahu.coarsensTooLittle(80, 100) || defaultStop.coarsensTooLittle(99, 100) {
-		t.Error("aggregation tolerance: want a merge keeping 81 of 100 to stop the hierarchy, 80 of 100 not, and no tolerance by default")
 	}
 }
 

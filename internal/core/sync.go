@@ -39,13 +39,13 @@ func (s *stage) sendScratch() [][]byte {
 // owner's value. The watch requests ride the flush frames that go to the
 // same owner anyway (flushDeltas).
 
-// frameErr reports a frame that failed to decode or named an id the sender
-// had no business naming.
-func (s *stage) frameErr(kind string, src int, cause error) error {
+// frameErr reports a kind frame that rank rnk failed to decode, or that
+// named an id its sender src had no business naming.
+func frameErr(rnk int, kind string, src int, cause error) error {
 	if cause == nil {
 		cause = errForeignID
 	}
-	return fmt.Errorf("core: rank %d: malformed %s frame from rank %d: %w", s.rnk, kind, src, cause)
+	return fmt.Errorf("core: rank %d: malformed %s frame from rank %d: %w", rnk, kind, src, cause)
 }
 
 var (
@@ -167,7 +167,7 @@ func (s *stage) applyPush(src int, payload []byte) (int64, error) {
 		tot := rd.Varint()
 		size := int32(rd.Varint())
 		if rd.Err() != nil || !s.watched[c] {
-			return n, s.frameErr("push", src, rd.Err())
+			return n, frameErr(s.rnk, "push", src, rd.Err())
 		}
 		s.tot[c] = tot
 		s.size[c] = size
@@ -259,7 +259,7 @@ func (s *stage) recvProposals(src int, payload []byte) (int64, error) {
 		i := rd.StrideDelta(prev, 1, len(s.sg.Hubs))
 		imp, t := rd.F64(), rd.Varint()
 		if rd.Err() != nil || !s.owns(s.sg.Hubs[i]) || !(imp > gainEps) || t < 0 || t >= int64(s.n) {
-			return n, s.frameErr("hub-proposal", src, rd.Err())
+			return n, frameErr(s.rnk, "hub-proposal", src, rd.Err())
 		}
 		w := &s.hubWin[i]
 		if w.improvement == negInf {
@@ -347,7 +347,7 @@ func (s *stage) ghostSwap() error {
 			v := rd.StrideDelta(prev, 1, s.n)
 			c := rd.Varint()
 			if rd.Err() != nil || c < 0 || c >= int64(s.n) || s.comm[v] < 0 || partition.Owner(v, s.p) != src {
-				return s.frameErr("ghost-swap", src, rd.Err())
+				return frameErr(s.rnk, "ghost-swap", src, rd.Err())
 			}
 			if old := int(s.comm[v]); old != int(c) {
 				recvd += s.armRev(v, old, int(c))
@@ -407,7 +407,7 @@ func (s *stage) recvMoves(src int, rd *wire.Reader) (int64, error) {
 		i := rd.StrideDelta(prev, 1, len(s.sg.Hubs))
 		t := rd.Varint()
 		if rd.Err() != nil || partition.Owner(s.sg.Hubs[i], s.p) != src || t < 0 || t >= int64(s.n) {
-			return n, s.frameErr("hub-move", src, rd.Err())
+			return n, frameErr(s.rnk, "hub-move", src, rd.Err())
 		}
 		s.moveTo[i] = int32(t)
 		s.moves = append(s.moves, i)
@@ -536,7 +536,7 @@ func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 		c := rd.StrideDelta(prev, s.p, s.n)
 		dw, dn := rd.Varint(), int32(rd.Varint())
 		if rd.Err() != nil {
-			return n, s.frameErr("flush", src, rd.Err())
+			return n, frameErr(s.rnk, "flush", src, rd.Err())
 		}
 		t := s.ownTot[c]
 		s.sumSq = s.sumSq.addSq(t, true).addSq(t+dw, false)
@@ -553,7 +553,7 @@ func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 	for rd.Remaining() > 0 {
 		c := rd.StrideDelta(prev, s.p, s.n)
 		if rd.Err() != nil {
-			return n, s.frameErr("flush", src, rd.Err())
+			return n, frameErr(s.rnk, "flush", src, rd.Err())
 		}
 		li := c / s.p
 		s.wRank = append(s.wRank, int32(src))

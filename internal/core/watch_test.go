@@ -125,8 +125,7 @@ func TestCacheCoherence(t *testing.T) {
 				}
 				for seed := int64(1); seed <= 3; seed++ {
 					err := comm.RunWorldChaos(p, benignCoreChaos(seed), func(c comm.Comm) error {
-						_, err := RunRank(c, g, opt)
-						return err
+						return solveRank(c, g, opt)
 					})
 					if err != nil {
 						t.Fatalf("%s chaos seed %d: %v", name, seed, err)
@@ -672,8 +671,7 @@ func pushUsefulness(t *testing.T, g *graph.Graph, opt Options) (pushed, useful i
 	}
 	defer func() { testPushHook = nil }()
 	err := comm.RunWorld(opt.P, func(c comm.Comm) error {
-		_, err := RunRank(&lastFrameComm{Comm: c, last: make([][]byte, opt.P)}, g, opt)
-		return err
+		return solveRank(&lastFrameComm{Comm: c, last: make([][]byte, opt.P)}, g, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,8 @@ type convergeRule struct {
 }
 
 // convergeRules lists the rules the lane sweeps: the absolute θ the solver
-// ran before, one relative τ at every level, Lu et al.'s coarse-then-fine
-// threshold at four τ0, and the solver's rule with Sahu's aggregation
-// tolerance on top. The solver's own rule is starred.
+// ran before, one relative τ at every level, and Lu et al.'s
+// coarse-then-fine threshold at four τ0. The solver's own rule is starred.
 func convergeRules() []convergeRule {
 	def := core.DefaultStop()
 	rules := []convergeRule{
@@ -36,9 +35,7 @@ func convergeRules() []convergeRule {
 		}
 		rules = append(rules, convergeRule{name, r})
 	}
-	sahu := def
-	sahu.AggTol = 0.8
-	return append(rules, convergeRule{fmt.Sprintf("τ0 = %g + aggregation tol 0.8", def.Tau0), sahu})
+	return rules
 }
 
 // convergeSum accumulates one rule's results over a seed's instances.

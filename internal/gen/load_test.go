@@ -20,8 +20,8 @@ func setProcs(t *testing.T, n int) {
 
 // TestLoad drives the commands' shared loader over every file format it
 // picks by extension and over the -graph/-gen misuse cases. The .metis row
-// is the one cmd/worker's private loader used to read as an edge list, and
-// "both" the one it silently accepted.
+// is one a private loader once read as an edge list, and "both" the one it
+// silently accepted.
 func TestLoad(t *testing.T) {
 	rmat, _, err := ParseSpec("rmat:scale=7,seed=3")
 	if err != nil {
