@@ -1,7 +1,7 @@
 package repro_test
 
 import (
-	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -14,11 +14,18 @@ import (
 // the corresponding experiment at the quick profile; `cmd/experiments`
 // (without -quick) runs the full profile and prints the tables.
 
+// benchExperiment runs one lane on a fresh quick-profile Suite per
+// iteration, so each iteration builds its graphs and solves them.
 func benchExperiment(b *testing.B, name string) {
 	b.Helper()
-	p := expt.Quick()
-	for i := 0; i < b.N; i++ {
-		if err := expt.Run(name, p, io.Discard); err != nil {
+	lanes := expt.Lanes()
+	i := slices.IndexFunc(lanes, func(l expt.Lane) bool { return l.Name == name })
+	if i < 0 {
+		b.Fatalf("no lane %q", name)
+	}
+	run := lanes[i].Run
+	for range b.N {
+		if _, err := run(expt.NewSuite(expt.Quick())); err != nil {
 			b.Fatal(err)
 		}
 	}

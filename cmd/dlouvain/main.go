@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	opt := core.Options{
-		P: *p, DHigh: *dhigh, TrackTrace: *showTrace, Resolution: *gamma,
+		P: *p, DHigh: *dhigh, Resolution: *gamma,
 		TrackLevels: *showLevels, CommDeadline: *commDL,
 	}
 	var err error

@@ -66,6 +66,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad-partitioning", []string{"-gen", "rmat:scale=4", "-partitioning", "2d"}, 2, "dlouvain: "},
 		{"missing-graph", []string{"-graph", filepath.Join(dir, "none.txt")}, 1, "dlouvain: "},
 		{"bad-spec", []string{"-gen", "nosuchkind:n=3"}, 1, "dlouvain: "},
+		{"unknown-spec-key", []string{"-gen", "lfr:n=500,mux=0.9,sed=7"}, 1,
+			"dlouvain: gen: spec lfr: unknown key \"mux\" (accepted: n mu seed)\n"},
 		{"nan-weight", []string{"-graph", nan}, 1, "dlouvain: "},
 		{"missing-sbin", []string{"-oocore", "-graph", filepath.Join(dir, "none.sbin")}, 1, "dlouvain: "},
 
@@ -124,6 +126,8 @@ func TestExitCodesTCP(t *testing.T) {
 			"dlouvain: unknown heuristic \"greedy\"\n"},
 		{"missing-graph", []string{"-graph", filepath.Join(dir, "none.txt")}, 1, "dlouvain: open "},
 		{"bad-spec", []string{"-gen", "nosuchkind:n=3"}, 1, "dlouvain: "},
+		{"unknown-spec-key", []string{"-gen", "lfr:n=500,mux=0.9,sed=7"}, 1,
+			"dlouvain: gen: spec lfr: unknown key \"mux\" (accepted: n mu seed)\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := dlouvain(append(slices.Clone(tcp), tc.args...)...)

@@ -33,9 +33,15 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	lanes := expt.Lanes()
+	var names []string
+	for _, l := range lanes {
+		names = append(names, l.Name)
+	}
+	known := strings.Join(names, ",")
 	var (
 		quick  = fs.Bool("quick", false, "use the fast profile (small graphs, small processor counts)")
-		only   = fs.String("only", "", "comma-separated experiments to run (default all): "+strings.Join(expt.Names, ","))
+		only   = fs.String("only", "", "comma-separated experiments to run (default all): "+known)
 		csvDir = fs.String("csv", "", "also write each table as a CSV file into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -46,36 +52,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	names := expt.Names
 	if *only != "" {
-		names = strings.Split(*only, ",")
-		for i, name := range names {
-			names[i] = strings.TrimSpace(name)
-			if !slices.Contains(expt.Names, names[i]) {
-				fmt.Fprintf(stderr, "experiments: unknown experiment %q (known: %s)\n", names[i], strings.Join(expt.Names, ","))
+		var picked []expt.Lane
+		for _, name := range strings.Split(*only, ",") {
+			name = strings.TrimSpace(name)
+			i := slices.IndexFunc(lanes, func(l expt.Lane) bool { return l.Name == name })
+			if i < 0 {
+				fmt.Fprintf(stderr, "experiments: unknown experiment %q (known: %s)\n", name, known)
 				return 2
 			}
+			picked = append(picked, lanes[i])
 		}
+		lanes = picked
 	}
 	profile := expt.Full()
 	if *quick {
 		profile = expt.Quick()
 	}
-	for _, name := range names {
+	suite := expt.NewSuite(profile)
+	for _, l := range lanes {
 		t0 := time.Now()
-		tables, err := expt.Tables(name, profile)
+		tables, err := l.Run(suite)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", l.Name, err))
 		}
 		for i, tbl := range tables {
 			tbl.Fprint(stdout)
 			if *csvDir != "" {
-				if err := writeCSV(*csvDir, name, i, tbl); err != nil {
+				if err := writeCSV(*csvDir, l.Name, i, tbl); err != nil {
 					return fail(err)
 				}
 			}
 		}
-		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", l.Name, time.Since(t0).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -22,7 +22,6 @@ var testOnlyExports = map[string]string{
 	"repro/internal/comm.TransientError.Unwrap": "reached by errors.Is/As through their unnamed Unwrap interface; the conformance suite checks the chain",
 	"repro/internal/graph.Membership.Sizes":     "community-size histogram the LFR bounds test of internal/gen reads",
 	"repro/internal/partition.Census.TotalArcs": "arc-conservation check of the partition tests",
-	"repro/internal/expt.RunAll":                "runs every experiment; the smoke test is its caller, cmd/experiments runs them by name",
 	"repro/internal/loadgen.Replay":             "deterministic replay of a plan, pinned by TestReplayDeterministic",
 	"repro/internal/loadgen.Run":                "the timed run of a plan, with the latency percentiles TestRunClosedLoop checks",
 	"repro/internal/trace.Breakdown.Total":      "phase sum that core's TestStage1TimingsPopulated checks is positive",

@@ -300,9 +300,11 @@ func TestWeightedGraph(t *testing.T) {
 	}
 }
 
+// TestTrackTrace: every run fills Result.QTrace, one Q per iteration of
+// every stage, ending at the final Q.
 func TestTrackTrace(t *testing.T) {
 	g, _ := mustLFR(t, 400, 0.25, 3)
-	res, err := Run(g, Options{P: 4, TrackTrace: true})
+	res, err := Run(g, Options{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

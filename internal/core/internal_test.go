@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -194,7 +195,7 @@ func TestRunRankMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{P: 3, TrackTrace: true, TrackLevels: true}
+	opt := Options{P: 3, TrackLevels: true}
 	want, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +273,7 @@ func TestAssembleHostileAnswers(t *testing.T) {
 		{"unpaired-labels", answer([]int{1, 3}, []int{1}, []int{1, 1}).encode(), errTiling},
 		{"missing-level", answer([]int{1, 3}, []int{1, 1}).encode(), errTiling},
 		{"empty", nil, nil},
+		{"huge-length", binary.AppendUvarint(nil, 1<<63), nil}, // must not wrap negative in Ints
 	}
 	for i := 1; i < len(good); i++ {
 		cases = append(cases, struct {

@@ -205,7 +205,7 @@ func TestStage1ModularityMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(g, Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk, TrackTrace: true})
+			res, err := Run(g, Options{P: 4, Heuristic: cfg.h, Partitioning: cfg.pk})
 			if err != nil {
 				t.Fatalf("h=%v part=%v seed=%d: %v", cfg.h, cfg.pk, seed, err)
 			}

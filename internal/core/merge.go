@@ -70,6 +70,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// slots is the number of ids in [0, n) that rank r of p owns (id mod p = r).
+func slots(n, r, p int) int {
+	if n <= r {
+		return 0
+	}
+	return (n-r-1)/p + 1
+}
+
 // merge implements Algorithm 3: dense numbering, dense-ID resolution, arc
 // shipping with local pre-aggregation, and counting-sort assembly. After
 // merge returns, s.dense holds the dense mapping for the communities this
@@ -83,11 +91,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// 1. Dense numbering of non-empty owned communities: count them, agree
 	// on prefix offsets via an allgather, then assign consecutive IDs into
 	// the strided denseOwn table (row c/p holds community c ≡ rnk mod p).
-	rowsOwn := 0
-	if s.n > s.rnk {
-		rowsOwn = (s.n-s.rnk-1)/s.p + 1
-	}
-	ms.denseOwn = grow(ms.denseOwn, rowsOwn)
+	ms.denseOwn = grow(ms.denseOwn, slots(s.n, s.rnk, s.p))
 	nLocal := 0
 	for c := s.rnk; c < s.n; c += s.p {
 		if s.ownSize[c] > 0 {
@@ -102,11 +106,21 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	base, total := 0, 0
 	for r := 0; r < s.p; r++ {
-		n := int(wire.NewReader(counts[r]).Uvarint())
-		if r < s.rnk {
-			base += n
+		// A count is one uvarint, at most the sender's slot count.
+		rd := wire.NewReader(counts[r])
+		n := rd.Uvarint()
+		switch {
+		case rd.Err() != nil:
+			return nil, 0, frameErr(s.rnk, "merge count", r, rd.Err())
+		case rd.Remaining() != 0:
+			return nil, 0, frameErr(s.rnk, "merge count", r, errLongFrame)
+		case n > uint64(slots(s.n, r, s.p)):
+			return nil, 0, frameErr(s.rnk, "merge count", r, nil)
 		}
-		total += n
+		if r < s.rnk {
+			base += int(n)
+		}
+		total += int(n)
 	}
 	id := int32(base)
 	for c := s.rnk; c < s.n; c += s.p {
@@ -253,10 +267,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	ms.frameOff[s.p] = mr
 	ms.xA, ms.yA, ms.wA = grow(ms.xA, mr), grow(ms.yA, mr), grow(ms.wA, mr)
 	ms.xB, ms.yB, ms.wB = grow(ms.xB, mr), grow(ms.yB, mr), grow(ms.wB, mr)
-	rowsLocal := 0
-	if total > s.rnk {
-		rowsLocal = (total-s.rnk-1)/s.p + 1
-	}
+	rowsLocal := slots(total, s.rnk, s.p)
 	for r := 0; r < s.p; r++ {
 		if err := s.decodeArcFrame(r, ms.frameBody[r], ms.frameOff[r], ms.frameOff[r+1], rowsLocal, total); err != nil {
 			return nil, 0, err

@@ -94,9 +94,6 @@ type Options struct {
 	// Defaults to 100; HeuristicSimple's bouncing labels are what runs
 	// into it.
 	MaxInnerIters int
-	// TrackTrace records the global modularity after every inner iteration
-	// of every clustering stage (Result.QTrace; Figure 5).
-	TrackTrace bool
 	// Resolution is the γ of generalized (Reichardt–Bornholdt) modularity;
 	// 0 or 1 is standard modularity, larger values produce more, smaller
 	// communities. All gains and the reported modularity use it.

@@ -143,7 +143,7 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 		for _, kind := range []partition.Kind{partition.Delegate, partition.OneD} {
 			for _, p := range []int{2, 3, 4} {
 				name := fmt.Sprintf("%s/%v/p=%d", gr.name, kind, p)
-				opt := Options{P: p, Partitioning: kind, DHigh: gr.dhigh, TrackTrace: true, TrackLevels: true}
+				opt := Options{P: p, Partitioning: kind, DHigh: gr.dhigh, TrackLevels: true}
 				want, err := Run(gr.g, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

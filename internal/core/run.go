@@ -180,9 +180,7 @@ func (s *stage) cluster() (stageResult, error) {
 		res.Iters = iter
 		res.Q = st.Q
 		res.Moved += st.Moved
-		if s.opt.TrackTrace {
-			res.QTrace = append(res.QTrace, st.Q)
-		}
+		res.QTrace = append(res.QTrace, st.Q)
 		if stop.done(iter, st.Q, st.Moved) {
 			return res, nil
 		}
@@ -198,7 +196,7 @@ type Result struct {
 	// by the distributed reduction, not recomputed from Membership).
 	Modularity float64
 	// QTrace is the global modularity after every inner clustering
-	// iteration across all stages (only filled with Options.TrackTrace).
+	// iteration across all stages.
 	QTrace []float64
 	// LevelMemberships is the dendrogram — the membership of the original
 	// vertices after each clustering stage (only with Options.TrackLevels).

@@ -256,8 +256,9 @@ func (s *Session) solve() (*rankOut, error) {
 // global minimum original vertex of each final community. That keeps
 // community c owned by rank c mod p (the invariant every aggregate exchange
 // relies on) without a separate community ID space. Two collectives compute
-// the representatives, then the stage is rebuilt with exact aggregates and
-// replicated hub/ghost labels, and the drift counters reset.
+// the representatives, then the stage is rebuilt with exact aggregates, a
+// third fetches the labels of other ranks' hubs and of the ghosts from their
+// owners, and the drift counters reset.
 func (s *Session) install() error {
 	tracked, labels := s.out.tracked, s.out.labels
 
@@ -339,40 +340,22 @@ func (s *Session) install() error {
 		st.addDelta(reps[i], k, 1)
 	}
 
-	// Hub labels are replicated state: every rank learns every hub's
-	// representative from the hub's owner (disjoint writes, rank order).
-	repBuf := wire.NewBuffer(0)
-	for i := nOwned; i < len(tracked); i++ {
-		hi, _ := st.hubIndex(tracked[i])
-		repBuf.PutUvarint(uint64(hi))
-		repBuf.PutVarint(int64(reps[i]))
+	// Every other label this rank holds — the hubs it does not own, then
+	// its ghosts — comes from the vertex's owner, which set it above. Both
+	// legs of the lookup are checked like any other peer frame.
+	var held []int
+	for _, h := range s.sg.Hubs {
+		if !st.owns(h) {
+			held = append(held, h)
+		}
 	}
-	hubFrames, err := comm.Allgather(s.c, repBuf.Bytes())
+	held = append(held, s.sg.Ghosts...)
+	heldReps, err := st.resolveQueries(held, s.n, func(v int) int { return int(st.comm[v]) })
 	if err != nil {
 		return err
 	}
-	for r := 0; r < s.p; r++ {
-		rd := wire.NewReader(hubFrames[r])
-		for rd.Remaining() > 0 {
-			hi := int(rd.Uvarint())
-			rep := int(rd.Varint())
-			st.comm[s.sg.Hubs[hi]] = int32(rep)
-		}
-		if err := rd.Err(); err != nil {
-			return err
-		}
-	}
-
-	// Ghost labels: push every subscribed owned vertex's label through the
-	// regular ghost swap (what it arms is disarmed below).
-	st.changed = st.changed[:0]
-	for _, u := range s.sg.Owned {
-		if len(s.sg.Subscribers[u]) > 0 {
-			st.changed = append(st.changed, u)
-		}
-	}
-	if err := st.ghostSwap(); err != nil {
-		return err
+	for i, v := range held {
+		st.comm[v] = int32(heldReps[i])
 	}
 
 	// Every label is final: one flush carries the aggregates to their

@@ -212,8 +212,10 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 }
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
-// exchanges, of the owner lookups (both legs) and of the merge's arc
-// exchange — an id past the end of the dense arrays, a repeated id, a vertex
+// exchanges, of the owner lookups (both legs), of the merge's community
+// count and arc exchange and of Session.install's label lookup — an id past
+// the end of the dense arrays, a repeated id, a length or count past what
+// the sender may send, a vertex
 // or hub outside what the sender may address, a truncated record, a record
 // count the frame cannot hold, trailing bytes — into rank 0's receive path
 // from rank 1. Every one must come back from the exchange as an error
@@ -410,6 +412,23 @@ func TestGarbledFrames(t *testing.T) {
 		})},
 		{"resolve/reply-out-of-range", "reply", enc(func(b *wire.Buffer) { b.PutVarint(int64(n)) })},
 		{"merge/dense-reply-out-of-range", "dense", nil}, // denseReply
+		// A request's length prefix of 2⁶³ must not wrap negative in Ints.
+		{"resolve/request-huge-length", "request", enc(func(b *wire.Buffer) { b.PutUvarint(1 << 63) })},
+		// The merge's community count: one uvarint, at most the sender's
+		// owned-slot count (100 of the 400 stage-1 communities for rank 1).
+		{"merge/count-huge", "count", enc(func(b *wire.Buffer) { b.PutUvarint(1 << 50) })},
+		{"merge/count-past-slots", "count", enc(func(b *wire.Buffer) { b.PutUvarint(101) })},
+		{"merge/count-empty", "count", []byte{}},
+		{"merge/count-trailing", "count", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+		})},
+		// Session.install's fourth frame from rank 1: a hub index far past
+		// the hub list, where a hub-label broadcast would index with it.
+		{"install/hub-index-out-of-range", "install", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1 << 20)
+			b.PutVarint(0)
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -421,21 +440,40 @@ func TestGarbledFrames(t *testing.T) {
 				s := newStage(tc0, layout.Parts[c.Rank()], opt)
 				run := func() error {
 					switch tc.step {
-					case "merge", "dense":
+					case "merge", "dense", "count":
 						if _, err := s.clusterNew(); err != nil {
 							return err
 						}
 						// Rank 1's first frame to rank 0 in a merge is its
 						// community count (the Allgather), then come the
 						// request and reply legs of the dense-ID lookup.
-						if c.Rank() == 0 && tc.step == "merge" {
+						switch {
+						case c.Rank() != 0:
+						case tc.step == "merge":
 							// Pass the count and both legs; garble the arcs.
 							tc0.arm(1, 3, tc.frame)
-						} else if c.Rank() == 0 {
+						case tc.step == "dense":
 							tc0.arm(1, 2, denseReply(s))
+						default:
+							tc0.arm(1, 0, tc.frame)
 						}
 						_, _, err := s.merge()
 						return err
+					case "install":
+						sess, err := NewSession(tc0, layout.Parts[c.Rank()], opt)
+						if err != nil {
+							return err
+						}
+						if sess.out, err = sess.solve(); err != nil {
+							return err
+						}
+						// install's frames from rank 1: the representative
+						// exchange and both legs of the representative
+						// lookup pass; the fourth is garbled.
+						if c.Rank() == 0 {
+							tc0.arm(1, 3, tc.frame)
+						}
+						return sess.install()
 					case "request", "reply":
 						if c.Rank() == 0 {
 							skip := 0
@@ -490,7 +528,9 @@ func TestGarbledFrames(t *testing.T) {
 			switch tc.step {
 			case "merge":
 				want = "merge arc frame from rank 1"
-			case "request":
+			case "count":
+				want = "merge count frame from rank 1"
+			case "request", "install":
 				want = "resolve request frame from rank 1"
 			case "reply", "dense":
 				want = "resolve reply frame from rank 1"

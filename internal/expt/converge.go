@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/quality"
 )
 
 // convergeP is the world size of the converge lane: the benchmark's.
@@ -38,28 +37,6 @@ func convergeRules() []convergeRule {
 	return rules
 }
 
-// convergeSum accumulates one rule's results over a seed's instances.
-type convergeSum struct {
-	iters, levels, simMS, q, nmi float64
-	n                            int
-}
-
-func (s *convergeSum) add(res *core.Result, truth graph.Membership) error {
-	s.iters += float64(res.Stage1Iters)
-	s.levels += float64(res.OuterLevels)
-	s.simMS += float64(res.Stage1Sim+res.Stage2Sim) / 1e6
-	s.q += res.Modularity
-	if truth != nil {
-		nmi, err := quality.NMI(res.Membership, truth)
-		if err != nil {
-			return err
-		}
-		s.nmi += nmi
-	}
-	s.n++
-	return nil
-}
-
 // benchInstance generates instance k of benchmark seed seed, deriving the
 // generator seed as the benchmark harness does ((seed·16 + use)·1024 + k,
 // use 1 for LFR and 2 for R-MAT), so the full profile's graphs are the
@@ -72,16 +49,18 @@ func benchInstance(lfr bool, scale, n int, seed int64, k int) (*graph.Graph, gra
 	return g, nil, err
 }
 
-// Converge sweeps the clustering stage's stop rule (core.StopRule) on the
+// converge sweeps the clustering stage's stop rule (core.StopRule) on the
 // benchmark's two batch graphs at P = 4: Graph500 R-MAT and LFR μ = 0.3,
 // scale 16 and n = 60000 with eight instances per seed in the full profile.
 // Seed 1 picked the solver's τ0; seed 2 is held out. Per rule and seed it
 // reports the means over the instances of stage-1 iterations, clustering
 // stages, simulated parallel time and final Q (NMI against the planted
-// partition on LFR), and the change against the absolute rule.
-func Converge(p Profile) ([]*Table, error) {
+// partition on LFR), and the change against the absolute rule. Its
+// instances are not stand-ins and no other lane solves them, so it runs
+// core directly rather than hold every instance in the suite.
+func (s *Suite) converge() ([]*Table, error) {
 	scale, lfrN, insts, seeds := 12, 4000, 2, []int64{1}
-	if p.IncludeLarge {
+	if s.Profile.IncludeLarge {
 		scale, lfrN, insts, seeds = 16, 60000, 8, []int64{1, 2}
 	}
 	rules := convergeRules()
@@ -100,7 +79,7 @@ func Converge(p Profile) ([]*Table, error) {
 			t.Header = append(t.Header, "NMI")
 		}
 		for _, seed := range seeds {
-			sums := make([]convergeSum, len(rules))
+			sums := make([]mean, len(rules))
 			for k := 0; k < insts; k++ {
 				g, truth, err := benchInstance(lfr, scale, lfrN, seed, k)
 				if err != nil {
@@ -118,14 +97,14 @@ func Converge(p Profile) ([]*Table, error) {
 			}
 			base := sums[0]
 			for i, r := range rules {
-				s := sums[i]
-				n := float64(s.n)
+				m := sums[i]
+				n := float64(m.n)
 				row := []any{r.name, seed,
-					fmt.Sprintf("%.1f", s.iters/n), fmt.Sprintf("%.2f", s.levels/n),
-					fmt.Sprintf("%.1f", s.simMS/n), fmt.Sprintf("%+.1f%%", 100*(s.simMS/base.simMS-1)),
-					fmt.Sprintf("%.5f", s.q/n), fmt.Sprintf("%+.2f%%", 100*(s.q/base.q-1))}
+					fmt.Sprintf("%.1f", m.iters/n), fmt.Sprintf("%.2f", m.levels/n),
+					fmt.Sprintf("%.1f", m.simMS/n), fmt.Sprintf("%+.1f%%", 100*(m.simMS/base.simMS-1)),
+					fmt.Sprintf("%.5f", m.q/n), fmt.Sprintf("%+.2f%%", 100*(m.q/base.q-1))}
 				if lfr {
-					row = append(row, fmt.Sprintf("%.4f", s.nmi/n))
+					row = append(row, fmt.Sprintf("%.4f", m.nmi/n))
 				}
 				t.AddRow(row...)
 			}

@@ -1,7 +1,8 @@
 // Package expt is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section V). Each experiment has a
-// runner returning formatted tables/series; cmd/experiments and the
-// top-level benchmarks call these runners.
+// figure of the paper's evaluation (Section V). Each experiment is a lane
+// of Lanes returning formatted tables; cmd/experiments and the top-level
+// benchmarks run the lanes on one Suite, which builds every stand-in and
+// runs every solve once.
 //
 // The paper's real-world datasets (Table I) are multi-billion-edge web
 // crawls that are not redistributable and far exceed a single machine; the
@@ -13,7 +14,6 @@ package expt
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -33,29 +33,6 @@ type Dataset struct {
 	// Large marks the stand-ins for the paper's "large" datasets, which
 	// the quick experiment profile skips.
 	Large bool
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]cachedDataset{}
-)
-
-type cachedDataset struct {
-	g     *graph.Graph
-	truth graph.Membership
-	err   error
-}
-
-// Load generates (or returns the cached) graph for the dataset.
-func (d Dataset) Load() (*graph.Graph, graph.Membership, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if c, ok := cache[d.Name]; ok {
-		return c.g, c.truth, c.err
-	}
-	g, truth, err := d.Generate()
-	cache[d.Name] = cachedDataset{g: g, truth: truth, err: err}
-	return g, truth, err
 }
 
 func lfr(n int, mu float64, seed int64) func() (*graph.Graph, graph.Membership, error) {

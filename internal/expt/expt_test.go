@@ -1,9 +1,10 @@
 package expt
 
 import (
-	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestDatasetRegistry(t *testing.T) {
@@ -41,24 +42,41 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestLoadCachesAndIsDeterministic checks the suite's memo: a dataset is
+// generated once and a (dataset, options) pair solved once per Suite, and a
+// second Suite starts empty.
 func TestLoadCachesAndIsDeterministic(t *testing.T) {
-	d, err := ByName("Amazon")
+	s := NewSuite(Quick())
+	g1, truth, err := s.load("Amazon")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, truth, err := d.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, err := d.Load()
+	g2, _, err := s.load("Amazon")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g1 != g2 {
-		t.Error("Load did not cache")
+		t.Error("load did not cache")
 	}
 	if truth == nil {
 		t.Error("Amazon stand-in should carry planted truth")
+	}
+	r1, err := s.solve("Amazon", core.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.solve("Amazon", core.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Error("solve did not cache")
+	}
+	if g3, _, err := NewSuite(Quick()).load("Amazon"); err != nil || g3 == g1 {
+		t.Errorf("a new suite shares the first one's graph (err %v)", err)
+	}
+	if _, _, err := s.load("nope"); err == nil {
+		t.Error("expected error for unknown dataset")
 	}
 }
 
@@ -81,7 +99,9 @@ func TestTableFormatting(t *testing.T) {
 	}
 	tbl.AddRow(1, "x")
 	tbl.AddRow(2.5, "longer")
-	out := tbl.String()
+	var sb strings.Builder
+	tbl.Fprint(&sb)
+	out := sb.String()
 	for _, want := range []string{"== T ==", "a", "bee", "2.5000", "longer", "note: a note"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -89,9 +109,15 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperiment(t *testing.T) {
-	if err := Run("fig99", Quick(), io.Discard); err == nil {
-		t.Fatal("expected error for unknown experiment")
+// TestLanes checks the lane table, the one registry of experiments: every
+// lane has a runner and a name cmd/experiments -only can select.
+func TestLanes(t *testing.T) {
+	seen := map[string]bool{}
+	for _, l := range Lanes() {
+		if l.Name == "" || strings.ContainsAny(l.Name, ", ") || seen[l.Name] || l.Run == nil {
+			t.Errorf("lane %q: empty, unselectable or repeated name, or no runner", l.Name)
+		}
+		seen[l.Name] = true
 	}
 }
 
@@ -112,12 +138,12 @@ func TestProfiles(t *testing.T) {
 }
 
 func TestTable1Runs(t *testing.T) {
-	tbl, err := Table1(Quick())
+	tables, err := NewSuite(Quick()).table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(SmallDatasets()) {
-		t.Errorf("Table1 rows = %d, want %d", len(tbl.Rows), len(SmallDatasets()))
+	if len(tables) != 1 || len(tables[0].Rows) != len(SmallDatasets()) {
+		t.Errorf("table1 gives %d tables, want one with %d rows", len(tables), len(SmallDatasets()))
 	}
 }
 

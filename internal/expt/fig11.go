@@ -2,20 +2,12 @@ package expt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
-
-// fig11Scale is the vertex scale of the strong-scaling graphs (the paper
-// uses 2³⁰ vertices on Titan; the stand-ins use 2^fig11Scale).
-func fig11Scale(p Profile) int {
-	if p.IncludeLarge {
-		return 15
-	}
-	return 12
-}
 
 // fig11Graph builds the R-MAT or BA synthetic input of Figure 11.
 func fig11Graph(kind string, scale int, seed int64) (*graph.Graph, error) {
@@ -31,10 +23,16 @@ func fig11Graph(kind string, scale int, seed int64) (*graph.Graph, error) {
 	}
 }
 
-// Fig11 reproduces Figure 11: (a) strong scaling and (b) weak scaling of
+// fig11 reproduces Figure 11: (a) strong scaling and (b) weak scaling of
 // the clustering time on R-MAT and BA graphs.
-func Fig11(p Profile) ([]*Table, error) {
-	scale := fig11Scale(p)
+// Its synthetic graphs are not stand-ins and no other lane solves them, so
+// it runs core directly.
+func (s *Suite) fig11() ([]*Table, error) {
+	p := s.Profile
+	scale := 12 // vertices of the strong-scaling graphs: 2^scale (the paper uses 2³⁰ on Titan)
+	if p.IncludeLarge {
+		scale = 15
+	}
 	strong := &Table{
 		Title:  fmt.Sprintf("Figure 11(a) — strong scaling on R-MAT and BA (2^%d vertices)", scale),
 		Header: []string{"Graph", "p", "clustering (ms)", "speedup", "Q"},
@@ -53,7 +51,7 @@ func Fig11(p Profile) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cl := res.Stage1Sim + res.Stage2Sim
+			cl := clustering(res)
 			if base == 0 {
 				base = float64(cl)
 			}
@@ -72,7 +70,7 @@ func Fig11(p Profile) ([]*Table, error) {
 	perRank := scale - 4 // vertices per rank = 2^(scale-4)
 	for _, kind := range []string{"R-MAT", "BA"} {
 		for _, pp := range p.Procs[1:] {
-			gscale := perRank + log2(pp)
+			gscale := perRank + bits.Len(uint(pp)) - 1 // + log₂ p
 			g, err := fig11Graph(kind, gscale, 901)
 			if err != nil {
 				return nil, err
@@ -81,17 +79,8 @@ func Fig11(p Profile) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			weak.AddRow(kind, pp, g.NumVertices(), ms(res.Stage1Sim+res.Stage2Sim))
+			weak.AddRow(kind, pp, g.NumVertices(), ms(clustering(res)))
 		}
 	}
 	return []*Table{strong, weak}, nil
-}
-
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

@@ -10,12 +10,13 @@ import (
 // Fig5Datasets are the six datasets the paper plots in Figure 5.
 var Fig5Datasets = []string{"Amazon", "DBLP", "ND-Web", "YouTube", "LFR"}
 
-// Fig5 reproduces Figure 5: modularity convergence per clustering iteration
+// fig5 reproduces Figure 5: modularity convergence per clustering iteration
 // for (a) the sequential Louvain algorithm, (b) the parallel algorithm with
 // the simple minimum-label heuristic, and (c) the parallel algorithm with
 // the paper's enhanced heuristic. One table per dataset plus a summary of
 // final modularities.
-func Fig5(p Profile) ([]*Table, error) {
+func (s *Suite) fig5() ([]*Table, error) {
+	p := s.Profile
 	summary := &Table{
 		Title:  "Figure 5 (summary) — final modularity by method",
 		Header: []string{"Dataset", "sequential", "parallel simple", "parallel enhanced", "iters simple", "iters enhanced"},
@@ -25,27 +26,18 @@ func Fig5(p Profile) ([]*Table, error) {
 	}
 	var out []*Table
 	for _, name := range Fig5Datasets {
-		d, err := ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		g, _, err := d.Load()
+		g, _, err := s.load(name)
 		if err != nil {
 			return nil, err
 		}
 		seq := louvain.Run(g, louvain.Options{TrackTrace: true})
-		simple, err := core.Run(g, core.Options{
-			P: p.DefaultP, Heuristic: core.HeuristicSimple, TrackTrace: true,
-			MaxInnerIters: 30,
-		})
+		simple, err := s.solve(name, core.Options{P: p.DefaultP, Heuristic: core.HeuristicSimple, MaxInnerIters: 30})
 		if err != nil {
-			return nil, fmt.Errorf("%s simple: %w", name, err)
+			return nil, err
 		}
-		enhanced, err := core.Run(g, core.Options{
-			P: p.DefaultP, Heuristic: core.HeuristicEnhanced, TrackTrace: true,
-		})
+		enhanced, err := s.solve(name, core.Options{P: p.DefaultP}) // HeuristicEnhanced is the zero value
 		if err != nil {
-			return nil, fmt.Errorf("%s enhanced: %w", name, err)
+			return nil, err
 		}
 
 		t := &Table{

@@ -7,19 +7,7 @@ import (
 	"repro/internal/partition"
 )
 
-// Fig6Dataset is the graph Figure 6 analyzes (UK-2007 in the paper).
-var Fig6Dataset = "UK-2007"
-
-// fig6Graph picks the largest available stand-in for the profile.
-func fig6Graph(p Profile) (Dataset, error) {
-	name := Fig6Dataset
-	if !p.IncludeLarge {
-		name = "YouTube" // largest quick-profile scale-free stand-in
-	}
-	return ByName(name)
-}
-
-// Fig6 reproduces Figure 6: workload and communication balance of 1D vs
+// fig6 reproduces Figure 6: workload and communication balance of 1D vs
 // delegate partitioning.
 //
 //	(a) distribution of per-rank edge counts at the largest processor count
@@ -29,16 +17,12 @@ func fig6Graph(p Profile) (Dataset, error) {
 //
 // Partition analysis involves no clustering, so the full profile keeps the
 // paper's processor counts (1024/2048/4096).
-func Fig6(p Profile) ([]*Table, error) {
-	d, err := fig6Graph(p)
+func (s *Suite) fig6() ([]*Table, error) {
+	name, g, err := s.fig6Graph()
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := d.Load()
-	if err != nil {
-		return nil, err
-	}
-	procs := p.PartitionProcs
+	procs := s.Profile.PartitionProcs
 	largest := procs[len(procs)-1]
 
 	// Hub threshold: the paper's dhigh = p assumes hubs whose degrees reach
@@ -58,7 +42,7 @@ func Fig6(p Profile) ([]*Table, error) {
 	// (a)+(b): distribution summary at the largest processor count.
 	dist := &Table{
 		Title: fmt.Sprintf("Figure 6(a,b) — per-rank edges and ghosts on %s (stand-in), p=%d",
-			d.Name, largest),
+			name, largest),
 		Header: []string{"Partitioning", "min edges", "median edges", "max edges", "min ghosts", "median ghosts", "max ghosts"},
 		Notes: []string{
 			"paper's shape: 1D max edges ≫ delegate max edges; delegate ghosts uniform",
@@ -80,7 +64,7 @@ func Fig6(p Profile) ([]*Table, error) {
 
 	// (c)+(d): imbalance and max ghosts across processor counts.
 	sweep := &Table{
-		Title:  fmt.Sprintf("Figure 6(c,d) — imbalance W and max ghosts vs processors on %s (stand-in)", d.Name),
+		Title:  fmt.Sprintf("Figure 6(c,d) — imbalance W and max ghosts vs processors on %s (stand-in)", name),
 		Header: []string{"p", "W 1d", "W delegate", "max ghosts 1d", "max ghosts delegate", "hubs"},
 		Notes: []string{
 			"paper's shape: 1D W grows with p, delegate W ≈ 0; delegate max ghosts shrinks with p",

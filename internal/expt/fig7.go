@@ -8,14 +8,14 @@ import (
 	"repro/internal/partition"
 )
 
-// Fig7 reproduces Figure 7: total running time of the delegate-partitioned
+// fig7 reproduces Figure 7: total running time of the delegate-partitioned
 // algorithm vs the 1D-partitioned distributed Louvain (the paper's MPI
 // re-implementation of Cheong et al.) across datasets of growing size.
-func Fig7(p Profile) (*Table, error) {
+func (s *Suite) fig7() ([]*Table, error) {
 	// The imbalance penalty of 1D partitioning grows with the processor
 	// count, so this comparison runs at the sweep's largest p (the paper
 	// uses 1024+, where its 1D baseline stops completing at all).
-	pp := p.Procs[len(p.Procs)-1]
+	pp := s.Profile.Procs[len(s.Profile.Procs)-1]
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 7 — total running time, delegate vs 1D partitioning (p=%d)", pp),
 		Header: []string{"Dataset", "edges", "delegate (ms)", "1D (ms)", "1D/delegate", "Q delegate", "Q 1D"},
@@ -25,27 +25,23 @@ func Fig7(p Profile) (*Table, error) {
 			"(on UK-2005 the paper's 1D baseline did not complete at 1024+ processors)",
 		},
 	}
-	for _, d := range p.datasets() {
-		g, _, err := d.Load()
+	for _, d := range s.Profile.datasets() {
+		g, _, err := s.load(d.Name)
 		if err != nil {
 			return nil, err
 		}
-		del, err := core.Run(g, core.Options{P: pp, Partitioning: partition.Delegate})
+		del, err := s.solve(d.Name, core.Options{P: pp}) // partition.Delegate is the zero value
 		if err != nil {
-			return nil, fmt.Errorf("%s delegate: %w", d.Name, err)
+			return nil, err
 		}
-		oneD, err := core.Run(g, core.Options{P: pp, Partitioning: partition.OneD})
+		oneD, err := s.solve(d.Name, core.Options{P: pp, Partitioning: partition.OneD})
 		if err != nil {
-			return nil, fmt.Errorf("%s 1d: %w", d.Name, err)
+			return nil, err
 		}
-		delSim := del.Stage1Sim + del.Stage2Sim
-		oneDSim := oneD.Stage1Sim + oneD.Stage2Sim
-		ratio := float64(oneDSim) / float64(delSim)
-		t.AddRow(d.Name, g.NumEdges(),
-			ms(delSim), ms(oneDSim),
-			fmt.Sprintf("%.2f", ratio), del.Modularity, oneD.Modularity)
+		t.AddRow(d.Name, g.NumEdges(), ms(clustering(del)), ms(clustering(oneD)),
+			fmt.Sprintf("%.2f", float64(clustering(oneD))/float64(clustering(del))), del.Modularity, oneD.Modularity)
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
 func ms(d time.Duration) string {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Fig8 reproduces Figure 8: the execution-time composition of the algorithm
+// fig8 reproduces Figure 8: the execution-time composition of the algorithm
 // on the largest available stand-in.
 //
 //	(a) time of the first clustering stage (with delegates) vs the second
@@ -15,17 +15,13 @@ import (
 //	(b) per-iteration breakdown of one stage-1 clustering iteration into
 //	    Find Best Community / Broadcast Delegates / Swap Ghost Vertex
 //	    State / Other
-func Fig8(p Profile) ([]*Table, error) {
-	d, err := fig6Graph(p) // same dataset as the paper (UK-2007 stand-in)
-	if err != nil {
-		return nil, err
-	}
-	g, _, err := d.Load()
+func (s *Suite) fig8() ([]*Table, error) {
+	name, _, err := s.fig6Graph() // same dataset as the paper (UK-2007 stand-in)
 	if err != nil {
 		return nil, err
 	}
 	stages := &Table{
-		Title:  fmt.Sprintf("Figure 8(a) — clustering stage times on %s (stand-in)", d.Name),
+		Title:  fmt.Sprintf("Figure 8(a) — clustering stage times on %s (stand-in)", name),
 		Header: []string{"p", "stage1 (ms)", "stage2+ (ms)", "stage1 iters", "outer levels"},
 		Notes: []string{
 			"paper's shape: stage 1 dominates and shrinks with p; stage 2 is much shorter",
@@ -33,16 +29,16 @@ func Fig8(p Profile) ([]*Table, error) {
 		},
 	}
 	breakdown := &Table{
-		Title:  fmt.Sprintf("Figure 8(b) — per-iteration time breakdown on %s (stand-in)", d.Name),
+		Title:  fmt.Sprintf("Figure 8(b) — per-iteration time breakdown on %s (stand-in)", name),
 		Header: []string{"p", "FindBest (µs)", "BcastDelegates (µs)", "SwapGhost (µs)", "Other (µs)"},
 		Notes: []string{
 			"paper's shape: FindBest dominates and shrinks with p; BcastDelegates small; SwapGhost roughly flat",
 			"compute-only per-phase times; the collectives' wait time is not separable on a shared host",
 		},
 	}
-	procs := p.Procs[len(p.Procs)/2:] // the larger half of the sweep
+	procs := s.Profile.Procs[len(s.Profile.Procs)/2:] // the larger half of the sweep
 	for _, pp := range procs {
-		res, err := core.Run(g, core.Options{P: pp})
+		res, err := s.solve(name, core.Options{P: pp})
 		if err != nil {
 			return nil, err
 		}

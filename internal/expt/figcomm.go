@@ -7,36 +7,32 @@ import (
 	"repro/internal/partition"
 )
 
-// FigComm is an extra experiment backing the paper's Section V-C claim
+// comm is an extra experiment backing the paper's Section V-C claim
 // ("we experiment the communication cost for large graphs, which is not
 // fully investigated in existing research work"): exact per-rank
 // communication volume of a full clustering run, delegate vs 1D
 // partitioning, across processor counts. Balance is reported as
 // max-rank share / perfect share (1.0 = perfectly balanced).
-func FigComm(p Profile) (*Table, error) {
-	d, err := fig6Graph(p)
-	if err != nil {
-		return nil, err
-	}
-	g, _, err := d.Load()
+func (s *Suite) comm() ([]*Table, error) {
+	name, g, err := s.fig6Graph()
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("Communication cost (§V-C) — measured traffic on %s (stand-in)", d.Name),
+		Title:  fmt.Sprintf("Communication cost (§V-C) — measured traffic on %s (stand-in)", name),
 		Header: []string{"p", "partitioning", "total MB", "max-rank MB", "comm imbalance", "bytes/edge"},
 		Notes: []string{
 			"comm imbalance = max-rank bytes ÷ (total/p); 1.00 is perfectly balanced",
 			"paper's shape: delegate partitioning balances communication; 1D concentrates it",
 		},
 	}
-	procs := p.Procs[len(p.Procs)/2:]
+	procs := s.Profile.Procs[len(s.Profile.Procs)/2:]
 	for _, pp := range procs {
 		if pp < 2 {
 			continue
 		}
 		for _, kind := range []partition.Kind{partition.Delegate, partition.OneD} {
-			res, err := core.Run(g, core.Options{P: pp, Partitioning: kind})
+			res, err := s.solve(name, core.Options{P: pp, Partitioning: kind})
 			if err != nil {
 				return nil, err
 			}
@@ -50,5 +46,5 @@ func FigComm(p Profile) (*Table, error) {
 				fmt.Sprintf("%.1f", float64(total)/float64(g.NumEdges())))
 		}
 	}
-	return t, nil
+	return []*Table{t}, nil
 }

@@ -6,51 +6,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/quality"
 )
 
 // hubSlacks are the slacks ε the hubs lane sweeps through
 // partition.HubThreshold.
 var hubSlacks = []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4}
 
-// hubSum accumulates one threshold's results over a seed's instances.
-type hubSum struct {
-	dhigh, hubs, w, iters, simMS, commMS, wireMB, q, nmi float64
-	def                                                  bool // the partitioner's default on every instance
-	n                                                    int
-}
-
-func (s *hubSum) add(dhigh int, res *core.Result, truth graph.Membership) error {
-	s.dhigh += float64(dhigh)
-	s.hubs += float64(res.HubCount)
-	s.w += res.Census.ImbalanceW()
-	s.iters += float64(res.Stage1Iters)
-	s.simMS += float64(res.Stage1Sim+res.Stage2Sim) / 1e6
-	s.commMS += float64(res.Stage1CommSim+res.Stage2CommSim) / 1e6
-	s.wireMB += float64(res.CommStats.TotalBytesSent()) / 1e6
-	s.q += res.Modularity
-	if truth != nil {
-		nmi, err := quality.NMI(res.Membership, truth)
-		if err != nil {
-			return err
-		}
-		s.nmi += nmi
-	}
-	s.n++
-	return nil
-}
-
-// Hubs sweeps the hub threshold on the benchmark's two batch graphs,
+// hubs sweeps the hub threshold on the benchmark's two batch graphs,
 // Graph500 R-MAT scale 16 and LFR n = 60000 μ = 0.3 (instances 0–3 of
 // seeds 1 and 2) at P ∈ {4, 16, 64} in the full profile. Per world size it
 // runs the floor max(P, 4·arcs/n) alone, the threshold
 // partition.HubThreshold picks at every slack ε of hubSlacks, and ∞ (1D, no
 // hubs), and reports the means over the instances. Seed 1 picked the
 // partitioner's ε; seed 2 is held out. Every number is a function of the
-// graph and the options, so the tables are reproducible exactly.
-func Hubs(p Profile) ([]*Table, error) {
+// graph and the options, so the tables are reproducible exactly. Like
+// converge, it runs core directly on instances no other lane solves.
+func (s *Suite) hubs() ([]*Table, error) {
 	scale, lfrN, insts, seeds, procs := 10, 2000, 1, []int64{1}, []int{4, 16}
-	if p.IncludeLarge {
+	if s.Profile.IncludeLarge {
 		scale, lfrN, insts, seeds, procs = 16, 60000, 4, []int64{1, 2}, []int{4, 16, 64}
 	}
 	names := []string{"floor"}
@@ -75,33 +48,31 @@ func Hubs(p Profile) ([]*Table, error) {
 		}
 		for _, seed := range seeds {
 			for _, pp := range procs {
-				sums := make([]hubSum, len(names))
-				for i := range sums {
-					sums[i].def = true
-				}
+				sums := make([]mean, len(names))
+				defs := make([]int, len(names)) // instances on which row i is the partitioner's default
 				for k := 0; k < insts; k++ {
 					g, truth, err := benchInstance(lfr, scale, lfrN, seed, k)
 					if err != nil {
 						return nil, err
 					}
-					if err := hubRow(g, truth, pp, sums); err != nil {
+					if err := hubRow(g, truth, pp, sums, defs); err != nil {
 						return nil, err
 					}
 				}
-				for i, s := range sums {
-					n := float64(s.n)
-					name, dhigh := names[i], fmt.Sprintf("%.0f", s.dhigh/n)
+				for i, m := range sums {
+					n := float64(m.n)
+					name, dhigh := names[i], fmt.Sprintf("%.0f", m.dhigh/n)
 					if i == len(names)-1 {
 						dhigh = "∞"
-					} else if s.def {
+					} else if defs[i] == insts {
 						name += " *"
 					}
-					row := []any{seed, pp, name, dhigh, fmt.Sprintf("%.0f", s.hubs/n),
-						fmt.Sprintf("%.3f", s.w/n), fmt.Sprintf("%.1f", s.iters/n),
-						fmt.Sprintf("%.1f", s.simMS/n), fmt.Sprintf("%.1f", s.commMS/n),
-						fmt.Sprintf("%.2f", s.wireMB/n), fmt.Sprintf("%.5f", s.q/n)}
+					row := []any{seed, pp, name, dhigh, fmt.Sprintf("%.0f", m.hubs/n),
+						fmt.Sprintf("%.3f", m.w/n), fmt.Sprintf("%.1f", m.iters/n),
+						fmt.Sprintf("%.1f", m.simMS/n), fmt.Sprintf("%.1f", m.commMS/n),
+						fmt.Sprintf("%.2f", m.wireMB/n), fmt.Sprintf("%.5f", m.q/n)}
 					if lfr {
-						row = append(row, fmt.Sprintf("%.4f", s.nmi/n))
+						row = append(row, fmt.Sprintf("%.4f", m.nmi/n))
 					}
 					t.AddRow(row...)
 				}
@@ -113,12 +84,13 @@ func Hubs(p Profile) ([]*Table, error) {
 }
 
 // hubRow solves g at world size p under every threshold of the lane and adds
-// each result to its sum: the floor, the ε rows, then 1D. Thresholds that
+// each result to its sum, counting in defs[i] when threshold i is the
+// partitioner's default: the floor, the ε rows, then 1D. Thresholds that
 // delegate the same number of vertices delegate the same ones (a hub set is
 // every vertex of degree ≥ dhigh), so each distinct hub set is solved once.
-func hubRow(g *graph.Graph, truth graph.Membership, p int, sums []hubSum) error {
+func hubRow(g *graph.Graph, truth graph.Membership, p int, sums []mean, defs []int) error {
 	n, arcs := g.NumVertices(), g.NumArcs()
-	def, err := partition.Build(g, partition.Options{P: p})
+	layout, err := partition.Build(g, partition.Options{P: p})
 	if err != nil {
 		return err
 	}
@@ -141,15 +113,17 @@ func hubRow(g *graph.Graph, truth graph.Membership, p int, sums []hubSum) error 
 			}
 			solved[hubs] = res
 		}
-		if err := sums[i].add(d, res, truth); err != nil {
+		sums[i].dhigh += float64(d)
+		if err := sums[i].add(res, truth); err != nil {
 			return err
 		}
-		sums[i].def = sums[i].def && d == def.DHigh
+		if d == layout.DHigh {
+			defs[i]++
+		}
 	}
 	res, err := core.Run(g, core.Options{P: p, Partitioning: partition.OneD})
 	if err != nil {
 		return fmt.Errorf("1d p=%d: %w", p, err)
 	}
-	sums[len(sums)-1].def = false
-	return sums[len(sums)-1].add(0, res, truth)
+	return sums[len(sums)-1].add(res, truth)
 }

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -76,42 +77,11 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var sb strings.Builder
-	t.Fprint(&sb)
-	return sb.String()
-}
-
-// WriteCSV renders the table as RFC-4180-ish CSV (header row first).
+// WriteCSV renders the table as CSV (encoding/csv), header row first.
 func (t *Table) WriteCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, esc(c)); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
 		return err
 	}
-	if err := writeRow(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }

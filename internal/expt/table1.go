@@ -1,11 +1,9 @@
 package expt
 
-import "fmt"
-
-// Table1 reproduces the paper's Table I (dataset census): for every
+// table1 reproduces the paper's Table I (dataset census): for every
 // registered dataset it reports the paper's sizes next to the stand-in's
 // actual vertex and edge counts.
-func Table1(p Profile) (*Table, error) {
+func (s *Suite) table1() ([]*Table, error) {
 	t := &Table{
 		Title:  "Table I — Datasets (paper sizes vs stand-in sizes)",
 		Header: []string{"Name", "Description", "paper #V", "paper #E", "standin #V", "standin #E", "maxDeg"},
@@ -13,13 +11,13 @@ func Table1(p Profile) (*Table, error) {
 			"stand-ins are synthetic graphs with matched structure (DESIGN.md §2)",
 		},
 	}
-	for _, d := range p.datasets() {
-		g, _, err := d.Load()
+	for _, d := range s.Profile.datasets() {
+		g, _, err := s.load(d.Name)
 		if err != nil {
-			return nil, fmt.Errorf("dataset %s: %w", d.Name, err)
+			return nil, err
 		}
 		t.AddRow(d.Name, d.Description, d.PaperV, d.PaperE,
 			g.NumVertices(), g.NumEdges(), g.MaxDegree())
 	}
-	return t, nil
+	return []*Table{t}, nil
 }

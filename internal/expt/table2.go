@@ -10,13 +10,13 @@ import (
 // Table2Datasets are the datasets the paper scores in Table II.
 var Table2Datasets = []string{"ND-Web", "Amazon"}
 
-// Table2 reproduces the paper's Table II: quality measurements (NMI,
+// table2 reproduces the paper's Table II: quality measurements (NMI,
 // F-measure, NVD, RI, ARI, JI) of the distributed algorithm's communities
 // against ground truth. The stand-ins carry planted LFR communities as
 // truth.
-func Table2(p Profile) (*Table, error) {
+func (s *Suite) table2() ([]*Table, error) {
 	t := &Table{
-		Title:  fmt.Sprintf("Table II — Quality measurements (p=%d, enhanced heuristic)", p.DefaultP),
+		Title:  fmt.Sprintf("Table II — Quality measurements (p=%d, enhanced heuristic)", s.Profile.DefaultP),
 		Header: []string{"Dataset", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"},
 		Notes: []string{
 			"all measures but NVD: higher is better; NVD is a distance (lower is better)",
@@ -24,26 +24,22 @@ func Table2(p Profile) (*Table, error) {
 		},
 	}
 	for _, name := range Table2Datasets {
-		d, err := ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		g, truth, err := d.Load()
+		_, truth, err := s.load(name)
 		if err != nil {
 			return nil, err
 		}
 		if truth == nil {
 			return nil, fmt.Errorf("dataset %s has no ground truth", name)
 		}
-		res, err := core.Run(g, core.Options{P: p.DefaultP})
+		res, err := s.solve(name, core.Options{P: s.Profile.DefaultP})
 		if err != nil {
 			return nil, err
 		}
-		s, err := quality.Compare(res.Membership, truth)
+		q, err := quality.Compare(res.Membership, truth)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, s.NMI, s.FMeasure, s.NVD, s.RI, s.ARI, s.JI)
+		t.AddRow(name, q.NMI, q.FMeasure, q.NVD, q.RI, q.ARI, q.JI)
 	}
-	return t, nil
+	return []*Table{t}, nil
 }

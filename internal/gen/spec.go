@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,10 +58,29 @@ func ParseRMATSpec(spec string) (RMATConfig, error) {
 	return cfg, err
 }
 
+// specKeys lists the keys each generator kind accepts.
+var specKeys = map[string][]string{
+	"rmat":    {"scale", "ef", "skew", "a", "b", "c", "d", "seed"},
+	"ba":      {"n", "m", "seed"},
+	"lfr":     {"n", "mu", "seed"},
+	"er":      {"n", "p", "seed"},
+	"sbm":     {"blocks", "size", "pin", "pout", "seed"},
+	"caveman": {"cliques", "size"},
+}
+
 // parseSpec does the work of ParseSpec; with wantRMAT non-nil it instead
-// stores the parsed rmat config there and builds nothing.
+// stores the parsed rmat config there and builds nothing. A key the kind
+// does not accept, or one given twice, is an error: a mistyped key must not
+// silently leave its default in place.
 func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membership, error) {
 	kind, args, _ := strings.Cut(spec, ":")
+	if wantRMAT != nil && kind != "rmat" {
+		return nil, nil, fmt.Errorf("gen: spec %q is not an rmat spec", spec)
+	}
+	keys, ok := specKeys[kind]
+	if !ok {
+		return nil, nil, fmt.Errorf("gen: unknown generator %q (want rmat|ba|lfr|er|sbm|caveman)", kind)
+	}
 	kv := map[string]string{}
 	if args != "" {
 		for _, part := range strings.Split(args, ",") {
@@ -68,43 +88,46 @@ func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membershi
 			if !ok {
 				return nil, nil, fmt.Errorf("gen: bad spec parameter %q in %q", part, spec)
 			}
-			kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
+			k = strings.TrimSpace(k)
+			if _, dup := kv[k]; dup || !slices.Contains(keys, k) {
+				what := "unknown"
+				if dup {
+					what = "repeated"
+				}
+				return nil, nil, fmt.Errorf("gen: spec %s: %s key %q (accepted: %s)", kind, what, k, strings.Join(keys, " "))
+			}
+			kv[k] = strings.TrimSpace(v)
 		}
 	}
-	geti := func(key string, def int) (int, error) {
+	// i and f read an int or float key, its default when absent; a bad value
+	// reads as 0 and is the error parseSpec returns.
+	var firstErr error
+	bad := func(key, v string, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("gen: spec %s: bad %s=%q: %v", kind, key, v, err)
+		}
+	}
+	i := func(key string, def int) int {
 		v, ok := kv[key]
 		if !ok {
-			return def, nil
+			return def
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return 0, fmt.Errorf("gen: spec %s: bad %s=%q: %v", kind, key, v, err)
-		}
-		return n, nil
-	}
-	getf := func(key string, def float64) (float64, error) {
-		v, ok := kv[key]
-		if !ok {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("gen: spec %s: bad %s=%q: %v", kind, key, v, err)
-		}
-		return f, nil
-	}
-	var firstErr error
-	i := func(key string, def int) int {
-		n, err := geti(key, def)
-		if err != nil && firstErr == nil {
-			firstErr = err
+			bad(key, v, err)
+			return 0
 		}
 		return n
 	}
 	f := func(key string, def float64) float64 {
-		x, err := getf(key, def)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		v, ok := kv[key]
+		if !ok {
+			return def
+		}
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			bad(key, v, err)
+			return 0
 		}
 		return x
 	}
@@ -124,9 +147,6 @@ func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membershi
 		return cfg
 	}
 	if wantRMAT != nil {
-		if kind != "rmat" {
-			return nil, nil, fmt.Errorf("gen: spec %q is not an rmat spec", spec)
-		}
 		cfg := rmatConfig()
 		if firstErr != nil {
 			return nil, nil, firstErr
@@ -170,8 +190,6 @@ func parseSpec(spec string, wantRMAT *RMATConfig) (*graph.Graph, graph.Membershi
 		if firstErr == nil {
 			g, truth, err = Caveman(i("cliques", 10), i("size", 6))
 		}
-	default:
-		return nil, nil, fmt.Errorf("gen: unknown generator %q (want rmat|ba|lfr|er|sbm|caveman)", kind)
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr

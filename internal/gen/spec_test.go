@@ -56,6 +56,31 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("%q: expected error", spec)
 		}
 	}
+	// A key the kind does not read, or one given twice, is refused by every
+	// entry point with an error naming the key and the kind's accepted keys.
+	for _, tc := range []struct{ spec, key, accepted string }{
+		{"lfr:n=500,mux=0.9,sed=7", `unknown key "mux"`, "n mu seed"},
+		{"lfr:n=500,n=600", `repeated key "n"`, "n mu seed"},
+		{"ba:n=100,p=0.1", `unknown key "p"`, "n m seed"},
+		{"er:n=100,mu=0.1", `unknown key "mu"`, "n p seed"},
+		{"sbm:blocks=2,sizes=10", `unknown key "sizes"`, "blocks size pin pout seed"},
+		{"caveman:cliques=4,size=5,seed=1", `unknown key "seed"`, "cliques size"},
+		{"rmat:scale=8,sede=1", `unknown key "sede"`, "scale ef skew a b c d seed"},
+		{"rmat:scale=8,seed=1,seed=2", `repeated key "seed"`, "scale ef skew a b c d seed"},
+	} {
+		_, _, err := ParseSpec(tc.spec)
+		_, _, loadErr := Load("", tc.spec)
+		errs := []error{err, loadErr}
+		if strings.HasPrefix(tc.spec, "rmat:") {
+			_, err := ParseRMATSpec(tc.spec)
+			errs = append(errs, err)
+		}
+		for _, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.key) || !strings.Contains(err.Error(), "(accepted: "+tc.accepted+")") {
+				t.Errorf("%q: err = %v, want one naming %s and accepting %q", tc.spec, err, tc.key, tc.accepted)
+			}
+		}
+	}
 }
 
 func TestParseSpecErrorMentionsKind(t *testing.T) {

@@ -14,8 +14,16 @@ func FuzzReader(f *testing.F) {
 	f.Add(b.Bytes())
 	f.Add(strideStream([]int{3, 7, 403}, 3, 4))
 	f.Add([]byte{0x00, 0x01, 0x00}) // zero distance, then a repeated id
+	// An Ints length prefix of 2⁶³: read first, it must fail, not wrap
+	// negative and panic in make.
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Ints first, so its length prefix is the stream's first uvarint.
 		r := NewReader(data)
+		if vs := r.Ints(); r.Err() == nil && len(vs) > len(data) {
+			t.Fatalf("decoded %d ints from %d bytes", len(vs), len(data))
+		}
+		r.Reset(data)
 		r.Uvarint()
 		r.Varint()
 		r.U32()

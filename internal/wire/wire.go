@@ -243,11 +243,11 @@ func (r *Reader) SkipZero() bool {
 
 // Ints reads a length-prefixed slice of varint int.
 func (r *Reader) Ints() []int {
-	n := int(r.Uvarint())
+	n := r.Uvarint()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	if n > r.Remaining() {
+	if n > uint64(r.Remaining()) { // in uint64: a length ≥ 2⁶³ must not wrap negative
 		r.fail("int slice length")
 		return nil
 	}
