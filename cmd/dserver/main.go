@@ -70,12 +70,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return usage("-p %d, want >= 1", *p)
 	}
 	opt := dserver.Options{
-		P:           *p,
-		AutoResolve: *autoResolve,
-		Core: core.Options{
-			DHigh:  *dhigh,
-			DriftQ: *driftQ, DriftTouched: *driftTouch, UpdateKHops: *khops,
-		},
+		P:            *p,
+		AutoResolve:  *autoResolve,
+		KHops:        *khops,
+		DriftQ:       *driftQ,
+		DriftTouched: *driftTouch,
+		Core:         core.Options{DHigh: *dhigh},
 	}
 	var err error
 	if opt.Core.Heuristic, err = core.ParseHeuristic(*heuristic); err != nil {
@@ -115,14 +115,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		go func() {
-			defer conn.Close()
-			// The world serializes mutations and serves reads from its
-			// published snapshot, so concurrent connections are safe;
-			// errors here are connection-local.
-			if err := w.Serve(conn, conn); err != nil {
-				fmt.Fprintf(stderr, "dserver: %v: %v\n", conn.RemoteAddr(), err)
-			}
-		}()
+		go serveConn(w, conn, stderr)
 	}
+}
+
+// writeTimeout bounds every reply write on a -listen connection, so a client
+// that stops reading loses its connection. Tests shorten it.
+var writeTimeout = 30 * time.Second
+
+// serveConn runs the line protocol on one connection, then closes it. The
+// world serializes mutations and serves reads from its published snapshot,
+// so concurrent connections are safe; errors here are connection-local.
+func serveConn(w *dserver.World, conn net.Conn, stderr io.Writer) {
+	defer conn.Close()
+	if err := w.Serve(conn, deadlineWriter{conn}); err != nil {
+		fmt.Fprintf(stderr, "dserver: %v: %v\n", conn.RemoteAddr(), err)
+	}
+}
+
+// deadlineWriter arms the connection's write deadline before every write.
+type deadlineWriter struct{ conn net.Conn }
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		return 0, err
+	}
+	return d.conn.Write(p)
 }

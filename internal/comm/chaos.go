@@ -38,8 +38,6 @@ import (
 //   - peer death: rank KillRank fails every operation after KillAfter
 //     operations with an error wrapping ErrChaosKill, simulating a crash
 //     mid-collective; peers then observe ErrPeerDown (or ErrTimeout).
-//   - slow rank: rank StallRank sleeps StallFor before every StallEvery-th
-//     operation, modeling a straggler.
 //
 // Every endpoint of a world must be wrapped with the same ChaosOptions
 // (the sequence header must be speakable on both sides); RunWorldChaos
@@ -73,12 +71,6 @@ type ChaosOptions struct {
 	KillRank  int
 	KillAfter int
 
-	// StallEvery > 0 arms the straggler: rank StallRank sleeps StallFor
-	// before every StallEvery-th operation.
-	StallRank  int
-	StallEvery int
-	StallFor   time.Duration
-
 	// Retry recovers injected transient send failures. The default policy
 	// (1ms base, 16 attempts, 2s budget) outlasts any injected burst, so
 	// SendFailProb alone never loses a message; shrink MaxAttempts to
@@ -109,7 +101,6 @@ type FaultCounts struct {
 	DupsDropped  int64
 	SendFailures int64
 	Drops        int64
-	Stalls       int64
 	Killed       bool
 }
 
@@ -161,7 +152,6 @@ type ChaosComm struct {
 	dupsDropped  atomic.Int64
 	sendFailures atomic.Int64
 	drops        atomic.Int64
-	stalls       atomic.Int64
 }
 
 // NewChaosComm wraps inner with the fault model of o. The wrapper adds an
@@ -196,38 +186,27 @@ func (cc *ChaosComm) Faults() FaultCounts {
 		DupsDropped:  cc.dupsDropped.Load(),
 		SendFailures: cc.sendFailures.Load(),
 		Drops:        cc.drops.Load(),
-		Stalls:       cc.stalls.Load(),
 		Killed:       killed,
 	}
 }
 
-// opGate runs the per-operation lifecycle faults: sticky lane errors,
-// scheduled death, and straggler stalls. Every Send/Recv passes through it.
+// opGate runs the per-operation lifecycle faults: sticky lane errors and
+// scheduled death. Every Send/Recv passes through it.
 func (cc *ChaosComm) opGate() error {
 	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	if cc.sticky != nil {
-		err := cc.sticky
-		cc.mu.Unlock()
-		return err
+		return cc.sticky
+	}
+	if !cc.killed {
+		cc.ops++
+		if cc.opt.KillAfter > 0 && cc.inner.Rank() == cc.opt.KillRank && cc.ops > cc.opt.KillAfter {
+			cc.killed = true
+			trace.Eventf("chaos", "rank %d killed after %d ops", cc.inner.Rank(), cc.ops-1)
+		}
 	}
 	if cc.killed {
-		cc.mu.Unlock()
 		return fmt.Errorf("comm: rank %d: %w", cc.inner.Rank(), ErrChaosKill)
-	}
-	cc.ops++
-	ops := cc.ops
-	if cc.opt.KillAfter > 0 && cc.inner.Rank() == cc.opt.KillRank && ops > cc.opt.KillAfter {
-		cc.killed = true
-		cc.mu.Unlock()
-		trace.Eventf("chaos", "rank %d killed after %d ops", cc.inner.Rank(), ops-1)
-		return fmt.Errorf("comm: rank %d: %w", cc.inner.Rank(), ErrChaosKill)
-	}
-	stall := cc.opt.StallEvery > 0 && cc.inner.Rank() == cc.opt.StallRank && ops%cc.opt.StallEvery == 0
-	cc.mu.Unlock()
-	if stall {
-		cc.stalls.Add(1)
-		trace.Eventf("chaos", "rank %d stalling %v at op %d", cc.inner.Rank(), cc.opt.StallFor, ops)
-		time.Sleep(cc.opt.StallFor)
 	}
 	return nil
 }

@@ -213,8 +213,8 @@ func TestConvergedSweepEvaluatesNothing(t *testing.T) {
 }
 
 // TestSessionSeedsStageFlags checks the Session's half of the incremental
-// path: an installed stage has nothing armed, and seeding arms exactly the
-// vertices within UpdateKHops hops of the batch's endpoints — an owned
+// path: an installed stage has nothing armed, and the seeds a batch names
+// (here the 1-hop ball of its endpoints) arm exactly themselves — an owned
 // vertex on its owner, a hub on every rank.
 func TestSessionSeedsStageFlags(t *testing.T) {
 	g, err := gen.RMAT(gen.Graph500RMAT(8, 7))
@@ -222,22 +222,12 @@ func TestSessionSeedsStageFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	opt := Options{P: p, DHigh: 8, UpdateKHops: 1}
+	opt := Options{P: p, DHigh: 8}
 	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := randomStream(g, 3, 1, 2, 0)[0]
-	ball := make(map[int]bool)
-	for _, op := range ops {
-		for _, x := range []int{op.U, op.V} {
-			ball[x] = true
-			nbrs, _ := g.Neighbors(x)
-			for _, v := range nbrs {
-				ball[int(v)] = true
-			}
-		}
-	}
+	seeds := ballOf(g, randomStream(g, 3, 1, 2, 0)[0], 1)
 	err = comm.RunWorld(p, func(c comm.Comm) error {
 		ses, err := NewSession(c, layout.Parts[c.Rank()].CloneForServing(), opt)
 		if err != nil {
@@ -265,13 +255,9 @@ func TestSessionSeedsStageFlags(t *testing.T) {
 		if got := armed(); len(got) != 0 {
 			return fmt.Errorf("rank %d: %d vertices armed after install", st.rnk, len(got))
 		}
-		// The ops only name the seeds here: the graph itself is not edited,
-		// so the ball above is the one the seeding walks.
-		if err := ses.seedFromOps(ops); err != nil {
-			return err
-		}
+		ses.arm(seeds)
 		got := armed()
-		for v := range ball {
+		for _, v := range seeds {
 			_, hub := st.hubIndex(v)
 			if (hub || v%p == st.rnk) != got[v] {
 				return fmt.Errorf("rank %d: vertex %d (hub=%v) armed=%v", st.rnk, v, hub, got[v])

@@ -107,22 +107,6 @@ type Options struct {
 	// comm.ErrTimeout instead of hanging the world on a dead or wedged
 	// peer. 0 keeps unbounded blocking. See docs/ROBUSTNESS.md.
 	CommDeadline time.Duration
-	// UpdateKHops bounds the incremental re-clustering of a Session update:
-	// the sweep queue is seeded with the vertices within this many hops of
-	// any changed edge's endpoints (the endpoints themselves are hop 0).
-	// <= 0 means 2. Larger values re-examine more of the graph per update —
-	// closer to full-solve quality, further from full-solve cost.
-	UpdateKHops int
-	// DriftQ is the cumulative-|ΔQ| drift threshold of the incremental
-	// path: once the modularity movement accumulated across incremental
-	// update batches (since the last full solve) exceeds it, ApplyUpdates
-	// reports NeedFull and the driver should re-solve from scratch.
-	// <= 0 means 0.05.
-	DriftQ float64
-	// DriftTouched is the companion touched-vertex drift threshold: the
-	// cumulative fraction of vertices re-examined by incremental sweeps
-	// since the last full solve. <= 0 means 0.35.
-	DriftTouched float64
 }
 
 // The α-β communication cost model behind the simulated communication
@@ -152,15 +136,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Resolution <= 0 {
 		o.Resolution = 1
-	}
-	if o.UpdateKHops <= 0 {
-		o.UpdateKHops = 2
-	}
-	if o.DriftQ <= 0 {
-		o.DriftQ = 0.05
-	}
-	if o.DriftTouched <= 0 {
-		o.DriftTouched = 0.35
 	}
 	return o, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/comm"
@@ -28,15 +27,12 @@ import (
 // Session then stays resident, across worlds (Attach), reporting its labels
 // (Tracked) and applying batched edge updates with ApplyUpdates, which
 // re-clusters *incrementally*: it is the batch solver's clustering loop and
-// sweep on a stage that starts with nothing armed, where only the vertices
-// within Options.UpdateKHops hops of a changed edge are seeded into the
-// stage's active set (state.go).
+// sweep on a stage that starts with nothing armed, where only the seed
+// vertices the caller names are armed in the stage's active set (state.go).
 //
-// Incremental quality drifts from the full-solve oracle; the Session tracks
-// that drift (cumulative |ΔQ| plus the cumulative fraction of vertices
-// re-examined) and ApplyUpdates reports NeedFull once either crosses its
-// Options threshold. The fallback itself is the driver's call: Solve() on
-// the mutated subgraphs re-runs the full hierarchy and resets the drift.
+// Which vertices to seed and when incremental quality has drifted far
+// enough to re-solve are the serving driver's policy (internal/dserver);
+// Solve() on the mutated subgraphs is the full-solve fallback.
 //
 // Like every SPMD object in this repository, all ranks must call the
 // collective-bearing methods (Solve, ApplyUpdates, Close is local) in the
@@ -54,13 +50,7 @@ type Session struct {
 	st  *stage   // resident flat stage; nil until Solve() installs it
 	out *rankOut // result of the last hierarchical solve
 
-	q          float64 // current global modularity (replicated)
-	driftQ     float64 // cumulative |ΔQ| since the last full solve
-	driftTouch float64 // cumulative touched-vertex fraction since last full solve
-
-	// bfsMark/bfsList: per-batch visited set of the k-hop seeding BFS.
-	bfsMark []bool
-	bfsList []int
+	q float64 // current global modularity (replicated)
 
 	newGhosts []int // ghosts discovered by the current batch, labels pending
 }
@@ -89,10 +79,6 @@ type UpdateResult struct {
 	Q float64
 	// Iters is the number of incremental clustering iterations run.
 	Iters int
-	// NeedFull reports that cumulative drift crossed Options.DriftQ or
-	// Options.DriftTouched: the caller should re-solve (Session.Solve)
-	// to re-pin quality. The decision is replicated.
-	NeedFull bool
 }
 
 // NewSession wraps a rank's subgraph for solving and serving. The Session
@@ -132,11 +118,10 @@ func (s *Session) Close() {
 }
 
 // Solve runs the full hierarchical solve on the current subgraph and
-// installs the resident serving state, resetting the drift counters. It is
-// both the initial solve and the drift fallback: after ApplyUpdates reports
-// NeedFull, calling Solve on every rank re-clusters the mutated graph from
-// scratch (the partition layout — ownership and the delegate set — is kept;
-// re-partitioning requires a fresh world).
+// installs the resident serving state. It is both the initial solve and the
+// fallback: calling Solve on every rank after updates re-clusters the
+// mutated graph from scratch (the partition layout — ownership and the
+// delegate set — is kept; re-partitioning requires a fresh world).
 func (s *Session) Solve() error {
 	out, err := s.solve()
 	if err != nil {
@@ -258,7 +243,7 @@ func (s *Session) solve() (*rankOut, error) {
 // relies on) without a separate community ID space. Two collectives compute
 // the representatives, then the stage is rebuilt with exact aggregates, a
 // third fetches the labels of other ranks' hubs and of the ghosts from their
-// owners, and the drift counters reset.
+// owners.
 func (s *Session) install() error {
 	tracked, labels := s.out.tracked, s.out.labels
 
@@ -381,24 +366,16 @@ func (s *Session) install() error {
 		}
 	}
 	s.q = q
-	s.driftQ = 0
-	s.driftTouch = 0
 
 	// The installed state is the converged one: nothing is armed until an
 	// update batch seeds its neighbourhood.
 	st.setActive(false)
-	s.bfsMark = make([]bool, s.n)
-	s.bfsList = s.bfsList[:0]
 	return nil
 }
 
 // Modularity returns the current global modularity (replicated; valid after
 // Solve).
 func (s *Session) Modularity() float64 { return s.q }
-
-// Drift returns the cumulative drift since the last full solve: the summed
-// |ΔQ| across batches and the summed touched-vertex fraction.
-func (s *Session) Drift() (dq, dtouched float64) { return s.driftQ, s.driftTouch }
 
 // Attach rebinds the Session, and its resident stage, to c: this rank's
 // endpoint in a new world of the same size. It applies
@@ -466,17 +443,23 @@ func (s *Session) ValidateOps(ops []EdgeOp) error {
 }
 
 // ApplyUpdates applies one replicated batch of edge mutations and
-// re-clusters incrementally: the vertices within Options.UpdateKHops hops
-// of any changed edge are armed, and the stage's clustering loop runs from
-// that active set until no vertex moves. Every rank must call it with the
-// identical, pre-validated batch.
-func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
+// re-clusters incrementally: the seed vertices are armed, and the stage's
+// clustering loop runs from that active set until no vertex moves. Every
+// rank must call it with the identical, pre-validated batch and the
+// identical seeds (the serving driver passes the k-hop ball around the
+// batch's endpoints).
+func (s *Session) ApplyUpdates(ops []EdgeOp, seeds []int) (UpdateResult, error) {
 	var zero UpdateResult
 	if s.st == nil {
 		return zero, fmt.Errorf("core: ApplyUpdates before Solve")
 	}
 	if err := s.ValidateOps(ops); err != nil {
 		return zero, err
+	}
+	for _, v := range seeds {
+		if v < 0 || v >= s.n {
+			return zero, fmt.Errorf("core: seed %d out of range [0,%d)", v, s.n)
+		}
 	}
 	s.newGhosts = s.newGhosts[:0]
 	s.applyOps(ops)
@@ -490,10 +473,7 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 	// The batch rewrote arcs: the reverse index and sumIn start again.
 	s.st.buildRev()
 	s.st.seedQ()
-	if err := s.seedFromOps(ops); err != nil {
-		return zero, err
-	}
-	qBefore := s.q
+	s.arm(seeds)
 	res, err := s.st.cluster()
 	if err != nil {
 		return zero, err
@@ -506,15 +486,19 @@ func (s *Session) ApplyUpdates(ops []EdgeOp) (UpdateResult, error) {
 		return zero, err
 	}
 	s.q = res.Q
-	s.driftQ += math.Abs(s.q - qBefore)
-	s.driftTouch += float64(touched) / float64(s.n)
-	return UpdateResult{
-		Moved:    res.Moved,
-		Touched:  touched,
-		Q:        s.q,
-		Iters:    res.Iters,
-		NeedFull: s.driftQ > s.opt.DriftQ || s.driftTouch > s.opt.DriftTouched,
-	}, nil
+	return UpdateResult{Moved: res.Moved, Touched: touched, Q: s.q, Iters: res.Iters}, nil
+}
+
+// arm sets the stage's flags for the seeds: an owned vertex on its owner, a
+// hub on every rank. Arming is a set insertion, so seed order is irrelevant.
+func (s *Session) arm(seeds []int) {
+	for _, v := range seeds {
+		if hi, hub := s.st.hubIndex(v); hub {
+			s.st.hubActive[hi] = true
+		} else if s.owns(v) {
+			s.st.active[v] = true
+		}
+	}
 }
 
 // drainSeen counts and clears the stage's evaluated marks: the distinct
@@ -661,110 +645,6 @@ func (s *Session) resolveNewGhosts() error {
 		st.comm[g] = int32(labels[i])
 		st.watch(labels[i]) // registered by the flush that follows in ApplyUpdates
 	}
-	return nil
-}
-
-// seedFromOps arms every vertex within Options.UpdateKHops hops of a
-// changed edge: a distributed BFS of exactly k synchronized rounds (one
-// all-to-all per round, so all ranks stay collective-symmetric). Reached
-// low vertices are routed to their owners; reached hubs are broadcast so
-// every rank expands its local share of the hub's arcs. All set insertions
-// are idempotent, so arrival order cannot affect the resulting active set.
-func (s *Session) seedFromOps(ops []EdgeOp) error {
-	st, sg := s.st, s.sg
-	var frontier []int    // owned low vertices to expand next round
-	var hubFrontier []int // hub indices to expand next round
-	reach := func(x int) {
-		if s.bfsMark[x] {
-			return
-		}
-		s.bfsMark[x] = true
-		s.bfsList = append(s.bfsList, x)
-		if hi, hub := st.hubIndex(x); hub {
-			st.hubActive[hi] = true
-			hubFrontier = append(hubFrontier, hi)
-			return
-		}
-		if s.owns(x) {
-			st.active[x] = true
-			frontier = append(frontier, x)
-		}
-	}
-	// Hop 0: the endpoints (replicated, so every rank marks hubs and its
-	// own vertices without any exchange).
-	for _, op := range ops {
-		reach(op.U)
-		reach(op.V)
-	}
-	targets := make([][]int, s.p)
-	for hop := 0; hop < s.opt.UpdateKHops; hop++ {
-		for r := range targets {
-			targets[r] = targets[r][:0]
-		}
-		route := func(t int) {
-			if _, hub := st.hubIndex(t); hub {
-				for r := 0; r < s.p; r++ {
-					targets[r] = append(targets[r], t)
-				}
-				return
-			}
-			o := partition.Owner(t, s.p)
-			targets[o] = append(targets[o], t)
-		}
-		for _, u := range frontier {
-			if i, ok := sg.OwnedIndex(u); ok {
-				for _, a := range sg.AdjOwned[i] {
-					if a.To != u {
-						route(a.To)
-					}
-				}
-			}
-		}
-		for _, hi := range hubFrontier {
-			for _, a := range sg.AdjHub[hi] {
-				if a.To != sg.Hubs[hi] {
-					route(a.To)
-				}
-			}
-		}
-		frontier = frontier[:0]
-		hubFrontier = hubFrontier[:0]
-		bufs := st.sendScratch()
-		for r := 0; r < s.p; r++ {
-			ts := targets[r]
-			sort.Ints(ts)
-			// In-place dedup: repeated targets within a round are common
-			// (shared neighborhoods) and pure overhead on the wire.
-			out := ts[:0]
-			for j, t := range ts {
-				if j > 0 && ts[j-1] == t {
-					continue
-				}
-				out = append(out, t)
-			}
-			targets[r] = out
-			st.sendBufs[r].PutInts(out)
-			bufs[r] = st.sendBufs[r].Bytes()
-		}
-		in, err := comm.Alltoallv(s.c, bufs)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < s.p; r++ {
-			rd := wire.NewReader(in[r])
-			for _, t := range rd.Ints() {
-				reach(t)
-			}
-			if err := rd.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	// Reset the visited set for the next batch (O(visited)).
-	for _, v := range s.bfsList {
-		s.bfsMark[v] = false
-	}
-	s.bfsList = s.bfsList[:0]
 	return nil
 }
 

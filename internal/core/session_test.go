@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,8 +18,11 @@ import (
 // Harness: a resident session world over the in-process transport.
 
 // sessionRun drives one resident world: every rank solves, then applies the
-// batches in lockstep, optionally re-solving (the drift fallback) whenever a
-// batch reports NeedFull. Returned slices are rank 0's replicated values.
+// batches in lockstep under the serving driver's policy replayed on the test
+// side (internal/dserver): each batch is seeded with the 2-hop ball of
+// replaySeeds, and with driftQ > 0 a batch whose drift since the last full
+// solve crosses driftQ or the default touched threshold is followed by a
+// full re-solve. Returned slices are rank 0's replicated values.
 type sessionRun struct {
 	Results    []UpdateResult
 	Fallbacks  []bool // parallel to Results: batch was followed by a full re-solve
@@ -26,8 +30,9 @@ type sessionRun struct {
 	Membership graph.Membership
 }
 
-func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]EdgeOp, resolveOnNeedFull bool) sessionRun {
+func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]EdgeOp, driftQ float64) sessionRun {
 	t.Helper()
+	seeds := replaySeeds(t, g, batches, 2)
 	// Run's own mapping, so session worlds partition exactly like the batch
 	// oracle they are compared against.
 	layout, err := partition.Build(g, opt.PartitionOptions())
@@ -49,18 +54,22 @@ func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]Ed
 		if err := ses.Solve(); err != nil {
 			return err
 		}
-		for _, batch := range batches {
-			res, err := ses.ApplyUpdates(batch)
+		var dq, dt float64 // the server's drift arithmetic
+		for i, batch := range batches {
+			before := ses.Modularity()
+			res, err := ses.ApplyUpdates(batch, seeds[i])
 			if err != nil {
 				return err
 			}
 			results[r] = append(results[r], res)
-			fell := false
-			if res.NeedFull && resolveOnNeedFull {
+			dq += math.Abs(res.Q - before)
+			dt += float64(res.Touched) / float64(g.NumVertices())
+			fell := driftQ > 0 && (dq > driftQ || dt > 0.35)
+			if fell {
 				if err := ses.Solve(); err != nil {
 					return err
 				}
-				fell = true
+				dq, dt = 0, 0
 			}
 			fallbacks[r] = append(fallbacks[r], fell)
 		}
@@ -80,8 +89,8 @@ func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]Ed
 	m.Normalize()
 	// Replication check: every rank must have seen identical results.
 	for r := 1; r < opt.P; r++ {
-		if len(results[r]) != len(results[0]) {
-			t.Fatalf("rank %d saw %d results, rank 0 saw %d", r, len(results[r]), len(results[0]))
+		if len(results[r]) != len(results[0]) || !slices.Equal(fallbacks[r], fallbacks[0]) {
+			t.Fatalf("rank %d saw %d results and fallbacks %v, rank 0 saw %d and %v", r, len(results[r]), fallbacks[r], len(results[0]), fallbacks[0])
 		}
 		for i := range results[r] {
 			if results[r][i] != results[0][i] {
@@ -126,6 +135,46 @@ func (l edgeLedger) apply(ops []EdgeOp) {
 			l[k] += op.W
 		}
 	}
+}
+
+// replaySeeds replays the serving driver's seeding on the test side: for
+// each batch, its k-hop ball (ballOf) in the graph as the batch leaves it.
+func replaySeeds(t *testing.T, g *graph.Graph, batches [][]EdgeOp, k int) [][]int {
+	t.Helper()
+	led := ledgerOf(g)
+	seeds := make([][]int, len(batches))
+	for i, batch := range batches {
+		led.apply(batch)
+		seeds[i] = ballOf(led.graph(t, g.NumVertices()), batch, k)
+	}
+	return seeds
+}
+
+// ballOf returns the vertices within k hops of the endpoints of ops in g.
+func ballOf(g *graph.Graph, ops []EdgeOp, k int) []int {
+	seen := make(map[int]bool)
+	var ball []int
+	reach := func(v int) {
+		if !seen[v] {
+			seen[v] = true
+			ball = append(ball, v)
+		}
+	}
+	for _, op := range ops {
+		reach(op.U)
+		reach(op.V)
+	}
+	for hop, lo := 0, 0; hop < k; hop++ {
+		hi := len(ball)
+		for _, u := range ball[lo:hi] {
+			nbrs, _ := g.Neighbors(u)
+			for _, v := range nbrs {
+				reach(int(v))
+			}
+		}
+		lo = hi
+	}
+	return ball
 }
 
 func (l edgeLedger) graph(t *testing.T, n int) *graph.Graph {
@@ -184,7 +233,7 @@ func TestSessionInstallMatchesBatchRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := runSessionBatches(t, g, opt, nil, false)
+		run := runSessionBatches(t, g, opt, nil, 0)
 		if !sameMembership(batch.Membership, run.Membership) {
 			t.Errorf("p=%d: installed membership disagrees with batch Run", p)
 		}
@@ -215,14 +264,16 @@ func TestIncrementalQualityPinned(t *testing.T) {
 		{"golden_p4", goldenGraph(t), 4},
 		{"rmat_p4", rmat, 4},
 	}
-	const qSlack = 0.03 // heuristic-to-heuristic wobble allowance on top of DriftQ
+	const (
+		driftQ = 0.05 // the server's default
+		qSlack = 0.03 // heuristic-to-heuristic wobble allowance on top of driftQ
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := Options{P: tc.p, DHigh: 8}
 			stream := randomStream(tc.g, 42, 6, 12, 0.4)
 			led := ledgerOf(tc.g)
-			run := runSessionBatches(t, tc.g, opt, stream, true)
-			oopt, _ := opt.withDefaults()
+			run := runSessionBatches(t, tc.g, opt, stream, driftQ)
 			for i, batch := range stream {
 				if run.Results[i].Touched == 0 {
 					t.Errorf("batch %d: incremental sweep touched no vertices (seeding broken?)", i)
@@ -238,70 +289,12 @@ func TestIncrementalQualityPinned(t *testing.T) {
 					// full-solve quality, checked on later checkpoints.
 					continue
 				}
-				if q < oracle.Modularity-oopt.DriftQ-qSlack {
+				if q < oracle.Modularity-driftQ-qSlack {
 					t.Errorf("batch %d: incremental Q %.6f below oracle %.6f - bound %.3f",
-						i, q, oracle.Modularity, oopt.DriftQ+qSlack)
+						i, q, oracle.Modularity, driftQ+qSlack)
 				}
 			}
 		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Adversarial stream: deleting a community's internal edges must force the
-// drift fallback.
-
-func TestIncrementalFallbackAdversarial(t *testing.T) {
-	withInvariants(t)
-	g, want, err := gen.Caveman(6, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = want
-	opt := Options{P: 2, DHigh: 16, DriftQ: 0.02}
-	// Solve once to find the largest community, then delete every internal
-	// edge of it (its spanning structure) in small batches.
-	base, err := Run(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{}
-	for _, c := range base.Membership {
-		counts[c]++
-	}
-	big, bigN := -1, 0
-	for _, c := range base.Membership {
-		if counts[c] > bigN {
-			big, bigN = c, counts[c]
-		}
-	}
-	var doomed []EdgeOp
-	for _, e := range g.Edges() {
-		if e.U != e.V && base.Membership[e.U] == big && base.Membership[e.V] == big {
-			doomed = append(doomed, EdgeOp{U: e.U, V: e.V, W: e.W, Del: true})
-		}
-	}
-	if len(doomed) < 4 {
-		t.Fatalf("degenerate fixture: largest community (%d members) has %d internal edges", bigN, len(doomed))
-	}
-	var batches [][]EdgeOp
-	for len(doomed) > 0 {
-		n := 6
-		if n > len(doomed) {
-			n = len(doomed)
-		}
-		batches = append(batches, doomed[:n])
-		doomed = doomed[n:]
-	}
-	run := runSessionBatches(t, g, opt, batches, false)
-	triggered := false
-	for _, res := range run.Results {
-		if res.NeedFull {
-			triggered = true
-		}
-	}
-	if !triggered {
-		t.Errorf("adversarial deletion stream never reported NeedFull (final drift should exceed DriftQ=%g)", opt.DriftQ)
 	}
 }
 
@@ -313,12 +306,12 @@ func TestIncrementalDeterminism(t *testing.T) {
 	g := goldenGraph(t)
 	opt := Options{P: 3, DHigh: 6}
 	stream := randomStream(g, 99, 4, 10, 0.3)
-	ref := runSessionBatches(t, g, opt, stream, true)
-	run := runSessionBatches(t, g, opt, stream, true)
+	ref := runSessionBatches(t, g, opt, stream, 0.05)
+	run := runSessionBatches(t, g, opt, stream, 0.05)
 	for i := range ref.Results {
 		a, b := ref.Results[i], run.Results[i]
 		if a.Moved != b.Moved || a.Touched != b.Touched || a.Iters != b.Iters ||
-			a.NeedFull != b.NeedFull || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
+			ref.Fallbacks[i] != run.Fallbacks[i] || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
 			t.Fatalf("second run batch %d: %+v != first run %+v", i, b, a)
 		}
 	}
@@ -339,7 +332,8 @@ func TestSessionTCPMatchesInproc(t *testing.T) {
 	g := goldenGraph(t)
 	opt := Options{P: 2, DHigh: 6}
 	stream := randomStream(g, 7, 2, 8, 0.3)
-	inproc := runSessionBatches(t, g, opt, stream, false)
+	inproc := runSessionBatches(t, g, opt, stream, 0)
+	seeds := replaySeeds(t, g, stream, 2)
 
 	layout, err := partition.Build(g, partition.Options{P: opt.P, DHigh: opt.DHigh})
 	if err != nil {
@@ -370,8 +364,8 @@ func TestSessionTCPMatchesInproc(t *testing.T) {
 				errs[r] = err
 				return
 			}
-			for _, batch := range stream {
-				res, err := ses.ApplyUpdates(batch)
+			for i, batch := range stream {
+				res, err := ses.ApplyUpdates(batch, seeds[i])
 				if err != nil {
 					errs[r] = err
 					return
@@ -433,7 +427,7 @@ func TestValidateOpsWeights(t *testing.T) {
 				t.Errorf("%s: ValidateOps = %v, want an error (wrapping ErrWeight: %v)", tc.name, err, tc.weight)
 			}
 			q := ses.Modularity()
-			if _, err := ses.ApplyUpdates(tc.ops); err == nil || ses.Modularity() != q {
+			if _, err := ses.ApplyUpdates(tc.ops, nil); err == nil || ses.Modularity() != q {
 				t.Errorf("%s: ApplyUpdates = %v, Q %v -> %v", tc.name, err, q, ses.Modularity())
 			}
 		}
@@ -459,7 +453,8 @@ func TestSessionAttach(t *testing.T) {
 	}
 	opt := Options{P: 2}
 	batches := [][]EdgeOp{{{U: 2, V: 14, W: 1.5}}, {{U: 2, V: 14, W: 1.5, Del: true}, {U: 3, V: 20, W: 2}}}
-	want := runSessionBatches(t, g, opt, batches, false)
+	want := runSessionBatches(t, g, opt, batches, 0)
+	seeds := replaySeeds(t, g, batches, 2)
 
 	layout, err := partition.Build(g, opt.PartitionOptions())
 	if err != nil {
@@ -485,7 +480,7 @@ func TestSessionAttach(t *testing.T) {
 				return err
 			}
 			var err error
-			res[c.Rank()], err = ses.ApplyUpdates(batch)
+			res[c.Rank()], err = ses.ApplyUpdates(batch, seeds[i])
 			return err
 		})
 		if err != nil {

@@ -144,8 +144,8 @@ func TestCacheCoherenceSession(t *testing.T) {
 	withCoherenceHook(t)
 	g := goldenGraph(t)
 	for _, p := range []int{2, 4} {
-		opt := Options{P: p, DHigh: 8, DriftQ: 0.02}
-		run := runSessionBatches(t, g, opt, randomStream(g, 17, 24, 6, 0.4), true)
+		opt := Options{P: p, DHigh: 8}
+		run := runSessionBatches(t, g, opt, randomStream(g, 17, 24, 6, 0.4), 0.02)
 		fell := 0
 		for _, f := range run.Fallbacks {
 			if f {
@@ -153,7 +153,7 @@ func TestCacheCoherenceSession(t *testing.T) {
 			}
 		}
 		if fell == 0 {
-			t.Fatalf("p=%d: no drift-triggered full solve in %d batches; lower DriftQ", p, len(run.Results))
+			t.Fatalf("p=%d: no drift-triggered full solve in %d batches; lower the drift threshold", p, len(run.Results))
 		}
 	}
 }
@@ -558,8 +558,9 @@ func TestGarbledFrames(t *testing.T) {
 // Messages per rank: an iteration sends the three exchanges and the
 // IterStats record of TestIterationSingleAllreduce (11) plus, with hubs,
 // the hub-proposal exchange (p−1), and the batch around them sends the
-// new-ghost query and reply, the ledger flush, one exchange per seeding hop
-// and the touched-count sum.
+// new-ghost query and reply, the ledger flush and the touched-count sum. The
+// seeds come with the batch (the serving driver walks its ledger), so
+// seeding sends nothing.
 //
 // Work units: while the aggregates were pulled, synchronisation cost
 // 205/221/198/187 units per iteration on ranks 0–3 of the pinned row, three
@@ -579,7 +580,7 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	const perBatch = (3+2)*(p-1) + 2 // UpdateKHops defaults to 2
+	const perBatch = 3*(p-1) + 2
 	for _, row := range []struct {
 		name    string
 		dhigh   int
@@ -598,7 +599,8 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 			if hubs := len(layout.Hubs) > 0; hubs != row.hubs {
 				t.Fatalf("fixture has %d hubs at DHigh %d; want hubs: %v", len(layout.Hubs), layout.DHigh, row.hubs)
 			}
-			batch := randomStream(g, 5, 1, 4, 0.3)[0]
+			batches := randomStream(g, 5, 1, 4, 0.3)
+			batch, seeds := batches[0], replaySeeds(t, g, batches, 2)[0]
 			msgs := make([]int64, p)
 			syncUnits := make([]int64, p)
 			iters := make([]int, p)
@@ -614,7 +616,7 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 				}
 				before := c.Stats().Snapshot()
 				other := ses.st.workPhase[trace.Other]
-				res, err := ses.ApplyUpdates(batch)
+				res, err := ses.ApplyUpdates(batch, seeds)
 				if err != nil {
 					return err
 				}

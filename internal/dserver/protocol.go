@@ -2,6 +2,8 @@ package dserver
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -115,13 +117,11 @@ func ParseOps(s string) ([]Op, error) {
 		if len(f) < 2 || (f[0] != '+' && f[0] != '-') {
 			return nil, fmt.Errorf("update: op %q, want +u,v,w or -u,v", f)
 		}
-		del := f[0] == '-'
+		op := Op{Del: f[0] == '-'}
 		parts := strings.Split(f[1:], ",")
-		var op Op
-		op.Del = del
 		switch {
-		case del && len(parts) == 2:
-		case !del && len(parts) == 3:
+		case op.Del && len(parts) == 2:
+		case !op.Del && len(parts) == 3:
 			wt, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("update: op %q: bad weight: %v", f, err)
@@ -147,27 +147,49 @@ func ParseOps(s string) ([]Op, error) {
 	return ops, nil
 }
 
+// errUnterminated refuses a last line with no newline: the client's input
+// ended, or its connection dropped, mid-request, so the line may be cut
+// short ("+0,7,1" of a meant "+0,7,12").
+var errUnterminated = errors.New("request not terminated by a newline: not executed")
+
+// scanRequests splits Serve's input at '\n' like bufio.ScanLines, but ends the
+// scan with errUnterminated at a non-blank last line that has no newline.
+func scanRequests(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(bytes.TrimSpace(data)) > 0 {
+		return 0, nil, errUnterminated
+	}
+	return 0, nil, nil
+}
+
 // Serve reads protocol lines from r and writes one reply line per request
-// to out until EOF. It is the transport-agnostic request loop behind both
-// cmd/dserver's stdio/TCP modes and the golden fixture replays.
+// to out until EOF. A request is a line ending in '\n': an unterminated last
+// line is answered with an error and not executed. It is the
+// transport-agnostic request loop behind both cmd/dserver's stdio/TCP modes
+// and the golden fixture replays.
 func (w *World) Serve(r io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	bw := bufio.NewWriter(out)
-	defer bw.Flush()
-	for sc.Scan() {
-		rep := w.HandleLine(sc.Text())
+	sc.Split(scanRequests)
+	reply := func(rep string) error { // one Write per reply line
 		if rep == "" {
-			continue
+			return nil
 		}
-		if _, err := bw.WriteString(rep + "\n"); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		_, err := io.WriteString(out, rep+"\n")
+		return err
+	}
+	for sc.Scan() {
+		if err := reply(w.HandleLine(sc.Text())); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
+	err := sc.Err()
+	if errors.Is(err, errUnterminated) {
+		err = reply("error: dserver: " + err.Error())
+	}
+	return err
 }
 
 func hexFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }

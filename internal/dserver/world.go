@@ -7,11 +7,12 @@
 // vertex, in the sessions' fixed-point weights. A mutation (the initial solve, Update,
 // Resolve) runs in a fresh in-process world: comm.RunWorld starts one
 // goroutine per rank, each attaches its stored Session to the new endpoint,
-// and all run the same collective step. Updates re-cluster incrementally
-// from the vertices within UpdateKHops of the changed edges; past the drift
-// thresholds the world falls back to a full solve (in the same call with
-// AutoResolve). Then the world has exited, and a new snapshot with the
-// committed ledger is published: no goroutine outlives the call.
+// and all run the same collective step. The serving policy is the World's:
+// an update re-clusters incrementally from the vertices within KHops of the
+// changed edges, a walk over the ledger, and past the drift thresholds the
+// world falls back to a full solve (in the same call with AutoResolve).
+// Then the world has exited, and a new snapshot with the committed ledger is
+// published: no goroutine outlives the call.
 //
 // All methods are safe for concurrent use. Mutations serialize behind one
 // mutex; reads take no lock and load the current snapshot, so no read waits
@@ -24,6 +25,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,6 +48,14 @@ type Options struct {
 	// call whenever the incremental pass crosses a drift threshold. When
 	// false the caller sees NeedFull and decides when to call Resolve.
 	AutoResolve bool
+	// KHops seeds an update's re-clustering with the vertices within this
+	// many hops of its endpoints (hop 0); <= 0 means 2. More hops come
+	// closer to full-solve quality, and to full-solve cost.
+	KHops int
+	// DriftQ and DriftTouched are the thresholds on Stats.DriftQ and
+	// Stats.DriftTouch past which an update reports NeedFull; <= 0 means
+	// 0.05 and 0.35.
+	DriftQ, DriftTouched float64
 }
 
 // Stats is a snapshot of the world's serving counters.
@@ -56,14 +66,16 @@ type Stats struct {
 	Ops         int64 // edge operations applied
 	Edges       int64 // current edge count in the ledger
 	Modularity  float64
-	DriftQ      float64
-	DriftTouch  float64
+	DriftQ      float64 // |ΔQ| summed over the incremental batches since the last full solve
+	DriftTouch  float64 // their touched-vertex fractions, summed
 }
 
 // UpdateOutcome reports one Update call. Its Q is the modularity the call
 // published: the fallback's when Full.
 type UpdateOutcome struct {
 	core.UpdateResult
+	// NeedFull reports that the drift crossed DriftQ or DriftTouched.
+	NeedFull bool
 	// Full is true when this call ran the full-solve fallback (AutoResolve).
 	Full bool
 }
@@ -71,19 +83,15 @@ type UpdateOutcome struct {
 // Op is one requested edge mutation. Inserts carry W > 0 and accumulate
 // onto an existing edge; deletes ignore W (the ledger supplies the full
 // current weight) and remove the edge entirely.
-type Op struct {
-	U, V int
-	W    float64
-	Del  bool
-}
+type Op = core.EdgeOp
 
 // World is the resident service. mu serializes the mutations (Update,
 // Resolve, Close), which alone touch sessions and publish snap; reads load
 // snap.
 type World struct {
-	p           int
-	n           int
-	autoResolve bool
+	p   int
+	n   int
+	opt Options // the serving policy, defaults applied
 
 	mu       sync.Mutex
 	sessions []*core.Session // one per rank; nil once closed
@@ -122,12 +130,10 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 		return nil, err
 	}
 
-	w := &World{
-		p:           p,
-		n:           g.NumVertices(),
-		autoResolve: opt.AutoResolve,
-		sessions:    make([]*core.Session, p),
-	}
+	opt.KHops = cmp.Or(max(opt.KHops, 0), 2)
+	opt.DriftQ = cmp.Or(max(opt.DriftQ, 0), 0.05)
+	opt.DriftTouched = cmp.Or(max(opt.DriftTouched, 0), 0.35)
+	w := &World{p: p, n: g.NumVertices(), opt: opt, sessions: make([]*core.Session, p)}
 	err = w.run(func(c comm.Comm) error {
 		s, err := core.NewSession(c, layout.Parts[c.Rank()].CloneForServing(), copt)
 		if err != nil {
@@ -203,8 +209,8 @@ func (w *World) each(step func(rank int, s *core.Session) error) error {
 }
 
 // publish replaces the snapshot with the sessions' labels, the ledger adj,
-// and st completed by rank 0's replicated Q, which it returns, and drift.
-// Caller holds mu (or is New), so the sessions are quiescent.
+// and st completed by rank 0's replicated Q, which it returns. Caller holds
+// mu (or is New), so the sessions are quiescent.
 func (w *World) publish(st Stats, adj [][]partition.Arc) float64 {
 	labels := make([]int32, w.n)
 	for _, s := range w.sessions {
@@ -214,7 +220,6 @@ func (w *World) publish(st Stats, adj [][]partition.Arc) float64 {
 		}
 	}
 	st.Modularity = w.sessions[0].Modularity()
-	st.DriftQ, st.DriftTouch = w.sessions[0].Drift()
 	w.snap.Store(&snapshot{labels: labels, adj: adj, stats: st})
 	return st.Modularity
 }
@@ -292,8 +297,9 @@ func (w *World) Membership() (graph.Membership, error) {
 func (w *World) Stats() Stats { return w.snap.Load().stats }
 
 // Update validates ops against the edge ledger, applies them on every rank
-// as one replicated incremental batch, and (with AutoResolve) runs the
-// full-solve fallback when drift crosses a threshold.
+// as one replicated incremental batch seeded with the KHops ball around
+// their endpoints, and (with AutoResolve) runs the full-solve fallback when
+// drift crosses a threshold.
 func (w *World) Update(ops []Op) (UpdateOutcome, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -301,42 +307,81 @@ func (w *World) Update(ops []Op) (UpdateOutcome, error) {
 	if err != nil {
 		return UpdateOutcome{}, err
 	}
-	eops, next, grown, err := w.stage(cur.adj, ops)
+	ops, adj, grown, err := w.stage(cur.adj, ops)
 	if err != nil {
 		return UpdateOutcome{}, err
 	}
+	seeds := w.seeds(adj, ops)
 	var out UpdateOutcome
 	err = w.each(func(rank int, s *core.Session) error {
-		res, err := s.ApplyUpdates(eops)
+		res, err := s.ApplyUpdates(ops, seeds)
 		if err != nil {
 			return err
 		}
+		// Every rank decides from its own replicated result.
+		if _, _, need := w.drift(cur.stats, res); need && w.opt.AutoResolve {
+			if err := s.Solve(); err != nil {
+				return err
+			}
+		}
 		if rank == 0 {
 			out.UpdateResult = res
-		}
-		if res.NeedFull && w.autoResolve {
-			return s.Solve()
 		}
 		return nil
 	})
 	if err != nil {
 		return UpdateOutcome{}, err
 	}
-	adj := slices.Clone(cur.adj)
-	for v, arcs := range next {
-		adj[v] = arcs
-	}
 	st := cur.stats
 	st.Edges += grown
 	st.Batches++
-	st.Ops += int64(len(eops))
-	if out.Full = out.NeedFull && w.autoResolve; out.Full {
+	st.Ops += int64(len(ops))
+	st.DriftQ, st.DriftTouch, out.NeedFull = w.drift(st, out.UpdateResult)
+	if out.Full = out.NeedFull && w.opt.AutoResolve; out.Full {
 		st.Full++
+		st.DriftQ, st.DriftTouch = 0, 0
 	} else {
 		st.Incremental++
 	}
 	out.Q = w.publish(st, adj)
 	return out, nil
+}
+
+// seeds is the batch's seed set: every vertex within KHops hops of an
+// endpoint of ops, walked breadth-first over adj, the ledger as the batch
+// leaves it. The ranks' shares together hold exactly the ledger's arcs, so
+// a walk over the shares would reach the same ball.
+func (w *World) seeds(adj [][]partition.Arc, ops []Op) []int {
+	seen := make(map[int]bool)
+	var ball []int
+	reach := func(v int) {
+		if !seen[v] {
+			seen[v] = true
+			ball = append(ball, v)
+		}
+	}
+	for _, op := range ops {
+		reach(op.U)
+		reach(op.V)
+	}
+	for hop, lo := 0, 0; hop < w.opt.KHops; hop++ {
+		hi := len(ball)
+		for _, u := range ball[lo:hi] {
+			for _, a := range adj[u] {
+				reach(a.To)
+			}
+		}
+		lo = hi
+	}
+	return ball
+}
+
+// drift adds an incremental batch's |ΔQ| and touched fraction to the drift
+// st carries since the last full solve; need reports a crossed threshold.
+func (w *World) drift(st Stats, res core.UpdateResult) (dq, dt float64, need bool) {
+	dq = st.DriftQ + math.Abs(res.Q-st.Modularity)
+	dt = st.DriftTouch + float64(res.Touched)/float64(w.n)
+	return dq, dt, dq > w.opt.DriftQ || dt > w.opt.DriftTouched
 }
 
 // Resolve forces the full-solve fallback now, resetting drift, and returns
@@ -353,53 +398,48 @@ func (w *World) Resolve() (float64, error) {
 	}
 	st := cur.stats
 	st.Full++
+	st.DriftQ, st.DriftTouch = 0, 0
 	return w.publish(st, cur.adj), nil
 }
 
 // stage validates ops against the ledger adj and prepares the replicated
-// EdgeOp batch: deletes are filled with the edge's full current weight.
+// batch, a copy of ops whose deletes carry the edge's full current weight.
 // The batch then passes the sessions' own gate (core.Session.ValidateOps),
 // so one a rank would refuse is refused before any rank sees it. Nothing is
-// committed here: next holds the new arc slice of every vertex the batch
-// changes, and grown the change in edge count. Caller holds mu.
-func (w *World) stage(adj [][]partition.Arc, ops []Op) (eops []core.EdgeOp, next map[int][]partition.Arc, grown int64, err error) {
-	next = make(map[int][]partition.Arc)
-	find := func(u, v int) ([]partition.Arc, int, bool) {
-		arcs, ok := next[u]
-		if !ok {
-			arcs = adj[u]
-		}
-		i, found := slices.BinarySearchFunc(arcs, v, func(a partition.Arc, t int) int { return cmp.Compare(a.To, t) })
-		return arcs, i, found
+// committed: after is a copy of adj with a new row for every vertex the
+// batch changes, grown the change in edge count. Caller holds mu.
+func (w *World) stage(adj [][]partition.Arc, ops []Op) (batch []Op, after [][]partition.Arc, grown int64, err error) {
+	after = slices.Clone(adj)
+	private := make(map[int]bool) // rows of after this batch has copied
+	find := func(u, v int) (int, bool) {
+		return slices.BinarySearchFunc(after[u], v, func(a partition.Arc, t int) int { return cmp.Compare(a.To, t) })
 	}
-	// put sets arc u→v to wt in u's private copy; wt 0 removes it.
+	// put sets arc u→v to wt in u's private row; wt 0 removes it.
 	put := func(u, v int, wt int64) {
-		arcs, i, found := find(u, v)
-		if _, ok := next[u]; !ok {
-			arcs = slices.Clone(arcs)
+		if !private[u] {
+			after[u], private[u] = slices.Clone(after[u]), true
 		}
-		switch {
+		switch i, found := find(u, v); {
 		case found && wt == 0:
-			arcs = slices.Delete(arcs, i, i+1)
+			after[u] = slices.Delete(after[u], i, i+1)
 		case found:
-			arcs[i].W = wt
+			after[u][i].W = wt
 		default:
-			arcs = slices.Insert(arcs, i, partition.Arc{To: v, W: wt})
+			after[u] = slices.Insert(after[u], i, partition.Arc{To: v, W: wt})
 		}
-		next[u] = arcs
 	}
-	eops = make([]core.EdgeOp, len(ops))
-	for i, op := range ops {
+	batch = slices.Clone(ops)
+	for i, op := range batch {
 		if op.U < 0 || op.U >= w.n || op.V < 0 || op.V >= w.n {
 			return nil, nil, 0, fmt.Errorf("dserver: op %d: vertex out of range [0,%d)", i, w.n)
 		}
 		if op.U == op.V {
 			return nil, nil, 0, fmt.Errorf("dserver: op %d: self-loop %d", i, op.U)
 		}
-		arcs, j, found := find(op.U, op.V)
+		j, found := find(op.U, op.V)
 		var cur int64
 		if found {
-			cur = arcs[j].W
+			cur = after[op.U][j].W
 		}
 		if op.Del {
 			if !found {
@@ -408,7 +448,7 @@ func (w *World) stage(adj [][]partition.Arc, ops []Op) (eops []core.EdgeOp, next
 			put(op.U, op.V, 0)
 			put(op.V, op.U, 0)
 			grown--
-			eops[i] = core.EdgeOp{U: op.U, V: op.V, W: partition.Dequantise(cur), Del: true}
+			batch[i].W = partition.Dequantise(cur)
 			continue
 		}
 		q, _ := partition.Quantise(op.W) // a bad weight fails ValidateOps below
@@ -417,13 +457,12 @@ func (w *World) stage(adj [][]partition.Arc, ops []Op) (eops []core.EdgeOp, next
 		if !found {
 			grown++
 		}
-		eops[i] = core.EdgeOp{U: op.U, V: op.V, W: op.W}
 	}
 	// Every rank holds the same 2m, so rank 0's session answers for all.
-	if err := w.sessions[0].ValidateOps(eops); err != nil {
+	if err := w.sessions[0].ValidateOps(batch); err != nil {
 		return nil, nil, 0, fmt.Errorf("dserver: %w", err)
 	}
-	return eops, next, grown, nil
+	return batch, after, grown, nil
 }
 
 // Close drops the sessions; later calls answer "world closed" unless the

@@ -1,6 +1,7 @@
 package dserver
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +181,172 @@ func TestWorldLedgerValidation(t *testing.T) {
 	}
 }
 
+// TestWorldSeedsMatchLedgerBFS holds the incremental seed set to a plain
+// breadth-first walk over a graph.Graph rebuilt from the ledger the batch
+// leaves: the batch inserts, deletes, and inserts and deletes one new edge,
+// on a layout with hubs, at KHops 0 to 3.
+func TestWorldSeedsMatchLedgerBFS(t *testing.T) {
+	g, err := gen.RMAT(gen.Graph500RMAT(8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copt := core.Options{P: 4, DHigh: 8}
+	layout, err := partition.Build(g, copt.PartitionOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(layout.Hubs) == 0 {
+		t.Fatal("fixture has no hubs at DHigh 8")
+	}
+	w := newWorld(t, g, Options{P: 4, Core: copt})
+	cur := w.snap.Load().adj
+	n := g.NumVertices()
+	has := func(u, v int) bool {
+		_, found := slices.BinarySearchFunc(cur[u], v, func(a partition.Arc, t int) int { return cmp.Compare(a.To, t) })
+		return found
+	}
+	absent := func(u int) int { // the first vertex after u that u has no edge to
+		v := (u + 1) % n
+		for v == u || has(u, v) {
+			v = (v + 1) % n
+		}
+		return v
+	}
+	del := func(u int) Op { // u's last edge that is not a self-loop
+		for u < n && len(cur[u]) == 0 {
+			u++
+		}
+		j := len(cur[u]) - 1
+		for cur[u][j].To == u {
+			j--
+		}
+		return Op{U: u, V: cur[u][j].To, Del: true}
+	}
+	var hi int // a vertex of the highest degree, a hub
+	for v := range cur {
+		if len(cur[v]) > len(cur[hi]) {
+			hi = v
+		}
+	}
+	ops := []Op{
+		{U: 3, V: absent(3), W: 1},
+		{U: hi, V: absent(hi), W: 2},
+		del(hi),
+		del(40),
+		{U: 60, V: absent(60), W: 1},
+		{U: 60, V: absent(60), Del: true},
+	}
+	batch, after, _, err := w.stage(cur, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graph.Edge
+	for u, arcs := range after {
+		for _, a := range arcs {
+			if u < a.To {
+				edges = append(edges, graph.Edge{U: u, V: a.To, W: partition.Dequantise(a.W)})
+			}
+		}
+	}
+	rebuilt, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= 3; k++ {
+		dist := make(map[int]int)
+		var queue []int
+		for _, op := range batch {
+			for _, v := range []int{op.U, op.V} {
+				if _, ok := dist[v]; !ok {
+					dist[v] = 0
+					queue = append(queue, v)
+				}
+			}
+		}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			if dist[u] == k {
+				continue
+			}
+			nbrs, _ := rebuilt.Neighbors(u)
+			for _, v := range nbrs {
+				if _, ok := dist[int(v)]; !ok {
+					dist[int(v)] = dist[u] + 1
+					queue = append(queue, int(v))
+				}
+			}
+		}
+		w.opt.KHops = k
+		got := w.seeds(after, batch)
+		if len(got) != len(dist) {
+			t.Errorf("k=%d: %d seeds, the walk over the rebuilt graph reaches %d", k, len(got), len(dist))
+		}
+		for _, v := range got {
+			if _, ok := dist[v]; !ok {
+				t.Errorf("k=%d: seed %d is outside the %d-hop ball", k, v, k)
+			}
+		}
+	}
+}
+
+// TestIncrementalFallbackAdversarial deletes every internal edge of the
+// largest community in small batches: the drift must cross DriftQ, and an
+// update must report NeedFull. Without AutoResolve the world only reports
+// it, and the drift stays in Stats until a Resolve resets it.
+func TestIncrementalFallbackAdversarial(t *testing.T) {
+	g, _, err := gen.Caveman(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld(t, g, Options{P: 2, Core: core.Options{DHigh: 16}, DriftQ: 0.02})
+	m, err := w.Membership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int]int{}
+	big := 0
+	for _, c := range m {
+		if counts[c]++; counts[c] > counts[big] {
+			big = c
+		}
+	}
+	var doomed []Op
+	for _, e := range g.Edges() {
+		if e.U != e.V && m[e.U] == big && m[e.V] == big {
+			doomed = append(doomed, Op{U: e.U, V: e.V, Del: true})
+		}
+	}
+	if len(doomed) < 4 {
+		t.Fatalf("degenerate fixture: largest community (%d members) has %d internal edges", counts[big], len(doomed))
+	}
+	triggered := false
+	for len(doomed) > 0 {
+		batch := doomed[:min(6, len(doomed))]
+		doomed = doomed[len(batch):]
+		out, err := w.Update(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Full {
+			t.Fatal("the fallback ran without AutoResolve")
+		}
+		triggered = triggered || out.NeedFull
+	}
+	if !triggered {
+		t.Errorf("adversarial deletion stream never reported NeedFull (final drift should exceed DriftQ=0.02)")
+	}
+	if st := w.Stats(); st.DriftQ <= 0.02 && st.DriftTouch <= 0.35 {
+		t.Errorf("published drift %g, %g is under both thresholds", st.DriftQ, st.DriftTouch)
+	}
+	if _, err := w.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.DriftQ != 0 || st.DriftTouch != 0 {
+		t.Errorf("drift %g, %g after Resolve, want 0", st.DriftQ, st.DriftTouch)
+	}
+}
+
 // TestGoldenProtocol replays testdata/script.txt through the line protocol
 // for every world size and both partitionings, and pins the full response
 // stream. Regenerate with -update-golden.
@@ -197,13 +365,11 @@ func TestGoldenProtocol(t *testing.T) {
 				// exercise the incremental path, with the quality-drift
 				// threshold left to trigger the full-solve fallback.
 				w := newWorld(t, g, Options{
-					P:           p,
-					AutoResolve: true,
-					Core: core.Options{
-						Partitioning: kind,
-						DriftQ:       0.02,
-						DriftTouched: 0.95,
-					},
+					P:            p,
+					AutoResolve:  true,
+					Core:         core.Options{Partitioning: kind},
+					DriftQ:       0.02,
+					DriftTouched: 0.95,
 				})
 				var out strings.Builder
 				if err := w.Serve(strings.NewReader(string(script)), &out); err != nil {
@@ -268,6 +434,34 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	if got, want := w.HandleLine("stats"), before; got != want {
 		t.Errorf("refused lines changed the world:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestServeUnterminatedLine: a request is a line that ends in '\n'. A last
+// line cut off by EOF, as from a client that meant "+0,7,12" and lost its
+// connection, is answered with an error and commits nothing; the lines
+// before it run.
+func TestServeUnterminatedLine(t *testing.T) {
+	w := newWorld(t, fixtureGraph(t), Options{P: 2})
+	before := w.HandleLine("stats")
+	var out strings.Builder
+	if err := w.Serve(strings.NewReader("community 0\nupdate +0,7,1"), &out); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	want := "community 0 0\nerror: dserver: request not terminated by a newline: not executed\n"
+	if out.String() != want {
+		t.Errorf("replies:\n%s\nwant:\n%s", out.String(), want)
+	}
+	if after := w.HandleLine("stats"); after != before {
+		t.Errorf("the cut-off update changed the world:\n got %s\nwant %s", after, before)
+	}
+	// Trailing blanks after the last newline are not a request.
+	out.Reset()
+	if err := w.Serve(strings.NewReader("update +0,7,1\n  "), &out); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if got := out.String(); !strings.HasPrefix(got, "update ok ops=1 ") || strings.Count(got, "\n") != 1 {
+		t.Errorf("terminated update replied %q", got)
 	}
 }
 

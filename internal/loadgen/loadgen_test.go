@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dserver"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -183,7 +182,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.Fatalf("rmat: %v", err)
 	}
 	// No AutoResolve: measure the incremental path alone.
-	w, err := dserver.New(g, dserver.Options{P: 4, Core: core.Options{DriftQ: 1e9, DriftTouched: 1e9}})
+	w, err := dserver.New(g, dserver.Options{P: 4, DriftQ: 1e9, DriftTouched: 1e9})
 	if err != nil {
 		b.Fatalf("dserver.New: %v", err)
 	}

@@ -36,6 +36,10 @@ echo "== bench smoke (1 iteration per benchmark) =="
 # ever disappears from the discovery set rather than silently passing.
 go test -list '^BenchmarkServeLoad$' -run '^$' ./internal/loadgen | grep '^BenchmarkServeLoad$' > /dev/null \
     || { echo "error: BenchmarkServeLoad missing from internal/loadgen" >&2; exit 1; }
+# And the incremental-update benchmark, the serving path's per-layer number
+# (docs/PERFORMANCE.md records it per change).
+go test -list '^BenchmarkIncrementalUpdate$' -run '^$' ./internal/loadgen | grep '^BenchmarkIncrementalUpdate$' > /dev/null \
+    || { echo "error: BenchmarkIncrementalUpdate missing from internal/loadgen" >&2; exit 1; }
 # And the merge seed-vs-preagg pair, the PR-10 acceptance metric.
 go test -list '^BenchmarkMergePreagg$' -run '^$' ./internal/core | grep '^BenchmarkMergePreagg$' > /dev/null \
     || { echo "error: BenchmarkMergePreagg missing from internal/core" >&2; exit 1; }
