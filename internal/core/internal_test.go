@@ -814,3 +814,8 @@ func TestMergeWideWorldSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// newGainAccumulator is a fresh accumulator over n communities.
+func newGainAccumulator(n int) *gainAccumulator {
+	return &gainAccumulator{w: make([]int64, n), seen: make([]bool, n)}
+}

@@ -117,10 +117,6 @@ type gainAccumulator struct {
 	cands []int
 }
 
-func newGainAccumulator(n int) *gainAccumulator {
-	return &gainAccumulator{w: make([]int64, n), seen: make([]bool, n)}
-}
-
 //perf:noalloc
 func (g *gainAccumulator) reset() {
 	for _, c := range g.keys {

@@ -39,9 +39,9 @@ type StopRule struct {
 }
 
 // defaultStop is Lu et al.'s coarse-then-fine threshold (arXiv 1410.1237):
-// stage 1 stops once an iteration adds less than 0.3% of Q, and every
+// stage 1 stops once an iteration adds less than 1% of Q, and every
 // coarser level asks ten times finer. The converge experiment picked τ0.
-var defaultStop = StopRule{Tau0: 3e-3, Scale: 10}
+var defaultStop = StopRule{Tau0: 1e-2, Scale: 10}
 
 // DefaultStop returns the stop rule every solve runs.
 func DefaultStop() StopRule { return defaultStop }
@@ -328,5 +328,12 @@ func runRank(c comm.Comm, sg *partition.Subgraph, opt Options, rule StopRule) (*
 	}
 	defer ses.Close()
 	ses.stop = rule
-	return ses.solve()
+	out, err := ses.solve()
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range out.tracked { // the answer reports input vertex IDs
+		out.tracked[i] = int(ses.inv[x])
+	}
+	return out, nil
 }

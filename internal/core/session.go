@@ -19,11 +19,15 @@ import (
 // solve(), the hierarchical solve of Algorithm 1; the Session adds no
 // collectives and no state to that path.
 //
+// The Session is the one place vertex IDs cross the partition boundary: the
+// solver sees only π-IDs (partition.Scramble), and the Session maps the
+// IDs it reports back with π⁻¹ and an update batch's IDs in with π.
+//
 // The serving path calls Solve(), which additionally installs a resident
 // flat stage over the original graph: the converged hierarchy is projected
 // back to a single community assignment in original-vertex space (community
-// IDs are representative vertices — the minimum original vertex of each
-// final community — so community c stays owned by rank c mod p). The
+// IDs are representative vertices — the minimum π-ID of each final
+// community, so community c stays owned by rank c mod p). The
 // Session then stays resident, across worlds (Attach), reporting its labels
 // (Tracked) and applying batched edge updates with ApplyUpdates, which
 // re-clusters *incrementally*: it is the batch solver's clustering loop and
@@ -44,6 +48,7 @@ type Session struct {
 	n   int
 	p   int
 	rnk int
+	inv []int32 // π⁻¹ (partition.Scramble) by π-ID
 
 	stop StopRule // how long each stage of solve() runs
 
@@ -55,8 +60,9 @@ type Session struct {
 	newGhosts []int // ghosts discovered by the current batch, labels pending
 }
 
-// EdgeOp is one edge mutation of an update batch. U and V are global vertex
-// IDs (U != V; the ID space is fixed at partitioning time). Insert adds W
+// EdgeOp is one edge mutation of an update batch. U and V are the input
+// graph's vertex IDs (U != V; the ID space is fixed at partitioning time);
+// ApplyUpdates maps them into π-space. Insert adds W
 // (> 0) to the edge's weight, creating it if absent. Del removes the edge
 // entirely; W must carry the edge's full current weight — the serving
 // driver validates ops against its authoritative edge ledger before
@@ -104,6 +110,7 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 		n:    sg.GlobalVertices,
 		p:    c.Size(),
 		rnk:  c.Rank(),
+		inv:  partition.NewScramble(sg.GlobalVertices).InvTable(),
 		stop: defaultStop,
 	}, nil
 }
@@ -206,9 +213,8 @@ func (s *Session) solve() (*rankOut, error) {
 		}
 		curCount = k
 
-		st2 := newStage(c, newSG, opt)
-		st2.tau = s.stop.tau(out.outer) // out.outer stages ran: this is level out.outer
-		st2.ms = cs.ms                  // successive merge levels reuse the grown scratch
+		st2 := nextStage(cs, c, newSG, opt) // cs is done: st2 reuses its storage
+		st2.tau = s.stop.tau(out.outer)     // out.outer stages ran: this is level out.outer
 		r2, err := st2.clusterNew()
 		if err != nil {
 			return nil, err
@@ -238,7 +244,7 @@ func (s *Session) solve() (*rankOut, error) {
 // builds the resident flat stage the serving path queries and updates.
 //
 // Community IDs of the resident stage are *representative vertices*: the
-// global minimum original vertex of each final community. That keeps
+// global minimum π-ID of each final community. That keeps
 // community c owned by rank c mod p (the invariant every aggregate exchange
 // relies on) without a separate community ID space. Two collectives compute
 // the representatives, then the stage is rebuilt with exact aggregates, a
@@ -395,17 +401,19 @@ func (s *Session) Attach(c comm.Comm) error {
 	return nil
 }
 
-// Tracked returns the original vertices this rank reports and their current
-// community labels (representative vertices, not normalized). The caller
-// gathers all ranks' pieces to assemble a full membership.
+// Tracked returns the input vertices this rank reports and their current
+// community labels (representative vertices, not normalized). Right after
+// Solve each label is a member of its community; ApplyUpdates can move that
+// member out. The caller gathers all ranks' pieces to assemble a full
+// membership.
 func (s *Session) Tracked() (vertices, labels []int) {
 	if s.st == nil {
 		return nil, nil
 	}
-	vertices = s.out.tracked
+	vertices = make([]int, len(s.out.tracked))
 	labels = make([]int, len(vertices))
-	for i, v := range vertices {
-		labels[i] = int(s.st.comm[v])
+	for i, x := range s.out.tracked {
+		vertices[i], labels[i] = int(s.inv[x]), int(s.inv[s.st.comm[x]])
 	}
 	return vertices, labels
 }
@@ -447,7 +455,7 @@ func (s *Session) ValidateOps(ops []EdgeOp) error {
 // clustering loop runs from that active set until no vertex moves. Every
 // rank must call it with the identical, pre-validated batch and the
 // identical seeds (the serving driver passes the k-hop ball around the
-// batch's endpoints).
+// batch's endpoints), in input IDs.
 func (s *Session) ApplyUpdates(ops []EdgeOp, seeds []int) (UpdateResult, error) {
 	var zero UpdateResult
 	if s.st == nil {
@@ -456,10 +464,17 @@ func (s *Session) ApplyUpdates(ops []EdgeOp, seeds []int) (UpdateResult, error) 
 	if err := s.ValidateOps(ops); err != nil {
 		return zero, err
 	}
-	for _, v := range seeds {
+	pi := partition.NewScramble(s.n)
+	armed := make([]int, len(seeds))
+	for i, v := range seeds {
 		if v < 0 || v >= s.n {
 			return zero, fmt.Errorf("core: seed %d out of range [0,%d)", v, s.n)
 		}
+		armed[i] = pi.Of(v)
+	}
+	ops = append([]EdgeOp(nil), ops...)
+	for i := range ops {
+		ops[i].U, ops[i].V = pi.Of(ops[i].U), pi.Of(ops[i].V)
 	}
 	s.newGhosts = s.newGhosts[:0]
 	s.applyOps(ops)
@@ -473,7 +488,7 @@ func (s *Session) ApplyUpdates(ops []EdgeOp, seeds []int) (UpdateResult, error) 
 	// The batch rewrote arcs: the reverse index and sumIn start again.
 	s.st.buildRev()
 	s.st.seedQ()
-	s.arm(seeds)
+	s.arm(armed)
 	res, err := s.st.cluster()
 	if err != nil {
 		return zero, err

@@ -104,8 +104,8 @@ type stage struct {
 	dense []int32
 
 	// ms is the merge pipeline's pooled scratch (merge.go), created lazily
-	// by the first merge and handed to the next level's stage by the
-	// session's solve loop, so successive levels reuse the grown storage.
+	// by the first merge and handed to the next level's stage by
+	// nextStage, so successive levels reuse the grown storage.
 	ms *mergeScratch
 
 	// rqBufs/rqFrames/rqReqs/rqPos are the resolveQueries stage scratch:
@@ -203,7 +203,21 @@ func (s *stage) addWork(ph trace.Phase, n int64) {
 	s.workPhase[ph] += n
 }
 
+// newStage builds this rank's stage over sg on fresh storage.
 func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
+	return nextStage(nil, c, sg, opt)
+}
+
+// nextStage is newStage on the storage of prev, a finished stage of the
+// same rank: the solve loop hands each level the stage it merged from,
+// which is dead once the merge has resolved its labels. Reusing its
+// per-vertex arrays and exchange scratch keeps a solve's levels from
+// piling garbage onto the heap; every array is cleared, so the stage is
+// the one fresh storage gives. prev may be nil.
+func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
+	if prev == nil {
+		prev = &stage{acc: &gainAccumulator{}}
+	}
 	n := sg.GlobalVertices
 	s := &stage{
 		c: c, sg: sg, opt: opt,
@@ -212,39 +226,39 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 		p:         c.Size(),
 		rnk:       c.Rank(),
 		n:         n,
-		comm:      make([]int32, n),
-		tot:       make([]int64, n),
-		size:      make([]int32, n),
-		cached:    make([]bool, n),
-		watched:   make([]bool, n),
-		ownTot:    make([]int64, n),
-		ownSize:   make([]int32, n),
-		deltaW:    make([]int64, n),
-		deltaN:    make([]int32, n),
-		deltaMark: make([]bool, n),
-		needMark:  make([]bool, n),
-		active:    make([]bool, n),
+		comm:      reuse(prev.comm, n),
+		tot:       reuse(prev.tot, n),
+		size:      reuse(prev.size, n),
+		cached:    reuse(prev.cached, n),
+		watched:   reuse(prev.watched, n),
+		ownTot:    reuse(prev.ownTot, n),
+		ownSize:   reuse(prev.ownSize, n),
+		deltaW:    reuse(prev.deltaW, n),
+		deltaN:    reuse(prev.deltaN, n),
+		deltaMark: reuse(prev.deltaMark, n),
+		needMark:  reuse(prev.needMark, n),
+		active:    reuse(prev.active, n),
 		hubActive: make([]bool, len(sg.Hubs)),
-		seen:      make([]bool, n),
+		seen:      reuse(prev.seen, n),
+		ms:        prev.ms,
 	}
-	s.acc = newGainAccumulator(n)
-	s.sendBufs = make([]*wire.Buffer, s.p)
-	for r := range s.sendBufs {
-		s.sendBufs[r] = wire.NewBuffer(0)
+	s.acc = &gainAccumulator{w: reuse(prev.acc.w, n), seen: reuse(prev.acc.seen, n)}
+	// Every user resets these before it writes them.
+	s.sendBufs, s.rqBufs, s.rqReqs, s.rqPos = prev.sendBufs, prev.rqBufs, prev.rqReqs, prev.rqPos
+	if s.sendBufs == nil {
+		s.sendBufs, s.rqBufs = make([]*wire.Buffer, s.p), make([]*wire.Buffer, s.p)
+		for r := range s.sendBufs {
+			s.sendBufs[r], s.rqBufs[r] = wire.NewBuffer(0), wire.NewBuffer(0)
+		}
+		s.rqReqs, s.rqPos = make([][]int, s.p), make([][]int, s.p)
 	}
 	s.frames = make([][]byte, s.p)
-	s.rqBufs = make([]*wire.Buffer, s.p)
-	for r := range s.rqBufs {
-		s.rqBufs[r] = wire.NewBuffer(0)
-	}
 	s.rqFrames = make([][]byte, s.p)
-	s.rqReqs = make([][]int, s.p)
-	s.rqPos = make([][]int, s.p)
 	s.reqs = make([][]int, s.p)
 	s.idPrev = make([]int, s.p)
-	s.wHead = make([]int32, n/s.p+1)
+	s.wHead = reuse(prev.wHead, n/s.p+1)
 	fillInt32(s.wHead, -1)
-	s.dirtyMark = make([]bool, n/s.p+1)
+	s.dirtyMark = reuse(prev.dirtyMark, n/s.p+1)
 	s.first = make([][]int, s.p)
 	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
@@ -286,6 +300,15 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	s.buildRev()
 	s.setActive(true)
 	return s
+}
+
+// reuse returns buf[:n] cleared when its capacity allows, else a new slice.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	clear(buf[:n])
+	return buf[:n]
 }
 
 // hubIndex returns v's index in the (sorted, replicated) hub directory.

@@ -99,6 +99,75 @@ func TestWorldMatchesBatchRun(t *testing.T) {
 	}
 }
 
+// TestServedLabelsAreMembers pins the serving contract across the
+// partitioner's π (partition.Scramble): the sessions solve in π-space, yet
+// after a full solve every CommunityOf(v) answer is an input vertex id in
+// v's own community, and Membership equals core.Run's on the same graph.
+// After a bare Update an answer is still an input vertex id that names v's
+// community, one per community, but the batch may have moved that vertex
+// out of it. The R-MAT's ids are unpermuted, so π moves every one of them;
+// DHigh 16 puts hubs, which their owners report, among the answers.
+func TestServedLabelsAreMembers(t *testing.T) {
+	g, _, err := gen.ParseSpec("rmat:scale=9,seed=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	for _, p := range []int{1, 2, 4} {
+		for _, copt := range []core.Options{{Partitioning: partition.OneD}, {}, {DHigh: 16}} {
+			res, err := core.Run(g, core.Options{P: p, Partitioning: copt.Partitioning, DHigh: copt.DHigh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("p=%d/%v/dhigh=%d (%d hubs)", p, copt.Partitioning, copt.DHigh, res.HubCount)
+			w := newWorld(t, g, Options{P: p, Core: copt})
+			check := func(when string, members bool) graph.Membership {
+				t.Helper()
+				m, err := w.Membership()
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := map[int]int{} // community → its answer
+				for v := 0; v < n; v++ {
+					c, err := w.CommunityOf(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c < 0 || c >= n {
+						t.Fatalf("%s %s: community of %d answered %d, not a vertex id", name, when, v, c)
+					}
+					if members && m[c] != m[v] {
+						t.Fatalf("%s %s: community of %d answered %d, not a member of its community", name, when, v, c)
+					}
+					if l, ok := label[m[v]]; ok && l != c {
+						t.Fatalf("%s %s: community of %d answered %d, of its fellow members %d", name, when, v, c, l)
+					}
+					label[m[v]] = c
+				}
+				named := map[int]int{} // answer → the community it names
+				for k, c := range label {
+					if o, ok := named[c]; ok {
+						t.Fatalf("%s %s: communities %d and %d share the answer %d", name, when, o, k, c)
+					}
+					named[c] = k
+				}
+				return m
+			}
+			if m := check("after New", true); !slices.Equal(m, res.Membership) {
+				t.Errorf("%s: world membership differs from core.Run's", name)
+			}
+			if _, err := w.Update([]Op{{U: 1, V: 300, W: 2}, {U: 5, V: 77, W: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			check("after Update", false)
+			if _, err := w.Resolve(); err != nil {
+				t.Fatal(err)
+			}
+			check("after Resolve", true)
+		}
+	}
+}
+
 // TestWorldNeighborhood checks the merged adjacency answer against the
 // input graph, before and after updates.
 func TestWorldNeighborhood(t *testing.T) {

@@ -94,10 +94,12 @@ func digestGraphs(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// layoutDigests was recorded from Build at commit 11a6fa5, when Build and
-// BuildStreaming were two emission kernels. It is the only reference the
-// partitioner keeps: every builder entry point, window count and worker
-// count must reproduce it. Weights are hashed de-quantised: the R-MAT and
+// layoutDigests was first recorded from Build at commit 11a6fa5, when Build
+// and BuildStreaming were two emission kernels, and re-recorded once when
+// the layout moved into π-space (Scramble); TestScrambleIsRelabelling keeps
+// the identity-map digests. It is the only reference the partitioner keeps:
+// every builder entry point, window count and worker count must reproduce
+// it. Weights are hashed de-quantised: the R-MAT and
 // LFR rows, whose weights are integers, therefore hash what a float64
 // layout held, which proves quantisation lossless there; the golden
 // fixture's random (0,1) weights round, so its rows hash the rounded ones.
@@ -107,42 +109,42 @@ var layoutDigests = []struct {
 	dhigh, p int
 	digest   uint64
 }{
-	{"golden", Delegate, 1, 1, 0x1a3ea09186a2fd82},  // hubs 48
-	{"golden", Delegate, 2, 2, 0x9cda24b8ad558e47},  // hubs 48
-	{"golden", Delegate, 4, 4, 0xef5ce4b0c1a26dbe},  // hubs 47
-	{"golden", Delegate, 7, 7, 0xb85545f481c3bb48},  // hubs 31
-	{"golden", Delegate, 8, 1, 0x9559420a69369b48},  // hubs 24
-	{"golden", Delegate, 8, 2, 0x8c3b8a8db88ffbf0},  // hubs 24
-	{"golden", Delegate, 8, 4, 0xa9680a5104e61bc8},  // hubs 24
-	{"golden", Delegate, 8, 7, 0x14e1b27b4f6eaef1},  // hubs 24
-	{"golden", OneD, 1, 1, 0xfe7e1dcbeab81573},      // hubs 0
-	{"golden", OneD, 2, 2, 0x5fff1d63edf0ae49},      // hubs 0
-	{"golden", OneD, 4, 4, 0xaffce7adc9026380},      // hubs 0
-	{"golden", OneD, 7, 7, 0x150df411d0db3b39},      // hubs 0
-	{"rmat12", Delegate, 1, 1, 0x7c3a3b5af46017ab},  // hubs 3350
-	{"rmat12", Delegate, 2, 2, 0x5264fe2c9897b2d0},  // hubs 2867
-	{"rmat12", Delegate, 4, 4, 0x32506b1473cbfe14},  // hubs 2284
-	{"rmat12", Delegate, 7, 7, 0x38c4be2918ee98d3},  // hubs 1783
-	{"rmat12", Delegate, 8, 1, 0xb1ab1bc53c2ddfe6},  // hubs 1685
-	{"rmat12", Delegate, 8, 2, 0xb2004b37782cae75},  // hubs 1685
-	{"rmat12", Delegate, 8, 4, 0x8af6006542fd3bb3},  // hubs 1685
-	{"rmat12", Delegate, 8, 7, 0x56c1c5dc6f4b2690},  // hubs 1685
-	{"rmat12", OneD, 1, 1, 0xc90fe49dab314370},      // hubs 0
-	{"rmat12", OneD, 2, 2, 0xc71cb94c8762f608},      // hubs 0
-	{"rmat12", OneD, 4, 4, 0xa9e559d1d1446535},      // hubs 0
-	{"rmat12", OneD, 7, 7, 0x93ea89705ce1ca95},      // hubs 0
-	{"lfr3000", Delegate, 1, 1, 0xa3a783b5a49b7a48}, // hubs 3000
-	{"lfr3000", Delegate, 2, 2, 0xb592e1eeec96026e}, // hubs 3000
-	{"lfr3000", Delegate, 4, 4, 0x92acdbec24147573}, // hubs 2902
-	{"lfr3000", Delegate, 7, 7, 0x9dae9eae3ba72467}, // hubs 1164
-	{"lfr3000", Delegate, 8, 1, 0x69e218395ffa08cf}, // hubs 911
-	{"lfr3000", Delegate, 8, 2, 0x4a1731538b007c31}, // hubs 911
-	{"lfr3000", Delegate, 8, 4, 0x02acce8060fb6437}, // hubs 911
-	{"lfr3000", Delegate, 8, 7, 0xb2aa9f07a6712726}, // hubs 911
-	{"lfr3000", OneD, 1, 1, 0xb5ff939dacc0a748},     // hubs 0
-	{"lfr3000", OneD, 2, 2, 0x4df48614dcdac5c6},     // hubs 0
-	{"lfr3000", OneD, 4, 4, 0xd8d80824da923cf1},     // hubs 0
-	{"lfr3000", OneD, 7, 7, 0x298dc545aba107ec},     // hubs 0
+	{"golden", Delegate, 1, 1, 0xb0ea267e0ef7c8b6},  // hubs 48
+	{"golden", Delegate, 2, 2, 0x420759854bd217ff},  // hubs 48
+	{"golden", Delegate, 4, 4, 0x01ffe2e0220aa9b2},  // hubs 47
+	{"golden", Delegate, 7, 7, 0xbd48629cc62d4543},  // hubs 31
+	{"golden", Delegate, 8, 1, 0xd53ad4f559a3decd},  // hubs 24
+	{"golden", Delegate, 8, 2, 0xb0ebac97cbba13fb},  // hubs 24
+	{"golden", Delegate, 8, 4, 0xf57876283971de31},  // hubs 24
+	{"golden", Delegate, 8, 7, 0x7bc94815b93db99c},  // hubs 24
+	{"golden", OneD, 1, 1, 0x5dbf0cd67699b453},      // hubs 0
+	{"golden", OneD, 2, 2, 0x412b4fad1e8b7ccb},      // hubs 0
+	{"golden", OneD, 4, 4, 0xf47c5301da0ee693},      // hubs 0
+	{"golden", OneD, 7, 7, 0xb28c81cf8861c106},      // hubs 0
+	{"rmat12", Delegate, 1, 1, 0x3822a0a2eacc21ba},  // hubs 3350
+	{"rmat12", Delegate, 2, 2, 0x2b938d6e37528f46},  // hubs 2867
+	{"rmat12", Delegate, 4, 4, 0x66780219949a388f},  // hubs 2284
+	{"rmat12", Delegate, 7, 7, 0x1eac772de17f7635},  // hubs 1783
+	{"rmat12", Delegate, 8, 1, 0x78906cd992729df6},  // hubs 1685
+	{"rmat12", Delegate, 8, 2, 0x19aaad6b8df22d13},  // hubs 1685
+	{"rmat12", Delegate, 8, 4, 0x13c378f910254ddd},  // hubs 1685
+	{"rmat12", Delegate, 8, 7, 0x19d1b0e2321afd42},  // hubs 1685
+	{"rmat12", OneD, 1, 1, 0x136a280baaad290a},      // hubs 0
+	{"rmat12", OneD, 2, 2, 0xd5374f201189e51f},      // hubs 0
+	{"rmat12", OneD, 4, 4, 0x529145446162aca3},      // hubs 0
+	{"rmat12", OneD, 7, 7, 0x6ff1272379ffa3c6},      // hubs 0
+	{"lfr3000", Delegate, 1, 1, 0xb12ce124653b5f2f}, // hubs 3000
+	{"lfr3000", Delegate, 2, 2, 0xf36f218c7da08771}, // hubs 3000
+	{"lfr3000", Delegate, 4, 4, 0x4fac757626eca0a9}, // hubs 2902
+	{"lfr3000", Delegate, 7, 7, 0xc3ad2db6a2fdef54}, // hubs 1164
+	{"lfr3000", Delegate, 8, 1, 0x13044b8b76cabccd}, // hubs 911
+	{"lfr3000", Delegate, 8, 2, 0xfc4a09cb012f69f9}, // hubs 911
+	{"lfr3000", Delegate, 8, 4, 0x6ae3387bc8337993}, // hubs 911
+	{"lfr3000", Delegate, 8, 7, 0xbeb1ececfb46fd2d}, // hubs 911
+	{"lfr3000", OneD, 1, 1, 0xa785112b562a3ccf},     // hubs 0
+	{"lfr3000", OneD, 2, 2, 0x647b87176574331e},     // hubs 0
+	{"lfr3000", OneD, 4, 4, 0x9286aa45a6dc8961},     // hubs 0
+	{"lfr3000", OneD, 7, 7, 0x7736f5ecfaed9852},     // hubs 0
 }
 
 // TestLayoutDigests pins the Layout of every row to the recorded digest
@@ -210,8 +212,9 @@ func TestLayoutDigests(t *testing.T) {
 
 // thresholdOracle is HubThreshold by brute force: it tries every candidate
 // d from one past the largest degree (at least the floor) down to the floor,
-// recomputes every rank's non-hub arc load from scratch, and returns the
-// first d at which none exceeds (1 + slack)·arcs/p; the floor when none does.
+// recomputes every rank's non-hub arc load from scratch, each vertex u at
+// its π-space owner Owner(π(u), p), and returns the first d at which none
+// exceeds (1 + slack)·arcs/p; the floor when none does.
 func thresholdOracle(g *graph.Graph, p int, slack float64) int {
 	n := g.NumVertices()
 	if n == 0 {
@@ -219,11 +222,12 @@ func thresholdOracle(g *graph.Graph, p int, slack float64) int {
 	}
 	floor := max(p, 4*int(g.NumArcs())/n)
 	limit := (1 + slack) * float64(g.NumArcs()) / float64(p)
+	pi := NewScramble(n)
 	for d := max(floor, g.MaxDegree()+1); d >= floor; d-- {
 		loads := make([]int64, p)
 		for u := 0; u < n; u++ {
 			if g.Degree(u) < d {
-				loads[Owner(u, p)] += int64(g.Degree(u))
+				loads[Owner(pi.Of(u), p)] += int64(g.Degree(u))
 			}
 		}
 		if float64(slices.Max(loads)) <= limit {

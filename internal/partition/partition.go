@@ -2,6 +2,9 @@
 // paper: plain 1D round-robin partitioning and the distributed delegate
 // partitioning extended from Pearce et al.
 //
+// Every Layout is in π-space (Scramble): vertex u of the input is π(u) there,
+// owned by rank π(u) mod p.
+//
 // Delegate partitioning duplicates high-degree vertices ("hubs", degree >=
 // DHigh) on every rank. Arcs whose source is a low-degree vertex go to the
 // source's owner (so an owner always sees its vertex's complete adjacency);
@@ -18,6 +21,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -36,7 +40,7 @@ const (
 	// value: the paper's method is the default everywhere.
 	Delegate Kind = iota
 	// OneD is round-robin 1D partitioning: vertex v and all its arcs are
-	// owned by rank v mod p. This is the baseline the paper compares
+	// owned by rank π(v) mod p. This is the baseline the paper compares
 	// against (Cheong-style distributed Louvain).
 	OneD
 )
@@ -62,7 +66,7 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("unknown partitioning %q", s)
 }
 
-// Arc is one directed arc of a local subgraph, in global vertex IDs, with
+// Arc is one directed arc of a local subgraph, in global π-space IDs, with
 // its weight in fixed-point units (weight.go).
 type Arc struct {
 	To int
@@ -71,26 +75,27 @@ type Arc struct {
 
 // Subgraph is the portion of the graph materialized on one rank.
 //
-// Owned lists the low-degree vertices owned by this rank (every global
-// vertex that is not a hub appears in exactly one rank's Owned, including
-// isolated vertices). Hubs lists all hub vertices; the list is identical on
-// every rank, but AdjHub holds only this rank's share of each hub's arcs.
+// Every vertex ID in it is a π-space ID (Scramble). Owned lists the
+// low-degree vertices owned by this rank (every global vertex that is not a
+// hub appears in exactly one rank's Owned, including isolated vertices).
+// Hubs lists all hub vertices; the list is identical on every rank, but
+// AdjHub holds only this rank's share of each hub's arcs.
 type Subgraph struct {
 	Rank int
 	P    int
 
 	// GlobalVertices is the vertex count of the global graph this subgraph
-	// was cut from (vertex IDs are < GlobalVertices).
+	// was cut from (vertex IDs are < GlobalVertices); π is a function of it.
 	GlobalVertices int
 
-	Owned    []int   // sorted global IDs of owned low-degree vertices
+	Owned    []int   // sorted π-space IDs of owned low-degree vertices
 	AdjOwned [][]Arc // complete adjacency of each owned vertex
 
-	Hubs    []int   // sorted global hub IDs (same on all ranks)
+	Hubs    []int   // sorted π-space hub IDs (same on all ranks)
 	HubWDeg []int64 // global weighted degree of each hub
 	AdjHub  [][]Arc // this rank's share of each hub's arcs
 
-	Ghosts []int // sorted global IDs of non-local, non-hub arc targets
+	Ghosts []int // sorted π-space IDs of non-local, non-hub arc targets
 
 	// Subscribers maps an owned vertex to the set of other ranks holding it
 	// as a ghost; the owner pushes community updates to these ranks.
@@ -134,9 +139,9 @@ type Layout struct {
 	Parts []*Subgraph
 }
 
-// Owner returns the rank that owns vertex or community id in a world of p
-// ranks. It is the one ownership rule: the partitioner deals non-hub
-// vertices out by it, and the solver routes every frame by it — a
+// Owner returns the rank that owns π-space vertex or community id in a
+// world of p ranks. It is the one ownership rule: the partitioner deals
+// non-hub vertices out by it, and the solver routes every frame by it — a
 // community's id is a vertex id, and nothing moves either afterwards.
 func Owner(id, p int) int { return id % p }
 
@@ -174,33 +179,35 @@ func Build(g *graph.Graph, opt Options) (*Layout, error) {
 // quantised arcs, exactly; what the fixed point cannot carry fails with
 // ErrWeight.
 //
-// Every vertex's arcs are emitted from its window: an owned vertex carries
-// its complete adjacency to its round-robin owner; a hub arc (h, v) goes to
-// the owner of its target (co-locating delegate and target), hub→hub arcs
-// to a spill pool. One window is one par.For chunk, and per-(window, rank)
-// fragments concatenate in ascending window order — the serial
-// ascending-vertex append order on every rank — so the Layout does not
-// depend on the window count or GOMAXPROCS. The spill-pool placement
-// and the rebalance correction are inherently sequential greedy passes and
-// stay serial.
+// Every vertex's arcs are emitted from its window: an owned vertex x
+// carries its complete adjacency straight to slot x/p of its owner, whose
+// hub slots are dropped afterwards; a hub arc (h, v) goes to the owner of
+// its target (co-locating delegate and target), hub→hub arcs to a spill
+// pool. One window is one par.For chunk and every slot has one writer, so
+// the Layout depends on neither the window count nor GOMAXPROCS. The hub
+// shares are then put in π-target order and the spill pool in (hub,
+// π-target) order, so the greedy placement — the spill pool and the
+// rebalance correction, serial passes both — reads the π-space graph
+// alone, whatever order the input ids gave the arcs.
 func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Window, error),
 	degree func(u int) int, opt Options) (*Layout, error) {
 	if opt.P < 1 {
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
 	p := opt.P
+	pi := NewScramble(n).table()
 	dhigh := opt.DHigh
 	if dhigh <= 0 {
 		dhigh = HubThreshold(p, n, arcs, degree, hubSlack)
 	}
 
-	isHub := make([]bool, n)
+	isHub := make([]bool, n) // by π-id
 	var hubs []int
 	if opt.Kind == Delegate {
-		hubs = findHubs(n, dhigh, degree, isHub)
+		hubs = findHubs(n, dhigh, degree, pi, isHub)
 	}
-	// hubIdx[u] is u's position in the hub directory, so the pass can route
-	// a hub's arcs without a directory search per vertex.
+	// hubIdx[x] is π-id x's position in the hub directory, so the pass can
+	// route a hub's arcs without a directory search per vertex.
 	var hubIdx []int32
 	if len(hubs) > 0 {
 		hubIdx = make([]int32, n)
@@ -214,12 +221,6 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	wm2 := make([]int64, nWindows)
 	parts := newParts(p, n, hubs, hubW)
 
-	type ownedFrag struct {
-		ids  []int
-		wdeg []int64
-		adj  [][]Arc
-	}
-	ownedFrags := make([]ownedFrag, nWindows*p)
 	spillFrag := make([][]hubArc, nWindows)
 	errs := make([]error, nWindows)
 	par.For(nWindows, func(c int) {
@@ -228,14 +229,14 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 			errs[c] = err
 			return
 		}
-		of := ownedFrags[c*p : (c+1)*p]
 		var sf []hubArc
 		m2 := int64(0)    // the window's share of 2m: checked per arc, it bounds every k
 		var scratch []Arc // a hub's arcs, before they are dealt to the ranks
 		for u := w.Lo; u < w.Hi; u++ {
+			x := int(pi[u])
 			ts, ws := w.Arcs(u)
 			var adj []Arc
-			if isHub[u] {
+			if isHub[x] {
 				scratch = slices.Grow(scratch[:0], len(ts))[:len(ts)]
 				adj = scratch
 			} else {
@@ -251,13 +252,13 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 					errs[c] = fmt.Errorf("partition: arc %d-%d: %w", u, ts[j], err)
 					return
 				}
-				adj[j] = Arc{To: int(ts[j]), W: q}
+				adj[j] = Arc{To: int(pi[ts[j]]), W: q}
 				k += q
 			}
-			if isHub[u] {
+			if isHub[x] {
 				// A hub lies in exactly one window, so its AdjHub slot on
-				// every rank is appended to by this chunk alone, in arc order.
-				hid := int(hubIdx[u])
+				// every rank is appended to by this chunk alone.
+				hid := int(hubIdx[x])
 				hubW[hid] = k
 				for _, a := range adj {
 					if isHub[a.To] {
@@ -269,10 +270,8 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 				}
 				continue
 			}
-			f := &of[Owner(u, p)]
-			f.ids = append(f.ids, u)
-			f.wdeg = append(f.wdeg, k)
-			f.adj = append(f.adj, adj)
+			sp := parts[Owner(x, p)]
+			sp.OwnedWDeg[x/p], sp.AdjOwned[x/p] = k, adj
 		}
 		wm2[c] = m2
 		spillFrag[c] = sf
@@ -283,24 +282,19 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 		}
 	}
 
+	// Drop the hubs' slots: what is left is ascending in π-id.
 	par.For(p, func(r int) {
 		sp := parts[r]
-		total := 0
-		for c := 0; c < nWindows; c++ {
-			total += len(ownedFrags[c*p+r].ids)
+		sp.Owned = make([]int, 0, len(sp.AdjOwned))
+		j := 0
+		for i := range sp.AdjOwned {
+			if x := r + i*p; !isHub[x] {
+				sp.Owned = append(sp.Owned, x)
+				sp.OwnedWDeg[j], sp.AdjOwned[j] = sp.OwnedWDeg[i], sp.AdjOwned[i]
+				j++
+			}
 		}
-		if total == 0 {
-			return
-		}
-		sp.Owned = make([]int, 0, total)
-		sp.OwnedWDeg = make([]int64, 0, total)
-		sp.AdjOwned = make([][]Arc, 0, total)
-		for c := 0; c < nWindows; c++ {
-			f := &ownedFrags[c*p+r]
-			sp.Owned = append(sp.Owned, f.ids...)
-			sp.OwnedWDeg = append(sp.OwnedWDeg, f.wdeg...)
-			sp.AdjOwned = append(sp.AdjOwned, f.adj...)
-		}
+		sp.OwnedWDeg, sp.AdjOwned = sp.OwnedWDeg[:j], sp.AdjOwned[:j]
 	})
 
 	// 2m sums exact degrees, so the order is immaterial.
@@ -313,7 +307,14 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	}
 
 	if len(hubs) > 0 {
-		placeHubArcs(parts, slices.Concat(spillFrag...))
+		for _, sp := range parts {
+			for _, adj := range sp.AdjHub {
+				slices.SortFunc(adj, func(a, b Arc) int { return a.To - b.To })
+			}
+		}
+		spill := slices.Concat(spillFrag...)
+		slices.SortFunc(spill, func(a, b hubArc) int { return cmp.Or(a.hub-b.hub, a.to-b.to) })
+		placeHubArcs(parts, spill)
 	}
 
 	finishLayout(parts, isHub, m2)
@@ -329,11 +330,11 @@ const hubSlack = 0.1
 // HubThreshold returns the hub threshold an unset DHigh means for a world of
 // p ranks and a graph of n vertices whose degree sum is arcs: the largest d
 // at or above the floor f = max(p, 4·arcs/n) (p when n = 0) at which no
-// rank's non-hub arcs exceed (1 + slack)·arcs/p. A non-hub vertex's arcs
-// count at its owner; hub arcs fill the ranks below the mean, which is what
-// placeHubArcs and rebalance do with them. When 1D is already that balanced
-// the threshold is one past the largest degree (at least f), so no vertex is
-// a hub; at p = 1 that is always so.
+// rank's non-hub arcs exceed (1 + slack)·arcs/p. A non-hub vertex u's arcs
+// count at its owner, Owner(π(u), p) (Scramble); hub arcs fill the ranks
+// below the mean, which is what placeHubArcs and rebalance do with them.
+// When 1D is already that balanced the threshold is one past the largest
+// degree (at least f), so no vertex is a hub; at p = 1 that is always so.
 //
 // Only vertices of degree ≥ f can become hubs, so the sweep sorts just that
 // tail, descending, and delegates it one degree class at a time until every
@@ -345,6 +346,7 @@ func HubThreshold(p, n int, arcs int64, degree func(u int) int, slack float64) i
 		return p
 	}
 	floor := max(p, 4*int(arcs)/n)
+	pi := NewScramble(n).table()
 
 	type tailVertex struct{ deg, owner int }
 	ncV := par.NumChunks(n)
@@ -355,7 +357,7 @@ func HubThreshold(p, n int, arcs int64, degree func(u int) int, slack float64) i
 		loads := make([]int64, p)
 		var tail []tailVertex
 		for u := lo; u < hi; u++ {
-			d, r := degree(u), Owner(u, p)
+			d, r := degree(u), Owner(int(pi[u]), p)
 			loads[r] += int64(d)
 			if d >= floor {
 				tail = append(tail, tailVertex{d, r})
@@ -402,10 +404,9 @@ func HubThreshold(p, n int, arcs int64, degree func(u int) int, slack float64) i
 	return floor
 }
 
-// findHubs marks and lists the vertices with degree ≥ dhigh. Per-chunk
-// lists concatenate in chunk order, so the directory is ascending exactly
-// as a serial scan produces it.
-func findHubs(n, dhigh int, degree func(u int) int, isHub []bool) []int {
+// findHubs lists, ascending, the π-ids of the vertices with degree ≥ dhigh
+// and marks them in isHub.
+func findHubs(n, dhigh int, degree func(u int) int, pi []int32, isHub []bool) []int {
 	ncV := par.NumChunks(n)
 	frag := make([][]int, ncV)
 	par.For(ncV, func(c int) {
@@ -413,17 +414,22 @@ func findHubs(n, dhigh int, degree func(u int) int, isHub []bool) []int {
 		var hs []int
 		for u := lo; u < hi; u++ {
 			if degree(u) >= dhigh {
-				isHub[u] = true
-				hs = append(hs, u)
+				hs = append(hs, int(pi[u]))
 			}
 		}
 		frag[c] = hs
 	})
-	return slices.Concat(frag...) // nil when there are no hubs
+	hubs := slices.Concat(frag...) // nil when there are no hubs
+	slices.Sort(hubs)
+	for _, h := range hubs {
+		isHub[h] = true
+	}
+	return hubs
 }
 
 // newParts allocates the per-rank subgraphs with the shared hub directory,
-// its weighted degrees hubW and an empty share of every hub's arcs.
+// its weighted degrees hubW, an empty share of every hub's arcs and one
+// owned slot per π-id the rank owns.
 func newParts(p, n int, hubs []int, hubW []int64) []*Subgraph {
 	parts := make([]*Subgraph, p)
 	par.For(p, func(r int) {
@@ -432,6 +438,8 @@ func newParts(p, n int, hubs []int, hubW []int64) []*Subgraph {
 			GlobalVertices: n,
 			Hubs:           hubs,
 			Subscribers:    make(map[int][]int),
+			OwnedWDeg:      make([]int64, (n-r+p-1)/p),
+			AdjOwned:       make([][]Arc, (n-r+p-1)/p),
 		}
 		if len(hubs) > 0 {
 			parts[r].HubWDeg = hubW
@@ -472,7 +480,8 @@ func finishLayout(parts []*Subgraph, isHub []bool, m2 int64) {
 		sp := parts[r]
 		seen := make([]uint64, (n+63)/64) // one bit per vertex: an n-bit ghost set
 		note := func(v int) {
-			if isHub[v] || Owner(v, p) == r {
+			// π scatters the targets, so read isHub only when it can hold one.
+			if Owner(v, p) == r || len(sp.Hubs) > 0 && isHub[v] {
 				return
 			}
 			seen[v/64] |= 1 << (v % 64)

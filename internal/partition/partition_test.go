@@ -49,12 +49,15 @@ func allArcs(l *Layout) [][3]float64 {
 	return out
 }
 
+// graphArcs flattens g's arcs into (src, dst, w) triples in π-space, the
+// ids a layout holds.
 func graphArcs(g *graph.Graph) [][3]float64 {
 	var out [][3]float64
+	pi := NewScramble(g.NumVertices())
 	for u := 0; u < g.NumVertices(); u++ {
 		lo, hi := g.ArcRange(u)
 		for a := lo; a < hi; a++ {
-			out = append(out, [3]float64{float64(u), float64(g.ArcTarget(a)), g.ArcWeight(a)})
+			out = append(out, [3]float64{float64(pi.Of(u)), float64(pi.Of(int(g.ArcTarget(a)))), g.ArcWeight(a)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -160,8 +163,10 @@ func TestOwnedAdjacencyComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pi := NewScramble(g.NumVertices())
 	for _, sp := range l.Parts {
-		for i, u := range sp.Owned {
+		for i, x := range sp.Owned {
+			u := pi.Inv(x)
 			if len(sp.AdjOwned[i]) != g.Degree(u) {
 				t.Errorf("vertex %d: local adjacency %d, degree %d", u, len(sp.AdjOwned[i]), g.Degree(u))
 			}
@@ -496,15 +501,16 @@ func TestSelfLoopArcsStayWithOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkArcConservation(t, g, l)
-	// Vertex 2's self-loop lives on its owner (rank 2).
-	sp := l.Parts[2]
+	// Vertex 2's self-loop lives on its owner.
+	x := NewScramble(5).Of(2)
+	sp := l.Parts[Owner(x, 3)]
 	found := false
 	for i, u := range sp.Owned {
-		if u != 2 {
+		if u != x {
 			continue
 		}
 		for _, a := range sp.AdjOwned[i] {
-			if a.To == 2 && Dequantise(a.W) == 3 {
+			if a.To == x && Dequantise(a.W) == 3 {
 				found = true
 			}
 		}

@@ -7,8 +7,9 @@ import "sort"
 // census reporting after the run); internal/core's Session applies edge
 // updates to its rank's Subgraph while it serves. It therefore works on a
 // CloneForServing copy and edits that with the helpers below; the Layout the
-// driver holds stays pristine. Ownership never changes — vertex v belongs to
-// rank v mod P for the life of the Layout — so Owned is only ever searched.
+// driver holds stays pristine. Ownership never changes — π-space vertex v
+// belongs to rank v mod P for the life of the Layout — so Owned is only
+// ever searched.
 //
 // The helpers preserve the Subgraph invariants the solver relies on: Ghosts
 // stays sorted and every Subscribers list stays sorted and duplicate-free.
