@@ -82,9 +82,9 @@ func TestQuickHubs(t *testing.T) {
 	}
 	for _, row := range []string{
 		"1     4   floor       82     56    0.000  17.0           1.3       0.3        0.12       0.11167\n",
-		"1     4   ε = 0.1 *   276    2     0.054  12.0           1.0       0.3        0.11       0.12032\n",
-		"1     4   ε = 0.1 *   80     0     0.027  19.0           1.1       0.4        0.23       0.57950  0.8662\n",
-		"1     4   ∞ (1D)      ∞      0     0.027  19.0           1.1       0.4        0.23       0.57950  0.8662\n",
+		"1     4   ε = 0.1 *   276    2     0.054  12.0           1.0       0.3        0.10       0.12032\n",
+		"1     4   ε = 0.1 *   80     0     0.027  19.0           1.1       0.4        0.21       0.57950  0.8662\n",
+		"1     4   ∞ (1D)      ∞      0     0.027  19.0           1.1       0.4        0.21       0.57950  0.8662\n",
 	} {
 		if !strings.Contains(stdout, row) {
 			t.Errorf("stdout lacks the row %q:\n%s", row, stdout)

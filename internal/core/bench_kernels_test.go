@@ -11,6 +11,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
@@ -208,6 +209,42 @@ func BenchmarkKernelGlobalModularity(b *testing.B) {
 		_, err := s.globalModularity()
 		return err
 	})
+}
+
+// BenchmarkKernelResolveQueries measures one tracked re-point as the solve
+// loop makes it after a merge, on the steady-state stage: every rank looks
+// up, at the owners, the label of the community each of its owned vertices
+// and owned hubs sits in, as if those communities were the coarse level's
+// vertices (R-MAT's isolated vertices stay singletons, as on a coarse
+// level). Beside the timings it reports wire-B/op as BenchmarkMerge does:
+// the bytes one call sends, both legs, averaged over ranks.
+func BenchmarkKernelResolveQueries(b *testing.B) {
+	var wireBytes atomic.Int64
+	var queries [benchWorldSize][]int // per rank, built by its first call
+	benchKernel(b, func(s *stage) error {
+		q := queries[s.rnk]
+		if q == nil {
+			for _, u := range s.sg.Owned {
+				q = append(q, int(s.comm[u]))
+			}
+			for _, h := range s.sg.Hubs {
+				if s.owns(h) {
+					q = append(q, int(s.comm[h]))
+				}
+			}
+			queries[s.rnk] = q
+		}
+		if _, err := s.resolveQueries(q, s.n, func(x int) int { return int(s.comm[x]) }); err != nil {
+			return err
+		}
+		for r := 0; r < s.p; r++ {
+			if r != s.rnk {
+				wireBytes.Add(int64(len(s.frames[r]) + len(s.rqFrames[r])))
+			}
+		}
+		return nil
+	})
+	b.ReportMetric(float64(wireBytes.Load())/float64(b.N)/benchWorldSize, "wire-B/op")
 }
 
 // qSink keeps the benchmarked modularity live.

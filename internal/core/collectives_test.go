@@ -79,8 +79,9 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // (the hub rows only); and when the layout moved into π-space
 // (partition.Scramble), which renames the fixture's vertices, so every row
 // with P > 1 solved a different partition problem (the identity-map rows
-// live on in TestRelabelledSolveMatchesIdentityMap). CHANGES.md has the old
-// rows. The fixture's default
+// live on in TestRelabelledSolveMatchesIdentityMap); and when the owner
+// lookups began asking once per distinct id in delta-coded frames (byte
+// counts only). CHANGES.md has the old rows. The fixture's default
 // hub threshold yields no hubs, so the delegate rows set DHigh = 8 (24 hubs)
 // to put the hub-proposal exchange and the move sections on the wire; P = 3
 // keeps an odd world size in the set.
@@ -92,16 +93,16 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0},
-		{partition.Delegate, 2, 0, 146, 2290},
-		{partition.Delegate, 4, 0, 868, 7221},
+		{partition.Delegate, 2, 0, 146, 2206},
+		{partition.Delegate, 4, 0, 868, 7095},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 170, 3361},
-		{partition.Delegate, 3, 8, 338, 5383},
-		{partition.Delegate, 4, 8, 780, 9457},
+		{partition.Delegate, 2, 8, 170, 3287},
+		{partition.Delegate, 3, 8, 338, 5339},
+		{partition.Delegate, 4, 8, 780, 9359},
 		{partition.OneD, 1, 0, 0, 0},
-		{partition.OneD, 2, 0, 146, 2290},
-		{partition.OneD, 3, 0, 348, 4244},
-		{partition.OneD, 4, 0, 868, 7221},
+		{partition.OneD, 2, 0, 146, 2206},
+		{partition.OneD, 3, 0, 348, 4150},
+		{partition.OneD, 4, 0, 868, 7095},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})
@@ -118,15 +119,18 @@ func TestGoldenTraffic(t *testing.T) {
 	}
 }
 
-// sendLogComm keeps a copy of every payload its rank sends, in order.
+// sendLogComm keeps a copy of every payload its rank sends, and its
+// destination, in order.
 type sendLogComm struct {
 	comm.Comm
 	sent [][]byte
+	dst  []int
 	hubs []int32 // the hub labels at the last push (TestHubTrafficFollowsLiveProposals)
 }
 
 func (c *sendLogComm) Send(dst, tag int, data []byte) error {
 	c.sent = append(c.sent, append([]byte(nil), data...))
+	c.dst = append(c.dst, dst)
 	return c.Comm.Send(dst, tag, data)
 }
 
@@ -149,7 +153,7 @@ func TestHubTrafficFollowsLiveProposals(t *testing.T) {
 	quiet, moving := 0, 0 // rank-iterations with no live remote proposal / with moves
 	testPushHook = func(s *stage, iter int) error {
 		lc := s.c.(*sendLogComm)
-		lc.sent = lc.sent[:0]
+		lc.sent, lc.dst = lc.sent[:0], lc.dst[:0]
 		lc.hubs = lc.hubs[:0]
 		for _, h := range s.sg.Hubs {
 			lc.hubs = append(lc.hubs, s.comm[h])

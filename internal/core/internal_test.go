@@ -174,6 +174,89 @@ func TestResolveQueriesEmpty(t *testing.T) {
 	}
 }
 
+// TestResolveQueriesAsksOnce feeds every rank unsorted queries with
+// repeats, some of them its own ids, at P = 1 to 4. Every position must get
+// lookup(x), and every request frame must name each distinct id asked of
+// its owner exactly once, ascending: the remote frames are decoded from
+// what the rank sent, and the own frame — answered first, before any peer
+// frame lands — from the order of the owner's first lookups.
+func TestResolveQueriesAsksOnce(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			stageOf := queryStages(t, p)
+			err := comm.RunWorld(p, func(c comm.Comm) error {
+				lc := &sendLogComm{Comm: c}
+				s := stageOf(lc)
+				rng := rand.New(rand.NewSource(int64(10*p + c.Rank())))
+				queries := []int{c.Rank(), s.n - 1}
+				for range 40 {
+					queries = append(queries, rng.Intn(s.n))
+				}
+				queries = append(queries, c.Rank(), queries[5])
+				want := make([][]int, p) // distinct ids per owner, ascending
+				for _, x := range queries {
+					o := partition.Owner(x, p)
+					if !slices.Contains(want[o], x) {
+						want[o] = append(want[o], x)
+					}
+				}
+				for _, ids := range want {
+					slices.Sort(ids)
+				}
+				var looked []int
+				res, err := s.resolveQueries(queries, 7*s.n+3, func(x int) int {
+					looked = append(looked, x)
+					return 7*x + 3
+				})
+				if err != nil {
+					return err
+				}
+				for i, x := range queries {
+					if res[i] != 7*x+3 {
+						t.Errorf("p=%d rank %d: res[%d] = %d, want lookup(%d) = %d", p, c.Rank(), i, res[i], x, 7*x+3)
+					}
+				}
+				if own := want[c.Rank()]; len(looked) < len(own) || !slices.Equal(looked[:len(own)], own) {
+					t.Errorf("p=%d rank %d: first lookups %v, want the own ids %v", p, c.Rank(), looked, own)
+				}
+				if len(lc.sent) != 2*(p-1) {
+					return fmt.Errorf("rank %d sent %d frames, want %d", c.Rank(), len(lc.sent), 2*(p-1))
+				}
+				for i, frame := range lc.sent[:p-1] { // the request leg
+					d := lc.dst[i]
+					rd := wire.NewReader(frame)
+					k := int(rd.Uvarint())
+					got := make([]int, 0, k)
+					for x := d - p; len(got) < k && rd.Err() == nil; {
+						x = rd.StrideDelta(x, p, s.n)
+						got = append(got, x)
+					}
+					if rd.Err() != nil || rd.Remaining() != 0 || !slices.Equal(got, want[d]) {
+						t.Errorf("p=%d rank %d: request to rank %d names %v (err %v, %d bytes left), want %v",
+							p, c.Rank(), d, got, rd.Err(), rd.Remaining(), want[d])
+					}
+				}
+				// A second call on the same stage, with another lookup, sees
+				// none of the first call's answers.
+				slices.Reverse(queries)
+				res, err = s.resolveQueries(queries, 7*s.n+3, func(x int) int { return 7*x + 1 })
+				if err != nil {
+					return err
+				}
+				for i, x := range queries {
+					if res[i] != 7*x+1 {
+						t.Errorf("p=%d rank %d: second call: res[%d] = %d, want %d", p, c.Rank(), i, res[i], 7*x+1)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	opt, err := Options{P: 4}.withDefaults()
 	if err != nil {

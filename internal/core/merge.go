@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/partition"
@@ -535,32 +536,63 @@ func foldRuns(x, y []int32, w []int64, off []int) int {
 }
 
 // resolveQueries maps each query x to lookup(x) evaluated on the rank that
-// owns x, via a request/reply all-to-all exchange. Both legs stream: each
-// request frame is answered as it arrives (the reply for source r depends
-// only on r's frame), and each reply is scattered into the result as it
-// lands (pos buckets are disjoint), so all decode/encode work overlaps
-// in-flight traffic. The request routing slices and both legs' encode
-// buffers are pooled on the stage, so repeated calls (two per merge level,
-// one per update batch, one per install) allocate only the result slice.
+// owns x, via a request/reply all-to-all exchange. Every query must lie in
+// [0, n). Each owner is asked once per distinct id, ids ascending: the
+// queries are deduplicated through the n-length slot table rqSlot (0 = not
+// asked, then 1 = asked, then answer+1 once the reply lands), and only the
+// distinct ids are reset on the way out, so a call costs
+// O(queries + d log d) for d distinct ids, never O(n) — an update batch's
+// lookup stays O(batch). The result is then filled per query position.
 //
-// Each owner's queries go out in the order given, so ascending queries
-// make ascending request frames. Both legs come from peers and are checked:
-// a request may only name an id below n that this rank owns, and a reply
-// must hold one value in [0, bound) per query asked of its sender.
+// Request frame: a uvarint count, then each id as its stride-delta from
+// the previous one — its row id/p minus the previous row, the first from
+// row −1 — so every delta is > 0. Reply frame: one zigzag varint per id
+// asked, its answer's difference from the previous answer (the first from
+// 0). Dense IDs ascend with the owned communities and a frozen singleton
+// keeps its own id, so the merge's replies and most re-points cost about
+// one byte each.
+//
+// Both legs stream: each request frame is answered as it arrives (the
+// reply for source r depends only on r's frame), and each reply is
+// scattered into the slot table as it lands (each owner's ids are its
+// own), so all decode/encode work overlaps in-flight traffic. The routing
+// slices, the slot table and both legs' encode buffers are pooled on the
+// stage, so repeated calls (two per merge level, one per update batch, two
+// per install) allocate only the result slice.
+//
+// Both legs come from peers and are checked: a request row must be below
+// the receiver's slot count and strictly follow the previous one, and a
+// reply must hold one answer in [0, bound) per id asked of its sender and
+// nothing after it.
 func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) ([]int, error) {
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
-		s.rqPos[r] = s.rqPos[r][:0]
 	}
-	for i, x := range queries {
-		o := partition.Owner(x, s.p)
-		s.rqReqs[o] = append(s.rqReqs[o], x)
-		s.rqPos[o] = append(s.rqPos[o], i)
+	for _, x := range queries {
+		if s.rqSlot[x] == 0 {
+			s.rqSlot[x] = 1
+			o := partition.Owner(x, s.p)
+			s.rqReqs[o] = append(s.rqReqs[o], x)
+		}
 	}
+	defer func() {
+		for _, ids := range s.rqReqs {
+			for _, x := range ids {
+				s.rqSlot[x] = 0
+			}
+		}
+	}()
 	out := s.sendScratch()
 	for r := 0; r < s.p; r++ {
+		ids := s.rqReqs[r]
+		slices.Sort(ids)
 		b := s.sendBufs[r]
-		b.PutInts(s.rqReqs[r])
+		b.PutUvarint(uint64(len(ids)))
+		prev := r - s.p
+		for _, x := range ids {
+			b.PutStrideDelta(prev, x, s.p)
+			prev = x
+		}
 		out[r] = b.Bytes()
 	}
 	// Replies stream into their own buffer set: the request frames in
@@ -570,17 +602,24 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 		s.rqFrames[r] = nil
 	}
 	err := comm.AlltoallvFunc(s.c, out, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		ids := rd.Ints()
-		if err := rd.Err(); err != nil {
-			return frameErr(s.rnk, "resolve request", src, err)
+		var rd wire.Reader
+		rd.Reset(payload)
+		k := rd.Uvarint()
+		if rd.Err() != nil {
+			return frameErr(s.rnk, "resolve request", src, rd.Err())
 		}
 		b := s.rqBufs[src]
-		for _, x := range ids {
-			if x < 0 || x >= s.n || !s.owns(x) {
-				return frameErr(s.rnk, "resolve request", src, nil)
+		x, prevAns := s.rnk-s.p, 0
+		for ; k > 0; k-- {
+			if x = rd.StrideDelta(x, s.p, s.n); rd.Err() != nil {
+				return frameErr(s.rnk, "resolve request", src, rd.Err())
 			}
-			b.PutVarint(int64(lookup(x)))
+			a := lookup(x)
+			b.PutVarint(int64(a - prevAns))
+			prevAns = a
+		}
+		if rd.Remaining() != 0 {
+			return frameErr(s.rnk, "resolve request", src, errLongFrame)
 		}
 		s.rqFrames[src] = b.Bytes()
 		return nil
@@ -588,15 +627,17 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 	if err != nil {
 		return nil, err
 	}
-	res := make([]int, len(queries))
 	err = comm.AlltoallvFunc(s.c, s.rqFrames, func(src int, payload []byte) error {
-		rd := wire.NewReader(payload)
-		for _, i := range s.rqPos[src] {
-			v := rd.Varint()
-			if rd.Err() != nil || v < 0 || v >= int64(bound) {
+		var rd wire.Reader
+		rd.Reset(payload)
+		a := int64(0)
+		for _, x := range s.rqReqs[src] {
+			d := rd.Varint()
+			if rd.Err() != nil || d < -a || d >= int64(bound)-a {
 				return frameErr(s.rnk, "resolve reply", src, rd.Err())
 			}
-			res[i] = int(v)
+			a += d
+			s.rqSlot[x] = int32(a) + 1
 		}
 		if rd.Remaining() != 0 {
 			return frameErr(s.rnk, "resolve reply", src, errLongFrame)
@@ -605,6 +646,10 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := make([]int, len(queries))
+	for i, x := range queries {
+		res[i] = int(s.rqSlot[x]) - 1
 	}
 	return res, nil
 }

@@ -120,7 +120,11 @@ func TestGoldenQAcrossLabellings(t *testing.T) {
 // there) at every heuristic, with 24 hubs at DHigh = 8, and rmat:scale=12
 // under 1D and under the default threshold, which delegates hubs at P > 1
 // under the identity map. The identity map solved them under τ0 = 3e-3,
-// so the rows run under that stop rule.
+// so the rows run under that stop rule. The byte column was re-recorded
+// once since, when the owner lookups began asking once per distinct id in
+// delta-coded frames: a lookup is a pure read at the owner, so Q, the
+// hashes and the message counts stayed the identity map's and only the
+// lookup frames shrank.
 func TestRelabelledSolveMatchesIdentityMap(t *testing.T) {
 	golden := goldenGraph(t)
 	rmat, _, err := gen.ParseSpec("rmat:scale=12")
@@ -138,24 +142,24 @@ func TestRelabelledSolveMatchesIdentityMap(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{"golden", partition.OneD, HeuristicEnhanced, 0, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 146, 2312},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 3, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 498, 4783},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 912, 8074},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 146, 2204},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 3, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 498, 4603},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 912, 7950},
 		{"golden", partition.OneD, HeuristicSimple, 0, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.OneD, HeuristicSimple, 0, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 78, 1912},
-		{"golden", partition.OneD, HeuristicSimple, 0, 4, "0x1.5ef65ade1bbd9p-03", 0xa6524a8f7590ef26, 788, 12549},
+		{"golden", partition.OneD, HeuristicSimple, 0, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 78, 1872},
+		{"golden", partition.OneD, HeuristicSimple, 0, 4, "0x1.5ef65ade1bbd9p-03", 0xa6524a8f7590ef26, 788, 12513},
 		{"golden", partition.OneD, HeuristicStrict, 0, 1, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 0, 0},
-		{"golden", partition.OneD, HeuristicStrict, 0, 2, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 124, 2156},
-		{"golden", partition.OneD, HeuristicStrict, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 824, 7010},
+		{"golden", partition.OneD, HeuristicStrict, 0, 2, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 124, 2082},
+		{"golden", partition.OneD, HeuristicStrict, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 824, 6886},
 		{"golden", partition.Delegate, HeuristicEnhanced, 8, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 170, 3396},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 3, "0x1.7d60170edf132p-02", 0x9bdecb73b57b6266, 482, 6987},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 4, "0x1.e4b8f3930972fp-02", 0xf7304c3055d1c3c4, 736, 8326},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 170, 3314},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 3, "0x1.7d60170edf132p-02", 0x9bdecb73b57b6266, 482, 6833},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 4, "0x1.e4b8f3930972fp-02", 0xf7304c3055d1c3c4, 736, 8234},
 		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 1, "0x1.d67b6b68a4438p-04", 0x81afad0021a888b5, 0, 0},
-		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.d516162c2c0bep-04", 0xc2abc0e72c4b0608, 366, 148439},
-		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.b72ef9fb708p-04", 0xb822b47bcae90917, 1700, 298040},
-		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 2, "0x1.bed0c2bc6af39p-04", 0xe26ddd82f6596a41, 362, 161843},  // 41 hubs
-		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 4, "0x1.9e07f242c0c22p-04", 0xc16c0a473e908951, 2496, 371200}, // 118 hubs
+		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.d516162c2c0bep-04", 0xc2abc0e72c4b0608, 366, 113597},
+		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.b72ef9fb708p-04", 0xb822b47bcae90917, 1700, 258926},
+		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 2, "0x1.bed0c2bc6af39p-04", 0xe26ddd82f6596a41, 362, 129721},  // 41 hubs
+		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 4, "0x1.9e07f242c0c22p-04", 0xc16c0a473e908951, 2496, 342163}, // 118 hubs
 	} {
 		name := fmt.Sprintf("%s/%v/%v/dhigh=%d/p=%d", row.graph, row.kind, row.h, row.dhigh, row.p)
 		res, err := RunStop(graphs[row.graph], Options{P: row.p, Partitioning: row.kind, Heuristic: row.h, DHigh: row.dhigh},

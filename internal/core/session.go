@@ -281,17 +281,23 @@ func (s *Session) install() error {
 	for r := range bufs {
 		outBufs[r] = bufs[r].Bytes()
 	}
+	// A pair names a label this rank owns and a vertex, both in [0, n).
 	repOf := make(map[int]int)
 	err := comm.AlltoallvFunc(s.c, outBufs, func(src int, payload []byte) error {
 		rd := wire.NewReader(payload)
 		for rd.Remaining() > 0 {
-			l := int(rd.Varint())
-			v := int(rd.Varint())
-			if m, ok := repOf[l]; !ok || v < m {
-				repOf[l] = v
+			l, v := rd.Varint(), rd.Varint()
+			if rd.Err() != nil {
+				return frameErr(s.rnk, "representative", src, rd.Err())
+			}
+			if l < 0 || l >= int64(s.n) || !s.owns(int(l)) || v < 0 || v >= int64(s.n) {
+				return frameErr(s.rnk, "representative", src, nil)
+			}
+			if m, ok := repOf[int(l)]; !ok || int(v) < m {
+				repOf[int(l)] = int(v)
 			}
 		}
-		return rd.Err()
+		return nil
 	})
 	if err != nil {
 		return err

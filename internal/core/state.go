@@ -108,15 +108,16 @@ type stage struct {
 	// nextStage, so successive levels reuse the grown storage.
 	ms *mergeScratch
 
-	// rqBufs/rqFrames/rqReqs/rqPos are the resolveQueries stage scratch:
+	// rqBufs/rqFrames/rqReqs/rqSlot are the resolveQueries stage scratch:
 	// reply encode buffers and frame headers (the request leg uses
 	// sendScratch; replies need their own set because the request frames
-	// must stay intact while the streaming first leg is in flight), and
-	// the per-rank routed queries and their original positions.
+	// must stay intact while the streaming first leg is in flight), the
+	// distinct queried ids routed per owner, and the n-length slot table
+	// that deduplicates them and holds each answer (0 between calls).
 	rqBufs   []*wire.Buffer
 	rqFrames [][]byte
 	rqReqs   [][]int
-	rqPos    [][]int
+	rqSlot   []int32
 
 	// acc is the sweep's gain accumulator, allocated once per stage so the
 	// steady state allocates no scratch.
@@ -240,17 +241,18 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 		active:    reuse(prev.active, n),
 		hubActive: make([]bool, len(sg.Hubs)),
 		seen:      reuse(prev.seen, n),
+		rqSlot:    reuse(prev.rqSlot, n),
 		ms:        prev.ms,
 	}
 	s.acc = &gainAccumulator{w: reuse(prev.acc.w, n), seen: reuse(prev.acc.seen, n)}
 	// Every user resets these before it writes them.
-	s.sendBufs, s.rqBufs, s.rqReqs, s.rqPos = prev.sendBufs, prev.rqBufs, prev.rqReqs, prev.rqPos
+	s.sendBufs, s.rqBufs, s.rqReqs = prev.sendBufs, prev.rqBufs, prev.rqReqs
 	if s.sendBufs == nil {
 		s.sendBufs, s.rqBufs = make([]*wire.Buffer, s.p), make([]*wire.Buffer, s.p)
 		for r := range s.sendBufs {
 			s.sendBufs[r], s.rqBufs[r] = wire.NewBuffer(0), wire.NewBuffer(0)
 		}
-		s.rqReqs, s.rqPos = make([][]int, s.p), make([][]int, s.p)
+		s.rqReqs = make([][]int, s.p)
 	}
 	s.frames = make([][]byte, s.p)
 	s.rqFrames = make([][]byte, s.p)

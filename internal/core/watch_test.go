@@ -213,15 +213,16 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 
 // TestGarbledFrames injects one bad frame per decoder of the per-iteration
 // exchanges, of the owner lookups (both legs), of the merge's community
-// count and arc exchange and of Session.install's label lookup — an id past
-// the end of the dense arrays, a repeated id, a length or count past what
-// the sender may send, a vertex
-// or hub outside what the sender may address, a truncated record, a record
-// count the frame cannot hold, trailing bytes — into rank 0's receive path
-// from rank 1. Every one must come back from the exchange as an error
-// naming rank 1: no panic, no write.
+// count and arc exchange and of Session.install's representative exchange
+// and label lookup — an id past the end of the dense arrays, a repeated id,
+// a length or count past what the sender may send, a vertex, label or hub
+// outside what the sender may address, an answer outside [0, bound), a
+// truncated record, a record count the frame cannot hold, trailing bytes —
+// into rank 0's receive path from rank 1. Every one must come back from the
+// exchange as an error naming rank 1: no panic, no write.
 // (A community id of another rank's residue cannot be written down at all:
-// the stride-delta streams only reach the addressed owner's slots.) At the
+// the stride-delta streams — the push, the flush's watches and the owner
+// lookups' requests — only reach the addressed owner's slots.) At the
 // parent commit an out-of-range id panicked inside the rank goroutine (index
 // out of range in flushDeltas, ghostSwap and the answer kernel) and a
 // foreign one was applied silently.
@@ -269,18 +270,19 @@ func TestGarbledFrames(t *testing.T) {
 		b.PutUvarint(0)
 		b.PutUvarint(i + 1)
 	}
-	// denseReply is rank 1's dense-ID reply to rank 0's merge request: one id
-	// per community asked, the first far past the coarse vertex count.
+	// denseReply is rank 1's dense-ID reply to rank 0's merge request: one
+	// answer delta per community asked, all zero but the last, which takes
+	// the running answer far past the coarse vertex count.
 	denseReply := func(s *stage) []byte {
 		k := len(s.neededCommunities()[1])
 		if k == 0 {
 			t.Error("rank 0 references no community of rank 1")
 		}
 		return enc(func(b *wire.Buffer) {
-			b.PutVarint(1 << 30)
 			for i := 1; i < k; i++ {
 				b.PutVarint(0)
 			}
+			b.PutVarint(1 << 30)
 		})
 	}
 	// Frames as rank 1 would address them to rank 0 (p = 4).
@@ -401,18 +403,44 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutUvarint(1)
 			b.PutUvarint(7)
 		})},
-		// Owner lookups: a request is a length-prefixed id list, a reply one
-		// varint per id asked. Every rank asks for vertices 0–3, one per owner.
-		{"resolve/request-out-of-range", "request", enc(func(b *wire.Buffer) { b.PutInts([]int{n + 5}) })},
-		{"resolve/request-foreign", "request", enc(func(b *wire.Buffer) { b.PutInts([]int{1}) })},
-		{"resolve/reply-truncated", "reply", []byte{}},
+		// Owner lookups: a request is an id count, then each id as its row
+		// delta (rows id/p, from row −1); a reply one zigzag answer delta per
+		// id asked (from 0). Rank 0 owns rows 0–99, and asks rank 1 for
+		// vertices 1 and 5: the queries are 0–3, 5 and 1 again.
+		{"resolve/request-out-of-range", "request", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(101) // row 100: vertex 400 = n
+		})},
+		{"resolve/request-repeated-id", "request", enc(func(b *wire.Buffer) {
+			b.PutUvarint(2)
+			b.PutUvarint(1)
+			b.PutUvarint(0)
+		})},
+		{"resolve/request-truncated", "request", enc(func(b *wire.Buffer) {
+			b.PutUvarint(2)
+			b.PutUvarint(1)
+		})},
+		{"resolve/request-trailing", "request", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(7)
+		})},
+		{"resolve/reply-truncated", "reply", enc(func(b *wire.Buffer) { b.PutVarint(1) })},
 		{"resolve/reply-trailing", "reply", enc(func(b *wire.Buffer) {
 			b.PutVarint(1)
 			b.PutVarint(1)
+			b.PutVarint(1)
 		})},
-		{"resolve/reply-out-of-range", "reply", enc(func(b *wire.Buffer) { b.PutVarint(int64(n)) })},
+		{"resolve/reply-out-of-range", "reply", enc(func(b *wire.Buffer) {
+			b.PutVarint(int64(n) - 1)
+			b.PutVarint(1) // answer n
+		})},
+		{"resolve/reply-negative", "reply", enc(func(b *wire.Buffer) {
+			b.PutVarint(3)
+			b.PutVarint(-4) // answer −1
+		})},
 		{"merge/dense-reply-out-of-range", "dense", nil}, // denseReply
-		// A request's length prefix of 2⁶³ must not wrap negative in Ints.
+		// A request count of 2⁶³ ends where the frame does, in an error.
 		{"resolve/request-huge-length", "request", enc(func(b *wire.Buffer) { b.PutUvarint(1 << 63) })},
 		// The merge's community count: one uvarint, at most the sender's
 		// owned-slot count (100 of the 400 stage-1 communities for rank 1).
@@ -423,12 +451,28 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 		})},
-		// Session.install's fourth frame from rank 1: a hub index far past
-		// the hub list, where a hub-label broadcast would index with it.
+		// Session.install's fourth frame from rank 1, the request of its
+		// lookup of held hub and ghost labels: an id far past n, where the
+		// label lookup would index with it.
 		{"install/hub-index-out-of-range", "install", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
 			b.PutUvarint(1 << 20)
+		})},
+		// install's first frame from rank 1, the representative exchange:
+		// (label, vertex) varint pairs for labels the receiver owns.
+		{"install/rep-foreign-label", "install-rep", enc(func(b *wire.Buffer) {
+			b.PutVarint(1) // label 1: rank 1's own
 			b.PutVarint(0)
 		})},
+		{"install/rep-out-of-range", "install-rep", enc(func(b *wire.Buffer) {
+			b.PutVarint(int64(n)) // label n ≡ 0 (mod 4)
+			b.PutVarint(0)
+		})},
+		{"install/rep-vertex-out-of-range", "install-rep", enc(func(b *wire.Buffer) {
+			b.PutVarint(0)
+			b.PutVarint(int64(n))
+		})},
+		{"install/rep-truncated", "install-rep", enc(func(b *wire.Buffer) { b.PutVarint(0) })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -459,7 +503,7 @@ func TestGarbledFrames(t *testing.T) {
 						}
 						_, _, err := s.merge()
 						return err
-					case "install":
+					case "install", "install-rep":
 						sess, err := NewSession(tc0, layout.Parts[c.Rank()], opt)
 						if err != nil {
 							return err
@@ -468,10 +512,14 @@ func TestGarbledFrames(t *testing.T) {
 							return err
 						}
 						// install's frames from rank 1: the representative
-						// exchange and both legs of the representative
-						// lookup pass; the fourth is garbled.
+						// exchange, then both legs of the representative
+						// lookup, then the held-label lookup's request.
 						if c.Rank() == 0 {
-							tc0.arm(1, 3, tc.frame)
+							skip := 3
+							if tc.step == "install-rep" {
+								skip = 0
+							}
+							tc0.arm(1, skip, tc.frame)
 						}
 						return sess.install()
 					case "request", "reply":
@@ -482,7 +530,7 @@ func TestGarbledFrames(t *testing.T) {
 							}
 							tc0.arm(1, skip, tc.frame)
 						}
-						_, err := s.resolveQueries([]int{0, 1, 2, 3}, n, func(x int) int { return int(s.comm[x]) })
+						_, err := s.resolveQueries([]int{0, 1, 2, 3, 5, 1}, n, func(x int) int { return int(s.comm[x]) })
 						return err
 					}
 					if err := s.registerWatches(); err != nil {
@@ -532,6 +580,8 @@ func TestGarbledFrames(t *testing.T) {
 				want = "merge count frame from rank 1"
 			case "request", "install":
 				want = "resolve request frame from rank 1"
+			case "install-rep":
+				want = "representative frame from rank 1"
 			case "reply", "dense":
 				want = "resolve reply frame from rank 1"
 			}
