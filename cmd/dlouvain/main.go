@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *oocore {
 		if !strings.HasSuffix(*graphPath, ".sbin") {
-			return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -stream writes one)")
+			return usage("-oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -o FILE.sbin writes one)")
 		}
 		if *seq || *showLevels {
 			return usage("-seq and -levels need the whole graph in RAM; drop them with -oocore")

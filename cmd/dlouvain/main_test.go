@@ -59,7 +59,7 @@ func TestExitCodes(t *testing.T) {
 			"dlouvain: pass one of -graph FILE and -gen SPEC\n"},
 		{"zero-ranks", []string{"-graph", filepath.Join(dir, "none.txt"), "-p", "0"}, 2, "dlouvain: -p 0, want >= 1\n"},
 		{"oocore-not-sbin", []string{"-oocore", "-graph", nan}, 2,
-			"dlouvain: -oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -stream writes one)\n"},
+			"dlouvain: -oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -o FILE.sbin writes one)\n"},
 		{"oocore-seq", []string{"-oocore", "-graph", "g.sbin", "-seq"}, 2,
 			"dlouvain: -seq and -levels need the whole graph in RAM; drop them with -oocore\n"},
 		{"bad-heuristic", []string{"-gen", "rmat:scale=4", "-heuristic", "greedy"}, 2, "dlouvain: unknown heuristic \"greedy\"\n"},
@@ -121,7 +121,7 @@ func TestExitCodesTCP(t *testing.T) {
 		{"both-inputs", []string{"-graph", filepath.Join(dir, "none.txt"), "-gen", "rmat:scale=4"}, 2,
 			"dlouvain: pass one of -graph FILE and -gen SPEC\n"},
 		{"oocore-not-sbin", []string{"-oocore", "-graph", filepath.Join(dir, "g.txt")}, 2,
-			"dlouvain: -oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -stream writes one)\n"},
+			"dlouvain: -oocore solves from a sharded binary; pass -graph FILE.sbin (gengraph -o FILE.sbin writes one)\n"},
 		{"bad-heuristic", []string{"-heuristic", "greedy", "-gen", "rmat:scale=4"}, 2,
 			"dlouvain: unknown heuristic \"greedy\"\n"},
 		{"missing-graph", []string{"-graph", filepath.Join(dir, "none.txt")}, 1, "dlouvain: open "},

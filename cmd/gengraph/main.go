@@ -7,11 +7,11 @@
 //	gengraph -gen lfr:n=10000,mu=0.3 -o social.sbin -truth social.communities
 //	gengraph -gen rmat:scale=20 -o web.sbin -shards 16
 //	gengraph -gen rmat:scale=14,skew=0.7 -o skewed.txt
-//	gengraph -gen rmat:scale=26 -o huge.sbin -shards 256 -stream
+//	gengraph -gen rmat:scale=26 -o huge.sbin -shards 256
 //
-// -stream generates rmat directly into a sharded binary in bounded memory
-// (one shard's arcs at a time), bit-identical to the in-RAM path; it
-// requires an rmat spec and a .sbin output.
+// An rmat spec written to .sbin goes through gen.StreamRMAT, which holds
+// one shard's arcs at a time; every other spec and format is generated in
+// RAM. Either way the graph is the one gen.ParseSpec builds.
 //
 // Exit status: 0 written, 1 the generator or a write failed, 2 usage.
 package main
@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outPath   = fs.String("o", "", "output path (.sbin = sharded binary, .metis = METIS, any other suffix = text edge list)")
 		truthPath = fs.String("truth", "", "write the planted membership here (LFR/SBM/caveman only)")
 		shards    = fs.Int("shards", 16, "shard count for .sbin output (readers decode shards concurrently)")
-		stream    = fs.Bool("stream", false, "rmat + .sbin only: generate out of core, holding one shard's arcs at a time")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -56,10 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *spec == "" || *outPath == "" {
 		return usage("-gen SPEC and -o FILE are required")
 	}
-	if *stream && !strings.HasSuffix(*outPath, ".sbin") {
-		return usage("-stream writes sharded binaries; output %q must end in .sbin", *outPath)
-	}
-	if *stream {
+	if kind, _, _ := strings.Cut(*spec, ":"); kind == "rmat" && strings.HasSuffix(*outPath, ".sbin") {
 		cfg, err := gen.ParseRMATSpec(*spec)
 		if err != nil {
 			return fail(err)
@@ -71,8 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges (%d shards, streamed)\n",
-			*outPath, sg.Vertices, sg.Arcs/2, sg.Shards)
+		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges\n", *outPath, sg.Vertices, sg.Arcs/2)
 		return 0
 	}
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -81,19 +82,39 @@ func TestFormatsReadBackEqual(t *testing.T) {
 	}
 }
 
-// TestStreamEqualsInRAM pins the claim in the command's doc comment: the
-// graph -stream writes is bit-identical to the in-RAM path's. The files are
-// not — the streaming writer cuts shards where its buckets end, the in-RAM
-// one where arcs balance — so the comparison is of what they decode to.
-func TestStreamEqualsInRAM(t *testing.T) {
+// TestOneFilePerSpec pins that an rmat spec gives one file: written to
+// .sbin, gengraph writes exactly the bytes of gen.StreamRMAT (the
+// benchmark's own writer) at the same shard count, and the same spec
+// written as a text edge list decodes to the same graph.
+func TestOneFilePerSpec(t *testing.T) {
 	dir := t.TempDir()
-	var decoded [][]byte
-	for _, extra := range [][]string{nil, {"-stream"}} {
-		path := filepath.Join(dir, "g"+strings.Join(extra, "")+".sbin")
-		args := append([]string{"-gen", "rmat:scale=9,ef=6,seed=4", "-shards", "7", "-o", path}, extra...)
-		if code, _, stderr := gengraph(args...); code != 0 {
-			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+	const spec = "rmat:scale=9,ef=6,seed=4"
+	sbin, txt, ref := filepath.Join(dir, "g.sbin"), filepath.Join(dir, "g.txt"), filepath.Join(dir, "ref.sbin")
+	for _, path := range []string{sbin, txt} {
+		if code, _, stderr := gengraph("-gen", spec, "-shards", "7", "-o", path); code != 0 {
+			t.Fatalf("%s: exit %d: %s", path, code, stderr)
 		}
+	}
+	cfg, err := gen.ParseRMATSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.StreamRMAT(cfg, ref, 7); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(sbin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("gengraph's .sbin differs from gen.StreamRMAT's at the same shard count")
+	}
+	var decoded [][]byte
+	for _, path := range []string{sbin, txt} {
 		g, err := graph.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +122,7 @@ func TestStreamEqualsInRAM(t *testing.T) {
 		decoded = append(decoded, canonical(t, g))
 	}
 	if !bytes.Equal(decoded[0], decoded[1]) {
-		t.Fatal("the in-RAM .sbin and the -stream one decode to different graphs")
+		t.Fatal("the .sbin and the .txt of one spec decode to different graphs")
 	}
 }
 
@@ -118,11 +139,11 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"no-gen", []string{"-o", out}, 2, "gengraph: -gen SPEC and -o FILE are required\n"},
 		{"no-out", []string{"-gen", "rmat:scale=4"}, 2, "gengraph: -gen SPEC and -o FILE are required\n"},
-		{"stream-not-sbin", []string{"-gen", "rmat:scale=4", "-stream", "-o", out}, 2,
-			"gengraph: -stream writes sharded binaries; output \"" + out + "\" must end in .sbin\n"},
 		{"bad-flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\n"},
 		{"bad-spec", []string{"-gen", "nosuchkind:n=3", "-o", out}, 1, "gengraph: "},
-		{"stream-not-rmat", []string{"-gen", "lfr:n=100", "-stream", "-o", filepath.Join(dir, "x.sbin")}, 1, "gengraph: "},
+		// No -stream switch: an rmat spec written to .sbin always streams.
+		{"stream-flag-gone", []string{"-gen", "rmat:scale=4", "-stream", "-o", filepath.Join(dir, "x.sbin")}, 2,
+			"flag provided but not defined: -stream\n"},
 		{"no-truth", []string{"-gen", "rmat:scale=4", "-o", out, "-truth", filepath.Join(dir, "t")}, 1,
 			"gengraph: generator \"rmat:scale=4\" has no planted ground truth\n"},
 		// A directory cannot be created as a file: the -truth write must

@@ -229,7 +229,7 @@ func TestSessionSeedsStageFlags(t *testing.T) {
 	}
 	seeds := ballOf(g, randomStream(g, 3, 1, 2, 0)[0], 1)
 	err = comm.RunWorld(p, func(c comm.Comm) error {
-		ses, err := NewSession(c, layout.Parts[c.Rank()].CloneForServing(), opt)
+		ses, err := NewSession(c, layout.Parts[c.Rank()], opt)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ type mergeScratch struct {
 	dense    []int32      // community → dense coarse ID (s.dense aliases this)
 	denseOwn []int32      // owned-community row c/p → dense ID, -1 = empty
 	cnt      *wire.Buffer // dense-count allgather encode scratch
-	need     []int        // referenced communities, grouped by owner, ascending
+	need     []int        // label of each owned vertex, hub and ghost, in that order
 
 	// Record arrays: two (x, y, w) column sets ping-ponged by the stable
 	// counting scatters. Column meaning is positional per pass (see merge).
@@ -133,12 +133,16 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 	}
 
-	// 2. Every rank learns the dense ID of each community it references from
-	// the community's owner. An empty community has no dense ID (-1), which
-	// the reply check refuses: every label in use is non-empty at its owner.
+	// 2. Every rank learns the dense ID of each community it references —
+	// the label of every owned vertex, hub and ghost — from the community's
+	// owner; resolveQueries asks each owner once per distinct label. An
+	// empty community has no dense ID (-1), which the reply check refuses:
+	// every label in use is non-empty at its owner.
 	ms.need = ms.need[:0]
-	for _, cs := range s.neededCommunities() {
-		ms.need = append(ms.need, cs...)
+	for _, vs := range [][]int{s.sg.Owned, s.sg.Hubs, s.sg.Ghosts} {
+		for _, v := range vs {
+			ms.need = append(ms.need, int(s.comm[v]))
+		}
 	}
 	ids, err := s.resolveQueries(ms.need, total, func(c int) int { return int(ms.denseOwn[c/s.p]) })
 	if err != nil {

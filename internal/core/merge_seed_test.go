@@ -44,7 +44,7 @@ func (s *stage) mergeSeed() (*partition.Subgraph, int, error) {
 	}
 
 	// 2. Every rank learns the dense ID of each community it references.
-	reqs := s.neededCommunities()
+	reqs := referencedCommunities(s)
 	out := s.sendScratch()
 	for r := 0; r < s.p; r++ {
 		b := s.sendBufs[r]

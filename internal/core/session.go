@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -88,10 +89,9 @@ type UpdateResult struct {
 }
 
 // NewSession wraps a rank's subgraph for solving and serving. The Session
-// owns sg from here on: ApplyUpdates mutates it (pass
-// partition.Subgraph.CloneForServing when the caller's copy must stay
-// pristine — the batch path never mutates, so core.Run passes layout parts
-// directly).
+// owns sg from here on: ApplyUpdates edits it in place, so a caller that
+// still needs the layout's original parts builds a second layout (the
+// batch path never mutates, so core.Run passes layout parts directly).
 func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, error) {
 	if opt.P == 0 {
 		opt.P = c.Size()
@@ -669,27 +669,19 @@ func (s *Session) resolveNewGhosts() error {
 	return nil
 }
 
-// upsertArc returns a copy of adj with weight w added to the entry for y
-// (appended if absent). Copy-on-write keeps Build's pristine adjacency —
-// possibly shared with other Subgraph clones — untouched.
+// upsertArc adds weight w to adj's entry for y (appended if absent) in
+// place: the row belongs to this Session's part alone.
 func upsertArc(adj []partition.Arc, y int, w int64) []partition.Arc {
-	out := append([]partition.Arc(nil), adj...)
-	for j := range out {
-		if out[j].To == y {
-			out[j].W += w
-			return out
+	for j := range adj {
+		if adj[j].To == y {
+			adj[j].W += w
+			return adj
 		}
 	}
-	return append(out, partition.Arc{To: y, W: w})
+	return append(adj, partition.Arc{To: y, W: w})
 }
 
-// dropArcs returns a copy of adj with every entry for y removed.
+// dropArcs removes every entry for y from adj in place.
 func dropArcs(adj []partition.Arc, y int) []partition.Arc {
-	out := make([]partition.Arc, 0, len(adj))
-	for _, a := range adj {
-		if a.To != y {
-			out = append(out, a)
-		}
-	}
-	return out
+	return slices.DeleteFunc(adj, func(a partition.Arc) bool { return a.To == y })
 }

@@ -46,7 +46,7 @@ func runSessionBatches(t *testing.T, g *graph.Graph, opt Options, batches [][]Ed
 	labels := make([][]int, opt.P)
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
 		r := c.Rank()
-		ses, err := NewSession(c, layout.Parts[r].CloneForServing(), opt)
+		ses, err := NewSession(c, layout.Parts[r], opt)
 		if err != nil {
 			return err
 		}
@@ -354,7 +354,7 @@ func TestSessionTCPMatchesInproc(t *testing.T) {
 				return
 			}
 			defer ep.Close()
-			ses, err := NewSession(ep, layout.Parts[r].CloneForServing(), opt)
+			ses, err := NewSession(ep, layout.Parts[r], opt)
 			if err != nil {
 				errs[r] = err
 				return
@@ -402,7 +402,7 @@ func TestValidateOpsWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = comm.RunWorld(1, func(c comm.Comm) error {
-		ses, err := NewSession(c, layout.Parts[0].CloneForServing(), Options{P: 1})
+		ses, err := NewSession(c, layout.Parts[0], Options{P: 1})
 		if err != nil {
 			return err
 		}
@@ -462,7 +462,7 @@ func TestSessionAttach(t *testing.T) {
 	}
 	sessions := make([]*Session, opt.P)
 	err = comm.RunWorld(opt.P, func(c comm.Comm) error {
-		ses, err := NewSession(c, layout.Parts[c.Rank()].CloneForServing(), opt)
+		ses, err := NewSession(c, layout.Parts[c.Rank()], opt)
 		if err != nil {
 			return err
 		}

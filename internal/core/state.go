@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"time"
 
 	"repro/internal/comm"
@@ -171,13 +170,6 @@ type stage struct {
 	revAdj []int32
 	revW   []int64
 
-	// needMark/reqs are the dense dedup scratch of neededCommunities:
-	// needMark[c] marks community c as already requested this round, and
-	// reqs[r] accumulates the requests owned by rank r. Both are reset in
-	// O(touched) at the end of each call.
-	needMark []bool
-	reqs     [][]int
-
 	bd trace.Breakdown
 	tm *trace.Timer
 
@@ -237,7 +229,6 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 		deltaW:    reuse(prev.deltaW, n),
 		deltaN:    reuse(prev.deltaN, n),
 		deltaMark: reuse(prev.deltaMark, n),
-		needMark:  reuse(prev.needMark, n),
 		active:    reuse(prev.active, n),
 		hubActive: make([]bool, len(sg.Hubs)),
 		seen:      reuse(prev.seen, n),
@@ -256,7 +247,6 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 	}
 	s.frames = make([][]byte, s.p)
 	s.rqFrames = make([][]byte, s.p)
-	s.reqs = make([][]int, s.p)
 	s.idPrev = make([]int, s.p)
 	s.wHead = reuse(prev.wHead, n/s.p+1)
 	fillInt32(s.wHead, -1)
@@ -524,41 +514,6 @@ func (s *stage) watch(c int) {
 		s.watched[c] = true
 		s.watchNew = append(s.watchNew, c)
 	}
-}
-
-// neededCommunities returns the deduplicated set of community IDs
-// referenced by any locally known vertex, grouped by owning rank. The
-// returned per-rank slices are stage-owned scratch, valid until the next
-// call.
-func (s *stage) neededCommunities() [][]int {
-	for r := range s.reqs {
-		s.reqs[r] = s.reqs[r][:0]
-	}
-	note := func(v int) {
-		c := int(s.comm[v])
-		if s.needMark[c] {
-			return
-		}
-		s.needMark[c] = true
-		o := partition.Owner(c, s.p)
-		s.reqs[o] = append(s.reqs[o], c)
-	}
-	for _, u := range s.sg.Owned {
-		note(u)
-	}
-	for _, h := range s.sg.Hubs {
-		note(h)
-	}
-	for _, g := range s.sg.Ghosts {
-		note(g)
-	}
-	for r := range s.reqs {
-		sort.Ints(s.reqs[r])
-		for _, c := range s.reqs[r] {
-			s.needMark[c] = false
-		}
-	}
-	return s.reqs
 }
 
 // addDelta records that community c gained dw weighted degree and dn

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,10 +26,9 @@ import (
 // as the oracle (the merge_seed_test.go idiom): every rank requests every
 // community a local vertex references from its owner, the owners answer
 // from the authoritative tables, and the answers are installed over the
-// cache. Serial and allocating; it shares no scratch with the push beyond
-// neededCommunities.
+// cache. Serial and allocating; it shares no scratch with the push.
 func (s *stage) fetchCommunityInfo() error {
-	reqs := s.neededCommunities()
+	reqs := referencedCommunities(s)
 	out := make([][]byte, s.p)
 	for r := range out {
 		b := wire.NewBuffer(0)
@@ -70,13 +70,33 @@ func (s *stage) fetchCommunityInfo() error {
 	return nil
 }
 
+// referencedCommunities returns the communities a local vertex — owned,
+// hub or ghost — references, grouped by owning rank, each group ascending
+// and free of repeats: the ids the merge's dense-ID lookup asks each owner
+// for, and the pull oracle's request set.
+func referencedCommunities(s *stage) [][]int {
+	reqs := make([][]int, s.p)
+	for _, vs := range [][]int{s.sg.Owned, s.sg.Hubs, s.sg.Ghosts} {
+		for _, v := range vs {
+			c := int(s.comm[v])
+			o := partition.Owner(c, s.p)
+			reqs[o] = append(reqs[o], c)
+		}
+	}
+	for r := range reqs {
+		slices.Sort(reqs[r])
+		reqs[r] = slices.Compact(reqs[r])
+	}
+	return reqs
+}
+
 // cacheCoherenceHook is the testPushHook of the coherence tests: right
 // after a push, no community a local vertex references may be uncached, and
 // pulling every referenced community from its owner must change no byte of
 // the cache — i.e. each cached (Σtot, size) already equals the owner's
 // ownTot/ownSize.
 func cacheCoherenceHook(s *stage, iter int) error {
-	for _, cs := range s.neededCommunities() {
+	for _, cs := range referencedCommunities(s) {
 		for _, c := range cs {
 			if !s.cached[c] || !s.watched[c] {
 				return fmt.Errorf("iter %d rank %d: referenced community %d cached=%v watched=%v",
@@ -274,7 +294,7 @@ func TestGarbledFrames(t *testing.T) {
 	// answer delta per community asked, all zero but the last, which takes
 	// the running answer far past the coarse vertex count.
 	denseReply := func(s *stage) []byte {
-		k := len(s.neededCommunities()[1])
+		k := len(referencedCommunities(s)[1])
 		if k == 0 {
 			t.Error("rank 0 references no community of rank 1")
 		}
@@ -656,7 +676,7 @@ func TestIncrementalBatchTraffic(t *testing.T) {
 			iters := make([]int, p)
 			err = comm.RunWorld(p, func(c comm.Comm) error {
 				r := c.Rank()
-				ses, err := NewSession(c, layout.Parts[r].CloneForServing(), opt)
+				ses, err := NewSession(c, layout.Parts[r], opt)
 				if err != nil {
 					return err
 				}
@@ -729,7 +749,7 @@ func pushUsefulness(t *testing.T, g *graph.Graph, opt Options) (pushed, useful i
 	testPushHook = func(s *stage, iter int) error {
 		lc := s.c.(*lastFrameComm)
 		need := make(map[int]bool)
-		for _, cs := range s.neededCommunities() {
+		for _, cs := range referencedCommunities(s) {
 			for _, c := range cs {
 				need[c] = true
 			}

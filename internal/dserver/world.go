@@ -135,7 +135,7 @@ func New(g *graph.Graph, opt Options) (*World, error) {
 	opt.DriftTouched = cmp.Or(max(opt.DriftTouched, 0), 0.35)
 	w := &World{p: p, n: g.NumVertices(), opt: opt, sessions: make([]*core.Session, p)}
 	err = w.run(func(c comm.Comm) error {
-		s, err := core.NewSession(c, layout.Parts[c.Rank()].CloneForServing(), copt)
+		s, err := core.NewSession(c, layout.Parts[c.Rank()], copt)
 		if err != nil {
 			return err
 		}

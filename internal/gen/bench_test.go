@@ -1,12 +1,20 @@
 package gen
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkRMAT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RMAT(Graph500RMAT(12, int64(i))); err != nil {
-			b.Fatal(err)
-		}
+	for _, scale := range []int{12, 16} {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RMAT(Graph500RMAT(scale, int64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -85,56 +85,77 @@ func (c *RMATConfig) SetSkew(skew float64) error {
 	return nil
 }
 
-// drawEdge draws one R-MAT edge: Scale quadrant choices, one rng.Float64
-// each, lowest bit first. RMAT and StreamRMAT both draw through it, so the
-// same seed yields the same edge sequence in RAM and on disk.
-func (cfg RMATConfig) drawEdge(rng *rand.Rand) (u, v int) {
-	for bit := 0; bit < cfg.Scale; bit++ {
-		r := rng.Float64()
-		switch {
-		case r < cfg.A:
-			// upper-left: no bits set
-		case r < cfg.A+cfg.B:
-			v |= 1 << bit
-		case r < cfg.A+cfg.B+cfg.C:
-			u |= 1 << bit
-		default:
-			u |= 1 << bit
-			v |= 1 << bit
-		}
-	}
-	return u, v
-}
-
-// RMAT generates a recursive-matrix scale-free graph. Self-loops are
-// dropped; duplicate edges collapse into a single unit-weight edge.
-func RMAT(cfg RMATConfig) (*graph.Graph, error) {
+// size checks cfg and returns its vertex count n and the number of edges
+// e the draw loop makes. RMAT and StreamRMAT both start here.
+func (cfg RMATConfig) size() (n int, e int64, err error) {
 	if cfg.Scale < 0 || cfg.Scale > 30 {
-		return nil, fmt.Errorf("gen: RMAT scale %d out of range [0,30]", cfg.Scale)
+		return 0, 0, fmt.Errorf("gen: RMAT scale %d out of range [0,30]", cfg.Scale)
 	}
 	if s := cfg.A + cfg.B + cfg.C + cfg.D; math.Abs(s-1) > 1e-9 {
-		return nil, fmt.Errorf("gen: RMAT quadrant probabilities sum to %g, want 1", s)
+		return 0, 0, fmt.Errorf("gen: RMAT quadrant probabilities sum to %g, want 1", s)
 	}
-	n := 1 << cfg.Scale
-	e := int64(cfg.EdgeFactor) * int64(n)
+	n = 1 << cfg.Scale
+	return n, int64(cfg.EdgeFactor) * int64(n), nil
+}
+
+// draw is the R-MAT edge loop RMAT and StreamRMAT share, so one seed yields
+// one edge sequence in RAM and on disk. Each of the e edges takes Scale
+// quadrant choices, one rng.Float64 each, lowest bit first. A self-loop is
+// dropped; every other edge, duplicates included, goes to emit in draw
+// order, and emit's first error ends the loop.
+func (cfg RMATConfig) draw(e int64, emit func(u, v int) error) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	seen := make(map[[2]int32]struct{}, e)
-	edges := make([]graph.Edge, 0, e)
 	for i := int64(0); i < e; i++ {
-		u, v := cfg.drawEdge(rng)
+		u, v := 0, 0
+		for bit := 0; bit < cfg.Scale; bit++ {
+			r := rng.Float64()
+			switch {
+			case r < cfg.A:
+				// upper-left: no bits set
+			case r < cfg.A+cfg.B:
+				v |= 1 << bit
+			case r < cfg.A+cfg.B+cfg.C:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
 		if u == v {
 			continue
 		}
-		a, b := int32(u), int32(v)
-		if a > b {
-			a, b = b, a
+		if err := emit(u, v); err != nil {
+			return err
 		}
-		key := [2]int32{a, b}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		edges = append(edges, graph.Edge{U: int(a), V: int(b), W: 1})
+	}
+	return nil
+}
+
+// dedupKeys is R-MAT's one dedup rule: it sorts the 64-bit edge keys and
+// drops repeats, returning the distinct keys ascending. Every kept edge
+// has unit weight, so which copy of a duplicate survives is immaterial.
+func dedupKeys(keys []uint64) []uint64 {
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// RMAT generates a recursive-matrix scale-free graph. Self-loops are
+// dropped; duplicate edges collapse into a single unit-weight edge. Each
+// edge is kept as the key min<<32|max until dedupKeys has run.
+func RMAT(cfg RMATConfig) (*graph.Graph, error) {
+	n, e, err := cfg.size()
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]uint64, 0, e)
+	cfg.draw(e, func(u, v int) error {
+		keys = append(keys, uint64(min(u, v))<<32|uint64(max(u, v)))
+		return nil
+	})
+	keys = dedupKeys(keys)
+	edges := make([]graph.Edge, len(keys))
+	for i, k := range keys {
+		edges[i] = graph.Edge{U: int(k >> 32), V: int(k & 0xffffffff), W: 1}
 	}
 	return graph.FromEdges(n, edges)
 }

@@ -1,32 +1,28 @@
 package gen
 
-// Out-of-core R-MAT generation. The in-RAM RMAT holds a dedup set of every
-// edge plus the full edge list and CSR — ~50+ bytes per edge — which caps
-// generation around 10⁷ edges. StreamRMAT writes the same graph (bit for
-// bit) in bounded memory: generated arcs are appended to temporary bucket
-// files by source-vertex range, then each shard's buckets are loaded,
-// sorted, and deduplicated one shard at a time and encoded straight into a
-// .sbin through graph.ShardedWriter. Peak memory is ~16 bytes per arc
-// of the largest shard (its raw records plus their sort keys), flat in
-// total |E| for a fixed |E|/shards.
+// Out-of-core R-MAT generation. StreamRMAT writes the graph RMAT(cfg)
+// builds in RAM, bit for bit, in bounded memory: generated arcs are
+// appended to temporary bucket files by source-vertex range, then each
+// shard's buckets are loaded, sorted, and deduplicated one shard at a time
+// and encoded straight into a .sbin through graph.ShardedWriter. Peak
+// memory is ~16 bytes per arc of the largest shard (its raw records plus
+// their sort keys), flat in total |E| for a fixed |E|/shards. The in-RAM
+// RMAT holds an 8-byte key per drawn edge, then the edge list and the CSR:
+// it allocates 83.8 MB for a scale-16 graph (1,048,576 draws, ≈910k
+// edges), ≈92 bytes per edge.
 //
-// Bit-identity with RMAT(cfg) holds because the RNG sequence is untouched
-// by deduplication (the in-RAM path consumes no randomness on duplicate or
-// self-loop edges), every kept edge has unit weight, and set-semantics
-// dedup of unit-weight arcs is order-independent — sorting then collapsing
-// equal (src, tgt) keys yields exactly the arc set the in-RAM dedup map
-// keeps, already in CSR order.
+// Bit-identity with RMAT(cfg) holds because both run the same size check,
+// the same draw loop and the same dedup rule (size, draw, dedupKeys):
+// every kept edge has unit weight, and sorting then compacting (src, tgt)
+// keys yields exactly the arc set RMAT keeps, already in CSR order.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -54,14 +50,10 @@ const streamBucketRecord = 8
 // in-RAM sharded writer), from the observed bucket sizes rather than a CSR.
 func StreamRMAT(cfg RMATConfig, path string, shards int) (StreamedGraph, error) {
 	var out StreamedGraph
-	if cfg.Scale < 0 || cfg.Scale > 30 {
-		return out, fmt.Errorf("gen: RMAT scale %d out of range [0,30]", cfg.Scale)
+	n, e, err := cfg.size()
+	if err != nil {
+		return out, err
 	}
-	if s := cfg.A + cfg.B + cfg.C + cfg.D; math.Abs(s-1) > 1e-9 {
-		return out, fmt.Errorf("gen: RMAT quadrant probabilities sum to %g, want 1", s)
-	}
-	n := 1 << cfg.Scale
-	e := int64(cfg.EdgeFactor) * int64(n)
 	if shards < 1 {
 		shards = 1
 	}
@@ -142,11 +134,10 @@ func bucketOf(u, n, nb int) int {
 	return b
 }
 
-// generateBuckets runs the R-MAT edge loop (RMAT's own drawEdge, so the
-// exact RNG sequence of the in-RAM generator) and appends each surviving arc to its source vertex's
-// bucket file. Self-loops are dropped; duplicates are kept — dedup happens
-// at encode time, after the per-shard sort. Returns each bucket's byte
-// size.
+// generateBuckets runs the R-MAT draw loop and appends both arcs of each
+// edge it emits to their source vertices' bucket files. Duplicates are
+// kept: dedup happens at encode time, per shard. Returns each bucket's
+// byte size.
 func generateBuckets(cfg RMATConfig, n int, e int64, nb int, dir string) ([]int64, error) {
 	files := make([]*os.File, nb)
 	ws := make([]*bufio.Writer, nb)
@@ -187,20 +178,15 @@ func generateBuckets(cfg RMATConfig, n int, e int64, nb int, dir string) ([]int6
 		return nil
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := int64(0); i < e; i++ {
-		u, v := cfg.drawEdge(rng)
-		if u == v {
-			continue
-		}
+	err := cfg.draw(e, func(u, v int) error {
 		if err := put(u, v); err != nil {
-			closeAll()
-			return nil, err
+			return err
 		}
-		if err := put(v, u); err != nil {
-			closeAll()
-			return nil, err
-		}
+		return put(v, u)
+	})
+	if err != nil {
+		closeAll()
+		return nil, err
 	}
 	if err := closeAll(); err != nil {
 		return nil, err
@@ -265,9 +251,9 @@ func encodeShardFromBuckets(sw *graph.ShardedWriter, n, nb, blo, bhi int, dir st
 		off += st.Size()
 	}
 
-	// Sort (src, tgt) keys and collapse duplicates straight into the CSR
-	// window. Buckets hold disjoint source ranges but are concatenated in
-	// range order, so one sort of the whole shard is correct.
+	// Dedup (src, tgt) keys and lay them out as the CSR window. Buckets
+	// hold disjoint source ranges but are concatenated in range order, so
+	// one sort of the whole shard is correct.
 	keys := make([]uint64, total/streamBucketRecord)
 	for i := range keys {
 		src := binary.LittleEndian.Uint32(raw[i*streamBucketRecord:])
@@ -278,19 +264,13 @@ func encodeShardFromBuckets(sw *graph.ShardedWriter, n, nb, blo, bhi int, dir st
 		keys[i] = uint64(src)<<32 | uint64(tgt)
 	}
 	raw = nil
-	slices.Sort(keys)
+	keys = dedupKeys(keys)
 
 	offsets := make([]int64, vhi-vlo+1)
-	targets := make([]int32, 0, len(keys))
-	prev := ^uint64(0)
-	for _, k := range keys {
-		if k == prev {
-			continue
-		}
-		prev = k
-		src := int(k >> 32)
-		targets = append(targets, int32(k&0xffffffff))
-		offsets[src-vlo+1]++
+	targets := make([]int32, len(keys))
+	for i, k := range keys {
+		targets[i] = int32(k & 0xffffffff)
+		offsets[int(k>>32)-vlo+1]++
 	}
 	for i := 1; i <= vhi-vlo; i++ {
 		offsets[i] += offsets[i-1]

@@ -92,7 +92,7 @@ type Subgraph struct {
 	AdjOwned [][]Arc // complete adjacency of each owned vertex
 
 	Hubs    []int   // sorted π-space hub IDs (same on all ranks)
-	HubWDeg []int64 // global weighted degree of each hub
+	HubWDeg []int64 // global weighted degree of each hub (this part's own copy)
 	AdjHub  [][]Arc // this rank's share of each hub's arcs
 
 	Ghosts []int // sorted π-space IDs of non-local, non-hub arc targets
@@ -219,7 +219,7 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	// Each hub's degree comes from the one chunk that emits its arcs.
 	hubW := make([]int64, len(hubs))
 	wm2 := make([]int64, nWindows)
-	parts := newParts(p, n, hubs, hubW)
+	parts := newParts(p, n, hubs)
 
 	spillFrag := make([][]hubArc, nWindows)
 	errs := make([]error, nWindows)
@@ -307,7 +307,10 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	}
 
 	if len(hubs) > 0 {
+		// Every part gets its own copy of the hub degrees: a serving
+		// Session adjusts its part's table in place.
 		for _, sp := range parts {
+			sp.HubWDeg = slices.Clone(hubW)
 			for _, adj := range sp.AdjHub {
 				slices.SortFunc(adj, func(a, b Arc) int { return a.To - b.To })
 			}
@@ -428,9 +431,9 @@ func findHubs(n, dhigh int, degree func(u int) int, pi []int32, isHub []bool) []
 }
 
 // newParts allocates the per-rank subgraphs with the shared hub directory,
-// its weighted degrees hubW, an empty share of every hub's arcs and one
-// owned slot per π-id the rank owns.
-func newParts(p, n int, hubs []int, hubW []int64) []*Subgraph {
+// an empty share of every hub's arcs and one owned slot per π-id the rank
+// owns.
+func newParts(p, n int, hubs []int) []*Subgraph {
 	parts := make([]*Subgraph, p)
 	par.For(p, func(r int) {
 		parts[r] = &Subgraph{
@@ -442,7 +445,6 @@ func newParts(p, n int, hubs []int, hubW []int64) []*Subgraph {
 			AdjOwned:       make([][]Arc, (n-r+p-1)/p),
 		}
 		if len(hubs) > 0 {
-			parts[r].HubWDeg = hubW
 			parts[r].AdjHub = make([][]Arc, len(hubs))
 		}
 	})

@@ -3,6 +3,8 @@ package partition
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func testSubgraph() *Subgraph {
@@ -25,30 +27,67 @@ func testSubgraph() *Subgraph {
 	}
 }
 
-// TestCloneForServingDetaches edits every table a Session update touches on
-// the clone — the way the Session does it — and requires the original to keep
-// its values: the owned and ghost tables, the subscriber sets and the hub
-// tables Build shares across ranks.
-func TestCloneForServingDetaches(t *testing.T) {
-	orig := testSubgraph()
-	want := testSubgraph() // reference copy for comparison
-	c := orig.CloneForServing()
-	if !reflect.DeepEqual(c, want) {
-		t.Fatalf("clone differs from its source:\n got %+v\nwant %+v", c, want)
+// TestBuildPartsShareNoMutableTable pins what lets a serving Session edit
+// its part in place: no two of Build's parts, and no two rows of one part,
+// share the memory of a table a Session update edits — HubWDeg, OwnedWDeg
+// and the AdjOwned and AdjHub rows. It adds one to every entry of every
+// such table on every part of one layout; each entry must then read one
+// more than its twin in a second build of the same graph, where memory
+// shared by k tables would read k more.
+func TestBuildPartsShareNoMutableTable(t *testing.T) {
+	g, err := gen.RMAT(gen.Graph500RMAT(10, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	c.Owned[0] = 99
-	c.OwnedWDeg[1] += 7
-	c.AdjOwned[2] = []Arc{{To: 1, W: 7}}
-	c.AddGhost(6)
-	c.Subscribe(9, 3)
-	c.Subscribe(5, 3)
-	c.Hubs[0] = 11
-	c.HubWDeg[1] += 2
-	c.AdjHub[0] = append(c.AdjHub[0][:0:0], Arc{To: 9, W: 1})
-
-	if !reflect.DeepEqual(orig, want) {
-		t.Fatalf("clone mutation leaked into the original:\n got %+v\nwant %+v", orig, want)
+	opt := Options{P: 4, Kind: Delegate, DHigh: 24}
+	edited, err := Build(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(edited.Hubs) == 0 {
+		t.Fatal("fixture has no hubs")
+	}
+	for _, sp := range edited.Parts {
+		for i := range sp.HubWDeg {
+			sp.HubWDeg[i]++
+		}
+		for i := range sp.OwnedWDeg {
+			sp.OwnedWDeg[i]++
+		}
+		for _, rows := range [][][]Arc{sp.AdjOwned, sp.AdjHub} {
+			for _, adj := range rows {
+				for j := range adj {
+					adj[j].W++
+				}
+			}
+		}
+	}
+	for r, sp := range edited.Parts {
+		want := fresh.Parts[r]
+		for i := range sp.HubWDeg {
+			if sp.HubWDeg[i] != want.HubWDeg[i]+1 {
+				t.Fatalf("rank %d hub %d: degree %d after one edit of %d", r, i, sp.HubWDeg[i], want.HubWDeg[i])
+			}
+		}
+		for i := range sp.OwnedWDeg {
+			if sp.OwnedWDeg[i] != want.OwnedWDeg[i]+1 {
+				t.Fatalf("rank %d owned %d: degree %d after one edit of %d", r, i, sp.OwnedWDeg[i], want.OwnedWDeg[i])
+			}
+		}
+		for k, rows := range [][][]Arc{sp.AdjOwned, sp.AdjHub} {
+			wantRows := [][][]Arc{want.AdjOwned, want.AdjHub}[k]
+			for i, adj := range rows {
+				for j, a := range adj {
+					if w := wantRows[i][j].W; a.W != w+1 {
+						t.Fatalf("rank %d table %d row %d arc %d: weight %d after one edit of %d", r, k, i, j, a.W, w)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -67,7 +106,7 @@ func TestOwnedIndex(t *testing.T) {
 }
 
 func TestGhostSet(t *testing.T) {
-	s := testSubgraph().CloneForServing()
+	s := testSubgraph()
 	s.AddGhost(6)
 	s.AddGhost(0)
 	s.AddGhost(6) // duplicate: no-op
@@ -77,7 +116,7 @@ func TestGhostSet(t *testing.T) {
 }
 
 func TestSubscriberSet(t *testing.T) {
-	s := testSubgraph().CloneForServing()
+	s := testSubgraph()
 	s.Subscribe(5, 3)
 	s.Subscribe(5, 0) // present: no-op
 	s.Subscribe(5, 1) // own rank: no-op

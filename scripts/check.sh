@@ -69,7 +69,7 @@ oocore_tmp=$(mktemp -d)
 trap 'rm -rf "$oocore_tmp"' EXIT
 go build -o "$oocore_tmp/gengraph" ./cmd/gengraph
 go build -o "$oocore_tmp/dlouvain" ./cmd/dlouvain
-"$oocore_tmp/gengraph" -stream -gen rmat:scale=14,ef=8,seed=7 -shards 16 -o "$oocore_tmp/check.sbin" > /dev/null
+"$oocore_tmp/gengraph" -gen rmat:scale=14,ef=8,seed=7 -shards 16 -o "$oocore_tmp/check.sbin" > /dev/null
 hw_mb=$("$oocore_tmp/dlouvain" -graph "$oocore_tmp/check.sbin" -oocore -memstats -p 2 \
     | awk '/^heap high-water:/ {print $3}')
 [ -n "$hw_mb" ] || { echo "error: dlouvain -memstats printed no heap high-water line" >&2; exit 1; }
