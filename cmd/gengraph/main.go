@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/gen"
@@ -28,6 +29,9 @@ import (
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// planted lists the generator kinds that return a planted membership.
+var planted = []string{"lfr", "sbm", "caveman"}
 
 // run is the testable body of the command: args are the raw command-line
 // arguments (program name excluded), output goes to the given writers, and
@@ -55,13 +59,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *spec == "" || *outPath == "" {
 		return usage("-gen SPEC and -o FILE are required")
 	}
-	if kind, _, _ := strings.Cut(*spec, ":"); kind == "rmat" && strings.HasSuffix(*outPath, ".sbin") {
+	kind, _, _ := strings.Cut(*spec, ":")
+	if *truthPath != "" && !slices.Contains(planted, kind) {
+		return fail(fmt.Errorf("generator %q has no planted ground truth", *spec))
+	}
+	if kind == "rmat" && strings.HasSuffix(*outPath, ".sbin") {
 		cfg, err := gen.ParseRMATSpec(*spec)
 		if err != nil {
 			return fail(err)
-		}
-		if *truthPath != "" {
-			return fail(fmt.Errorf("generator %q has no planted ground truth", *spec))
 		}
 		sg, err := gen.StreamRMAT(cfg, *outPath, *shards)
 		if err != nil {
@@ -91,9 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges\n", *outPath, g.NumVertices(), g.NumEdges())
 
 	if *truthPath != "" {
-		if truth == nil {
-			return fail(fmt.Errorf("generator %q has no planted ground truth", *spec))
-		}
 		if err := writeFile(*truthPath, func(w io.Writer) error { return graph.WriteMembership(w, truth) }); err != nil {
 			return fail(err)
 		}

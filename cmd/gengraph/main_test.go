@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,36 +128,48 @@ func TestOneFilePerSpec(t *testing.T) {
 }
 
 // TestExitCodes pins usage errors (2, nothing written) apart from failed
-// runs (1), with the message the user sees.
+// runs (1), with the message the user sees. A -truth the spec cannot fill
+// is refused before anything is generated or written, in every format.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.txt")
+	noTruth := func(ext string) string { return filepath.Join(dir, "no-truth"+ext) }
 	for _, tc := range []struct {
 		name   string
 		args   []string
 		code   int
 		stderr string
+		absent string // a path the run must not create, with nothing on stdout
 	}{
-		{"no-gen", []string{"-o", out}, 2, "gengraph: -gen SPEC and -o FILE are required\n"},
-		{"no-out", []string{"-gen", "rmat:scale=4"}, 2, "gengraph: -gen SPEC and -o FILE are required\n"},
-		{"bad-flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\n"},
-		{"bad-spec", []string{"-gen", "nosuchkind:n=3", "-o", out}, 1, "gengraph: "},
+		{"no-gen", []string{"-o", out}, 2, "gengraph: -gen SPEC and -o FILE are required\n", ""},
+		{"no-out", []string{"-gen", "rmat:scale=4"}, 2, "gengraph: -gen SPEC and -o FILE are required\n", ""},
+		{"bad-flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag\n", ""},
+		{"bad-spec", []string{"-gen", "nosuchkind:n=3", "-o", out}, 1, "gengraph: ", ""},
 		// No -stream switch: an rmat spec written to .sbin always streams.
 		{"stream-flag-gone", []string{"-gen", "rmat:scale=4", "-stream", "-o", filepath.Join(dir, "x.sbin")}, 2,
-			"flag provided but not defined: -stream\n"},
-		{"no-truth", []string{"-gen", "rmat:scale=4", "-o", out, "-truth", filepath.Join(dir, "t")}, 1,
-			"gengraph: generator \"rmat:scale=4\" has no planted ground truth\n"},
+			"flag provided but not defined: -stream\n", ""},
+		{"no-truth", []string{"-gen", "rmat:scale=4", "-o", noTruth(".txt"), "-truth", noTruth(".truth")}, 1,
+			"gengraph: generator \"rmat:scale=4\" has no planted ground truth\n", noTruth(".txt")},
+		{"no-truth-sbin", []string{"-gen", "rmat:scale=4", "-o", noTruth(".sbin"), "-truth", noTruth(".truth")}, 1,
+			"gengraph: generator \"rmat:scale=4\" has no planted ground truth\n", noTruth(".sbin")},
+		{"no-truth-metis", []string{"-gen", "ba:n=50,m=2", "-o", noTruth(".metis"), "-truth", noTruth(".truth")}, 1,
+			"gengraph: generator \"ba:n=50,m=2\" has no planted ground truth\n", noTruth(".metis")},
 		// A directory cannot be created as a file: the -truth write must
 		// fail the run, not leave exit 0 behind a missing truth file.
-		{"truth-is-a-directory", []string{"-gen", "lfr:n=100,mu=0.2,seed=1", "-o", out, "-truth", dir}, 1, "gengraph: "},
+		{"truth-is-a-directory", []string{"-gen", "lfr:n=100,mu=0.2,seed=1", "-o", out, "-truth", dir}, 1, "gengraph: ", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := gengraph(tc.args...)
 			if code != tc.code || !strings.HasPrefix(stderr, tc.stderr) {
 				t.Fatalf("exit %d, stderr %q; want exit %d, stderr starting %q", code, stderr, tc.code, tc.stderr)
 			}
-			if tc.code == 2 && stdout != "" {
-				t.Errorf("usage error wrote to stdout: %q", stdout)
+			if (tc.code == 2 || tc.absent != "") && stdout != "" {
+				t.Errorf("refused run wrote to stdout: %q", stdout)
+			}
+			if tc.absent != "" {
+				if _, err := os.Stat(tc.absent); !os.IsNotExist(err) {
+					t.Errorf("refused run left %s behind (stat: %v)", tc.absent, err)
+				}
 			}
 		})
 	}
@@ -166,6 +179,25 @@ func TestExitCodes(t *testing.T) {
 		code, _, stderr := gengraph("-gen", "lfr:n=100,mu=0.2,seed=1", "-o", out, "-truth", "/dev/full")
 		if code != 1 || !strings.Contains(stderr, "no space left") {
 			t.Errorf("-truth /dev/full: exit %d, stderr %q; want exit 1 and the write error", code, stderr)
+		}
+	}
+}
+
+// TestPlantedMatchesGenerators pins the kinds gengraph accepts -truth for
+// to the generators: a kind is listed exactly when ParseSpec returns a
+// planted membership for it.
+func TestPlantedMatchesGenerators(t *testing.T) {
+	for _, spec := range []string{
+		"rmat:scale=4", "ba:n=50,m=2", "lfr:n=100,mu=0.2", "er:n=50,p=0.1",
+		"sbm:blocks=2,size=10", "caveman:cliques=3,size=4",
+	} {
+		_, truth, err := gen.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, _, _ := strings.Cut(spec, ":")
+		if listed := slices.Contains(planted, kind); listed != (truth != nil) {
+			t.Errorf("%s: listed as planted %v, ParseSpec returns a membership %v", kind, listed, truth != nil)
 		}
 	}
 }

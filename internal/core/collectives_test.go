@@ -77,7 +77,7 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // decision, shipped as live proposals to the owner and moves on the ghost
 // frames instead of a dense per-hub vector through every reduction round
 // (the hub rows only); and when the layout moved into π-space
-// (partition.Scramble), which renames the fixture's vertices, so every row
+// (Subgraph.Pi), which renames the fixture's vertices, so every row
 // with P > 1 solved a different partition problem (the identity-map rows
 // live on in TestRelabelledSolveMatchesIdentityMap); and when the owner
 // lookups began asking once per distinct id in delta-coded frames (byte

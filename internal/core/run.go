@@ -333,7 +333,7 @@ func runRank(c comm.Comm, sg *partition.Subgraph, opt Options, rule StopRule) (*
 		return nil, err
 	}
 	for i, x := range out.tracked { // the answer reports input vertex IDs
-		out.tracked[i] = int(ses.inv[x])
+		out.tracked[i] = int(sg.PiInv[x])
 	}
 	return out, nil
 }

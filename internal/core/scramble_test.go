@@ -24,10 +24,21 @@ func membershipHash(m graph.Membership) uint64 {
 	return h.Sum64()
 }
 
+// piInv returns the π⁻¹ table a Layout of g carries.
+func piInv(t *testing.T, g *graph.Graph) []int32 {
+	t.Helper()
+	l, err := partition.Build(g, partition.Options{P: 1, Kind: partition.OneD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Parts[0].PiInv
+}
+
 // unscrambled returns g relabelled by π⁻¹: its vertex π⁻¹(u) is g's u, so
 // the partitioner's π takes every id back to where g had it.
 func unscrambled(t *testing.T, g *graph.Graph) *graph.Graph {
-	return relabelled(t, g, partition.NewScramble(g.NumVertices()).Inv)
+	inv := piInv(t, g)
+	return relabelled(t, g, func(u int) int { return int(inv[u]) })
 }
 
 // relabelled returns g with its vertex u renamed to to(u), a bijection.
@@ -167,10 +178,10 @@ func TestRelabelledSolveMatchesIdentityMap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pi := partition.NewScramble(len(res.Membership))
+		inv := piInv(t, graphs[row.graph])
 		m := make(graph.Membership, len(res.Membership))
 		for u := range m {
-			m[u] = res.Membership[pi.Inv(u)]
+			m[u] = res.Membership[inv[u]]
 		}
 		m.Normalize()
 		var msgs int64

@@ -21,8 +21,9 @@ import (
 // collectives and no state to that path.
 //
 // The Session is the one place vertex IDs cross the partition boundary: the
-// solver sees only π-IDs (partition.Scramble), and the Session maps the
-// IDs it reports back with π⁻¹ and an update batch's IDs in with π.
+// solver sees only π-IDs, and the Session maps the IDs it reports back
+// with its part's π⁻¹ table and an update batch's IDs in with its π table
+// (Subgraph.Pi, Subgraph.PiInv: one pair per Layout, shared by its ranks).
 //
 // The serving path calls Solve(), which additionally installs a resident
 // flat stage over the original graph: the converged hierarchy is projected
@@ -49,7 +50,6 @@ type Session struct {
 	n   int
 	p   int
 	rnk int
-	inv []int32 // π⁻¹ (partition.Scramble) by π-ID
 
 	stop StopRule // how long each stage of solve() runs
 
@@ -103,6 +103,9 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 	if err != nil {
 		return nil, err
 	}
+	if n := sg.GlobalVertices; len(sg.Pi) != n || len(sg.PiInv) != n {
+		return nil, fmt.Errorf("core: subgraph's π tables hold %d and %d entries, want %d (a Layout part)", len(sg.Pi), len(sg.PiInv), n)
+	}
 	return &Session{
 		c:    c,
 		sg:   sg,
@@ -110,7 +113,6 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 		n:    sg.GlobalVertices,
 		p:    c.Size(),
 		rnk:  c.Rank(),
-		inv:  partition.NewScramble(sg.GlobalVertices).InvTable(),
 		stop: defaultStop,
 	}, nil
 }
@@ -419,7 +421,7 @@ func (s *Session) Tracked() (vertices, labels []int) {
 	vertices = make([]int, len(s.out.tracked))
 	labels = make([]int, len(vertices))
 	for i, x := range s.out.tracked {
-		vertices[i], labels[i] = int(s.inv[x]), int(s.inv[s.st.comm[x]])
+		vertices[i], labels[i] = int(s.sg.PiInv[x]), int(s.sg.PiInv[s.st.comm[x]])
 	}
 	return vertices, labels
 }
@@ -470,17 +472,17 @@ func (s *Session) ApplyUpdates(ops []EdgeOp, seeds []int) (UpdateResult, error) 
 	if err := s.ValidateOps(ops); err != nil {
 		return zero, err
 	}
-	pi := partition.NewScramble(s.n)
+	pi := s.sg.Pi
 	armed := make([]int, len(seeds))
 	for i, v := range seeds {
 		if v < 0 || v >= s.n {
 			return zero, fmt.Errorf("core: seed %d out of range [0,%d)", v, s.n)
 		}
-		armed[i] = pi.Of(v)
+		armed[i] = int(pi[v])
 	}
 	ops = append([]EdgeOp(nil), ops...)
 	for i := range ops {
-		ops[i].U, ops[i].V = pi.Of(ops[i].U), pi.Of(ops[i].V)
+		ops[i].U, ops[i].V = int(pi[ops[i].U]), int(pi[ops[i].V])
 	}
 	s.newGhosts = s.newGhosts[:0]
 	s.applyOps(ops)

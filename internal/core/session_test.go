@@ -443,6 +443,37 @@ func TestValidateOpsWeights(t *testing.T) {
 	}
 }
 
+// TestNewSessionNeedsLayoutTables pins that a Session maps ids through its
+// part's π tables: a subgraph whose tables do not cover GlobalVertices, as
+// a merged level's never do, is refused with an error, not a later panic.
+func TestNewSessionNeedsLayoutTables(t *testing.T) {
+	layout, err := partition.Build(goldenGraph(t), partition.Options{P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := layout.Parts[0].GlobalVertices
+	for _, tc := range []struct {
+		name string
+		edit func(sg *partition.Subgraph)
+		ok   bool
+	}{
+		{"layout-part", func(*partition.Subgraph) {}, true},
+		{"merged-level", func(sg *partition.Subgraph) { sg.Pi, sg.PiInv = nil, nil }, false},
+		{"short-pi", func(sg *partition.Subgraph) { sg.Pi = sg.Pi[:n-1] }, false},
+		{"short-inverse", func(sg *partition.Subgraph) { sg.PiInv = sg.PiInv[:n-1] }, false},
+	} {
+		err := comm.RunWorld(1, func(c comm.Comm) error {
+			sg := *layout.Parts[0]
+			tc.edit(&sg)
+			_, err := NewSession(c, &sg, Options{P: 1})
+			return err
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewSession = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestSessionAttach moves solved sessions into a fresh world for every
 // batch, as the serving layer does, and pins the results to one long-lived
 // world's; an endpoint of a world of another size is refused.

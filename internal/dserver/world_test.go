@@ -100,7 +100,7 @@ func TestWorldMatchesBatchRun(t *testing.T) {
 }
 
 // TestServedLabelsAreMembers pins the serving contract across the
-// partitioner's π (partition.Scramble): the sessions solve in π-space, yet
+// partitioner's π (Subgraph.Pi): the sessions solve in π-space, yet
 // after a full solve every CommunityOf(v) answer is an input vertex id in
 // v's own community, and Membership equals core.Run's on the same graph.
 // After a bare Update an answer is still an input vertex id that names v's

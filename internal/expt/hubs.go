@@ -96,7 +96,7 @@ func hubRow(g *graph.Graph, truth graph.Membership, p int, sums []mean, defs []i
 	}
 	dhighs := []int{max(p, 4*int(arcs)/n)}
 	for _, eps := range hubSlacks {
-		dhighs = append(dhighs, partition.HubThreshold(p, n, arcs, g.Degree, eps))
+		dhighs = append(dhighs, partition.HubThreshold(p, layout.Parts[0].Pi, arcs, g.Degree, eps))
 	}
 	solved := map[int]*core.Result{} // by hub count
 	for i, d := range dhighs {

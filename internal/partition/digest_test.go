@@ -96,7 +96,7 @@ func digestGraphs(t *testing.T) map[string]*graph.Graph {
 
 // layoutDigests was first recorded from Build at commit 11a6fa5, when Build
 // and BuildStreaming were two emission kernels, and re-recorded once when
-// the layout moved into π-space (Scramble); TestScrambleIsRelabelling keeps
+// the layout moved into π-space (scramble.go); TestScrambleIsRelabelling keeps
 // the identity-map digests. It is the only reference the partitioner keeps:
 // every builder entry point, window count and worker count must reproduce
 // it. Weights are hashed de-quantised: the R-MAT and
@@ -222,12 +222,12 @@ func thresholdOracle(g *graph.Graph, p int, slack float64) int {
 	}
 	floor := max(p, 4*int(g.NumArcs())/n)
 	limit := (1 + slack) * float64(g.NumArcs()) / float64(p)
-	pi := NewScramble(n)
+	pi, _ := scrambleTables(n)
 	for d := max(floor, g.MaxDegree()+1); d >= floor; d-- {
 		loads := make([]int64, p)
 		for u := 0; u < n; u++ {
 			if g.Degree(u) < d {
-				loads[Owner(pi.Of(u), p)] += int64(g.Degree(u))
+				loads[Owner(int(pi[u]), p)] += int64(g.Degree(u))
 			}
 		}
 		if float64(slices.Max(loads)) <= limit {

@@ -11,8 +11,8 @@ import (
 // TestNoallocAnnotations bounds every //perf:noalloc-annotated function of
 // this package with a zero-allocation AllocsPerRun ceiling, keyed off the
 // same annotation list the noalloc analyzer verifies statically
-// (analysis.NoallocFuncs): π is evaluated once per vertex of every build
-// and once per id that crosses core.Session's boundary.
+// (analysis.NoallocFuncs): π is evaluated once per vertex of every build,
+// when build tabulates it.
 func TestNoallocAnnotations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting under -short")
@@ -22,11 +22,10 @@ func TestNoallocAnnotations(t *testing.T) {
 		t.Fatalf("reading //perf:noalloc annotations: %v", err)
 	}
 
-	pi := NewScramble(65537) // just past a power of two: walks are common
+	pi := newScramble(65537) // just past a power of two: walks are common
 	x := 0
 	drivers := map[string]func(){
-		"Scramble.Of":  func() { x = pi.Of((x + 12345) % 65537) },
-		"Scramble.Inv": func() { x = pi.Inv((x + 12345) % 65537) },
+		"scramble.of": func() { x = pi.of((x + 12345) % 65537) },
 	}
 
 	var table []string

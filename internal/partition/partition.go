@@ -2,8 +2,9 @@
 // paper: plain 1D round-robin partitioning and the distributed delegate
 // partitioning extended from Pearce et al.
 //
-// Every Layout is in π-space (Scramble): vertex u of the input is π(u) there,
-// owned by rank π(u) mod p.
+// Every Layout is in π-space (scramble.go): vertex u of the input is π(u)
+// there, owned by rank π(u) mod p. Every part carries the Layout's one π
+// and π⁻¹ table.
 //
 // Delegate partitioning duplicates high-degree vertices ("hubs", degree >=
 // DHigh) on every rank. Arcs whose source is a low-degree vertex go to the
@@ -75,7 +76,7 @@ type Arc struct {
 
 // Subgraph is the portion of the graph materialized on one rank.
 //
-// Every vertex ID in it is a π-space ID (Scramble). Owned lists the
+// Every vertex ID in it is a π-space ID (scramble.go). Owned lists the
 // low-degree vertices owned by this rank (every global vertex that is not a
 // hub appears in exactly one rank's Owned, including isolated vertices).
 // Hubs lists all hub vertices; the list is identical on every rank, but
@@ -85,8 +86,14 @@ type Subgraph struct {
 	P    int
 
 	// GlobalVertices is the vertex count of the global graph this subgraph
-	// was cut from (vertex IDs are < GlobalVertices); π is a function of it.
+	// was cut from (vertex IDs are < GlobalVertices).
 	GlobalVertices int
+
+	// Pi maps an input vertex ID to its π-space ID and PiInv maps it back,
+	// GlobalVertices entries each. Every part of one Layout reads the same
+	// two tables, so they are never written; a merged level's subgraph has
+	// neither.
+	Pi, PiInv []int32
 
 	Owned    []int   // sorted π-space IDs of owned low-degree vertices
 	AdjOwned [][]Arc // complete adjacency of each owned vertex
@@ -195,10 +202,10 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
 	p := opt.P
-	pi := NewScramble(n).table()
+	pi, inv := scrambleTables(n)
 	dhigh := opt.DHigh
 	if dhigh <= 0 {
-		dhigh = HubThreshold(p, n, arcs, degree, hubSlack)
+		dhigh = HubThreshold(p, pi, arcs, degree, hubSlack)
 	}
 
 	isHub := make([]bool, n) // by π-id
@@ -219,7 +226,7 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	// Each hub's degree comes from the one chunk that emits its arcs.
 	hubW := make([]int64, len(hubs))
 	wm2 := make([]int64, nWindows)
-	parts := newParts(p, n, hubs)
+	parts := newParts(p, pi, inv, hubs)
 
 	spillFrag := make([][]hubArc, nWindows)
 	errs := make([]error, nWindows)
@@ -331,11 +338,12 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 const hubSlack = 0.1
 
 // HubThreshold returns the hub threshold an unset DHigh means for a world of
-// p ranks and a graph of n vertices whose degree sum is arcs: the largest d
-// at or above the floor f = max(p, 4·arcs/n) (p when n = 0) at which no
-// rank's non-hub arcs exceed (1 + slack)·arcs/p. A non-hub vertex u's arcs
-// count at its owner, Owner(π(u), p) (Scramble); hub arcs fill the ranks
-// below the mean, which is what placeHubArcs and rebalance do with them.
+// p ranks and a graph whose π table is pi (one entry per vertex, n in all)
+// and whose degree sum is arcs: the largest d at or above the floor
+// f = max(p, 4·arcs/n) (p when n = 0) at which no rank's non-hub arcs
+// exceed (1 + slack)·arcs/p. A non-hub vertex u's arcs count at its owner,
+// Owner(π(u), p); hub arcs fill the ranks below the mean, which is what
+// placeHubArcs and rebalance do with them.
 // When 1D is already that balanced the threshold is one past the largest
 // degree (at least f), so no vertex is a hub; at p = 1 that is always so.
 //
@@ -344,12 +352,12 @@ const hubSlack = 0.1
 // rank is within the bound; the first class that gets there sets the
 // threshold, and when none does it is f. The rule reads only degree, so
 // Build and BuildStreaming reach the same threshold.
-func HubThreshold(p, n int, arcs int64, degree func(u int) int, slack float64) int {
+func HubThreshold(p int, pi []int32, arcs int64, degree func(u int) int, slack float64) int {
+	n := len(pi)
 	if n == 0 {
 		return p
 	}
 	floor := max(p, 4*int(arcs)/n)
-	pi := NewScramble(n).table()
 
 	type tailVertex struct{ deg, owner int }
 	ncV := par.NumChunks(n)
@@ -430,14 +438,15 @@ func findHubs(n, dhigh int, degree func(u int) int, pi []int32, isHub []bool) []
 	return hubs
 }
 
-// newParts allocates the per-rank subgraphs with the shared hub directory,
-// an empty share of every hub's arcs and one owned slot per π-id the rank
-// owns.
-func newParts(p, n int, hubs []int) []*Subgraph {
+// newParts allocates the per-rank subgraphs with the shared π tables and
+// hub directory, an empty share of every hub's arcs and one owned slot per
+// π-id the rank owns.
+func newParts(p int, pi, inv []int32, hubs []int) []*Subgraph {
+	n := len(pi)
 	parts := make([]*Subgraph, p)
 	par.For(p, func(r int) {
 		parts[r] = &Subgraph{
-			Rank: r, P: p,
+			Rank: r, P: p, Pi: pi, PiInv: inv,
 			GlobalVertices: n,
 			Hubs:           hubs,
 			Subscribers:    make(map[int][]int),

@@ -53,11 +53,11 @@ func allArcs(l *Layout) [][3]float64 {
 // ids a layout holds.
 func graphArcs(g *graph.Graph) [][3]float64 {
 	var out [][3]float64
-	pi := NewScramble(g.NumVertices())
+	pi, _ := scrambleTables(g.NumVertices())
 	for u := 0; u < g.NumVertices(); u++ {
 		lo, hi := g.ArcRange(u)
 		for a := lo; a < hi; a++ {
-			out = append(out, [3]float64{float64(pi.Of(u)), float64(pi.Of(int(g.ArcTarget(a)))), g.ArcWeight(a)})
+			out = append(out, [3]float64{float64(pi[u]), float64(pi[g.ArcTarget(a)]), g.ArcWeight(a)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -163,10 +163,9 @@ func TestOwnedAdjacencyComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := NewScramble(g.NumVertices())
 	for _, sp := range l.Parts {
 		for i, x := range sp.Owned {
-			u := pi.Inv(x)
+			u := int(sp.PiInv[x])
 			if len(sp.AdjOwned[i]) != g.Degree(u) {
 				t.Errorf("vertex %d: local adjacency %d, degree %d", u, len(sp.AdjOwned[i]), g.Degree(u))
 			}
@@ -502,7 +501,7 @@ func TestSelfLoopArcsStayWithOwner(t *testing.T) {
 	}
 	checkArcConservation(t, g, l)
 	// Vertex 2's self-loop lives on its owner.
-	x := NewScramble(5).Of(2)
+	x := int(l.Parts[0].Pi[2])
 	sp := l.Parts[Owner(x, 3)]
 	found := false
 	for i, u := range sp.Owned {

@@ -1,37 +1,85 @@
 package partition
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// TestScrambleBijection checks π exhaustively for every n ≤ 4096 and at
-// sizes around the benchmark's: Of maps [0, n) onto itself without a
-// collision, and Inv undoes it. The multipliers' inverses are checked too.
+// TestScrambleBijection checks the tabulated π exhaustively for every
+// n ≤ 4096, at sizes around the benchmark's and on both sides of every
+// power of two up to 2^20, where the mixing range changes: π maps [0, n)
+// onto itself without a collision, and π⁻¹[π[u]] = u for every u.
 func TestScrambleBijection(t *testing.T) {
-	for _, c := range [][2]uint64{{scrambleMul1, scrambleInv1}, {scrambleMul2, scrambleInv2}} {
-		if c[0]*c[1] != 1 {
-			t.Fatalf("%#x · %#x != 1 mod 2^64", c[0], c[1])
-		}
+	if scrambleMul1&scrambleMul2&1 == 0 {
+		t.Fatal("a multiplier is even, so not invertible modulo 2^k")
 	}
-	sizes := []int{20000, 60000, 65536, 65537}
+	sizes := []int{20000, 60000}
 	for n := 0; n <= 4096; n++ {
 		sizes = append(sizes, n)
 	}
+	for k := 0; k <= 20; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
 	for _, n := range sizes {
-		pi := NewScramble(n)
+		pi, inv := scrambleTables(n)
+		if len(pi) != n || len(inv) != n {
+			t.Fatalf("n=%d: tables of %d and %d entries", n, len(pi), len(inv))
+		}
 		seen := make([]bool, n)
-		for x := 0; x < n; x++ {
-			y := pi.Of(x)
-			if y < 0 || y >= n || seen[y] {
-				t.Fatalf("n=%d: Of(%d) = %d, outside [0, n) or taken", n, x, y)
+		for u, y := range pi {
+			if y < 0 || int(y) >= n || seen[y] {
+				t.Fatalf("n=%d: π(%d) = %d, outside [0, n) or taken", n, u, y)
 			}
 			seen[y] = true
-			if back := pi.Inv(y); back != x {
-				t.Fatalf("n=%d: Inv(Of(%d)) = %d", n, x, back)
+			if back := inv[y]; int(back) != u {
+				t.Fatalf("n=%d: π⁻¹(π(%d)) = %d", n, u, back)
+			}
+		}
+	}
+}
+
+// TestLayoutSharesOneScramble pins one π table pair per Layout: in a Build
+// and a BuildStreaming layout of one graph at P ∈ {1, 4, 7}, every part's
+// Pi and PiInv alias the same two arrays, which hold the tabulated π and
+// π⁻¹ of the graph's vertex count, so the twins' tables are equal.
+func TestLayoutSharesOneScramble(t *testing.T) {
+	g, err := gen.RMAT(gen.Graph500RMAT(10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteBinaryShardedV2(&buf, g, 9); err != nil {
+		t.Fatal(err)
+	}
+	s, err := graph.OpenSharded(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, inv := scrambleTables(g.NumVertices())
+	for _, p := range []int{1, 4, 7} {
+		built, err := Build(g, Options{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := BuildStreaming(s, Options{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, l := range map[string]*Layout{"Build": built, "BuildStreaming": streamed} {
+			first := l.Parts[0]
+			if !slices.Equal(first.Pi, pi) || !slices.Equal(first.PiInv, inv) {
+				t.Fatalf("%s p=%d: the part's tables are not π and π⁻¹", name, p)
+			}
+			for _, sp := range l.Parts[1:] {
+				if len(sp.Pi) != len(pi) || len(sp.PiInv) != len(inv) ||
+					&sp.Pi[0] != &first.Pi[0] || &sp.PiInv[0] != &first.PiInv[0] {
+					t.Fatalf("%s p=%d: rank %d holds its own π tables", name, p, sp.Rank)
+				}
 			}
 		}
 	}
@@ -42,14 +90,14 @@ func TestScrambleBijection(t *testing.T) {
 func unscrambled(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	n := g.NumVertices()
-	pi := NewScramble(n)
+	_, inv := scrambleTables(n)
 	ts := make([][]int32, n)
 	ws := make([][]float64, n)
 	for u := 0; u < n; u++ {
 		tu, wu := g.Neighbors(u)
-		x := pi.Inv(u)
+		x := inv[u]
 		for _, v := range tu {
-			ts[x] = append(ts[x], int32(pi.Inv(int(v))))
+			ts[x] = append(ts[x], inv[v])
 		}
 		ws[x] = append([]float64(nil), wu...)
 	}

@@ -6,7 +6,7 @@ import "sort"
 // Session applies edge updates to its rank's Subgraph in place while it
 // serves, through the helpers below. Build's parts share no table a Session
 // edits — every part has its own HubWDeg and its own adjacency rows; the
-// shared Hubs directory is only read — so a layout handed to a serving
+// shared Hubs directory and π tables are only read — so a layout handed to a serving
 // world is the world's, and a caller that wants a pristine copy builds
 // another. Ownership never changes — π-space vertex v belongs to rank
 // v mod P for the life of the Layout — so Owned is only ever searched.
