@@ -8,8 +8,9 @@
 //	dlouvain -gen rmat:scale=14 -p 8 -trace -breakdown
 //
 // The tool prints the final modularity, timing, partition census, and
-// (optionally) the per-iteration modularity trace, phase breakdown, and
-// quality scores against planted ground truth.
+// (optionally) the per-iteration modularity trace, phase breakdown — with
+// the bytes sent per exchange and per rank, which both sum to the
+// communication line — and quality scores against planted ground truth.
 //
 // With -addrs A0,…,Ap−1 -rank r the process is rank r of a world of OS
 // processes over TCP: start one per rank with the same input, and rank 0
@@ -56,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d")
 		seq         = fs.Bool("seq", false, "also run the sequential Louvain baseline and compare")
 		showTrace   = fs.Bool("trace", false, "print the per-iteration modularity trace ('|' ends stage 1)")
-		breakdown   = fs.Bool("breakdown", false, "print the stage-1 per-phase time breakdown")
+		breakdown   = fs.Bool("breakdown", false, "print the per-phase time breakdown and the bytes sent per exchange and per rank")
 		outPath     = fs.String("o", "", "write the final membership (vertex community) to this file")
 		gamma       = fs.Float64("gamma", 1, "modularity resolution γ (>1 = more, smaller communities)")
 		showLevels  = fs.Bool("levels", false, "print the dendrogram (communities per clustering level)")
@@ -233,6 +234,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ingestTime, res.PartitionTime, res.Stage1Time, res.Stage2Time)
 		fmt.Fprintf(stdout, "stage-1 breakdown (rank 0): %s over %d iterations, balance=%.3f\n",
 			res.Breakdown.String(), res.Breakdown.Iters, res.BalanceRatio)
+		fmt.Fprintf(stdout, "wire breakdown (bytes sent, all ranks): %s\n", res.WireBytes)
+		fmt.Fprint(stdout, "bytes sent per rank:")
+		for _, r := range res.CommStats.PerRank {
+			fmt.Fprintf(stdout, " %d", r.BytesSent)
+		}
+		fmt.Fprintln(stdout)
 	}
 	if *showLevels {
 		fmt.Fprintln(stdout, "dendrogram:")

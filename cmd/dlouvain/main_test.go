@@ -322,3 +322,55 @@ func TestThreeRanks(t *testing.T) {
 		})
 	}
 }
+
+// TestWireBreakdown checks -breakdown's byte rows against the communication
+// line: the per-exchange rows and the per-rank counts each sum to the total,
+// and every exchange a hub-bearing world runs sends something.
+func TestWireBreakdown(t *testing.T) {
+	code, stdout, stderr := dlouvain("-gen", "rmat:scale=10,seed=2", "-p", "3", "-dhigh", "40", "-breakdown")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	var total, maxRank int64
+	var rows, ranks []int64
+	for _, line := range strings.Split(stdout, "\n") {
+		switch {
+		case strings.HasPrefix(line, "communication: "):
+			if _, err := fmt.Sscanf(line, "communication: %d bytes total, %d bytes max per rank", &total, &maxRank); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		case strings.HasPrefix(line, "wire breakdown (bytes sent, all ranks): "):
+			for _, f := range strings.Split(strings.TrimPrefix(line, "wire breakdown (bytes sent, all ranks): "), ", ") {
+				var v int64
+				if _, err := fmt.Sscan(f[strings.LastIndex(f, " ")+1:], &v); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				rows = append(rows, v)
+			}
+		case strings.HasPrefix(line, "bytes sent per rank:"):
+			for _, f := range strings.Fields(strings.TrimPrefix(line, "bytes sent per rank:")) {
+				var v int64
+				if _, err := fmt.Sscan(f, &v); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				ranks = append(ranks, v)
+			}
+		}
+	}
+	sum := func(vs []int64) (s int64) {
+		for _, v := range vs {
+			s += v
+		}
+		return s
+	}
+	if len(rows) != 7 || len(ranks) != 3 || total == 0 {
+		t.Fatalf("want 7 exchange rows, 3 ranks and a total, got %v, %v, %d:\n%s", rows, ranks, total, stdout)
+	}
+	if sum(rows) != total || sum(ranks) != total || slices.Max(ranks) != maxRank {
+		t.Errorf("rows %v sum to %d, ranks %v to %d (max %d); communication line says %d total, %d max",
+			rows, sum(rows), ranks, sum(ranks), slices.Max(ranks), total, maxRank)
+	}
+	if slices.Contains(rows, 0) {
+		t.Errorf("an exchange sent nothing: %v\n%s", rows, stdout)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/wire"
 )
@@ -81,10 +83,13 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // with P > 1 solved a different partition problem (the identity-map rows
 // live on in TestRelabelledSolveMatchesIdentityMap); and when the owner
 // lookups began asking once per distinct id in delta-coded frames (byte
-// counts only). CHANGES.md has the old rows. The fixture's default
-// hub threshold yields no hubs, so the delegate rows set DHigh = 8 (24 hubs)
-// to put the hub-proposal exchange and the move sections on the wire; P = 3
-// keeps an odd world size in the set.
+// counts only); and when the push, flush and merge frames began shipping
+// their weights under a per-frame scale byte (byte counts only: they rose,
+// since this fixture's random real weights all ship at scale 0 and every
+// push and flush frame gained its byte). CHANGES.md has the old rows. The
+// fixture's default hub threshold yields no hubs, so the delegate rows set
+// DHigh = 8 (24 hubs) to put the hub-proposal exchange and the move
+// sections on the wire; P = 3 keeps an odd world size in the set.
 func TestGoldenTraffic(t *testing.T) {
 	g := goldenGraph(t)
 	for _, tc := range []struct {
@@ -93,16 +98,16 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0},
-		{partition.Delegate, 2, 0, 146, 2206},
-		{partition.Delegate, 4, 0, 868, 7095},
+		{partition.Delegate, 2, 0, 146, 2268},
+		{partition.Delegate, 4, 0, 868, 7489},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 170, 3287},
-		{partition.Delegate, 3, 8, 338, 5339},
-		{partition.Delegate, 4, 8, 780, 9359},
+		{partition.Delegate, 2, 8, 170, 3353},
+		{partition.Delegate, 3, 8, 338, 5473},
+		{partition.Delegate, 4, 8, 780, 9662},
 		{partition.OneD, 1, 0, 0, 0},
-		{partition.OneD, 2, 0, 146, 2206},
-		{partition.OneD, 3, 0, 348, 4150},
-		{partition.OneD, 4, 0, 868, 7095},
+		{partition.OneD, 2, 0, 146, 2268},
+		{partition.OneD, 3, 0, 348, 4311},
+		{partition.OneD, 4, 0, 868, 7489},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})
@@ -115,6 +120,44 @@ func TestGoldenTraffic(t *testing.T) {
 		}
 		if bytes := res.CommStats.TotalBytesSent(); msgs != tc.msgs || bytes != tc.bytes {
 			t.Errorf("%s: %d messages / %d bytes on the wire, recorded %d / %d", name, msgs, bytes, tc.msgs, tc.bytes)
+		}
+	}
+}
+
+// TestWireBytesSumToTraffic checks the per-exchange byte rows of a solve
+// against its traffic census: over the golden fixture and a hub-bearing
+// R-MAT, both partitionings and P = 1 to 4, with the invariant checks' own
+// reductions on the wire, the rows sum to TotalBytesSent, and a world of
+// P > 1 sends in every exchange it runs (the hub proposals only with hubs).
+func TestWireBytesSumToTraffic(t *testing.T) {
+	withInvariants(t)
+	rmat, err := gen.RMAT(gen.Graph500RMAT(10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range []struct {
+		name  string
+		g     *graph.Graph
+		dhigh int
+	}{{"golden", goldenGraph(t), 0}, {"rmat10", rmat, 40}} {
+		for _, kind := range []partition.Kind{partition.Delegate, partition.OneD} {
+			for p := 1; p <= 4; p++ {
+				name := fmt.Sprintf("%s/%v/p=%d", gr.name, kind, p)
+				res, err := Run(gr.g, Options{P: p, Partitioning: kind, DHigh: gr.dhigh})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var sum int64
+				for x, v := range res.WireBytes {
+					sum += v
+					if want := p > 1 && (exchange(x) != exProposals || res.HubCount > 0); (v > 0) != want {
+						t.Errorf("%s: %s sent %d bytes", name, exchangeNames[x], v)
+					}
+				}
+				if total := res.CommStats.TotalBytesSent(); sum != total {
+					t.Errorf("%s: rows %v sum to %d, traffic %d", name, res.WireBytes, sum, total)
+				}
+			}
 		}
 	}
 }

@@ -20,8 +20,10 @@ import (
 //   - Pre-aggregation: duplicate (cu, cv) arc pairs are summed per
 //     destination before they hit the wire — each frame carries every
 //     distinct cu once and every distinct (cu, cv) pair once, with one
-//     weight, delta-coded — so the bytes shrink by the local duplication
-//     factor. The receiver sums the per-source weights of a pair again.
+//     weight, delta-coded and shifted by the frame's weight scale — so the
+//     bytes shrink by the local duplication factor, and the 2⁻²⁰ units'
+//     shared trailing zero bits stay home. The receiver sums the
+//     per-source weights of a pair again.
 //     The sums are exact integers, so the coarse graph is byte-identical to
 //     the seed's whatever order they are taken in.
 //
@@ -101,10 +103,12 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	}
 	ms.cnt.Reset()
 	ms.cnt.PutUvarint(uint64(nLocal))
+	mark := s.bytesSent()
 	counts, err := comm.Allgather(s.c, ms.cnt.Bytes())
 	if err != nil {
 		return nil, 0, err
 	}
+	s.charge(exMerge, mark)
 	base, total := 0, 0
 	for r := 0; r < s.p; r++ {
 		// A count is one uvarint, at most the sender's slot count.
@@ -210,16 +214,23 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	foldRuns(ms.xA, ms.yA, ms.wA, ms.dstOff)
 
 	// 5. Encode one key-grouped frame per destination. Frame format:
-	// uvarint record count, then per-cu groups of [row delta, distinct-cv
-	// count, (cv delta, uvarint weight) ...] — deltas off a -1 predecessor,
-	// so they are strictly positive.
+	// uvarint record count, the scale byte of the frame's weights
+	// (wire.Scale), then per-cu groups of [row delta, distinct-cv count,
+	// (cv delta, uvarint weight >> scale) ...] — deltas off a -1
+	// predecessor, so they are strictly positive.
 	arcBufs := s.sendScratch()
 	for d := 0; d < s.p; d++ {
 		lo, hi := ms.dstOff[d], ms.dstOff[d+1]
 		b := s.sendBufs[d]
-		want := arcFrameLen(ms.xA, ms.yA, ms.wA, lo, hi, p32)
+		or := int64(0)
+		for _, w := range ms.wA[lo:hi] {
+			or |= w
+		}
+		sc := wire.Scale(or)
+		want := arcFrameLen(ms.xA, ms.yA, ms.wA, lo, hi, p32, sc)
 		b.Grow(want)
 		b.PutUvarint(uint64(hi - lo))
+		b.PutScale(sc)
 		prevRow := int32(-1)
 		for i := lo; i < hi; {
 			cu := ms.xA[i]
@@ -233,7 +244,7 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 			prevCv := int32(-1)
 			for ; i < j; i++ {
 				b.PutUvarint(uint64(ms.yA[i] - prevCv))
-				b.PutUvarint(uint64(ms.wA[i]))
+				b.PutScaledUvarint(ms.wA[i], sc)
 				prevCv = ms.yA[i]
 			}
 			prevRow = row
@@ -243,10 +254,12 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		}
 		arcBufs[d] = b.Bytes()
 	}
+	mark = s.bytesSent()
 	arcIn, err := comm.Alltoallv(s.c, arcBufs)
 	if err != nil {
 		return nil, 0, err
 	}
+	s.charge(exMerge, mark)
 
 	// 6. Size the receive regions from the frame headers — rank-ordered,
 	// so the concatenated record array preserves rank order for duplicate
@@ -369,15 +382,21 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	return ns, total, nil
 }
 
-// decodeArcFrame decodes the arc frame body from rank src into the records
-// [pos:end) as (x = cv, y = row, w) — cv is the receiver's pass-1 sort key.
-// Rows and cvs must strictly ascend inside their groups and stay below the
-// receiver's row count and the coarse vertex count total, each group must
-// fit the frame's record count, and the body must end with its last record.
+// decodeArcFrame decodes the arc frame body (from its scale byte on) from
+// rank src into the records [pos:end) as (x = cv, y = row, w) — cv is the
+// receiver's pass-1 sort key. Rows and cvs must strictly ascend inside their
+// groups and stay below the receiver's row count and the coarse vertex count
+// total, each group must fit the frame's record count, every weight must be
+// within partition.MaxWeight2 once scaled back, and the body must end with
+// its last record.
 func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) error {
 	ms := s.ms
 	var rd wire.Reader
 	rd.Reset(body)
+	sc := rd.Scale()
+	if rd.Err() != nil {
+		return frameErr(s.rnk, "merge arc", src, rd.Err())
+	}
 	prevRow := int32(-1)
 	for pos < end {
 		dRow, ncv := rd.Uvarint(), rd.Uvarint()
@@ -390,7 +409,7 @@ func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) 
 		row := prevRow + int32(dRow)
 		prevCv := int32(-1)
 		for ; ncv > 0; ncv-- {
-			dCv, w := rd.Uvarint(), rd.Uvarint()
+			dCv, w := rd.Uvarint(), rd.ScaledUvarint(sc, partition.MaxWeight2)
 			if rd.Err() != nil {
 				return frameErr(s.rnk, "merge arc", src, rd.Err())
 			}
@@ -398,7 +417,7 @@ func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) 
 				return frameErr(s.rnk, "merge arc", src, nil)
 			}
 			cv := prevCv + int32(dCv)
-			ms.xA[pos], ms.yA[pos], ms.wA[pos] = cv, row, int64(w)
+			ms.xA[pos], ms.yA[pos], ms.wA[pos] = cv, row, w
 			pos++
 			prevCv = cv
 		}
@@ -412,11 +431,11 @@ func (s *stage) decodeArcFrame(src int, body []byte, pos, end, rows, total int) 
 
 // arcFrameLen returns the exact encoded length of the arc frame merge step 5
 // builds from records [lo:hi), sorted by (x = cu, y = cv) with each pair
-// summed into one record of weight w: its uvarints. The buffer is reserved
-// at that size up front; grown by doubling, the frames were the largest
-// garbage of a run.
-func arcFrameLen(x, y []int32, w []int64, lo, hi int, p int32) int {
-	n := wire.UvarintLen(uint64(hi - lo))
+// summed into one record of weight w, under weight scale sc: its uvarints
+// and the scale byte. The buffer is reserved at that size up front; grown
+// by doubling, the frames were the largest garbage of a run.
+func arcFrameLen(x, y []int32, w []int64, lo, hi int, p int32, sc uint) int {
+	n := wire.UvarintLen(uint64(hi-lo)) + 1
 	prevRow := int32(-1)
 	for i := lo; i < hi; {
 		cu, row := x[i], x[i]/p
@@ -424,7 +443,7 @@ func arcFrameLen(x, y []int32, w []int64, lo, hi int, p int32) int {
 		prevRow = row
 		j, prevCv := i, int32(-1)
 		for ; j < hi && x[j] == cu; j++ {
-			n += wire.UvarintLen(uint64(y[j]-prevCv)) + wire.UvarintLen(uint64(w[j]))
+			n += wire.UvarintLen(uint64(y[j]-prevCv)) + wire.UvarintLen(uint64(w[j]>>sc))
 			prevCv = y[j]
 		}
 		n += wire.UvarintLen(uint64(j - i))
@@ -569,6 +588,7 @@ func foldRuns(x, y []int32, w []int64, off []int) int {
 // reply must hold one answer in [0, bound) per id asked of its sender and
 // nothing after it.
 func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) ([]int, error) {
+	defer s.charge(exLookups, s.bytesSent())
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
 	}

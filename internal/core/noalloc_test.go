@@ -85,8 +85,10 @@ func TestNoallocAnnotations(t *testing.T) {
 		// A push frame as rank 0 sends it to itself: one record for the
 		// community of that vertex, which the stage watches.
 		pushFrame := wire.NewBuffer(0)
+		sc := wire.Scale(s.tot[cu])
+		pushFrame.PutScale(sc)
 		pushFrame.PutStrideDelta(-1, cu, 1)
-		pushFrame.PutVarint(s.tot[cu])
+		pushFrame.PutScaledVarint(s.tot[cu], sc)
 		pushFrame.PutVarint(int64(s.size[cu]))
 
 		// The Σin updates walk a hub's reverse index and a vertex's arcs as if

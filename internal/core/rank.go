@@ -27,8 +27,9 @@ type rankOut struct {
 	workUnits          int64 // total deterministic work units across all stages
 
 	// Taken after the solve, before the gather, so the answer's own frame
-	// is in no rank's traffic.
+	// is in no rank's traffic; sent splits its bytes sent by exchange.
 	traffic comm.Snapshot
+	sent    WireBytes
 	arcs    int64 // this rank's census row: local arcs and ghosts
 	ghosts  int
 
@@ -58,6 +59,9 @@ func (o *rankOut) encode() []byte {
 		o.traffic.MsgsRecv, o.traffic.BytesSent, o.traffic.BytesRecv, o.arcs, int64(o.ghosts)} {
 		b.PutVarint(v)
 	}
+	for _, v := range o.sent {
+		b.PutVarint(v)
+	}
 	return b.Bytes()
 }
 
@@ -77,6 +81,9 @@ func decodeAnswer(frame []byte, n int) (*rankOut, error) {
 	o.stage1NS, o.stage2NS, o.workUnits = rd.Varint(), rd.Varint(), rd.Varint()
 	o.traffic = comm.Snapshot{MsgsSent: rd.Varint(), MsgsRecv: rd.Varint(), BytesSent: rd.Varint(), BytesRecv: rd.Varint()}
 	o.arcs, o.ghosts = rd.Varint(), int(rd.Varint())
+	for x := range o.sent {
+		o.sent[x] = rd.Varint()
+	}
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
@@ -152,6 +159,9 @@ func assemble(frames [][]byte, root *rankOut, n int) (*Result, error) {
 		wsum += o.workUnits
 		wmax = max(wmax, o.workUnits)
 		res.CommStats.PerRank[r] = o.traffic
+		for x, v := range o.sent {
+			res.WireBytes[x] += v
+		}
 		res.Census.ArcsPerRank[r], res.Census.GhostsPerRank[r] = o.arcs, o.ghosts
 	}
 	if reported != n {

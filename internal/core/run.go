@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/comm"
@@ -154,6 +155,7 @@ func (s *stage) cluster() (stageResult, error) {
 		snapEnd := s.c.Stats().Snapshot()
 		commNS := commCostNS(snapEnd.MsgsSent-snapStart.MsgsSent,
 			snapEnd.BytesSent-snapStart.BytesSent)
+		reduceMark := snapEnd.BytesSent
 		st, err := comm.AllreduceIterStats(s.c, comm.IterStats{
 			Moved:  int64(movedLocal + hubMoved),
 			Work:   iterWork,
@@ -168,6 +170,7 @@ func (s *stage) cluster() (stageResult, error) {
 				return res, err
 			}
 		}
+		s.charge(exReduce, reduceMark)
 		if hook := testIterHook; hook != nil {
 			if err := hook(s, iter, st.Q); err != nil {
 				return res, err
@@ -246,10 +249,53 @@ type Result struct {
 	// answer gather that ends it (each rank snapshots before it answers).
 	CommStats comm.WorldStats
 
+	// WireBytes splits CommStats' bytes sent, summed over ranks, by the
+	// exchange that sent them; its rows sum to CommStats.TotalBytesSent().
+	WireBytes WireBytes
+
 	// BalanceRatio is the whole-run work balance: max over ranks of total
 	// deterministic work units divided by the mean (1.0 = perfect balance).
 	BalanceRatio float64
 }
+
+// exchange names a collective of the solve, a row of WireBytes.
+type exchange int
+
+const (
+	exPush      exchange = iota // pushAggregates
+	exProposals                 // delegateExchange's hub proposals
+	exGhostSwap                 // ghostSwap, hub moves included
+	exFlush                     // flushDeltas, watch requests included
+	exMerge                     // merge's dense-count allgather and arc frames
+	exLookups                   // resolveQueries, both legs
+	exReduce                    // the fused per-iteration reduction and the other allreduces
+	numExchanges
+)
+
+var exchangeNames = [numExchanges]string{"push", "proposals", "ghost swap", "flush", "merge", "owner lookups", "reductions"}
+
+// WireBytes is the bytes sent, one row per exchange of the solve.
+type WireBytes [numExchanges]int64
+
+// String lists the rows as "name bytes", comma-separated, in solve order.
+func (w WireBytes) String() string {
+	var b strings.Builder
+	for x, n := range w {
+		if x > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %d", exchangeNames[x], n)
+	}
+	return b.String()
+}
+
+// bytesSent reads this rank's sent-byte counter: the mark charge takes.
+func (s *stage) bytesSent() int64 { return s.c.Stats().Snapshot().BytesSent }
+
+// charge adds the bytes this rank sent since mark to exchange x's row.
+// Every collective of a solve sits between one mark and one charge, so
+// the rows add up to the rank's whole traffic.
+func (s *stage) charge(x exchange, mark int64) { s.sent[x] += s.bytesSent() - mark }
 
 // DefaultDHigh returns 0, which asks the partitioner for its default hub
 // threshold (partition.Options.DHigh): the threshold is decided where the

@@ -183,14 +183,19 @@ func (s *Session) solve() (*rankOut, error) {
 	out.workUnits += st.work
 
 	// Current global vertex count (needed to detect a no-op merge).
+	mark := st.bytesSent()
 	ownCount, err := comm.AllreduceInt64Sum(c, int64(len(sg.Owned)))
 	if err != nil {
 		return nil, err
 	}
+	st.charge(exReduce, mark)
 	curCount := int(ownCount) + len(sg.Hubs)
 
 	t2 := trace.Now()
-	defer func() { out.stage2NS = int64(trace.Since(t2)) }()
+	defer func() {
+		out.stage2NS = int64(trace.Since(t2))
+		out.sent = *st.sent // every stage of the solve charges st's tally
+	}()
 
 	prevQ := res1.Q
 	snapshot := func() {

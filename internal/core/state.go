@@ -130,8 +130,14 @@ type stage struct {
 	frames   [][]byte
 
 	// idPrev holds the previous id per peer for the stride-delta encoders
-	// (encodeFlush, ghostSwap).
+	// (encodeFlush, ghostSwap), orW the OR of the Δw each flush frame
+	// carries, whose trailing zeros are the frame's scale (wire.Scale).
 	idPrev []int
+	orW    []int64
+
+	// sent is the solve's per-exchange byte tally (charge), shared by the
+	// stages of one solve: nextStage hands it on with the scratch.
+	sent *WireBytes
 
 	// props is the reusable hub-proposal slice returned by sweep.
 	props []hubProposal
@@ -209,7 +215,7 @@ func newStage(c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 // the one fresh storage gives. prev may be nil.
 func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *stage {
 	if prev == nil {
-		prev = &stage{acc: &gainAccumulator{}}
+		prev = &stage{acc: &gainAccumulator{}, sent: new(WireBytes)}
 	}
 	n := sg.GlobalVertices
 	s := &stage{
@@ -234,6 +240,7 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 		seen:      reuse(prev.seen, n),
 		rqSlot:    reuse(prev.rqSlot, n),
 		ms:        prev.ms,
+		sent:      prev.sent,
 	}
 	s.acc = &gainAccumulator{w: reuse(prev.acc.w, n), seen: reuse(prev.acc.seen, n)}
 	// Every user resets these before it writes them.
@@ -248,6 +255,7 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 	s.frames = make([][]byte, s.p)
 	s.rqFrames = make([][]byte, s.p)
 	s.idPrev = make([]int, s.p)
+	s.orW = make([]int64, s.p)
 	s.wHead = reuse(prev.wHead, n/s.p+1)
 	fillInt32(s.wHead, -1)
 	s.dirtyMark = reuse(prev.dirtyMark, n/s.p+1)

@@ -78,6 +78,7 @@ func (s *stage) registerWatches() error {
 // what it receives. Each community has one owner, so the per-source
 // installs are disjoint and arrival-order application is deterministic.
 func (s *stage) pushAggregates() error {
+	defer s.charge(exPush, s.bytesSent())
 	out := s.sendScratch()
 	s.addWork(trace.Other, s.encodePush())
 	recvd := int64(0)
@@ -94,10 +95,12 @@ func (s *stage) pushAggregates() error {
 }
 
 // encodePush fills the send frames of pushAggregates and returns the number
-// of records encoded. The dirty list is fanned out to the watchers in
-// ascending community order, so each destination's ids ascend; they are
-// merged with the destination's first-value list on the way out (a new
-// watch on a dirty community is in both, and is sent once).
+// of records encoded. A frame is the scale byte of its Σtot values
+// (wire.Scale), then one (id stride-delta, Σtot >> scale, size) record per
+// community. The dirty list is fanned out to the watchers in ascending
+// community order, so each destination's ids ascend; they are merged with
+// the destination's first-value list on the way out (a new watch on a
+// dirty community is in both, and is sent once).
 //
 //perf:noalloc
 func (s *stage) encodePush() int64 {
@@ -125,7 +128,18 @@ func (s *stage) encodePush() int64 {
 		// One flush fills first[r] in ascending order; a second one before
 		// the push (an update batch) appends a second run.
 		sort.Ints(b)
+		// The frame's scale: a community in both lists ORs in twice, which
+		// changes nothing.
+		or := int64(0)
+		for _, c := range a {
+			or |= s.ownTot[c]
+		}
+		for _, c := range b {
+			or |= s.ownTot[c]
+		}
+		sc := wire.Scale(or)
 		buf := s.sendBufs[r]
+		buf.PutScale(sc)
 		prev := s.rnk - s.p
 		for i, j := 0, 0; i < len(a) || j < len(b); {
 			var c int
@@ -140,7 +154,7 @@ func (s *stage) encodePush() int64 {
 				continue
 			}
 			buf.PutStrideDelta(prev, c, s.p)
-			buf.PutVarint(s.ownTot[c])
+			buf.PutScaledVarint(s.ownTot[c], sc)
 			buf.PutVarint(int64(s.ownSize[c]))
 			prev = c
 			n++
@@ -154,17 +168,23 @@ func (s *stage) encodePush() int64 {
 
 // applyPush installs one owner's push frame and returns the number of
 // records installed. The stride-delta decode confines every id to the
-// communities src owns; a community this rank never watched is refused.
+// communities src owns; a community this rank never watched is refused, as
+// is a scale byte past wire.MaxScale or a Σtot past partition.MaxWeight2
+// once scaled back.
 //
 //perf:noalloc
 func (s *stage) applyPush(src int, payload []byte) (int64, error) {
 	var rd wire.Reader
 	rd.Reset(payload)
+	sc := rd.Scale()
+	if rd.Err() != nil {
+		return 0, frameErr(s.rnk, "push", src, rd.Err())
+	}
 	n := int64(0)
 	prev := src - s.p
 	for rd.Remaining() > 0 {
 		c := rd.StrideDelta(prev, s.p, s.n)
-		tot := rd.Varint()
+		tot := rd.ScaledVarint(sc, partition.MaxWeight2)
 		size := int32(rd.Varint())
 		if rd.Err() != nil || !s.watched[c] {
 			return n, frameErr(s.rnk, "push", src, rd.Err())
@@ -198,6 +218,7 @@ func (s *stage) delegateExchange(props []hubProposal) (int, error) {
 	if len(s.sg.Hubs) == 0 {
 		return 0, nil
 	}
+	defer s.charge(exProposals, s.bytesSent())
 	out := s.sendScratch()
 	s.addWork(trace.BroadcastDelegates, s.encodeProposals(props))
 	recvd := int64(0)
@@ -306,6 +327,7 @@ func (s *stage) decideHubs() int {
 // every rank; it applies the ghost labels as they arrive and the world's hub
 // moves once the exchange is complete (applyHubMoves).
 func (s *stage) ghostSwap() error {
+	defer s.charge(exGhostSwap, s.bytesSent())
 	bufs := s.sendScratch()
 	sent := int64(0)
 	for r := range s.idPrev {
@@ -463,6 +485,7 @@ func (s *stage) applyHubMoves() int64 {
 // when its value changes: moves on two ranks can cancel at the owner while
 // each rank's cache entry holds only its own half.
 func (s *stage) flushDeltas() error {
+	defer s.charge(exFlush, s.bytesSent())
 	bufs := s.sendScratch()
 	s.addWork(trace.Other, s.encodeFlush())
 	applied := int64(0)
@@ -479,11 +502,13 @@ func (s *stage) flushDeltas() error {
 }
 
 // encodeFlush fills the send frames of flushDeltas and returns the number
-// of values encoded. A frame is the (id, Δtot, Δsize) records for the
-// owner, then — only if there are watches for it — a zero byte and the
-// watch ids to the end of the frame; both id streams are stride-delta
-// coded, and an owner with neither gets an empty frame. Sorted order keeps
-// the byte streams reproducible run to run.
+// of values encoded. A frame is the scale byte of its Δtot values
+// (wire.Scale; Δtot is signed, and shifts arithmetically), the (id,
+// Δtot >> scale, Δsize) records for the owner, then — only if there are
+// watches for it — a zero byte and the watch ids to the end of the frame;
+// both id streams are stride-delta coded, and an owner with neither gets a
+// frame of its scale byte alone. Sorted order keeps the byte streams
+// reproducible run to run.
 //
 //perf:noalloc
 func (s *stage) encodeFlush() int64 {
@@ -491,12 +516,19 @@ func (s *stage) encodeFlush() int64 {
 	sort.Ints(s.watchNew)
 	for r := 0; r < s.p; r++ {
 		s.idPrev[r] = r - s.p
+		s.orW[r] = 0
+	}
+	for _, c := range s.deltaTouched {
+		s.orW[partition.Owner(c, s.p)] |= s.deltaW[c]
+	}
+	for r := 0; r < s.p; r++ {
+		s.sendBufs[r].PutScale(wire.Scale(s.orW[r]))
 	}
 	for _, c := range s.deltaTouched {
 		o := partition.Owner(c, s.p)
 		b := s.sendBufs[o]
 		b.PutStrideDelta(s.idPrev[o], c, s.p)
-		b.PutVarint(s.deltaW[c])
+		b.PutScaledVarint(s.deltaW[c], wire.Scale(s.orW[o]))
 		b.PutVarint(int64(s.deltaN[c]))
 		s.idPrev[o] = c
 		s.deltaW[c] = 0
@@ -526,15 +558,20 @@ func (s *stage) encodeFlush() int64 {
 // recvFlush decodes one flush frame: it applies the delta records — to
 // Σtot, size and sumSq — and registers the watchers, and returns the number
 // of records and watches. The stride-delta decode confines every id to the
-// communities this rank owns.
+// communities this rank owns; a scale byte past wire.MaxScale or a Δtot
+// whose magnitude passes partition.MaxWeight2 once scaled back is refused.
 func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 	var rd wire.Reader
 	rd.Reset(payload)
+	sc := rd.Scale()
+	if rd.Err() != nil {
+		return 0, frameErr(s.rnk, "flush", src, rd.Err())
+	}
 	n := int64(0)
 	prev := s.rnk - s.p
 	for rd.Remaining() > 0 && !rd.SkipZero() {
 		c := rd.StrideDelta(prev, s.p, s.n)
-		dw, dn := rd.Varint(), int32(rd.Varint())
+		dw, dn := rd.ScaledVarint(sc, partition.MaxWeight2), int32(rd.Varint())
 		if rd.Err() != nil {
 			return n, frameErr(s.rnk, "flush", src, rd.Err())
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -237,7 +238,9 @@ func (c *tamperComm) Recv(src, tag int) ([]byte, error) {
 // and label lookup — an id past the end of the dense arrays, a repeated id,
 // a length or count past what the sender may send, a vertex, label or hub
 // outside what the sender may address, an answer outside [0, bound), a
-// truncated record, a record count the frame cannot hold, trailing bytes —
+// truncated record, a record count the frame cannot hold, trailing bytes, a
+// scale byte past wire.MaxScale or a weight past partition.MaxWeight2 once
+// scaled back (those wrap wire.ErrScale) —
 // into rank 0's receive path from rank 1. Every one must come back from the
 // exchange as an error naming rank 1: no panic, no write.
 // (A community id of another rank's residue cannot be written down at all:
@@ -305,40 +308,48 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutVarint(1 << 30)
 		})
 	}
-	// Frames as rank 1 would address them to rank 0 (p = 4).
+	// Frames as rank 1 would address them to rank 0 (p = 4). A push or
+	// flush frame opens with its weights' scale byte.
 	cases := []struct {
 		name  string
 		step  string // the exchange the frame is injected into
 		frame []byte
 	}{
 		{"push/out-of-range", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(uint64(n)) // 1 + 4·(n−1) ≥ n
 			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"push/repeated-id", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(0)
 			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"push/truncated", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(1)
 			b.PutVarint(7)
 		})},
 		{"flush/delta-out-of-range", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(uint64(n))
 			b.PutVarint(1)
 			b.PutVarint(1)
 		})},
 		{"flush/delta-truncated", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(1)
 			b.PutVarint(7)
 		})},
 		{"flush/watch-out-of-range", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(0)
 			b.PutUvarint(uint64(n))
 		})},
 		{"flush/watch-repeated", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(0)
 			b.PutUvarint(0)
 			b.PutUvarint(1)
 			b.PutUvarint(0)
@@ -385,15 +396,18 @@ func TestGarbledFrames(t *testing.T) {
 			b.PutVarint(0)
 		})},
 		{"move/truncated", "ghost", enc(func(b *wire.Buffer) { moves(b, hubOf(ownedBy(1))) })},
-		// Merge arc frames: a record count, then per-row groups of [row
-		// delta, cv count, (cv delta, weight) ...]. Rank 0 owns coarse row 0
-		// (vertex 0), and the coarse graph has fewer than n vertices.
+		// Merge arc frames: a record count, the weights' scale byte, then
+		// per-row groups of [row delta, cv count, (cv delta, weight) ...].
+		// Rank 0 owns coarse row 0 (vertex 0), and the coarse graph has
+		// fewer than n vertices.
 		{"merge/truncated", "merge", enc(func(b *wire.Buffer) {
 			b.PutUvarint(1)
+			b.PutScale(0)
 			b.PutUvarint(1)
 		})},
 		{"merge/repeated-row", "merge", enc(func(b *wire.Buffer) {
 			b.PutUvarint(2)
+			b.PutScale(0)
 			for _, row := range []uint64{1, 0} {
 				b.PutUvarint(row)
 				b.PutUvarint(1)
@@ -403,6 +417,7 @@ func TestGarbledFrames(t *testing.T) {
 		})},
 		{"merge/cv-out-of-range", "merge", enc(func(b *wire.Buffer) {
 			b.PutUvarint(1)
+			b.PutScale(0)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 			b.PutUvarint(uint64(n) + 1) // cv n
@@ -410,6 +425,7 @@ func TestGarbledFrames(t *testing.T) {
 		})},
 		{"merge/count-past-frame", "merge", enc(func(b *wire.Buffer) {
 			b.PutUvarint(3)
+			b.PutScale(0)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
@@ -417,11 +433,61 @@ func TestGarbledFrames(t *testing.T) {
 		})},
 		{"merge/trailing-bytes", "merge", enc(func(b *wire.Buffer) {
 			b.PutUvarint(1)
+			b.PutScale(0)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 			b.PutUvarint(1)
 			b.PutUvarint(7)
+		})},
+		// Scaled weights: a scale byte past wire.MaxScale, and a weight past
+		// partition.MaxWeight2 or past int64 once shifted back, in each of
+		// the three frames that carry weights.
+		{"push/scale-past-max", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(wire.MaxScale + 1)
+			b.PutUvarint(1)
+			b.PutVarint(1)
+			b.PutVarint(1)
+		})},
+		{"push/weight-past-max", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(20)
+			b.PutUvarint(1)
+			b.PutVarint(1<<42 + 1)
+			b.PutVarint(1)
+		})},
+		{"push/weight-overflows", "push", enc(func(b *wire.Buffer) {
+			b.PutScale(wire.MaxScale)
+			b.PutUvarint(1)
+			b.PutVarint(3)
+			b.PutVarint(1)
+		})},
+		{"flush/scale-past-max", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(255)
+			b.PutUvarint(1)
+			b.PutVarint(1)
+			b.PutVarint(1)
+		})},
+		{"flush/weight-past-max", "flush", enc(func(b *wire.Buffer) {
+			b.PutScale(40)
+			b.PutUvarint(1)
+			b.PutVarint(-(1<<22 + 1))
+			b.PutVarint(-1)
+		})},
+		{"merge/scale-past-max", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutScale(wire.MaxScale + 1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+		})},
+		{"merge/weight-past-max", "merge", enc(func(b *wire.Buffer) {
+			b.PutUvarint(1)
+			b.PutScale(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
+			b.PutUvarint(1<<61 + 1)
 		})},
 		// Owner lookups: a request is an id count, then each id as its row
 		// delta (rows id/p, from row −1); a reply one zigzag answer delta per
@@ -608,6 +674,11 @@ func TestGarbledFrames(t *testing.T) {
 			if !strings.Contains(rank0.Error(), want) {
 				t.Fatalf("want an error naming %q, got: %v", want, rank0)
 			}
+			if strings.Contains(tc.name, "scale") || strings.Contains(tc.name, "weight") {
+				if !errors.Is(rank0, wire.ErrScale) {
+					t.Fatalf("want a wire.ErrScale, got: %v", rank0)
+				}
+			}
 		})
 	}
 }
@@ -761,9 +832,10 @@ func pushUsefulness(t *testing.T, g *graph.Graph, opt Options) (pushed, useful i
 			}
 			rd := wire.NewReader(lc.last[src])
 			prev := src - s.p
+			sc := rd.Scale()
 			for rd.Remaining() > 0 {
 				c := rd.StrideDelta(prev, s.p, s.n)
-				rd.Varint()
+				rd.ScaledVarint(sc, partition.MaxWeight2)
 				rd.Varint()
 				if err := rd.Err(); err != nil {
 					return fmt.Errorf("rank %d: last frame from rank %d is no push frame: %w", s.rnk, src, err)

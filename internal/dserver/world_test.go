@@ -910,3 +910,62 @@ func waitGoroutines(t *testing.T, baseline int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestFractionalUpdateBatch applies one update batch whose weights are off
+// the integer path — a dyadic 6.75, and a 9.3 and 1.1 that
+// partition.Quantise rounds — on the incremental path, where it moves
+// vertices, so the flush and push frames of ApplyUpdates carry scale 0 and
+// the weights' full 2⁻²⁰ units. The replies are the ones the world gave
+// before weights travelled scaled: the scale is exact, so the batch's Q,
+// moves and labels cannot move.
+func TestFractionalUpdateBatch(t *testing.T) {
+	const batch = "update +2,8,9.3;+3,8,6.75;+16,22,1.1"
+	for _, tc := range []struct {
+		p      int
+		kind   partition.Kind
+		update string
+		q      string
+		labels string
+	}{
+		{2, partition.Delegate,
+			"update ok ops=3 mode=incremental moved=3 touched=25 needfull=true q=0x1.4f40cc42106ddp-01",
+			"modularity 0x1.4f40cc42106ddp-01",
+			"community 2 0; community 3 0; community 8 0; community 16 13; community 22 20"},
+		{2, partition.OneD,
+			"update ok ops=3 mode=incremental moved=3 touched=25 needfull=true q=0x1.4f40cc42106ddp-01",
+			"modularity 0x1.4f40cc42106ddp-01",
+			"community 2 0; community 3 0; community 8 0; community 16 13; community 22 20"},
+		{4, partition.Delegate,
+			"update ok ops=3 mode=incremental moved=1 touched=25 needfull=true q=0x1.4f40cc42106dep-01",
+			"modularity 0x1.4f40cc42106dep-01",
+			"community 2 0; community 3 0; community 8 0; community 16 13; community 22 20"},
+		{4, partition.OneD,
+			"update ok ops=3 mode=incremental moved=1 touched=25 needfull=true q=0x1.4f40cc42106dep-01",
+			"modularity 0x1.4f40cc42106dep-01",
+			"community 2 0; community 3 0; community 8 0; community 16 13; community 22 20"},
+	} {
+		name := fmt.Sprintf("p%d_%s", tc.p, tc.kind)
+		w := newWorld(t, fixtureGraph(t), Options{
+			P:            tc.p,
+			Core:         core.Options{Partitioning: tc.kind},
+			DriftQ:       0.02,
+			DriftTouched: 0.95,
+		})
+		if got := w.HandleLine(batch); got != tc.update {
+			t.Errorf("%s: %q replied %q, recorded %q", name, batch, got, tc.update)
+		}
+		if !strings.Contains(tc.update, "mode=incremental") {
+			t.Errorf("%s: the batch did not run incrementally: %q", name, tc.update)
+		}
+		if got := w.HandleLine("modularity"); got != tc.q {
+			t.Errorf("%s: modularity replied %q, recorded %q", name, got, tc.q)
+		}
+		var labels []string
+		for _, v := range []int{2, 3, 8, 16, 22} {
+			labels = append(labels, w.HandleLine(fmt.Sprintf("community %d", v)))
+		}
+		if got := strings.Join(labels, "; "); got != tc.labels {
+			t.Errorf("%s: labels %q, recorded %q", name, got, tc.labels)
+		}
+	}
+}

@@ -35,14 +35,36 @@ func TestNoallocAnnotations(t *testing.T) {
 	var rd Reader
 
 	drivers := map[string]func(){
-		"Buffer.Reset":          func() { buf.Reset() },
-		"Buffer.PutUvarint":     func() { buf.Reset(); buf.PutUvarint(1 << 40) },
-		"Buffer.PutVarint":      func() { buf.Reset(); buf.PutVarint(-(1 << 40)) },
-		"Buffer.PutU32":         func() { buf.Reset(); buf.PutU32(0xdeadbeef) },
-		"Buffer.PutU64":         func() { buf.Reset(); buf.PutU64(1 << 60) },
-		"Buffer.PutF64":         func() { buf.Reset(); buf.PutF64(3.14159) },
-		"Buffer.PutStrideDelta": func() { buf.Reset(); buf.PutStrideDelta(3, 4003, 4) },
-		"Reader.Reset":          func() { rd.Reset(payload) },
+		"Buffer.Reset":            func() { buf.Reset() },
+		"Buffer.PutUvarint":       func() { buf.Reset(); buf.PutUvarint(1 << 40) },
+		"Buffer.PutVarint":        func() { buf.Reset(); buf.PutVarint(-(1 << 40)) },
+		"Buffer.PutU32":           func() { buf.Reset(); buf.PutU32(0xdeadbeef) },
+		"Buffer.PutU64":           func() { buf.Reset(); buf.PutU64(1 << 60) },
+		"Buffer.PutF64":           func() { buf.Reset(); buf.PutF64(3.14159) },
+		"Buffer.PutStrideDelta":   func() { buf.Reset(); buf.PutStrideDelta(3, 4003, 4) },
+		"Buffer.PutScale":         func() { buf.Reset(); buf.PutScale(20) },
+		"Buffer.PutScaledVarint":  func() { buf.Reset(); buf.PutScaledVarint(-3<<20, 20) },
+		"Buffer.PutScaledUvarint": func() { buf.Reset(); buf.PutScaledUvarint(3<<20, 20) },
+		"Scale":                   func() { Scale(3 << 20) },
+		"Reader.Reset":            func() { rd.Reset(payload) },
+		"Reader.Scale": func() {
+			buf.Reset()
+			buf.PutScale(20)
+			rd.Reset(buf.Bytes())
+			rd.Scale()
+		},
+		"Reader.ScaledVarint": func() {
+			buf.Reset()
+			buf.PutScaledVarint(-3<<20, 20)
+			rd.Reset(buf.Bytes())
+			rd.ScaledVarint(20, 1<<62)
+		},
+		"Reader.ScaledUvarint": func() {
+			buf.Reset()
+			buf.PutScaledUvarint(3<<20, 20)
+			rd.Reset(buf.Bytes())
+			rd.ScaledUvarint(20, 1<<62)
+		},
 		"Reader.StrideDelta": func() {
 			buf.Reset()
 			buf.PutStrideDelta(3, 4003, 4)

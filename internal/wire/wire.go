@@ -9,6 +9,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -98,6 +99,53 @@ func (w *Buffer) PutStrideDelta(prev, id, stride int) {
 func badStride(prev, id, stride int) {
 	panic(fmt.Sprintf("wire: stride-delta id %d does not follow %d in steps of %d", id, prev, stride))
 }
+
+// Scaled weights. A frame that carries fixed-point weights writes one scale
+// byte s, the common count of trailing zero bits of its weights, and then
+// every weight as v >> s: integer weights in 2⁻²⁰ units all end in twenty
+// zero bits, which a varint would otherwise ship in about three bytes of
+// every value. The scale is exact for any weights, so the decoder's v << s
+// gives back the sender's bits.
+
+// MaxScale is the largest scale byte a frame may carry: a shift of 63 would
+// leave no value bit of an int64 below its sign.
+const MaxScale = 62
+
+// ErrScale is wrapped by every decode error about a scaled weight: a scale
+// byte above MaxScale, or a value that would pass its bound once shifted
+// back (int64 overflow included).
+var ErrScale = errors.New("wire: scaled weight out of range")
+
+// Scale returns the scale of a frame whose weights OR to or: their common
+// count of trailing zero bits, or 0 when or is 0 (no weights, or all zero).
+// Negative weights OR in as they are: −v has as many trailing zeros as v.
+//
+//perf:noalloc
+func Scale(or int64) uint {
+	if or == 0 {
+		return 0
+	}
+	return uint(bits.TrailingZeros64(uint64(or)))
+}
+
+// PutScale appends a frame's scale byte.
+//
+//perf:noalloc
+func (w *Buffer) PutScale(s uint) {
+	w.b = append(w.b, byte(s))
+}
+
+// PutScaledVarint appends a signed weight under scale s as a varint of
+// v >> s (an arithmetic shift, exact: s is at most v's trailing zero count).
+//
+//perf:noalloc
+func (w *Buffer) PutScaledVarint(v int64, s uint) { w.PutVarint(v >> s) }
+
+// PutScaledUvarint appends a non-negative weight under scale s as a uvarint
+// of v >> s.
+//
+//perf:noalloc
+func (w *Buffer) PutScaledUvarint(v int64, s uint) { w.PutUvarint(uint64(v >> s)) }
 
 // PutInts appends a length-prefixed slice of int as varints.
 func (w *Buffer) PutInts(vs []int) {
@@ -239,6 +287,67 @@ func (r *Reader) SkipZero() bool {
 	}
 	r.off++
 	return true
+}
+
+// Scale reads a frame's scale byte. One above MaxScale is corruption: it
+// sets Err (wrapping ErrScale) and returns 0.
+//
+//perf:noalloc
+func (r *Reader) Scale() uint {
+	if r.err != nil {
+		return 0
+	}
+	if r.off >= len(r.b) {
+		r.fail("scale")
+		return 0
+	}
+	s := r.b[r.off]
+	if s > MaxScale {
+		r.failScale("scale byte")
+		return 0
+	}
+	r.off++
+	return uint(s)
+}
+
+// ScaledVarint reads a signed weight written by PutScaledVarint under
+// scale s and returns it shifted back. A weight whose magnitude would pass
+// limit (≥ 0) is corruption — so is one whose shift overflows int64, since
+// limit is an int64 — and sets Err (wrapping ErrScale); on error it
+// returns 0.
+//
+//perf:noalloc
+func (r *Reader) ScaledVarint(s uint, limit int64) int64 {
+	v := r.Varint()
+	if r.err != nil {
+		return 0
+	}
+	// v·2ˢ ≤ limit ⟺ v ≤ ⌊limit/2ˢ⌋ for an integer v, and no shift overflows.
+	if m := limit >> s; v > m || v < -m {
+		r.failScale("weight")
+		return 0
+	}
+	return v << s
+}
+
+// ScaledUvarint reads a non-negative weight written by PutScaledUvarint
+// under scale s and returns it shifted back, with ScaledVarint's bound.
+//
+//perf:noalloc
+func (r *Reader) ScaledUvarint(s uint, limit int64) int64 {
+	v := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if v > uint64(limit>>s) {
+		r.failScale("weight")
+		return 0
+	}
+	return int64(v) << s
+}
+
+func (r *Reader) failScale(what string) {
+	r.err = fmt.Errorf("%w: %s near offset %d", ErrScale, what, r.off)
 }
 
 // Ints reads a length-prefixed slice of varint int.

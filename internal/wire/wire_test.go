@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -361,5 +362,85 @@ func TestQuickStrideDelta(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScaledWeights pins the scaled-weight rule: the scale is the common
+// trailing-zero count of a frame's weights, every weight comes back with
+// its bits, and a scale byte past MaxScale or a weight past the limit once
+// shifted back (int64 overflow included) fails with ErrScale.
+func TestScaledWeights(t *testing.T) {
+	for _, tc := range []struct {
+		ws    []int64
+		scale uint
+	}{
+		{nil, 0},
+		{[]int64{0, 0}, 0},
+		{[]int64{3 << 20, 5 << 20, -(7 << 20)}, 20},
+		{[]int64{1 << 20, 1 << 19}, 19}, // a half: dyadic weights keep some zeros
+		{[]int64{1 << 20, 1398101}, 0},  // one rounded weight ships them all unscaled
+		{[]int64{1 << 62}, 62},
+		{[]int64{-1 << 62, 0}, 62},
+	} {
+		or := int64(0)
+		for _, v := range tc.ws {
+			or |= v
+		}
+		s := Scale(or)
+		if s != tc.scale {
+			t.Errorf("Scale(%v) = %d, want %d", tc.ws, s, tc.scale)
+		}
+		b := NewBuffer(0)
+		b.PutScale(s)
+		for _, v := range tc.ws {
+			b.PutScaledVarint(v, s)
+			if v >= 0 {
+				b.PutScaledUvarint(v, s)
+			}
+		}
+		r := NewReader(b.Bytes())
+		if got := r.Scale(); got != s {
+			t.Errorf("%v: scale byte %d came back as %d", tc.ws, s, got)
+		}
+		for _, v := range tc.ws {
+			if got := r.ScaledVarint(s, 1<<62); got != v {
+				t.Errorf("%v: varint %d came back as %d", tc.ws, v, got)
+			}
+			if v >= 0 {
+				if got := r.ScaledUvarint(s, 1<<62); got != v {
+					t.Errorf("%v: uvarint %d came back as %d", tc.ws, v, got)
+				}
+			}
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Errorf("%v: err %v, %d bytes left", tc.ws, r.Err(), r.Remaining())
+		}
+	}
+	if got := Scale(3 << 20); got != 20 {
+		t.Errorf("Scale(3<<20) = %d", got)
+	}
+
+	bad := func(name string, fill func(b *Buffer), read func(r *Reader)) {
+		b := NewBuffer(0)
+		fill(b)
+		r := NewReader(b.Bytes())
+		read(r)
+		if !errors.Is(r.Err(), ErrScale) {
+			t.Errorf("%s: err %v, want ErrScale", name, r.Err())
+		}
+	}
+	bad("scale 63", func(b *Buffer) { b.PutScale(63) }, func(r *Reader) { r.Scale() })
+	bad("scale 255", func(b *Buffer) { b.PutScale(255) }, func(r *Reader) { r.Scale() })
+	bad("past the limit", func(b *Buffer) { b.PutVarint(1<<42 + 1) }, func(r *Reader) { r.ScaledVarint(20, 1<<62) })
+	bad("below minus the limit", func(b *Buffer) { b.PutVarint(-(1<<42 + 1)) }, func(r *Reader) { r.ScaledVarint(20, 1<<62) })
+	bad("shift overflows int64", func(b *Buffer) { b.PutVarint(3) }, func(r *Reader) { r.ScaledVarint(62, math.MaxInt64) })
+	bad("uvarint past the limit", func(b *Buffer) { b.PutUvarint(1 << 43) }, func(r *Reader) { r.ScaledUvarint(20, 1<<62) })
+	bad("uvarint past int64", func(b *Buffer) { b.PutUvarint(math.MaxUint64) }, func(r *Reader) { r.ScaledUvarint(0, math.MaxInt64) })
+
+	// The limit itself is allowed.
+	b := NewBuffer(0)
+	b.PutVarint(-(1 << 42))
+	if r := NewReader(b.Bytes()); r.ScaledVarint(20, 1<<62) != -(1<<62) || r.Err() != nil {
+		t.Errorf("−2⁶² refused: %v", r.Err())
 	}
 }
