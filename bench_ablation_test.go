@@ -50,12 +50,11 @@ func BenchmarkAblationDHigh(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHeuristic compares the three convergence heuristics
-// (the Figure 5 knob): enhanced should dominate on quality, strict should
-// converge in the fewest iterations, simple should churn.
+// BenchmarkAblationHeuristic compares the two convergence heuristics (the
+// Figure 5 knob): enhanced should dominate on quality, simple should churn.
 func BenchmarkAblationHeuristic(b *testing.B) {
 	g := ablationGraph(b)
-	for _, h := range []core.Heuristic{core.HeuristicEnhanced, core.HeuristicSimple, core.HeuristicStrict} {
+	for _, h := range []core.Heuristic{core.HeuristicEnhanced, core.HeuristicSimple} {
 		b.Run(h.String(), func(b *testing.B) {
 			var lastQ float64
 			var iters int

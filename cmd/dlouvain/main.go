@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		genSpec     = fs.String("gen", "", "generator spec, e.g. lfr:n=5000,mu=0.3,seed=1 (see internal/gen.ParseSpec)")
 		p           = fs.Int("p", 4, "number of ranks (simulated processors)")
 		dhigh       = fs.Int("dhigh", 0, "hub degree threshold (0 = automatic)")
-		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple|strict")
+		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple")
 		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d")
 		seq         = fs.Bool("seq", false, "also run the sequential Louvain baseline and compare")
 		showTrace   = fs.Bool("trace", false, "print the per-iteration modularity trace ('|' ends stage 1)")
@@ -196,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res, err = core.RunLayout(layout, opt)
 	} else {
 		var ep *comm.TCPEndpoint
-		if ep, err = comm.DialTCPWorldConfig(*rank, addrs, comm.DialOptions{Backoff: comm.Backoff{Total: *dialTotal}}); err != nil {
+		if ep, err = comm.DialTCPWorld(*rank, addrs, comm.Backoff{Total: *dialTotal}); err != nil {
 			return fail(err)
 		}
 		defer ep.Close()

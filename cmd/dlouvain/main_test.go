@@ -63,6 +63,7 @@ func TestExitCodes(t *testing.T) {
 		{"oocore-seq", []string{"-oocore", "-graph", "g.sbin", "-seq"}, 2,
 			"dlouvain: -seq and -levels need the whole graph in RAM; drop them with -oocore\n"},
 		{"bad-heuristic", []string{"-gen", "rmat:scale=4", "-heuristic", "greedy"}, 2, "dlouvain: unknown heuristic \"greedy\"\n"},
+		{"retired-heuristic", []string{"-gen", "rmat:scale=4", "-heuristic", "strict"}, 2, "dlouvain: unknown heuristic \"strict\"\n"},
 		{"bad-partitioning", []string{"-gen", "rmat:scale=4", "-partitioning", "2d"}, 2, "dlouvain: "},
 		{"missing-graph", []string{"-graph", filepath.Join(dir, "none.txt")}, 1, "dlouvain: "},
 		{"bad-spec", []string{"-gen", "nosuchkind:n=3"}, 1, "dlouvain: "},

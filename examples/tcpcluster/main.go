@@ -56,7 +56,7 @@ func main() {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep, err := comm.DialTCPWorld(r, addrs)
+			ep, err := comm.DialTCPWorld(r, addrs, comm.Backoff{})
 			if err != nil {
 				log.Fatalf("rank %d: %v", r, err)
 			}

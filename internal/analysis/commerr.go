@@ -44,10 +44,10 @@ var commErrOps = map[string]bool{
 	"AllreduceInt64Sum": true, "AllreduceIterStats": true,
 	"Allgather": true, "Gather": true, "Alltoallv": true, "AlltoallvFunc": true,
 	"RunWorld": true, "DialTCPWorld": true,
-	// Robustness layer: retry wrappers, configurable dialing, and chaos
-	// worlds fail for the same reasons the plain operations do, so their
-	// errors carry the same obligation.
-	"Retry": true, "DialTCPWorldConfig": true, "RunWorldChaos": true, "Drain": true,
+	// Robustness layer: retry wrappers and chaos worlds fail for the same
+	// reasons the plain operations do, so their errors carry the same
+	// obligation.
+	"Retry": true, "RunWorldChaos": true, "Drain": true,
 }
 
 // graphIOOps are the graph package's IO entry points: every one reports

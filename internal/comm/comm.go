@@ -24,8 +24,8 @@
 //
 // The layer is fault-aware: failures surface as typed sentinels (ErrPeerDown,
 // ErrTimeout, ErrClosed, ErrRetriesExhausted — see errors.go) rather than
-// hangs; receives can be deadline-bounded (SetRecvTimeout); dialing and writing
-// retry transient errors with seeded exponential backoff (retry.go); and a
+// hangs; receives can be deadline-bounded (SetRecvTimeout); dialing retries
+// transient errors with seeded exponential backoff (retry.go); and a
 // deterministic chaos-injection wrapper (chaos.go) plus a cross-transport
 // conformance suite (conformance_test.go) prove those contracts on every CI
 // run. docs/ROBUSTNESS.md describes the fault model and how to write chaos

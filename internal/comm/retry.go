@@ -9,13 +9,13 @@ import (
 )
 
 // Backoff is the retry policy shared by every robustness helper in this
-// package: the TCP dialer, the bounded write-retry of the TCP writer loop,
-// and the chaos wrapper's recovery from injected transient send failures.
+// package: the TCP dialer and the chaos wrapper's recovery from injected
+// transient send failures.
 //
-// Sleeps grow geometrically from Base by Factor up to Max, with full jitter
-// (a uniformly random fraction of the nominal sleep in [1/2, 1]) so a world
-// of ranks retrying the same dead peer does not retry in lockstep. The
-// jitter stream is seeded (Seed), keeping fault-injection runs reproducible.
+// Sleeps double from Base up to Max, with full jitter (a uniformly random
+// fraction of the nominal sleep in [1/2, 1]) so a world of ranks retrying
+// the same dead peer does not retry in lockstep. The jitter stream is
+// seeded (Seed), keeping fault-injection runs reproducible.
 // Retrying stops when an attempt succeeds, the error is not Transient, the
 // attempt budget (MaxAttempts) is spent, or the time budget (Total,
 // covering op time plus sleeps) would be exceeded by the next sleep.
@@ -24,8 +24,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps a single sleep. Default 500ms.
 	Max time.Duration
-	// Factor is the geometric growth rate. Default 2.
-	Factor float64
 	// Total is the overall time budget including sleeps. Default 10s.
 	Total time.Duration
 	// MaxAttempts caps the number of op invocations; 0 bounds retrying by
@@ -42,9 +40,6 @@ func (b Backoff) withDefaults() Backoff {
 	}
 	if b.Max <= 0 {
 		b.Max = 500 * time.Millisecond
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
 	}
 	if b.Total <= 0 {
 		b.Total = 10 * time.Second
@@ -84,9 +79,6 @@ func (b Backoff) Retry(what string, op func() error) error {
 		}
 		trace.Eventf("retry", "%s attempt %d failed (%v); backing off %v", what, attempt, err, d)
 		time.Sleep(d)
-		sleep = time.Duration(float64(sleep) * b.Factor)
-		if sleep > b.Max {
-			sleep = b.Max
-		}
+		sleep = min(2*sleep, b.Max)
 	}
 }

@@ -213,7 +213,7 @@ func TestRecvDrainsBeforePeerDown(t *testing.T) {
 // appears instead of failing on the first connection refusal.
 func TestDialRetryEventualSuccess(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	opt := DialOptions{Backoff: Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Total: 10 * time.Second, Seed: 1}}
+	pol := Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Total: 10 * time.Second, Seed: 1}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -223,7 +223,7 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 			if r == 1 {
 				time.Sleep(150 * time.Millisecond)
 			}
-			ep, err := DialTCPWorldConfig(r, addrs, opt)
+			ep, err := DialTCPWorld(r, addrs, pol)
 			if err != nil {
 				errs[r] = err
 				return
@@ -243,9 +243,9 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 // hang.
 func TestDialRetryExhaustion(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	opt := DialOptions{Backoff: Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Total: 300 * time.Millisecond, Seed: 1}}
+	pol := Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Total: 300 * time.Millisecond, Seed: 1}
 	start := time.Now()
-	ep, err := DialTCPWorldConfig(0, addrs, opt) // rank 1 never comes up
+	ep, err := DialTCPWorld(0, addrs, pol) // rank 1 never comes up
 	if err == nil {
 		ep.Close()
 		t.Fatal("dial succeeded with no peer listening")
@@ -273,7 +273,7 @@ func TestTCPCloseReleasesRecv(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func(r int) {
 			defer dialWG.Done()
-			eps[r], dialErr[r] = DialTCPWorld(r, addrs)
+			eps[r], dialErr[r] = DialTCPWorld(r, addrs, Backoff{})
 		}(r)
 	}
 	dialWG.Wait()

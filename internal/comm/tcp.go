@@ -23,48 +23,29 @@ import (
 // backpressure (preventing collective deadlock).
 //
 // Robustness (docs/ROBUSTNESS.md): dialing retries with exponential
-// backoff + jitter under a total deadline (DialOptions), handshakes are
-// deadline-bounded, transient write timeouts are retried a bounded number
-// of times before the peer is declared down, peer-down and closed states
-// surface as errors wrapping ErrPeerDown / ErrClosed, and Recv honors the
-// endpoint deadline (SetRecvTimeout) so a silent peer becomes ErrTimeout
-// instead of a hang.
+// backoff + jitter under a total deadline (the Backoff passed to
+// DialTCPWorld), handshakes are deadline-bounded, a failed write declares
+// the peer down at once, peer-down and closed states surface as errors
+// wrapping ErrPeerDown / ErrClosed, and Recv honors the endpoint deadline
+// (SetRecvTimeout) so a silent peer becomes ErrTimeout instead of a hang.
 
 const tcpHandshakeMagic = uint32(0xC0117EC7)
 
-// DialOptions tunes DialTCPWorldConfig. The zero value selects the
-// defaults noted on each field.
-type DialOptions struct {
-	// Backoff is the per-peer dial retry policy; its Total is the overall
-	// dial deadline for that peer. Defaults: Base 10ms, Factor 2, Max
-	// 500ms, Total 10s.
-	Backoff Backoff
-	// HandshakeTimeout bounds the rank-exchange read/write on a freshly
-	// established connection. Default 5s.
-	HandshakeTimeout time.Duration
-	// DrainTimeout bounds how long Close waits for queued frames to flush
-	// before force-closing connections. Default 5s.
-	DrainTimeout time.Duration
-}
-
-func (o DialOptions) withDefaults() DialOptions {
-	o.Backoff = o.Backoff.withDefaults()
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 5 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 5 * time.Second
-	}
-	return o
-}
+const (
+	// handshakeTimeout bounds each dial attempt and the rank exchange on a
+	// freshly established connection.
+	handshakeTimeout = 5 * time.Second
+	// drainTimeout bounds how long Close waits for queued frames to flush
+	// before it force-closes the connections.
+	drainTimeout = 5 * time.Second
+)
 
 // TCPEndpoint is a Comm backed by TCP connections to all peers.
 type TCPEndpoint struct {
 	mailbox
-	opt DialOptions
 	// conns is indexed by peer rank (nil at the own rank). Each slot is
-	// written once while dialing, before DialTCPWorldConfig returns, and
-	// only read afterwards.
+	// written once while dialing, before DialTCPWorld returns, and only
+	// read afterwards.
 	conns    []*tcpConn
 	listener net.Listener
 }
@@ -82,27 +63,21 @@ func (t *TCPEndpoint) Rank() int     { return t.rank }
 func (t *TCPEndpoint) Size() int     { return len(t.conns) }
 func (t *TCPEndpoint) Stats() *Stats { return &t.stats }
 
-// DialTCPWorld joins a TCP world with default DialOptions. addrs[i] is the
-// listen address of rank i; the caller is rank myRank and must be the only
-// process using that slot. The function listens, connects the full mesh
-// (lower rank dials higher), and returns once all peers are connected.
-// Close the endpoint when done.
-func DialTCPWorld(myRank int, addrs []string) (*TCPEndpoint, error) {
-	return DialTCPWorldConfig(myRank, addrs, DialOptions{})
-}
-
-// DialTCPWorldConfig is DialTCPWorld with explicit retry/deadline policy.
-// Dials are retried with backoff + jitter while peers start their
-// listeners, bounded by o.Backoff.Total; a world that cannot fully connect
-// within that budget fails with an error wrapping ErrRetriesExhausted
-// rather than hanging.
-func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint, error) {
+// DialTCPWorld joins a TCP world. addrs[i] is the listen address of rank
+// i; the caller is rank myRank and must be the only process using that
+// slot. The function listens, connects the full mesh (lower rank dials
+// higher), and returns once all peers are connected. Dials are retried
+// under b (the zero Backoff takes its defaults) while peers start their
+// listeners, bounded by b.Total; a world that cannot fully connect within
+// that budget fails with an error wrapping ErrRetriesExhausted rather than
+// hanging. Close the endpoint when done.
+func DialTCPWorld(myRank int, addrs []string, b Backoff) (*TCPEndpoint, error) {
 	p := len(addrs)
 	if myRank < 0 || myRank >= p {
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", myRank, p)
 	}
-	o = o.withDefaults()
-	ep := &TCPEndpoint{opt: o, conns: make([]*tcpConn, p)}
+	b = b.withDefaults()
+	ep := &TCPEndpoint{conns: make([]*tcpConn, p)}
 	ep.init(myRank, p)
 
 	ln, err := net.Listen("tcp", addrs[myRank])
@@ -113,7 +88,7 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 	// Bound the accept side by the same total budget as the dial side, so
 	// a peer that never dials cannot park the accept goroutine forever.
 	if tl, ok := ln.(*net.TCPListener); ok {
-		_ = tl.SetDeadline(time.Now().Add(o.Backoff.withDefaults().Total))
+		_ = tl.SetDeadline(time.Now().Add(b.Total))
 	}
 
 	var wg sync.WaitGroup
@@ -141,7 +116,7 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 				return
 			}
 			var hdr [8]byte
-			conn.SetReadDeadline(time.Now().Add(o.HandshakeTimeout))
+			conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 				conn.Close()
 				fail(fmt.Errorf("comm: rank %d handshake read: %w", myRank, err))
@@ -171,10 +146,10 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 		go func(peer int) {
 			defer wg.Done()
 			var conn net.Conn
-			pol := o.Backoff
-			pol.Seed = o.Backoff.Seed ^ int64(myRank)<<20 ^ int64(peer)
+			pol := b
+			pol.Seed = b.Seed ^ int64(myRank)<<20 ^ int64(peer)
 			err := pol.Retry(fmt.Sprintf("rank %d dial rank %d (%s)", myRank, peer, addrs[peer]), func() error {
-				c, err := net.DialTimeout("tcp", addrs[peer], o.HandshakeTimeout)
+				c, err := net.DialTimeout("tcp", addrs[peer], handshakeTimeout)
 				if err != nil {
 					// A refused/unreachable dial while the peer boots is the
 					// expected transient; keep retrying under the budget.
@@ -190,7 +165,7 @@ func DialTCPWorldConfig(myRank int, addrs []string, o DialOptions) (*TCPEndpoint
 			var hdr [8]byte
 			binary.LittleEndian.PutUint32(hdr[:4], tcpHandshakeMagic)
 			binary.LittleEndian.PutUint32(hdr[4:], uint32(myRank))
-			conn.SetWriteDeadline(time.Now().Add(o.HandshakeTimeout))
+			conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 			if _, err := conn.Write(hdr[:]); err != nil {
 				conn.Close()
 				fail(fmt.Errorf("comm: rank %d handshake write to %d: %w", myRank, peer, err))
@@ -240,13 +215,11 @@ func (t *TCPEndpoint) readLoop(peer int, tc *tcpConn) {
 	}
 }
 
+// writeLoop ships tc's queued frames in order. No write deadline is armed
+// after the handshake, so a failed Write means the connection is gone: the
+// peer is declared down at once, and Recv callers see ErrPeerDown.
 func (t *TCPEndpoint) writeLoop(peer int, tc *tcpConn) {
 	defer close(tc.done)
-	// Bounded recovery from transient write errors (timeouts under
-	// transient backpressure): a handful of quick retries, then the peer
-	// is declared down. Retrying forever would turn a dead peer back into
-	// a silent hang, which is exactly what this layer must not do.
-	pol := Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, MaxAttempts: 4, Total: 250 * time.Millisecond}
 	for {
 		tc.mu.Lock()
 		for len(tc.q) == 0 {
@@ -260,14 +233,7 @@ func (t *TCPEndpoint) writeLoop(peer int, tc *tcpConn) {
 			tc.c.Close()
 			return
 		}
-		err := pol.Retry(fmt.Sprintf("rank %d write to rank %d", t.rank, peer), func() error {
-			_, werr := tc.c.Write(frame)
-			if ne, ok := werr.(net.Error); ok && ne.Timeout() {
-				return Transient(werr)
-			}
-			return werr
-		})
-		if err != nil {
+		if _, err := tc.c.Write(frame); err != nil {
 			t.peerDown(peer, err)
 			return
 		}
@@ -321,11 +287,11 @@ func (t *TCPEndpoint) Send(dst, tag int, data []byte) error {
 func (t *TCPEndpoint) Recv(src, tag int) ([]byte, error) { return t.recv(src, tag) }
 
 // Close shuts down the endpoint: the listener stops, queued frames get a
-// bounded window (DialOptions.DrainTimeout) to flush, and then every
-// connection is force-closed so the per-connection reader and writer
-// goroutines exit deterministically — even when a peer has stopped reading
-// and a writer is wedged mid-Write. Pending Recv callers are woken and
-// fail with ErrClosed. Close is idempotent.
+// bounded window (drainTimeout) to flush, and then every connection is
+// force-closed so the per-connection reader and writer goroutines exit
+// deterministically — even when a peer has stopped reading and a writer is
+// wedged mid-Write. Pending Recv callers are woken and fail with ErrClosed.
+// Close is idempotent.
 func (t *TCPEndpoint) Close() error {
 	if !t.close() {
 		return nil
@@ -346,7 +312,7 @@ func (t *TCPEndpoint) Close() error {
 	// sent just before Close (e.g. a final gather) reach the peers, then
 	// force the connection closed regardless: an unresponsive peer must
 	// not leak this endpoint's reader/writer goroutines.
-	deadline := time.Now().Add(t.opt.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for _, tc := range t.conns {
 		if tc == nil {
 			continue

@@ -38,7 +38,7 @@ func runTCPWorld(t *testing.T, p int, fn func(Comm) error) error {
 	for r := 0; r < p; r++ {
 		go func(r int) {
 			defer wg.Done()
-			ep, err := DialTCPWorld(r, addrs)
+			ep, err := DialTCPWorld(r, addrs, Backoff{})
 			if err != nil {
 				errs[r] = err
 				return
@@ -173,7 +173,7 @@ func TestTCPBidirectionalFlood(t *testing.T) {
 }
 
 func TestTCPInvalidRank(t *testing.T) {
-	if _, err := DialTCPWorld(5, []string{"127.0.0.1:0"}); err == nil {
+	if _, err := DialTCPWorld(5, []string{"127.0.0.1:0"}, Backoff{}); err == nil {
 		t.Fatal("expected error for rank out of range")
 	}
 }
@@ -207,7 +207,7 @@ func TestTCPAbruptPeerDeath(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		ep, err := DialTCPWorld(0, addrs)
+		ep, err := DialTCPWorld(0, addrs, Backoff{})
 		if err != nil {
 			errs[0] = err
 			return
@@ -217,7 +217,7 @@ func TestTCPAbruptPeerDeath(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ep, err := DialTCPWorld(1, addrs)
+		ep, err := DialTCPWorld(1, addrs, Backoff{})
 		if err != nil {
 			errs[1] = err
 			return

@@ -208,20 +208,6 @@ func TestHeuristicSimpleStillTerminates(t *testing.T) {
 	checkResult(t, g, res)
 }
 
-func TestHeuristicStrictConverges(t *testing.T) {
-	// Strict minimum-label moves are monotone in the label order, so the
-	// stage must converge well before the iteration cap.
-	g, _ := mustLFR(t, 500, 0.25, 31)
-	res, err := Run(g, Options{P: 4, Heuristic: HeuristicStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, g, res)
-	if res.Stage1Iters >= 100 {
-		t.Errorf("strict heuristic hit the iteration cap (%d iters)", res.Stage1Iters)
-	}
-}
-
 func TestStarGraphHubDelegation(t *testing.T) {
 	// A star has one massive hub; with DHigh below its degree the hub is
 	// delegated and the run must still converge to one community.
@@ -358,9 +344,16 @@ func TestSelfLoopsHandled(t *testing.T) {
 }
 
 func TestHeuristicString(t *testing.T) {
-	if HeuristicEnhanced.String() != "enhanced" || HeuristicSimple.String() != "simple" ||
-		HeuristicStrict.String() != "strict" {
+	if HeuristicEnhanced.String() != "enhanced" || HeuristicSimple.String() != "simple" {
 		t.Error("Heuristic.String broken")
+	}
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+		if got, err := ParseHeuristic(h.String()); got != h || err != nil {
+			t.Errorf("ParseHeuristic(%q) = %v, %v", h.String(), got, err)
+		}
+	}
+	if _, err := ParseHeuristic("strict"); err == nil {
+		t.Error(`ParseHeuristic("strict") accepted the retired rule`)
 	}
 }
 

@@ -121,7 +121,7 @@ func tcpWorld(t *testing.T) worldFunc {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				ep, err := comm.DialTCPWorld(r, addrs)
+				ep, err := comm.DialTCPWorld(r, addrs, comm.Backoff{})
 				if err != nil {
 					errs[r] = err
 					return
@@ -190,7 +190,7 @@ func solveRank(c comm.Comm, g *graph.Graph, opt Options) error {
 func TestGoldenEndToEnd(t *testing.T) {
 	withInvariants(t)
 	g := goldenGraph(t)
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
 		for _, p := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", h, p), func(t *testing.T) {
 				opt := Options{P: p, Heuristic: h}

@@ -448,7 +448,7 @@ func checkScan(s *stage, u, cu int, k int64, adj []partition.Arc, acc, ref *gain
 		return nil
 	}
 	defer func(h Heuristic) { s.opt.Heuristic = h }(s.opt.Heuristic)
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
 		s.opt.Heuristic = h
 		if got, want := s.pickCandidate(cu, cands), s.pickCandidate(cu, wantCands); got != want {
 			return fmt.Errorf("vertex %d in %d, heuristic %v: picked %d, full sort picks %d", u, cu, h, got, want)
@@ -580,14 +580,6 @@ func TestAllowMoveSemantics(t *testing.T) {
 	}
 	if !s.allowMove(7, 6) { // remote but downward
 		t.Error("enhanced should allow downward remote move")
-	}
-	// Strict: only downward anywhere.
-	s = mk(HeuristicStrict)
-	if s.allowMove(3, 5) {
-		t.Error("strict should block upward move")
-	}
-	if !s.allowMove(5, 3) {
-		t.Error("strict should allow downward move")
 	}
 	// Simple: anything goes.
 	s = mk(HeuristicSimple)

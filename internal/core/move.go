@@ -234,39 +234,20 @@ func (s *stage) bestMove(u int, ku int64, adj []partition.Arc, acc *gainAccumula
 // the opposite-direction merge is performed by the remote side, which sees
 // the mirrored gain.
 //
-// Strict restricts every move to smaller labels (provably convergent,
-// slightly lower quality; ablation).
-//
 // Simple applies no movement constraint at all — minimum label acts only as
 // the tie-breaker, which is how the paper evaluates Lu et al.'s heuristic
 // in a distributed setting (and why it underperforms there).
 func (s *stage) allowMove(cu, target int) bool {
-	switch s.opt.Heuristic {
-	case HeuristicSimple:
-		return true
-	case HeuristicStrict:
-		return target < cu
-	default: // HeuristicEnhanced
-		if s.owns(target) {
-			return true
-		}
-		return target < cu
-	}
+	return s.opt.Heuristic == HeuristicSimple || s.owns(target) || target < cu
 }
 
 // pickCandidate arbitrates a set of equal-gain candidate communities
 // (ascending label order) according to the configured heuristic.
 func (s *stage) pickCandidate(cu int, cands []int) int {
-	if len(cands) == 1 {
-		return cands[0]
+	if len(cands) == 1 || s.opt.Heuristic == HeuristicSimple {
+		return cands[0] // the minimum label: cands are sorted
 	}
-	switch s.opt.Heuristic {
-	case HeuristicSimple, HeuristicStrict:
-		// Minimum label (cands are sorted).
-		return cands[0]
-	default:
-		return s.pickEnhanced(cands)
-	}
+	return s.pickEnhanced(cands)
 }
 
 // pickEnhanced implements the paper's enhanced heuristic: prefer a local

@@ -46,11 +46,6 @@ const (
 	// converge to a visibly lower modularity, which is exactly the paper's
 	// observation.
 	HeuristicSimple
-	// HeuristicStrict applies the minimum-label constraint to every move,
-	// local or remote (the most conservative reading of Algorithm 2 line
-	// 11). It converges fast — labels are monotone — at a small quality
-	// cost; provided for the ablation study.
-	HeuristicStrict
 )
 
 func (h Heuristic) String() string {
@@ -59,16 +54,14 @@ func (h Heuristic) String() string {
 		return "enhanced"
 	case HeuristicSimple:
 		return "simple"
-	case HeuristicStrict:
-		return "strict"
 	default:
 		return fmt.Sprintf("Heuristic(%d)", int(h))
 	}
 }
 
-// ParseHeuristic is the inverse of Heuristic.String for the three rules.
+// ParseHeuristic is the inverse of Heuristic.String for the two rules.
 func ParseHeuristic(s string) (Heuristic, error) {
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
 		if s == h.String() {
 			return h, nil
 		}

@@ -65,9 +65,9 @@ func relabelled(t *testing.T, g *graph.Graph, to func(int) int) *graph.Graph {
 // TestGoldenQAcrossLabellings bounds the golden fixture's Q at P > 1, which
 // depends on how the vertex ids fall: the minimum-label rules order
 // communities by id, and on 48 vertices one unlucky order costs a tenth of
-// Q. The fixture's own π-space order is such a draw for the enhanced and
-// strict rules (its Q lies in the lowest sixth of 200 random orders), as
-// the identity map's was for the simple rule at P = 4. So the fixture's
+// Q. The fixture's own π-space order is such a draw for the enhanced rule
+// (its Q lies in the lowest sixth of 200 random orders), as the identity
+// map's was for the simple rule at P = 4. So the fixture's
 // Q may not fall below what TestGoldenEndToEnd records, and over 32 seeded
 // random orders at least half must come within 0.5% of the sequential
 // answer's Q — except under the simple rule at P = 4, whose bouncing
@@ -85,8 +85,6 @@ func TestGoldenQAcrossLabellings(t *testing.T) {
 		{HeuristicEnhanced, 4, 0.5020, true},
 		{HeuristicSimple, 2, 0.5265, true},
 		{HeuristicSimple, 4, 0.4328, false},
-		{HeuristicStrict, 2, 0.4671, true},
-		{HeuristicStrict, 4, 0.4806, true},
 	} {
 		name := fmt.Sprintf("%v/p=%d", row.h, row.p)
 		opt := Options{P: row.p, Heuristic: row.h}
@@ -139,6 +137,9 @@ func TestGoldenQAcrossLabellings(t *testing.T) {
 // shipping weights under a per-frame scale byte (exact, so again only the
 // bytes moved: down on the integer-weighted R-MAT, up on the golden
 // fixture, whose random real weights ship at scale 0 behind the new byte).
+// The message and byte columns then fell together when the solve stopped
+// summing the owned-vertex counts to learn n, which it already holds: one
+// allreduce, 2(P − 1) messages of 8 bytes, fewer per solve.
 func TestRelabelledSolveMatchesIdentityMap(t *testing.T) {
 	golden := goldenGraph(t)
 	rmat, _, err := gen.ParseSpec("rmat:scale=12")
@@ -156,24 +157,21 @@ func TestRelabelledSolveMatchesIdentityMap(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{"golden", partition.OneD, HeuristicEnhanced, 0, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 146, 2266},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 3, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 498, 4824},
-		{"golden", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 912, 8368},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 144, 2250},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 3, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 494, 4792},
+		{"golden", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 904, 8304},
 		{"golden", partition.OneD, HeuristicSimple, 0, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.OneD, HeuristicSimple, 0, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 78, 1906},
-		{"golden", partition.OneD, HeuristicSimple, 0, 4, "0x1.5ef65ade1bbd9p-03", 0xa6524a8f7590ef26, 788, 12901},
-		{"golden", partition.OneD, HeuristicStrict, 0, 1, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 0, 0},
-		{"golden", partition.OneD, HeuristicStrict, 0, 2, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 124, 2136},
-		{"golden", partition.OneD, HeuristicStrict, 0, 4, "0x1.0d7f4ef984842p-01", 0x2c47c40d26581aa5, 824, 7256},
+		{"golden", partition.OneD, HeuristicSimple, 0, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 76, 1890},
+		{"golden", partition.OneD, HeuristicSimple, 0, 4, "0x1.5ef65ade1bbd9p-03", 0xa6524a8f7590ef26, 780, 12837},
 		{"golden", partition.Delegate, HeuristicEnhanced, 8, 1, "0x1.0d94c15c5c5bap-01", 0xd0a703f68e2c97c6, 0, 0},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 170, 3379},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 3, "0x1.7d60170edf132p-02", 0x9bdecb73b57b6266, 482, 7025},
-		{"golden", partition.Delegate, HeuristicEnhanced, 8, 4, "0x1.e4b8f3930972fp-02", 0xf7304c3055d1c3c4, 736, 8527},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 2, "0x1.0d94c15c5c5b9p-01", 0xd0a703f68e2c97c6, 168, 3363},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 3, "0x1.7d60170edf132p-02", 0x9bdecb73b57b6266, 478, 6993},
+		{"golden", partition.Delegate, HeuristicEnhanced, 8, 4, "0x1.e4b8f3930972fp-02", 0xf7304c3055d1c3c4, 728, 8463},
 		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 1, "0x1.d67b6b68a4438p-04", 0x81afad0021a888b5, 0, 0},
-		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.d516162c2c0bep-04", 0xc2abc0e72c4b0608, 366, 71468},
-		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.b72ef9fb708p-04", 0xb822b47bcae90917, 1700, 165127},
-		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 2, "0x1.bed0c2bc6af39p-04", 0xe26ddd82f6596a41, 362, 79645},   // 41 hubs
-		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 4, "0x1.9e07f242c0c22p-04", 0xc16c0a473e908951, 2496, 219506}, // 118 hubs
+		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 2, "0x1.d516162c2c0bep-04", 0xc2abc0e72c4b0608, 364, 71452},
+		{"rmat12", partition.OneD, HeuristicEnhanced, 0, 4, "0x1.b72ef9fb708p-04", 0xb822b47bcae90917, 1692, 165063},
+		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 2, "0x1.bed0c2bc6af39p-04", 0xe26ddd82f6596a41, 360, 79629},   // 41 hubs
+		{"rmat12", partition.Delegate, HeuristicEnhanced, 0, 4, "0x1.9e07f242c0c22p-04", 0xc16c0a473e908951, 2488, 219442}, // 118 hubs
 	} {
 		name := fmt.Sprintf("%s/%v/%v/dhigh=%d/p=%d", row.graph, row.kind, row.h, row.dhigh, row.p)
 		res, err := RunStop(graphs[row.graph], Options{P: row.p, Partitioning: row.kind, Heuristic: row.h, DHigh: row.dhigh},

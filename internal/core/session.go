@@ -88,10 +88,11 @@ type UpdateResult struct {
 	Iters int
 }
 
-// NewSession wraps a rank's subgraph for solving and serving. The Session
-// owns sg from here on: ApplyUpdates edits it in place, so a caller that
-// still needs the layout's original parts builds a second layout (the
-// batch path never mutates, so core.Run passes layout parts directly).
+// NewSession wraps a rank's subgraph for solving and serving, and applies
+// Options.CommDeadline to c. The Session owns sg from here on: ApplyUpdates
+// edits it in place, so a caller that still needs the layout's original
+// parts builds a second layout (the batch path never mutates, so core.Run
+// passes layout parts directly).
 func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, error) {
 	if opt.P == 0 {
 		opt.P = c.Size()
@@ -105,6 +106,13 @@ func NewSession(c comm.Comm, sg *partition.Subgraph, opt Options) (*Session, err
 	}
 	if n := sg.GlobalVertices; len(sg.Pi) != n || len(sg.PiInv) != n {
 		return nil, fmt.Errorf("core: subgraph's π tables hold %d and %d entries, want %d (a Layout part)", len(sg.Pi), len(sg.PiInv), n)
+	}
+	if opt.CommDeadline > 0 {
+		// Endpoint-wide default deadline: every Recv of the run — including
+		// those inside the collectives — fails with comm.ErrTimeout instead
+		// of blocking forever once a peer stops responding. Transports
+		// without deadline support keep unbounded blocking.
+		comm.SetRecvTimeout(c, opt.CommDeadline)
 	}
 	return &Session{
 		c:    c,
@@ -145,13 +153,6 @@ func (s *Session) Solve() error {
 // improving (Algorithm 1). The batch path calls it directly.
 func (s *Session) solve() (*rankOut, error) {
 	c, sg, opt := s.c, s.sg, s.opt
-	if opt.CommDeadline > 0 {
-		// Endpoint-wide default deadline: every Recv of the run — including
-		// those inside the collectives — fails with comm.ErrTimeout instead
-		// of blocking forever once a peer stops responding. Transports
-		// without deadline support keep unbounded blocking.
-		comm.SetRecvTimeout(c, opt.CommDeadline)
-	}
 	tracked := append([]int(nil), sg.Owned...)
 	for _, h := range sg.Hubs {
 		if s.owns(h) {
@@ -182,14 +183,9 @@ func (s *Session) solve() (*rankOut, error) {
 	}
 	out.workUnits += st.work
 
-	// Current global vertex count (needed to detect a no-op merge).
-	mark := st.bytesSent()
-	ownCount, err := comm.AllreduceInt64Sum(c, int64(len(sg.Owned)))
-	if err != nil {
-		return nil, err
-	}
-	st.charge(exReduce, mark)
-	curCount := int(ownCount) + len(sg.Hubs)
+	// Current global vertex count (needed to detect a no-op merge): every
+	// vertex is owned by one rank or is a hub, so it is the graph's n.
+	curCount := sg.GlobalVertices
 
 	t2 := trace.Now()
 	defer func() {

@@ -348,7 +348,7 @@ func TestSessionTCPMatchesInproc(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep, err := comm.DialTCPWorld(r, addrs)
+			ep, err := comm.DialTCPWorld(r, addrs, comm.Backoff{})
 			if err != nil {
 				errs[r] = err
 				return

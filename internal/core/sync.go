@@ -297,9 +297,9 @@ func (s *stage) recvProposals(src int, payload []byte) (int64, error) {
 
 // decideHubs turns the folded winners into this rank's hub moves. A winner
 // moves its hub unless the target is the hub's label or, under the enhanced
-// and strict heuristics, a larger label: a hub's community state is
-// inherently cross-rank, so hub moves take the minimum-label rule. Hub labels
-// are replicated, so this is the decision every rank would reach from the
+// heuristic, a larger label: a hub's community state is inherently
+// cross-rank, so hub moves take the minimum-label rule. Hub labels are
+// replicated, so this is the decision every rank would reach from the
 // same winner. Afterwards hubLive lists the moving hubs in ascending order,
 // their targets in moveTo, for ghostSwap to ship; hubWin is reset for the
 // next fold. It returns the number of moves.

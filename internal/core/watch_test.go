@@ -138,7 +138,7 @@ func TestCacheCoherence(t *testing.T) {
 		dhigh int
 	}{{partition.Delegate, 0}, {partition.Delegate, 8}, {partition.OneD, 0}} {
 		for _, p := range []int{2, 3, 4} {
-			for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple, HeuristicStrict} {
+			for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
 				opt := Options{P: p, Partitioning: part.kind, DHigh: part.dhigh, Heuristic: h}
 				name := fmt.Sprintf("%v/dhigh=%d/p=%d/%v", part.kind, part.dhigh, p, h)
 				if _, err := Run(g, opt); err != nil {

@@ -301,15 +301,6 @@ func TestMembershipNormalize(t *testing.T) {
 	}
 }
 
-func TestMembershipClone(t *testing.T) {
-	m := Membership{1, 2, 3}
-	c := m.Clone()
-	c[0] = 99
-	if m[0] != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestModularityPanicsOnLengthMismatch(t *testing.T) {
 	g := triangle(t)
 	defer func() {

@@ -11,13 +11,6 @@ import (
 // non-negative integers; Normalize produces dense labels 0..K-1.
 type Membership []int
 
-// Clone returns a copy of the membership.
-func (m Membership) Clone() Membership {
-	c := make(Membership, len(m))
-	copy(c, m)
-	return c
-}
-
 // Normalize relabels communities to dense IDs 0..K-1 in order of first
 // appearance and returns the number of communities K.
 func (m Membership) Normalize() int {

@@ -27,7 +27,7 @@ func BenchmarkAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	labels, _, _ := localMoving(g, Options{}.withDefaults())
+	labels, _, _ := localMoving(g, Options{Resolution: 1})
 	k := labels.Normalize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

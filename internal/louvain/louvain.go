@@ -16,34 +16,17 @@ import (
 
 // Options configures a run. The zero value is a sensible default.
 type Options struct {
-	// MinGain is the minimum modularity improvement for continuing to the
-	// next level (and for counting an inner pass as productive).
-	// Defaults to 1e-6.
-	MinGain float64
-	// MaxLevels caps the number of aggregation levels; 0 means no cap.
-	MaxLevels int
-	// MaxInnerIters caps local-moving sweeps per level; 0 means no cap.
-	MaxInnerIters int
 	// TrackTrace records modularity after every inner sweep of the first
 	// level (used by the convergence experiment, Figure 5).
 	TrackTrace bool
 	// Resolution is the γ of generalized modularity; 0 or 1 is standard
 	// modularity, larger values produce more, smaller communities.
 	Resolution float64
-	// TrackLevels records the flattened membership after every aggregation
-	// level (the dendrogram).
-	TrackLevels bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MinGain <= 0 {
-		o.MinGain = 1e-6
-	}
-	if o.Resolution <= 0 {
-		o.Resolution = 1
-	}
-	return o
-}
+// minGain is the modularity improvement a level must make for the run to
+// aggregate and go on to the next level.
+const minGain = 1e-6
 
 // LevelStats describes one aggregation level of a run.
 type LevelStats struct {
@@ -64,14 +47,15 @@ type Result struct {
 	// QTrace, if requested, is the modularity after each inner sweep of the
 	// first level.
 	QTrace []float64
-	// LevelMemberships, if requested, is the dendrogram: the membership of
-	// the original vertices after each aggregation level.
-	LevelMemberships []graph.Membership
 }
 
-// Run executes the sequential Louvain algorithm on g.
+// Run executes the sequential Louvain algorithm on g. Each level sweeps
+// until no vertex moves, and levels go on until one gains less than
+// minGain or merges nothing.
 func Run(g *graph.Graph, opt Options) Result {
-	opt = opt.withDefaults()
+	if opt.Resolution <= 0 {
+		opt.Resolution = 1
+	}
 	n := g.NumVertices()
 	res := Result{Membership: make(graph.Membership, n)}
 	for i := range res.Membership {
@@ -84,7 +68,7 @@ func Run(g *graph.Graph, opt Options) Result {
 
 	cur := g
 	prevQ := math.Inf(-1)
-	for level := 0; opt.MaxLevels == 0 || level < opt.MaxLevels; level++ {
+	for level := 0; ; level++ {
 		labels, iters, trace := localMoving(cur, opt)
 		q := graph.ModularityResolution(cur, labels, opt.Resolution)
 		if level == 0 && opt.TrackTrace {
@@ -95,7 +79,7 @@ func Run(g *graph.Graph, opt Options) Result {
 			InnerIters: iters,
 			Modularity: q,
 		})
-		if q-prevQ < opt.MinGain {
+		if q-prevQ < minGain {
 			break
 		}
 		prevQ = q
@@ -103,11 +87,6 @@ func Run(g *graph.Graph, opt Options) Result {
 		k := labels.Normalize()
 		for i := range res.Membership {
 			res.Membership[i] = labels[res.Membership[i]]
-		}
-		if opt.TrackLevels {
-			snap := res.Membership.Clone()
-			snap.Normalize()
-			res.LevelMemberships = append(res.LevelMemberships, snap)
 		}
 		if k == cur.NumVertices() {
 			break // no merging happened; a further level cannot improve
@@ -120,9 +99,8 @@ func Run(g *graph.Graph, opt Options) Result {
 }
 
 // localMoving performs greedy local moving sweeps on g until no vertex
-// moves (or the sweep cap is hit). It returns the per-vertex community
-// labels, the sweep count, and (when tracking) the post-sweep modularity
-// trace.
+// moves. It returns the per-vertex community labels, the sweep count, and
+// (when tracking) the post-sweep modularity trace.
 func localMoving(g *graph.Graph, opt Options) (graph.Membership, int, []float64) {
 	n := g.NumVertices()
 	m2 := g.TotalWeight2()
@@ -179,7 +157,7 @@ func localMoving(g *graph.Graph, opt Options) (graph.Membership, int, []float64)
 		if opt.TrackTrace {
 			trace = append(trace, graph.Modularity(g, labels))
 		}
-		if moved == 0 || (opt.MaxInnerIters > 0 && iters >= opt.MaxInnerIters) {
+		if moved == 0 {
 			break
 		}
 	}

@@ -157,30 +157,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestMaxLevelsCap(t *testing.T) {
-	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.2, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(g, Options{MaxLevels: 1})
-	if len(res.Levels) != 1 {
-		t.Errorf("Levels = %d, want 1", len(res.Levels))
-	}
-}
-
-func TestMaxInnerItersCap(t *testing.T) {
-	g, _, err := gen.LFR(gen.DefaultLFR(400, 0.2, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(g, Options{MaxInnerIters: 1})
-	for _, lv := range res.Levels {
-		if lv.InnerIters > 1 {
-			t.Errorf("InnerIters = %d, want <= 1", lv.InnerIters)
-		}
-	}
-}
-
 func TestAggregatePreservesWeight(t *testing.T) {
 	g, _, err := gen.LFR(gen.DefaultLFR(300, 0.3, 2))
 	if err != nil {
@@ -271,27 +247,5 @@ func TestResolutionControlsGranularity(t *testing.T) {
 	kc, ks, kf := coarse.Membership.NumCommunities(), std.Membership.NumCommunities(), fine.Membership.NumCommunities()
 	if !(kc <= ks && ks <= kf) {
 		t.Errorf("community counts not monotone in γ: γ=0.25→%d, γ=1→%d, γ=4→%d", kc, ks, kf)
-	}
-}
-
-func TestTrackLevelsDendrogram(t *testing.T) {
-	g, _, err := gen.LFR(gen.DefaultLFR(500, 0.25, 46))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(g, Options{TrackLevels: true})
-	if len(res.LevelMemberships) == 0 {
-		t.Fatal("no levels recorded")
-	}
-	prev := g.NumVertices() + 1
-	for l, m := range res.LevelMemberships {
-		if len(m) != g.NumVertices() {
-			t.Fatalf("level %d covers %d vertices", l, len(m))
-		}
-		k := m.NumCommunities()
-		if k > prev {
-			t.Errorf("level %d has more communities (%d) than previous (%d)", l, k, prev)
-		}
-		prev = k
 	}
 }

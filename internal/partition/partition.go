@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -521,17 +520,12 @@ func finishLayout(parts []*Subgraph, isHub []bool, m2 int64) {
 	})
 
 	// Subscriber lists cross rank boundaries (a ghost on rank r subscribes
-	// r to the ghost's owner), so they are built serially from the sorted
-	// ghost lists; the final sort makes the content order-independent.
+	// r to the ghost's owner), so they are built serially; walking r in
+	// ascending order leaves every list ascending.
 	for r := 0; r < p; r++ {
 		for _, v := range parts[r].Ghosts {
 			owner := parts[Owner(v, p)]
 			owner.Subscribers[v] = append(owner.Subscribers[v], r)
-		}
-	}
-	for r := 0; r < p; r++ {
-		for v := range parts[r].Subscribers {
-			sort.Ints(parts[r].Subscribers[v])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package quality
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestIdenticalPartitions(t *testing.T) {
 	a := graph.Membership{0, 0, 1, 1, 2, 2}
-	s, err := Compare(a, a.Clone())
+	s, err := Compare(a, slices.Clone(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestARIZeroForIndependentExpected(t *testing.T) {
 func TestTrivialPartitions(t *testing.T) {
 	// Both single-cluster: all measures should report perfect agreement.
 	a := graph.Membership{3, 3, 3}
-	s, err := Compare(a, a.Clone())
+	s, err := Compare(a, slices.Clone(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestQuickPerfectOnPermutedLabels(t *testing.T) {
 
 func TestVMeasureIdentical(t *testing.T) {
 	a := graph.Membership{0, 0, 1, 1, 2}
-	s, err := VMeasure(a, a.Clone())
+	s, err := VMeasure(a, slices.Clone(a))
 	if err != nil {
 		t.Fatal(err)
 	}
