@@ -59,7 +59,7 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 			var lastQ float64
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.Options{P: 8, Heuristic: h, MaxInnerIters: 40})
+				res, err := core.Run(g, core.Options{P: 8, Heuristic: h})
 				if err != nil {
 					b.Fatal(err)
 				}

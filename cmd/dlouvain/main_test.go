@@ -39,12 +39,17 @@ func dlouvain(args ...string) (int, string, string) {
 }
 
 // TestExitCodes pins usage errors (2, before anything is loaded or dialed) apart from
-// failed runs (1), with the message the user sees. A NaN edge weight parses
-// but is refused by the partitioner with partition.ErrWeight.
+// failed runs (1), with the message the user sees. The reader refuses a NaN
+// edge weight; an infinite one parses but is refused by the partitioner with
+// partition.ErrWeight.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	nan := filepath.Join(dir, "nan.txt")
 	if err := os.WriteFile(nan, []byte("0 1 NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inf := filepath.Join(dir, "inf.txt")
+	if err := os.WriteFile(inf, []byte("0 1 +Inf\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -69,7 +74,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad-spec", []string{"-gen", "nosuchkind:n=3"}, 1, "dlouvain: "},
 		{"unknown-spec-key", []string{"-gen", "lfr:n=500,mux=0.9,sed=7"}, 1,
 			"dlouvain: gen: spec lfr: unknown key \"mux\" (accepted: n mu seed)\n"},
-		{"nan-weight", []string{"-graph", nan}, 1, "dlouvain: "},
+		{"nan-weight", []string{"-graph", nan}, 1, "dlouvain: graph: line 1: bad weight \"NaN\": negative or NaN\n"},
+		{"inf-weight", []string{"-graph", inf}, 1, "dlouvain: "},
 		{"missing-sbin", []string{"-oocore", "-graph", filepath.Join(dir, "none.sbin")}, 1, "dlouvain: "},
 
 		// The TCP mode refuses a world it cannot be a rank of before it
@@ -97,7 +103,7 @@ func TestExitCodes(t *testing.T) {
 			if code == 2 && stdout != "" {
 				t.Errorf("usage error wrote to stdout: %q", stdout)
 			}
-			if tc.name == "nan-weight" && !strings.Contains(stderr, partition.ErrWeight.Error()) {
+			if tc.name == "inf-weight" && !strings.Contains(stderr, partition.ErrWeight.Error()) {
 				t.Errorf("stderr %q does not name %q", stderr, partition.ErrWeight)
 			}
 		})

@@ -45,7 +45,7 @@ func main() {
 	}
 	score("distributed (enhanced, p=8)", enhanced.Membership, enhanced.Modularity)
 
-	simple, err := core.Run(g, core.Options{P: 8, Heuristic: core.HeuristicSimple, MaxInnerIters: 30})
+	simple, err := core.Run(g, core.Options{P: 8, Heuristic: core.HeuristicSimple})
 	if err != nil {
 		log.Fatal(err)
 	}

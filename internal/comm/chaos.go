@@ -72,9 +72,9 @@ type ChaosOptions struct {
 	KillAfter int
 
 	// Retry recovers injected transient send failures. The default policy
-	// (1ms base, 16 attempts, 2s budget) outlasts any injected burst, so
-	// SendFailProb alone never loses a message; shrink MaxAttempts to
-	// force retry exhaustion.
+	// (1ms base, 10ms cap, 2s budget) outlasts any injected burst of at
+	// most 4 failures, so SendFailProb alone never loses a message; shrink
+	// Total below the burst's sleeps to force retry exhaustion.
 	Retry Backoff
 }
 
@@ -83,7 +83,7 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 		o.MaxDelay = 2 * time.Millisecond
 	}
 	if o.Retry == (Backoff{}) {
-		o.Retry = Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, MaxAttempts: 16, Total: 2 * time.Second}
+		o.Retry = Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Total: 2 * time.Second}
 	}
 	return o
 }

@@ -16,9 +16,9 @@ import (
 // fraction of the nominal sleep in [1/2, 1]) so a world of ranks retrying
 // the same dead peer does not retry in lockstep. The jitter stream is
 // seeded (Seed), keeping fault-injection runs reproducible.
-// Retrying stops when an attempt succeeds, the error is not Transient, the
-// attempt budget (MaxAttempts) is spent, or the time budget (Total,
-// covering op time plus sleeps) would be exceeded by the next sleep.
+// Retrying stops when an attempt succeeds, the error is not Transient, or
+// the time budget (Total, covering op time plus sleeps) would be exceeded
+// by the next sleep.
 type Backoff struct {
 	// Base is the first sleep. Default 10ms.
 	Base time.Duration
@@ -26,9 +26,6 @@ type Backoff struct {
 	Max time.Duration
 	// Total is the overall time budget including sleeps. Default 10s.
 	Total time.Duration
-	// MaxAttempts caps the number of op invocations; 0 bounds retrying by
-	// Total alone.
-	MaxAttempts int
 	// Seed seeds the jitter stream (any fixed value gives reproducible
 	// sleeps; the default 0 is a valid seed).
 	Seed int64
@@ -65,10 +62,6 @@ func (b Backoff) Retry(what string, op func() error) error {
 		}
 		if !IsTransient(err) {
 			return err
-		}
-		if b.MaxAttempts > 0 && attempt >= b.MaxAttempts {
-			return fmt.Errorf("comm: %s: %w after %d attempts over %v: %w",
-				what, ErrRetriesExhausted, attempt, time.Since(start).Round(time.Millisecond), err)
 		}
 		// Full jitter: sleep a uniform fraction in [1/2, 1] of the nominal
 		// backoff so concurrent retriers spread out.

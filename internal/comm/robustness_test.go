@@ -68,7 +68,7 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	inner := errors.New("still down")
-	pol := Backoff{Base: time.Microsecond, Max: 2 * time.Microsecond, MaxAttempts: 3, Total: time.Second, Seed: 7}
+	pol := Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Total: 50 * time.Millisecond, Seed: 7}
 	var sink bytes.Buffer
 	trace.SetEventOutput(&sink)
 	defer trace.SetEventOutput(nil)

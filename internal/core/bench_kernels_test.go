@@ -51,7 +51,7 @@ func benchKernel(b *testing.B, op func(s *stage) error) {
 		if err := s.registerWatches(); err != nil {
 			return err
 		}
-		for iter := 0; iter < opt.MaxInnerIters; iter++ {
+		for iter := 0; iter < maxInnerIters; iter++ {
 			if err := s.pushAggregates(); err != nil {
 				return err
 			}

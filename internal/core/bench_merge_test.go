@@ -43,7 +43,7 @@ func benchMerge(b *testing.B, op func(s *stage) error) {
 		if err := s.registerWatches(); err != nil {
 			return err
 		}
-		for iter := 0; iter < opt.MaxInnerIters; iter++ {
+		for iter := 0; iter < maxInnerIters; iter++ {
 			if err := s.pushAggregates(); err != nil {
 				return err
 			}

@@ -198,10 +198,10 @@ func TestHeuristicOrderingOnQuality(t *testing.T) {
 
 func TestHeuristicSimpleStillTerminates(t *testing.T) {
 	// The simple heuristic may never reach a fixed point (the bouncing
-	// problem); the iteration cap must still terminate the run with a
-	// valid, self-consistent result.
+	// problem); the stop rule must still terminate the run with a valid,
+	// self-consistent result.
 	g, _ := mustLFR(t, 300, 0.3, 9)
-	res, err := Run(g, Options{P: 4, Heuristic: HeuristicSimple, MaxInnerIters: 20})
+	res, err := Run(g, Options{P: 4, Heuristic: HeuristicSimple})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,6 +314,12 @@ func TestInvalidOptions(t *testing.T) {
 	}
 	if _, err := Run(g, Options{P: 0}); err == nil {
 		t.Fatal("expected error for P = 0")
+	}
+	if _, err := Run(g, Options{P: 2, Heuristic: 2}); err == nil {
+		t.Fatal("expected error for Heuristic(2)")
+	}
+	if _, err := Run(g, Options{P: 2, Partitioning: 9}); err == nil {
+		t.Fatal("expected error for partition.Kind(9)")
 	}
 }
 

@@ -262,7 +262,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.MaxInnerIters != 100 || opt.DHigh != 0 {
+	if opt.Resolution != 1 || opt.DHigh != 0 {
 		t.Errorf("defaults: %+v", opt)
 	}
 	if _, err := (Options{}).withDefaults(); err == nil {

@@ -42,9 +42,9 @@ const (
 	// the paper evaluates it in Figure 5: ties are broken toward the
 	// smallest community label, with no further movement constraint. In a
 	// distributed setting this permits the bouncing and stale-singleton
-	// problems of Figures 3-4 — runs typically hit the iteration cap and
-	// converge to a visibly lower modularity, which is exactly the paper's
-	// observation.
+	// problems of Figures 3-4 — labels keep moving across ranks until the
+	// stop rule ends the stage, at a visibly lower modularity, which is
+	// exactly the paper's observation.
 	HeuristicSimple
 )
 
@@ -83,10 +83,6 @@ type Options struct {
 	DHigh int
 	// Heuristic selects the convergence heuristic.
 	Heuristic Heuristic
-	// MaxInnerIters caps the local-clustering iterations per stage.
-	// Defaults to 100; HeuristicSimple's bouncing labels are what runs
-	// into it.
-	MaxInnerIters int
 	// Resolution is the γ of generalized (Reichardt–Bornholdt) modularity;
 	// 0 or 1 is standard modularity, larger values produce more, smaller
 	// communities. All gains and the reported modularity use it.
@@ -124,8 +120,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.P < 1 {
 		return o, fmt.Errorf("core: P = %d, want >= 1", o.P)
 	}
-	if o.MaxInnerIters <= 0 {
-		o.MaxInnerIters = 100
+	if o.Heuristic != HeuristicEnhanced && o.Heuristic != HeuristicSimple {
+		return o, fmt.Errorf("core: unknown heuristic %v", o.Heuristic)
 	}
 	if o.Resolution <= 0 {
 		o.Resolution = 1

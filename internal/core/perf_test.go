@@ -31,7 +31,7 @@ func steadyState(t *testing.T, c comm.Comm, s *stage) {
 	if err := s.registerWatches(); err != nil {
 		t.Fatal(err)
 	}
-	for iter := 0; iter < s.opt.MaxInnerIters; iter++ {
+	for iter := 0; iter < maxInnerIters; iter++ {
 		if err := s.pushAggregates(); err != nil {
 			t.Fatal(err)
 		}

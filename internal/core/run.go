@@ -12,6 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
+// maxInnerIters caps the local-clustering iterations of one stage.
+const maxInnerIters = 100
+
 // innerStallLimit is the number of consecutive iterations without progress
 // after which a clustering stage stops (see StopRule).
 const innerStallLimit = 3
@@ -27,7 +30,7 @@ const minGain = 1e-6
 // stage after the l-th merge) makes progress when it lifts the stage's best
 // Q by more than τ_l·|Q|, where τ_l = Tau0/Scale^l, and never by less than
 // minGain. A stage stops after innerStallLimit iterations without
-// progress, when nothing moved anywhere, or at Options.MaxInnerIters.
+// progress, when nothing moved anywhere, or at maxInnerIters.
 //
 // The solver has one rule, DefaultStop; RunStop exists so that the converge
 // experiment can sweep the alternatives. The resident stage a Session
@@ -60,14 +63,13 @@ func (r StopRule) tau(level int) float64 {
 // Q and move count of the fused IterStats reduction, so all ranks stop at
 // the same iteration without a collective of its own.
 type stopper struct {
-	tau      float64
-	maxIters int
-	best     float64
-	stall    int
+	tau   float64
+	best  float64
+	stall int
 }
 
-func newStopper(tau float64, opt Options) stopper {
-	return stopper{tau: tau, maxIters: opt.MaxInnerIters, best: math.Inf(-1)}
+func newStopper(tau float64) stopper {
+	return stopper{tau: tau, best: math.Inf(-1)}
 }
 
 // done records iteration iter's world Q and moves and reports whether the
@@ -79,7 +81,7 @@ func (s *stopper) done(iter int, q float64, moved int64) bool {
 	} else {
 		s.stall++
 	}
-	return moved == 0 || s.stall >= innerStallLimit || iter >= s.maxIters
+	return moved == 0 || s.stall >= innerStallLimit || iter >= maxInnerIters
 }
 
 // clusterNew runs the clustering loop of a stage fresh from newStage: it
@@ -112,7 +114,7 @@ func (s *stage) cluster() (stageResult, error) {
 	// vertices can keep exchanging equally-good labels forever, and a
 	// pruned sweep creeps up long after the stage has done its work: the
 	// stopper ends the stage once Q stops making progress at this level.
-	stop := newStopper(s.tau, s.opt)
+	stop := newStopper(s.tau)
 	for iter := 1; ; iter++ {
 		workStart := s.work
 		snapStart := s.c.Stats().Snapshot()

@@ -11,8 +11,8 @@ import (
 // stopIter feeds a Q trace (every iteration moving something unless moved
 // says otherwise) to a stopper and returns the iteration the stage ends at,
 // or 0 if it runs past the trace.
-func stopIter(tau float64, maxIters int, trace []float64, moved []int64) int {
-	st := newStopper(tau, Options{MaxInnerIters: maxIters})
+func stopIter(tau float64, trace []float64, moved []int64) int {
+	st := newStopper(tau)
 	for i, q := range trace {
 		m := int64(1)
 		if i < len(moved) {
@@ -34,7 +34,7 @@ func stopIter(tau float64, maxIters int, trace []float64, moved []int64) int {
 // level 1 (τ = 1e-3, ≈7e-5) and the bare MinGain test run it to the cap.
 func TestStopDecision(t *testing.T) {
 	creep := []float64{0.020, 0.045, 0.060, 0.066}
-	for q := 0.0665; len(creep) < 40; q += 5e-5 {
+	for q := 0.0665; len(creep) < maxInnerIters+10; q += 5e-5 {
 		creep = append(creep, q)
 	}
 	climb := []float64{0.30, 0.45, 0.55, 0.59, 0.60, 0.6001}
@@ -49,8 +49,8 @@ func TestStopDecision(t *testing.T) {
 		want  int
 	}{
 		{"creep/level0", level0, creep, nil, 7},
-		{"creep/level1", level1, creep, nil, 30},
-		{"creep/MinGain", 0, creep, nil, 30},
+		{"creep/level1", level1, creep, nil, maxInnerIters},
+		{"creep/MinGain", 0, creep, nil, maxInnerIters},
 		{"climb/level0", level0, climb, []int64{900, 300, 80, 20, 4, 0}, 6},
 		{"climb/MinGain", 0, climb, []int64{900, 300, 80, 20, 4, 0}, 6},
 		{"oscillate/level1", level1, oscillate, nil, 4},
@@ -58,7 +58,7 @@ func TestStopDecision(t *testing.T) {
 		{"fall/level0", level0, fall, nil, 4},
 		{"fall/MinGain", 0, fall, nil, 4},
 	} {
-		if got := stopIter(tc.tau, 30, tc.trace, tc.moved); got != tc.want {
+		if got := stopIter(tc.tau, tc.trace, tc.moved); got != tc.want {
 			t.Errorf("%s: stage stops at iteration %d, want %d", tc.name, got, tc.want)
 		}
 	}

@@ -31,7 +31,7 @@ func (s *Suite) fig5() ([]*Table, error) {
 			return nil, err
 		}
 		seq := louvain.Run(g, louvain.Options{TrackTrace: true})
-		simple, err := s.solve(name, core.Options{P: p.DefaultP, Heuristic: core.HeuristicSimple, MaxInnerIters: 30})
+		simple, err := s.solve(name, core.Options{P: p.DefaultP, Heuristic: core.HeuristicSimple})
 		if err != nil {
 			return nil, err
 		}

@@ -163,17 +163,6 @@ func (g *Graph) hasArc(u, v int, w float64) bool {
 	return false
 }
 
-// FromEdges builds a graph with n vertices from an undirected edge list.
-// Each input edge {u,v}, u != v, yields the two symmetric arcs; self-loops
-// yield one arc. Duplicate edges are combined by summing weights. Endpoints
-// must lie in [0, n). A weight of 0 on input is treated as 1 (unweighted
-// convenience). It is the counting-sort builder of ingest.go run inline;
-// ReadEdgeList runs the same builder over several chunks and gets the same
-// bytes.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	return fromEdges(n, edges, 1)
-}
-
 // FromArcLists builds a graph directly from per-vertex arc lists. The caller
 // asserts the lists are already symmetric (every (u,v) has its (v,u)), as
 // METIS adjacency and louvain.Aggregate's community graph are. Duplicate
@@ -197,14 +186,14 @@ func FromArcLists(n int, targets [][]int32, weights [][]float64) (*Graph, error)
 	}
 	g := &Graph{offsets: offsets, targets: flatT, weights: flatW}
 	g.sortAndCombine()
-	finish(g, 1)
+	finish(g)
 	return g, nil
 }
 
 // sortAndCombine sorts each vertex's arcs by target and merges arcs with the
 // same target by summing weights (parallel edges collapse to one arc). Only
 // FromArcLists needs it: its input is already grouped by source, so a sort
-// per vertex is the whole job; edge lists go through fromEdges.
+// per vertex is the whole job; edge lists go through FromEdges.
 func (g *Graph) sortAndCombine() {
 	n := g.NumVertices()
 	newOffsets := make([]int64, n+1)
@@ -243,7 +232,7 @@ func (g *Graph) sortAndCombine() {
 // per vertex (the binary readers validate this while decoding).
 func fromSortedCSR(offsets []int64, targets []int32, weights []float64) *Graph {
 	g := &Graph{offsets: offsets, targets: targets, weights: weights}
-	finish(g, 1)
+	finish(g)
 	return g
 }
 

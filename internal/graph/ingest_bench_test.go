@@ -2,9 +2,10 @@ package graph_test
 
 // Ingest benchmarks: the edge-list reader and the sharded decoder on a
 // scale-14 R-MAT input (the one the parallel ingest was first measured on,
-// at commit 11a6fa5). Both run on up to GOMAXPROCS goroutines, so
-// `go test -cpu 1,2,4,8` sweeps them. This file is an external test
-// package so it can use internal/gen without an import cycle.
+// at commit 11a6fa5). The sharded decoder runs on up to GOMAXPROCS
+// goroutines, so `go test -cpu 1,2,4,8` sweeps it; the edge-list reader is
+// serial. This file is an external test package so it can use internal/gen
+// without an import cycle.
 
 import (
 	"bytes"

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -11,15 +13,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-// ingestProcs is the GOMAXPROCS matrix the reader tests sweep, and
-// ingestChunks the chunk-count matrix of the CSR builder tests: 1 runs
+// ingestProcs is the GOMAXPROCS matrix the .sbin decoder tests sweep: 1 runs
 // inline, 3 is an uneven split, 8 more than this host may have cores.
-var (
-	ingestProcs  = []int{1, 2, 3, 8}
-	ingestChunks = []int{1, 2, 3, 8}
-)
+var ingestProcs = []int{1, 2, 3, 8}
 
 // setProcs sets GOMAXPROCS to n for the rest of t and restores the previous
 // value when t ends.
@@ -134,10 +133,9 @@ func poolFixture() (int, []Edge) {
 
 // TestFromEdgesDeterministicAcrossPools is what "parallel matches serial"
 // became when FromEdges lost its serial body: on the committed fixture the
-// counting sort must give the same CSR bytes at every chunk count, those bytes
-// must be the ones the old per-vertex sort.Stable builder (fromEdgesSerial)
-// gives, and they must hash to the committed digest, so a change to both
-// builders at once still shows.
+// counting sort must give the CSR bytes the old per-vertex sort.Stable
+// builder (fromEdgesSerial) gives, and they must hash to the committed
+// digest, so a change to both builders at once still shows.
 func TestFromEdgesDeterministicAcrossPools(t *testing.T) {
 	n, edges := poolFixture()
 	want, err := fromEdgesSerial(n, edges)
@@ -146,26 +144,23 @@ func TestFromEdgesDeterministicAcrossPools(t *testing.T) {
 	}
 	// Recorded from FromEdges at c4f0c52, where it was the serial builder.
 	const fixtureDigest = 0x8699a7ab654e2c16
-	for _, nc := range ingestChunks {
-		got, err := fromEdges(n, edges, nc)
-		if err != nil {
-			t.Fatalf("chunks=%d: %v", nc, err)
-		}
-		if diff := graphsIdentical(want, got); diff != "" {
-			t.Fatalf("chunks=%d: differs from the oracle: %s", nc, diff)
-		}
-		if d := csrDigest(got); d != fixtureDigest {
-			t.Fatalf("chunks=%d: CSR digest %#x, committed %#x", nc, d, uint64(fixtureDigest))
-		}
+	got, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := graphsIdentical(want, got); diff != "" {
+		t.Fatalf("differs from the oracle: %s", diff)
+	}
+	if d := csrDigest(got); d != fixtureDigest {
+		t.Fatalf("CSR digest %#x, committed %#x", d, uint64(fixtureDigest))
 	}
 	if want.Degree(39) != 0 || want.NumVertices() != 40 {
 		t.Fatalf("isolated tail lost: n=%d, degree(39)=%d", want.NumVertices(), want.Degree(39))
 	}
 }
 
-// TestFromEdgesParallelMatchesSerial compares the counting sort at every
-// chunk count with the serial oracle on random messy inputs large enough
-// that each of 8 chunks gets a real share of the edges.
+// TestFromEdgesParallelMatchesSerial compares the counting sort with the
+// serial oracle on random messy inputs.
 func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct{ n, m int }{{50, 2000}, {1000, 20000}, {4096, 60000}} {
@@ -174,18 +169,18 @@ func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, nc := range ingestChunks {
-			got, err := fromEdges(tc.n, edges, nc)
-			if err != nil {
-				t.Fatalf("n=%d, chunks=%d: %v", tc.n, nc, err)
-			}
-			if diff := graphsIdentical(want, got); diff != "" {
-				t.Fatalf("n=%d m=%d, chunks=%d: %s", tc.n, tc.m, nc, diff)
-			}
+		got, err := FromEdges(tc.n, edges)
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if diff := graphsIdentical(want, got); diff != "" {
+			t.Fatalf("n=%d m=%d: %s", tc.n, tc.m, diff)
 		}
 	}
 }
 
+// TestFromEdgesParallelBadEndpoint requires the error to name the list's
+// first bad edge, as the oracle's does.
 func TestFromEdgesParallelBadEndpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	edges := messyEdges(rng, 100, 5000)
@@ -195,17 +190,14 @@ func TestFromEdgesParallelBadEndpoint(t *testing.T) {
 	if serr == nil {
 		t.Fatal("oracle: expected error")
 	}
-	for _, nc := range ingestChunks {
-		_, perr := fromEdges(100, edges, nc)
-		if perr == nil || perr.Error() != serr.Error() {
-			t.Fatalf("chunks=%d: error %q, want %q", nc, perr, serr)
-		}
+	if _, err := FromEdges(100, edges); err == nil || err.Error() != serr.Error() {
+		t.Fatalf("error %q, want %q", err, serr)
 	}
 }
 
-// bigEdgeListText renders a text edge list large enough that every chunk of
-// a parse at GOMAXPROCS 8 holds many lines, with comments and blank lines
-// sprinkled through it.
+// bigEdgeListText renders a text edge list of many lines, with comments and
+// blank lines sprinkled through it and every field separator and weight
+// form the grammar accepts.
 func bigEdgeListText(rng *rand.Rand, n, m int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# vertices %d\n", n)
@@ -225,8 +217,9 @@ func bigEdgeListText(rng *rand.Rand, n, m int) string {
 	return sb.String()
 }
 
-// scanEdgeList is the unsplit reference for the chunked parser on
-// well-formed input: one bufio.Scanner pass, strings.Fields, strconv.
+// scanEdgeList is the reference for the reader on well-formed input: the
+// same bufio.Scanner pass, but strings.Fields and strconv in place of the
+// grammar's allocation-free fast paths.
 func scanEdgeList(t *testing.T, text string) *Graph {
 	t.Helper()
 	n := -1
@@ -268,21 +261,68 @@ func TestReadEdgeListParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	text := bigEdgeListText(rng, 3000, 40000)
 	want := scanEdgeList(t, text)
-	for _, procs := range ingestProcs {
-		setProcs(t, procs)
-		got, err := ReadEdgeList(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+	got, err := ReadEdgeList(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := graphsIdentical(want, got); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// TestReadEdgeListOneByteReader feeds the reader one byte per Read: the
+// graph must not depend on where the input's reads end.
+func TestReadEdgeListOneByteReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	text := []byte(bigEdgeListText(rng, 400, 3000) + "5 7") // no final newline
+	want, err := ReadEdgeList(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadEdgeList(iotest.OneByteReader(bytes.NewReader(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := graphsIdentical(want, got); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// TestReadEdgeListLineLimit pins the line bound: a line of maxLineLen-1
+// bytes parses, with or without its newline, and one of maxLineLen bytes
+// fails with bufio.ErrTooLong.
+func TestReadEdgeListLineLimit(t *testing.T) {
+	line := func(n int) string { return "0 1 2" + strings.Repeat(" ", n-len("0 1 2")) }
+	for _, tc := range []struct {
+		name string
+		text string
+		ok   bool
+	}{
+		{"longest line", "3 4\n" + line(maxLineLen-1) + "\n5 6\n", true},
+		{"longest last line, no newline", "3 4\n" + line(maxLineLen-1), true},
+		{"too long", "3 4\n" + line(maxLineLen) + "\n5 6\n", false},
+		{"too long last line, no newline", "3 4\n" + line(maxLineLen), false},
+	} {
+		g, err := ReadEdgeList(strings.NewReader(tc.text))
+		if !tc.ok {
+			if !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("%s: error %v, want bufio.ErrTooLong", tc.name, err)
+			}
+			continue
 		}
-		if diff := graphsIdentical(want, got); diff != "" {
-			t.Fatalf("procs=%d: %s", procs, diff)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !g.hasArc(0, 1, 2) {
+			t.Errorf("%s: arc (0,1) of weight 2 missing", tc.name)
 		}
 	}
 }
 
-// TestReadEdgeListParallelErrors plants errors in a list long enough to be
-// cut into many chunks: the reader must report the one on the smallest line
-// number, with the same text at every GOMAXPROCS.
+// TestReadEdgeListParallelErrors plants errors in a long list: the reader
+// must report the one on the smallest line number, and a valid list takes
+// its last declaration.
 func TestReadEdgeListParallelErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := bigEdgeListText(rng, 500, 20000)
@@ -304,31 +344,22 @@ func TestReadEdgeListParallelErrors(t *testing.T) {
 		ls := append([]string(nil), lines...)
 		tc.mutate(ls)
 		text := strings.Join(ls, "\n")
-		if len(text) < 1<<16 {
-			t.Fatalf("%s: fixture of %d bytes is too small to cut into many-line chunks", tc.name, len(text))
+		got, err := ReadEdgeList(strings.NewReader(text))
+		if tc.wantErr != "" {
+			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
+				t.Fatalf("%s: error %v, want prefix %q", tc.name, err, tc.wantErr)
+			}
+			continue
 		}
-		var want *Graph
-		if tc.wantErr == "" {
-			want = scanEdgeList(t, text)
-			if want.NumVertices() != 9000 {
-				t.Fatalf("%s: reference has %d vertices, the last declaration says 9000", tc.name, want.NumVertices())
-			}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, procs := range ingestProcs {
-			setProcs(t, procs)
-			got, err := ReadEdgeList(strings.NewReader(text))
-			if tc.wantErr != "" {
-				if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
-					t.Fatalf("%s procs=%d: error %v, want prefix %q", tc.name, procs, err, tc.wantErr)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s procs=%d: %v", tc.name, procs, err)
-			}
-			if diff := graphsIdentical(want, got); diff != "" {
-				t.Fatalf("%s procs=%d: %s", tc.name, procs, diff)
-			}
+		want := scanEdgeList(t, text)
+		if want.NumVertices() != 9000 {
+			t.Fatalf("%s: reference has %d vertices, the last declaration says 9000", tc.name, want.NumVertices())
+		}
+		if diff := graphsIdentical(want, got); diff != "" {
+			t.Fatalf("%s: %s", tc.name, diff)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // ReadFile reads a whole graph from path, choosing the decoder by
 // extension: .sbin (sharded binary), .metis, and a text edge list for
-// anything else. The parallel decoders run on up to GOMAXPROCS goroutines;
-// the graph is identical at every GOMAXPROCS.
+// anything else. The .sbin decoder runs on up to GOMAXPROCS goroutines and
+// the text readers are serial; the graph is identical at every GOMAXPROCS.
 func ReadFile(path string) (*Graph, error) {
 	if strings.HasSuffix(path, ".sbin") {
 		s, closer, err := OpenShardedFile(path)
@@ -56,8 +56,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// maxLineLen bounds one line of an edge list; a longer one fails with
-// bufio.ErrTooLong.
+// maxLineLen bounds one line of an edge list: a line of maxLineLen bytes or
+// more fails with bufio.ErrTooLong.
 const maxLineLen = 1 << 20
 
 // Line kinds produced by parseEdgeLine.
@@ -106,6 +106,11 @@ func parseEdgeLine(line []byte, lineNo, maxV int) (e Edge, kind int, declared in
 		w, aerr = parseWeight(f[2])
 		if aerr != nil {
 			return Edge{}, lineBlank, 0, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, f[2], aerr)
+		}
+		// A negative or NaN weight builds a graph Validate refuses. Whether
+		// a weight fits the solver's fixed point is partition.Quantise's call.
+		if !(w >= 0) {
+			return Edge{}, lineBlank, 0, fmt.Errorf("graph: line %d: bad weight %q: negative or NaN", lineNo, f[2])
 		}
 	}
 	return Edge{U: u, V: v, W: w}, lineEdge, 0, nil
@@ -202,25 +207,4 @@ func parseWeight(b []byte) (float64, error) {
 		}
 	}
 	return strconv.ParseFloat(string(b), 64)
-}
-
-// inputSize reports how many bytes remain in r when r can seek (files,
-// bytes.Readers); ok=false for plain streams.
-func inputSize(r io.Reader) (int64, bool) {
-	s, ok := r.(io.Seeker)
-	if !ok {
-		return 0, false
-	}
-	cur, err := s.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, false
-	}
-	end, err := s.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, false
-	}
-	if _, err := s.Seek(cur, io.SeekStart); err != nil {
-		return 0, false
-	}
-	return end - cur, true
 }

@@ -1,7 +1,8 @@
 // Package par provides the data-loading pipeline's parallel-for and its
-// deterministic chunking rules: edge-list parsing and CSR construction in
-// internal/graph, partitioning in internal/partition. The solver does not
-// use it; it runs one goroutine per rank.
+// deterministic chunking rules: the .sbin decode and writer in
+// internal/graph, partitioning and the π tables in internal/partition. The
+// text readers and the CSR builder are serial, and so is the solver, which
+// runs one goroutine per rank.
 //
 // Two rules keep every parallel path bit-identical to its serial
 // counterpart, no matter how many goroutines run:
@@ -28,9 +29,9 @@ import (
 // below this the dispatch overhead exceeds the kernel cost.
 const Grain = 512
 
-// MaxChunks caps the chunk count (and thereby the per-chunk scratch) of a
+// maxChunks caps the chunk count (and thereby the per-chunk scratch) of a
 // single For.
-const MaxChunks = 64
+const maxChunks = 64
 
 // NumChunks returns the chunk count for n items: a function of the data
 // size only, so chunk boundaries are identical on every host.
@@ -39,8 +40,8 @@ func NumChunks(n int) int {
 	if nc < 1 {
 		return 1
 	}
-	if nc > MaxChunks {
-		return MaxChunks
+	if nc > maxChunks {
+		return maxChunks
 	}
 	return nc
 }

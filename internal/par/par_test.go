@@ -14,10 +14,10 @@ func setProcs(t *testing.T, n int) {
 }
 
 func TestChunkSpanCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 7, Grain, Grain*3 + 1, Grain * MaxChunks * 2} {
+	for _, n := range []int{0, 1, 7, Grain, Grain*3 + 1, Grain * maxChunks * 2} {
 		nc := NumChunks(n)
-		if nc < 1 || nc > MaxChunks {
-			t.Fatalf("NumChunks(%d) = %d out of [1,%d]", n, nc, MaxChunks)
+		if nc < 1 || nc > maxChunks {
+			t.Fatalf("NumChunks(%d) = %d out of [1,%d]", n, nc, maxChunks)
 		}
 		prev := 0
 		for c := 0; c < nc; c++ {

@@ -200,6 +200,9 @@ func build(n int, arcs int64, nWindows int, readWindow func(i int) (*graph.Windo
 	if opt.P < 1 {
 		return nil, fmt.Errorf("partition: P = %d, want >= 1", opt.P)
 	}
+	if opt.Kind != Delegate && opt.Kind != OneD {
+		return nil, fmt.Errorf("partition: unknown partitioning %v", opt.Kind)
+	}
 	p := opt.P
 	pi, inv := scrambleTables(n)
 	dhigh := opt.DHigh

@@ -343,6 +343,9 @@ func TestBuildInvalidP(t *testing.T) {
 	if _, err := Build(g, Options{P: 0, Kind: OneD}); err == nil {
 		t.Fatal("expected error for P = 0")
 	}
+	if _, err := Build(g, Options{P: 2, Kind: 9}); err == nil {
+		t.Fatal("expected error for Kind(9)")
+	}
 }
 
 func TestCensusMeasures(t *testing.T) {

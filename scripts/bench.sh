@@ -26,9 +26,12 @@ go test -run '^$' \
     -bench '^(BenchmarkAlltoallvSeq|BenchmarkAlltoallvOverlap)$' \
     -benchtime "$COMM_TIME" -benchmem ./internal/comm/
 
-# Ingest and partitioning run on up to GOMAXPROCS goroutines; -cpu sweeps it.
+# The .sbin decode and partitioning run on up to GOMAXPROCS goroutines;
+# -cpu sweeps them. The text edge-list reader is serial and runs once.
 echo "== ingest & partition benchmarks (-benchtime $INGEST_TIME, -cpu 1,2,4,8) ==" >&2
-go test -run '^$' -bench '^(BenchmarkIngestEdgeList|BenchmarkIngestSharded)$' \
+go test -run '^$' -bench '^BenchmarkIngestEdgeList$' \
+    -benchtime "$INGEST_TIME" -benchmem ./internal/graph/
+go test -run '^$' -bench '^BenchmarkIngestSharded$' \
     -cpu 1,2,4,8 -benchtime "$INGEST_TIME" -benchmem ./internal/graph/
 go test -run '^$' -bench '^BenchmarkPartitionBuild$' \
     -cpu 1,2,4,8 -benchtime "$INGEST_TIME" -benchmem ./internal/partition/

@@ -85,6 +85,10 @@ echo "== fuzz smoke (5s per target) =="
 # fail the go-test side under pipefail)
 go test -list '^FuzzReadBinarySharded$' ./internal/graph | grep '^FuzzReadBinarySharded$' > /dev/null \
     || { echo "error: FuzzReadBinarySharded missing from internal/graph" >&2; exit 1; }
+# The text edge-list reader is what every `-graph X.txt` goes through: its
+# fuzz harness round-trips every accepted input and must stay discovered.
+go test -list '^FuzzReadEdgeList$' ./internal/graph | grep '^FuzzReadEdgeList$' > /dev/null \
+    || { echo "error: FuzzReadEdgeList missing from internal/graph" >&2; exit 1; }
 # The windowed decode path is what the out-of-core pipeline (PR 9) lives
 # on: FuzzReadWindow cross-checks ReadWindow against the whole-file decoder,
 # and must stay discovered.
