@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		// Out-of-core mode (docs/PERFORMANCE.md).
 		oocore   = fs.Bool("oocore", false, "partition and solve from a .sbin file's shard windows without decoding the whole graph (requires -graph FILE.sbin)")
-		memstats = fs.Bool("memstats", false, "sample the heap during the run and print its high-water mark")
+		memstats = fs.Bool("memstats", false, "sample the heap during the run and print its high-water mark and the bytes the run allocated")
 
 		// Multi-process mode: ranks are processes over TCP (docs/ROBUSTNESS.md).
 		addrList  = fs.String("addrs", "", "comma-separated listen addresses, one per rank: run as rank -rank of a TCP world")
@@ -207,7 +207,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	heapLine := func() {
 		if hw != nil {
-			fmt.Fprintf(stdout, "heap high-water: %.1f MB\n", float64(hw.Stop())/(1<<20))
+			high, alloc := hw.Stop()
+			fmt.Fprintf(stdout, "heap high-water: %.1f MB\nheap allocated: %.1f MB\n", float64(high)/(1<<20), float64(alloc)/(1<<20))
 		}
 	}
 	if res == nil {

@@ -381,3 +381,29 @@ func TestWireBreakdown(t *testing.T) {
 		t.Errorf("an exchange sent nothing: %v\n%s", rows, stdout)
 	}
 }
+
+// TestMemstats pins the two -memstats lines: the HeapInuse high-water that
+// scripts/check.sh parses as the line's third field, and the bytes the run
+// allocated, which a solve cannot leave at zero.
+func TestMemstats(t *testing.T) {
+	code, stdout, stderr := dlouvain("-gen", "rmat:scale=9,seed=2", "-p", "2", "-memstats")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	var high, alloc float64
+	for _, line := range strings.Split(stdout, "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "heap high-water: "):
+			if _, err := fmt.Sscanf(f[2], "%g", &high); err != nil || f[3] != "MB" {
+				t.Fatalf("%q: %v", line, err)
+			}
+		case strings.HasPrefix(line, "heap allocated: "):
+			if _, err := fmt.Sscanf(line, "heap allocated: %g MB", &alloc); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		}
+	}
+	if high <= 0 || alloc <= 0 {
+		t.Errorf("high-water %g MB, allocated %g MB: want both > 0\n%s", high, alloc, stdout)
+	}
+}

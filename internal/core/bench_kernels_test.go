@@ -234,7 +234,7 @@ func BenchmarkKernelResolveQueries(b *testing.B) {
 			}
 			queries[s.rnk] = q
 		}
-		if _, err := s.resolveQueries(q, s.n, func(x int) int { return int(s.comm[x]) }); err != nil {
+		if _, err := s.resolveQueries(nil, q, s.n, func(x int) int { return int(s.comm[x]) }); err != nil {
 			return err
 		}
 		for r := 0; r < s.p; r++ {

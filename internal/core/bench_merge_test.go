@@ -2,10 +2,10 @@ package core
 
 // Benchmarks for the stage-2 distributed merge (Algorithm 3): the retained
 // seed implementation (merge_seed_test.go) versus the zero-map pipeline in
-// merge.go, on the same converged p=4 world. Besides ns/op and allocs/op,
-// each reports wire-B/op — the bytes one merge sends, averaged over ranks,
-// from each endpoint's traffic counters — so the pre-aggregation wire
-// reduction is recorded alongside the speedup.
+// merge.go, warm and cold, on the same converged p=4 world. Besides ns/op
+// and allocs/op, each reports wire-B/op — the bytes one merge sends,
+// averaged over ranks, from each endpoint's traffic counters — so the
+// pre-aggregation wire reduction is recorded alongside the speedup.
 
 import (
 	"testing"
@@ -104,10 +104,23 @@ func BenchmarkMergeSeed(b *testing.B) {
 	})
 }
 
-// BenchmarkMergePreagg measures the zero-map pipeline: pooled counting-sort
-// assembly and key-grouped pre-aggregated frames.
+// BenchmarkMergePreagg measures the zero-map pipeline on its pooled
+// scratch: pairs summed per bucket before the wire, key-grouped frames and
+// counting-sort assembly.
 func BenchmarkMergePreagg(b *testing.B) {
 	benchMerge(b, func(s *stage) error {
+		_, _, err := s.merge()
+		return err
+	})
+}
+
+// BenchmarkMergePreaggCold measures a fresh stage's first merge: the merge
+// scratch is dropped before every op, so B/op is what the first level of a
+// solve allocates, which benchMerge's warm call hides from
+// BenchmarkMergePreagg.
+func BenchmarkMergePreaggCold(b *testing.B) {
+	benchMerge(b, func(s *stage) error {
+		s.ms = nil
 		_, _, err := s.merge()
 		return err
 	})

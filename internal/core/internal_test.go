@@ -135,7 +135,7 @@ func TestResolveQueries(t *testing.T) {
 		s := stageOf(c)
 		// lookup(x) = x*10, evaluated at owner x%4 and nowhere else.
 		queries := []int{c.Rank(), 7, 0, 13, c.Rank() + 4}
-		res, err := s.resolveQueries(queries, 10*s.n, func(x int) int {
+		res, err := s.resolveQueries(nil, queries, 10*s.n, func(x int) int {
 			if x%4 != c.Rank() {
 				t.Errorf("rank %d asked to look up %d, which rank %d owns", c.Rank(), x, x%4)
 			}
@@ -160,7 +160,7 @@ func TestResolveQueriesEmpty(t *testing.T) {
 	stageOf := queryStages(t, 3)
 	err := comm.RunWorld(3, func(c comm.Comm) error {
 		s := stageOf(c)
-		res, err := s.resolveQueries(nil, 1, func(x int) int { return x })
+		res, err := s.resolveQueries(nil, nil, 1, func(x int) int { return x })
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func TestResolveQueriesAsksOnce(t *testing.T) {
 					slices.Sort(ids)
 				}
 				var looked []int
-				res, err := s.resolveQueries(queries, 7*s.n+3, func(x int) int {
+				res, err := s.resolveQueries(nil, queries, 7*s.n+3, func(x int) int {
 					looked = append(looked, x)
 					return 7*x + 3
 				})
@@ -239,7 +239,7 @@ func TestResolveQueriesAsksOnce(t *testing.T) {
 				// A second call on the same stage, with another lookup, sees
 				// none of the first call's answers.
 				slices.Reverse(queries)
-				res, err = s.resolveQueries(queries, 7*s.n+3, func(x int) int { return 7*x + 1 })
+				res, err = s.resolveQueries(nil, queries, 7*s.n+3, func(x int) int { return 7*x + 1 })
 				if err != nil {
 					return err
 				}
@@ -845,6 +845,68 @@ func TestMergePreaggWireVolume(t *testing.T) {
 		t.Errorf("pre-aggregated merge sent %d bytes, seed sent %d: want at most half", newBytes, seedBytes)
 	}
 	t.Logf("merge wire volume: seed=%dB preagg=%dB (%.1f%% of seed)", seedBytes, newBytes, 100*float64(newBytes)/float64(seedBytes))
+}
+
+// TestMergeScratchFollowsPairs bounds the scratch a cold first merge leaves
+// on a duplicate-heavy fixture (R-MAT scale 12, P = 4, with hubs): the
+// sender sums each coarse vertex's arcs before it emits a record, so every
+// record column is sized by the distinct (cu, cv) pairs the rank sends or
+// receives, not by its arc count. The fixture must fold at least 2 arcs
+// into each pair for the bound to mean anything.
+func TestMergeScratchFollowsPairs(t *testing.T) {
+	g, err := gen.RMAT(gen.Graph500RMAT(12, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	opt, err := (Options{P: p, DHigh: 64}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := partition.Build(g, partition.Options{P: p, Kind: opt.Partitioning, DHigh: opt.DHigh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(layout.Hubs) == 0 {
+		t.Fatal("fixture has no hubs")
+	}
+	err = comm.RunWorld(p, func(c comm.Comm) error {
+		st := newStage(c, layout.Parts[c.Rank()], opt)
+		if _, err := st.clusterNew(); err != nil {
+			return err
+		}
+		if _, _, err := st.merge(); err != nil {
+			return err
+		}
+		arcs := 0
+		for _, adj := range st.sg.AdjOwned {
+			arcs += len(adj)
+		}
+		for _, adj := range st.sg.AdjHub {
+			arcs += len(adj)
+		}
+		ms := st.ms
+		sent, recvd := ms.dstOff[p], ms.frameOff[p]
+		if 2*max(sent, recvd) > arcs {
+			t.Errorf("rank %d: %d arcs fold to %d pairs sent, %d received: not duplicate-heavy", c.Rank(), arcs, sent, recvd)
+		}
+		for _, col := range []struct {
+			name       string
+			cap, bound int
+		}{
+			{"xA", cap(ms.xA), max(sent, recvd)}, {"yA", cap(ms.yA), max(sent, recvd)}, {"wA", cap(ms.wA), max(sent, recvd)},
+			{"xB", cap(ms.xB), recvd}, {"yB", cap(ms.yB), recvd}, {"wB", cap(ms.wB), recvd},
+		} {
+			if col.cap > col.bound {
+				t.Errorf("rank %d: %s holds %d records after a cold merge of %d arcs, %d pairs sent, %d received: want at most %d",
+					c.Rank(), col.name, col.cap, arcs, sent, recvd, col.bound)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestMergeWideWorldSubscribers runs the subscriber marks walk on a world

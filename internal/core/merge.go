@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/partition"
@@ -11,18 +12,19 @@ import (
 
 // This file implements the paper's distributed graph merging (Algorithm 3)
 // as a zero-map serial pipeline: communities become the vertices of a
-// coarser graph, arcs are translated to dense community IDs, summed locally,
-// and shipped to the new owners (1D partitioning by new-ID mod P), and each
-// rank assembles its portion of the merged graph with the same histogram →
+// coarser graph, each coarse vertex's arcs are summed locally per head,
+// shipped to the new owners (1D partitioning by new-ID mod P), and each rank
+// assembles its portion of the merged graph with the same histogram →
 // offsets → stable-scatter counting sort the ingest CSR builder uses
 // (graph.FromEdges). Three properties are load-bearing:
 //
-//   - Pre-aggregation: duplicate (cu, cv) arc pairs are summed per
-//     destination before they hit the wire — each frame carries every
-//     distinct cu once and every distinct (cu, cv) pair once, with one
-//     weight, delta-coded and shifted by the frame's weight scale — so the
-//     bytes shrink by the local duplication factor, and the 2⁻²⁰ units'
-//     shared trailing zero bits stay home. The receiver sums the
+//   - Sum before sorting: the sender buckets its sources by coarse vertex
+//     and sums each bucket's arcs per head before it emits a record, so its
+//     scratch follows the distinct (cu, cv) pairs, not the arcs. Each frame
+//     carries every distinct cu once and every distinct (cu, cv) pair once,
+//     with one weight, delta-coded and shifted by the frame's weight scale —
+//     so the bytes shrink by the local duplication factor, and the 2⁻²⁰
+//     units' shared trailing zero bits stay home. The receiver sums the
 //     per-source weights of a pair again.
 //     The sums are exact integers, so the coarse graph is byte-identical to
 //     the seed's whatever order they are taken in.
@@ -37,19 +39,27 @@ import (
 //     order) is exactly the seed's; only the arc payload bytes differ.
 
 // mergeScratch holds the merge pipeline's reusable arrays. The session
-// threads one instance through its successive stages (st2.ms = cs.ms), so
-// every merge level after the first reuses the grown storage; within one
-// merge the record arrays double as send-side sort space and receive-side
-// assembly space (the transports copy payloads on Send, so the send
-// records are dead once the all-to-all returns).
+// threads one instance through its successive stages (nextStage hands it
+// on), so every merge level after the first reuses the grown storage;
+// within one merge the A record columns hold the sender's summed records
+// and then the receiver's decoded ones (the transports copy payloads on
+// Send, so the send records are dead once the all-to-all returns).
 type mergeScratch struct {
 	dense    []int32      // community → dense coarse ID (s.dense aliases this)
 	denseOwn []int32      // owned-community row c/p → dense ID, -1 = empty
 	cnt      *wire.Buffer // dense-count allgather encode scratch
 	need     []int        // label of each owned vertex, hub and ghost, in that order
+	ids      []int        // the dense ID of each need entry
 
-	// Record arrays: two (x, y, w) column sets ping-ponged by the stable
-	// counting scatters. Column meaning is positional per pass (see merge).
+	// Sender: each source's (owned vertices, then hubs) bucket key, and the
+	// sources in bucket order.
+	srcKey []int32
+	srcs   []int32
+
+	// Record arrays: two (x, y, w) column sets, sized to the records sent or
+	// received — exactly, by a solve's first merge, and reused after — which
+	// the receiver ping-pongs through its stable counting scatters. Column
+	// meaning is positional per pass (see merge).
 	xA, yA []int32
 	wA     []int64
 	xB, yB []int32
@@ -82,7 +92,7 @@ func slots(n, r, p int) int {
 }
 
 // merge implements Algorithm 3: dense numbering, dense-ID resolution, arc
-// shipping with local pre-aggregation, and counting-sort assembly. After
+// shipping summed per (cu, cv) pair, and counting-sort assembly. After
 // merge returns, s.dense holds the dense mapping for the communities this
 // rank references, which the driver uses to re-point original vertices.
 func (s *stage) merge() (*partition.Subgraph, int, error) {
@@ -142,16 +152,19 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 	// owner; resolveQueries asks each owner once per distinct label. An
 	// empty community has no dense ID (-1), which the reply check refuses:
 	// every label in use is non-empty at its owner.
-	ms.need = ms.need[:0]
+	ms.need = grow(ms.need, len(s.sg.Owned)+len(s.sg.Hubs)+len(s.sg.Ghosts))
+	i := 0
 	for _, vs := range [][]int{s.sg.Owned, s.sg.Hubs, s.sg.Ghosts} {
 		for _, v := range vs {
-			ms.need = append(ms.need, int(s.comm[v]))
+			ms.need[i] = int(s.comm[v])
+			i++
 		}
 	}
-	ids, err := s.resolveQueries(ms.need, total, func(c int) int { return int(ms.denseOwn[c/s.p]) })
+	ids, err := s.resolveQueries(ms.ids, ms.need, total, func(c int) int { return int(ms.denseOwn[c/s.p]) })
 	if err != nil {
 		return nil, 0, err
 	}
+	ms.ids = ids
 	// The dense table is pooled scratch reused across merge levels, reset by
 	// a sized fill.
 	if cap(ms.dense) >= s.n {
@@ -165,53 +178,72 @@ func (s *stage) merge() (*partition.Subgraph, int, error) {
 		s.dense[c] = int32(ids[i])
 	}
 
-	// 3. Translate every local arc to dense IDs, in the seed's ship order
-	// (owned vertices in order, then hubs, adjacency order within each).
+	// 3. Bucket the local sources — owned vertices, then hubs, numbered in
+	// that order — by the fused destination-major key (cu mod p)·rowsCap +
+	// cu/p of their coarse id cu: one stable counting sort over vertices,
+	// not arcs. Bucket k holds the sources of coarse vertex
+	// (k mod rowsCap)·p + k/rowsCap, so the buckets run destination by
+	// destination and row by row inside each.
 	sg := s.sg
-	m := 0
-	for i := range sg.AdjOwned {
-		m += len(sg.AdjOwned[i])
-	}
-	for i := range sg.AdjHub {
-		m += len(sg.AdjHub[i])
-	}
-	ms.xA, ms.yA, ms.wA = grow(ms.xA, m), grow(ms.yA, m), grow(ms.wA, m)
-	ms.xB, ms.yB, ms.wB = grow(ms.xB, m), grow(ms.yB, m), grow(ms.wB, m)
-	pos := 0
-	translate := func(u int, adj []partition.Arc) {
-		cu := s.dense[s.comm[u]]
-		for _, a := range adj {
-			cv := s.dense[s.comm[a.To]]
-			ms.xA[pos] = cv // x = cv: pass-1 sort key
-			ms.yA[pos] = cu
-			ms.wA[pos] = a.W
-			pos++
-		}
-	}
+	nOwn := len(sg.Owned)
+	rowsCap := (total + s.p - 1) / s.p
+	ms.srcKey = grow(ms.srcKey, nOwn+len(sg.Hubs))
 	for i, u := range sg.Owned {
-		translate(u, sg.AdjOwned[i])
+		ms.srcKey[i] = fusedKey(s.dense[s.comm[u]], s.p, rowsCap)
 	}
 	for i, h := range sg.Hubs {
-		translate(h, sg.AdjHub[i])
+		ms.srcKey[nOwn+i] = fusedKey(s.dense[s.comm[h]], s.p, rowsCap)
+	}
+	ms.hist = grow(ms.hist, s.p*rowsCap)
+	histCount(ms.srcKey, ms.hist)
+	histOffsets(ms.hist, 0, nil)
+	ms.srcs = grow(ms.srcs, len(ms.srcKey))
+	for i, k := range ms.srcKey {
+		ms.srcs[ms.hist[k]] = int32(i)
+		ms.hist[k]++
+	}
+	// The scatter left hist[k] at the end of bucket k.
+	bucket := func(k int) []int32 {
+		lo := int32(0)
+		if k > 0 {
+			lo = ms.hist[k-1]
+		}
+		return ms.srcs[lo:ms.hist[k]]
 	}
 
-	// 4. Two stable counting scatters bring the records into destination-
-	// major (cu, cv)-sorted order: first by cv, then by the fused key
-	// (cu mod p)·rowsCap + cu/p, whose major dimension is the destination
-	// rank. Then each (cu, cv) run is summed into one record.
-	ms.hist = grow(ms.hist, total)
-	histCount(ms.xA[:m], ms.hist)
-	histOffsets(ms.hist, 0, nil)
-	scatterRecords(ms.xA[:m], ms.yA, ms.wA, ms.hist, ms.xB, ms.yB, ms.wB)
-	rowsCap := (total + s.p - 1) / s.p
-	p32, rc32 := int32(s.p), int32(rowsCap)
-	ms.hist = grow(ms.hist, s.p*rowsCap)
+	// 4. Sum before sorting: each bucket's arcs are summed per cv in the
+	// idle gain accumulator, and the bucket appends one record per distinct
+	// (cu, cv), cv ascending — the destination-major, (cu, cv)-sorted,
+	// pair-summed order the frames are encoded in. The records fit in the
+	// arc count, and so in the columns of every merge after a solve's first
+	// (a level's arcs are the records the previous one received). Shorter
+	// columns are sized exactly, to the distinct heads a first walk counts.
+	records := 0
+	for _, adj := range sg.AdjOwned {
+		records += len(adj)
+	}
+	for _, adj := range sg.AdjHub {
+		records += len(adj)
+	}
+	if cap(ms.xA) < records {
+		s.acc.reset() // the last sweep's keys
+		records = 0
+		for k := 0; k < s.p*rowsCap; k++ {
+			records += s.countHeads(int64(k)+1, bucket(k))
+		}
+		clear(s.acc.w)
+	}
+	ms.xA, ms.yA, ms.wA = grow(ms.xA, records), grow(ms.yA, records), grow(ms.wA, records)
 	ms.dstOff = grow(ms.dstOff, s.p+1)
-	histCountFused(ms.yB[:m], p32, rc32, ms.hist)
-	histOffsets(ms.hist, rowsCap, ms.dstOff)
-	// Key on the cu column; the swap lands the output as (x=cu, y=cv).
-	scatterFused(ms.yB[:m], ms.xB, ms.wB, p32, rc32, ms.hist, ms.xA, ms.yA, ms.wA)
-	foldRuns(ms.xA, ms.yA, ms.wA, ms.dstOff)
+	pos := 0
+	for d := 0; d < s.p; d++ {
+		ms.dstOff[d] = pos
+		for row := 0; row < rowsCap; row++ {
+			pos = s.sumBucket(int32(row*s.p+d), bucket(d*rowsCap+row), ms.xA, ms.yA, ms.wA, pos)
+		}
+	}
+	ms.dstOff[s.p] = pos
+	p32 := int32(s.p)
 
 	// 5. Encode one key-grouped frame per destination. Frame format:
 	// uvarint record count, the scale byte of the frame's weights
@@ -472,17 +504,6 @@ func histCount(keys []int32, h []int32) {
 	}
 }
 
-// histCountFused is histCount keyed by (k mod p)·rowsCap + k/p — the
-// destination-major fused key of the sender's second pass.
-//
-//perf:noalloc
-func histCountFused(keys []int32, p, rowsCap int32, h []int32) {
-	clear(h)
-	for _, k := range keys {
-		h[(k%p)*rowsCap+k/p]++
-	}
-}
-
 // histOffsets converts the key counts in h into exclusive scatter positions.
 // When stride > 0 it also captures the running total at every stride-th key
 // into bounds (bounds[j] = first position of key j·stride); every bound past
@@ -519,19 +540,63 @@ func scatterRecords(x, y []int32, w []int64, h []int32, ox, oy []int32, ow []int
 	}
 }
 
-// scatterFused is scatterRecords keyed by the destination-major fused key
-// of the x column (matching histCountFused).
+// fusedKey is the destination-major bucket of coarse vertex cu:
+// (cu mod p)·rowsCap + cu/p.
+func fusedKey(cu int32, p, rowsCap int) int32 {
+	return int32(int(cu)%p*rowsCap + int(cu)/p)
+}
+
+// countHeads returns the number of distinct head communities among the arcs
+// of one bucket's sources (indices into owned vertices, then hubs): the
+// records the bucket emits, as dense IDs are one per community. It stamps
+// each head's entry of the accumulator's weight column with stamp, which
+// must differ from every stamp already there; the caller clears the column
+// before the accumulator sums again.
 //
 //perf:noalloc
-func scatterFused(x, y []int32, w []int64, p, rowsCap int32, h []int32, ox, oy []int32, ow []int64) {
-	for i, cu := range x {
-		k := (cu%p)*rowsCap + cu/p
-		pos := h[k]
-		h[k] = pos + 1
-		ox[pos] = cu
-		oy[pos] = y[i]
-		ow[pos] = w[i]
+func (s *stage) countHeads(stamp int64, srcs []int32) int {
+	n := 0
+	for _, i := range srcs {
+		for _, a := range s.srcAdj(i) {
+			if c := s.comm[a.To]; s.acc.w[c] != stamp {
+				s.acc.w[c] = stamp
+				n++
+			}
+		}
 	}
+	return n
+}
+
+// sumBucket sums the arcs of one bucket's sources per head coarse vertex cv
+// in the accumulator and writes the bucket's records — cu, each distinct cv
+// ascending, its summed weight — to x, y, w from pos on. It returns the
+// position after the last record. The sums are exact integers, so the order
+// the arcs are added in cannot show.
+//
+//perf:noalloc
+func (s *stage) sumBucket(cu int32, srcs []int32, x, y []int32, w []int64, pos int) int {
+	acc := s.acc
+	acc.reset()
+	for _, i := range srcs {
+		for _, a := range s.srcAdj(i) {
+			acc.add(int(s.dense[s.comm[a.To]]), a.W)
+		}
+	}
+	sort.Ints(acc.keys)
+	for _, cv := range acc.keys {
+		x[pos], y[pos], w[pos] = cu, int32(cv), acc.w[cv]
+		pos++
+	}
+	return pos
+}
+
+// srcAdj returns the arcs of merge source i: owned vertex i, or hub
+// i − len(Owned).
+func (s *stage) srcAdj(i int32) []partition.Arc {
+	if n := int32(len(s.sg.Owned)); i >= n {
+		return s.sg.AdjHub[i-n]
+	}
+	return s.sg.AdjOwned[i]
 }
 
 // foldRuns sums each run of equal (x, y) records into one record, range by
@@ -580,14 +645,15 @@ func foldRuns(x, y []int32, w []int64, off []int) int {
 // scattered into the slot table as it lands (each owner's ids are its
 // own), so all decode/encode work overlaps in-flight traffic. The routing
 // slices, the slot table and both legs' encode buffers are pooled on the
-// stage, so repeated calls (two per merge level, one per update batch, two
-// per install) allocate only the result slice.
+// stage, and the answers land in dst (grown when short; it may be queries
+// itself), so repeated calls (two per merge level, one per update batch, two
+// per install) need allocate nothing.
 //
 // Both legs come from peers and are checked: a request row must be below
 // the receiver's slot count and strictly follow the previous one, and a
 // reply must hold one answer in [0, bound) per id asked of its sender and
 // nothing after it.
-func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) ([]int, error) {
+func (s *stage) resolveQueries(dst, queries []int, bound int, lookup func(int) int) ([]int, error) {
 	defer s.charge(exLookups, s.bytesSent())
 	for r := 0; r < s.p; r++ {
 		s.rqReqs[r] = s.rqReqs[r][:0]
@@ -671,7 +737,7 @@ func (s *stage) resolveQueries(queries []int, bound int, lookup func(int) int) (
 	if err != nil {
 		return nil, err
 	}
-	res := make([]int, len(queries))
+	res := grow(dst, len(queries))
 	for i, x := range queries {
 		res[i] = int(s.rqSlot[x]) - 1
 	}

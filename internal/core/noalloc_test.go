@@ -63,8 +63,19 @@ func TestNoallocAnnotations(t *testing.T) {
 		adj := s.sg.AdjOwned[vi]
 		cu := int(s.comm[u])
 
+		// The merge's per-bucket kernels on a one-source bucket, vertex u,
+		// under the identity dense numbering; the records fit in len(adj).
+		bucket := []int32{int32(vi)}
+		s.dense = make([]int32, s.n)
+		for c := range s.dense {
+			s.dense[c] = int32(c)
+		}
+		bx := make([]int32, len(adj))
+		by := make([]int32, len(adj))
+		bw := make([]int64, len(adj))
+
 		// Preallocated operands for the merge counting-sort kernels: 8
-		// records over a 4-key space, ranks p=2 / rowsCap=2.
+		// records over a 4-key space.
 		mx := []int32{3, 1, 2, 0, 1, 3, 0, 2}
 		my := []int32{0, 1, 2, 3, 0, 1, 2, 3}
 		mw := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -75,10 +86,6 @@ func TestNoallocAnnotations(t *testing.T) {
 		mbounds := make([]int, 5)
 		histPrep := func() {
 			histCount(mx, mh)
-			histOffsets(mh, 0, nil)
-		}
-		histPrepFused := func() {
-			histCountFused(mx, 2, 2, mh)
 			histOffsets(mh, 0, nil)
 		}
 
@@ -149,16 +156,17 @@ func TestNoallocAnnotations(t *testing.T) {
 			"stage.hubProposal":     func() { s.hubProposal(u, ku, adj, acc) },
 			"fillInt32":             func() { fillInt32(mh, -1) },
 			"histCount":             func() { histCount(mx, mh) },
-			"histCountFused":        func() { histCountFused(mx, 2, 2, mh) },
 			"histOffsets":           func() { histPrep(); histOffsets(mh, 1, mbounds) },
 			"scatterRecords": func() {
 				histPrep()
 				scatterRecords(mx, my, mw, mh, mox, moy, mow)
 			},
-			"scatterFused": func() {
-				histPrepFused()
-				scatterFused(mx, my, mw, 2, 2, mh, mox, moy, mow)
+			"stage.countHeads": func() {
+				acc.reset()
+				s.countHeads(1, bucket)
+				clear(acc.w)
 			},
+			"stage.sumBucket": func() { s.sumBucket(int32(cu), bucket, bx, by, bw, 0) },
 			"foldRuns": func() {
 				copy(mox, mx)
 				copy(moy, my)

@@ -204,7 +204,7 @@ func (s *Session) solve() (*rankOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur, err = cs.resolveQueries(cur, k, func(x int) int { return int(cs.dense[cs.comm[x]]) })
+		cur, err = cs.resolveQueries(cur, cur, k, func(x int) int { return int(cs.dense[cs.comm[x]]) })
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func (s *Session) solve() (*rankOut, error) {
 		out.comm2NS += r2.CommSimNS
 		if r2.Q-prevQ < minGain {
 			// Keep this stage's (possibly tiny) improvement, then stop.
-			cur, err = cs.resolveQueries(cur, cs.n, func(x int) int { return int(cs.comm[x]) })
+			cur, err = cs.resolveQueries(cur, cur, cs.n, func(x int) int { return int(cs.comm[x]) })
 			if err != nil {
 				return nil, err
 			}
@@ -311,7 +311,7 @@ func (s *Session) install() error {
 	s.st = st
 
 	// Exchange 2: resolve every tracked vertex's label to its representative.
-	reps, err := st.resolveQueries(labels, s.n, func(l int) int { return repOf[l] })
+	reps, err := st.resolveQueries(nil, labels, s.n, func(l int) int { return repOf[l] })
 	if err != nil {
 		return err
 	}
@@ -350,7 +350,7 @@ func (s *Session) install() error {
 		}
 	}
 	held = append(held, s.sg.Ghosts...)
-	heldReps, err := st.resolveQueries(held, s.n, func(v int) int { return int(st.comm[v]) })
+	heldReps, err := st.resolveQueries(nil, held, s.n, func(v int) int { return int(st.comm[v]) })
 	if err != nil {
 		return err
 	}
@@ -661,7 +661,7 @@ func (s *Session) subscribeFor(x, y int) {
 // even when their own list is empty.
 func (s *Session) resolveNewGhosts() error {
 	st := s.st
-	labels, err := st.resolveQueries(s.newGhosts, s.n, func(v int) int { return int(st.comm[v]) })
+	labels, err := st.resolveQueries(nil, s.newGhosts, s.n, func(v int) int { return int(st.comm[v]) })
 	if err != nil {
 		return err
 	}

@@ -242,16 +242,29 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 		ms:        prev.ms,
 		sent:      prev.sent,
 	}
-	s.acc = &gainAccumulator{w: reuse(prev.acc.w, n), seen: reuse(prev.acc.seen, n)}
+	s.acc = &gainAccumulator{
+		w: reuse(prev.acc.w, n), seen: reuse(prev.acc.seen, n),
+		keys: prev.acc.keys[:0], live: prev.acc.live[:0], cands: prev.acc.cands[:0],
+	}
 	// Every user resets these before it writes them.
 	s.sendBufs, s.rqBufs, s.rqReqs = prev.sendBufs, prev.rqBufs, prev.rqReqs
+	s.revOff, s.revAdj, s.revW = prev.revOff, prev.revAdj, prev.revW
+	s.first, s.pushIDs = prev.first, prev.pushIDs
 	if s.sendBufs == nil {
 		s.sendBufs, s.rqBufs = make([]*wire.Buffer, s.p), make([]*wire.Buffer, s.p)
 		for r := range s.sendBufs {
 			s.sendBufs[r], s.rqBufs[r] = wire.NewBuffer(0), wire.NewBuffer(0)
 		}
 		s.rqReqs = make([][]int, s.p)
+		s.first, s.pushIDs = make([][]int, s.p), make([][]int, s.p)
 	}
+	for r := range s.first {
+		s.first[r], s.pushIDs[r] = s.first[r][:0], s.pushIDs[r][:0]
+	}
+	// The watch pools, the dirty list and the other append-only lists start
+	// empty on the previous level's storage.
+	s.wRank, s.wNext, s.watchNew, s.dirty = prev.wRank[:0], prev.wNext[:0], prev.watchNew[:0], prev.dirty[:0]
+	s.deltaTouched, s.changed = prev.deltaTouched[:0], prev.changed[:0]
 	s.frames = make([][]byte, s.p)
 	s.rqFrames = make([][]byte, s.p)
 	s.idPrev = make([]int, s.p)
@@ -259,8 +272,6 @@ func nextStage(prev *stage, c comm.Comm, sg *partition.Subgraph, opt Options) *s
 	s.wHead = reuse(prev.wHead, n/s.p+1)
 	fillInt32(s.wHead, -1)
 	s.dirtyMark = reuse(prev.dirtyMark, n/s.p+1)
-	s.first = make([][]int, s.p)
-	s.pushIDs = make([][]int, s.p)
 	nh := len(sg.Hubs)
 	s.props = make([]hubProposal, nh)
 	s.hubWin = make([]hubProposal, nh)
@@ -332,7 +343,9 @@ func (s *stage) setActive(on bool) {
 
 // buildRev builds the weighted reverse index from the local arcs: one
 // counting pass and one fill pass over the owned arcs into ghosts and hubs
-// and the hub-share arcs into other hubs, charged as work.
+// and the hub-share arcs into other hubs, charged as work. It rebuilds on
+// the storage the index already has (a previous level's, or its own before
+// an update batch), growing it only when short.
 func (s *stage) buildRev() {
 	// each calls f for every indexed arc u→t of weight w.
 	each := func(f func(u, t int, w int64)) int64 {
@@ -355,13 +368,13 @@ func (s *stage) buildRev() {
 		}
 		return arcs
 	}
-	off := make([]int32, s.n+2)
+	off := reuse(s.revOff, s.n+2)
 	arcs := each(func(_, t int, _ int64) { off[t+2]++ })
 	for t := 0; t < s.n; t++ {
 		off[t+2] += off[t+1]
 	}
-	s.revAdj = make([]int32, off[s.n+1])
-	s.revW = make([]int64, off[s.n+1])
+	s.revAdj = grow(s.revAdj, int(off[s.n+1]))
+	s.revW = grow(s.revW, int(off[s.n+1]))
 	each(func(u, t int, w int64) {
 		// The cursor of t lives in off[t+1]; when the fill ends it has
 		// advanced to t+1's start, which is where off[t+1] belongs.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -60,6 +61,7 @@ var (
 // session's resident stage; from then on new labels register themselves
 // where they arise.
 func (s *stage) registerWatches() error {
+	s.watchNew = slices.Grow(s.watchNew, len(s.sg.Owned)+len(s.sg.Hubs)+len(s.sg.Ghosts))
 	for _, u := range s.sg.Owned {
 		s.watch(int(s.comm[u]))
 	}
@@ -586,6 +588,11 @@ func (s *stage) recvFlush(src int, payload []byte) (int64, error) {
 		prev = c
 		n++
 	}
+	// Every watch id takes at least one byte: the rest of the frame bounds
+	// the watches it registers, so the pools grow once per frame.
+	s.wRank = slices.Grow(s.wRank, rd.Remaining())
+	s.wNext = slices.Grow(s.wNext, rd.Remaining())
+	s.first[src] = slices.Grow(s.first[src], rd.Remaining())
 	prev = s.rnk - s.p
 	for rd.Remaining() > 0 {
 		c := rd.StrideDelta(prev, s.p, s.n)

@@ -616,7 +616,7 @@ func TestGarbledFrames(t *testing.T) {
 							}
 							tc0.arm(1, skip, tc.frame)
 						}
-						_, err := s.resolveQueries([]int{0, 1, 2, 3, 5, 1}, n, func(x int) int { return int(s.comm[x]) })
+						_, err := s.resolveQueries(nil, []int{0, 1, 2, 3, 5, 1}, n, func(x int) int { return int(s.comm[x]) })
 						return err
 					}
 					if err := s.registerWatches(); err != nil {

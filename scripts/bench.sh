@@ -50,10 +50,12 @@ go test -run '^$' -bench '^BenchmarkOocorePipeline$' -timeout 12h \
 
 echo "== merge benchmarks (-benchtime $MACRO_TIME) ==" >&2
 # Stage-2 distributed merge (PR 10): the seed map-of-maps implementation
-# against the zero-map counting-sort pipeline on the same converged world.
-# ns/op, allocs/op, and wire-B/op (bytes sent per rank, from each
-# endpoint's traffic counters) are the acceptance metrics.
-go test -run '^$' -bench '^BenchmarkMerge(Seed|Preagg)$' -benchtime "$MACRO_TIME" -benchmem \
+# against the zero-map counting-sort pipeline on the same converged world,
+# warm and cold (PreaggCold drops the pooled scratch before every op, so its
+# B/op is a solve's first merge). ns/op, allocs/op, B/op and wire-B/op
+# (bytes sent per rank, from each endpoint's traffic counters) are the
+# acceptance metrics.
+go test -run '^$' -bench '^BenchmarkMerge(Seed|Preagg|PreaggCold)$' -benchtime "$MACRO_TIME" -benchmem \
     ./internal/core/
 
 echo "== macro benchmarks (-benchtime $MACRO_TIME) ==" >&2
