@@ -50,11 +50,12 @@ func BenchmarkAblationDHigh(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHeuristic compares the two convergence heuristics (the
-// Figure 5 knob): enhanced should dominate on quality, simple should churn.
+// BenchmarkAblationHeuristic compares the three convergence heuristics (the
+// Figure 5 knob): enhanced should dominate simple on quality, simple should
+// churn, and sized, the default, should match or beat enhanced.
 func BenchmarkAblationHeuristic(b *testing.B) {
 	g := ablationGraph(b)
-	for _, h := range []core.Heuristic{core.HeuristicEnhanced, core.HeuristicSimple} {
+	for _, h := range []core.Heuristic{core.HeuristicSized, core.HeuristicEnhanced, core.HeuristicSimple} {
 		b.Run(h.String(), func(b *testing.B) {
 			var lastQ float64
 			var iters int

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		genSpec     = fs.String("gen", "", "generator spec, e.g. lfr:n=5000,mu=0.3,seed=1 (see internal/gen.ParseSpec)")
 		p           = fs.Int("p", 4, "number of ranks (simulated processors)")
 		dhigh       = fs.Int("dhigh", 0, "hub degree threshold (0 = automatic)")
-		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple")
+		heuristic   = fs.String("heuristic", "sized", "convergence heuristic: sized (remote moves into larger communities)|enhanced (the paper's label rule)|simple")
 		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d")
 		seq         = fs.Bool("seq", false, "also run the sequential Louvain baseline and compare")
 		showTrace   = fs.Bool("trace", false, "print the per-iteration modularity trace ('|' ends stage 1)")

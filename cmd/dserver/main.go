@@ -43,7 +43,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		genSpec     = fs.String("gen", "", "generator spec, e.g. caveman:cliques=50,size=10 (see internal/gen.ParseSpec)")
 		p           = fs.Int("p", 4, "number of resident ranks")
 		dhigh       = fs.Int("dhigh", 0, "hub degree threshold (0 = automatic)")
-		heuristic   = fs.String("heuristic", "enhanced", "convergence heuristic: enhanced|simple")
+		heuristic   = fs.String("heuristic", "sized", "convergence heuristic: sized (remote moves into larger communities)|enhanced (the paper's label rule)|simple")
 		partitioner = fs.String("partitioning", "delegate", "partitioning: delegate|1d")
 		listen      = fs.String("listen", "", "serve the line protocol on this TCP address instead of stdin/stdout")
 		autoResolve = fs.Bool("auto-resolve", false, "run the full-solve fallback inside the update call when drift crosses a threshold")

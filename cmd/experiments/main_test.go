@@ -81,10 +81,10 @@ func TestQuickHubs(t *testing.T) {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	for _, row := range []string{
-		"1     4   floor       82     56    0.000  17.0           1.3       0.3        0.08       0.11167\n",
-		"1     4   ε = 0.1 *   276    2     0.054  12.0           1.0       0.3        0.06       0.12032\n",
-		"1     4   ε = 0.1 *   80     0     0.027  19.0           1.1       0.4        0.13       0.57950  0.8662\n",
-		"1     4   ∞ (1D)      ∞      0     0.027  19.0           1.1       0.4        0.13       0.57950  0.8662\n",
+		"1     4   floor       82     56    0.000  9.0            0.9       0.2        0.07       0.11372\n",
+		"1     4   ε = 0.1 *   276    2     0.054  11.0           0.9       0.2        0.05       0.12292\n",
+		"1     4   ε = 0.1 *   80     0     0.027  15.0           1.0       0.2        0.11       0.59668  0.9324\n",
+		"1     4   ∞ (1D)      ∞      0     0.027  15.0           1.0       0.2        0.11       0.59668  0.9324\n",
 	} {
 		if !strings.Contains(stdout, row) {
 			t.Errorf("stdout lacks the row %q:\n%s", row, stdout)

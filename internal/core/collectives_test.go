@@ -88,8 +88,9 @@ func TestIterationSingleAllreduce(t *testing.T) {
 // since this fixture's random real weights all ship at scale 0 and every
 // push and flush frame gained its byte); and when the solve stopped
 // summing the owned-vertex counts to learn n, which it already holds
-// (2(P − 1) messages of 8 bytes fewer per solve). CHANGES.md has the old
-// rows. The
+// (2(P − 1) messages of 8 bytes fewer per solve); and when the sized
+// rule became the default (both columns fell on every row but the DHigh 8
+// ones at P ≥ 3, where they rose). CHANGES.md has the old rows. The
 // fixture's default hub threshold yields no hubs, so the delegate rows set
 // DHigh = 8 (24 hubs) to put the hub-proposal exchange and the move
 // sections on the wire; P = 3 keeps an odd world size in the set.
@@ -101,16 +102,16 @@ func TestGoldenTraffic(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{partition.Delegate, 1, 0, 0, 0},
-		{partition.Delegate, 2, 0, 144, 2252},
-		{partition.Delegate, 4, 0, 860, 7425},
+		{partition.Delegate, 2, 0, 68, 1379},
+		{partition.Delegate, 4, 0, 472, 5045},
 		{partition.Delegate, 1, 8, 0, 0},
-		{partition.Delegate, 2, 8, 168, 3337},
-		{partition.Delegate, 3, 8, 334, 5441},
-		{partition.Delegate, 4, 8, 772, 9598},
+		{partition.Delegate, 2, 8, 148, 3165},
+		{partition.Delegate, 3, 8, 420, 6326},
+		{partition.Delegate, 4, 8, 1008, 11863},
 		{partition.OneD, 1, 0, 0, 0},
-		{partition.OneD, 2, 0, 144, 2252},
-		{partition.OneD, 3, 0, 344, 4279},
-		{partition.OneD, 4, 0, 860, 7425},
+		{partition.OneD, 2, 0, 68, 1379},
+		{partition.OneD, 3, 0, 236, 3321},
+		{partition.OneD, 4, 0, 472, 5045},
 	} {
 		name := fmt.Sprintf("%v/p=%d/dhigh=%d", tc.kind, tc.p, tc.dhigh)
 		res, err := Run(g, Options{P: tc.p, Partitioning: tc.kind, DHigh: tc.dhigh})

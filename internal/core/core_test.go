@@ -315,8 +315,11 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := Run(g, Options{P: 0}); err == nil {
 		t.Fatal("expected error for P = 0")
 	}
-	if _, err := Run(g, Options{P: 2, Heuristic: 2}); err == nil {
-		t.Fatal("expected error for Heuristic(2)")
+	if _, err := Run(g, Options{P: 2, Heuristic: 3}); err == nil {
+		t.Fatal("expected error for Heuristic(3)")
+	}
+	if _, err := Run(g, Options{P: 2, Heuristic: -1}); err == nil {
+		t.Fatal("expected error for Heuristic(-1)")
 	}
 	if _, err := Run(g, Options{P: 2, Partitioning: 9}); err == nil {
 		t.Fatal("expected error for partition.Kind(9)")
@@ -350,10 +353,13 @@ func TestSelfLoopsHandled(t *testing.T) {
 }
 
 func TestHeuristicString(t *testing.T) {
-	if HeuristicEnhanced.String() != "enhanced" || HeuristicSimple.String() != "simple" {
+	if HeuristicSized.String() != "sized" || HeuristicEnhanced.String() != "enhanced" || HeuristicSimple.String() != "simple" {
 		t.Error("Heuristic.String broken")
 	}
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+	if (Options{}).Heuristic != HeuristicSized {
+		t.Error("the zero Options does not select the sized rule")
+	}
+	for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
 		if got, err := ParseHeuristic(h.String()); got != h || err != nil {
 			t.Errorf("ParseHeuristic(%q) = %v, %v", h.String(), got, err)
 		}

@@ -190,7 +190,7 @@ func solveRank(c comm.Comm, g *graph.Graph, opt Options) error {
 func TestGoldenEndToEnd(t *testing.T) {
 	withInvariants(t)
 	g := goldenGraph(t)
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+	for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
 		for _, p := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", h, p), func(t *testing.T) {
 				opt := Options{P: p, Heuristic: h}

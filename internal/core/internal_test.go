@@ -448,7 +448,7 @@ func checkScan(s *stage, u, cu int, k int64, adj []partition.Arc, acc, ref *gain
 		return nil
 	}
 	defer func(h Heuristic) { s.opt.Heuristic = h }(s.opt.Heuristic)
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+	for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
 		s.opt.Heuristic = h
 		if got, want := s.pickCandidate(cu, cands), s.pickCandidate(cu, wantCands); got != want {
 			return fmt.Errorf("vertex %d in %d, heuristic %v: picked %d, full sort picks %d", u, cu, h, got, want)
@@ -566,20 +566,52 @@ func TestScanCandidatesMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestAllowMoveSemantics pins each rule's movement constraint on rank 1 of
+// four: communities ≡ 1 mod 4 are local, the rest remote.
 func TestAllowMoveSemantics(t *testing.T) {
 	mk := func(h Heuristic) *stage {
-		return &stage{opt: Options{Heuristic: h}, p: 4, rnk: 1}
+		return &stage{opt: Options{Heuristic: h}, p: 4, rnk: 1,
+			size: make([]int32, 20), deltaN: make([]int32, 20)}
 	}
-	// Enhanced: local targets (owner == rank 1) always allowed.
-	s := mk(HeuristicEnhanced)
-	if !s.allowMove(3, 5) { // 5 % 4 == 1 == rnk, local
-		t.Error("enhanced should allow local move")
+	for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
+		s := mk(h)
+		s.size[3], s.size[5] = 9, 1
+		if !s.allowMove(3, 5) { // 5 % 4 == 1 == rnk: local, smaller and larger-labelled
+			t.Errorf("%v should allow a local move", h)
+		}
 	}
-	if s.allowMove(3, 6) { // remote (6%4=2), 6 > 3 → blocked
-		t.Error("enhanced should block upward remote move")
+
+	// Sized: a remote move goes to the larger iteration-start count; equal
+	// counts fall back to the smaller label.
+	s := mk(HeuristicSized)
+	s.size[3], s.size[6] = 2, 4
+	if !s.allowMove(3, 6) { // remote (6 % 4 = 2) and larger
+		t.Error("sized should allow a remote move into a larger community")
+	}
+	if s.allowMove(6, 3) {
+		t.Error("sized should block a remote move into a smaller community")
+	}
+	s.size[3], s.size[6], s.size[7] = 3, 3, 3
+	if !s.allowMove(7, 6) || s.allowMove(3, 6) {
+		t.Error("sized should break equal counts toward the smaller label")
+	}
+	// Communities whose live counts this sweep already changed are judged by
+	// the snapshot: 6 lost three members (live 1, snapshot 4) and 3 gained
+	// three (live 5, snapshot 2), so 3 → 6 stays allowed and 6 → 3 refused.
+	s.size[3], s.deltaN[3] = 5, 3
+	s.size[6], s.deltaN[6] = 1, -3
+	if !s.allowMove(3, 6) || s.allowMove(6, 3) {
+		t.Error("sized should read the iteration-start counts, not the live ones")
+	}
+
+	// Enhanced: the pure label test, whatever the counts.
+	s = mk(HeuristicEnhanced)
+	s.size[3], s.size[6], s.size[7] = 1, 50, 1
+	if s.allowMove(3, 6) { // remote, 6 > 3 → blocked though far larger
+		t.Error("enhanced should block an upward remote move")
 	}
 	if !s.allowMove(7, 6) { // remote but downward
-		t.Error("enhanced should allow downward remote move")
+		t.Error("enhanced should allow a downward remote move")
 	}
 	// Simple: anything goes.
 	s = mk(HeuristicSimple)
@@ -852,14 +884,17 @@ func TestMergePreaggWireVolume(t *testing.T) {
 // sender sums each coarse vertex's arcs before it emits a record, so every
 // record column is sized by the distinct (cu, cv) pairs the rank sends or
 // receives, not by its arc count. The fixture must fold at least 2 arcs
-// into each pair for the bound to mean anything.
+// into each pair for the bound to mean anything: at DHigh 64 (300 hubs)
+// the sized rule's first stage leaves rank 0 folding only 1.99 arcs per
+// received pair, so the fixture sets DHigh 32 (781 hubs), which folds at
+// least 2.76 arcs into each pair on every rank.
 func TestMergeScratchFollowsPairs(t *testing.T) {
 	g, err := gen.RMAT(gen.Graph500RMAT(12, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const p = 4
-	opt, err := (Options{P: p, DHigh: 64}).withDefaults()
+	opt, err := (Options{P: p, DHigh: 32}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,8 @@ var auditConfigs = []struct {
 	h  Heuristic
 	pk partition.Kind
 }{
+	{HeuristicSized, partition.Delegate},
+	{HeuristicSized, partition.OneD},
 	{HeuristicEnhanced, partition.Delegate},
 	{HeuristicEnhanced, partition.OneD},
 	{HeuristicSimple, partition.Delegate},

@@ -234,12 +234,32 @@ func (s *stage) bestMove(u int, ku int64, adj []partition.Arc, acc *gainAccumula
 // the opposite-direction merge is performed by the remote side, which sees
 // the mirrored gain.
 //
+// Sized (the default) keeps local moves unrestricted and orders remote
+// ones by the communities' iteration-start member counts instead: the move
+// is allowed only into a larger community, or an equal one with a smaller
+// label. Every rank holds the same iteration-start counts (snapSize), so
+// the order is world-wide and breaks the bouncing just as the label does.
+//
 // Simple applies no movement constraint at all — minimum label acts only as
 // the tie-breaker, which is how the paper evaluates Lu et al.'s heuristic
 // in a distributed setting (and why it underperforms there).
 func (s *stage) allowMove(cu, target int) bool {
-	return s.opt.Heuristic == HeuristicSimple || s.owns(target) || target < cu
+	switch {
+	case s.opt.Heuristic == HeuristicSimple || s.owns(target):
+		return true
+	case s.opt.Heuristic == HeuristicEnhanced:
+		return target < cu
+	}
+	nt, nc := s.snapSize(target), s.snapSize(cu)
+	return nt > nc || (nt == nc && target < cu)
 }
+
+// snapSize returns the member count community c had when this iteration's
+// push installed the owner's values: the live cache entry minus this rank's
+// own moves of the sweep, which deltaN holds until the flush. The push
+// leaves every rank with the owner's exact count of every community a local
+// vertex carries, so all ranks read the same value.
+func (s *stage) snapSize(c int) int32 { return s.size[c] - s.deltaN[c] }
 
 // pickCandidate arbitrates a set of equal-gain candidate communities
 // (ascending label order) according to the configured heuristic.

@@ -13,9 +13,11 @@
 //     global modularity stops improving.
 //
 // The convergence heuristics of Section IV-C are selectable: the simple
-// minimum-label rule of Lu et al. and the paper's enhanced rule (prefer
-// local communities, then multi-vertex ghost communities, then the
-// minimum-label singleton ghost).
+// minimum-label rule of Lu et al., the paper's enhanced rule (prefer local
+// communities, then multi-vertex ghost communities, then the minimum-label
+// singleton ghost) and the default sized rule, which keeps the enhanced
+// tie preferences but orders remote moves by community size instead of
+// by label.
 package core
 
 import (
@@ -29,6 +31,18 @@ import (
 type Heuristic int
 
 const (
+	// HeuristicSized is the default: the enhanced rule's tie preferences,
+	// with its remote-move constraint ordered by community size instead of
+	// by label. A vertex may move into a community owned by another rank
+	// only when that community had more members than its own at the start
+	// of the iteration (equal counts: the smaller label wins). Every rank
+	// reads the same iteration-start counts, so every rank orders every
+	// pair of communities the same way and no two remote moves of one
+	// iteration can trade A → B and B → A — the property the label rule
+	// buys — while the 1 − 1/P of targets that round-robin ownership makes
+	// remote are no longer refused merely for carrying a larger label.
+	// On-rank moves stay unrestricted.
+	HeuristicSized Heuristic = iota
 	// HeuristicEnhanced is the paper's rule (Section IV-C). On modularity
 	// ties a vertex prefers a community local to this rank (fresh state,
 	// Gauss-Seidel application), then a remote community with more than one
@@ -37,7 +51,7 @@ const (
 	// C(u) = min(C_new, C_cur) of Algorithm 2 line 11, which breaks the
 	// cross-rank bouncing of Figure 3 while leaving on-rank moves as free
 	// as the sequential algorithm.
-	HeuristicEnhanced Heuristic = iota
+	HeuristicEnhanced
 	// HeuristicSimple is the plain minimum-label heuristic of Lu et al. as
 	// the paper evaluates it in Figure 5: ties are broken toward the
 	// smallest community label, with no further movement constraint. In a
@@ -50,6 +64,8 @@ const (
 
 func (h Heuristic) String() string {
 	switch h {
+	case HeuristicSized:
+		return "sized"
 	case HeuristicEnhanced:
 		return "enhanced"
 	case HeuristicSimple:
@@ -59,9 +75,9 @@ func (h Heuristic) String() string {
 	}
 }
 
-// ParseHeuristic is the inverse of Heuristic.String for the two rules.
+// ParseHeuristic is the inverse of Heuristic.String for the three rules.
 func ParseHeuristic(s string) (Heuristic, error) {
-	for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+	for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
 		if s == h.String() {
 			return h, nil
 		}
@@ -71,7 +87,7 @@ func ParseHeuristic(s string) (Heuristic, error) {
 
 // Options configures a distributed run. The zero value uses delegate
 // partitioning with the partitioner's default hub threshold and the
-// enhanced heuristic.
+// sized heuristic.
 type Options struct {
 	// P is the number of ranks (processors). Required, >= 1.
 	P int
@@ -120,7 +136,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.P < 1 {
 		return o, fmt.Errorf("core: P = %d, want >= 1", o.P)
 	}
-	if o.Heuristic != HeuristicEnhanced && o.Heuristic != HeuristicSimple {
+	if o.Heuristic < HeuristicSized || o.Heuristic > HeuristicSimple {
 		return o, fmt.Errorf("core: unknown heuristic %v", o.Heuristic)
 	}
 	if o.Resolution <= 0 {

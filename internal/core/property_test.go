@@ -70,7 +70,7 @@ func TestQuickHeuristicsNeverCrash(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, Options{P: 3, Heuristic: Heuristic(h % 2)})
+		res, err := Run(g, Options{P: 3, Heuristic: Heuristic(h % 3)})
 		if err != nil {
 			return false
 		}

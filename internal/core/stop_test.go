@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -84,54 +86,73 @@ func TestStopRuleLevels(t *testing.T) {
 	}
 }
 
-// TestStopRuleEndsCreep runs one R-MAT, rmat:scale=13,seed=1, under the
-// solver's rule and under the bare MinGain test. As generated, at the
-// default threshold, the rule must take no more stage-1 iterations and no
-// more simulated time, for no worse Q. Relabelled by π⁻¹ (unscrambled) the
-// solver sees the unpermuted ids whose stage 1 creeps: under the bare
-// MinGain test it runs 33 iterations, under the solver's rule 18, for less
-// simulated time and no worse Q. That pinned row holds DHigh at the old
-// default, max(P, 4·arcs/n), whose many hubs made the creep; the default
-// threshold's row must be no worse. The resident stage of a Session keeps
-// the MinGain test, which the golden and protocol fixtures pin.
+// TestStopRuleEndsCreep runs rmat:scale=13 at seeds 1 to 8 under the
+// solver's rule and under the bare MinGain test, three rows a seed: as
+// generated at the default threshold, and relabelled by π⁻¹ (unscrambled),
+// where the solver sees the unpermuted ids, at the default threshold and at
+// the old default, max(P, 4·arcs/n), whose many hubs made stage 1 creep.
+// On every row the rule must take no more stage-1 iterations and no more
+// simulated time than the MinGain test, and give up at most 0.005 of Q; over
+// the 24 rows the median Q difference must be no worse than zero. One
+// sample cannot carry a "no worse Q" clause: the rule stops a stage that
+// the MinGain test runs on, so single rows fall on either side. The pinned
+// row, seed 1 unpermuted at the old default, is the creep itself: the rule
+// must end it, strictly fewer iterations and less simulated time. The
+// resident stage of a Session keeps the MinGain test, which the golden and
+// protocol fixtures pin.
 func TestStopRuleEndsCreep(t *testing.T) {
-	g, _, err := gen.ParseSpec("rmat:scale=13,seed=1")
-	if err != nil {
-		t.Fatal(err)
+	const (
+		seeds  = 8
+		qSlack = 0.005
+	)
+	var dq []float64
+	for seed := 1; seed <= seeds; seed++ {
+		g, _, err := gen.ParseSpec(fmt.Sprintf("rmat:scale=13,seed=%d", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldDefault := max(4, 4*int(g.NumArcs())/g.NumVertices())
+		unperm := unscrambled(t, g)
+		for _, row := range []struct {
+			name   string
+			g      *graph.Graph
+			dhigh  int
+			pinned bool // the rule must end a creep: strictly fewer iterations and less time
+		}{
+			{"as generated", g, 0, false},
+			{"unpermuted", unperm, oldDefault, seed == 1},
+			{"unpermuted", unperm, 0, false},
+		} {
+			name := fmt.Sprintf("seed %d, %s, DHigh %d", seed, row.name, row.dhigh)
+			opt := Options{P: 4, DHigh: row.dhigh}
+			old, err := RunStop(row.g, opt, StopRule{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(row.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, oldSim := res.Stage1Sim+res.Stage2Sim, old.Stage1Sim+old.Stage2Sim
+			worse := res.Stage1Iters > old.Stage1Iters || sim > oldSim
+			if row.pinned {
+				worse = res.Stage1Iters >= old.Stage1Iters || sim >= oldSim
+			}
+			if worse {
+				t.Errorf("%s: stage 1 ran %d iterations (%v simulated in all) against %d (%v) under the bare MinGain test",
+					name, res.Stage1Iters, sim, old.Stage1Iters, oldSim)
+			}
+			d := res.Modularity - old.Modularity
+			if d < -qSlack {
+				t.Errorf("%s: Q = %.6f, %.6f below the bare MinGain test's %.6f", name, res.Modularity, -d, old.Modularity)
+			}
+			dq = append(dq, d)
+			t.Logf("%s: %d hubs, stage 1 %d iterations (%v sim), MinGain test %d (%v), ΔQ %+.5f", name, res.HubCount,
+				res.Stage1Iters, sim, old.Stage1Iters, oldSim, d)
+		}
 	}
-	oldDefault := max(4, 4*int(g.NumArcs())/g.NumVertices())
-	unperm := unscrambled(t, g)
-	for _, row := range []struct {
-		name   string
-		g      *graph.Graph
-		dhigh  int
-		pinned bool // the rule must end a creep: strictly fewer iterations and less time
-	}{
-		{"as generated", g, 0, false},
-		{"unpermuted", unperm, oldDefault, true},
-		{"unpermuted", unperm, 0, false},
-	} {
-		opt := Options{P: 4, DHigh: row.dhigh}
-		old, err := RunStop(row.g, opt, StopRule{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(row.g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worse := res.Stage1Iters > old.Stage1Iters || res.Stage1Sim+res.Stage2Sim > old.Stage1Sim+old.Stage2Sim
-		if row.pinned {
-			worse = res.Stage1Iters >= old.Stage1Iters || res.Stage1Sim+res.Stage2Sim >= old.Stage1Sim+old.Stage2Sim
-		}
-		if worse {
-			t.Errorf("%s, DHigh %d: stage 1 ran %d iterations (%v simulated in all) against %d (%v) under the bare MinGain test",
-				row.name, row.dhigh, res.Stage1Iters, res.Stage1Sim+res.Stage2Sim, old.Stage1Iters, old.Stage1Sim+old.Stage2Sim)
-		}
-		if res.Modularity < old.Modularity {
-			t.Errorf("%s, DHigh %d: Q = %.6f, below the bare MinGain test's %.6f", row.name, row.dhigh, res.Modularity, old.Modularity)
-		}
-		t.Logf("%s, DHigh %d: %d hubs, stage 1 %d iterations (%v sim), MinGain test %d (%v)", row.name, row.dhigh, res.HubCount,
-			res.Stage1Iters, res.Stage1Sim+res.Stage2Sim, old.Stage1Iters, old.Stage1Sim+old.Stage2Sim)
+	slices.Sort(dq)
+	if med := (dq[len(dq)/2-1] + dq[len(dq)/2]) / 2; med < 0 {
+		t.Errorf("median ΔQ over %d rows %+.5f, want >= 0", len(dq), med)
 	}
 }

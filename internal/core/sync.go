@@ -298,9 +298,10 @@ func (s *stage) recvProposals(src int, payload []byte) (int64, error) {
 }
 
 // decideHubs turns the folded winners into this rank's hub moves. A winner
-// moves its hub unless the target is the hub's label or, under the enhanced
-// heuristic, a larger label: a hub's community state is inherently
-// cross-rank, so hub moves take the minimum-label rule. Hub labels are
+// moves its hub unless the target is the hub's label or, under the sized
+// and enhanced heuristics, a larger label: a hub's community state is
+// inherently cross-rank, so hub moves take the minimum-label rule (the
+// owner need not watch the target, so it cannot order by size). Hub labels are
 // replicated, so this is the decision every rank would reach from the
 // same winner. Afterwards hubLive lists the moving hubs in ascending order,
 // their targets in moveTo, for ghostSwap to ship; hubWin is reset for the

@@ -95,8 +95,13 @@ func referencedCommunities(s *stage) [][]int {
 // after a push, no community a local vertex references may be uncached, and
 // pulling every referenced community from its owner must change no byte of
 // the cache — i.e. each cached (Σtot, size) already equals the owner's
-// ownTot/ownSize.
+// ownTot/ownSize. No delta may be pending either: the sized rule reads a
+// community's iteration-start count as size − deltaN (snapSize), which is
+// the owner's value only if deltaN starts every sweep at zero.
 func cacheCoherenceHook(s *stage, iter int) error {
+	if len(s.deltaTouched) > 0 {
+		return fmt.Errorf("iter %d rank %d: %d deltas pending at the push", iter, s.rnk, len(s.deltaTouched))
+	}
 	for _, cs := range referencedCommunities(s) {
 		for _, c := range cs {
 			if !s.cached[c] || !s.watched[c] {
@@ -138,7 +143,7 @@ func TestCacheCoherence(t *testing.T) {
 		dhigh int
 	}{{partition.Delegate, 0}, {partition.Delegate, 8}, {partition.OneD, 0}} {
 		for _, p := range []int{2, 3, 4} {
-			for _, h := range []Heuristic{HeuristicEnhanced, HeuristicSimple} {
+			for _, h := range []Heuristic{HeuristicSized, HeuristicEnhanced, HeuristicSimple} {
 				opt := Options{P: p, Partitioning: part.kind, DHigh: part.dhigh, Heuristic: h}
 				name := fmt.Sprintf("%v/dhigh=%d/p=%d/%v", part.kind, part.dhigh, p, h)
 				if _, err := Run(g, opt); err != nil {

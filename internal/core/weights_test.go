@@ -56,9 +56,10 @@ func scaledWeightGraph(t *testing.T) *graph.Graph {
 // TestScaledWeightsCrossMatrix runs the reweighted R-MAT through both
 // partitionings at P = 2 and 4, in process with the exact Σ invariants
 // checked every iteration and over loopback TCP. Q and the membership hash
-// are the rows the solver returned before weights travelled scaled (the
-// frames then carried every weight in full 2⁻²⁰ units): the scale is exact,
-// so nothing but the bytes may move. The TCP result must equal the
+// of the enhanced rows are the rows the solver returned before weights
+// travelled scaled (the frames then carried every weight in full 2⁻²⁰
+// units): the scale is exact, so nothing but the bytes may move. The sized
+// rows were recorded when that rule became the default. The TCP result must equal the
 // in-process one field by field, the per-exchange byte rows included. The
 // push and flush frames seen on the way must carry both a scale strictly
 // between 0 and 20 and scale 0, or the fixture proves less than it claims.
@@ -81,18 +82,23 @@ func TestScaledWeightsCrossMatrix(t *testing.T) {
 	defer func() { testPushHook, testIterHook = nil, nil }()
 
 	for _, row := range []struct {
+		h        Heuristic
 		kind     partition.Kind
 		dhigh, p int
 		q        string
 		hash     uint64
 	}{
-		{partition.Delegate, 16, 2, "0x1.7dcbca467cd94p-03", 0x4c1779f0bc1daa78},
-		{partition.Delegate, 16, 4, "0x1.3efda5a3dca3dp-03", 0x12ef8efa2b3ba03a},
-		{partition.OneD, 0, 2, "0x1.930f7ae181b4ep-03", 0xa0c1a87621ba077e},
-		{partition.OneD, 0, 4, "0x1.907ec209e5b78p-03", 0xd91b5b307742e565},
+		{HeuristicEnhanced, partition.Delegate, 16, 2, "0x1.7dcbca467cd94p-03", 0x4c1779f0bc1daa78},
+		{HeuristicEnhanced, partition.Delegate, 16, 4, "0x1.3efda5a3dca3dp-03", 0x12ef8efa2b3ba03a},
+		{HeuristicEnhanced, partition.OneD, 0, 2, "0x1.930f7ae181b4ep-03", 0xa0c1a87621ba077e},
+		{HeuristicEnhanced, partition.OneD, 0, 4, "0x1.907ec209e5b78p-03", 0xd91b5b307742e565},
+		{HeuristicSized, partition.Delegate, 16, 2, "0x1.713f13591e05ap-03", 0xc6784b03ff53c95b},
+		{HeuristicSized, partition.Delegate, 16, 4, "0x1.38e55cd51f45p-03", 0xe356a22864de3461},
+		{HeuristicSized, partition.OneD, 0, 2, "0x1.9844e844ecff2p-03", 0x8ac6337513260bff},
+		{HeuristicSized, partition.OneD, 0, 4, "0x1.993624f8c3ad2p-03", 0xb1bfa3134a7a1181},
 	} {
-		name := fmt.Sprintf("%v/dhigh=%d/p=%d", row.kind, row.dhigh, row.p)
-		opt := Options{P: row.p, Partitioning: row.kind, DHigh: row.dhigh}
+		name := fmt.Sprintf("%v/%v/dhigh=%d/p=%d", row.h, row.kind, row.dhigh, row.p)
+		opt := Options{P: row.p, Partitioning: row.kind, DHigh: row.dhigh, Heuristic: row.h}
 		want, err := Run(g, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

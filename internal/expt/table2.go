@@ -16,7 +16,7 @@ var Table2Datasets = []string{"ND-Web", "Amazon"}
 // truth.
 func (s *Suite) table2() ([]*Table, error) {
 	t := &Table{
-		Title:  fmt.Sprintf("Table II — Quality measurements (p=%d, enhanced heuristic)", s.Profile.DefaultP),
+		Title:  fmt.Sprintf("Table II — Quality measurements (p=%d, sized heuristic)", s.Profile.DefaultP),
 		Header: []string{"Dataset", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"},
 		Notes: []string{
 			"all measures but NVD: higher is better; NVD is a distance (lower is better)",
