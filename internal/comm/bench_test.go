@@ -42,12 +42,18 @@ func BenchmarkAllreduceScalar(b *testing.B) {
 	}
 }
 
+// BenchmarkAlltoallv times one exchange of every rank with every other,
+// goroutine ranks in one process. The p = 16, 64 and 256 rows (64 B frames)
+// show how the in-process world scales with the rank count: an op costs
+// p·(p − 1) frames, each received on its rank's own goroutine.
 func BenchmarkAlltoallv(b *testing.B) {
-	for _, size := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("p=8/msg=%dB", size), func(b *testing.B) {
+	type row struct{ p, size int }
+	for _, rw := range []row{{8, 64}, {8, 4096}, {16, 64}, {64, 64}, {256, 64}} {
+		p, size := rw.p, rw.size
+		b.Run(fmt.Sprintf("p=%d/msg=%dB", p, size), func(b *testing.B) {
 			payload := make([]byte, size)
-			b.SetBytes(int64(8 * size))
-			err := RunWorld(8, func(c Comm) error {
+			b.SetBytes(int64(p * size))
+			err := RunWorld(p, func(c Comm) error {
 				out := make([][]byte, c.Size())
 				for i := range out {
 					out[i] = payload

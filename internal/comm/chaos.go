@@ -30,7 +30,7 @@ import (
 //     wrapper drops frames it has already seen, modeling at-least-once
 //     delivery with idempotent receipt.
 //   - transient send failures: an injected attempt failure recovered by
-//     the shared Backoff retry policy (Retry option). Exhausted retries
+//     the shared Backoff retry policy (chaosRetry). Exhausted retries
 //     become a sticky endpoint error, surfaced on the next operation.
 //   - permanent loss: the message is silently never delivered. Combined
 //     with receive deadlines, this is the scenario that must end in
@@ -60,7 +60,8 @@ type ChaosOptions struct {
 	DupProb float64
 
 	// SendFailProb is the per-attempt probability of an injected transient
-	// send failure (at most 4 consecutive per message), recovered by Retry.
+	// send failure (at most 4 consecutive per message), recovered by
+	// chaosRetry.
 	SendFailProb float64
 
 	// DropProb is the probability a message is lost permanently.
@@ -70,20 +71,16 @@ type ChaosOptions struct {
 	// after its KillAfter-th with an error wrapping ErrChaosKill.
 	KillRank  int
 	KillAfter int
-
-	// Retry recovers injected transient send failures. The default policy
-	// (1ms base, 10ms cap, 2s budget) outlasts any injected burst of at
-	// most 4 failures, so SendFailProb alone never loses a message; shrink
-	// Total below the burst's sleeps to force retry exhaustion.
-	Retry Backoff
 }
+
+// chaosRetry recovers injected transient send failures: a 1ms base, a 10ms
+// cap and a 2s budget outlast any injected burst of at most 4 failures, so
+// SendFailProb alone never loses a message.
+var chaosRetry = Backoff{base: time.Millisecond, max: 10 * time.Millisecond, Total: 2 * time.Second}
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
 	if o.MaxDelay <= 0 {
 		o.MaxDelay = 2 * time.Millisecond
-	}
-	if o.Retry == (Backoff{}) {
-		o.Retry = Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Total: 2 * time.Second}
 	}
 	return o
 }
@@ -305,7 +302,7 @@ func (l *chaosLane) deliver(it chaosItem) {
 		return
 	}
 	remaining := it.nFail
-	err := cc.opt.Retry.Retry(fmt.Sprintf("chaos send rank %d -> %d tag %d", cc.inner.Rank(), l.dst, l.tag), func() error {
+	err := chaosRetry.Retry(fmt.Sprintf("chaos send rank %d -> %d tag %d", cc.inner.Rank(), l.dst, l.tag), func() error {
 		if remaining > 0 {
 			remaining--
 			cc.sendFailures.Add(1)

@@ -5,7 +5,9 @@ package comm
 // with MPI. There are two algorithms: the recursive-doubling allreduce below
 // and the personalized all-to-all of overlap.go, which Allgather and Gather
 // reuse. The fixed-width record reductions over the allreduce live in
-// reduce.go.
+// reduce.go. Both algorithms start no goroutine: each rank's receives run on
+// the calling goroutine in an order fixed by (rank, size), so the sequence
+// of callbacks and combines is the same on every run and every transport.
 
 // AllreduceBytes combines every rank's payload with a user-supplied
 // associative, commutative combine function; every rank returns the same

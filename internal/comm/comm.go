@@ -9,7 +9,8 @@
 // algorithms built on point-to-point, so they work with any transport: the
 // personalised all-to-all (overlap.go), which Allgather and Gather reuse
 // (collectives.go), and the recursive-doubling allreduce (collectives.go)
-// under the fixed-width record reductions (reduce.go).
+// under the fixed-width record reductions (reduce.go). Every collective
+// receives on its caller's goroutine, in an order fixed by rank and size.
 //
 // Two transports are provided, sharing one receive path (mailbox.go):
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -366,6 +367,31 @@ func TestAlltoallvAllSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestAlltoallvFuncStartsNoGoroutine bounds the live goroutines inside
+// every callback of a P = 32 world by the count before the world started,
+// plus its P rank goroutines, plus a small slack: the exchange receives on
+// the calling goroutine, so it adds none of its own. A receiver goroutine
+// per peer would add up to P·(P − 1).
+func TestAlltoallvFuncStartsNoGoroutine(t *testing.T) {
+	const p, slack = 32, 4
+	limit := runtime.NumGoroutine() + p + slack
+	err := RunWorld(p, func(c Comm) error {
+		out := make([][]byte, p)
+		for dst := range out {
+			out[dst] = []byte{byte(c.Rank()), byte(dst)}
+		}
+		return AlltoallvFunc(c, out, func(int, []byte) error {
+			if n := runtime.NumGoroutine(); n > limit {
+				return fmt.Errorf("%d goroutines live inside a callback, want at most %d", n, limit)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

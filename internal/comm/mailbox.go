@@ -8,9 +8,10 @@ import (
 
 // mailbox is the receive half both transports embed: the in-process
 // endpoint's peers put into it from their Send, the TCP endpoint's reader
-// goroutines put the frames they decode. Recv matches by (source, tag) and
-// takes the oldest match, so FIFO per (source, tag) pair holds because every
-// put appends under the one lock.
+// goroutines put the frames they decode. Frames are filed by source, one
+// queue per peer; Recv scans only its source's queue for the tag and takes
+// the oldest match, so FIFO per (source, tag) pair holds because every put
+// appends under the one lock.
 //
 // A receive decides in one fixed order, re-checked on every wakeup:
 //
@@ -27,15 +28,15 @@ type mailbox struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	msgs     []message
-	failed   []error // per-peer failure; nil while the peer is live
+	msgs     [][]message // per source, in put order
+	failed   []error     // per-peer failure; nil while the peer is live
 	closed   bool
 	deadline time.Duration // applied to every Recv; <= 0 blocks without one
 }
 
 type message struct {
-	src, tag int
-	data     []byte
+	tag  int
+	data []byte
 }
 
 // init readies the mailbox of rank in a world of p ranks. The endpoint
@@ -43,6 +44,7 @@ type message struct {
 // the mailbox's own lock.
 func (m *mailbox) init(rank, p int) {
 	m.rank = rank
+	m.msgs = make([][]message, p)
 	m.failed = make([]error, p)
 	m.cond = sync.NewCond(&m.mu)
 }
@@ -50,7 +52,7 @@ func (m *mailbox) init(rank, p int) {
 // put delivers one message from src. data is retained, not copied.
 func (m *mailbox) put(src, tag int, data []byte) {
 	m.mu.Lock()
-	m.msgs = append(m.msgs, message{src: src, tag: tag, data: data})
+	m.msgs[src] = append(m.msgs[src], message{tag: tag, data: data})
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
@@ -118,9 +120,12 @@ func (m *mailbox) recv(src, tag int) ([]byte, error) {
 		deadline = time.Now().Add(d)
 	}
 	for {
-		for i, msg := range m.msgs {
-			if msg.src == src && msg.tag == tag {
-				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
+		q := m.msgs[src]
+		for i, msg := range q {
+			if msg.tag == tag {
+				copy(q[i:], q[i+1:])
+				q[len(q)-1] = message{}
+				m.msgs[src] = q[:len(q)-1]
 				m.stats.recordRecv(len(msg.data))
 				return msg.data, nil
 			}

@@ -12,31 +12,30 @@ import (
 // package: the TCP dialer and the chaos wrapper's recovery from injected
 // transient send failures.
 //
-// Sleeps double from Base up to Max, with full jitter (a uniformly random
+// Sleeps double from base up to max, with full jitter (a uniformly random
 // fraction of the nominal sleep in [1/2, 1]) so a world of ranks retrying
 // the same dead peer does not retry in lockstep. The jitter stream is
-// seeded (Seed), keeping fault-injection runs reproducible.
-// Retrying stops when an attempt succeeds, the error is not Transient, or
-// the time budget (Total, covering op time plus sleeps) would be exceeded
-// by the next sleep.
+// seeded (seed), keeping fault-injection runs reproducible. Retrying stops
+// when an attempt succeeds, the error is not Transient, or the time budget
+// (Total, covering op time plus sleeps) would be exceeded by the next
+// sleep. Total is the one knob callers choose; base, max and seed are set
+// by this package alone (the chaos layer's policy, the dialer's per-peer
+// seed, the tests).
 type Backoff struct {
-	// Base is the first sleep. Default 10ms.
-	Base time.Duration
-	// Max caps a single sleep. Default 500ms.
-	Max time.Duration
 	// Total is the overall time budget including sleeps. Default 10s.
 	Total time.Duration
-	// Seed seeds the jitter stream (any fixed value gives reproducible
-	// sleeps; the default 0 is a valid seed).
-	Seed int64
+
+	base time.Duration // first sleep; default 10ms
+	max  time.Duration // cap on one sleep; default 500ms
+	seed int64         // jitter stream seed; 0 is a valid seed
 }
 
 func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 10 * time.Millisecond
+	if b.base <= 0 {
+		b.base = 10 * time.Millisecond
 	}
-	if b.Max <= 0 {
-		b.Max = 500 * time.Millisecond
+	if b.max <= 0 {
+		b.max = 500 * time.Millisecond
 	}
 	if b.Total <= 0 {
 		b.Total = 10 * time.Second
@@ -51,10 +50,10 @@ func (b Backoff) withDefaults() Backoff {
 // operation in retry events and errors (e.g. "dial rank 3").
 func (b Backoff) Retry(what string, op func() error) error {
 	b = b.withDefaults()
-	rng := rand.New(rand.NewSource(b.Seed))
+	rng := rand.New(rand.NewSource(b.seed))
 	start := time.Now()
 	deadline := start.Add(b.Total)
-	sleep := b.Base
+	sleep := b.base
 	for attempt := 1; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -72,6 +71,6 @@ func (b Backoff) Retry(what string, op func() error) error {
 		}
 		trace.Eventf("retry", "%s attempt %d failed (%v); backing off %v", what, attempt, err, d)
 		time.Sleep(d)
-		sleep = min(2*sleep, b.Max)
+		sleep = min(2*sleep, b.max)
 	}
 }

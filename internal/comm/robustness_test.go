@@ -40,7 +40,7 @@ func TestTransientClassification(t *testing.T) {
 
 func TestRetryRecoversTransient(t *testing.T) {
 	calls := 0
-	pol := Backoff{Base: time.Microsecond, Max: 10 * time.Microsecond, Total: time.Second, Seed: 1}
+	pol := Backoff{base: time.Microsecond, max: 10 * time.Microsecond, Total: time.Second, seed: 1}
 	err := pol.Retry("unit", func() error {
 		calls++
 		if calls < 4 {
@@ -56,7 +56,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 func TestRetryPermanentFailsFast(t *testing.T) {
 	calls := 0
 	perm := errors.New("permanent")
-	pol := Backoff{Base: time.Microsecond, Total: time.Second}
+	pol := Backoff{base: time.Microsecond, Total: time.Second}
 	err := pol.Retry("unit", func() error { calls++; return perm })
 	if calls != 1 {
 		t.Fatalf("permanent error retried %d times", calls)
@@ -68,7 +68,7 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	inner := errors.New("still down")
-	pol := Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Total: 50 * time.Millisecond, Seed: 7}
+	pol := Backoff{base: time.Millisecond, max: 2 * time.Millisecond, Total: 50 * time.Millisecond, seed: 7}
 	var sink bytes.Buffer
 	trace.SetEventOutput(&sink)
 	defer trace.SetEventOutput(nil)
@@ -213,7 +213,7 @@ func TestRecvDrainsBeforePeerDown(t *testing.T) {
 // appears instead of failing on the first connection refusal.
 func TestDialRetryEventualSuccess(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	pol := Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Total: 10 * time.Second, Seed: 1}
+	pol := Backoff{base: 5 * time.Millisecond, max: 50 * time.Millisecond, Total: 10 * time.Second, seed: 1}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -243,7 +243,7 @@ func TestDialRetryEventualSuccess(t *testing.T) {
 // hang.
 func TestDialRetryExhaustion(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	pol := Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Total: 300 * time.Millisecond, Seed: 1}
+	pol := Backoff{base: 2 * time.Millisecond, max: 10 * time.Millisecond, Total: 300 * time.Millisecond, seed: 1}
 	start := time.Now()
 	ep, err := DialTCPWorld(0, addrs, pol) // rank 1 never comes up
 	if err == nil {

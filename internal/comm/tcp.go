@@ -147,7 +147,7 @@ func DialTCPWorld(myRank int, addrs []string, b Backoff) (*TCPEndpoint, error) {
 			defer wg.Done()
 			var conn net.Conn
 			pol := b
-			pol.Seed = b.Seed ^ int64(myRank)<<20 ^ int64(peer)
+			pol.seed = b.seed ^ int64(myRank)<<20 ^ int64(peer)
 			err := pol.Retry(fmt.Sprintf("rank %d dial rank %d (%s)", myRank, peer, addrs[peer]), func() error {
 				c, err := net.DialTimeout("tcp", addrs[peer], handshakeTimeout)
 				if err != nil {

@@ -258,7 +258,7 @@ func (s *Session) install() error {
 
 	// Exchange 1: representative of each final community label L = the
 	// minimum tracked vertex with that label, computed at rank L%p.
-	// Min-combine is order-independent, so arrival order cannot matter.
+	// Min-combine is order-independent, so callback order cannot matter.
 	localMin := make(map[int]int)
 	var keys []int
 	for i, v := range tracked {

@@ -158,9 +158,9 @@ type stage struct {
 	// index, per rank) flag what the next sweep evaluates: a new stage starts
 	// fully armed, sweep clears a flag as it evaluates, and a label change
 	// re-arms the neighbourhood it can affect (arm, armRev). Every arming is
-	// an idempotent set insertion, so frame arrival order cannot show. seen
-	// (by vertex id) records what was evaluated since a Session last cleared
-	// it: its per-batch drift statistic.
+	// an idempotent set insertion, so the order frames apply in cannot
+	// show. seen (by vertex id) records what was evaluated since a Session
+	// last cleared it: its per-batch drift statistic.
 	active    []bool
 	hubActive []bool
 	seen      []bool
@@ -481,7 +481,7 @@ func (s *stage) seedQ() {
 }
 
 // u128 is an unsigned 128-bit integer with wrapping arithmetic: sumSq passes
-// through values that are not its final one while records apply in arrival
+// through values that are not its final one while records apply in callback
 // order, and modular arithmetic makes the end result exact regardless.
 type u128 struct{ hi, lo uint64 }
 

@@ -78,7 +78,7 @@ func (s *stage) registerWatches() error {
 // aggregates of the dirty communities that rank watches, plus first values
 // for the watches registered since the last push, and every rank installs
 // what it receives. Each community has one owner, so the per-source
-// installs are disjoint and arrival-order application is deterministic.
+// installs are disjoint and the order the sources apply in cannot show.
 func (s *stage) pushAggregates() error {
 	defer s.charge(exPush, s.bytesSent())
 	out := s.sendScratch()
@@ -357,8 +357,8 @@ func (s *stage) ghostSwap() error {
 		bufs[r] = s.sendBufs[r].Bytes()
 	}
 	// Stream the inbound label updates: every vertex is published only by
-	// its owner, so the per-source writes to s.comm are disjoint and
-	// arrival-order application is deterministic. A frame may only name
+	// its owner, so the per-source writes to s.comm are disjoint and the
+	// order the sources apply in cannot show. A frame may only name
 	// vertices its sender owns and this rank already holds. A ghost whose
 	// label changed arms the owned vertices adjacent to it and carries the
 	// change into sumIn (no local arc joins two ghosts, so order is moot).
@@ -483,10 +483,10 @@ func (s *stage) applyHubMoves() int64 {
 
 // flushDeltas routes the pending Σtot/size deltas and the queued watch
 // requests to the community owners, applies the deltas addressed to this
-// rank (in arrival order: Σtot is an exact integer) and registers the
-// watchers. A community is marked dirty when a record for it arrives, not
-// when its value changes: moves on two ranks can cancel at the owner while
-// each rank's cache entry holds only its own half.
+// rank (in callback order, which cannot show: Σtot is an exact integer) and
+// registers the watchers. A community is marked dirty when a record for it
+// arrives, not when its value changes: moves on two ranks can cancel at the
+// owner while each rank's cache entry holds only its own half.
 func (s *stage) flushDeltas() error {
 	defer s.charge(exFlush, s.bytesSent())
 	bufs := s.sendScratch()
